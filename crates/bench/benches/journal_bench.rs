@@ -65,7 +65,7 @@ fn bench_journal_apply(c: &mut Criterion) {
     let mut g = c.benchmark_group("journal");
     g.bench_function("apply_arp_pairs_10k", |b| {
         b.iter(|| {
-            let mut j = Journal::new();
+            let j = Journal::new();
             for i in 0..10_000u32 {
                 j.apply(
                     &Observation::arp_pair(Source::ArpWatch, ip_of(i), mac_of(i)),
@@ -76,7 +76,7 @@ fn bench_journal_apply(c: &mut Criterion) {
         })
     });
     g.bench_function("reverify_known_pairs_10k", |b| {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for i in 0..10_000u32 {
             j.apply(
                 &Observation::arp_pair(Source::ArpWatch, ip_of(i), mac_of(i)),
@@ -93,7 +93,7 @@ fn bench_journal_apply(c: &mut Criterion) {
             black_box(j.stats().interfaces)
         })
     });
-    let mut j = Journal::new();
+    let j = Journal::new();
     for i in 0..16_000u32 {
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip_of(i), mac_of(i)),

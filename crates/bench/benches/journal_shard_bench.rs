@@ -1,9 +1,10 @@
 //! Criterion benchmarks for the sharded Journal store: batched store
 //! and query throughput at 1 / 4 / 8 shards while contending threads
-//! hammer the other side of the lock, the grouped batch path against
-//! the legacy per-observation loop, the durable batched write path
-//! (group commit: at most one fsync per StoreBatch), and connection
-//! churn against the event-loop server.
+//! hammer the other side of the lock, the uncontended write
+//! transaction on an all-ARP batch and on the fact mix a survey
+//! actually records, the durable batched write path (group commit: at
+//! most one fsync per StoreBatch), and connection churn against the
+//! event-loop server.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::net::Ipv4Addr;
@@ -11,13 +12,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fremont_journal::client::RemoteJournal;
-use fremont_journal::observation::{Observation, Source};
+use fremont_journal::observation::{Fact, Observation, Source};
 use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::query::InterfaceQuery;
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
-use fremont_net::MacAddr;
+use fremont_net::{MacAddr, Subnet, SubnetMask};
 use fremont_storage::{DurableJournal, WalConfig};
 
 const BATCH: u32 = 64;
@@ -47,15 +48,7 @@ fn batch_at(t: u64) -> Vec<StoreBatchItem> {
 /// A journal pre-populated with the full host set, so queries hit and
 /// stores mostly verify (the steady-state mix of a long survey).
 fn populated(shards: usize) -> SharedJournal {
-    let journal = Journal::with_shards(shards);
-    journal.apply_batch(
-        (0..HOSTS)
-            .map(|h| Observation::arp_pair(Source::ArpWatch, ip_of(h), mac_of(h)))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|o| (o, JTime(0))),
-    );
-    SharedJournal::from_journal(journal)
+    SharedJournal::from_journal(populated_journal(shards))
 }
 
 /// Runs `f` while `contenders` background threads run `noise` in a
@@ -138,44 +131,92 @@ fn populated_journal(shards: usize) -> Journal {
     journal
 }
 
-/// The grouped batch path head-to-head with the legacy per-observation
-/// loop on the same populated journal: one meta acquisition and one
-/// shard lock per commit group, versus a shard lock visit for every
-/// observation. The gap is what flattens `contended_store_batch`.
-fn bench_grouped_store(c: &mut Criterion) {
-    let mut g = c.benchmark_group("journal_shard/grouped_store_batch");
-    g.throughput(Throughput::Elements(u64::from(BATCH)));
-    for shards in [1usize, 4, 8] {
-        let journal = populated_journal(shards);
-        let mut t = 1u64;
-        g.bench_with_input(BenchmarkId::new("grouped", shards), &shards, |b, _| {
-            b.iter(|| {
-                t += 1;
-                let obs: Vec<Observation> = (0..BATCH)
-                    .map(|i| {
-                        let h = ((t as u32 * BATCH) + i) % HOSTS;
-                        Observation::arp_pair(Source::ArpWatch, ip_of(h), mac_of(h))
-                    })
-                    .collect();
-                black_box(journal.apply_batch_grouped(obs.iter().map(|o| (o, JTime(t)))))
+fn arp_batch_at(t: u64) -> Vec<Observation> {
+    (0..BATCH)
+        .map(|i| {
+            let h = ((t as u32 * BATCH) + i) % HOSTS;
+            Observation::arp_pair(Source::ArpWatch, ip_of(h), mac_of(h))
+        })
+        .collect()
+}
+
+/// A 64-observation batch with the fact mix the benchmark's 2 h survey
+/// records (seed 1993: 61 % Gateway, 26 % Interface, 12 % Subnet or
+/// SubnetStats, the rest RipSource) rather than 100 % ARP pairs: per 32
+/// slots 19 two-interface gateways, 8 ARP pairs, 4 subnet facts and 1
+/// RIP source, with the kinds interleaved (slot × 11 mod 32) the way
+/// module batches interleave in a pump.
+fn recorded_mix_at(t: u64) -> Vec<Observation> {
+    let mask = SubnetMask::from_prefix_len(24).unwrap();
+    (0..BATCH)
+        .map(|i| {
+            let h = ((t as u32 * BATCH) + i) % HOSTS;
+            let subnet = Subnet::containing(ip_of(h), mask);
+            match (i * 11) % 32 {
+                0..=18 => Observation::new(
+                    Source::Traceroute,
+                    Fact::Gateway {
+                        interface_ips: vec![ip_of(h), ip_of((h + HOSTS / 2) % HOSTS)],
+                        interface_names: vec![],
+                        subnets: vec![subnet],
+                    },
+                ),
+                19..=26 => Observation::arp_pair(Source::ArpWatch, ip_of(h), mac_of(h)),
+                27 | 28 => Observation::subnet(Source::RipWatch, subnet, true),
+                29 | 30 => Observation::new(
+                    Source::Dns,
+                    Fact::SubnetStats {
+                        subnet,
+                        host_count: 200,
+                        lowest: ip_of(h & !0xff),
+                        highest: ip_of(h | 0xff),
+                    },
+                ),
+                _ => Observation::new(
+                    Source::RipWatch,
+                    Fact::RipSource {
+                        ip: ip_of(h),
+                        mac: Some(mac_of(h)),
+                        advertised_routes: 40,
+                        promiscuous: false,
+                    },
+                ),
+            }
+        })
+        .collect()
+}
+
+/// One uncontended write transaction per iteration on a populated
+/// journal, at each shard count: `store_batch` with all-ARP batches,
+/// `store_batch_recorded_mix` with the recorded fact mix (the journal
+/// has seen every batch of the cycle once, so both mostly verify).
+/// Flat across shard counts is the claim: a transaction takes each
+/// shard lock once and resolves through the shard-mask filter.
+fn bench_store_batch(c: &mut Criterion) {
+    type BatchAt = fn(u64) -> Vec<Observation>;
+    let cases: [(&str, BatchAt); 2] = [
+        ("journal_shard/store_batch", arp_batch_at),
+        ("journal_shard/store_batch_recorded_mix", recorded_mix_at),
+    ];
+    for (group, batch_at) in cases {
+        let mut g = c.benchmark_group(group);
+        g.throughput(Throughput::Elements(u64::from(BATCH)));
+        for shards in [1usize, 4, 8] {
+            let journal = populated_journal(shards);
+            for t in 0..u64::from(HOSTS / BATCH) {
+                journal.apply_batch(batch_at(t).iter().map(|o| (o, JTime(0))));
+            }
+            let mut t = 1u64;
+            g.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, _| {
+                b.iter(|| {
+                    t += 1;
+                    let obs = batch_at(t);
+                    black_box(journal.apply_batch(obs.iter().map(|o| (o, JTime(t)))))
+                });
             });
-        });
-        let journal = populated_journal(shards);
-        let mut t = 1u64;
-        g.bench_with_input(BenchmarkId::new("sequential", shards), &shards, |b, _| {
-            b.iter(|| {
-                t += 1;
-                let obs: Vec<Observation> = (0..BATCH)
-                    .map(|i| {
-                        let h = ((t as u32 * BATCH) + i) % HOSTS;
-                        Observation::arp_pair(Source::ArpWatch, ip_of(h), mac_of(h))
-                    })
-                    .collect();
-                black_box(journal.apply_batch_sequential(obs.iter().map(|o| (o, JTime(t)))))
-            });
-        });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 fn bench_contended_query(c: &mut Criterion) {
@@ -283,7 +324,7 @@ fn bench_eventloop_churn(c: &mut Criterion) {
 criterion_group!(
     journal_shard_bench,
     bench_contended_store,
-    bench_grouped_store,
+    bench_store_batch,
     bench_contended_query,
     bench_cross_shard_scan,
     bench_durable_batch,

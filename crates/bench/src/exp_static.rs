@@ -25,7 +25,7 @@ pub fn table1() -> Table {
         &["Field (paper)", "Implementation", "Timestamped"],
     );
     // Construct a fully-populated record to prove the schema exists.
-    let mut j = Journal::new();
+    let j = Journal::new();
     j.apply(
         &Observation::arp_pair(
             Source::ArpWatch,
@@ -100,7 +100,7 @@ pub fn subnet_bytes(s: &SubnetRecord) -> usize {
 /// under four megabytes of memory". We build exactly that journal and
 /// measure.
 pub fn table2() -> Table {
-    let mut j = Journal::new();
+    let j = Journal::new();
     // 16k interfaces across 192 subnets (85 hosts each ≈ 16320).
     let mut count = 0u32;
     for s in 0..192u32 {

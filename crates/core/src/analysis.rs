@@ -640,7 +640,7 @@ mod tests {
 
     #[test]
     fn detects_duplicate_assignment() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Both adapters keep answering ARP for the same address.
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("08:00:20:00:00:01")),
@@ -662,7 +662,7 @@ mod tests {
 
     #[test]
     fn detects_hardware_change() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Old adapter seen early, then silent; new one seen recently.
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("08:00:20:00:00:01")),
@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn detects_proxy_arp_style_mac() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("00:00:0c:aa:bb:cc");
         for i in 1..=3u8 {
             j.apply(
@@ -696,7 +696,7 @@ mod tests {
 
     #[test]
     fn detects_mask_conflict() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::mask(Source::SubnetMasks, ip("10.0.1.5"), mask(24)),
             JTime(1),
@@ -720,7 +720,7 @@ mod tests {
 
     #[test]
     fn no_conflict_when_masks_agree() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::mask(Source::SubnetMasks, ip("10.0.1.5"), mask(24)),
             JTime(1),
@@ -734,7 +734,7 @@ mod tests {
 
     #[test]
     fn detects_stale_addresses() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Seen alive early, then only DNS keeps mentioning it.
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.0.7")),
@@ -759,7 +759,7 @@ mod tests {
 
     #[test]
     fn dns_only_ghost_is_stale_with_never() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::named_ip(Source::Dns, ip("10.0.0.70"), "never.cs"),
             JTime::from_days(20),
@@ -781,7 +781,7 @@ mod tests {
 
     #[test]
     fn detects_promiscuous_rip() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::new(
                 Source::RipWatch,
@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn full_report_renders() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("08:00:20:00:00:01")),
             JTime(100),
@@ -835,7 +835,7 @@ mod tests {
 
     #[test]
     fn detects_stale_route_for_dead_gateway() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // A gateway with two interfaces, both verified early, then silent.
         j.apply(
             &Observation::new(
@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn gateway_never_live_is_not_a_stale_route() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::new(
                 Source::Dns,
@@ -895,7 +895,7 @@ mod tests {
 
     #[test]
     fn detects_silent_subnet() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Four hosts verified on day 1, then the whole wire goes dark.
         for h in 10..14u8 {
             j.apply(
@@ -921,7 +921,7 @@ mod tests {
 
     #[test]
     fn small_population_is_not_a_silent_subnet() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for h in 10..12u8 {
             j.apply(
                 &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 5, h)),
@@ -933,7 +933,7 @@ mod tests {
 
     #[test]
     fn detects_clock_skew_suspects() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // A skewed host's observation arrives stamped a day in the future.
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.0.5")),

@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn shared_mac_across_subnets_becomes_gateway() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("00:00:0c:01:02:03");
         let mask = SubnetMask::from_prefix_len(24).unwrap();
         // Two ARP watchers on different subnets saw the same adapter.
@@ -145,7 +145,7 @@ mod tests {
         let derived = correlate(&j);
         assert_eq!(derived.len(), 1);
         let now = JTime(10);
-        j.apply_all(derived.iter(), now);
+        j.apply_batch(derived.iter().map(|o| (o, now)));
         let gws = j.get_gateways();
         assert_eq!(gws.len(), 1);
         assert_eq!(gws[0].interfaces.len(), 2);
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn shared_mac_same_subnet_is_not_a_gateway() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("08:00:20:01:02:03");
         let mask = SubnetMask::from_prefix_len(24).unwrap();
         j.apply(
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn mask_needed_for_mac_correlation() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("00:00:0c:01:02:03");
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.1.0.1"), m),
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn shared_name_becomes_gateway() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::named_ip(Source::Dns, ip("10.1.0.1"), "engr-gw"),
             JTime(1),
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn correlation_is_idempotent() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("00:00:0c:01:02:03");
         let mask = SubnetMask::from_prefix_len(24).unwrap();
         j.apply(
@@ -244,9 +244,9 @@ mod tests {
             JTime(3),
         );
         let d1 = correlate(&j);
-        j.apply_all(d1.iter(), JTime(4));
+        j.apply_batch(d1.iter().map(|o| (o, JTime(4))));
         let d2 = correlate(&j);
-        j.apply_all(d2.iter(), JTime(5));
+        j.apply_batch(d2.iter().map(|o| (o, JTime(5))));
         assert_eq!(j.get_gateways().len(), 1, "re-running never duplicates");
         j.check_invariants().unwrap();
     }

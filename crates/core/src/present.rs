@@ -192,7 +192,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn populated() -> Journal {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::arp_pair(
                 Source::ArpWatch,

@@ -29,7 +29,7 @@
 //! use fremont_journal::store::Journal;
 //! use fremont_journal::time::JTime;
 //!
-//! let mut journal = Journal::new();
+//! let journal = Journal::new();
 //! journal.apply(
 //!     &Observation::arp_pair(
 //!         Source::ArpWatch,

@@ -113,10 +113,11 @@ pub trait JournalAccess {
         None
     }
 
-    /// Shard commit groups flushed by the grouped batch path, for
-    /// backends wrapping the in-process store; `None` for remote or
-    /// opaque backends. Carried outside [`ShardingMetrics`] because
-    /// that struct is a frozen wire type (wal-schema golden).
+    /// Shard write-lock acquisitions made by the store's write
+    /// transactions (shard count × transactions), for backends wrapping
+    /// the in-process store; `None` for remote or opaque backends.
+    /// Carried outside [`ShardingMetrics`] because that struct is a
+    /// frozen wire type (wal-schema golden).
     fn batch_groups_total(&self) -> Option<u64> {
         None
     }
@@ -173,9 +174,8 @@ impl SharedJournal {
     }
 
     /// Runs a closure against the underlying journal for mutation through
-    /// its shared-reference write path (`apply_shared`, `apply_batch`,
-    /// `delete_interface_shared`); mutations serialize on the store's
-    /// internal meta lock.
+    /// its write path (`apply`, `apply_batch`, `delete_interface`);
+    /// mutations serialize on the store's internal meta lock.
     pub fn write<R>(&self, f: impl FnOnce(&Journal) -> R) -> R {
         f(&self.inner)
     }
@@ -209,7 +209,7 @@ impl JournalAccess for SharedJournal {
     }
 
     fn delete(&self, id: InterfaceId) -> Result<bool, ProtoError> {
-        Ok(self.inner.delete_interface_shared(id))
+        Ok(self.inner.delete_interface(id))
     }
 
     fn stats(&self) -> Result<JournalStats, ProtoError> {
@@ -1067,6 +1067,9 @@ mod tests {
         assert_eq!(j.stats().unwrap().interfaces, 1);
         assert!(j.delete(recs[0].id).unwrap());
         assert_eq!(j.stats().unwrap().interfaces, 0);
-        assert_eq!(j.batch_groups_total(), Some(1));
+        // Two write transactions (the store, the delete), each taking
+        // every shard's write lock once.
+        let shards = j.read(Journal::shard_count) as u64;
+        assert_eq!(j.batch_groups_total(), Some(2 * shards));
     }
 }

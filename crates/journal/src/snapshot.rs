@@ -120,7 +120,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn populated() -> Journal {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::arp_pair(
                 Source::ArpWatch,
@@ -163,7 +163,7 @@ mod tests {
         );
         assert_eq!(j2.get_subnets(&SubnetQuery::all()).len(), 2);
         // Applying to the restored journal keeps working (ids intact).
-        let mut j3 = snap.restore();
+        let j3 = snap.restore();
         j3.apply(
             &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, 1)),
             JTime(5),

@@ -44,28 +44,46 @@ fn fingerprint(bytes: &[u8]) -> u64 {
 /// form must equal the fingerprint of the owned key (`&str` vs `String`),
 /// so lookups never have to allocate.
 pub(super) trait FilterKey: Ord {
+    /// Key-type tag mixed into journal-global fingerprints so an IP and
+    /// a MAC that happen to share a fingerprint do not alias across the
+    /// three index families.
+    const TAG: u64;
+
     fn filter_hash(&self) -> u64;
+
+    /// The fingerprint the journal-global [`ShardMaskFilter`] keys on.
+    fn tagged_hash(&self) -> u64 {
+        self.filter_hash() ^ Self::TAG
+    }
 }
 
 impl FilterKey for Ipv4Addr {
+    const TAG: u64 = 0x9E37_79B9_7F4A_7C15;
+
     fn filter_hash(&self) -> u64 {
         fingerprint(&self.octets())
     }
 }
 
 impl FilterKey for MacAddr {
+    const TAG: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
     fn filter_hash(&self) -> u64 {
         fingerprint(&self.octets())
     }
 }
 
 impl FilterKey for String {
+    const TAG: u64 = <str as FilterKey>::TAG;
+
     fn filter_hash(&self) -> u64 {
         fingerprint(self.as_bytes())
     }
 }
 
 impl FilterKey for str {
+    const TAG: u64 = 0x1656_67B1_9E37_79F9;
+
     fn filter_hash(&self) -> u64 {
         fingerprint(self.as_bytes())
     }
@@ -95,8 +113,7 @@ impl Hasher for IdentityHasher {
     }
 }
 
-/// `BuildHasher` for [`IdentityHasher`]; also used by the grouped batch
-/// planner's pending-key set, which stores the same fingerprints.
+/// `BuildHasher` for [`IdentityHasher`].
 #[derive(Clone, Default)]
 pub(super) struct IdentityState;
 
@@ -108,28 +125,13 @@ impl BuildHasher for IdentityState {
     }
 }
 
-/// Key-type tags mixed into journal-global fingerprints so an IP and a
-/// MAC that happen to share a fingerprint do not alias across the three
-/// index families.
-pub(super) const TAG_IP: u64 = 0x9E37_79B9_7F4A_7C15;
-pub(super) const TAG_MAC: u64 = 0xC2B2_AE3D_27D4_EB4F;
-pub(super) const TAG_NAME: u64 = 0x1656_67B1_9E37_79F9;
-
-/// One key-liveness transition in one shard's index: the tagged
-/// fingerprint of a key whose posting list just came into existence
-/// (`added`) or just emptied. Emitted by [`add`]/[`remove`] so callers
-/// can maintain the journal-global [`ShardMaskFilter`] — directly when
-/// they hold the meta lock, or buffered and applied after a parallel
-/// commit joins.
-pub(super) struct FilterDelta {
-    pub h: u64,
-    pub shard: usize,
-    pub added: bool,
-}
-
 /// Journal-global key→shard map, by tagged fingerprint: `may_shards`
 /// returns a bitmask of the shards that may hold a key, so resolution
 /// under the meta lock costs one probe instead of one per shard.
+/// [`add`]/[`remove`] report every key-liveness transition (a posting
+/// list coming into existence or emptying) here; every index mutation
+/// runs inside a write transaction, which holds `Meta`, so the map
+/// stays exact.
 ///
 /// `masks` alone would be unsound under fingerprint collisions (clearing
 /// a departing key's bit could hide a colliding key that is still
@@ -138,6 +140,7 @@ pub(super) struct FilterDelta {
 /// either map can therefore only leave bits set too long — a spurious
 /// probe, never a missed posting. Untracked (more than 64 shards, which
 /// a bitmask cannot index) the filter degrades to "probe everything".
+#[derive(PartialEq)]
 pub(super) struct ShardMaskFilter {
     masks: HashMap<u64, u64, IdentityState>,
     counts: HashMap<u64, u32, IdentityState>,
@@ -166,28 +169,31 @@ impl ShardMaskFilter {
         self.masks.get(&h).copied().unwrap_or(0)
     }
 
-    pub(super) fn apply(&mut self, d: &FilterDelta) {
+    pub(super) fn key_added(&mut self, h: u64, shard: usize) {
         if !self.tracked {
             return;
         }
-        let slot = Self::slot(d.h, d.shard);
-        if d.added {
-            *self.counts.entry(slot).or_insert(0) += 1;
-            *self.masks.entry(d.h).or_insert(0) |= 1 << d.shard;
-        } else {
-            match self.counts.get_mut(&slot) {
-                Some(1) => {
-                    self.counts.remove(&slot);
-                    if let Some(m) = self.masks.get_mut(&d.h) {
-                        *m &= !(1 << d.shard);
-                        if *m == 0 {
-                            self.masks.remove(&d.h);
-                        }
+        *self.counts.entry(Self::slot(h, shard)).or_insert(0) += 1;
+        *self.masks.entry(h).or_insert(0) |= 1 << shard;
+    }
+
+    fn key_removed(&mut self, h: u64, shard: usize) {
+        if !self.tracked {
+            return;
+        }
+        let slot = Self::slot(h, shard);
+        match self.counts.get_mut(&slot) {
+            Some(1) => {
+                self.counts.remove(&slot);
+                if let Some(m) = self.masks.get_mut(&h) {
+                    *m &= !(1 << shard);
+                    if *m == 0 {
+                        self.masks.remove(&h);
                     }
                 }
-                Some(c) => *c -= 1,
-                None => debug_assert!(false, "shard-mask filter underflow"),
             }
+            Some(c) => *c -= 1,
+            None => debug_assert!(false, "shard-mask filter underflow"),
         }
     }
 }
@@ -236,16 +242,14 @@ impl KeyFilter {
 ///
 /// Re-adding an id that is already present keeps its original sequence, just
 /// as the old single-map index kept its original list position.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn add<K: FilterKey>(
     idx: &mut AvlMap<K, Vec<Entry>>,
     flt: &mut KeyFilter,
     key: K,
     id: InterfaceId,
     seq: &mut u64,
-    tag: u64,
     shard: usize,
-    deltas: &mut Vec<FilterDelta>,
+    mask: &mut ShardMaskFilter,
 ) {
     match idx.get_mut(&key) {
         Some(v) => {
@@ -256,13 +260,8 @@ pub(super) fn add<K: FilterKey>(
         }
         None => {
             *seq += 1;
-            let h = key.filter_hash();
-            flt.key_added(h);
-            deltas.push(FilterDelta {
-                h: h ^ tag,
-                shard,
-                added: true,
-            });
+            flt.key_added(key.filter_hash());
+            mask.key_added(key.tagged_hash(), shard);
             idx.insert(key, vec![(*seq, id)]);
         }
     }
@@ -275,9 +274,8 @@ pub(super) fn remove<K: FilterKey>(
     flt: &mut KeyFilter,
     key: &K,
     id: InterfaceId,
-    tag: u64,
     shard: usize,
-    deltas: &mut Vec<FilterDelta>,
+    mask: &mut ShardMaskFilter,
 ) {
     let emptied = match idx.get_mut(key) {
         Some(v) => {
@@ -287,13 +285,8 @@ pub(super) fn remove<K: FilterKey>(
         None => false,
     };
     if emptied {
-        let h = key.filter_hash();
-        flt.key_removed(h);
-        deltas.push(FilterDelta {
-            h: h ^ tag,
-            shard,
-            added: false,
-        });
+        flt.key_removed(key.filter_hash());
+        mask.key_removed(key.tagged_hash(), shard);
         idx.remove(key);
     }
 }

@@ -11,30 +11,38 @@
 //! # Sharding
 //!
 //! Interface records are partitioned into N shards by id hash, each shard
-//! behind its own reader-writer lock with its own AVL indexes. All
-//! mutations serialize on the `meta` write lock (the gateway and subnet
-//! slabs plus the global ordering sequences live there). The per-item
-//! write path then visits one shard lock at a time; the grouped batch
-//! path (`grouped.rs`) instead takes **every** shard's write lock in
-//! ascending index order and holds the guards across planning and
-//! commit, so a batch visits each shard lock at most once. Interface
-//! queries take only shard locks and so run concurrently with a writer,
-//! merging sorted per-shard results back into the global order;
-//! lone-lock query sweeps visit shards in *descending* order, opposite
-//! the writer's ascending acquisition, so a sweep crosses a multi-lock
-//! writer at most once instead of convoying. Lock order is strictly
-//! `meta` before any shard, and multiple shard locks are only ever
-//! acquired ascending.
+//! behind its own reader-writer lock with its own AVL indexes. The
+//! gateway and subnet slabs plus the global ordering sequences live
+//! behind the `meta` lock.
+//!
+//! # One write path
+//!
+//! Every mutation — [`Journal::apply`], [`Journal::apply_batch`],
+//! [`Journal::delete_interface`], snapshot restore — runs inside one
+//! `WriteTxn`: the `meta` write guard plus **every** shard's write
+//! guard, taken once in ascending index order by `begin_write` (the only
+//! function that acquires a shard write lock; `fremont-lint`'s
+//! `shard-lock-order` rule enforces that). The merge rules then run in
+//! observation order, reading and writing records straight through the
+//! held guards, so a transaction costs exactly one write-lock
+//! acquisition per shard and no read locks, whatever facts it carries.
+//! Identity resolution asks `Meta::flt` (a key→shard bitmask) which
+//! shards may hold a key and descends only into those.
+//!
+//! Interface queries take only shard read locks and so run concurrently
+//! with each other, merging sorted per-shard results back into the
+//! global order; lone-lock query sweeps visit shards in *descending*
+//! order, opposite the writer's ascending acquisition, so a sweep
+//! crosses a writer at most once instead of convoying. Lock order is
+//! strictly `meta` before any shard, and multiple shard locks are only
+//! ever acquired ascending.
 //!
 //! Consistency: readers that go through `meta` (`stats`, `to_snapshot`,
 //! `check_invariants`, gateway/subnet queries) are fully serialized
-//! against writers. Shard-only interface queries may observe a write
-//! batch's intermediate states (one observation fully applied, the next
-//! not yet), never a torn single observation; under grouped commit a
-//! barrier-free batch is atomic with respect to interface queries,
-//! because every shard's write lock is held for its duration.
+//! against writers. A write transaction — a batch, a single apply, a
+//! delete — is atomic with respect to interface queries too, because
+//! every shard's write lock is held for its duration.
 
-mod grouped;
 mod indexes;
 mod merge;
 mod shard;
@@ -46,7 +54,7 @@ use std::net::Ipv4Addr;
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
 
@@ -64,8 +72,7 @@ use stats::{ShardCounters, StoreCounters};
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Mutation-ordering state: everything a writer must update atomically with
-/// respect to other writers. The `meta` write lock is the single write gate;
-/// holding it, a writer touches shards one at a time.
+/// respect to other writers. The `meta` write lock is the single write gate.
 struct Meta {
     gateways: Vec<Option<GatewayRecord>>,
     subnets: AvlMap<Subnet, SubnetRecord>,
@@ -76,12 +83,10 @@ struct Meta {
     /// Global modification sequence (tie-break within one `JTime`).
     mod_seq: u64,
     observations_applied: u64,
-    /// Journal-global key→shard bitmasks for the resolution paths, which
-    /// all run under this meta lock: one probe answers "which shards
-    /// could hold this key" instead of asking every shard's filter.
-    /// Index mutations also all run under the meta lock, so the map
-    /// stays exact — parallel grouped commits buffer their liveness
-    /// deltas and the coordinator folds them in after the join.
+    /// Journal-global key→shard bitmasks for identity resolution: one
+    /// probe answers "which shards could hold this key" instead of
+    /// asking every shard's filter. Index mutations only happen inside
+    /// a write transaction, which holds this lock, so the map is exact.
     flt: indexes::ShardMaskFilter,
 }
 
@@ -157,25 +162,30 @@ impl Journal {
         f(&guard)
     }
 
-    fn with_shard_mut<R>(&self, idx: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        self.shard_counters[idx]
-            .write_locks
-            .fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.shards[idx].write();
-        f(&mut guard)
-    }
-
-    /// Reads one record, panicking (via map indexing) if the id is dead —
-    /// callers only pass ids taken from live index postings.
-    fn peek<R>(&self, id: InterfaceId, f: impl FnOnce(&InterfaceRecord) -> R) -> R {
-        self.with_shard(self.shard_of(id), |sh| f(&sh.records[&id.0]))
+    /// Opens a write transaction: the meta write gate, then every
+    /// shard's write lock in ascending index order — the one same-label
+    /// multi-lock shape the shard-lock-order lint and the runtime
+    /// sanitizer sanction. This is the only place a shard write lock is
+    /// taken.
+    fn begin_write(&self) -> WriteTxn<'_> {
+        let meta = self.meta.write();
+        let shards = (0..self.shards.len())
+            .map(|s| {
+                self.shard_counters[s]
+                    .write_locks
+                    .fetch_add(1, Ordering::Relaxed);
+                self.shards[s].write()
+            })
+            .collect();
+        self.counters.note_txn_locks(self.shards.len() as u64);
+        WriteTxn { shards, meta }
     }
 
     /// Merges the per-shard posting lists one index key resolves to,
     /// restoring global insertion order.
     ///
     /// The sweep visits shards in *descending* index order, deliberately
-    /// opposite to the grouped batch path's ascending write-lock
+    /// opposite to a write transaction's ascending write-lock
     /// acquisition: a lone-lock sweep against a multi-lock acquirer
     /// crosses it at most once when they run in opposite directions,
     /// where same-direction sweeps convoy — parking and waking once per
@@ -213,19 +223,6 @@ impl Journal {
         })
     }
 
-    fn name_ids(&self, name: &str) -> Vec<InterfaceId> {
-        let h = name.filter_hash();
-        self.merged_ids(|sh| {
-            if !sh.flt_name.may_contain(h) {
-                return Vec::new();
-            }
-            sh.idx_name
-                .get(&name.to_owned())
-                .cloned()
-                .unwrap_or_default()
-        })
-    }
-
     fn note_fanout(&self) {
         if self.shards.len() > 1 {
             self.counters.fanout_queries.fetch_add(1, Ordering::Relaxed);
@@ -237,107 +234,132 @@ impl Journal {
     // ------------------------------------------------------------------
 
     /// Applies one observation at time `now` (the Journal Server's
-    /// Store/Update operation).
-    pub fn apply(&mut self, obs: &Observation, now: JTime) -> StoreSummary {
-        self.apply_shared(obs, now)
+    /// Store/Update operation): a write transaction of one.
+    pub fn apply(&self, obs: &Observation, now: JTime) -> StoreSummary {
+        self.begin_write().apply(obs, now)
     }
 
-    /// Applies one observation through a shared reference, serializing on
-    /// the meta write lock.
-    pub fn apply_shared(&self, obs: &Observation, now: JTime) -> StoreSummary {
-        let mut meta = self.meta.write();
-        self.apply_locked(&mut meta, obs, now)
-    }
-
-    /// Applies a batch of observations.
-    pub fn apply_all<'a>(
-        &mut self,
-        obs: impl IntoIterator<Item = &'a Observation>,
-        now: JTime,
-    ) -> StoreSummary {
-        self.apply_batch(obs.into_iter().map(move |o| (o, now)))
-    }
-
-    /// Applies a batch of `(observation, at)` pairs under **one** meta
-    /// write-lock acquisition — the batched write path the driver, the
-    /// server's StoreBatch RPC, and the WAL group commit all funnel into.
-    ///
-    /// Delegates to [`Journal::apply_batch_grouped`]: observations are
-    /// planned by target shard so each shard lock is taken at most once
-    /// per conflict-free run, instead of once per observation per key.
+    /// Applies a batch of `(observation, at)` pairs, in order, inside
+    /// **one** write transaction — the batched write path the driver,
+    /// the server's StoreBatch RPC, and the WAL group commit all funnel
+    /// into. The iterator is consumed with the locks held.
     pub fn apply_batch<'a>(
         &self,
         items: impl IntoIterator<Item = (&'a Observation, JTime)>,
     ) -> StoreSummary {
-        self.apply_batch_grouped(items)
-    }
-
-    /// The pre-grouping batch path: one meta acquisition, then every
-    /// observation applied in order through the per-item machinery.
-    ///
-    /// Kept as the executable reference model the grouped-batch
-    /// equivalence property tests compare [`Journal::apply_batch_grouped`]
-    /// against; not used on any production write path.
-    pub fn apply_batch_sequential<'a>(
-        &self,
-        items: impl IntoIterator<Item = (&'a Observation, JTime)>,
-    ) -> StoreSummary {
-        let mut meta = self.meta.write();
+        let mut txn = self.begin_write();
         let mut sum = StoreSummary::default();
         let mut n = 0u64;
         for (obs, at) in items {
-            sum.absorb(self.apply_locked(&mut meta, obs, at));
+            sum.absorb(txn.apply(obs, at));
             n += 1;
         }
         self.counters.note_batch(n);
         sum
     }
+}
 
-    fn apply_locked(&self, meta: &mut Meta, obs: &Observation, now: JTime) -> StoreSummary {
-        meta.observations_applied += 1;
+/// One write transaction: the meta write guard plus every shard's write
+/// guard (ascending by index), held from [`Journal::begin_write`] until
+/// drop. The merge rules run on it, reading and writing records straight
+/// through the held guards — no further lock traffic.
+///
+/// Field order is drop order: the shard guards release ascending, then
+/// the meta gate. Lone-lock reader sweeps run *descending* (see
+/// `Journal::merged_ids`), so a reader parked at shard `k` wakes when
+/// `k` frees and finds every lower-numbered shard it still wants
+/// already free.
+struct WriteTxn<'j> {
+    shards: Vec<RwLockWriteGuard<'j, Shard>>,
+    meta: RwLockWriteGuard<'j, Meta>,
+}
+
+impl WriteTxn<'_> {
+    fn shard_of(&self, id: InterfaceId) -> usize {
+        shard::shard_of(id, self.shards.len())
+    }
+
+    /// The record a posting points at, panicking (via map indexing) if
+    /// the id is dead — callers only pass ids taken from live index
+    /// postings, which only reference live records in their own shard.
+    fn rec(&self, id: InterfaceId) -> &InterfaceRecord {
+        &self.shards[self.shard_of(id)].records[&id.0]
+    }
+
+    /// Merges the per-shard posting lists one key resolves to, restoring
+    /// global insertion order (sequences are globally unique). Only the
+    /// shards `Meta::flt` says may hold the key's tagged fingerprint `h`
+    /// are descended into, so the common miss costs one hash probe
+    /// total instead of one tree descent per shard.
+    fn merged_ids<'s>(
+        &'s self,
+        h: u64,
+        get: impl Fn(&'s Shard) -> Option<&'s Vec<indexes::Entry>>,
+    ) -> Vec<InterfaceId> {
+        let mut mask = self.meta.flt.may_shards(h);
+        let mut out: Vec<indexes::Entry> = Vec::new();
+        if mask == u64::MAX {
+            // Untracked filter (more than 64 shards, which a bitmask
+            // cannot index): probe everything.
+            for sh in &self.shards {
+                out.extend_from_slice(get(sh).map_or(&[], Vec::as_slice));
+            }
+        } else {
+            // Visit set bits only: scanning every shard index per probe
+            // measures 10 % slower at 8 shards on the recorded mix.
+            while mask != 0 {
+                let s = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                out.extend_from_slice(get(&self.shards[s]).map_or(&[], Vec::as_slice));
+            }
+        }
+        out.sort_unstable_by_key(|e| e.0);
+        out.into_iter().map(|e| e.1).collect()
+    }
+
+    fn ip_ids(&self, ip: Ipv4Addr) -> Vec<InterfaceId> {
+        self.merged_ids(ip.tagged_hash(), |sh| sh.idx_ip.get(&ip))
+    }
+
+    fn mac_ids(&self, mac: MacAddr) -> Vec<InterfaceId> {
+        self.merged_ids(mac.tagged_hash(), |sh| sh.idx_mac.get(&mac))
+    }
+
+    fn name_ids(&self, name: &str) -> Vec<InterfaceId> {
+        let key = name.to_owned();
+        self.merged_ids(name.tagged_hash(), |sh| sh.idx_name.get(&key))
+    }
+
+    fn apply(&mut self, obs: &Observation, now: JTime) -> StoreSummary {
+        self.meta.observations_applied += 1;
         match &obs.fact {
             Fact::Interface {
                 ip,
                 mac,
                 name,
                 mask,
-            } => self.apply_interface(meta, obs.source, *ip, *mac, name.as_deref(), *mask, now),
+            } => self.apply_interface(obs.source, *ip, *mac, name.as_deref(), *mask, now),
             Fact::Subnet {
                 subnet,
                 mask_assumed,
-            } => self.apply_subnet(meta, obs.source, *subnet, *mask_assumed, now),
+            } => self.apply_subnet(obs.source, *subnet, *mask_assumed, now),
             Fact::SubnetStats {
                 subnet,
                 host_count,
                 lowest,
                 highest,
-            } => self.apply_subnet_stats(
-                meta,
-                obs.source,
-                *subnet,
-                *host_count,
-                *lowest,
-                *highest,
-                now,
-            ),
+            } => self.apply_subnet_stats(obs.source, *subnet, *host_count, *lowest, *highest, now),
             Fact::Gateway {
                 interface_ips,
                 interface_names,
                 subnets,
-            } => self.apply_gateway(
-                meta,
-                obs.source,
-                interface_ips,
-                interface_names,
-                subnets,
-                now,
-            ),
+            } => self.apply_gateway(obs.source, interface_ips, interface_names, subnets, now),
             Fact::RipSource {
                 ip,
                 mac,
                 advertised_routes: _,
                 promiscuous,
-            } => self.apply_rip_source(meta, obs.source, *ip, *mac, *promiscuous, now),
+            } => self.apply_rip_source(obs.source, *ip, *mac, *promiscuous, now),
         }
     }
 
@@ -345,10 +367,8 @@ impl Journal {
     // Interface merge
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn apply_interface(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         source: Source,
         ip: Option<Ipv4Addr>,
         mac: Option<MacAddr>,
@@ -362,13 +382,13 @@ impl Journal {
             if ip.is_none() && mac.is_none() && name.is_none() {
                 return sum; // Nothing identifying; drop.
             }
-            let id = self.create_interface(meta, now);
-            self.update_interface(meta, id, source, ip, mac, name, mask, now);
+            let id = self.create_interface(now);
+            self.update_interface(id, source, ip, mac, name, mask, now);
             sum.created += 1;
             return sum;
         }
         for id in targets {
-            if self.update_interface(meta, id, source, ip, mac, name, mask, now) {
+            if self.update_interface(id, source, ip, mac, name, mask, now) {
                 sum.updated += 1;
             } else {
                 sum.verified += 1;
@@ -403,14 +423,14 @@ impl Journal {
                 // Exact (mac, ip) record?
                 if let Some(&id) = with_mac
                     .iter()
-                    .find(|&&id| self.peek(id, |r| r.ip_addr()) == Some(ip))
+                    .find(|&&id| self.rec(id).ip_addr() == Some(ip))
                 {
                     return vec![id];
                 }
                 // A record with this MAC and no IP yet?
                 if let Some(&id) = with_mac
                     .iter()
-                    .find(|&&id| self.peek(id, |r| r.ip_addr()).is_none())
+                    .find(|&&id| self.rec(id).ip_addr().is_none())
                 {
                     return vec![id];
                 }
@@ -418,7 +438,7 @@ impl Journal {
                 if let Some(&id) = self
                     .ip_ids(ip)
                     .iter()
-                    .find(|&&id| self.peek(id, |r| r.mac_addr()).is_none())
+                    .find(|&&id| self.rec(id).mac_addr().is_none())
                 {
                     return vec![id];
                 }
@@ -436,7 +456,10 @@ impl Journal {
             // Multiple claimants: credit the presumed current owner only.
             return ids
                 .into_iter()
-                .max_by_key(|&id| self.peek(id, |r| (r.live_verified, r.verified, r.discovered)))
+                .max_by_key(|&id| {
+                    let r = self.rec(id);
+                    (r.live_verified, r.verified, r.discovered)
+                })
                 .into_iter()
                 .collect();
         }
@@ -446,21 +469,22 @@ impl Journal {
         Vec::new()
     }
 
-    fn create_interface(&self, meta: &mut Meta, now: JTime) -> InterfaceId {
-        let id = InterfaceId(meta.next_iface);
-        meta.next_iface += 1;
-        self.with_shard_mut(self.shard_of(id), |sh| {
-            sh.records.insert(id.0, InterfaceRecord::new(id, now));
-            sh.touch_modified(&mut meta.mod_seq, id, now);
-        });
+    fn create_interface(&mut self, now: JTime) -> InterfaceId {
+        let id = InterfaceId(self.meta.next_iface);
+        self.meta.next_iface += 1;
+        let shard = self.shard_of(id);
+        let sh = &mut *self.shards[shard];
+        sh.records.insert(id.0, InterfaceRecord::new(id, now));
+        sh.touch_modified(&mut self.meta.mod_seq, id, now);
         id
     }
 
-    /// Applies fields to one record; returns `true` when anything changed.
+    /// Applies fields to one record and maintains its shard's indexes
+    /// (and, through them, the journal-global shard-mask filter);
+    /// returns `true` when anything changed.
     #[allow(clippy::too_many_arguments)]
     fn update_interface(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         id: InterfaceId,
         source: Source,
         ip: Option<Ipv4Addr>,
@@ -470,196 +494,117 @@ impl Journal {
         now: JTime,
     ) -> bool {
         let shard = self.shard_of(id);
-        let mut deltas = Vec::new();
-        let changed = {
-            let Meta {
-                idx_seq, mod_seq, ..
-            } = meta;
-            self.with_shard_mut(shard, |sh| {
-                Self::update_record(
-                    sh,
-                    id,
-                    source,
-                    ip,
-                    mac,
-                    name,
-                    mask,
-                    now,
-                    idx_seq,
-                    mod_seq,
-                    shard,
-                    &mut deltas,
-                )
-            })
+        let sh = &mut *self.shards[shard];
+        let Meta {
+            idx_seq,
+            mod_seq,
+            flt,
+            ..
+        } = &mut *self.meta;
+        let Some(r) = sh.records.get_mut(&id.0) else {
+            return false;
         };
-        for d in &deltas {
-            meta.flt.apply(d);
+
+        // Index maintenance requires knowing old values first.
+        let (old_ip, old_mac, old_name) =
+            (r.ip_addr(), r.mac_addr(), r.dns_name().map(str::to_owned));
+
+        let mut changed = false;
+        if let Some(ip) = ip {
+            match &mut r.ip {
+                Some(t) => changed |= t.observe(ip, now),
+                None => {
+                    r.ip = Some(Timestamped::new(ip, now));
+                    changed = true;
+                }
+            }
+        }
+        if let Some(mac) = mac {
+            match &mut r.mac {
+                Some(t) => changed |= t.observe(mac, now),
+                None => {
+                    r.mac = Some(Timestamped::new(mac, now));
+                    changed = true;
+                }
+            }
+        }
+        if let Some(name) = name {
+            match &mut r.name {
+                Some(t) => changed |= t.observe(name.to_owned(), now),
+                None => {
+                    r.name = Some(Timestamped::new(name.to_owned(), now));
+                    changed = true;
+                }
+            }
+        }
+        if let Some(mask) = mask {
+            match &mut r.mask {
+                Some(t) => changed |= t.observe(mask, now),
+                None => {
+                    r.mask = Some(Timestamped::new(mask, now));
+                    changed = true;
+                }
+            }
+        }
+        r.sources.insert(source);
+        r.verified = now;
+        // `live_verified` means on-wire evidence. DNS records and the
+        // Manager's cross-correlation derivations re-describe what is
+        // already in the Journal — neither proves the interface still
+        // answers, and counting them would keep a dead gateway
+        // "alive" for as long as correlation keeps re-deriving it.
+        if source != Source::Dns && source != Source::Manager {
+            r.live_verified = Some(now);
+        }
+        if changed {
+            r.changed = now;
+        }
+
+        // The record borrow ends here; now maintain this shard's indexes.
+        if let Some(ip) = ip {
+            if old_ip != Some(ip) {
+                if let Some(old) = old_ip {
+                    indexes::remove(&mut sh.idx_ip, &mut sh.flt_ip, &old, id, shard, flt);
+                }
+                indexes::add(&mut sh.idx_ip, &mut sh.flt_ip, ip, id, idx_seq, shard, flt);
+            }
+        }
+        if let Some(mac) = mac {
+            if old_mac != Some(mac) {
+                if let Some(old) = old_mac {
+                    indexes::remove(&mut sh.idx_mac, &mut sh.flt_mac, &old, id, shard, flt);
+                }
+                indexes::add(
+                    &mut sh.idx_mac,
+                    &mut sh.flt_mac,
+                    mac,
+                    id,
+                    idx_seq,
+                    shard,
+                    flt,
+                );
+            }
+        }
+        if let Some(name) = name {
+            if old_name.as_deref() != Some(name) {
+                if let Some(old) = old_name {
+                    indexes::remove(&mut sh.idx_name, &mut sh.flt_name, &old, id, shard, flt);
+                }
+                indexes::add(
+                    &mut sh.idx_name,
+                    &mut sh.flt_name,
+                    name.to_owned(),
+                    id,
+                    idx_seq,
+                    shard,
+                    flt,
+                );
+            }
+        }
+        if changed {
+            sh.touch_modified(mod_seq, id, now);
         }
         changed
-    }
-
-    /// The shard-local half of an interface update: merges fields into the
-    /// record and maintains this shard's indexes, drawing insertion and
-    /// modification sequences from the supplied cursors. The sequential
-    /// path passes the global `meta` sequences; the grouped batch path
-    /// passes per-operation cursors into pre-reserved sequence blocks, so
-    /// independent shards can commit concurrently without touching `meta`.
-    #[allow(clippy::too_many_arguments)]
-    pub(in crate::store) fn update_record(
-        sh: &mut Shard,
-        id: InterfaceId,
-        source: Source,
-        ip: Option<Ipv4Addr>,
-        mac: Option<MacAddr>,
-        name: Option<&str>,
-        mask: Option<fremont_net::SubnetMask>,
-        now: JTime,
-        idx_seq: &mut u64,
-        mod_seq: &mut u64,
-        shard: usize,
-        deltas: &mut Vec<indexes::FilterDelta>,
-    ) -> bool {
-        {
-            let Some(r) = sh.records.get_mut(&id.0) else {
-                return false;
-            };
-
-            // Index maintenance requires knowing old values first.
-            let (old_ip, old_mac, old_name) =
-                (r.ip_addr(), r.mac_addr(), r.dns_name().map(str::to_owned));
-
-            let mut changed = false;
-            if let Some(ip) = ip {
-                match &mut r.ip {
-                    Some(t) => changed |= t.observe(ip, now),
-                    None => {
-                        r.ip = Some(Timestamped::new(ip, now));
-                        changed = true;
-                    }
-                }
-            }
-            if let Some(mac) = mac {
-                match &mut r.mac {
-                    Some(t) => changed |= t.observe(mac, now),
-                    None => {
-                        r.mac = Some(Timestamped::new(mac, now));
-                        changed = true;
-                    }
-                }
-            }
-            if let Some(name) = name {
-                match &mut r.name {
-                    Some(t) => changed |= t.observe(name.to_owned(), now),
-                    None => {
-                        r.name = Some(Timestamped::new(name.to_owned(), now));
-                        changed = true;
-                    }
-                }
-            }
-            if let Some(mask) = mask {
-                match &mut r.mask {
-                    Some(t) => changed |= t.observe(mask, now),
-                    None => {
-                        r.mask = Some(Timestamped::new(mask, now));
-                        changed = true;
-                    }
-                }
-            }
-            r.sources.insert(source);
-            r.verified = now;
-            // `live_verified` means on-wire evidence. DNS records and the
-            // Manager's cross-correlation derivations re-describe what is
-            // already in the Journal — neither proves the interface still
-            // answers, and counting them would keep a dead gateway
-            // "alive" for as long as correlation keeps re-deriving it.
-            if source != Source::Dns && source != Source::Manager {
-                r.live_verified = Some(now);
-            }
-            if changed {
-                r.changed = now;
-            }
-
-            // The record borrow ends here; now maintain this shard's indexes.
-            if let Some(ip) = ip {
-                if old_ip != Some(ip) {
-                    if let Some(old) = old_ip {
-                        indexes::remove(
-                            &mut sh.idx_ip,
-                            &mut sh.flt_ip,
-                            &old,
-                            id,
-                            indexes::TAG_IP,
-                            shard,
-                            deltas,
-                        );
-                    }
-                    indexes::add(
-                        &mut sh.idx_ip,
-                        &mut sh.flt_ip,
-                        ip,
-                        id,
-                        idx_seq,
-                        indexes::TAG_IP,
-                        shard,
-                        deltas,
-                    );
-                }
-            }
-            if let Some(mac) = mac {
-                if old_mac != Some(mac) {
-                    if let Some(old) = old_mac {
-                        indexes::remove(
-                            &mut sh.idx_mac,
-                            &mut sh.flt_mac,
-                            &old,
-                            id,
-                            indexes::TAG_MAC,
-                            shard,
-                            deltas,
-                        );
-                    }
-                    indexes::add(
-                        &mut sh.idx_mac,
-                        &mut sh.flt_mac,
-                        mac,
-                        id,
-                        idx_seq,
-                        indexes::TAG_MAC,
-                        shard,
-                        deltas,
-                    );
-                }
-            }
-            if let Some(name) = name {
-                if old_name.as_deref() != Some(name) {
-                    if let Some(old) = old_name {
-                        indexes::remove(
-                            &mut sh.idx_name,
-                            &mut sh.flt_name,
-                            &old,
-                            id,
-                            indexes::TAG_NAME,
-                            shard,
-                            deltas,
-                        );
-                    }
-                    indexes::add(
-                        &mut sh.idx_name,
-                        &mut sh.flt_name,
-                        name.to_owned(),
-                        id,
-                        idx_seq,
-                        indexes::TAG_NAME,
-                        shard,
-                        deltas,
-                    );
-                }
-            }
-            if changed {
-                sh.touch_modified(mod_seq, id, now);
-            }
-            changed
-        }
     }
 
     // ------------------------------------------------------------------
@@ -667,15 +612,14 @@ impl Journal {
     // ------------------------------------------------------------------
 
     fn apply_subnet(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         source: Source,
         subnet: Subnet,
         mask_assumed: bool,
         now: JTime,
     ) -> StoreSummary {
         let mut sum = StoreSummary::default();
-        match meta.subnets.get_mut(&subnet) {
+        match self.meta.subnets.get_mut(&subnet) {
             Some(rec) => {
                 let mut changed = false;
                 if rec.mask_assumed && !mask_assumed {
@@ -694,17 +638,15 @@ impl Journal {
             None => {
                 let mut rec = SubnetRecord::new(subnet, mask_assumed, now);
                 rec.sources.insert(source);
-                meta.subnets.insert(subnet, rec);
+                self.meta.subnets.insert(subnet, rec);
                 sum.created += 1;
             }
         }
         sum
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn apply_subnet_stats(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         source: Source,
         subnet: Subnet,
         host_count: u32,
@@ -712,8 +654,8 @@ impl Journal {
         highest: Ipv4Addr,
         now: JTime,
     ) -> StoreSummary {
-        let mut sum = self.apply_subnet(meta, source, subnet, false, now);
-        let Some(rec) = meta.subnets.get_mut(&subnet) else {
+        let mut sum = self.apply_subnet(source, subnet, false, now);
+        let Some(rec) = self.meta.subnets.get_mut(&subnet) else {
             return sum; // apply_subnet ensures presence
         };
         let mut changed = false;
@@ -744,8 +686,7 @@ impl Journal {
     // ------------------------------------------------------------------
 
     fn apply_gateway(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         source: Source,
         interface_ips: &[Ipv4Addr],
         interface_names: &[String],
@@ -757,7 +698,7 @@ impl Journal {
         // Resolve or create an interface record per address.
         let mut members: Vec<InterfaceId> = Vec::new();
         for &ip in interface_ips {
-            let s = self.apply_interface(meta, source, Some(ip), None, None, None, now);
+            let s = self.apply_interface(source, Some(ip), None, None, None, now);
             sum.absorb(s);
             // Prefer the record that already belongs to a gateway so
             // repeated observations converge; otherwise take the first.
@@ -765,7 +706,7 @@ impl Journal {
             let chosen = ids
                 .iter()
                 .copied()
-                .find(|&id| self.peek(id, |r| r.gateway.is_some()))
+                .find(|&id| self.rec(id).gateway.is_some())
                 .or_else(|| ids.first().copied());
             if let Some(id) = chosen {
                 if !members.contains(&id) {
@@ -786,7 +727,7 @@ impl Journal {
         // the subnet knowledge and wait for identifiable evidence.
         if members.is_empty() {
             for &s in subnets {
-                sum.absorb(self.apply_subnet(meta, source, s, true, now));
+                sum.absorb(self.apply_subnet(source, s, true, now));
             }
             return sum;
         }
@@ -794,7 +735,7 @@ impl Journal {
         // Find the gateways any member already belongs to.
         let mut gids: Vec<GatewayId> = Vec::new();
         for &m in &members {
-            if let Some(g) = self.peek(m, |r| r.gateway) {
+            if let Some(g) = self.rec(m).gateway {
                 if !gids.contains(&g) {
                     gids.push(g);
                 }
@@ -807,9 +748,10 @@ impl Journal {
                 // Merge any additional gateways into the primary: two
                 // modules discovered the same box from different sides.
                 for &other in &gids[1..] {
-                    self.merge_gateways(meta, primary, other, now);
+                    self.merge_gateways(primary, other, now);
                 }
-                let Some(g) = meta
+                let Some(g) = self
+                    .meta
                     .gateways
                     .get_mut(primary.0 as usize)
                     .and_then(Option::take)
@@ -819,8 +761,8 @@ impl Journal {
                 (primary, g)
             }
             None => {
-                let gid = GatewayId(meta.gateways.len() as u64);
-                meta.gateways.push(None); // placeholder, restored below
+                let gid = GatewayId(self.meta.gateways.len() as u64);
+                self.meta.gateways.push(None); // placeholder, restored below
                 sum.created += 1;
                 (gid, GatewayRecord::new(gid, now))
             }
@@ -829,15 +771,15 @@ impl Journal {
         // Attach members and subnets.
         let mut gw_changed = false;
         for &m in &members {
-            self.with_shard_mut(self.shard_of(m), |sh| {
-                if let Some(r) = sh.records.get_mut(&m.0) {
-                    if r.gateway != Some(gid) {
-                        r.gateway = Some(gid);
-                        r.changed = now;
-                        sh.touch_modified(&mut meta.mod_seq, m, now);
-                    }
+            let shard = self.shard_of(m);
+            let sh = &mut *self.shards[shard];
+            if let Some(r) = sh.records.get_mut(&m.0) {
+                if r.gateway != Some(gid) {
+                    r.gateway = Some(gid);
+                    r.changed = now;
+                    sh.touch_modified(&mut self.meta.mod_seq, m, now);
                 }
-            });
+            }
             gw_changed |= g.add_interface(m);
         }
         // Subnets derived from member interfaces carry confirmed masks;
@@ -845,7 +787,7 @@ impl Journal {
         // guess /24 when linking hops) until a mask reply confirms them.
         let mut all_subnets: Vec<(Subnet, bool)> = subnets.iter().map(|s| (*s, true)).collect();
         for &m in &members {
-            if let Some(s) = self.peek(m, |r| r.subnet()) {
+            if let Some(s) = self.rec(m).subnet() {
                 if let Some(e) = all_subnets.iter_mut().find(|(x, _)| *x == s) {
                     e.1 = false;
                 } else {
@@ -854,9 +796,9 @@ impl Journal {
             }
         }
         for (s, assumed) in all_subnets {
-            sum.absorb(self.apply_subnet(meta, source, s, assumed, now));
+            sum.absorb(self.apply_subnet(source, s, assumed, now));
             gw_changed |= g.add_subnet(s);
-            if let Some(srec) = meta.subnets.get_mut(&s) {
+            if let Some(srec) = self.meta.subnets.get_mut(&s) {
                 if srec.add_gateway(gid) {
                     srec.changed = now;
                 }
@@ -870,11 +812,12 @@ impl Journal {
         } else {
             sum.verified += 1;
         }
-        meta.gateways[gid.0 as usize] = Some(g);
+        self.meta.gateways[gid.0 as usize] = Some(g);
         sum
     }
 
-    fn merge_gateways(&self, meta: &mut Meta, into: GatewayId, from: GatewayId, now: JTime) {
+    fn merge_gateways(&mut self, into: GatewayId, from: GatewayId, now: JTime) {
+        let WriteTxn { shards, meta } = self;
         let Some(old) = meta
             .gateways
             .get_mut(from.0 as usize)
@@ -883,15 +826,15 @@ impl Journal {
             return;
         };
         for &i in &old.interfaces {
-            self.with_shard_mut(self.shard_of(i), |sh| {
-                if let Some(r) = sh.records.get_mut(&i.0) {
-                    if r.gateway != Some(into) {
-                        r.gateway = Some(into);
-                        r.changed = now;
-                    }
-                    sh.touch_modified(&mut meta.mod_seq, i, now);
+            let shard = shard::shard_of(i, shards.len());
+            let sh = &mut *shards[shard];
+            if let Some(r) = sh.records.get_mut(&i.0) {
+                if r.gateway != Some(into) {
+                    r.gateway = Some(into);
+                    r.changed = now;
                 }
-            });
+                sh.touch_modified(&mut meta.mod_seq, i, now);
+            }
         }
         // Re-point subnet records.
         for s in &old.subnets {
@@ -919,41 +862,70 @@ impl Journal {
     }
 
     fn apply_rip_source(
-        &self,
-        meta: &mut Meta,
+        &mut self,
         source: Source,
         ip: Ipv4Addr,
         mac: Option<MacAddr>,
         promiscuous: bool,
         now: JTime,
     ) -> StoreSummary {
-        let mut sum = self.apply_interface(meta, source, Some(ip), mac, None, None, now);
+        let mut sum = self.apply_interface(source, Some(ip), mac, None, None, now);
         for id in self.ip_ids(ip) {
-            let matches_mac = match (mac, self.peek(id, |r| r.mac_addr())) {
+            let matches_mac = match (mac, self.rec(id).mac_addr()) {
                 (Some(m), Some(rm)) => m == rm,
                 _ => true,
             };
             if matches_mac {
-                let updated = self.with_shard_mut(self.shard_of(id), |sh| {
-                    if let Some(r) = sh.records.get_mut(&id.0) {
-                        if !r.rip_source || r.rip_promiscuous != promiscuous {
-                            r.rip_source = true;
-                            r.rip_promiscuous = promiscuous;
-                            r.changed = now;
-                            sh.touch_modified(&mut meta.mod_seq, id, now);
-                            return true;
-                        }
+                let shard = self.shard_of(id);
+                let sh = &mut *self.shards[shard];
+                if let Some(r) = sh.records.get_mut(&id.0) {
+                    if !r.rip_source || r.rip_promiscuous != promiscuous {
+                        r.rip_source = true;
+                        r.rip_promiscuous = promiscuous;
+                        r.changed = now;
+                        sh.touch_modified(&mut self.meta.mod_seq, id, now);
+                        sum.updated += 1;
                     }
-                    false
-                });
-                if updated {
-                    sum.updated += 1;
                 }
             }
         }
         sum
     }
 
+    // ------------------------------------------------------------------
+    // Delete
+    // ------------------------------------------------------------------
+
+    fn delete_interface(&mut self, id: InterfaceId) -> bool {
+        let shard = self.shard_of(id);
+        let sh = &mut *self.shards[shard];
+        let Meta { gateways, flt, .. } = &mut *self.meta;
+        let Some(rec) = sh.records.remove(&id.0) else {
+            return false;
+        };
+        if let Some(ip) = rec.ip_addr() {
+            indexes::remove(&mut sh.idx_ip, &mut sh.flt_ip, &ip, id, shard, flt);
+        }
+        if let Some(mac) = rec.mac_addr() {
+            indexes::remove(&mut sh.idx_mac, &mut sh.flt_mac, &mac, id, shard, flt);
+        }
+        if let Some(name) = rec.dns_name() {
+            let name = name.to_owned();
+            indexes::remove(&mut sh.idx_name, &mut sh.flt_name, &name, id, shard, flt);
+        }
+        if let Some(key) = sh.mod_keys.remove(&id.0) {
+            sh.idx_modified.remove(&key);
+        }
+        if let Some(gid) = rec.gateway {
+            if let Some(g) = gateways.get_mut(gid.0 as usize).and_then(Option::as_mut) {
+                g.interfaces.retain(|i| *i != id);
+            }
+        }
+        true
+    }
+}
+
+impl Journal {
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
@@ -1095,78 +1067,12 @@ impl Journal {
     // Delete
     // ------------------------------------------------------------------
 
-    /// Deletes an interface record (the Journal Server's Delete operation).
+    /// Deletes an interface record (the Journal Server's Delete operation)
+    /// in a write transaction of its own.
     ///
     /// Returns `true` when the record existed.
-    pub fn delete_interface(&mut self, id: InterfaceId) -> bool {
-        self.delete_interface_shared(id)
-    }
-
-    /// Deletes through a shared reference, serializing on the meta lock.
-    pub fn delete_interface_shared(&self, id: InterfaceId) -> bool {
-        let mut meta = self.meta.write();
-        self.delete_locked(&mut meta, id)
-    }
-
-    fn delete_locked(&self, meta: &mut Meta, id: InterfaceId) -> bool {
-        let shard = self.shard_of(id);
-        let mut deltas = Vec::new();
-        let rec = self.with_shard_mut(shard, |sh| {
-            let rec = sh.records.remove(&id.0)?;
-            if let Some(ip) = rec.ip_addr() {
-                indexes::remove(
-                    &mut sh.idx_ip,
-                    &mut sh.flt_ip,
-                    &ip,
-                    id,
-                    indexes::TAG_IP,
-                    shard,
-                    &mut deltas,
-                );
-            }
-            if let Some(mac) = rec.mac_addr() {
-                indexes::remove(
-                    &mut sh.idx_mac,
-                    &mut sh.flt_mac,
-                    &mac,
-                    id,
-                    indexes::TAG_MAC,
-                    shard,
-                    &mut deltas,
-                );
-            }
-            if let Some(name) = rec.dns_name() {
-                indexes::remove(
-                    &mut sh.idx_name,
-                    &mut sh.flt_name,
-                    &name.to_owned(),
-                    id,
-                    indexes::TAG_NAME,
-                    shard,
-                    &mut deltas,
-                );
-            }
-            if let Some(key) = sh.mod_keys.remove(&id.0) {
-                sh.idx_modified.remove(&key);
-            }
-            Some(rec)
-        });
-        for d in &deltas {
-            meta.flt.apply(d);
-        }
-        let Some(rec) = rec else {
-            return false;
-        };
-        if let Some(gid) = rec.gateway {
-            if let Some(g) = meta
-                .gateways
-                .get_mut(gid.0 as usize)
-                .and_then(Option::as_mut)
-            {
-                g.interfaces.retain(|i| *i != id);
-            }
-        }
-        true
+    pub fn delete_interface(&self, id: InterfaceId) -> bool {
+        self.begin_write().delete_interface(id)
     }
 
     // ------------------------------------------------------------------
@@ -1210,8 +1116,8 @@ impl Journal {
         }
     }
 
-    /// Total shard commit groups flushed by the grouped batch path — one
-    /// shard write-lock acquisition each. Kept out of [`ShardingMetrics`]
+    /// Total shard write-lock acquisitions made by write transactions —
+    /// `shard_count()` per transaction. Kept out of [`ShardingMetrics`]
     /// (a wire type frozen by the wal-schema golden); the server reads it
     /// directly when publishing telemetry.
     pub fn batch_groups_total(&self) -> u64 {
@@ -1260,7 +1166,9 @@ impl Journal {
     ) -> Journal {
         let j = Journal::with_shards(shards);
         {
-            let mut meta = j.meta.write();
+            let mut txn = j.begin_write();
+            let WriteTxn { shards, meta } = &mut txn;
+            let meta = &mut **meta;
             meta.observations_applied = snap.observations_applied;
 
             // Records keep their identifiers, so allocation resumes past
@@ -1277,53 +1185,31 @@ impl Journal {
             // Rebuild the modification index in changed-time order.
             let mut by_changed: Vec<&InterfaceRecord> = snap.interfaces.iter().collect();
             by_changed.sort_by_key(|r| r.changed);
-            let mut deltas = Vec::new();
             for rec in by_changed {
                 let id = rec.id;
-                let shard = shard::shard_of(id, j.shards.len());
-                j.with_shard_mut(shard, |sh| {
-                    sh.records.insert(id.0, rec.clone());
-                    if let Some(ip) = rec.ip_addr() {
-                        indexes::add(
-                            &mut sh.idx_ip,
-                            &mut sh.flt_ip,
-                            ip,
-                            id,
-                            &mut meta.idx_seq,
-                            indexes::TAG_IP,
-                            shard,
-                            &mut deltas,
-                        );
-                    }
-                    if let Some(mac) = rec.mac_addr() {
-                        indexes::add(
-                            &mut sh.idx_mac,
-                            &mut sh.flt_mac,
-                            mac,
-                            id,
-                            &mut meta.idx_seq,
-                            indexes::TAG_MAC,
-                            shard,
-                            &mut deltas,
-                        );
-                    }
-                    if let Some(name) = rec.dns_name() {
-                        indexes::add(
-                            &mut sh.idx_name,
-                            &mut sh.flt_name,
-                            name.to_owned(),
-                            id,
-                            &mut meta.idx_seq,
-                            indexes::TAG_NAME,
-                            shard,
-                            &mut deltas,
-                        );
-                    }
-                    sh.touch_modified(&mut meta.mod_seq, id, rec.changed);
-                });
-            }
-            for d in &deltas {
-                meta.flt.apply(d);
+                let shard = shard::shard_of(id, shards.len());
+                let sh = &mut *shards[shard];
+                let (seq, flt) = (&mut meta.idx_seq, &mut meta.flt);
+                sh.records.insert(id.0, rec.clone());
+                if let Some(ip) = rec.ip_addr() {
+                    indexes::add(&mut sh.idx_ip, &mut sh.flt_ip, ip, id, seq, shard, flt);
+                }
+                if let Some(mac) = rec.mac_addr() {
+                    indexes::add(&mut sh.idx_mac, &mut sh.flt_mac, mac, id, seq, shard, flt);
+                }
+                if let Some(name) = rec.dns_name() {
+                    let name = name.to_owned();
+                    indexes::add(
+                        &mut sh.idx_name,
+                        &mut sh.flt_name,
+                        name,
+                        id,
+                        seq,
+                        shard,
+                        flt,
+                    );
+                }
+                sh.touch_modified(&mut meta.mod_seq, id, rec.changed);
             }
             for g in &snap.gateways {
                 meta.gateways[g.id.0 as usize] = Some(g.clone());
@@ -1338,6 +1224,10 @@ impl Journal {
     /// Verifies internal index consistency (used by tests).
     pub fn check_invariants(&self) -> Result<(), String> {
         let meta = self.meta.read();
+        // What `Meta::flt` must hold: rebuilt from every shard's live
+        // keys. A cleared bit on a live key makes identity resolution
+        // miss a posting and silently mint a duplicate record.
+        let mut flt = indexes::ShardMaskFilter::new(self.shards.len());
         for s in 0..self.shards.len() {
             let members =
                 self.with_shard(s, |sh| -> Result<Vec<(InterfaceId, GatewayId)>, String> {
@@ -1346,6 +1236,15 @@ impl Journal {
                         if shard::shard_of(r.id, self.shards.len()) != s {
                             return Err(format!("record {:?} stored in wrong shard {s}", r.id));
                         }
+                    }
+                    for h in sh.live_key_hashes() {
+                        // (An untracked filter answers all-ones.)
+                        if meta.flt.may_shards(h) & 1u64.wrapping_shl(s as u32) == 0 {
+                            return Err(format!(
+                                "shard-mask filter misses live key {h:#x} in shard {s}"
+                            ));
+                        }
+                        flt.key_added(h, s);
                     }
                     Ok(sh
                         .records
@@ -1363,6 +1262,9 @@ impl Journal {
                     return Err(format!("gateway {gid:?} missing member {id:?}"));
                 }
             }
+        }
+        if flt != meta.flt {
+            return Err("shard-mask filter refcounts diverge from the live keys".to_owned());
         }
         Ok(())
     }
@@ -1387,7 +1289,7 @@ mod tests {
 
     #[test]
     fn ping_then_arp_merges_into_one_record() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.0.5")),
             JTime(10),
@@ -1408,7 +1310,7 @@ mod tests {
 
     #[test]
     fn duplicate_ip_keeps_two_records() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("08:00:20:00:00:01")),
             JTime(1),
@@ -1424,7 +1326,7 @@ mod tests {
 
     #[test]
     fn proxy_arp_mac_with_multiple_ips_keeps_records() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let gw_mac = mac("00:00:0c:aa:bb:cc");
         for i in 1..=3u8 {
             j.apply(
@@ -1439,7 +1341,7 @@ mod tests {
 
     #[test]
     fn reverification_updates_timestamps_only() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let o = Observation::arp_pair(Source::ArpWatch, ip("10.0.0.5"), mac("08:00:20:00:00:05"));
         let s1 = j.apply(&o, JTime(10));
         assert_eq!(s1.created, 1);
@@ -1453,7 +1355,7 @@ mod tests {
 
     #[test]
     fn dns_verification_does_not_count_as_live() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::named_ip(Source::Dns, ip("10.0.0.7"), "ghost.cs"),
             JTime(5),
@@ -1471,7 +1373,7 @@ mod tests {
 
     #[test]
     fn mask_observation_attaches_to_ip() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.1.4")),
             JTime(0),
@@ -1490,7 +1392,7 @@ mod tests {
 
     #[test]
     fn subnet_upsert_and_mask_confirmation() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let s = subnet("128.138.238.0/24");
         let s1 = j.apply(&Observation::subnet(Source::RipWatch, s, true), JTime(1));
         assert_eq!(s1.created, 1);
@@ -1508,7 +1410,7 @@ mod tests {
 
     #[test]
     fn gateway_merge_across_modules() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Traceroute sees interfaces .1 on two subnets as one gateway.
         j.apply(
             &Observation::new(
@@ -1551,7 +1453,7 @@ mod tests {
 
     #[test]
     fn distinct_gateways_merge_when_bridged() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         // Two modules each discover a different interface of the same box.
         j.apply(
             &Observation::new(
@@ -1597,7 +1499,7 @@ mod tests {
 
     #[test]
     fn rip_source_flags() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::new(
                 Source::RipWatch,
@@ -1622,7 +1524,7 @@ mod tests {
 
     #[test]
     fn subnet_stats_recorded() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::new(
                 Source::Dns,
@@ -1643,7 +1545,7 @@ mod tests {
 
     #[test]
     fn delete_interface_cleans_indexes() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.5"), mac("08:00:20:00:00:05")),
             JTime(1),
@@ -1660,7 +1562,7 @@ mod tests {
 
     #[test]
     fn modification_order_tracks_changes() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.0.1")),
             JTime(1),
@@ -1692,7 +1594,7 @@ mod tests {
 
     #[test]
     fn ip_change_on_same_mac_reindexes() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         let m = mac("08:00:20:00:00:07");
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.7"), m),
@@ -1711,7 +1613,7 @@ mod tests {
 
     #[test]
     fn stats_counts() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         j.apply(
             &Observation::ip_alive(Source::SeqPing, ip("10.0.0.1")),
             JTime(1),
@@ -1729,7 +1631,7 @@ mod tests {
 
     #[test]
     fn query_uses_subnet_index_path() {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for i in 1..=20u8 {
             j.apply(
                 &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 1, i)),
@@ -1747,7 +1649,7 @@ mod tests {
 
     #[test]
     fn single_shard_journal_behaves_identically() {
-        let mut j = Journal::with_shards(1);
+        let j = Journal::with_shards(1);
         assert_eq!(j.shard_count(), 1);
         j.apply(
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.5"), mac("08:00:20:00:00:05")),

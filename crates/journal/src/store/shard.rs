@@ -77,6 +77,15 @@ impl Shard {
         self.mod_keys.insert(id.0, key);
     }
 
+    /// Tagged fingerprints of every live key in this shard's three
+    /// indexes — what the journal-global shard-mask filter must cover.
+    pub fn live_key_hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        let ips = self.idx_ip.iter().map(|(k, _)| k.tagged_hash());
+        let macs = self.idx_mac.iter().map(|(k, _)| k.tagged_hash());
+        let names = self.idx_name.iter().map(|(k, _)| k.tagged_hash());
+        ips.chain(macs).chain(names)
+    }
+
     /// Verifies this shard's index consistency.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.idx_ip.check_invariants()?;

@@ -60,9 +60,11 @@ pub(super) struct StoreCounters {
     pub batch_observations: AtomicU64,
     /// Largest single batch seen.
     pub largest_batch: AtomicU64,
-    /// Per-shard commit groups flushed by the grouped batch path: each
-    /// group is one shard write-lock acquisition covering every planned
-    /// record operation the batch holds for that shard.
+    /// Shard write-lock acquisitions made by write transactions: every
+    /// transaction (batch, single apply, delete, snapshot restore) takes
+    /// each shard's write lock exactly once, so this grows by the shard
+    /// count per transaction. (The name predates the single write path;
+    /// the metric it feeds is frozen by `metrics.golden`.)
     pub batch_groups: AtomicU64,
 }
 
@@ -74,9 +76,9 @@ impl StoreCounters {
         self.largest_batch.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Records `g` shard groups committed by one generation flush.
-    pub fn note_groups(&self, g: u64) {
-        self.batch_groups.fetch_add(g, Ordering::Relaxed);
+    /// Records the `shards` write locks one write transaction took.
+    pub fn note_txn_locks(&self, shards: u64) {
+        self.batch_groups.fetch_add(shards, Ordering::Relaxed);
     }
 }
 

@@ -144,7 +144,7 @@ fn the_real_journal_runs_clean_under_the_sanitizer() {
     let ok = panic_message_of(|| {
         let j = Journal::with_shards(8);
         for i in 1..=32u8 {
-            j.apply_shared(
+            j.apply(
                 &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, i / 8, i)),
                 JTime(u64::from(i)),
             );

@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn indexes_stay_consistent(obs in proptest::collection::vec(arb_obs(), 0..200)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for (i, o) in obs.iter().enumerate() {
             j.apply(o, JTime(i as u64));
         }
@@ -52,7 +52,7 @@ proptest! {
 
     #[test]
     fn apply_is_idempotent_on_content(obs in proptest::collection::vec(arb_obs(), 1..50)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for o in &obs {
             j.apply(o, JTime(1));
         }
@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn every_observed_ip_is_queryable(obs in proptest::collection::vec(arb_obs(), 1..100)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for o in &obs {
             j.apply(o, JTime(0));
         }
@@ -81,7 +81,7 @@ proptest! {
 
     #[test]
     fn timestamps_are_monotone(obs in proptest::collection::vec(arb_obs(), 1..100)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for (i, o) in obs.iter().enumerate() {
             j.apply(o, JTime(i as u64));
         }
@@ -93,7 +93,7 @@ proptest! {
 
     #[test]
     fn snapshot_restore_preserves_everything(obs in proptest::collection::vec(arb_obs(), 0..100)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for (i, o) in obs.iter().enumerate() {
             j.apply(o, JTime(i as u64));
         }
@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn deletion_removes_from_queries(obs in proptest::collection::vec(arb_obs(), 1..60)) {
-        let mut j = Journal::new();
+        let j = Journal::new();
         for o in &obs {
             j.apply(o, JTime(0));
         }

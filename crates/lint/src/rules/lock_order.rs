@@ -59,6 +59,8 @@ pub(crate) struct Acq {
     /// indexed receivers keep their index expression
     /// (`self.shards[idx].read()` → `shards[idx]`).
     pub(crate) label: String,
+    /// Whether the acquiring method is `write` (vs `read` / `lock`).
+    pub(crate) write: bool,
     pub(crate) line: u32,
     pub(crate) col: u32,
     /// First token index inside the guard's live range.
@@ -282,6 +284,7 @@ pub(crate) fn find_acquisitions(code: &[Tok], start: usize, end: usize, out: &mu
         };
         out.push(Acq {
             label,
+            write: m.is_ident("write"),
             line: m.line,
             col: m.col,
             start: ext_start,

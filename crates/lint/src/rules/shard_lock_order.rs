@@ -10,11 +10,16 @@
 //!    never while a shard guard is live (directly or through a call
 //!    chain);
 //! 2. shard locks — reads *and* writes — are taken in **ascending index
-//!    order** when more than one is held. The grouped batch path
-//!    (`store/grouped.rs`) acquires every shard's write lock ascending
-//!    under the meta gate and holds them across plan and commit; any
-//!    ascending multi-write acquisition is sanctioned, a descending or
-//!    same-index one is flagged.
+//!    order** when more than one is held. A write transaction
+//!    (`Journal::begin_write` in `store/mod.rs`) acquires every shard's
+//!    write lock ascending under the meta gate and holds them for its
+//!    whole duration; any ascending multi-write acquisition is
+//!    sanctioned, a descending or same-index one is flagged;
+//! 3. shard **write** locks are acquired in **exactly one function** of
+//!    the scope. The store has one write path — every mutation runs
+//!    inside that transaction — and a second function taking a shard
+//!    write lock is how a second path starts, so it is an error naming
+//!    both sites.
 //!
 //! The rule fires on the scope `cfg.shard_lock_scope`, using the same
 //! acquisition extraction as `lock-order` (so `self.shards[idx].read()`
@@ -69,11 +74,20 @@ pub fn check(
 ) -> ShardReport {
     let mut out = Vec::new();
     let mut edges = BTreeSet::new();
+    // First shard write acquisition of each in-scope function: (path,
+    // line, col, fn name, label), for discipline 3.
+    let mut writers: Vec<(&str, u32, u32, &str, String)> = Vec::new();
     for (fi, acqs) in acquisitions_of(ws, cg) {
         let f = &cg.fns[fi];
         let file = &ws.files[f.file];
         if !file.in_scope(&cfg.shard_lock_scope) {
             continue;
+        }
+        if let Some(w) = acqs
+            .iter()
+            .find(|a| a.write && matches!(classify(a), Kind::Shard { .. }))
+        {
+            writers.push((&file.path, w.line, w.col, &f.name, w.label.clone()));
         }
         for a in &acqs {
             let Kind::Shard { index: a_idx } = classify(a) else {
@@ -158,6 +172,25 @@ pub fn check(
             }
         }
     }
+    // One write path: the first writer (in path/line order) is the
+    // transaction; every other function is a second path.
+    writers.sort();
+    if let Some((first_path, first_line, _, first_fn, _)) = writers.first().cloned() {
+        for (path, line, col, name, label) in writers.into_iter().skip(1) {
+            out.push(Violation {
+                rule: "shard-lock-order",
+                path: path.to_owned(),
+                line,
+                col,
+                severity: Severity::Error,
+                message: format!(
+                    "shard write lock `{label}` acquired in `{name}`, but `{first_fn}` \
+                     ({first_path}:{first_line}) already acquires shard write locks — the \
+                     store has one write path; run the mutation inside that transaction"
+                ),
+            });
+        }
+    }
     ShardReport {
         violations: out,
         edges,
@@ -196,12 +229,26 @@ mod tests {
 
     #[test]
     fn ascending_shard_writes_are_sanctioned() {
-        // The grouped batch path's acquisition shape: every shard's
-        // write lock, ascending, under the meta gate.
+        // A write transaction's acquisition shape (`begin_write`):
+        // every shard's write lock, ascending, under the meta gate.
         assert!(run(
             "fn f(&self) { let m = self.meta.write(); let a = self.shards[0].write(); let b = self.shards[1].write(); }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn a_second_shard_writer_function_flags_naming_both_sites() {
+        let v = run(
+            "fn begin_write(&self) { let m = self.meta.write(); let a = self.shards[0].write(); }\n\
+             fn patch(&self, i: usize) { let s = self.shards[i].write(); }\n\
+             fn peek(&self, i: usize) { let s = self.shards[i].read(); }",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 2, "{v:?}");
+        assert!(v[0].message.contains("acquired in `patch`"), "{v:?}");
+        assert!(v[0].message.contains("`begin_write` ("), "{v:?}");
+        assert!(v[0].message.contains("x.rs:1)"), "{v:?}");
     }
 
     #[test]

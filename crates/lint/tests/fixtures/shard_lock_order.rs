@@ -11,7 +11,7 @@ impl FixtureStore {
     }
 
     /// Write guards in descending index order (ascending multi-write
-    /// acquisition is the grouped batch path's sanctioned shape).
+    /// acquisition is a write transaction's sanctioned shape).
     fn double_write(&self) {
         let a = self.shards[2].write();
         let b = self.shards[1].write();
@@ -24,5 +24,13 @@ impl FixtureStore {
         let hi = self.shards[3].read();
         let lo = self.shards[2].read();
         hi.len() + lo.len()
+    }
+
+    /// A second function taking a shard write lock (`double_write` is
+    /// the first in file order): a second write path beside the one
+    /// write transaction.
+    fn second_writer(&self) {
+        let s = self.shards[0].write();
+        s.clear();
     }
 }

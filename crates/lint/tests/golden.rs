@@ -73,7 +73,7 @@ fn run() -> (Analysis, Config) {
 
 /// (rule, path, line, col, severity, message fragment) for each seeded
 /// violation, in report order.
-const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 10] = [
+const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 11] = [
     (
         "ignored-io",
         "crates/core/src/fixture.rs",
@@ -129,6 +129,14 @@ const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 10] = [
         33,
         Severity::Error,
         "ascending index order",
+    ),
+    (
+        "shard-lock-order",
+        "crates/journal/src/store/fixture.rs",
+        33,
+        32,
+        Severity::Error,
+        "already acquires shard write locks",
     ),
     (
         "panic",

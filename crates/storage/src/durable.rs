@@ -247,7 +247,7 @@ impl DurableJournal {
 fn recover(cfg: &WalConfig) -> io::Result<(Journal, RecoveryReport)> {
     let mut report = RecoveryReport::default();
     let snap_path = cfg.snapshot_path();
-    let mut journal = if snap_path.exists() {
+    let journal = if snap_path.exists() {
         let snap = JournalSnapshot::load(&snap_path)?;
         report.snapshot_loaded = true;
         report.watermark = snap.observations_applied;
@@ -450,7 +450,7 @@ impl JournalAccess for DurableJournal {
         // persist them by snapshotting the post-delete state.
         // fremont-lint: allow(lock-order) -- same WAL-before-journal order as store(); held across the compaction IO
         let mut wal = self.wal.lock();
-        let existed = self.shared.write(|j| j.delete_interface_shared(id));
+        let existed = self.shared.write(|j| j.delete_interface(id));
         if existed {
             self.compact_locked(&mut wal).map_err(io_err)?;
         }

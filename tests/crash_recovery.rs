@@ -39,7 +39,7 @@ fn observation(i: usize) -> Observation {
 
 /// The journal state after applying the first `k` observations.
 fn reference_state(k: usize) -> JournalSnapshot {
-    let mut j = Journal::new();
+    let j = Journal::new();
     for i in 0..k {
         j.apply(&observation(i), JTime(i as u64 + 1));
     }
