@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the in-tree static analyzer: workspace
-//! source loading, the cross-crate call-graph build, the two newest
-//! rules in isolation, and the full seven-rule analysis pass — all
+//! source loading, the cross-crate call-graph build, the newest
+//! rule in isolation, and the full six-rule analysis pass — all
 //! measured over the real workspace so the CI `--deny` gate's cost
 //! stays visible.
 
@@ -29,14 +29,6 @@ fn bench_lint(c: &mut Criterion) {
         b.iter(|| {
             let cg = CallGraph::build(&ws);
             black_box(cg.fns.len())
-        })
-    });
-    let cg = CallGraph::build(&ws);
-    let lock = rules::lock_order::check(&ws, &cfg, &cg);
-    g.bench_function("rule_shard_lock_order", |b| {
-        b.iter(|| {
-            let report = rules::shard_lock_order::check(&ws, &cfg, &cg, &lock.reach_locks);
-            black_box(report.violations.len())
         })
     });
     g.bench_function("rule_metric_registry", |b| {

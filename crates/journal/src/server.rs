@@ -107,15 +107,16 @@ pub trait JournalAccess {
         Ok(false)
     }
 
-    /// Per-shard activity metrics, for backends wrapping the sharded
-    /// in-process store. `None` for remote or opaque backends.
+    /// Lock and batch activity of the in-process store (one partition,
+    /// reported as shard 0), for backends wrapping it. `None` for remote
+    /// or opaque backends.
     fn sharding_metrics(&self) -> Option<ShardingMetrics> {
         None
     }
 
-    /// Shard write-lock acquisitions made by the store's write
-    /// transactions (shard count × transactions), for backends wrapping
-    /// the in-process store; `None` for remote or opaque backends.
+    /// Write-lock acquisitions made by the store's write transactions
+    /// (one per transaction), for backends wrapping the in-process
+    /// store; `None` for remote or opaque backends.
     /// Carried outside [`ShardingMetrics`] because that struct is a
     /// frozen wire type (wal-schema golden).
     fn batch_groups_total(&self) -> Option<u64> {
@@ -147,9 +148,9 @@ pub trait JournalAccess {
 ///
 /// This is the deployment used inside the simulator: the Journal lives in
 /// the driving process and every module shares it through this handle.
-/// The store shards internally, so this is just an [`Arc`]: queries run
-/// concurrently against the shard locks while writers serialize on the
-/// store's meta lock.
+/// The store locks internally, so this is just an [`Arc`]: queries run
+/// concurrently under the store's read lock while write transactions
+/// serialize on its write lock.
 #[derive(Clone, Default)]
 pub struct SharedJournal {
     inner: Arc<Journal>,
@@ -175,7 +176,7 @@ impl SharedJournal {
 
     /// Runs a closure against the underlying journal for mutation through
     /// its write path (`apply`, `apply_batch`, `delete_interface`);
-    /// mutations serialize on the store's internal meta lock.
+    /// mutations serialize on the store's internal lock.
     pub fn write<R>(&self, f: impl FnOnce(&Journal) -> R) -> R {
         f(&self.inner)
     }
@@ -758,8 +759,8 @@ pub fn publish_journal_stats(telemetry: &Telemetry, stats: &JournalStats) {
     );
 }
 
-/// Publishes the sharded store's per-shard activity: lock acquisitions
-/// and record counts per shard, plus cross-shard query fan-out and write
+/// Publishes the store's activity: lock acquisitions and record count
+/// (one `shard="0"` series each), query fan-out (always 0) and write
 /// batch totals (shared between server shutdown and the driver's
 /// per-pump dump).
 pub fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
@@ -790,7 +791,7 @@ pub fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
 /// Builds the live self-description answered to
 /// [`Request::Introspect`] — shared with `journal_server
 /// --status-interval` self-reports. Reads only paths that already
-/// exist for stats publication: journal stats, shard counters, WAL
+/// exist for stats publication: journal stats, store counters, WAL
 /// state, and the telemetry sink's own snapshot; no locks beyond
 /// those are taken.
 pub fn build_introspection<J: JournalAccess>(
@@ -995,7 +996,8 @@ fn handle_request<J: JournalAccess>(
                     Ok(Err(e)) => Response::Error(e.to_string()),
                     Err(e) => Response::Error(e.to_string()),
                 },
-                None => Response::Error("no snapshot path configured".to_owned()),
+                // In-memory with nowhere to write: nothing to persist.
+                None => Response::Flushed,
             },
         },
     }
@@ -1052,6 +1054,8 @@ mod tests {
     #[test]
     fn shared_journal_access() {
         let j = SharedJournal::new();
+        let locks = |j: &SharedJournal| j.sharding_metrics().unwrap().shards[0];
+        let before = locks(&j);
         let s = j
             .store(
                 JTime(1),
@@ -1062,14 +1066,18 @@ mod tests {
             )
             .unwrap();
         assert_eq!(s.created, 1);
+        // One transaction: the write lock once, the read lock never
+        // (the one read counted is the closing snapshot's own).
+        let after = locks(&j);
+        assert_eq!(after.write_locks, before.write_locks + 1);
+        assert_eq!(after.read_locks, before.read_locks + 1);
         let recs = j.interfaces(&InterfaceQuery::all()).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(j.stats().unwrap().interfaces, 1);
         assert!(j.delete(recs[0].id).unwrap());
         assert_eq!(j.stats().unwrap().interfaces, 0);
         // Two write transactions (the store, the delete), each taking
-        // every shard's write lock once.
-        let shards = j.read(Journal::shard_count) as u64;
-        assert_eq!(j.batch_groups_total(), Some(2 * shards));
+        // the write lock once.
+        assert_eq!(j.batch_groups_total(), Some(2));
     }
 }

@@ -49,9 +49,9 @@ impl JournalSnapshot {
 
     /// A stable FNV-1a fingerprint of the snapshot's canonical JSON
     /// encoding. [`Journal::to_snapshot`] is canonical — records are
-    /// emitted in id order regardless of shard layout — so two journals
-    /// holding the same facts fingerprint identically even when built
-    /// with different shard counts (property-tested in the store). The
+    /// emitted in id order — so two journals holding the same facts
+    /// fingerprint identically however the observations were batched
+    /// (property-tested in the store). The
     /// model checker uses this to recognize fault interleavings that
     /// leave the Journal in the same state.
     pub fn fingerprint(&self) -> u64 {

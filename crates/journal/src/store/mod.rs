@@ -8,53 +8,37 @@
 //! its parts": the merge rules below are what turn per-module observations
 //! into cross-correlated knowledge.
 //!
-//! # Sharding
+//! # One partition, one lock
 //!
-//! Interface records are partitioned into N shards by id hash, each shard
-//! behind its own reader-writer lock with its own AVL indexes. The
-//! gateway and subnet slabs plus the global ordering sequences live
-//! behind the `meta` lock.
-//!
-//! # One write path
+//! [`Journal`] is one `Store` — every record, every index, the gateway
+//! and subnet slabs and the ordering sequences — behind one
+//! reader-writer lock, the paper's single process that "serializes
+//! updates, time-stamps and records the data, and answers queries".
 //!
 //! Every mutation — [`Journal::apply`], [`Journal::apply_batch`],
-//! [`Journal::delete_interface`], snapshot restore — runs inside one
-//! `WriteTxn`: the `meta` write guard plus **every** shard's write
-//! guard, taken once in ascending index order by `begin_write` (the only
-//! function that acquires a shard write lock; `fremont-lint`'s
-//! `shard-lock-order` rule enforces that). The merge rules then run in
-//! observation order, reading and writing records straight through the
-//! held guards, so a transaction costs exactly one write-lock
-//! acquisition per shard and no read locks, whatever facts it carries.
-//! Identity resolution asks `Meta::flt` (a key→shard bitmask) which
-//! shards may hold a key and descends only into those.
+//! [`Journal::delete_interface`] — is one write transaction: the write
+//! guard taken once by `begin_write`, on which the merge rules run in
+//! observation order. Every query takes the read guard once and holds
+//! it until its answer is built, so queries run concurrently with each
+//! other and no public query method calls another (the lock is not
+//! reentrant; the `lock-sanitizer` build panics on a `journal.store ->
+//! journal.store` acquisition).
 //!
-//! Interface queries take only shard read locks and so run concurrently
-//! with each other, merging sorted per-shard results back into the
-//! global order; lone-lock query sweeps visit shards in *descending*
-//! order, opposite the writer's ascending acquisition, so a sweep
-//! crosses a writer at most once instead of convoying. Lock order is
-//! strictly `meta` before any shard, and multiple shard locks are only
-//! ever acquired ascending.
-//!
-//! Consistency: readers that go through `meta` (`stats`, `to_snapshot`,
-//! `check_invariants`, gateway/subnet queries) are fully serialized
-//! against writers. A write transaction — a batch, a single apply, a
-//! delete — is atomic with respect to interface queries too, because
-//! every shard's write lock is held for its duration.
+//! Consistency: a query sees a single state of the whole store, and a
+//! write transaction — a batch, a single apply, a delete — is atomic
+//! with respect to every query.
 
 mod indexes;
-mod merge;
-mod shard;
 mod stats;
 
 pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
 
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
 
@@ -64,52 +48,41 @@ use crate::query::{InterfaceQuery, SubnetQuery};
 use crate::records::{GatewayId, GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use crate::time::{JTime, Timestamped};
 
-use indexes::FilterKey;
-use shard::Shard;
-use stats::{ShardCounters, StoreCounters};
+use stats::StoreCounters;
 
-/// Default number of interface shards.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Mutation-ordering state: everything a writer must update atomically with
-/// respect to other writers. The `meta` write lock is the single write gate.
-struct Meta {
+/// Everything the Journal holds: the records and the indexes over them.
+/// Postings are appended in insertion order, which the merge rules'
+/// tie-breaks depend on.
+#[derive(Default)]
+struct Store {
+    /// Interface records, keyed by raw id.
+    records: HashMap<u64, InterfaceRecord>,
+    /// Ethernet-address index. A MAC maps to *several* records when one
+    /// adapter answers for several IP addresses (gateway or proxy ARP).
+    idx_mac: AvlMap<MacAddr, Vec<InterfaceId>>,
+    /// IP-address index. An IP maps to several records when two hosts are
+    /// (mis)configured with the same address, or hardware changed.
+    idx_ip: AvlMap<Ipv4Addr, Vec<InterfaceId>>,
+    /// DNS-name index. A name maps to several records for multi-homed
+    /// gateways.
+    idx_name: AvlMap<String, Vec<InterfaceId>>,
+    /// Modification-time ordering over the records (the paper's "lists
+    /// ordered by time of last modification").
+    idx_modified: AvlMap<(JTime, u64), InterfaceId>,
+    /// Current modification key per record, for removal on re-touch.
+    mod_keys: HashMap<u64, (JTime, u64)>,
     gateways: Vec<Option<GatewayRecord>>,
     subnets: AvlMap<Subnet, SubnetRecord>,
     /// Next interface id to allocate (ids are never reused).
     next_iface: u64,
-    /// Global insertion sequence stamped on every index posting.
-    idx_seq: u64,
-    /// Global modification sequence (tie-break within one `JTime`).
+    /// Modification sequence (tie-break within one `JTime`).
     mod_seq: u64,
     observations_applied: u64,
-    /// Journal-global key→shard bitmasks for identity resolution: one
-    /// probe answers "which shards could hold this key" instead of
-    /// asking every shard's filter. Index mutations only happen inside
-    /// a write transaction, which holds this lock, so the map is exact.
-    flt: indexes::ShardMaskFilter,
 }
 
-impl Meta {
-    fn new(shards: usize) -> Self {
-        Meta {
-            gateways: Vec::new(),
-            subnets: AvlMap::new(),
-            next_iface: 0,
-            idx_seq: 0,
-            mod_seq: 0,
-            observations_applied: 0,
-            flt: indexes::ShardMaskFilter::new(shards),
-        }
-    }
-}
-
-/// The Journal store: a sharded, concurrently-readable partition of
-/// interface records plus the gateway/subnet slabs behind a meta lock.
+/// The Journal store: one `Store` behind one reader-writer lock.
 pub struct Journal {
-    meta: RwLock<Meta>,
-    shards: Vec<RwLock<Shard>>,
-    shard_counters: Vec<ShardCounters>,
+    store: RwLock<Store>,
     counters: StoreCounters,
 }
 
@@ -120,113 +93,32 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates an empty journal with the default shard count.
+    /// Creates an empty journal.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::holding(Store::default())
     }
 
-    /// Creates an empty journal partitioned into `shards` shards.
-    ///
-    /// A single-shard journal is the reference model the equivalence
-    /// proptest compares sharded journals against.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1);
+    fn holding(store: Store) -> Self {
         Journal {
-            meta: RwLock::labeled("journal.meta", Meta::new(n)),
-            shards: (0..n)
-                .map(|i| RwLock::labeled_ranked("journal.shard", i, Shard::new()))
-                .collect(),
-            shard_counters: (0..n).map(|_| ShardCounters::default()).collect(),
+            store: RwLock::labeled("journal.store", store),
             counters: StoreCounters::default(),
         }
     }
 
-    /// Number of shards the interface records are partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     // ------------------------------------------------------------------
-    // Shard access (the only places shard locks are taken)
+    // Lock access (the only places the store lock is taken)
     // ------------------------------------------------------------------
 
-    fn shard_of(&self, id: InterfaceId) -> usize {
-        shard::shard_of(id, self.shards.len())
+    /// Takes the read guard a query holds until its answer is built.
+    fn begin_read(&self) -> RwLockReadGuard<'_, Store> {
+        self.counters.read_locks.fetch_add(1, Ordering::Relaxed);
+        self.store.read()
     }
 
-    fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&Shard) -> R) -> R {
-        self.shard_counters[idx]
-            .read_locks
-            .fetch_add(1, Ordering::Relaxed);
-        let guard = self.shards[idx].read();
-        f(&guard)
-    }
-
-    /// Opens a write transaction: the meta write gate, then every
-    /// shard's write lock in ascending index order — the one same-label
-    /// multi-lock shape the shard-lock-order lint and the runtime
-    /// sanitizer sanction. This is the only place a shard write lock is
-    /// taken.
-    fn begin_write(&self) -> WriteTxn<'_> {
-        let meta = self.meta.write();
-        let shards = (0..self.shards.len())
-            .map(|s| {
-                self.shard_counters[s]
-                    .write_locks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shards[s].write()
-            })
-            .collect();
-        self.counters.note_txn_locks(self.shards.len() as u64);
-        WriteTxn { shards, meta }
-    }
-
-    /// Merges the per-shard posting lists one index key resolves to,
-    /// restoring global insertion order.
-    ///
-    /// The sweep visits shards in *descending* index order, deliberately
-    /// opposite to a write transaction's ascending write-lock
-    /// acquisition: a lone-lock sweep against a multi-lock acquirer
-    /// crosses it at most once when they run in opposite directions,
-    /// where same-direction sweeps convoy — parking and waking once per
-    /// shard as each chases the other through the lock sequence. The
-    /// k-way merge re-sorts by global sequence, so visit order never
-    /// shows in the result.
-    fn merged_ids(&self, get: impl Fn(&Shard) -> Vec<indexes::Entry>) -> Vec<InterfaceId> {
-        let lists: Vec<Vec<indexes::Entry>> = (0..self.shards.len())
-            .rev()
-            .map(|s| self.with_shard(s, &get))
-            .collect();
-        merge::k_way(lists, |e| e.0)
-            .into_iter()
-            .map(|e| e.1)
-            .collect()
-    }
-
-    fn ip_ids(&self, ip: Ipv4Addr) -> Vec<InterfaceId> {
-        let h = ip.filter_hash();
-        self.merged_ids(|sh| {
-            if !sh.flt_ip.may_contain(h) {
-                return Vec::new();
-            }
-            sh.idx_ip.get(&ip).cloned().unwrap_or_default()
-        })
-    }
-
-    fn mac_ids(&self, mac: MacAddr) -> Vec<InterfaceId> {
-        let h = mac.filter_hash();
-        self.merged_ids(|sh| {
-            if !sh.flt_mac.may_contain(h) {
-                return Vec::new();
-            }
-            sh.idx_mac.get(&mac).cloned().unwrap_or_default()
-        })
-    }
-
-    fn note_fanout(&self) {
-        if self.shards.len() > 1 {
-            self.counters.fanout_queries.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Opens a write transaction: the write guard, held until drop.
+    fn begin_write(&self) -> RwLockWriteGuard<'_, Store> {
+        self.counters.write_locks.fetch_add(1, Ordering::Relaxed);
+        self.store.write()
     }
 
     // ------------------------------------------------------------------
@@ -242,7 +134,7 @@ impl Journal {
     /// Applies a batch of `(observation, at)` pairs, in order, inside
     /// **one** write transaction — the batched write path the driver,
     /// the server's StoreBatch RPC, and the WAL group commit all funnel
-    /// into. The iterator is consumed with the locks held.
+    /// into. The iterator is consumed with the lock held.
     pub fn apply_batch<'a>(
         &self,
         items: impl IntoIterator<Item = (&'a Observation, JTime)>,
@@ -259,79 +151,41 @@ impl Journal {
     }
 }
 
-/// One write transaction: the meta write guard plus every shard's write
-/// guard (ascending by index), held from [`Journal::begin_write`] until
-/// drop. The merge rules run on it, reading and writing records straight
-/// through the held guards — no further lock traffic.
-///
-/// Field order is drop order: the shard guards release ascending, then
-/// the meta gate. Lone-lock reader sweeps run *descending* (see
-/// `Journal::merged_ids`), so a reader parked at shard `k` wakes when
-/// `k` frees and finds every lower-numbered shard it still wants
-/// already free.
-struct WriteTxn<'j> {
-    shards: Vec<RwLockWriteGuard<'j, Shard>>,
-    meta: RwLockWriteGuard<'j, Meta>,
-}
-
-impl WriteTxn<'_> {
-    fn shard_of(&self, id: InterfaceId) -> usize {
-        shard::shard_of(id, self.shards.len())
-    }
-
+impl Store {
     /// The record a posting points at, panicking (via map indexing) if
     /// the id is dead — callers only pass ids taken from live index
-    /// postings, which only reference live records in their own shard.
+    /// postings, which only reference live records.
     fn rec(&self, id: InterfaceId) -> &InterfaceRecord {
-        &self.shards[self.shard_of(id)].records[&id.0]
+        &self.records[&id.0]
     }
 
-    /// Merges the per-shard posting lists one key resolves to, restoring
-    /// global insertion order (sequences are globally unique). Only the
-    /// shards `Meta::flt` says may hold the key's tagged fingerprint `h`
-    /// are descended into, so the common miss costs one hash probe
-    /// total instead of one tree descent per shard.
-    fn merged_ids<'s>(
-        &'s self,
-        h: u64,
-        get: impl Fn(&'s Shard) -> Option<&'s Vec<indexes::Entry>>,
-    ) -> Vec<InterfaceId> {
-        let mut mask = self.meta.flt.may_shards(h);
-        let mut out: Vec<indexes::Entry> = Vec::new();
-        if mask == u64::MAX {
-            // Untracked filter (more than 64 shards, which a bitmask
-            // cannot index): probe everything.
-            for sh in &self.shards {
-                out.extend_from_slice(get(sh).map_or(&[], Vec::as_slice));
-            }
-        } else {
-            // Visit set bits only: scanning every shard index per probe
-            // measures 10 % slower at 8 shards on the recorded mix.
-            while mask != 0 {
-                let s = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                out.extend_from_slice(get(&self.shards[s]).map_or(&[], Vec::as_slice));
-            }
+    fn ip_ids(&self, ip: Ipv4Addr) -> &[InterfaceId] {
+        self.idx_ip.get(&ip).map_or(&[], Vec::as_slice)
+    }
+
+    fn mac_ids(&self, mac: MacAddr) -> &[InterfaceId] {
+        self.idx_mac.get(&mac).map_or(&[], Vec::as_slice)
+    }
+
+    fn name_ids(&self, name: &str) -> &[InterfaceId] {
+        self.idx_name
+            .get(&name.to_owned())
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Moves `id` to the end of the modification order at time `now`.
+    fn touch_modified(&mut self, id: InterfaceId, now: JTime) {
+        if let Some(old) = self.mod_keys.remove(&id.0) {
+            self.idx_modified.remove(&old);
         }
-        out.sort_unstable_by_key(|e| e.0);
-        out.into_iter().map(|e| e.1).collect()
-    }
-
-    fn ip_ids(&self, ip: Ipv4Addr) -> Vec<InterfaceId> {
-        self.merged_ids(ip.tagged_hash(), |sh| sh.idx_ip.get(&ip))
-    }
-
-    fn mac_ids(&self, mac: MacAddr) -> Vec<InterfaceId> {
-        self.merged_ids(mac.tagged_hash(), |sh| sh.idx_mac.get(&mac))
-    }
-
-    fn name_ids(&self, name: &str) -> Vec<InterfaceId> {
-        let key = name.to_owned();
-        self.merged_ids(name.tagged_hash(), |sh| sh.idx_name.get(&key))
+        self.mod_seq += 1;
+        let key = (now, self.mod_seq);
+        self.idx_modified.insert(key, id);
+        self.mod_keys.insert(id.0, key);
     }
 
     fn apply(&mut self, obs: &Observation, now: JTime) -> StoreSummary {
-        self.meta.observations_applied += 1;
+        self.observations_applied += 1;
         match &obs.fact {
             Fact::Interface {
                 ip,
@@ -446,16 +300,17 @@ impl WriteTxn<'_> {
                 // same IP on different hardware).
                 return Vec::new();
             }
-            return with_mac;
+            return with_mac.to_vec();
         }
         if let Some(ip) = ip {
             let ids = self.ip_ids(ip);
             if ids.len() <= 1 {
-                return ids;
+                return ids.to_vec();
             }
             // Multiple claimants: credit the presumed current owner only.
             return ids
-                .into_iter()
+                .iter()
+                .copied()
                 .max_by_key(|&id| {
                     let r = self.rec(id);
                     (r.live_verified, r.verified, r.discovered)
@@ -464,24 +319,21 @@ impl WriteTxn<'_> {
                 .collect();
         }
         if let Some(name) = name {
-            return self.name_ids(name);
+            return self.name_ids(name).to_vec();
         }
         Vec::new()
     }
 
     fn create_interface(&mut self, now: JTime) -> InterfaceId {
-        let id = InterfaceId(self.meta.next_iface);
-        self.meta.next_iface += 1;
-        let shard = self.shard_of(id);
-        let sh = &mut *self.shards[shard];
-        sh.records.insert(id.0, InterfaceRecord::new(id, now));
-        sh.touch_modified(&mut self.meta.mod_seq, id, now);
+        let id = InterfaceId(self.next_iface);
+        self.next_iface += 1;
+        self.records.insert(id.0, InterfaceRecord::new(id, now));
+        self.touch_modified(id, now);
         id
     }
 
-    /// Applies fields to one record and maintains its shard's indexes
-    /// (and, through them, the journal-global shard-mask filter);
-    /// returns `true` when anything changed.
+    /// Applies fields to one record and maintains the indexes; returns
+    /// `true` when anything changed.
     #[allow(clippy::too_many_arguments)]
     fn update_interface(
         &mut self,
@@ -493,15 +345,7 @@ impl WriteTxn<'_> {
         mask: Option<fremont_net::SubnetMask>,
         now: JTime,
     ) -> bool {
-        let shard = self.shard_of(id);
-        let sh = &mut *self.shards[shard];
-        let Meta {
-            idx_seq,
-            mod_seq,
-            flt,
-            ..
-        } = &mut *self.meta;
-        let Some(r) = sh.records.get_mut(&id.0) else {
+        let Some(r) = self.records.get_mut(&id.0) else {
             return false;
         };
 
@@ -560,49 +404,33 @@ impl WriteTxn<'_> {
             r.changed = now;
         }
 
-        // The record borrow ends here; now maintain this shard's indexes.
+        // The record borrow ends here; now maintain the indexes.
         if let Some(ip) = ip {
             if old_ip != Some(ip) {
                 if let Some(old) = old_ip {
-                    indexes::remove(&mut sh.idx_ip, &mut sh.flt_ip, &old, id, shard, flt);
+                    indexes::remove(&mut self.idx_ip, &old, id);
                 }
-                indexes::add(&mut sh.idx_ip, &mut sh.flt_ip, ip, id, idx_seq, shard, flt);
+                indexes::add(&mut self.idx_ip, ip, id);
             }
         }
         if let Some(mac) = mac {
             if old_mac != Some(mac) {
                 if let Some(old) = old_mac {
-                    indexes::remove(&mut sh.idx_mac, &mut sh.flt_mac, &old, id, shard, flt);
+                    indexes::remove(&mut self.idx_mac, &old, id);
                 }
-                indexes::add(
-                    &mut sh.idx_mac,
-                    &mut sh.flt_mac,
-                    mac,
-                    id,
-                    idx_seq,
-                    shard,
-                    flt,
-                );
+                indexes::add(&mut self.idx_mac, mac, id);
             }
         }
         if let Some(name) = name {
             if old_name.as_deref() != Some(name) {
                 if let Some(old) = old_name {
-                    indexes::remove(&mut sh.idx_name, &mut sh.flt_name, &old, id, shard, flt);
+                    indexes::remove(&mut self.idx_name, &old, id);
                 }
-                indexes::add(
-                    &mut sh.idx_name,
-                    &mut sh.flt_name,
-                    name.to_owned(),
-                    id,
-                    idx_seq,
-                    shard,
-                    flt,
-                );
+                indexes::add(&mut self.idx_name, name.to_owned(), id);
             }
         }
         if changed {
-            sh.touch_modified(mod_seq, id, now);
+            self.touch_modified(id, now);
         }
         changed
     }
@@ -619,7 +447,7 @@ impl WriteTxn<'_> {
         now: JTime,
     ) -> StoreSummary {
         let mut sum = StoreSummary::default();
-        match self.meta.subnets.get_mut(&subnet) {
+        match self.subnets.get_mut(&subnet) {
             Some(rec) => {
                 let mut changed = false;
                 if rec.mask_assumed && !mask_assumed {
@@ -638,7 +466,7 @@ impl WriteTxn<'_> {
             None => {
                 let mut rec = SubnetRecord::new(subnet, mask_assumed, now);
                 rec.sources.insert(source);
-                self.meta.subnets.insert(subnet, rec);
+                self.subnets.insert(subnet, rec);
                 sum.created += 1;
             }
         }
@@ -655,7 +483,7 @@ impl WriteTxn<'_> {
         now: JTime,
     ) -> StoreSummary {
         let mut sum = self.apply_subnet(source, subnet, false, now);
-        let Some(rec) = self.meta.subnets.get_mut(&subnet) else {
+        let Some(rec) = self.subnets.get_mut(&subnet) else {
             return sum; // apply_subnet ensures presence
         };
         let mut changed = false;
@@ -715,7 +543,7 @@ impl WriteTxn<'_> {
             }
         }
         for name in interface_names {
-            for id in self.name_ids(name) {
+            for &id in self.name_ids(name) {
                 if !members.contains(&id) {
                     members.push(id);
                 }
@@ -742,7 +570,7 @@ impl WriteTxn<'_> {
             }
         }
         // Take the gateway record out of the slab while we mutate it, so
-        // the borrow of `meta` stays free for subnet upserts below.
+        // the borrow of `self` stays free for subnet upserts below.
         let (gid, mut g) = match gids.first().copied() {
             Some(primary) => {
                 // Merge any additional gateways into the primary: two
@@ -751,7 +579,6 @@ impl WriteTxn<'_> {
                     self.merge_gateways(primary, other, now);
                 }
                 let Some(g) = self
-                    .meta
                     .gateways
                     .get_mut(primary.0 as usize)
                     .and_then(Option::take)
@@ -761,8 +588,8 @@ impl WriteTxn<'_> {
                 (primary, g)
             }
             None => {
-                let gid = GatewayId(self.meta.gateways.len() as u64);
-                self.meta.gateways.push(None); // placeholder, restored below
+                let gid = GatewayId(self.gateways.len() as u64);
+                self.gateways.push(None); // placeholder, restored below
                 sum.created += 1;
                 (gid, GatewayRecord::new(gid, now))
             }
@@ -771,13 +598,11 @@ impl WriteTxn<'_> {
         // Attach members and subnets.
         let mut gw_changed = false;
         for &m in &members {
-            let shard = self.shard_of(m);
-            let sh = &mut *self.shards[shard];
-            if let Some(r) = sh.records.get_mut(&m.0) {
+            if let Some(r) = self.records.get_mut(&m.0) {
                 if r.gateway != Some(gid) {
                     r.gateway = Some(gid);
                     r.changed = now;
-                    sh.touch_modified(&mut self.meta.mod_seq, m, now);
+                    self.touch_modified(m, now);
                 }
             }
             gw_changed |= g.add_interface(m);
@@ -798,7 +623,7 @@ impl WriteTxn<'_> {
         for (s, assumed) in all_subnets {
             sum.absorb(self.apply_subnet(source, s, assumed, now));
             gw_changed |= g.add_subnet(s);
-            if let Some(srec) = self.meta.subnets.get_mut(&s) {
+            if let Some(srec) = self.subnets.get_mut(&s) {
                 if srec.add_gateway(gid) {
                     srec.changed = now;
                 }
@@ -812,13 +637,12 @@ impl WriteTxn<'_> {
         } else {
             sum.verified += 1;
         }
-        self.meta.gateways[gid.0 as usize] = Some(g);
+        self.gateways[gid.0 as usize] = Some(g);
         sum
     }
 
     fn merge_gateways(&mut self, into: GatewayId, from: GatewayId, now: JTime) {
-        let WriteTxn { shards, meta } = self;
-        let Some(old) = meta
+        let Some(old) = self
             .gateways
             .get_mut(from.0 as usize)
             .and_then(Option::take)
@@ -826,24 +650,22 @@ impl WriteTxn<'_> {
             return;
         };
         for &i in &old.interfaces {
-            let shard = shard::shard_of(i, shards.len());
-            let sh = &mut *shards[shard];
-            if let Some(r) = sh.records.get_mut(&i.0) {
+            if let Some(r) = self.records.get_mut(&i.0) {
                 if r.gateway != Some(into) {
                     r.gateway = Some(into);
                     r.changed = now;
                 }
-                sh.touch_modified(&mut meta.mod_seq, i, now);
+                self.touch_modified(i, now);
             }
         }
         // Re-point subnet records.
         for s in &old.subnets {
-            if let Some(rec) = meta.subnets.get_mut(s) {
+            if let Some(rec) = self.subnets.get_mut(s) {
                 rec.gateways.retain(|g| *g != from);
                 rec.add_gateway(into);
             }
         }
-        if let Some(g) = meta
+        if let Some(g) = self
             .gateways
             .get_mut(into.0 as usize)
             .and_then(Option::as_mut)
@@ -870,20 +692,18 @@ impl WriteTxn<'_> {
         now: JTime,
     ) -> StoreSummary {
         let mut sum = self.apply_interface(source, Some(ip), mac, None, None, now);
-        for id in self.ip_ids(ip) {
+        for id in self.ip_ids(ip).to_vec() {
             let matches_mac = match (mac, self.rec(id).mac_addr()) {
                 (Some(m), Some(rm)) => m == rm,
                 _ => true,
             };
             if matches_mac {
-                let shard = self.shard_of(id);
-                let sh = &mut *self.shards[shard];
-                if let Some(r) = sh.records.get_mut(&id.0) {
+                if let Some(r) = self.records.get_mut(&id.0) {
                     if !r.rip_source || r.rip_promiscuous != promiscuous {
                         r.rip_source = true;
                         r.rip_promiscuous = promiscuous;
                         r.changed = now;
-                        sh.touch_modified(&mut self.meta.mod_seq, id, now);
+                        self.touch_modified(id, now);
                         sum.updated += 1;
                     }
                 }
@@ -897,27 +717,27 @@ impl WriteTxn<'_> {
     // ------------------------------------------------------------------
 
     fn delete_interface(&mut self, id: InterfaceId) -> bool {
-        let shard = self.shard_of(id);
-        let sh = &mut *self.shards[shard];
-        let Meta { gateways, flt, .. } = &mut *self.meta;
-        let Some(rec) = sh.records.remove(&id.0) else {
+        let Some(rec) = self.records.remove(&id.0) else {
             return false;
         };
         if let Some(ip) = rec.ip_addr() {
-            indexes::remove(&mut sh.idx_ip, &mut sh.flt_ip, &ip, id, shard, flt);
+            indexes::remove(&mut self.idx_ip, &ip, id);
         }
         if let Some(mac) = rec.mac_addr() {
-            indexes::remove(&mut sh.idx_mac, &mut sh.flt_mac, &mac, id, shard, flt);
+            indexes::remove(&mut self.idx_mac, &mac, id);
         }
         if let Some(name) = rec.dns_name() {
-            let name = name.to_owned();
-            indexes::remove(&mut sh.idx_name, &mut sh.flt_name, &name, id, shard, flt);
+            indexes::remove(&mut self.idx_name, &name.to_owned(), id);
         }
-        if let Some(key) = sh.mod_keys.remove(&id.0) {
-            sh.idx_modified.remove(&key);
+        if let Some(key) = self.mod_keys.remove(&id.0) {
+            self.idx_modified.remove(&key);
         }
         if let Some(gid) = rec.gateway {
-            if let Some(g) = gateways.get_mut(gid.0 as usize).and_then(Option::as_mut) {
+            if let Some(g) = self
+                .gateways
+                .get_mut(gid.0 as usize)
+                .and_then(Option::as_mut)
+            {
                 g.interfaces.retain(|i| *i != id);
             }
         }
@@ -932,13 +752,13 @@ impl Journal {
 
     /// Fetches an interface record by id.
     pub fn interface(&self, id: InterfaceId) -> Option<InterfaceRecord> {
-        self.with_shard(self.shard_of(id), |sh| sh.records.get(&id.0).cloned())
+        self.begin_read().records.get(&id.0).cloned()
     }
 
     /// Fetches a gateway record by id.
     pub fn gateway(&self, id: GatewayId) -> Option<GatewayRecord> {
-        let meta = self.meta.read();
-        meta.gateways
+        let st = self.begin_read();
+        st.gateways
             .get(id.0 as usize)
             .and_then(Option::as_ref)
             .cloned()
@@ -946,116 +766,52 @@ impl Journal {
 
     /// Fetches the subnet record for an exact subnet.
     pub fn subnet(&self, s: &Subnet) -> Option<SubnetRecord> {
-        let meta = self.meta.read();
-        meta.subnets.get(s).cloned()
+        self.begin_read().subnets.get(s).cloned()
     }
 
     /// Returns all interface records matching the query (the Journal
     /// Server's Get operation), using the IP index when the query allows.
-    /// Fans out across shards and merges the sorted per-shard results.
+    /// Ids are resolved and records cloned under the one read guard, so
+    /// the answer is a single state of the store.
     pub fn get_interfaces(&self, q: &InterfaceQuery) -> Vec<InterfaceRecord> {
-        self.note_fanout();
+        let st = self.begin_read();
         // Fast paths through the indexes.
         if let Some(ip) = q.ip {
-            return self
-                .ip_ids(ip)
-                .into_iter()
-                .filter_map(|id| self.interface(id))
-                .filter(|r| q.matches(r))
-                .collect();
+            return st.matching(st.ip_ids(ip).iter(), q);
         }
         if let Some(mac) = q.mac {
-            return self
-                .mac_ids(mac)
-                .into_iter()
-                .filter_map(|id| self.interface(id))
-                .filter(|r| q.matches(r))
-                .collect();
+            return st.matching(st.mac_ids(mac).iter(), q);
         }
         if let Some(s) = q.in_subnet {
             let lo = s.network();
             let hi = s.directed_broadcast();
-            return self.scan_ip_range(lo, hi, q);
+            return st.scan_ip_range(lo, hi, q);
         }
         if let Some((lo, hi)) = q.ip_range {
-            return self.scan_ip_range(lo, hi, q);
+            return st.scan_ip_range(lo, hi, q);
         }
-        // Full scan: each shard's matches in id order, merged back by id.
-        let lists: Vec<Vec<InterfaceRecord>> = (0..self.shards.len())
-            .map(|s| {
-                self.with_shard(s, |sh| {
-                    let mut v: Vec<InterfaceRecord> = sh
-                        .records
-                        .values()
-                        .filter(|r| q.matches(r))
-                        .cloned()
-                        .collect();
-                    v.sort_unstable_by_key(|r| r.id.0);
-                    v
-                })
-            })
-            .collect();
-        merge::k_way(lists, |r| r.id.0)
-    }
-
-    fn scan_ip_range(
-        &self,
-        lo: Ipv4Addr,
-        hi: Ipv4Addr,
-        q: &InterfaceQuery,
-    ) -> Vec<InterfaceRecord> {
-        let lists: Vec<Vec<(Ipv4Addr, u64, InterfaceId)>> = (0..self.shards.len())
-            .map(|s| {
-                self.with_shard(s, |sh| {
-                    let mut v = Vec::new();
-                    for (ip, entries) in sh
-                        .idx_ip
-                        .range((Bound::Included(&lo), Bound::Included(&hi)))
-                    {
-                        for e in entries {
-                            v.push((*ip, e.0, e.1));
-                        }
-                    }
-                    v
-                })
-            })
-            .collect();
-        merge::k_way(lists, |e| (e.0, e.1))
-            .into_iter()
-            .filter_map(|(_, _, id)| self.interface(id))
-            .filter(|r| q.matches(r))
-            .collect()
+        st.records_by_id(|r| q.matches(r))
     }
 
     /// Interfaces in ascending order of last modification (oldest first).
     pub fn interfaces_by_modification(&self) -> Vec<InterfaceRecord> {
-        self.note_fanout();
-        let lists: Vec<Vec<((JTime, u64), InterfaceRecord)>> = (0..self.shards.len())
-            .map(|s| {
-                self.with_shard(s, |sh| {
-                    sh.idx_modified
-                        .iter()
-                        .filter_map(|(k, id)| sh.records.get(&id.0).map(|r| (*k, r.clone())))
-                        .collect()
-                })
-            })
-            .collect();
-        merge::k_way(lists, |e| e.0)
-            .into_iter()
-            .map(|(_, r)| r)
+        let st = self.begin_read();
+        st.idx_modified
+            .iter()
+            .filter_map(|(_, id)| st.records.get(&id.0).cloned())
             .collect()
     }
 
     /// All gateway records.
     pub fn get_gateways(&self) -> Vec<GatewayRecord> {
-        let meta = self.meta.read();
-        meta.gateways.iter().flatten().cloned().collect()
+        let st = self.begin_read();
+        st.gateways.iter().flatten().cloned().collect()
     }
 
     /// Subnet records matching the query, in address order.
     pub fn get_subnets(&self, q: &SubnetQuery) -> Vec<SubnetRecord> {
-        let meta = self.meta.read();
-        meta.subnets
+        let st = self.begin_read();
+        st.subnets
             .iter()
             .map(|(_, r)| r)
             .filter(|r| q.matches(r))
@@ -1081,190 +837,184 @@ impl Journal {
 
     /// Journal-wide statistics.
     pub fn stats(&self) -> JournalStats {
-        let meta = self.meta.read();
-        let interfaces = (0..self.shards.len())
-            .map(|s| self.with_shard(s, |sh| sh.records.len()))
-            .sum();
+        let st = self.begin_read();
         JournalStats {
-            interfaces,
-            gateways: meta.gateways.iter().flatten().count(),
-            subnets: meta.subnets.len(),
-            observations_applied: meta.observations_applied,
+            interfaces: st.records.len(),
+            gateways: st.gateways.iter().flatten().count(),
+            subnets: st.subnets.len(),
+            observations_applied: st.observations_applied,
         }
     }
 
-    /// Point-in-time sharding and batching metrics for observability.
+    /// Point-in-time lock and batching metrics for observability: the
+    /// one partition reports as shard 0.
     pub fn sharding_metrics(&self) -> ShardingMetrics {
-        let shards = (0..self.shards.len())
-            .map(|i| {
-                let records = self.with_shard(i, |sh| sh.records.len());
-                let c = &self.shard_counters[i];
-                ShardMetrics {
-                    shard: i,
-                    records,
-                    read_locks: c.read_locks.load(Ordering::Relaxed),
-                    write_locks: c.write_locks.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
+        let records = self.begin_read().records.len();
+        let c = &self.counters;
         ShardingMetrics {
-            shards,
-            fanout_queries: self.counters.fanout_queries.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            batch_observations: self.counters.batch_observations.load(Ordering::Relaxed),
-            largest_batch: self.counters.largest_batch.load(Ordering::Relaxed),
+            shards: vec![ShardMetrics {
+                shard: 0,
+                records,
+                read_locks: c.read_locks.load(Ordering::Relaxed),
+                write_locks: c.write_locks.load(Ordering::Relaxed),
+            }],
+            fanout_queries: 0,
+            batches: c.batches.load(Ordering::Relaxed),
+            batch_observations: c.batch_observations.load(Ordering::Relaxed),
+            largest_batch: c.largest_batch.load(Ordering::Relaxed),
         }
     }
 
-    /// Total shard write-lock acquisitions made by write transactions —
-    /// `shard_count()` per transaction. Kept out of [`ShardingMetrics`]
-    /// (a wire type frozen by the wal-schema golden); the server reads it
-    /// directly when publishing telemetry.
+    /// Total write-lock acquisitions made by write transactions — one
+    /// per transaction. Kept out of [`ShardingMetrics`] (a wire type
+    /// frozen by the wal-schema golden); the server reads it directly
+    /// when publishing telemetry.
     pub fn batch_groups_total(&self) -> u64 {
-        self.counters.batch_groups.load(Ordering::Relaxed)
+        self.counters.write_locks.load(Ordering::Relaxed)
     }
 
     /// Exports all records as a snapshot.
     pub fn to_snapshot(&self) -> crate::snapshot::JournalSnapshot {
-        let meta = self.meta.read();
-        let lists: Vec<Vec<InterfaceRecord>> = (0..self.shards.len())
-            .map(|s| {
-                self.with_shard(s, |sh| {
-                    let mut v: Vec<InterfaceRecord> = sh.records.values().cloned().collect();
-                    v.sort_unstable_by_key(|r| r.id.0);
-                    v
-                })
-            })
-            .collect();
+        let st = self.begin_read();
         crate::snapshot::JournalSnapshot {
             version: crate::snapshot::SNAPSHOT_VERSION,
-            interfaces: merge::k_way(lists, |r| r.id.0),
-            gateways: meta.gateways.iter().flatten().cloned().collect(),
-            subnets: meta.subnets.iter().map(|(_, r)| r.clone()).collect(),
-            observations_applied: meta.observations_applied,
+            interfaces: st.records_by_id(|_| true),
+            gateways: st.gateways.iter().flatten().cloned().collect(),
+            subnets: st.subnets.iter().map(|(_, r)| r.clone()).collect(),
+            observations_applied: st.observations_applied,
         }
     }
 
     /// A stable fingerprint of the journal's canonical snapshot — see
     /// [`crate::snapshot::JournalSnapshot::fingerprint`]. Independent of
-    /// shard layout and observation arrival batching; two journals that
-    /// hold the same facts fingerprint identically.
+    /// observation arrival batching; two journals that hold the same
+    /// facts fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
         self.to_snapshot().fingerprint()
     }
 
-    /// Rebuilds a journal (including every index) from a snapshot, with the
-    /// default shard count.
+    /// Rebuilds a journal (including every index) from a snapshot.
     pub fn from_snapshot(snap: &crate::snapshot::JournalSnapshot) -> Journal {
-        Self::from_snapshot_sharded(snap, DEFAULT_SHARDS)
-    }
-
-    /// Rebuilds a journal from a snapshot with an explicit shard count.
-    pub fn from_snapshot_sharded(
-        snap: &crate::snapshot::JournalSnapshot,
-        shards: usize,
-    ) -> Journal {
-        let j = Journal::with_shards(shards);
-        {
-            let mut txn = j.begin_write();
-            let WriteTxn { shards, meta } = &mut txn;
-            let meta = &mut **meta;
-            meta.observations_applied = snap.observations_applied;
-
-            // Records keep their identifiers, so allocation resumes past
-            // the maximum and the gateway slab is sized to it.
-            meta.next_iface = snap
+        // Records keep their identifiers, so allocation resumes past
+        // the maximum and the gateway slab is sized to it.
+        let max_gw = snap.gateways.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+        let mut st = Store {
+            observations_applied: snap.observations_applied,
+            next_iface: snap
                 .interfaces
                 .iter()
                 .map(|r| r.id.0 + 1)
                 .max()
-                .unwrap_or(0);
-            let max_gw = snap.gateways.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
-            meta.gateways = (0..max_gw).map(|_| None).collect();
+                .unwrap_or(0),
+            gateways: (0..max_gw).map(|_| None).collect(),
+            ..Store::default()
+        };
 
-            // Rebuild the modification index in changed-time order.
-            let mut by_changed: Vec<&InterfaceRecord> = snap.interfaces.iter().collect();
-            by_changed.sort_by_key(|r| r.changed);
-            for rec in by_changed {
-                let id = rec.id;
-                let shard = shard::shard_of(id, shards.len());
-                let sh = &mut *shards[shard];
-                let (seq, flt) = (&mut meta.idx_seq, &mut meta.flt);
-                sh.records.insert(id.0, rec.clone());
-                if let Some(ip) = rec.ip_addr() {
-                    indexes::add(&mut sh.idx_ip, &mut sh.flt_ip, ip, id, seq, shard, flt);
-                }
-                if let Some(mac) = rec.mac_addr() {
-                    indexes::add(&mut sh.idx_mac, &mut sh.flt_mac, mac, id, seq, shard, flt);
-                }
-                if let Some(name) = rec.dns_name() {
-                    let name = name.to_owned();
-                    indexes::add(
-                        &mut sh.idx_name,
-                        &mut sh.flt_name,
-                        name,
-                        id,
-                        seq,
-                        shard,
-                        flt,
-                    );
-                }
-                sh.touch_modified(&mut meta.mod_seq, id, rec.changed);
+        // Rebuild the modification index in changed-time order.
+        let mut by_changed: Vec<&InterfaceRecord> = snap.interfaces.iter().collect();
+        by_changed.sort_by_key(|r| r.changed);
+        for rec in by_changed {
+            let id = rec.id;
+            st.records.insert(id.0, rec.clone());
+            if let Some(ip) = rec.ip_addr() {
+                indexes::add(&mut st.idx_ip, ip, id);
             }
-            for g in &snap.gateways {
-                meta.gateways[g.id.0 as usize] = Some(g.clone());
+            if let Some(mac) = rec.mac_addr() {
+                indexes::add(&mut st.idx_mac, mac, id);
             }
-            for s in &snap.subnets {
-                meta.subnets.insert(s.subnet, s.clone());
+            if let Some(name) = rec.dns_name() {
+                indexes::add(&mut st.idx_name, name.to_owned(), id);
             }
+            st.touch_modified(id, rec.changed);
         }
-        j
+        for g in &snap.gateways {
+            st.gateways[g.id.0 as usize] = Some(g.clone());
+        }
+        for s in &snap.subnets {
+            st.subnets.insert(s.subnet, s.clone());
+        }
+        Journal::holding(st)
     }
 
     /// Verifies internal index consistency (used by tests).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let meta = self.meta.read();
-        // What `Meta::flt` must hold: rebuilt from every shard's live
-        // keys. A cleared bit on a live key makes identity resolution
-        // miss a posting and silently mint a duplicate record.
-        let mut flt = indexes::ShardMaskFilter::new(self.shards.len());
-        for s in 0..self.shards.len() {
-            let members =
-                self.with_shard(s, |sh| -> Result<Vec<(InterfaceId, GatewayId)>, String> {
-                    sh.check_invariants()?;
-                    for r in sh.records.values() {
-                        if shard::shard_of(r.id, self.shards.len()) != s {
-                            return Err(format!("record {:?} stored in wrong shard {s}", r.id));
-                        }
-                    }
-                    for h in sh.live_key_hashes() {
-                        // (An untracked filter answers all-ones.)
-                        if meta.flt.may_shards(h) & 1u64.wrapping_shl(s as u32) == 0 {
-                            return Err(format!(
-                                "shard-mask filter misses live key {h:#x} in shard {s}"
-                            ));
-                        }
-                        flt.key_added(h, s);
-                    }
-                    Ok(sh
-                        .records
-                        .values()
-                        .filter_map(|r| r.gateway.map(|g| (r.id, g)))
-                        .collect())
-                })?;
-            for (id, gid) in members {
-                let g = meta
-                    .gateways
-                    .get(gid.0 as usize)
-                    .and_then(Option::as_ref)
-                    .ok_or_else(|| format!("record {id:?} points at dead gateway"))?;
-                if !g.interfaces.contains(&id) {
-                    return Err(format!("gateway {gid:?} missing member {id:?}"));
+        self.begin_read().check_invariants()
+    }
+}
+
+impl Store {
+    /// Clones of the records `keep` accepts, in id order (a full scan).
+    fn records_by_id(&self, keep: impl Fn(&InterfaceRecord) -> bool) -> Vec<InterfaceRecord> {
+        let mut v: Vec<&InterfaceRecord> = self.records.values().filter(|r| keep(r)).collect();
+        v.sort_unstable_by_key(|r| r.id.0);
+        v.into_iter().cloned().collect()
+    }
+
+    /// Clones the live records `ids` point at that match `q`, in order.
+    fn matching<'a>(
+        &self,
+        ids: impl Iterator<Item = &'a InterfaceId>,
+        q: &InterfaceQuery,
+    ) -> Vec<InterfaceRecord> {
+        ids.filter_map(|id| self.records.get(&id.0))
+            .filter(|r| q.matches(r))
+            .cloned()
+            .collect()
+    }
+
+    /// Matching records with an address in `lo..=hi`, by (address,
+    /// insertion) order.
+    fn scan_ip_range(
+        &self,
+        lo: Ipv4Addr,
+        hi: Ipv4Addr,
+        q: &InterfaceQuery,
+    ) -> Vec<InterfaceRecord> {
+        let range = (Bound::Included(&lo), Bound::Included(&hi));
+        self.matching(self.idx_ip.range(range).flat_map(|(_, ids)| ids), q)
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        self.idx_ip.check_invariants()?;
+        self.idx_mac.check_invariants()?;
+        self.idx_name.check_invariants()?;
+        self.idx_modified.check_invariants()?;
+        for (ip, ids) in self.idx_ip.iter() {
+            for id in ids {
+                let Some(r) = self.records.get(&id.0) else {
+                    return Err(format!("idx_ip points at dead record {id:?}"));
+                };
+                if r.ip_addr() != Some(*ip) {
+                    return Err(format!("idx_ip stale for {ip}"));
                 }
             }
         }
-        if flt != meta.flt {
-            return Err("shard-mask filter refcounts diverge from the live keys".to_owned());
+        for (mac, ids) in self.idx_mac.iter() {
+            for id in ids {
+                let Some(r) = self.records.get(&id.0) else {
+                    return Err(format!("idx_mac points at dead record {id:?}"));
+                };
+                if r.mac_addr() != Some(*mac) {
+                    return Err(format!("idx_mac stale for {mac}"));
+                }
+            }
+        }
+        for rec in self.records.values() {
+            if let Some(ip) = rec.ip_addr() {
+                if !self.ip_ids(ip).contains(&rec.id) {
+                    return Err(format!("record {:?} missing from idx_ip", rec.id));
+                }
+            }
+            if let Some(gid) = rec.gateway {
+                let g = self
+                    .gateways
+                    .get(gid.0 as usize)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(|| format!("record {:?} points at dead gateway", rec.id))?;
+                if !g.interfaces.contains(&rec.id) {
+                    return Err(format!("gateway {gid:?} missing member {:?}", rec.id));
+                }
+            }
         }
         Ok(())
     }
@@ -1648,20 +1398,8 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_journal_behaves_identically() {
-        let j = Journal::with_shards(1);
-        assert_eq!(j.shard_count(), 1);
-        j.apply(
-            &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.5"), mac("08:00:20:00:00:05")),
-            JTime(1),
-        );
-        assert_eq!(j.get_interfaces(&InterfaceQuery::all()).len(), 1);
-        j.check_invariants().unwrap();
-    }
-
-    #[test]
     fn apply_batch_counts_one_batch() {
-        let j = Journal::with_shards(4);
+        let j = Journal::new();
         let obs = [
             Observation::ip_alive(Source::SeqPing, ip("10.0.0.1")),
             Observation::ip_alive(Source::SeqPing, ip("10.0.0.2")),
@@ -1673,8 +1411,8 @@ mod tests {
         assert_eq!(m.batches, 1);
         assert_eq!(m.batch_observations, 3);
         assert_eq!(m.largest_batch, 3);
-        assert_eq!(m.shards.len(), 4);
-        assert_eq!(m.shards.iter().map(|s| s.records).sum::<usize>(), 3);
+        assert_eq!(m.shards.len(), 1);
+        assert_eq!(m.shards[0].records, 3);
         j.check_invariants().unwrap();
     }
 }

@@ -1,4 +1,11 @@
-//! Summary and statistics types plus per-shard instrumentation counters.
+//! Summary and statistics types plus the store's instrumentation counters.
+//!
+//! The store is one partition behind one lock; the "shard" in
+//! [`ShardMetrics`], [`ShardingMetrics`], `sharding_metrics()`,
+//! `batch_groups_total()` and the `fremont_journal_shard_*` metric
+//! names is vestigial, kept only because `wal-schema.golden`,
+//! `metrics.golden` and `crates/e2e` freeze those names. The partition
+//! reports as shard 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,35 +44,23 @@ pub struct JournalStats {
     pub observations_applied: u64,
 }
 
-/// Lock-acquisition counters for one shard.
+/// Store-wide activity counters.
 ///
 /// Plain relaxed atomics: increments are deterministic for single-threaded
 /// callers (the driver), merely monotone for concurrent ones (the server).
 #[derive(Default)]
-pub(super) struct ShardCounters {
-    /// Read-lock acquisitions on this shard.
-    pub read_locks: AtomicU64,
-    /// Write-lock acquisitions on this shard.
-    pub write_locks: AtomicU64,
-}
-
-/// Store-wide activity counters.
-#[derive(Default)]
 pub(super) struct StoreCounters {
-    /// Queries that had to visit every shard and merge the results.
-    pub fanout_queries: AtomicU64,
+    /// Read-lock acquisitions: one per query.
+    pub read_locks: AtomicU64,
+    /// Write-lock acquisitions: one per write transaction (batch, single
+    /// apply, delete). Also what `batch_groups_total()` reports.
+    pub write_locks: AtomicU64,
     /// Write batches applied via `apply_batch`.
     pub batches: AtomicU64,
     /// Observations carried by those batches.
     pub batch_observations: AtomicU64,
     /// Largest single batch seen.
     pub largest_batch: AtomicU64,
-    /// Shard write-lock acquisitions made by write transactions: every
-    /// transaction (batch, single apply, delete, snapshot restore) takes
-    /// each shard's write lock exactly once, so this grows by the shard
-    /// count per transaction. (The name predates the single write path;
-    /// the metric it feeds is frozen by `metrics.golden`.)
-    pub batch_groups: AtomicU64,
 }
 
 impl StoreCounters {
@@ -75,19 +70,14 @@ impl StoreCounters {
         self.batch_observations.fetch_add(n, Ordering::Relaxed);
         self.largest_batch.fetch_max(n, Ordering::Relaxed);
     }
-
-    /// Records the `shards` write locks one write transaction took.
-    pub fn note_txn_locks(&self, shards: u64) {
-        self.batch_groups.fetch_add(shards, Ordering::Relaxed);
-    }
 }
 
-/// Point-in-time view of one shard's activity.
+/// Point-in-time view of the partition's lock activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMetrics {
-    /// Shard index.
+    /// Always 0.
     pub shard: usize,
-    /// Interface records currently owned by the shard.
+    /// Interface records currently held.
     pub records: usize,
     /// Read-lock acquisitions since creation.
     pub read_locks: u64,
@@ -95,12 +85,12 @@ pub struct ShardMetrics {
     pub write_locks: u64,
 }
 
-/// Point-in-time view of the sharded store's activity.
+/// Point-in-time view of the store's activity.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardingMetrics {
-    /// Per-shard counters, indexed by shard.
+    /// The one partition's counters.
     pub shards: Vec<ShardMetrics>,
-    /// Queries that fanned out across every shard.
+    /// Always 0: no query fans out.
     pub fanout_queries: u64,
     /// Write batches applied.
     pub batches: u64,

@@ -1,8 +1,8 @@
 //! Runtime half of the lock-order acceptance criterion: with the
 //! `lock-sanitizer` feature on, every labeled acquisition is checked
 //! against `crates/lint/lock-order.golden` — the same DAG the static
-//! `lock-order`/`shard-lock-order` rules export — and a deliberately
-//! inverted acquisition panics with both label chains.
+//! `lock-order` rule exports — and a deliberately inverted acquisition
+//! panics with both label chains.
 //!
 //! Run with: `cargo test -p fremont-journal --features lock-sanitizer`
 #![cfg(feature = "lock-sanitizer")]
@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use fremont_journal::observation::{Observation, Source};
-use fremont_journal::query::InterfaceQuery;
+use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
 use parking_lot::{sanitizer, Mutex, RwLock};
@@ -39,71 +39,63 @@ fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
 #[test]
 fn the_embedded_dag_is_nonempty() {
     assert!(
-        sanitizer::dag_edges() >= 3,
-        "lock-order.golden should carry the meta->shard and wal->* edges"
+        sanitizer::dag_edges() >= 1,
+        "lock-order.golden should carry the wal->store edge"
     );
 }
 
 #[test]
-fn sanctioned_meta_then_shard_order_is_allowed() {
+fn sanctioned_wal_then_store_order_is_allowed() {
     let ok = panic_message_of(|| {
-        let meta = RwLock::labeled("journal.meta", 0u32);
-        let shard = RwLock::labeled_ranked("journal.shard", 0, 0u32);
-        let gate = meta.write();
-        let s = shard.read();
-        assert_eq!(*gate + *s, 0);
+        let wal = Mutex::labeled("storage.wal", 0u32);
+        let store = RwLock::labeled("journal.store", 0u32);
+        let w = wal.lock();
+        let s = store.write();
+        assert_eq!(*w + *s, 0);
         assert_eq!(
             sanitizer::held_labels(),
-            vec!["journal.meta", "journal.shard"]
+            vec!["storage.wal", "journal.store"]
         );
     });
-    assert_eq!(ok, None, "the committed DAG blesses meta -> shard");
+    assert_eq!(ok, None, "the committed DAG blesses wal -> store");
 }
 
 #[test]
-fn inverted_shard_then_meta_acquisition_panics() {
+fn inverted_store_then_wal_acquisition_panics() {
     // The dynamic half of the acceptance criterion: the exact inversion
     // the static mutation test seeds into the store
     // (crates/lint/tests/workspace_clean.rs) caught at runtime.
     let msg = panic_message_of(|| {
-        let meta = RwLock::labeled("journal.meta", 0u32);
-        let shard = RwLock::labeled_ranked("journal.shard", 0, 0u32);
-        let s = shard.read();
-        let gate = meta.write(); // shard -> meta: not in the DAG.
-        drop(gate);
+        let wal = Mutex::labeled("storage.wal", 0u32);
+        let store = RwLock::labeled("journal.store", 0u32);
+        let s = store.read();
+        let w = wal.lock(); // store -> wal: not in the DAG.
+        drop(w);
         drop(s);
     })
     .expect("inverted acquisition must panic");
     assert!(msg.contains("fremont lock sanitizer"), "{msg}");
     assert!(
-        msg.contains("journal.shard#0 -> journal.meta#0"),
+        msg.contains("journal.store -> storage.wal"),
         "the report carries this thread's label chain: {msg}"
     );
     assert!(
-        msg.contains("last holder of `journal.meta`"),
+        msg.contains("last holder of `storage.wal`"),
         "the report carries the other stack: {msg}"
     );
 }
 
 #[test]
-fn shard_ranks_must_ascend() {
-    let ok = panic_message_of(|| {
-        let a = RwLock::labeled_ranked("journal.shard", 0, ());
-        let b = RwLock::labeled_ranked("journal.shard", 3, ());
-        let _ga = a.read();
-        let _gb = b.read(); // 0 -> 3 ascends: fine.
-    });
-    assert_eq!(ok, None);
-
+fn reentering_the_store_lock_panics() {
+    // What a public query calling another public query would do: the
+    // second read can park behind a waiting writer forever.
     let msg = panic_message_of(|| {
-        let a = RwLock::labeled_ranked("journal.shard", 3, ());
-        let b = RwLock::labeled_ranked("journal.shard", 0, ());
-        let _ga = a.read();
-        let _gb = b.read(); // 3 -> 0 descends: the classic AB/BA pair.
+        let store = RwLock::labeled("journal.store", ());
+        let _outer = store.read();
+        let _inner = store.read();
     })
-    .expect("descending shard acquisition must panic");
-    assert!(msg.contains("rank 0"), "{msg}");
-    assert!(msg.contains("rank 3"), "{msg}");
+    .expect("a journal.store -> journal.store acquisition must panic");
+    assert!(msg.contains("journal.store -> journal.store"), "{msg}");
 }
 
 #[test]
@@ -124,12 +116,12 @@ fn unlabeled_locks_are_never_tracked() {
 #[test]
 fn guards_release_out_of_order() {
     let ok = panic_message_of(|| {
-        let meta = RwLock::labeled("journal.meta", ());
-        let shard = RwLock::labeled_ranked("journal.shard", 0, ());
-        let gate = meta.write();
-        let s = shard.read();
-        drop(gate); // Release the gate first, keep the shard.
-        assert_eq!(sanitizer::held_labels(), vec!["journal.shard"]);
+        let wal = Mutex::labeled("storage.wal", ());
+        let store = RwLock::labeled("journal.store", ());
+        let w = wal.lock();
+        let s = store.read();
+        drop(w); // Release the WAL first, keep the store.
+        assert_eq!(sanitizer::held_labels(), vec!["journal.store"]);
         drop(s);
         assert!(sanitizer::held_labels().is_empty());
     });
@@ -139,10 +131,10 @@ fn guards_release_out_of_order() {
 #[test]
 fn the_real_journal_runs_clean_under_the_sanitizer() {
     // Smoke the sanctioned paths end to end: single applies, the
-    // batched write path (meta gate then ascending shard sweep), and
-    // cross-shard reads all stay inside the committed DAG.
+    // batched write path, a delete, and every public query — none may
+    // re-enter the store lock.
     let ok = panic_message_of(|| {
-        let j = Journal::with_shards(8);
+        let j = Journal::new();
         for i in 1..=32u8 {
             j.apply(
                 &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, i / 8, i)),
@@ -153,7 +145,21 @@ fn the_real_journal_runs_clean_under_the_sanitizer() {
             .map(|i| Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 1, 0, i)))
             .collect();
         j.apply_batch(obs.iter().map(|o| (o, JTime(100))));
-        assert_eq!(j.get_interfaces(&InterfaceQuery::all()).len(), 48);
+        let all = j.get_interfaces(&InterfaceQuery::all());
+        assert_eq!(all.len(), 48);
+        let first = &all[0];
+        let by_ip = InterfaceQuery::by_ip(first.ip_addr().unwrap());
+        assert_eq!(j.get_interfaces(&by_ip).len(), 1);
+        let in_subnet = InterfaceQuery::in_subnet("10.1.0.0/24".parse().unwrap());
+        assert_eq!(j.get_interfaces(&in_subnet).len(), 16);
+        assert_eq!(j.interfaces_by_modification().len(), 48);
+        assert_eq!(j.interface(first.id).as_ref(), Some(first));
+        assert!(j.get_gateways().is_empty());
+        assert!(j.get_subnets(&SubnetQuery::all()).is_empty());
+        assert_eq!(j.stats().interfaces, 48);
+        assert_eq!(j.sharding_metrics().shards[0].records, 48);
+        assert_eq!(j.fingerprint(), j.to_snapshot().fingerprint());
+        assert!(j.delete_interface(first.id));
         j.check_invariants().unwrap();
     });
     assert_eq!(ok, None, "sanctioned journal paths must not trip the DAG");

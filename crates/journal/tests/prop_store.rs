@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-use fremont_journal::observation::{Observation, Source};
-use fremont_journal::query::InterfaceQuery;
-use fremont_journal::store::Journal;
+use fremont_journal::observation::{Fact, Observation, Source};
+use fremont_journal::query::{InterfaceQuery, SubnetQuery};
+use fremont_journal::store::{Journal, StoreSummary};
 use fremont_journal::time::JTime;
 use fremont_net::MacAddr;
 
@@ -38,8 +38,95 @@ fn arb_obs() -> impl Strategy<Value = Observation> {
     })
 }
 
+/// Mixed vocabulary for the batching property: interfaces plus names,
+/// subnets, gateways and RIP sources, so a batch crosses every merge
+/// rule — gateway members resolved by address, subnet masks folding
+/// into interface records.
+fn arb_mixed_obs() -> impl Strategy<Value = Observation> {
+    prop_oneof![
+        arb_obs(),
+        (arb_source(), arb_ip()).prop_map(|(src, ip)| {
+            Observation::named_ip(src, ip, &format!("host-{}", ip.octets()[3] % 8))
+        }),
+        (arb_source(), 0u8..4, 0u8..2).prop_map(|(src, s, assumed)| {
+            Observation::subnet(src, format!("10.0.{s}.0/24").parse().unwrap(), assumed == 0)
+        }),
+        (arb_source(), arb_ip(), arb_ip(), 0u8..4).prop_map(|(src, a, b, s)| {
+            Observation::new(
+                src,
+                Fact::Gateway {
+                    interface_ips: vec![a, b],
+                    interface_names: vec![],
+                    subnets: vec![format!("10.0.{s}.0/24").parse().unwrap()],
+                },
+            )
+        }),
+        (arb_source(), arb_ip(), arb_mac(), 1u32..30).prop_map(|(src, ip, mac, n)| {
+            Observation::new(
+                src,
+                Fact::RipSource {
+                    ip,
+                    mac,
+                    advertised_routes: n,
+                    promiscuous: n > 25,
+                },
+            )
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batched write path is equivalent to one-at-a-time applies:
+    /// the same observations, chunked arbitrarily and applied through
+    /// `apply_batch`, land the store in the same state, and every
+    /// batch's summary is the sum of the single-apply summaries for the
+    /// same observations. Observation order is pinned end to end: the
+    /// fingerprint, posting order inside keyed queries and
+    /// `interfaces_by_modification` must all agree.
+    #[test]
+    fn batched_applies_equal_sequential_applies(
+        obs in proptest::collection::vec(arb_mixed_obs(), 1..120),
+        chunk in 1usize..16,
+    ) {
+        let single = Journal::new();
+        let batched = Journal::new();
+        let mut next = 0u64;
+        for run in obs.chunks(chunk) {
+            let stamped: Vec<(&Observation, JTime)> = run
+                .iter()
+                .map(|o| {
+                    let t = JTime(next);
+                    next += 1;
+                    (o, t)
+                })
+                .collect();
+            let mut expected = StoreSummary::default();
+            for &(o, t) in &stamped {
+                expected.absorb(single.apply(o, t));
+            }
+            let got = batched.apply_batch(stamped.iter().copied());
+            prop_assert_eq!(expected, got, "per-batch summaries must agree");
+        }
+        single.check_invariants().unwrap();
+        batched.check_invariants().unwrap();
+        prop_assert_eq!(single.stats(), batched.stats());
+        prop_assert_eq!(single.fingerprint(), batched.fingerprint());
+        prop_assert_eq!(
+            single.interfaces_by_modification(),
+            batched.interfaces_by_modification()
+        );
+        prop_assert_eq!(
+            single.get_subnets(&SubnetQuery::all()),
+            batched.get_subnets(&SubnetQuery::all())
+        );
+        // Keyed lookups over the whole (small) IP pool, hit or miss.
+        for h in 0..16u8 {
+            let q = InterfaceQuery::by_ip(Ipv4Addr::new(10, 0, 0, h));
+            prop_assert_eq!(single.get_interfaces(&q), batched.get_interfaces(&q));
+        }
+    }
 
     #[test]
     fn indexes_stay_consistent(obs in proptest::collection::vec(arb_obs(), 0..200)) {

@@ -4,10 +4,14 @@
 //! with queries. Because the ranges are disjoint and the server
 //! serializes writes, the final journal must match a serial replay of
 //! the same observations — regardless of how the threads interleave.
+//!
+//! A second, in-process test checks that a batch is atomic to readers:
+//! every full-scan Get sees all of a batch or none of it.
 
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Observation, Source};
@@ -131,4 +135,59 @@ fn concurrent_store_batches_match_serial_replay() {
     });
 
     server.shutdown();
+}
+
+/// A writer stores batches of 8 fresh interfaces that share one marker
+/// name per batch while readers loop full-scan Gets: every read must
+/// see each marker 0 or 8 times. Threads over a `SharedJournal`, no
+/// sockets, so the reads are dense enough to land inside a batch.
+#[test]
+fn a_batch_is_atomic_to_concurrent_readers() {
+    const BATCHES: u16 = 400;
+    const PER_BATCH: usize = 8;
+    const READERS: usize = 2;
+    let shared = SharedJournal::new();
+    let start = Arc::new(Barrier::new(READERS + 1));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (shared, start, done) = (shared.clone(), start.clone(), done.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut reads = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let all = shared.interfaces(&InterfaceQuery::all()).unwrap();
+                    let mut seen: HashMap<&str, usize> = HashMap::new();
+                    for r in &all {
+                        *seen.entry(r.dns_name().unwrap()).or_default() += 1;
+                    }
+                    for (marker, n) in seen {
+                        assert_eq!(n, PER_BATCH, "read {reads} split batch {marker}");
+                    }
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+
+    start.wait();
+    for k in 0..BATCHES {
+        let [hi, lo] = k.to_be_bytes();
+        let marker = format!("batch-{k}");
+        let observations: Vec<_> = (0..PER_BATCH as u8)
+            .map(|h| Observation::named_ip(Source::Dns, Ipv4Addr::new(10, hi, lo, h), &marker))
+            .collect();
+        let sum = shared.store(JTime(u64::from(k)), &observations).unwrap();
+        assert_eq!(sum.created, PER_BATCH);
+    }
+    done.store(true, Ordering::Release);
+    for r in readers {
+        assert!(r.join().expect("no read may see a split batch") > 0);
+    }
+    assert_eq!(
+        shared.stats().unwrap().interfaces,
+        usize::from(BATCHES) * PER_BATCH
+    );
 }

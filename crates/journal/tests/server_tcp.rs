@@ -158,6 +158,35 @@ fn snapshot_on_shutdown() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn flush_without_a_snapshot_path_has_nothing_to_persist() {
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
+    let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+    client
+        .store(
+            JTime(1),
+            &[Observation::ip_alive(
+                Source::SeqPing,
+                Ipv4Addr::new(10, 9, 9, 8),
+            )],
+        )
+        .unwrap();
+    client
+        .flush()
+        .expect("an in-memory server flushes trivially");
+    server.shutdown();
+
+    // A configured path that cannot be written is still an error.
+    let unwritable = std::env::temp_dir()
+        .join("fremont-server-no-such-dir")
+        .join("journal.json");
+    let server =
+        JournalServer::start(SharedJournal::new(), "127.0.0.1:0", Some(unwritable)).unwrap();
+    let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+    assert!(client.flush().is_err(), "a failed save must not be Flushed");
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Error-path behaviour: a hostile or broken client must not take the
 // server down, and each failure mode must land in its own error counter.

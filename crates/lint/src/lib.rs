@@ -8,7 +8,7 @@
 //! an explorer breaks replay everywhere — so this crate walks every
 //! `.rs` file in the workspace with its own token-level lexer
 //! ([`lexer`]), builds a cross-crate symbol table and call graph
-//! ([`callgraph`]), and enforces seven rules:
+//! ([`callgraph`]), and enforces six rules:
 //!
 //! | rule               | invariant |
 //! |--------------------|-----------|
@@ -16,7 +16,6 @@
 //! | `panic`            | no `unwrap`/`expect`/`panic!` reachable from hot/IO paths |
 //! | `ignored-io`       | no `let _ =` discarding a (transitive) flush/sync result |
 //! | `lock-order`       | no lock cycles; no lock held across file IO |
-//! | `shard-lock-order` | the Journal store's meta-gate-then-ascending-shards discipline |
 //! | `metric-registry`  | `fremont_*` metric names are append-only vs a golden |
 //! | `wal-schema`       | serialized record types are append-only vs a golden |
 //!
@@ -48,12 +47,11 @@ use lexer::{lex, Tok, TokKind};
 use suppress::Suppression;
 
 /// All rule names, in reporting order.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 6] = [
     "determinism",
     "panic",
     "ignored-io",
     "lock-order",
-    "shard-lock-order",
     "metric-registry",
     "wal-schema",
 ];
@@ -106,9 +104,6 @@ pub struct Config {
     pub schema_scope: Vec<String>,
     /// Workspace-relative path of the committed schema golden.
     pub golden_path: String,
-    /// Path prefixes the `shard-lock-order` rule covers (the sharded
-    /// Journal store).
-    pub shard_lock_scope: Vec<String>,
     /// Workspace-relative path of the committed metric-name golden.
     pub metrics_golden_path: String,
     /// Path prefixes excluded from metric collection (the lint crate's
@@ -147,13 +142,11 @@ impl Config {
                 "crates/netsim/src/faults.rs".to_owned(),
             ],
             golden_path: "crates/lint/wal-schema.golden".to_owned(),
-            shard_lock_scope: vec!["crates/journal/src/store/".to_owned()],
             metrics_golden_path: "crates/lint/metrics.golden".to_owned(),
             metric_exclude: vec!["crates/lint/".to_owned()],
             lock_golden_path: "crates/lint/lock-order.golden".to_owned(),
             lock_labels: vec![
-                ("meta".to_owned(), "journal.meta".to_owned()),
-                ("shards".to_owned(), "journal.shard".to_owned()),
+                ("store".to_owned(), "journal.store".to_owned()),
                 ("wal".to_owned(), "storage.wal".to_owned()),
                 ("conns".to_owned(), "journal.conns".to_owned()),
             ],
@@ -446,7 +439,7 @@ pub struct Goldens {
     pub lock_order: String,
 }
 
-/// Maps a receiver label (`meta`, `shards[idx]`) to its sanitizer label
+/// Maps a receiver label (`store`, `wal`) to its sanitizer label
 /// via `Config::lock_labels`, ignoring any index expression.
 fn sanitizer_label(cfg: &Config, label: &str) -> Option<String> {
     let base = label.split('[').next().unwrap_or(label);
@@ -499,8 +492,6 @@ pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, O
     raw.extend(rules::ignored_io::check(ws, cfg, &cg));
     let lock = rules::lock_order::check(ws, cfg, &cg);
     raw.extend(lock.violations);
-    let shard = rules::shard_lock_order::check(ws, cfg, &cg, &lock.reach_locks);
-    raw.extend(shard.violations);
     let (metric_violations, metrics_golden) = rules::metric_registry::check(ws, cfg, write_golden);
     raw.extend(metric_violations);
     let (schema_violations, wal_golden) = rules::schema::check(ws, cfg, write_golden);
@@ -510,7 +501,7 @@ pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, O
     // shared with the runtime lock sanitizer. Only edges between
     // runtime-labeled locks are exported.
     let mut sanitizer_edges: BTreeSet<(String, String)> = BTreeSet::new();
-    for (a, b) in lock.edges.iter().chain(shard.edges.iter()) {
+    for (a, b) in &lock.edges {
         if let (Some(sa), Some(sb)) = (sanitizer_label(cfg, a), sanitizer_label(cfg, b)) {
             if sa != sb {
                 sanitizer_edges.insert((sa, sb));

@@ -59,8 +59,6 @@ pub(crate) struct Acq {
     /// indexed receivers keep their index expression
     /// (`self.shards[idx].read()` → `shards[idx]`).
     pub(crate) label: String,
-    /// Whether the acquiring method is `write` (vs `read` / `lock`).
-    pub(crate) write: bool,
     pub(crate) line: u32,
     pub(crate) col: u32,
     /// First token index inside the guard's live range.
@@ -69,22 +67,16 @@ pub(crate) struct Acq {
     pub(crate) end: usize,
 }
 
-/// What the `lock-order` pass learned, shared with `shard-lock-order`
-/// and the golden exporter in `lib.rs`.
+/// What the `lock-order` pass learned, shared with the golden exporter
+/// in `lib.rs`.
 pub struct LockReport {
     pub violations: Vec<Violation>,
     /// Acquired-while-held edges over receiver labels.
     pub edges: BTreeSet<(String, String)>,
-    /// Lock labels each function (transitively) acquires.
-    pub reach_locks: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Per-function acquisitions, exposed so `shard-lock-order` reuses the
-/// same extraction.
-pub(crate) fn acquisitions_of(
-    ws: &Workspace,
-    cg: &CallGraph,
-) -> Vec<(usize /* fn index */, Vec<Acq>)> {
+/// Per-function acquisitions.
+fn acquisitions_of(ws: &Workspace, cg: &CallGraph) -> Vec<(usize /* fn index */, Vec<Acq>)> {
     let mut out = Vec::new();
     for (i, f) in cg.fns.iter().enumerate() {
         let file = &ws.files[f.file];
@@ -234,7 +226,6 @@ pub fn check(ws: &Workspace, _cfg: &Config, cg: &CallGraph) -> LockReport {
     LockReport {
         violations: out,
         edges: edges.into_keys().collect(),
-        reach_locks,
     }
 }
 
@@ -284,7 +275,6 @@ pub(crate) fn find_acquisitions(code: &[Tok], start: usize, end: usize, out: &mu
         };
         out.push(Acq {
             label,
-            write: m.is_ident("write"),
             line: m.line,
             col: m.col,
             start: ext_start,

@@ -1,4 +1,4 @@
-//! The seven Fremont invariant rules.
+//! The six Fremont invariant rules.
 
 pub mod determinism;
 pub mod ignored_io;
@@ -6,7 +6,6 @@ pub mod lock_order;
 pub mod metric_registry;
 pub mod panics;
 pub mod schema;
-pub mod shard_lock_order;
 
 use crate::lexer::{Tok, TokKind};
 

@@ -33,10 +33,6 @@ fn fixture_workspace() -> Workspace {
             include_str!("fixtures/wal_schema.rs"),
         ),
         (
-            "crates/journal/src/store/fixture.rs",
-            include_str!("fixtures/shard_lock_order.rs"),
-        ),
-        (
             "crates/telemetry/src/fixture_metrics.rs",
             include_str!("fixtures/metric_registry.rs"),
         ),
@@ -73,7 +69,7 @@ fn run() -> (Analysis, Config) {
 
 /// (rule, path, line, col, severity, message fragment) for each seeded
 /// violation, in report order.
-const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 11] = [
+const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 7] = [
     (
         "ignored-io",
         "crates/core/src/fixture.rs",
@@ -105,38 +101,6 @@ const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 11] = [
         1,
         Severity::Error,
         "variant 1 changed from `Named ( u32 )` to `Named ( String )`",
-    ),
-    (
-        "shard-lock-order",
-        "crates/journal/src/store/fixture.rs",
-        9,
-        30,
-        Severity::Error,
-        "the meta write gate must come before any shard lock",
-    ),
-    (
-        "shard-lock-order",
-        "crates/journal/src/store/fixture.rs",
-        17,
-        32,
-        Severity::Error,
-        "ascending index order",
-    ),
-    (
-        "shard-lock-order",
-        "crates/journal/src/store/fixture.rs",
-        25,
-        33,
-        Severity::Error,
-        "ascending index order",
-    ),
-    (
-        "shard-lock-order",
-        "crates/journal/src/store/fixture.rs",
-        33,
-        32,
-        Severity::Error,
-        "already acquires shard write locks",
     ),
     (
         "panic",

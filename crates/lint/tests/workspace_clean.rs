@@ -60,10 +60,11 @@ fn mutating_an_existing_wal_variant_fails_the_build() {
 }
 
 #[test]
-fn an_inverted_shard_acquisition_fails_the_build() {
-    // The static half of the acceptance criterion: seed a meta-after-
-    // shard inversion into the real store and the `shard-lock-order`
-    // rule must reject it (the sanitizer half lives in
+fn an_inverted_lock_acquisition_fails_the_build() {
+    // The static half of the acceptance criterion: seed a WAL-after-
+    // store inversion into the real store and the `lock-order` rule
+    // must reject the cycle it closes with the durable write path's
+    // WAL-then-store order (the sanitizer half lives in
     // crates/journal/tests/lock_sanitizer.rs).
     let (mut ws, cfg) = real_workspace();
     let path = "crates/journal/src/store/mod.rs";
@@ -71,23 +72,21 @@ fn an_inverted_shard_acquisition_fails_the_build() {
         .files
         .iter()
         .position(|f| f.path == path)
-        .expect("the sharded store is in the workspace");
+        .expect("the store is in the workspace");
     let content = std::fs::read_to_string(cfg.root.join(path)).expect("store readable");
     let mutated = format!(
-        "{content}\nimpl ShardedStore {{\n    fn lint_probe_inverted(&self) -> u64 {{\n        \
-         let shard = self.shards[0].read();\n        let gate = self.meta.write();\n        \
-         gate.next_seq + shard.len() as u64\n    }}\n}}\n"
+        "{content}\nimpl Journal {{\n    fn lint_probe_inverted(&self) -> u64 {{\n        \
+         let st = self.store.read();\n        let w = self.wal.lock();\n        \
+         w.next_seq + st.mod_seq\n    }}\n}}\n"
     );
     ws.files[idx] = SourceFile::new(path.to_owned(), &mutated);
 
     let (analysis, _) = analyze(&ws, &cfg, false);
     assert!(
-        analysis
-            .violations
-            .iter()
-            .any(|v| v.rule == "shard-lock-order"
-                && v.severity == Severity::Error
-                && v.message.contains("meta write gate must come before")),
+        analysis.violations.iter().any(|v| v.rule == "lock-order"
+            && v.severity == Severity::Error
+            && v.message
+                .contains("potential lock cycle between `store` and `wal`")),
         "inverted acquisition must be an error: {:#?}",
         analysis.violations
     );

@@ -27,8 +27,8 @@
 //!
 //! `--watch` slices the exploration hour by hour and, after each
 //! slice, polls a live in-process Journal Server over the Introspect
-//! RPC — printing findings counts, module load, and per-shard store
-//! stats as they evolve. The watch surface reads the same telemetry
+//! RPC — printing findings counts, module load, and store stats as
+//! they evolve. The watch surface reads the same telemetry
 //! the run records anyway; a no-watch run's outputs are untouched.
 
 use std::path::PathBuf;
@@ -238,10 +238,9 @@ fn watch_loop(system: &mut Fremont, telemetry: &Telemetry, hours: u64) {
         publish_findings(telemetry, &problems);
         let report = client.introspect(0).expect("introspect");
         let module_runs = sum_series(&report.metrics, "fremont_module_runs_total");
-        let shards = report.shards.map(|s| s.shards.len()).unwrap_or(0);
         println!(
             "watch t={h}h interfaces={} gateways={} subnets={} observations={} \
-             findings={} module_runs={module_runs} shards={shards} health={}",
+             findings={} module_runs={module_runs} health={}",
             report.stats.interfaces,
             report.stats.gateways,
             report.stats.subnets,
