@@ -4,7 +4,7 @@
 //! survey actually records, and while contending threads hammer the
 //! other side of the lock), the durable batched write path (group
 //! commit: at most one fsync per StoreBatch), connection churn against
-//! the event-loop server, and the durable storage engine (WAL append
+//! the TCP server, and the durable storage engine (WAL append
 //! with/without group commit, recovery replay).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -366,11 +366,11 @@ fn bench_durable_batch(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Connection churn against the event-loop server: one iteration opens,
-/// exercises, and drops 1024 `RemoteJournal` connections from sixteen
-/// driver threads. Each connection costs the server an fd and a `Conn`
-/// state machine, never a thread, so the whole churn runs on the fixed
-/// worker pool.
+/// Connection churn against the server: one iteration opens, exercises,
+/// and drops 1024 `RemoteJournal` connections from sixteen driver
+/// threads. Each connection costs the server one accept, one thread
+/// spawn and that thread's exit. The id predates the thread-per-
+/// connection server and is kept so the trajectory stays comparable.
 fn bench_eventloop_churn(c: &mut Criterion) {
     const CHURN_CLIENTS: usize = 1024;
     const CHURN_DRIVERS: usize = 16;

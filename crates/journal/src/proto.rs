@@ -237,24 +237,35 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), P
 pub fn read_frame<R: Read, T: for<'de> Deserialize<'de>>(
     r: &mut R,
 ) -> Result<Option<T>, ProtoError> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    Ok(read_frame_sized(r)?.map(|(value, _)| value))
+}
+
+/// [`read_frame`] that also returns the frame's size on the wire, prefix
+/// included. The header check and the JSON decode are
+/// [`decode_frame`]'s, so an oversized prefix is rejected before any
+/// body byte is allocated for or read.
+pub fn read_frame_sized<R: Read, T: for<'de> Deserialize<'de>>(
+    r: &mut R,
+) -> Result<Option<(T, usize)>, ProtoError> {
+    let mut header = [0u8; 4];
+    // Only zero bytes at a frame boundary is a clean close; a close
+    // after 1–3 prefix bytes is a truncated frame like any other.
+    match r.read_exact(&mut header[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e.into()),
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(ProtoError::Oversized(u64::from(len)));
+    r.read_exact(&mut header[1..])?;
+    if let Some(frame) = decode_frame(&header)? {
+        return Ok(Some(frame));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let value = serde_json::from_slice(&body).map_err(|e| ProtoError::Malformed(e.to_string()))?;
-    Ok(Some(value))
+    let mut buf = vec![0u8; 4 + u32::from_be_bytes(header) as usize];
+    buf[..4].copy_from_slice(&header);
+    r.read_exact(&mut buf[4..])?;
+    decode_frame(&buf)
 }
 
-/// Incremental variant of [`read_frame`] for nonblocking readers:
-/// decodes one frame from the front of `buf` without performing any IO.
+/// Decodes one frame from the front of `buf` without performing any IO.
 /// Returns `Ok(Some((value, consumed)))` when a complete frame is
 /// present and `Ok(None)` when more bytes are needed. The oversized
 /// check fires from the 4-byte header alone, before any body bytes
@@ -370,6 +381,15 @@ mod tests {
             read_frame::<_, Request>(&mut cur),
             Err(ProtoError::Io(_))
         ));
+        // So is a close inside the length prefix: only zero bytes at a
+        // frame boundary is a clean close.
+        for cut in 1..4 {
+            let mut cur = Cursor::new(100u32.to_be_bytes()[..cut].to_vec());
+            assert!(matches!(
+                read_frame::<_, Request>(&mut cur),
+                Err(ProtoError::Io(_))
+            ));
+        }
     }
 
     #[test]

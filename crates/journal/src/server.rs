@@ -8,64 +8,45 @@
 //! [`JournalAccess`] trait is implemented both by an in-process handle and
 //! by a TCP client ([`crate::client::RemoteJournal`]).
 //!
-//! # Connection event loop
+//! # Connections
 //!
-//! Connections are served by a small fixed pool of event-loop workers
-//! (at most [`MAX_EVENTLOOP_WORKERS`]), not by a thread per connection:
-//! an accepted socket is switched to nonblocking mode and handed to one
-//! worker round-robin, which folds it into its readiness loop. Each
-//! connection is a pair of byte buffers and a tiny state machine:
-//!
-//! * **write pump** — drain buffered reply bytes until the socket would
-//!   block; a connection whose unsent backlog crosses
-//!   [`WRITE_HIGH_WATER`] stops being *read* until the backlog drains
-//!   (counted once per episode in
-//!   `fremont_journal_eventloop_backpressure_total`);
-//! * **read pump** — pull available bytes into the request buffer;
-//! * **frame serve** — decode every complete length-prefixed frame
-//!   ([`crate::proto::decode_frame`]), run it through the normal request
-//!   handler, and append the reply frame to the write buffer. Several
-//!   requests buffered on one socket are answered in arrival order, so
-//!   clients may pipeline.
-//!
-//! A thousand idle clients therefore cost a thousand file descriptors
-//! and two buffers each — not a thousand stacks. Error accounting is
-//! unchanged from the threaded server: oversized frames are rejected
-//! from the 4-byte header alone, truncation at mid-frame EOF is an io
-//! error, and every failed connection increments its `ProtoError`-kind
-//! counter, `fremont_journal_rpc_aborted_total`, and
+//! One blocking thread per connection: the accept thread blocks in
+//! `accept`, and each accepted socket gets a thread that runs *read
+//! frame → respond → write reply* over a `BufReader` until the peer
+//! closes at a frame boundary or an error ends the connection. So
+//! requests queued on one socket are answered in arrival order (clients
+//! may pipeline); a peer that stops reading its replies blocks its own
+//! thread in `write_all`, one reply held and its further requests
+//! waiting in the kernel's buffers; and a parked client is a thread
+//! blocked in `read` — a stack and no CPU. DESIGN § 3 has the
+//! measurements against the nonblocking pool this replaced and against
+//! `poll(2)`. Oversized frames are rejected from the 4-byte header
+//! alone, a close inside a frame is an io error, and every failed
+//! connection increments its `ProtoError`-kind counter,
+//! `fremont_journal_rpc_aborted_total`, and
 //! `fremont_journal_connection_errors_total` exactly once.
+//! `fremont_journal_eventloop_severed_total` keeps the name it had
+//! under the event loop: dashboards and `metrics.golden` hold it.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fremont_telemetry::{bounds, SpanId, TelTime, Telemetry};
 
 use crate::observation::Observation;
 use crate::proto::{
-    decode_frame, write_frame, IntrospectReport, ProtoError, Request, RequestEnvelope, Response,
-    StoreBatchItem, WalStateReport,
+    read_frame_sized, write_frame, IntrospectReport, ProtoError, Request, RequestEnvelope,
+    Response, StoreBatchItem, WalStateReport,
 };
 use crate::query::{InterfaceQuery, SubnetQuery};
 use crate::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use crate::snapshot::JournalSnapshot;
 use crate::store::{Journal, JournalStats, ShardingMetrics, StoreSummary};
 use crate::time::JTime;
-
-/// Upper bound on event-loop worker threads; the pool never exceeds the
-/// machine's available parallelism.
-pub const MAX_EVENTLOOP_WORKERS: usize = 4;
-
-/// Unsent reply bytes above which a connection stops being read until
-/// its backlog drains — the slow-reader backpressure threshold.
-pub const WRITE_HIGH_WATER: usize = 4 * 1024 * 1024;
-
-/// Socket read chunk size for the read pump.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Unified access to a Journal, local or remote.
 pub trait JournalAccess {
@@ -234,9 +215,8 @@ impl JournalAccess for SharedJournal {
 ///
 /// Serves the [`crate::proto`] protocol over any [`JournalAccess`]
 /// backend (defaulting to the in-memory [`SharedJournal`];
-/// `fremont-storage`'s `DurableJournal` plugs in the same way), using a
-/// fixed pool of event-loop workers so concurrent connections cost file
-/// descriptors rather than threads (see the module docs). The journal
+/// `fremont-storage`'s `DurableJournal` plugs in the same way), one
+/// blocking thread per connection (see the module docs). The journal
 /// "maintains an in-memory representation ... which it writes to disk
 /// periodically and at termination": backends that persist themselves
 /// are flushed on `Flush` requests and at shutdown; for the rest a
@@ -245,16 +225,18 @@ pub struct JournalServer<J: JournalAccess + Clone + Send + Sync + 'static = Shar
     journal: J,
     addr: SocketAddr,
     snapshot_path: Option<PathBuf>,
-    /// Stops the accept loop.
+    /// Raised before the connect that wakes the accept loop, so the
+    /// loop knows that connection is the shutdown's and not a client's.
     stop: Arc<AtomicBool>,
-    /// Stops the event-loop workers; raised only after the accept
-    /// thread is joined, so worker inboxes are complete when workers
-    /// drain them one last time.
-    workers_stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Returns the connections still live when joined; `None` once the
+    /// server has been stopped.
+    accept_thread: Option<JoinHandle<Vec<LiveConn>>>,
     telemetry: Telemetry,
 }
+
+/// A connection the accept thread still carries: a second handle on its
+/// socket, to sever it at shutdown, and the thread serving it.
+type LiveConn = (TcpStream, JoinHandle<()>);
 
 impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
@@ -276,61 +258,37 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let workers_stop = Arc::new(AtomicBool::new(false));
-        let pool = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_EVENTLOOP_WORKERS);
-        telemetry.gauge_set("fremont_journal_eventloop_workers", "", pool as u64);
-        let mut inboxes = Vec::with_capacity(pool);
-        let mut workers = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            inboxes.push(tx);
-            let j = journal.clone();
-            let snap = snapshot_path.clone();
-            let tel = telemetry.clone();
-            let ws = workers_stop.clone();
-            workers.push(std::thread::spawn(move || {
-                run_worker(rx, j, snap, tel, ws);
-            }));
-        }
         let s = stop.clone();
-        let tel = telemetry.clone();
+        let (j, snap, tel) = (journal.clone(), snapshot_path.clone(), telemetry.clone());
         let accept_thread = std::thread::spawn(move || {
-            // Poll for stop between accepts.
-            listener
-                .set_nonblocking(true)
-                .expect("nonblocking accept loop");
-            let mut next = 0usize;
-            while !s.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        tel.counter_add("fremont_journal_connections_total", "", 1);
-                        if stream.set_nonblocking(true).is_err() {
-                            tel.counter_add("fremont_journal_connection_errors_total", "", 1);
-                            continue;
-                        }
-                        if inboxes[next].send(stream).is_err() {
-                            break;
-                        }
-                        next = (next + 1) % inboxes.len();
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            let mut live: Vec<LiveConn> = Vec::new();
+            while let Ok((stream, _)) = listener.accept() {
+                // `stop_inner` raises the flag and then connects once to
+                // end this `accept`: that connection is nobody's client.
+                if s.load(Ordering::SeqCst) {
+                    break;
+                }
+                tel.counter_add("fremont_journal_connections_total", "", 1);
+                live.retain(|(_, thread)| !thread.is_finished());
+                let spawned = stream.try_clone().and_then(|handle| {
+                    let (j, snap, tel) = (j.clone(), snap.clone(), tel.clone());
+                    let thread = std::thread::Builder::new()
+                        .spawn(move || serve_connection(stream, &j, snap.as_deref(), &tel))?;
+                    Ok((handle, thread))
+                });
+                match spawned {
+                    Ok(conn) => live.push(conn),
+                    Err(_) => tel.counter_add("fremont_journal_connection_errors_total", "", 1),
                 }
             }
+            live
         });
         Ok(JournalServer {
             journal,
             addr: local,
             snapshot_path,
             stop,
-            workers_stop,
             accept_thread: Some(accept_thread),
-            workers,
             telemetry,
         })
     }
@@ -353,16 +311,22 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // The accept loop is joined, so worker inboxes are complete;
-        // stopping the workers now severs every remaining connection
-        // before the joins below return.
-        self.workers_stop.store(true, Ordering::Relaxed);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // `shutdown` runs this and then `Drop` runs it again; the second
+        // call must not flush the backend and publish the gauges twice.
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
+        // The accept thread is blocked in `accept`: raise the flag, then
+        // make one throwaway connection for it to wake up on.
+        self.stop.store(true, Ordering::SeqCst);
+        drop(TcpStream::connect(self.addr));
+        for (socket, thread) in accept_thread.join().unwrap_or_default() {
+            if !thread.is_finished() {
+                self.telemetry
+                    .counter_add("fremont_journal_eventloop_severed_total", "", 1);
+                sever(&socket);
+            }
+            let _ = thread.join();
         }
         // Termination persistence: self-managed backends flush
         // themselves; otherwise write the configured snapshot path.
@@ -404,296 +368,62 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> Drop for JournalServer<J>
     }
 }
 
-/// One event-loop worker: drains its inbox of freshly accepted sockets,
-/// then gives every connection a readiness pass; sleeps briefly only
-/// when a full sweep made no progress. On stop it severs whatever is
-/// left parked.
-fn run_worker<J: JournalAccess>(
-    rx: mpsc::Receiver<TcpStream>,
-    journal: J,
-    snapshot_path: Option<PathBuf>,
-    telemetry: Telemetry,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream));
-            progress = true;
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            match conns[i].tick(&journal, snapshot_path.as_deref(), &telemetry) {
-                Tick::Idle => i += 1,
-                Tick::Progress => {
-                    progress = true;
-                    i += 1;
-                }
-                Tick::Closed(result) => {
-                    progress = true;
-                    let conn = conns.swap_remove(i);
-                    conn.finish(result, &telemetry);
-                }
-            }
-        }
-        if !progress {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    // Shutdown: the accept thread was joined before `stop` was raised,
-    // so the inbox cannot grow any more — sever everything left.
-    while let Ok(stream) = rx.try_recv() {
-        conns.push(Conn::new(stream));
-    }
-    for conn in conns {
-        telemetry.counter_add("fremont_journal_eventloop_severed_total", "", 1);
-        conn.sever();
-    }
+/// Ends a connection through any handle on its socket, so the peer (and
+/// a thread blocked reading or writing it) observes a closed connection.
+fn sever(socket: &TcpStream) {
+    // fremont-lint: allow(ignored-io) -- TcpStream::shutdown severs a socket, nothing flushes
+    let _ = socket.shutdown(Shutdown::Both);
 }
 
-/// Outcome of one readiness pass over a connection.
-enum Tick {
-    /// Nothing to do; the socket was quiet.
-    Idle,
-    /// Bytes moved or frames were served.
-    Progress,
-    /// The connection is finished — cleanly (`Ok`) or with the error
-    /// that killed it.
-    Closed(Result<(), ProtoError>),
-}
-
-/// Per-connection state machine: a nonblocking socket plus request and
-/// reply byte buffers.
-struct Conn {
+/// One connection's thread: serves it to its end, then does the final
+/// accounting. A connection that dies inside a request/response
+/// exchange is an aborted RPC: the caller cannot know the outcome.
+fn serve_connection<J: JournalAccess>(
     stream: TcpStream,
-    /// Bytes received but not yet decoded into frames.
-    read_buf: Vec<u8>,
-    /// Reply bytes not yet accepted by the socket; `write_pos` marks the
-    /// sent prefix.
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    read_total: u64,
-    write_total: u64,
-    published_r: u64,
-    published_w: u64,
-    /// Reads are suspended while the unsent backlog exceeds
-    /// [`WRITE_HIGH_WATER`].
-    paused: bool,
-    /// The peer has closed its write side.
-    eof: bool,
+    journal: &J,
+    snapshot_path: Option<&Path>,
+    telemetry: &Telemetry,
+) {
+    if let Err(e) = serve_until_close(&stream, journal, snapshot_path, telemetry) {
+        telemetry.counter_add("fremont_journal_rpc_errors_total", error_kind_label(&e), 1);
+        telemetry.counter_add("fremont_journal_rpc_aborted_total", "", 1);
+        telemetry.counter_add("fremont_journal_connection_errors_total", "", 1);
+    }
+    // The accept thread keeps its handle on this socket until its next
+    // prune, so dropping ours alone would leave the peer waiting.
+    sever(&stream);
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            read_total: 0,
-            write_total: 0,
-            published_r: 0,
-            published_w: 0,
-            paused: false,
-            eof: false,
-        }
+/// Reads, serves and answers one frame at a time until the peer closes
+/// at a frame boundary (`Ok`). A reply the peer is not reading blocks
+/// `write_all`, so its next request is not read until this one is out.
+fn serve_until_close<J: JournalAccess>(
+    mut stream: &TcpStream,
+    journal: &J,
+    snapshot_path: Option<&Path>,
+    telemetry: &Telemetry,
+) -> Result<(), ProtoError> {
+    let mut reader = BufReader::new(stream);
+    while let Some((envelope, wire)) = read_frame_sized::<_, RequestEnvelope>(&mut reader)? {
+        let frame_bytes = wire as u64;
+        telemetry.counter_add("fremont_journal_bytes_read_total", "", frame_bytes);
+        let mut reply = Vec::new();
+        respond(
+            journal,
+            snapshot_path,
+            telemetry,
+            envelope,
+            frame_bytes,
+            &mut reply,
+        )?;
+        stream.write_all(&reply)?;
+        telemetry.counter_add(
+            "fremont_journal_bytes_written_total",
+            "",
+            reply.len() as u64,
+        );
     }
-
-    fn pending_write(&self) -> usize {
-        self.write_buf.len() - self.write_pos
-    }
-
-    /// One readiness pass; byte counters are published per pass so the
-    /// totals stay fresh while the connection lives.
-    fn tick<J: JournalAccess>(
-        &mut self,
-        journal: &J,
-        snapshot_path: Option<&Path>,
-        telemetry: &Telemetry,
-    ) -> Tick {
-        let before = (self.read_total, self.write_total);
-        let res = self.pump(journal, snapshot_path, telemetry);
-        self.publish_bytes(telemetry);
-        match res {
-            Err(e) => Tick::Closed(Err(e)),
-            Ok(true) => Tick::Closed(Ok(())),
-            Ok(false) if (self.read_total, self.write_total) != before => Tick::Progress,
-            Ok(false) => Tick::Idle,
-        }
-    }
-
-    /// Write pump, read pump, then serve every complete frame.
-    /// `Ok(true)` means the peer closed cleanly at a frame boundary and
-    /// every buffered reply byte is on the wire.
-    fn pump<J: JournalAccess>(
-        &mut self,
-        journal: &J,
-        snapshot_path: Option<&Path>,
-        telemetry: &Telemetry,
-    ) -> Result<bool, ProtoError> {
-        self.pump_write()?;
-        self.update_pressure(telemetry);
-        if !self.paused && !self.eof {
-            self.pump_read()?;
-        }
-        self.serve_frames(journal, snapshot_path, telemetry)?;
-        self.pump_write()?;
-        self.update_pressure(telemetry);
-        if self.eof {
-            if !self.read_buf.is_empty() {
-                // The peer promised more frame bytes than it delivered —
-                // the same truncation `read_frame` reports as Io.
-                return Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )));
-            }
-            if self.pending_write() == 0 {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Drains buffered reply bytes until the socket would block.
-    fn pump_write(&mut self) -> Result<(), ProtoError> {
-        while self.write_pos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => {
-                    return Err(ProtoError::Io(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted no reply bytes",
-                    )))
-                }
-                Ok(n) => {
-                    self.write_pos += n;
-                    self.write_total += n as u64;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if self.write_pos > 0 && self.write_pos == self.write_buf.len() {
-            self.write_buf.clear();
-            self.write_pos = 0;
-        }
-        Ok(())
-    }
-
-    /// Pulls available bytes until the socket would block, the peer
-    /// closes, or the buffer already holds a maximum-size frame (the
-    /// frames are served before the next pass reads more).
-    fn pump_read(&mut self) -> Result<(), ProtoError> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(n) => {
-                    self.read_total += n as u64;
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    if self.read_buf.len() > crate::proto::MAX_FRAME as usize + 4 {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Counts the transition into (and out of) slow-reader backpressure;
-    /// each blocked episode increments the counter exactly once.
-    fn update_pressure(&mut self, telemetry: &Telemetry) {
-        if !self.paused && self.pending_write() > WRITE_HIGH_WATER {
-            self.paused = true;
-            telemetry.counter_add("fremont_journal_eventloop_backpressure_total", "", 1);
-        } else if self.paused && self.pending_write() == 0 {
-            self.paused = false;
-        }
-    }
-
-    /// Decodes and serves every complete frame in the request buffer,
-    /// appending reply frames to the write buffer in arrival order.
-    fn serve_frames<J: JournalAccess>(
-        &mut self,
-        journal: &J,
-        snapshot_path: Option<&Path>,
-        telemetry: &Telemetry,
-    ) -> Result<(), ProtoError> {
-        let mut off = 0;
-        let mut result = Ok(());
-        loop {
-            match decode_frame::<RequestEnvelope>(&self.read_buf[off..]) {
-                Ok(Some((envelope, consumed))) => {
-                    off += consumed;
-                    if let Err(e) = respond(
-                        journal,
-                        snapshot_path,
-                        telemetry,
-                        envelope,
-                        consumed as u64,
-                        &mut self.write_buf,
-                    ) {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.read_buf.drain(..off);
-        result
-    }
-
-    /// Publishes byte-total deltas accumulated since the last pass.
-    fn publish_bytes(&mut self, telemetry: &Telemetry) {
-        if self.read_total > self.published_r {
-            telemetry.counter_add(
-                "fremont_journal_bytes_read_total",
-                "",
-                self.read_total - self.published_r,
-            );
-            self.published_r = self.read_total;
-        }
-        if self.write_total > self.published_w {
-            telemetry.counter_add(
-                "fremont_journal_bytes_written_total",
-                "",
-                self.write_total - self.published_w,
-            );
-            self.published_w = self.write_total;
-        }
-    }
-
-    /// Final accounting for a finished connection. A connection that
-    /// dies inside a request/response exchange is an aborted RPC: the
-    /// caller cannot know the outcome.
-    fn finish(mut self, result: Result<(), ProtoError>, telemetry: &Telemetry) {
-        self.publish_bytes(telemetry);
-        if let Err(e) = &result {
-            telemetry.counter_add("fremont_journal_rpc_errors_total", error_kind_label(e), 1);
-            telemetry.counter_add("fremont_journal_rpc_aborted_total", "", 1);
-            telemetry.counter_add("fremont_journal_connection_errors_total", "", 1);
-        }
-        // Dropping `self.stream` closes the socket.
-    }
-
-    /// Severs a connection parked at shutdown so the client observes
-    /// the stop as a closed connection.
-    fn sever(self) {
-        // fremont-lint: allow(ignored-io) -- TcpStream::shutdown severs a socket, nothing flushes
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
+    Ok(())
 }
 
 /// Serves one decoded request: telemetry spans stamped with the caller's

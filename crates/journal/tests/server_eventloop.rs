@@ -1,33 +1,27 @@
-//! Event-loop edge cases: slow readers, severed connections, and the
+//! Connection edge cases: slow readers, severed connections, and the
 //! exactly-once accounting around both.
 //!
 //! The mid-frame-disconnect and oversized-header cases live in
-//! `server_tcp.rs` (they predate the event loop and must keep passing
-//! under it); this file covers the conditions only a buffered event
-//! loop can reach — a reply backlog crossing the high-water mark, and
-//! connections parked in a worker when `shutdown()` fires.
+//! `server_tcp.rs`; this file covers a client that queues far more
+//! reply volume than it reads — its thread blocks in `write_all`, and
+//! nobody else's does — and connections parked in their threads when
+//! `shutdown()` fires. (The file keeps the name it had under the PR 10
+//! event loop, as `fremont_journal_eventloop_severed_total` does.)
 
 use std::net::{Ipv4Addr, TcpStream};
 
+use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Observation, Source};
 use fremont_journal::proto::{
     read_frame, write_frame, Request, RequestEnvelope, Response, TraceContext,
 };
 use fremont_journal::query::InterfaceQuery;
-use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal, WRITE_HIGH_WATER};
+use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::time::JTime;
 
-/// Polls a telemetry counter until it reaches `want`.
-fn wait_for_counter(rec: &fremont_telemetry::Recorder, name: &str, want: u64) -> u64 {
-    for _ in 0..400 {
-        let got = rec.counter(name, "");
-        if got >= want {
-            return got;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    rec.counter(name, "")
-}
+/// Reply volume the slow reader queues before reading any of it — far
+/// beyond anything the kernel socket buffers can absorb.
+const QUEUED_REPLY_BYTES: usize = 24 * 1024 * 1024;
 
 fn envelope(req: Request) -> RequestEnvelope {
     RequestEnvelope {
@@ -36,12 +30,12 @@ fn envelope(req: Request) -> RequestEnvelope {
     }
 }
 
-/// A client that queues far more reply volume than it reads pushes the
-/// connection over the write high-water mark: the server parks its
-/// reads, counts exactly one backpressure episode, and still delivers
-/// every reply in order once the client drains.
+/// A client that queues far more reply volume than it reads stalls its
+/// own connection and no other: a second client is served while the
+/// first's replies cannot all have been produced, and the first still
+/// gets every reply in order once it drains.
 #[test]
-fn slow_reader_backpressure_counts_one_episode_and_loses_nothing() {
+fn slow_reader_stalls_only_itself_and_loses_nothing() {
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let shared = SharedJournal::new();
     // Enough records that one full query reply is a few hundred KiB.
@@ -59,15 +53,14 @@ fn slow_reader_backpressure_counts_one_episode_and_loses_nothing() {
         })
         .collect();
     shared.store(JTime(1), &observations).unwrap();
-    // Size one reply exactly, then queue six high-water marks' worth —
-    // far beyond anything the kernel socket buffers can absorb.
+    // Size one reply exactly, then queue `QUEUED_REPLY_BYTES` of them.
     let mut one_reply = Vec::new();
     write_frame(
         &mut one_reply,
         &Response::Interfaces(shared.interfaces(&InterfaceQuery::all()).unwrap()),
     )
     .unwrap();
-    let rounds = 6 * WRITE_HIGH_WATER / one_reply.len() + 1;
+    let rounds = QUEUED_REPLY_BYTES / one_reply.len() + 1;
     let server =
         JournalServer::start_with_telemetry(shared, "127.0.0.1:0", None, telemetry).unwrap();
 
@@ -83,8 +76,15 @@ fn slow_reader_backpressure_counts_one_episode_and_loses_nothing() {
         .unwrap();
     }
 
-    let episodes = wait_for_counter(&rec, "fremont_journal_eventloop_backpressure_total", 1);
-    assert_eq!(episodes, 1, "one blocked reader is one episode");
+    // The server answers request k+1 only once reply k is wholly in the
+    // kernel's hands, and the kernel cannot hold them all: whenever the
+    // second client's round trip completes, the first is still stalled.
+    let second = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+    assert_eq!(second.stats().unwrap().interfaces, 2000);
+    assert!(
+        rec.counter("fremont_journal_rpc_total", "rpc=\"get_interfaces\"") < rounds as u64,
+        "the unread connection cannot have been served to the end"
+    );
 
     // Drain: every reply arrives, in order, none truncated.
     for i in 0..rounds {
@@ -95,16 +95,11 @@ fn slow_reader_backpressure_counts_one_episode_and_loses_nothing() {
             other => panic!("reply {i}: expected Interfaces, got {other:?}"),
         }
     }
-    // The episode ended when the backlog drained; it was counted once.
-    assert_eq!(
-        rec.counter("fremont_journal_eventloop_backpressure_total", ""),
-        1
-    );
     assert_eq!(rec.counter("fremont_journal_rpc_aborted_total", ""), 0);
     server.shutdown();
 }
 
-/// `shutdown()` severs connections parked in the event loop: each one
+/// `shutdown()` severs connections parked in their threads: each one
 /// counts once into the severed counter, and the close is synchronous —
 /// by the time `shutdown()` returns, every socket reads EOF.
 #[test]
@@ -120,8 +115,8 @@ fn shutdown_severs_parked_connections_exactly_once() {
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = std::io::BufReader::new(stream);
-        // One served round trip proves the worker owns the connection
-        // before it parks.
+        // One served round trip proves the connection's thread is
+        // running before it parks.
         write_frame(&mut writer, &envelope(Request::Stats)).unwrap();
         match read_frame::<_, Response>(&mut reader).unwrap() {
             Some(Response::Stats(_)) => {}

@@ -2,11 +2,12 @@
 //! Journal Server.
 //!
 //! Every client holds its connection open for the whole test, so the
-//! server is carrying ~1k live sockets at once — the load shape the
-//! event-loop rewrite exists for. The assertions pin down the three
+//! server is carrying ~1k live sockets at once — far past the handful
+//! of processes the paper connects. The assertions pin down the three
 //! contracts that matter at that scale: every request completes, no
-//! observation is lost, and the server's thread count stays at the fixed
-//! pool size instead of growing with connections.
+//! observation is lost, and a thousand parked connections cost stacks
+//! but no CPU (each is a thread blocked in `read`; the nonblocking
+//! sweep this server replaced burned a whole core here).
 
 use std::net::Ipv4Addr;
 
@@ -14,19 +15,22 @@ use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Observation, Source};
 use fremont_journal::proto::{Request, Response, StoreBatchItem};
 use fremont_journal::query::InterfaceQuery;
-use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal, MAX_EVENTLOOP_WORKERS};
+use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::time::JTime;
 
 const CLIENTS: usize = 1024;
 const DRIVERS: usize = 16;
 
-/// Threads in this process, from /proc (Linux only; `None` elsewhere).
-fn thread_count() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// CPU ticks (user + system) this process has used, from /proc (Linux
+/// only; `None` elsewhere).
+fn cpu_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // utime and stime are the 14th and 15th fields; count from after
+    // the parenthesised command name, which may itself hold spaces.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some(utime + stime)
 }
 
 /// The unique IP a client owns; distinct for every `k < 4096`.
@@ -41,7 +45,6 @@ fn client_ip(k: usize) -> Ipv4Addr {
 
 #[test]
 fn a_thousand_concurrent_clients_complete_without_losing_observations() {
-    let baseline_threads = thread_count();
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let shared = SharedJournal::new();
     let server =
@@ -54,14 +57,14 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
         .map(|_| RemoteJournal::connect(&addr).unwrap())
         .collect();
 
-    // With a thousand sockets accepted, the server has added only its
-    // accept thread and the fixed worker pool — not a thread per
-    // connection.
-    if let (Some(before), Some(now)) = (baseline_threads, thread_count()) {
-        let added = now.saturating_sub(before);
+    // With a thousand sockets accepted and nothing to do, the whole
+    // process (this thread is asleep too) uses next to no CPU.
+    if let Some(before) = cpu_ticks() {
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let used = cpu_ticks().unwrap() - before;
         assert!(
-            added <= 2 + MAX_EVENTLOOP_WORKERS as u64,
-            "server added {added} threads for {CLIENTS} connections"
+            used < 10,
+            "{CLIENTS} parked connections burned {used} CPU ticks in 300 ms"
         );
     }
 
@@ -119,15 +122,6 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
     assert_eq!(stats.observations_applied, 2 * CLIENTS as u64);
     shared.read(|j| j.check_invariants().unwrap());
 
-    // The thread bound still holds with every connection mid-life.
-    if let (Some(before), Some(now)) = (baseline_threads, thread_count()) {
-        let added = now.saturating_sub(before);
-        assert!(
-            added <= 2 + MAX_EVENTLOOP_WORKERS as u64,
-            "server grew to {added} extra threads during the swarm"
-        );
-    }
-
     drop(done);
     server.shutdown();
     assert_eq!(
@@ -143,7 +137,7 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
 
 /// Two requests queued on one socket come back as two replies in
 /// request order — the framing contract that makes client pipelining
-/// legal against the event loop.
+/// legal against the server.
 #[test]
 fn pipelined_requests_get_in_order_replies() {
     let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();

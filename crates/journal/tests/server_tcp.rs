@@ -292,6 +292,18 @@ fn mid_request_disconnect_counts_and_server_survives() {
 
     let errs = wait_for_counter(&rec, "fremont_journal_rpc_errors_total", "kind=\"io\"", 1);
     assert_eq!(errs, 1, "truncated frame must hit the io counter");
+
+    // Vanishing inside the length prefix is the same truncation, not a
+    // clean close at a frame boundary.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.write_all(&1000u32.to_be_bytes()[..2]).unwrap();
+    drop(raw);
+    let errs = wait_for_counter(&rec, "fremont_journal_rpc_errors_total", "kind=\"io\"", 2);
+    assert_eq!(errs, 2, "a 2-byte prefix must hit the io counter");
+    assert_eq!(
+        wait_for_counter(&rec, "fremont_journal_rpc_aborted_total", "", 2),
+        2
+    );
     assert_server_alive(&addr);
     server.shutdown();
 }

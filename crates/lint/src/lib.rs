@@ -148,7 +148,6 @@ impl Config {
             lock_labels: vec![
                 ("store".to_owned(), "journal.store".to_owned()),
                 ("wal".to_owned(), "storage.wal".to_owned()),
-                ("conns".to_owned(), "journal.conns".to_owned()),
             ],
             max_suppressions: 15,
         }
