@@ -21,7 +21,9 @@ use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
 use fremont_net::{MacAddr, Subnet, SubnetMask};
-use fremont_storage::{DurableJournal, SyncPolicy, WalConfig};
+use fremont_storage::crc32::crc32;
+use fremont_storage::wal::encode_frames;
+use fremont_storage::{DurableJournal, SyncPolicy, WalConfig, WalRecord};
 
 fn ip_of(i: u32) -> Ipv4Addr {
     Ipv4Addr::new(128, 138, (i >> 8) as u8, i as u8)
@@ -442,6 +444,33 @@ fn bench_wal(c: &mut Criterion) {
         drop(dj);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // The two CPU layers under a durable 256-observation call, without
+    // the file: framing the records (serialize in place + checksum),
+    // and the checksum alone over as many bytes as those frames hold.
+    let records: Vec<WalRecord> = (0..BATCH / 64)
+        .flat_map(recorded_mix_at)
+        .zip(1u64..)
+        .map(|(obs, seq)| WalRecord {
+            seq,
+            at: JTime(seq),
+            obs,
+        })
+        .collect();
+    let mut frames = Vec::new();
+    g.throughput(Throughput::Elements(BATCH));
+    g.bench_function("encode_256", |b| {
+        b.iter(|| {
+            frames.clear();
+            encode_frames(black_box(&records), &mut frames).expect("encode");
+            black_box(frames.len())
+        })
+    });
+    let payload: Vec<u8> = frames.iter().copied().cycle().take(36 * 1024).collect();
+    g.throughput(Throughput::Bytes(payload.len() as u64));
+    g.bench_function("crc32_36k", |b| {
+        b.iter(|| black_box(crc32(black_box(&payload))))
+    });
 
     // Recovery replay: reopen a directory whose snapshot is empty and
     // whose WAL tail holds the whole history.

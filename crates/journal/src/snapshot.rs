@@ -55,8 +55,20 @@ impl JournalSnapshot {
     /// model checker uses this to recognize fault interleavings that
     /// leave the Journal in the same state.
     pub fn fingerprint(&self) -> u64 {
-        match serde_json::to_vec(self) {
-            Ok(body) => fremont_net::fnv1a_64(&body),
+        /// Hashes what is written to it, so the encoding is never held.
+        struct Hashing(fremont_net::Fnv1a);
+        impl io::Write for Hashing {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.write(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut hasher = Hashing(fremont_net::Fnv1a::new());
+        match serde_json::to_writer(&mut hasher, self) {
+            Ok(()) => hasher.0.finish(),
             // Plain-data snapshots always serialize; keep a stable
             // sentinel rather than a panic path if that ever changes.
             Err(_) => fremont_net::fnv1a_64(b"fremont-journal:unserializable"),
@@ -69,11 +81,10 @@ impl JournalSnapshot {
     /// or the new snapshot — never a torn one.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
-        let body = serde_json::to_vec_pretty(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         {
-            let mut f = fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, &body)?;
+            let mut f = io::BufWriter::new(fs::File::create(&tmp)?);
+            serde_json::to_writer_pretty(&mut f, self)?;
+            let f = f.into_inner().map_err(io::IntoInnerError::into_error)?;
             f.sync_all()?;
         }
         fs::rename(&tmp, path)?;
@@ -182,6 +193,24 @@ mod tests {
         snap.save(&path).unwrap();
         let loaded = JournalSnapshot::load(&path).unwrap();
         assert_eq!(loaded, snap);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fingerprint_and_save_stream_the_same_bytes_to_vec_renders() {
+        let snap = JournalSnapshot::capture(&populated());
+        assert_eq!(
+            snap.fingerprint(),
+            fremont_net::fnv1a_64(&serde_json::to_vec(&snap).unwrap())
+        );
+        let dir = std::env::temp_dir().join("fremont-snapshot-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("streamed.json");
+        snap.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            serde_json::to_vec_pretty(&snap).unwrap()
+        );
         std::fs::remove_file(&path).ok();
     }
 

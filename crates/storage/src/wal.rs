@@ -24,6 +24,15 @@
 //! complete, the CRC matches, and the JSON parses — anything else ends
 //! the valid prefix of the segment (a *torn tail*, expected after a
 //! crash mid-append).
+//!
+//! ## Writing
+//!
+//! There is one framing path, [`encode_frames`]: a group of records is
+//! framed in place into one buffer — each record serialized by the
+//! streaming JSON serializer directly behind its 8-byte header, which
+//! is patched once the payload's length and checksum (slice-by-8, see
+//! [`crate::crc32`]) are known — and [`WalWriter::append_batch`] hands
+//! that buffer to one `write`. [`WalWriter::append`] is a group of one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -42,6 +51,11 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_HEADER_BYTES: u64 = 8;
+
+/// Buffer reserved per record of a group before encoding it. Frames of
+/// a recorded survey average 172 bytes, so one reservation usually
+/// holds the whole group.
+const FRAME_BYTES_HINT: usize = 256;
 
 /// One logged journal mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,6 +130,33 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 // Writer
 // ---------------------------------------------------------------------
 
+/// Appends the frames of `records` to `out`, reserving once for the
+/// run. Each record is serialized straight into `out` behind an 8-byte
+/// hole that is then patched with its length and checksum — no
+/// per-record payload buffer, no copy. Fails on the first record over
+/// [`MAX_RECORD_BYTES`].
+pub fn encode_frames(records: &[WalRecord], out: &mut Vec<u8>) -> io::Result<()> {
+    out.reserve(records.len() * FRAME_BYTES_HINT);
+    for record in records {
+        let header = out.len();
+        out.extend_from_slice(&[0; FRAME_HEADER_BYTES as usize]);
+        let start = out.len();
+        serde_json::to_writer(&mut *out, record)?;
+        let len = out.len() - start;
+        if len > MAX_RECORD_BYTES as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL record of {len} bytes exceeds limit"),
+            ));
+        }
+        let crc = crc32(&out[start..]);
+        // `len` fits: it is at most MAX_RECORD_BYTES.
+        out[header..header + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        out[header + 4..start].copy_from_slice(&crc.to_le_bytes());
+    }
+    Ok(())
+}
+
 /// Appends framed records to one segment file.
 pub struct WalWriter {
     file: File,
@@ -175,37 +216,11 @@ impl WalWriter {
         Ok(w)
     }
 
-    /// Appends one record (a single `write` of the assembled frame),
-    /// then applies the sync policy. Returns whether this append
+    /// Appends one record: a group of one (see
+    /// [`WalWriter::append_batch`]). Returns whether this append
     /// triggered an fsync (so callers can count real disk syncs).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<bool> {
-        let payload = serde_json::to_vec(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("WAL record of {} bytes exceeds limit", payload.len()),
-            ));
-        }
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER_BYTES as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
-        self.unsynced += 1;
-        let synced = match self.sync {
-            SyncPolicy::Always => self.sync_now()?,
-            SyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync_now()?
-                } else {
-                    false
-                }
-            }
-            SyncPolicy::Never => false,
-        };
-        Ok(synced)
+        self.append_batch(std::slice::from_ref(record))
     }
 
     /// Appends a run of records as one group: every frame is assembled
@@ -213,6 +228,10 @@ impl WalWriter {
     /// policy is applied once at the end — so the group costs at most
     /// one fsync regardless of its length. Returns whether that fsync
     /// happened.
+    ///
+    /// The group is framed by [`encode_frames`] first, so a record over
+    /// [`MAX_RECORD_BYTES`] fails the whole group before any byte
+    /// reaches the file.
     ///
     /// Under [`SyncPolicy::Always`] the group is synced once after the
     /// write (the policy guarantees acknowledged records are on disk,
@@ -223,22 +242,10 @@ impl WalWriter {
         if records.is_empty() {
             return Ok(false);
         }
-        let mut frame = Vec::new();
-        for record in records {
-            let payload = serde_json::to_vec(record)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("WAL record of {} bytes exceeds limit", payload.len()),
-                ));
-            }
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-        }
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        let mut frames = Vec::new();
+        encode_frames(records, &mut frames)?;
+        self.file.write_all(&frames)?;
+        self.bytes += frames.len() as u64;
         self.unsynced += records.len();
         let synced = match self.sync {
             SyncPolicy::Always => self.sync_now()?,
@@ -492,6 +499,26 @@ mod tests {
             b.append_batch(&records).unwrap();
             b.bytes()
         });
+    }
+
+    #[test]
+    fn oversized_record_fails_the_whole_batch_before_any_write() {
+        let dir = tmp_dir("batch-oversized");
+        let mut w = WalWriter::create(&dir, 1, SyncPolicy::Always).unwrap();
+        let mut huge = rec(2);
+        huge.obs = Observation::named_ip(
+            Source::Dns,
+            Ipv4Addr::new(10, 0, 0, 2),
+            &"x".repeat(MAX_RECORD_BYTES as usize),
+        );
+        let err = w.append_batch(&[rec(1), huge, rec(3)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(w.bytes(), 0);
+        assert_eq!(w.unsynced, 0);
+        assert_eq!(fs::metadata(w.path()).unwrap().len(), 0);
+        // The writer is still usable.
+        w.append(&rec(1)).unwrap();
+        assert_eq!(scan_segment(w.path()).unwrap().records, vec![rec(1)]);
     }
 
     #[test]
