@@ -371,9 +371,8 @@ fn bench_durable_batch(c: &mut Criterion) {
 /// Connection churn against the server: one iteration opens, exercises,
 /// and drops 1024 `RemoteJournal` connections from sixteen driver
 /// threads. Each connection costs the server one accept, one thread
-/// spawn and that thread's exit. The id predates the thread-per-
-/// connection server and is kept so the trajectory stays comparable.
-fn bench_eventloop_churn(c: &mut Criterion) {
+/// spawn and that thread's exit.
+fn bench_connection_churn(c: &mut Criterion) {
     const CHURN_CLIENTS: usize = 1024;
     const CHURN_DRIVERS: usize = 16;
     let mut g = c.benchmark_group("journal");
@@ -382,7 +381,7 @@ fn bench_eventloop_churn(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(6));
     let server = JournalServer::start(populated(), "127.0.0.1:0", None).unwrap();
     let addr = Arc::new(server.addr().to_string());
-    g.bench_function("eventloop_churn", |b| {
+    g.bench_function("connection_churn", |b| {
         b.iter(|| {
             let handles: Vec<_> = (0..CHURN_DRIVERS)
                 .map(|_| {
@@ -528,7 +527,7 @@ criterion_group!(
     bench_contended,
     bench_full_scan,
     bench_durable_batch,
-    bench_eventloop_churn,
+    bench_connection_churn,
     bench_wal
 );
 criterion_main!(benches);

@@ -25,8 +25,6 @@
 //! connection increments its `ProtoError`-kind counter,
 //! `fremont_journal_rpc_aborted_total`, and
 //! `fremont_journal_connection_errors_total` exactly once.
-//! `fremont_journal_eventloop_severed_total` keeps the name it had
-//! under the event loop: dashboards and `metrics.golden` hold it.
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -150,15 +148,10 @@ impl SharedJournal {
         SharedJournal { inner: Arc::new(j) }
     }
 
-    /// Runs a closure with shared read access to the underlying journal.
+    /// Runs a closure against the underlying journal. No lock is taken
+    /// here: each [`Journal`] method the closure calls locks the store
+    /// for its own duration.
     pub fn read<R>(&self, f: impl FnOnce(&Journal) -> R) -> R {
-        f(&self.inner)
-    }
-
-    /// Runs a closure against the underlying journal for mutation through
-    /// its write path (`apply`, `apply_batch`, `delete_interface`);
-    /// mutations serialize on the store's internal lock.
-    pub fn write<R>(&self, f: impl FnOnce(&Journal) -> R) -> R {
         f(&self.inner)
     }
 }
@@ -305,7 +298,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
     /// server ever accepted is closed, so a client holding one sees EOF
     /// on its next read — exactly as it would across a real server
     /// restart. Each connection parked at shutdown counts once into
-    /// `fremont_journal_eventloop_severed_total`.
+    /// `fremont_journal_connections_severed_total`.
     pub fn shutdown(mut self) {
         self.stop_inner();
     }
@@ -323,7 +316,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
         for (socket, thread) in accept_thread.join().unwrap_or_default() {
             if !thread.is_finished() {
                 self.telemetry
-                    .counter_add("fremont_journal_eventloop_severed_total", "", 1);
+                    .counter_add("fremont_journal_connections_severed_total", "", 1);
                 sever(&socket);
             }
             let _ = thread.join();
@@ -508,7 +501,6 @@ pub fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
         );
         telemetry.gauge_set("fremont_journal_shard_records", &label, s.records as u64);
     }
-    telemetry.counter_set("fremont_journal_query_fanout_total", "", m.fanout_queries);
     telemetry.counter_set("fremont_journal_store_batches_total", "", m.batches);
     telemetry.counter_set(
         "fremont_journal_store_batched_observations_total",

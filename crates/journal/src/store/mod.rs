@@ -21,8 +21,8 @@
 //! observation order. Every query takes the read guard once and holds
 //! it until its answer is built, so queries run concurrently with each
 //! other and no public query method calls another (the lock is not
-//! reentrant; the `lock-sanitizer` build panics on a `journal.store ->
-//! journal.store` acquisition).
+//! reentrant; `fremont-lint`'s `lock-order` rule rejects a `store`
+//! acquisition reached while `store` is held).
 //!
 //! Consistency: a query sees a single state of the whole store, and a
 //! write transaction — a batch, a single apply, a delete — is atomic
@@ -100,7 +100,7 @@ impl Journal {
 
     fn holding(store: Store) -> Self {
         Journal {
-            store: RwLock::labeled("journal.store", store),
+            store: RwLock::new(store),
             counters: StoreCounters::default(),
         }
     }

@@ -5,8 +5,7 @@
 //! `server_tcp.rs`; this file covers a client that queues far more
 //! reply volume than it reads — its thread blocks in `write_all`, and
 //! nobody else's does — and connections parked in their threads when
-//! `shutdown()` fires. (The file keeps the name it had under the PR 10
-//! event loop, as `fremont_journal_eventloop_severed_total` does.)
+//! `shutdown()` fires.
 
 use std::net::{Ipv4Addr, TcpStream};
 
@@ -127,7 +126,7 @@ fn shutdown_severs_parked_connections_exactly_once() {
 
     server.shutdown();
     assert_eq!(
-        rec.counter("fremont_journal_eventloop_severed_total", ""),
+        rec.counter("fremont_journal_connections_severed_total", ""),
         PARKED as u64,
         "each parked connection is severed exactly once"
     );

@@ -4,6 +4,7 @@ use std::net::Ipv4Addr;
 
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Fact, Observation, Source};
+use fremont_journal::proto::{Request, Response};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::time::JTime;
@@ -305,5 +306,46 @@ fn mid_request_disconnect_counts_and_server_survives() {
         2
     );
     assert_server_alive(&addr);
+    server.shutdown();
+}
+
+/// Two requests queued on one socket come back as two replies in
+/// request order — the framing contract that makes client pipelining
+/// legal against the server.
+#[test]
+fn pipelined_requests_get_in_order_replies() {
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
+    let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+
+    let ip = Ipv4Addr::new(10, 200, 0, 1);
+    let replies = client
+        .pipeline(&[
+            Request::Store {
+                now: JTime(3),
+                observations: vec![Observation::ip_alive(Source::SeqPing, ip)],
+            },
+            Request::GetInterfaces(InterfaceQuery::by_ip(ip)),
+            Request::Stats,
+        ])
+        .unwrap();
+
+    // The replies land in request order: the second sees the record the
+    // first created, which only in-order execution can produce.
+    assert_eq!(replies.len(), 3);
+    match &replies[0] {
+        Response::Stored(s) => assert_eq!(s.created, 1),
+        other => panic!("slot 0: expected Stored, got {other:?}"),
+    }
+    match &replies[1] {
+        Response::Interfaces(v) => {
+            assert_eq!(v.len(), 1);
+            assert_eq!(v[0].ip.as_ref().map(|t| *t.get()), Some(ip));
+        }
+        other => panic!("slot 1: expected Interfaces, got {other:?}"),
+    }
+    match &replies[2] {
+        Response::Stats(s) => assert_eq!(s.interfaces, 1),
+        other => panic!("slot 2: expected Stats, got {other:?}"),
+    }
     server.shutdown();
 }

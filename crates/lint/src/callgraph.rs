@@ -1,7 +1,7 @@
 //! Cross-crate symbol table and call graph.
 //!
 //! `fremont-lint`'s interprocedural rules (`lock-order`, `panic`,
-//! `ignored-io`, `shard-lock-order`) follow call chains like
+//! `ignored-io`) follow call chains like
 //! `DiscoveryDriver::run_for → Journal::apply_batch →
 //! WalWriter::append_batch` that cross crate boundaries. This module
 //! builds the workspace-wide view those rules share:
@@ -175,11 +175,6 @@ impl CallGraph {
         }
         cg.calls = calls;
         cg
-    }
-
-    /// The crate key of a workspace file.
-    pub fn crate_of_file(&self, file: usize) -> &str {
-        &self.file_crate[file]
     }
 
     /// The qualified name a definition contributes to the call graph,

@@ -19,13 +19,9 @@
 //! | `metric-registry`  | `fremont_*` metric names are append-only vs a golden |
 //! | `wal-schema`       | serialized record types are append-only vs a golden |
 //!
-//! `panic`, `ignored-io`, and the lock rules follow call chains across
+//! `panic`, `ignored-io`, and `lock-order` follow call chains across
 //! crate boundaries (resolved through `use` imports and qualified
 //! paths, with a one-definition precision guard per resolved crate).
-//! The acquired-while-held lock edges are exported to
-//! `crates/lint/lock-order.golden`, the same DAG the runtime lock
-//! sanitizer (`parking_lot`'s `tracked` feature) asserts on every test
-//! run — static pass and dynamic sanitizer cross-validate one golden.
 //!
 //! Findings can be suppressed inline with
 //! `// fremont-lint: allow(<rule>) -- <reason>` on the offending line or
@@ -109,13 +105,6 @@ pub struct Config {
     /// Path prefixes excluded from metric collection (the lint crate's
     /// own fixtures and matchers).
     pub metric_exclude: Vec<String>,
-    /// Workspace-relative path of the committed lock-order DAG golden
-    /// (also baked into the runtime sanitizer).
-    pub lock_golden_path: String,
-    /// Receiver-label → sanitizer-label map: lock fields whose runtime
-    /// constructors carry a `labeled(…)` name. Only edges between
-    /// mapped labels are exported to the lock-order golden.
-    pub lock_labels: Vec<(String, String)>,
     /// Maximum `fremont-lint: allow` annotations tolerated workspace-wide.
     pub max_suppressions: usize,
 }
@@ -144,12 +133,7 @@ impl Config {
             golden_path: "crates/lint/wal-schema.golden".to_owned(),
             metrics_golden_path: "crates/lint/metrics.golden".to_owned(),
             metric_exclude: vec!["crates/lint/".to_owned()],
-            lock_golden_path: "crates/lint/lock-order.golden".to_owned(),
-            lock_labels: vec![
-                ("store".to_owned(), "journal.store".to_owned()),
-                ("wal".to_owned(), "storage.wal".to_owned()),
-            ],
-            max_suppressions: 15,
+            max_suppressions: 8,
         }
     }
 }
@@ -426,141 +410,36 @@ impl Analysis {
     }
 }
 
-/// The three committed goldens, re-rendered. Returned from [`analyze`]
+/// The two committed goldens, re-rendered. Returned from [`analyze`]
 /// when `write_golden` is set, for the caller to persist.
 pub struct Goldens {
     /// New content for `Config::golden_path` (WAL record fingerprints).
     pub wal_schema: String,
     /// New content for `Config::metrics_golden_path` (metric names).
     pub metrics: String,
-    /// New content for `Config::lock_golden_path` (the acquired-while-
-    /// held DAG the runtime sanitizer also asserts).
-    pub lock_order: String,
-}
-
-/// Maps a receiver label (`store`, `wal`) to its sanitizer label
-/// via `Config::lock_labels`, ignoring any index expression.
-fn sanitizer_label(cfg: &Config, label: &str) -> Option<String> {
-    let base = label.split('[').next().unwrap_or(label);
-    cfg.lock_labels
-        .iter()
-        .find(|(k, _)| k == base)
-        .map(|(_, v)| v.clone())
-}
-
-/// Renders the lock-order DAG golden: one `held -> acquired` line per
-/// edge, sorted, over sanitizer labels.
-fn render_lock_golden(edges: &BTreeSet<(String, String)>) -> String {
-    let mut out = String::from(
-        "# fremont-lint lock-order golden: the acquired-while-held DAG over sanitizer\n\
-         # labels. The tracked-lock runtime asserts exactly these edges at runtime.\n\
-         # Regenerate: cargo run -p fremont-lint -- --write-golden\n",
-    );
-    for (a, b) in edges {
-        out.push_str(a);
-        out.push_str(" -> ");
-        out.push_str(b);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a lock-order golden back into its edge set.
-pub fn parse_lock_golden(text: &str) -> BTreeSet<(String, String)> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
-            l.split_once("->")
-                .map(|(a, b)| (a.trim().to_owned(), b.trim().to_owned()))
-        })
-        .collect()
 }
 
 /// Runs every rule over the workspace and applies suppressions.
 ///
-/// `write_golden` regenerates the three committed goldens (WAL schema,
-/// metric registry, lock-order DAG) instead of checking against them;
-/// the returned [`Goldens`] holds the new contents for the caller to
-/// persist.
+/// `write_golden` regenerates the two committed goldens (WAL schema,
+/// metric registry) instead of checking against them; the returned
+/// [`Goldens`] holds the new contents for the caller to persist.
 pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, Option<Goldens>) {
     let cg = callgraph::CallGraph::build(ws);
     let mut raw: Vec<Violation> = Vec::new();
     raw.extend(rules::determinism::check(ws, cfg));
     raw.extend(rules::panics::check(ws, cfg, &cg));
     raw.extend(rules::ignored_io::check(ws, cfg, &cg));
-    let lock = rules::lock_order::check(ws, cfg, &cg);
-    raw.extend(lock.violations);
+    raw.extend(rules::lock_order::check(ws, &cg));
     let (metric_violations, metrics_golden) = rules::metric_registry::check(ws, cfg, write_golden);
     raw.extend(metric_violations);
     let (schema_violations, wal_golden) = rules::schema::check(ws, cfg, write_golden);
     raw.extend(schema_violations);
 
-    // The acquired-while-held DAG over sanitizer labels — the contract
-    // shared with the runtime lock sanitizer. Only edges between
-    // runtime-labeled locks are exported.
-    let mut sanitizer_edges: BTreeSet<(String, String)> = BTreeSet::new();
-    for (a, b) in &lock.edges {
-        if let (Some(sa), Some(sb)) = (sanitizer_label(cfg, a), sanitizer_label(cfg, b)) {
-            if sa != sb {
-                sanitizer_edges.insert((sa, sb));
-            }
-        }
-    }
-    let goldens = if write_golden {
-        Some(Goldens {
-            wal_schema: wal_golden.unwrap_or_default(),
-            metrics: metrics_golden.unwrap_or_default(),
-            lock_order: render_lock_golden(&sanitizer_edges),
-        })
-    } else {
-        match std::fs::read_to_string(cfg.root.join(&cfg.lock_golden_path)) {
-            Err(_) => raw.push(Violation {
-                rule: "lock-order",
-                path: cfg.lock_golden_path.clone(),
-                line: 0,
-                col: 0,
-                severity: Severity::Error,
-                message: format!(
-                    "lock-order golden `{}` is missing — the runtime sanitizer asserts \
-                     this DAG; generate it with --write-golden",
-                    cfg.lock_golden_path
-                ),
-            }),
-            Ok(text) => {
-                let committed = parse_lock_golden(&text);
-                for (a, b) in sanitizer_edges.difference(&committed) {
-                    raw.push(Violation {
-                        rule: "lock-order",
-                        path: cfg.lock_golden_path.clone(),
-                        line: 0,
-                        col: 0,
-                        severity: Severity::Warning,
-                        message: format!(
-                            "new lock-order edge `{a} -> {b}` is absent from the committed \
-                             golden — review the acquisition order, then refresh with \
-                             --write-golden so the sanitizer learns it"
-                        ),
-                    });
-                }
-                for (a, b) in committed.difference(&sanitizer_edges) {
-                    raw.push(Violation {
-                        rule: "lock-order",
-                        path: cfg.lock_golden_path.clone(),
-                        line: 0,
-                        col: 0,
-                        severity: Severity::Warning,
-                        message: format!(
-                            "stale lock-order edge `{a} -> {b}` — no acquisition site \
-                             produces it; refresh with --write-golden so the static pass \
-                             and the sanitizer agree"
-                        ),
-                    });
-                }
-            }
-        }
-        None
-    };
+    let goldens = write_golden.then(|| Goldens {
+        wal_schema: wal_golden.unwrap_or_default(),
+        metrics: metrics_golden.unwrap_or_default(),
+    });
 
     // Apply suppressions: an annotation covers its own line and the
     // next line, for its listed rules only.

@@ -4,7 +4,7 @@
 //! cargo run -p fremont-lint                 # human report, exit 1 on errors
 //! cargo run -p fremont-lint -- --deny       # warnings are fatal too (CI)
 //! cargo run -p fremont-lint -- --json       # machine-readable report (schema 2)
-//! cargo run -p fremont-lint -- --write-golden   # regenerate all three goldens
+//! cargo run -p fremont-lint -- --write-golden   # regenerate both goldens
 //! cargo run -p fremont-lint -- --fix        # preview stale-suppression deletions
 //! cargo run -p fremont-lint -- --fix --apply    # delete them in place
 //! ```
@@ -90,7 +90,6 @@ fn main() -> ExitCode {
         for (rel, content) in [
             (&cfg.golden_path, &g.wal_schema),
             (&cfg.metrics_golden_path, &g.metrics),
-            (&cfg.lock_golden_path, &g.lock_order),
         ] {
             let path = cfg.root.join(rel);
             if let Err(e) = std::fs::write(&path, content) {

@@ -1,12 +1,9 @@
 //! Rule `lock-order`: no lock cycles, no locks held across file IO.
 //!
 //! The analyzer extracts every `parking_lot`-style acquisition site
-//! (`.lock()`, zero-arg `.read()` / `.write()`, and the closure-passing
-//! wrappers `x.read(|j| …)` / `x.write(|j| …)` that hold the guard for
-//! the closure body), computes each guard's token extent (binding until
-//! `drop(guard)` or end of the enclosing block; temporaries until the
-//! end of the statement; wrappers until the closure's call closes), and
-//! then:
+//! (`.lock()`, zero-arg `.read()` / `.write()`), computes each guard's
+//! token extent (binding until `drop(guard)` or end of the enclosing
+//! block; temporaries until the end of the statement), and then:
 //!
 //! 1. builds the inter-function *acquired-while-held* graph over lock
 //!    labels — nested acquisitions plus, transitively through the
@@ -22,18 +19,14 @@
 //!
 //! Calls resolve through `use` imports and fully-qualified paths across
 //! crates, with the one-definition precision guard per resolved crate
-//! (see the call-graph module docs). The acquired-while-held edges are
-//! also the source of `crates/lint/lock-order.golden`, the acquisition
-//! DAG the runtime sanitizer (`parking_lot` `tracked` feature) asserts
-//! on every test run — the static pass and the dynamic sanitizer
-//! cross-validate the same golden.
+//! (see the call-graph module docs).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{self, CallGraph};
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{matching_close, statement_end};
-use crate::{Config, Severity, Violation, Workspace};
+use crate::rules::statement_end;
+use crate::{Severity, Violation, Workspace};
 
 /// Method names performing file IO directly.
 const IO_METHODS: [&str; 10] = [
@@ -67,14 +60,6 @@ pub(crate) struct Acq {
     pub(crate) end: usize,
 }
 
-/// What the `lock-order` pass learned, shared with the golden exporter
-/// in `lib.rs`.
-pub struct LockReport {
-    pub violations: Vec<Violation>,
-    /// Acquired-while-held edges over receiver labels.
-    pub edges: BTreeSet<(String, String)>,
-}
-
 /// Per-function acquisitions.
 fn acquisitions_of(ws: &Workspace, cg: &CallGraph) -> Vec<(usize /* fn index */, Vec<Acq>)> {
     let mut out = Vec::new();
@@ -90,7 +75,7 @@ fn acquisitions_of(ws: &Workspace, cg: &CallGraph) -> Vec<(usize /* fn index */,
     out
 }
 
-pub fn check(ws: &Workspace, _cfg: &Config, cg: &CallGraph) -> LockReport {
+pub fn check(ws: &Workspace, cg: &CallGraph) -> Vec<Violation> {
     let fn_acqs = acquisitions_of(ws, cg);
 
     // Crate-qualified summaries over the shared call graph.
@@ -223,10 +208,7 @@ pub fn check(ws: &Workspace, _cfg: &Config, cg: &CallGraph) -> LockReport {
             message,
         });
     }
-    LockReport {
-        violations: out,
-        edges: edges.into_keys().collect(),
-    }
+    out
 }
 
 /// DFS reachability over the label graph.
@@ -257,24 +239,15 @@ pub(crate) fn find_acquisitions(code: &[Tok], start: usize, end: usize, out: &mu
         if !(m.is_ident("lock") || m.is_ident("read") || m.is_ident("write")) {
             continue;
         }
-        if !code.get(i + 2).is_some_and(|t| t.is_punct('(')) {
+        // Zero-arg calls only: `file.read(buf)` is IO, not a lock.
+        if !(code.get(i + 2).is_some_and(|t| t.is_punct('('))
+            && code.get(i + 3).is_some_and(|t| t.is_punct(')')))
+        {
             continue;
         }
-        let after_paren = code.get(i + 3);
-        let zero_arg = after_paren.is_some_and(|t| t.is_punct(')'));
-        let wrapper = after_paren.is_some_and(|t| t.is_punct('|') || t.is_ident("move"));
-        if !(zero_arg || wrapper) {
-            continue;
-        }
-        let label = receiver_label(code, i);
-        let (ext_start, ext_end) = if wrapper {
-            // Guard lives for the closure call: until the `(` closes.
-            (i + 3, matching_close(code, i + 2))
-        } else {
-            guard_extent(code, i, end)
-        };
+        let (ext_start, ext_end) = guard_extent(code, i, end);
         out.push(Acq {
-            label,
+            label: receiver_label(code, i),
             line: m.line,
             col: m.col,
             start: ext_start,
@@ -339,7 +312,7 @@ pub(crate) fn receiver_label(code: &[Tok], dot: usize) -> String {
     }
 }
 
-/// Extent of a zero-arg acquisition's guard.
+/// Extent of an acquisition's guard.
 ///
 /// `let g = x.lock();` → until `drop(g)` or the enclosing block closes;
 /// a temporary (`x.lock().field…`) → until the statement's `;`.
@@ -422,11 +395,9 @@ fn scan_range_for_io(code: &[Tok], start: usize, end: usize) -> Option<(String, 
 mod tests {
     use super::*;
     use crate::Workspace;
-    use std::path::PathBuf;
 
     fn check_ws(ws: &Workspace) -> Vec<Violation> {
-        let cg = CallGraph::build(ws);
-        check(ws, &Config::for_root(PathBuf::from(".")), &cg).violations
+        check(ws, &CallGraph::build(ws))
     }
 
     fn run(src: &str) -> Vec<Violation> {
@@ -447,15 +418,6 @@ mod tests {
             "fn f(&self) { let g = self.state.lock(); use_it(&g); drop(g); self.file.sync_all(); }"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn wrapper_closure_holds_for_its_body_only() {
-        let v =
-            run("fn f(&self) { self.j.read(|x| save(x)); }\nfn save(x: &X) { fs::write(p, x); }");
-        assert_eq!(v.len(), 1, "{v:?}");
-        let ok = run("fn f(&self) { let s = self.j.read(|x| x.clone()); save(&s); }\nfn save(x: &X) { fs::write(p, x); }");
-        assert!(ok.is_empty(), "{ok:?}");
     }
 
     #[test]

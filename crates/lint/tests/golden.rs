@@ -45,7 +45,6 @@ fn fixture_config() -> Config {
     let mut cfg = Config::for_root(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests"));
     cfg.golden_path = "fixtures/wal_schema.golden".to_owned();
     cfg.metrics_golden_path = "fixtures/metrics.golden".to_owned();
-    cfg.lock_golden_path = "fixtures/lock-order.golden".to_owned();
     cfg
 }
 

@@ -4,7 +4,9 @@
 
 use std::path::Path;
 
-use fremont_lint::{analyze, find_workspace_root, Config, Severity, SourceFile, Workspace};
+use fremont_lint::{
+    analyze, find_workspace_root, Analysis, Config, Severity, SourceFile, Workspace,
+};
 
 fn real_workspace() -> (Workspace, Config) {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -59,37 +61,80 @@ fn mutating_an_existing_wal_variant_fails_the_build() {
     );
 }
 
-#[test]
-fn an_inverted_lock_acquisition_fails_the_build() {
-    // The static half of the acceptance criterion: seed a WAL-after-
-    // store inversion into the real store and the `lock-order` rule
-    // must reject the cycle it closes with the durable write path's
-    // WAL-then-store order (the sanitizer half lives in
-    // crates/journal/tests/lock_sanitizer.rs).
+/// The real workspace with `append` added to the end of the file at
+/// `path`, analyzed.
+fn analyze_with_appended(path: &str, append: &str) -> Analysis {
     let (mut ws, cfg) = real_workspace();
-    let path = "crates/journal/src/store/mod.rs";
     let idx = ws
         .files
         .iter()
         .position(|f| f.path == path)
-        .expect("the store is in the workspace");
-    let content = std::fs::read_to_string(cfg.root.join(path)).expect("store readable");
-    let mutated = format!(
-        "{content}\nimpl Journal {{\n    fn lint_probe_inverted(&self) -> u64 {{\n        \
-         let st = self.store.read();\n        let w = self.wal.lock();\n        \
-         w.next_seq + st.mod_seq\n    }}\n}}\n"
-    );
-    ws.files[idx] = SourceFile::new(path.to_owned(), &mutated);
+        .expect("the mutated file is in the workspace");
+    let content = std::fs::read_to_string(cfg.root.join(path)).expect("source readable");
+    ws.files[idx] = SourceFile::new(path.to_owned(), &format!("{content}\n{append}"));
+    analyze(&ws, &cfg, false).0
+}
 
-    let (analysis, _) = analyze(&ws, &cfg, false);
-    assert!(
-        analysis.violations.iter().any(|v| v.rule == "lock-order"
-            && v.severity == Severity::Error
-            && v.message
-                .contains("potential lock cycle between `store` and `wal`")),
-        "inverted acquisition must be an error: {:#?}",
-        analysis.violations
+fn lock_order_errors(analysis: &Analysis) -> Vec<&str> {
+    analysis
+        .violations
+        .iter()
+        .filter(|v| v.rule == "lock-order" && v.severity == Severity::Error)
+        .map(|v| v.message.as_str())
+        .collect()
+}
+
+#[test]
+fn an_inverted_lock_acquisition_fails_the_build() {
+    // Seed a WAL-after-store inversion into the real store: the rule
+    // must reject the cycle it closes with the durable write path's
+    // WAL-then-store order.
+    let analysis = analyze_with_appended(
+        "crates/journal/src/store/mod.rs",
+        "impl Journal {\n    fn lint_probe_inverted(&self) -> u64 {\n        \
+         let st = self.store.read();\n        let w = self.wal.lock();\n        \
+         w.next_seq + st.mod_seq\n    }\n}\n",
     );
+    let errors = lock_order_errors(&analysis);
+    assert!(
+        errors
+            .iter()
+            .any(|m| m.contains("potential lock cycle between `store` and `wal`")),
+        "inverted acquisition must be an error: {errors:#?}"
+    );
+}
+
+#[test]
+fn reentering_the_store_lock_fails_the_build() {
+    // A query that calls another query with the read guard still held
+    // deadlocks behind any waiting writer; the rule follows the call.
+    let analysis = analyze_with_appended(
+        "crates/journal/src/store/mod.rs",
+        "impl Journal {\n    fn lint_probe_reentrant(&self) -> usize {\n        \
+         let st = self.store.read();\n        \
+         self.get_gateways().len() + st.mod_seq as usize\n    }\n}\n",
+    );
+    let errors = lock_order_errors(&analysis);
+    assert!(
+        errors
+            .iter()
+            .any(|m| m.contains("lock `store` re-acquired while already held")),
+        "re-entry must be an error: {errors:#?}"
+    );
+}
+
+#[test]
+fn io_inside_a_shared_journal_closure_is_not_a_held_lock() {
+    // `SharedJournal::read` hands the closure the journal and takes no
+    // lock, so file IO inside it with nothing else held is clean.
+    let analysis = analyze_with_appended(
+        "crates/storage/src/durable.rs",
+        "impl DurableJournal {\n    fn lint_probe_unlocked_io(&self) -> io::Result<()> {\n        \
+         self.shared.read(|j| std::fs::write(\"probe\", j.stats().interfaces.to_string()))\n    \
+         }\n}\n",
+    );
+    let errors = lock_order_errors(&analysis);
+    assert!(errors.is_empty(), "no lock is held: {errors:#?}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use crate::error::ParseError;
-use crate::subnet::{Subnet, SubnetMask};
+use crate::subnet::Subnet;
 
 /// "Infinity" metric: the route is unreachable.
 pub const METRIC_INFINITY: u32 = 16;
@@ -233,20 +233,6 @@ pub fn split_into_packets(entries: &[RipEntry]) -> Vec<RipPacket> {
         .chunks(MAX_ENTRIES)
         .map(|c| RipPacket::response(c.to_vec()))
         .collect()
-}
-
-/// Returns the mask a receiver with `mask` assumes for `addr` (helper for
-/// journal recording).
-pub fn assumed_mask(
-    addr: Ipv4Addr,
-    receiver_mask: SubnetMask,
-    receiver_subnet: Subnet,
-) -> SubnetMask {
-    match classify_route(addr, receiver_subnet) {
-        RouteKind::SubnetRoute(_) => receiver_mask,
-        RouteKind::Network(n) => n.mask(),
-        _ => SubnetMask::from_prefix_len(32).expect("32 is valid"),
-    }
 }
 
 #[cfg(test)]

@@ -77,14 +77,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The true subnet of the segment a node's first interface is on.
-    pub fn subnet_of(&self, seg: SegmentId) -> Option<Subnet> {
-        self.segments
-            .iter()
-            .find(|(id, _, _)| *id == seg)
-            .map(|(_, s, _)| *s)
-    }
-
     /// Number of interfaces whose address lies in `subnet`.
     pub fn interfaces_in(&self, subnet: Subnet) -> usize {
         self.interfaces
@@ -142,11 +134,6 @@ impl TopologyBuilder {
             subnet,
         });
         self.segments.len() - 1
-    }
-
-    /// Mutable access to a segment spec (latency, loss, collisions).
-    pub fn segment_mut(&mut self, idx: usize) -> &mut SegmentSpec {
-        &mut self.segments[idx]
     }
 
     /// Adds a host at host-number `n` on a segment.

@@ -158,11 +158,6 @@ pub struct Sim {
     /// `fremont_sim_fault_*` metric family so fault-free expositions
     /// stay byte-identical.
     faults_installed: bool,
-    /// Opt-in gate for the `fremont_sim_idle_skipped_micros_total` /
-    /// `fremont_sim_wheel_cascades_total` counters, so pre-existing
-    /// expositions stay byte-identical unless a caller asks for the
-    /// scheduler's introspection (same precedent as `faults_installed`).
-    scheduler_metrics: bool,
     /// Cached per-`(node, iface)` RIP advertisement templates, keyed on
     /// the node's routing-table version — rebuilt only when the table
     /// changes, which on the static campus is never after build.
@@ -209,7 +204,6 @@ impl Sim {
             proc_stats: BTreeMap::new(),
             fault_stats: FaultStats::default(),
             faults_installed: false,
-            scheduler_metrics: false,
             rip_advert_cache: BTreeMap::new(),
             next_absorb_key: 0,
             traffic_payload: Bytes::from(
@@ -232,22 +226,6 @@ impl Sim {
     /// The attached telemetry handle (no-op by default).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Opts in to the scheduler's introspection counters
-    /// (`fremont_sim_idle_skipped_micros_total`,
-    /// `fremont_sim_wheel_cascades_total`). Off by default so existing
-    /// metric expositions stay byte-identical.
-    pub fn enable_scheduler_metrics(&mut self) {
-        self.scheduler_metrics = true;
-    }
-
-    /// Total re-files of timer-wheel records from a higher level to a
-    /// lower one (see `sched` module docs; exported as
-    /// `fremont_sim_wheel_cascades_total` when scheduler metrics are
-    /// enabled).
-    pub fn wheel_cascades(&self) -> u64 {
-        self.queue.cascades()
     }
 
     /// Packet counters for one process (zeroes if it never sent).
@@ -292,20 +270,6 @@ impl Sim {
             "",
             self.stats.queue_depth_hwm,
         );
-        // Scheduler introspection is opt-in (`enable_scheduler_metrics`)
-        // so default expositions stay byte-identical.
-        if self.scheduler_metrics {
-            t.counter_set(
-                "fremont_sim_idle_skipped_micros_total",
-                "",
-                self.stats.idle_skipped_micros,
-            );
-            t.counter_set(
-                "fremont_sim_wheel_cascades_total",
-                "",
-                self.queue.cascades(),
-            );
-        }
         let (mut frames, mut bytes, mut lost, mut bcast, mut arp) = (0u64, 0u64, 0u64, 0u64, 0u64);
         for seg in &self.segments {
             frames += seg.stats.frames_sent;
@@ -689,16 +653,6 @@ impl Sim {
         if depth > self.stats.queue_depth_hwm {
             self.stats.queue_depth_hwm = depth;
         }
-    }
-
-    /// Time of the earliest pending event, if any. This is the
-    /// skip-ahead oracle's public face: every event source in the
-    /// simulator (traffic bursts, uptime churn, fault plans, RIP and
-    /// ARP timers, process timers) pre-schedules its next firing on
-    /// the wheel, so the earliest pending record *is* the next moment
-    /// anything can happen and the gap before it is provably idle.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek_next().map(SimTime)
     }
 
     /// Processes one event; returns `false` when the queue is empty.
@@ -1491,9 +1445,10 @@ impl Sim {
                 if self.filters_probe(node, dgram.dst_port) {
                     return;
                 }
-                // Closed port: Port Unreachable (traceroute's arrival signal).
-                let listening = self.port_has_listener(node, dgram.dst_port);
-                if !listening && self.nodes[node.0].behavior.port_unreachable && !is_broadcast {
+                // Closed port: Port Unreachable (traceroute's arrival
+                // signal). Processes receive every packet anyway and
+                // claim no ports, so every remaining port is closed.
+                if self.nodes[node.0].behavior.port_unreachable && !is_broadcast {
                     self.stats.icmp_errors += 1;
                     let msg = unreachable_for(UnreachableCode::Port, pkt);
                     let src_ip = self.nodes[node.0].ifaces[iface].ip;
@@ -1501,12 +1456,6 @@ impl Sim {
                 }
             }
         }
-    }
-
-    /// Processes receive every packet anyway; "listening" only suppresses
-    /// the Port Unreachable error for ports processes claimed.
-    fn port_has_listener(&self, _node: NodeId, _port: u16) -> bool {
-        false
     }
 
     fn handle_rip(
@@ -1742,11 +1691,6 @@ impl ProcCtx<'_> {
         SimTime(shifted.max(0) as u64)
     }
 
-    /// The hosting node's name.
-    pub fn node_name(&self) -> &str {
-        &self.sim.nodes[self.handle.node.0].name
-    }
-
     /// The hosting node's interfaces.
     pub fn ifaces(&self) -> Vec<IfaceInfo> {
         self.sim.nodes[self.handle.node.0]
@@ -1858,11 +1802,6 @@ impl ProcCtx<'_> {
         let at = self.now();
         let handle = self.handle;
         self.sim.outbox.push((handle, at, obs));
-    }
-
-    /// Deterministic random integer in `[lo, hi)`.
-    pub fn rand_range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.sim.rng.gen_range(lo..hi)
     }
 }
 

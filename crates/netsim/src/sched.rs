@@ -45,9 +45,9 @@
 //!
 //! When the cursor advances into an occupied higher-level slot, that
 //! slot's records re-file into lower levels ("cascade"). Each re-filed
-//! record increments a counter surfaced as
-//! `fremont_sim_wheel_cascades_total`. Cascading is *lazy*: a deadline
-//! that falls short of the earliest bound triggers no cascade at all.
+//! record increments the counter [`TimerWheel::cascades`] reports.
+//! Cascading is *lazy*: a deadline that falls short of the earliest
+//! bound triggers no cascade at all.
 //!
 //! # Arena lifetimes
 //!

@@ -54,11 +54,6 @@ impl TrafficModel {
         }
     }
 
-    /// Number of flows configured.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Samples the next burst: the `(src, dst)` pairs to send now, and the
     /// delay until the following burst (`None` ends the model).
     pub fn next_burst(

@@ -194,12 +194,13 @@ impl DurableJournal {
         let shared = SharedJournal::from_journal(journal);
         // Compact immediately: snapshot the recovered state and start a
         // fresh segment, so stale segments can't accumulate and a
-        // half-written pre-crash directory is normalized.
-        // fremont-lint: allow(lock-order) -- rotation snapshots under the read lock so no write can slip between capture and segment switch
+        // half-written pre-crash directory is normalized. Nothing else
+        // holds `shared` yet, so no write can slip between the capture
+        // and the segment switch.
         let writer = shared.read(|j| write_snapshot_and_rotate(&cfg, j))?;
         let durable = DurableJournal {
             shared,
-            wal: Arc::new(Mutex::labeled("storage.wal", WalState { cfg, writer })),
+            wal: Arc::new(Mutex::new(WalState { cfg, writer })),
             telemetry,
         };
         Ok((durable, report))
@@ -233,9 +234,10 @@ impl DurableJournal {
             self.telemetry
                 .counter_add("fremont_wal_fsyncs_total", "", 1);
         }
+        // The caller's WAL guard keeps every `DurableJournal` write out
+        // between the snapshot capture and the segment switch.
         wal.writer = self
             .shared
-            // fremont-lint: allow(lock-order) -- see open(): the snapshot must be captured under the read lock
             .read(|j| write_snapshot_and_rotate(&wal.cfg, j))?;
         self.telemetry
             .counter_add("fremont_wal_segment_rotations_total", "", 1);
@@ -341,10 +343,13 @@ impl DurableJournal {
         let mut fsyncs = 0u64;
         let summary = self
             .shared
-            // fremont-lint: allow(lock-order) -- write-ahead logging: append and apply must be atomic under the write lock
-            .write(|j| -> io::Result<StoreSummary> {
+            .read(|j| -> io::Result<StoreSummary> {
                 // Log ahead of apply: each record carries the seq the
                 // counter will reach once that observation is applied.
+                // `shared.read` takes no lock; it is the WAL mutex held
+                // above that makes counter read, append and apply one
+                // step (the store's own write lock is taken only inside
+                // `apply_batch`).
                 let mut seq = j.stats().observations_applied;
                 let mut records = Vec::with_capacity(total);
                 for (now, observations) in runs {
@@ -450,7 +455,7 @@ impl JournalAccess for DurableJournal {
         // persist them by snapshotting the post-delete state.
         // fremont-lint: allow(lock-order) -- same WAL-before-journal order as store(); held across the compaction IO
         let mut wal = self.wal.lock();
-        let existed = self.shared.write(|j| j.delete_interface(id));
+        let existed = self.shared.read(|j| j.delete_interface(id));
         if existed {
             self.compact_locked(&mut wal).map_err(io_err)?;
         }

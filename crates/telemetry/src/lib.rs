@@ -35,7 +35,6 @@ pub mod recorder;
 pub mod trace;
 
 pub use metrics::{parse_exposition, Registry};
-pub use profile::Profiler;
 pub use recorder::Recorder;
 pub use trace::{TraceBuffer, TraceEvent};
 
@@ -187,7 +186,7 @@ pub trait TelemetrySink: Send + Sync {
     }
 
     /// A point-in-time metrics exposition, if this sink records
-    /// metrics (`None` from no-op and profile-only sinks).
+    /// metrics (`None` otherwise).
     fn exposition(&self) -> Option<String> {
         None
     }
@@ -232,19 +231,6 @@ impl Telemetry {
     pub fn recording() -> (Self, Arc<Recorder>) {
         let rec = Arc::new(Recorder::new());
         (Telemetry::from_sink(rec.clone()), rec)
-    }
-
-    /// Like [`Telemetry::recording`] with an explicit trace capacity.
-    pub fn recording_with_capacity(cap: usize) -> (Self, Arc<Recorder>) {
-        let rec = Arc::new(Recorder::with_capacity(cap));
-        (Telemetry::from_sink(rec.clone()), rec)
-    }
-
-    /// A handle folding spans and work into a [`Profiler`] (no trace
-    /// ring, no metrics), returned alongside for rendering.
-    pub fn profiling() -> (Self, Arc<Profiler>) {
-        let prof = Arc::new(Profiler::new());
-        (Telemetry::from_sink(prof.clone()), prof)
     }
 
     /// Whether a sink is attached. Guard allocation-heavy detail

@@ -4,8 +4,8 @@
 //! answers "where did the *work* go" — work being logical units the
 //! sim already counts (sim events, frames, observations, merge ops,
 //! WAL bytes, fsyncs). Instrumented code attributes work to its open
-//! span via [`TelemetrySink::work`]; the folder charges each amount
-//! to the span's full ancestry path. The output is the classic
+//! span via [`crate::TelemetrySink::work`]; the folder charges each
+//! amount to the span's full ancestry path. The output is the classic
 //! flamegraph "folded" format, one line per stack:
 //!
 //! ```text
@@ -17,10 +17,8 @@
 //! sim state, two same-seed runs fold to byte-identical profiles.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, MutexGuard};
 
 use crate::trace::TraceEvent;
-use crate::{SpanId, TelTime, TelemetrySink};
 
 /// Most frames a stack may have; deeper (cyclic) chains are cut.
 const MAX_DEPTH: usize = 64;
@@ -105,85 +103,9 @@ where
     render_cells(&folder.cells)
 }
 
-/// A [`TelemetrySink`] that folds the span stream online instead of
-/// buffering it: O(open spans + distinct stacks) memory, no trace
-/// ring. Attach via [`crate::Telemetry::profiling`] when only the
-/// profile is wanted; a [`crate::Recorder`] trace can be folded after
-/// the fact with [`fold_events`] instead.
-pub struct Profiler {
-    inner: Mutex<ProfInner>,
-}
-
-struct ProfInner {
-    folder: Folder,
-    next_span: u64,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::new()
-    }
-}
-
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Self {
-        Profiler {
-            inner: Mutex::new(ProfInner {
-                folder: Folder::default(),
-                next_span: 1,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ProfInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Renders the profile so far in folded-stack format.
-    pub fn render(&self) -> String {
-        render_cells(&self.lock().folder.cells)
-    }
-
-    /// Number of distinct `(unit, stack)` cells accumulated.
-    pub fn cell_count(&self) -> usize {
-        self.lock().folder.cells.len()
-    }
-}
-
-impl std::fmt::Debug for Profiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Profiler")
-            .field("cells", &self.cell_count())
-            .finish()
-    }
-}
-
-impl TelemetrySink for Profiler {
-    fn span_start(&self, name: &'static str, label: &str, parent: SpanId, at: TelTime) -> SpanId {
-        let _ = (label, at);
-        let mut inner = self.lock();
-        let id = inner.next_span;
-        inner.next_span += 1;
-        inner.folder.spans.insert(id, (name.to_string(), parent.0));
-        SpanId(id)
-    }
-
-    fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
-        let _ = at;
-        if amount == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        let key = inner.folder.stack_key(unit, span.0);
-        *inner.folder.cells.entry(key).or_insert(0) += amount;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
 
     fn ev(kind: &str, id: u64, parent: u64, name: &str, detail: &str) -> TraceEvent {
         TraceEvent {
@@ -229,21 +151,6 @@ mod tests {
             ev("work", 0, 0, "bytes", "0"),
         ];
         assert_eq!(fold_events(trace.iter()), "");
-    }
-
-    #[test]
-    fn profiler_sink_matches_post_hoc_fold() {
-        let (tel, prof) = Telemetry::profiling();
-        let root = tel.span_start("sim.run", "", SpanId::NONE, TelTime(0));
-        let child = tel.span_start("driver.pump", "", root, TelTime(1));
-        tel.work(child, "observations", 9, TelTime(2));
-        tel.span_end(child, "", TelTime(3));
-        tel.work(root, "sim_events", 4, TelTime(4));
-        tel.span_end(root, "", TelTime(5));
-        assert_eq!(
-            prof.render(),
-            "observations;sim.run;driver.pump 9\nsim_events;sim.run 4\n"
-        );
     }
 
     #[test]
