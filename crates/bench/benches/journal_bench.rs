@@ -4,25 +4,31 @@
 //! survey actually records, and while contending threads hammer the
 //! other side of the lock), the durable batched write path (group
 //! commit: at most one fsync per StoreBatch), connection churn against
-//! the TCP server, and the durable storage engine (WAL append
-//! with/without group commit, recovery replay).
+//! the TCP server, the durable storage engine (WAL append
+//! with/without group commit, segment scan, recovery replay), and the
+//! wire decode of the largest reply and of a full store request.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use fremont_core::{DiscoveryDriver, DriverConfig};
 use fremont_journal::avl::AvlMap;
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Fact, Observation, Source};
-use fremont_journal::proto::StoreBatchItem;
+use fremont_journal::proto::{
+    decode_frame, write_frame, Request, RequestEnvelope, Response, StoreBatchItem, TraceContext,
+};
 use fremont_journal::query::InterfaceQuery;
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
 use fremont_net::{MacAddr, Subnet, SubnetMask};
+use fremont_netsim::campus::{generate, CampusConfig};
+use fremont_netsim::time::SimDuration;
 use fremont_storage::crc32::crc32;
-use fremont_storage::wal::encode_frames;
+use fremont_storage::wal::{encode_frames, scan_segment, segment_file_name};
 use fremont_storage::{DurableJournal, SyncPolicy, WalConfig, WalRecord};
 
 fn ip_of(i: u32) -> Ipv4Addr {
@@ -409,6 +415,19 @@ fn wal_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// `n` (a multiple of 64) WAL records of the recorded fact mix.
+fn mix_records(n: u64) -> Vec<WalRecord> {
+    (0..n / 64)
+        .flat_map(recorded_mix_at)
+        .zip(1u64..)
+        .map(|(obs, seq)| WalRecord {
+            seq,
+            at: JTime(seq),
+            obs,
+        })
+        .collect()
+}
+
 fn bench_wal(c: &mut Criterion) {
     let mut g = c.benchmark_group("wal");
     g.sample_size(10);
@@ -447,15 +466,7 @@ fn bench_wal(c: &mut Criterion) {
     // The two CPU layers under a durable 256-observation call, without
     // the file: framing the records (serialize in place + checksum),
     // and the checksum alone over as many bytes as those frames hold.
-    let records: Vec<WalRecord> = (0..BATCH / 64)
-        .flat_map(recorded_mix_at)
-        .zip(1u64..)
-        .map(|(obs, seq)| WalRecord {
-            seq,
-            at: JTime(seq),
-            obs,
-        })
-        .collect();
+    let records = mix_records(BATCH);
     let mut frames = Vec::new();
     g.throughput(Throughput::Elements(BATCH));
     g.bench_function("encode_256", |b| {
@@ -465,6 +476,25 @@ fn bench_wal(c: &mut Criterion) {
             black_box(frames.len())
         })
     });
+    // Reading back: one segment of 4096 such records, checksummed and
+    // decoded frame by frame as recovery does.
+    let scan_dir = wal_dir("scan");
+    std::fs::create_dir_all(&scan_dir).expect("mkdir");
+    let segment = scan_dir.join(segment_file_name(1));
+    let history = mix_records(4096);
+    let mut segment_bytes = Vec::new();
+    encode_frames(&history, &mut segment_bytes).expect("encode");
+    std::fs::write(&segment, &segment_bytes).expect("write segment");
+    g.throughput(Throughput::Elements(history.len() as u64));
+    g.bench_function("scan_4096", |b| {
+        b.iter(|| {
+            let scan = scan_segment(black_box(&segment)).expect("scan");
+            assert_eq!(scan.records.len(), history.len());
+            black_box(scan.valid_bytes)
+        })
+    });
+    let _ = std::fs::remove_dir_all(&scan_dir);
+
     let payload: Vec<u8> = frames.iter().copied().cycle().take(36 * 1024).collect();
     g.throughput(Throughput::Bytes(payload.len() as u64));
     g.bench_function("crc32_36k", |b| {
@@ -519,6 +549,67 @@ fn bench_wal(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a client and a server spend taking a frame apart: the reply to
+/// `interfaces(all)` after a 2-hour survey of the default (seed 1993)
+/// campus, the largest frame the protocol carries in practice, and a
+/// `StoreBatch` request of 256 recorded-mix observations.
+fn bench_proto(c: &mut Criterion) {
+    let mut g = c.benchmark_group("proto");
+
+    let cfg = CampusConfig::default();
+    let (sim, truth) = generate(&cfg);
+    let home = sim
+        .node_by_name(&truth.explorer_host)
+        .expect("the generator always creates the explorer host");
+    let journal = SharedJournal::new();
+    let mut driver = DiscoveryDriver::new(
+        sim,
+        journal.clone(),
+        home,
+        DriverConfig::full(cfg.network, Some(truth.dns_server)),
+    );
+    driver
+        .run_for(SimDuration::from_mins(120))
+        .expect("in-memory journal");
+    let interfaces = journal
+        .interfaces(&InterfaceQuery::all())
+        .expect("in-memory read");
+    assert_eq!(interfaces.len(), 545, "the bench id names the record count");
+    let mut reply = Vec::new();
+    write_frame(&mut reply, &Response::Interfaces(interfaces)).expect("encode");
+    g.throughput(Throughput::Bytes(reply.len() as u64));
+    g.bench_function("decode_interfaces_545", |b| {
+        b.iter(|| match decode_frame::<Response>(black_box(&reply)) {
+            Ok(Some((Response::Interfaces(v), _))) => black_box(v.len()),
+            other => panic!("not an interfaces reply: {other:?}"),
+        })
+    });
+
+    let request = RequestEnvelope {
+        ctx: TraceContext::default(),
+        req: Request::StoreBatch {
+            batches: (0..4)
+                .map(|t| StoreBatchItem {
+                    now: JTime(t),
+                    observations: recorded_mix_at(t),
+                })
+                .collect(),
+        },
+    };
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &request).expect("encode");
+    g.throughput(Throughput::Elements(256));
+    g.bench_function("decode_store_batch_256", |b| {
+        b.iter(
+            || match decode_frame::<RequestEnvelope>(black_box(&frame)) {
+                Ok(Some((envelope, used))) => black_box((envelope.ctx.trace_id, used)),
+                other => panic!("not a request: {other:?}"),
+            },
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_avl,
@@ -528,6 +619,7 @@ criterion_group!(
     bench_full_scan,
     bench_durable_batch,
     bench_connection_churn,
-    bench_wal
+    bench_wal,
+    bench_proto
 );
 criterion_main!(benches);

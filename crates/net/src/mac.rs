@@ -82,12 +82,13 @@ impl MacAddr {
 
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = &self.0;
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            o[0], o[1], o[2], o[3], o[4], o[5]
-        )
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut buf = [b':'; 17];
+        for (i, octet) in self.0.iter().enumerate() {
+            buf[3 * i] = HEX[usize::from(octet >> 4)];
+            buf[3 * i + 1] = HEX[usize::from(octet & 0xf)];
+        }
+        f.pad(core::str::from_utf8(&buf).expect("hex digits and colons are ASCII"))
     }
 }
 
@@ -139,6 +140,24 @@ mod tests {
             let mac: MacAddr = s.parse().unwrap();
             assert_eq!(mac.to_string(), s);
         }
+    }
+
+    #[test]
+    fn display_matches_the_formatting_machinery_and_pads() {
+        for b in 0..=255u8 {
+            let mac = MacAddr::new([b, !b, b.rotate_left(3), 0, 0xff, b ^ 0x5a]);
+            let o = mac.octets();
+            assert_eq!(
+                mac.to_string(),
+                format!(
+                    "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
+                    o[0], o[1], o[2], o[3], o[4], o[5]
+                )
+            );
+        }
+        let mac: MacAddr = "08:00:20:01:02:03".parse().unwrap();
+        assert_eq!(format!("{mac:>20}"), "   08:00:20:01:02:03");
+        assert_eq!(format!("{mac:<20}|"), "08:00:20:01:02:03   |");
     }
 
     #[test]

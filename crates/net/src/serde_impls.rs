@@ -5,9 +5,10 @@
 //! invariant (mask contiguity, network alignment) through the normal
 //! parsers.
 
+use core::fmt;
 use core::str::FromStr;
 
-use serde::de::Error as _;
+use serde::de::{Error, Visitor};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::dns::DnsName;
@@ -24,8 +25,22 @@ macro_rules! string_serde {
 
         impl<'de> Deserialize<'de> for $ty {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                let s = String::deserialize(deserializer)?;
-                <$ty>::from_str(&s).map_err(|e| D::Error::custom(e.to_string()))
+                /// Parses the text where the deserializer holds it.
+                struct Parse;
+
+                impl<'de> Visitor<'de> for Parse {
+                    type Value = $ty;
+
+                    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                        f.write_str(concat!("a string holding a ", stringify!($ty)))
+                    }
+
+                    fn visit_str<E: Error>(self, s: &str) -> Result<$ty, E> {
+                        <$ty>::from_str(s).map_err(E::custom)
+                    }
+                }
+
+                deserializer.deserialize_str(Parse)
             }
         }
     };

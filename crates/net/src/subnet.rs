@@ -91,9 +91,37 @@ impl SubnetMask {
     }
 }
 
+/// Appends `n` in decimal to `buf[..len]`; the new length.
+fn push_decimal(buf: &mut [u8], mut len: usize, n: u8) -> usize {
+    if n >= 100 {
+        buf[len] = b'0' + n / 100;
+        len += 1;
+    }
+    if n >= 10 {
+        buf[len] = b'0' + n / 10 % 10;
+        len += 1;
+    }
+    buf[len] = b'0' + n % 10;
+    len + 1
+}
+
+/// Appends `bits` as a dotted quad to `buf[..len]`; the new length.
+fn push_dotted(buf: &mut [u8], mut len: usize, bits: u32) -> usize {
+    for (i, octet) in bits.to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            buf[len] = b'.';
+            len += 1;
+        }
+        len = push_decimal(buf, len, octet);
+    }
+    len
+}
+
 impl fmt::Display for SubnetMask {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_addr())
+        let mut buf = [0u8; 15];
+        let len = push_dotted(&mut buf, 0, self.0);
+        f.pad(core::str::from_utf8(&buf[..len]).expect("digits and dots are ASCII"))
     }
 }
 
@@ -266,7 +294,11 @@ impl Subnet {
 
 impl fmt::Display for Subnet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.network(), self.prefix_len())
+        let mut buf = [0u8; 18];
+        let mut len = push_dotted(&mut buf, 0, self.network);
+        buf[len] = b'/';
+        len = push_decimal(&mut buf, len + 1, self.prefix_len());
+        f.pad(core::str::from_utf8(&buf[..len]).expect("digits, dots and a slash are ASCII"))
     }
 }
 
@@ -399,6 +431,24 @@ mod tests {
         assert_eq!(hosts[0], ip("192.168.5.1"));
         assert_eq!(hosts[5], ip("192.168.5.6"));
         assert_eq!(s.host_count(), 6);
+    }
+
+    #[test]
+    fn display_matches_the_formatting_machinery_and_pads() {
+        for len in 0..=32u8 {
+            let mask = SubnetMask::from_prefix_len(len).unwrap();
+            assert_eq!(mask.to_string(), mask.as_addr().to_string());
+            for addr in ["255.255.255.255", "128.138.9.10", "10.0.100.99", "0.0.0.0"] {
+                let s = Subnet::containing(ip(addr), mask);
+                assert_eq!(s.to_string(), format!("{}/{len}", s.network()));
+            }
+        }
+        let s: Subnet = "10.20.30.0/24".parse().unwrap();
+        assert_eq!(format!("{s:>20}"), "       10.20.30.0/24");
+        assert_eq!(format!("{s:<20}|"), "10.20.30.0/24       |");
+        let m = s.mask();
+        assert_eq!(format!("{m:>20}"), "       255.255.255.0");
+        assert_eq!(format!("{m:<20}|"), "255.255.255.0       |");
     }
 
     #[test]

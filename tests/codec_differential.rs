@@ -1,5 +1,6 @@
-//! The streaming JSON serializer against the tree it replaced, and the
-//! slice-by-8 checksum against the bytewise one.
+//! The streaming JSON serializer and deserializer against the tree
+//! paths they replaced, and the slice-by-8 checksum against the bytewise
+//! one.
 //!
 //! Until PR 16 every `serde_json::to_*` call built a `Value` tree and
 //! rendered that. The tree survives as a data type (`to_value`,
@@ -7,6 +8,16 @@
 //! the bytes that building its tree and rendering the tree gives — both
 //! through today's `to_vec(&tree)` and through [`reference`], the old
 //! renderer kept here verbatim — compact and pretty alike.
+//!
+//! Until PR 20 every `serde_json::from_*` call parsed the whole document
+//! into a `Value` and took the typed data out of the tree. That decoder
+//! is kept in [`tree_decoder`] and is the oracle for the streaming one:
+//! on any bytes — a value's compact or pretty encoding, the same with
+//! keys reordered, added, removed or repeated, cut short, a byte changed
+//! or a node replaced by one of another type — both accept and give the
+//! same value, or both reject. The one intended difference is the number
+//! grammar: the old parser leaned on `str::parse` and took `01`, `1.`,
+//! `1.e5` and `-.5`; RFC 8259 and the new one do not.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -26,7 +37,8 @@ use fremont::storage::crc32::crc32;
 use fremont::storage::WalRecord;
 use fremont::telemetry::TraceEvent;
 use proptest::prelude::*;
-use serde::Serialize;
+use serde::de::DeserializeOwned;
+use serde::{Deserialize, Serialize};
 
 /// The renderer `vendor/serde_json/src/write.rs` held before the
 /// streaming serializer replaced it.
@@ -168,6 +180,848 @@ fn check<T: Serialize>(x: &T) -> Result<(), TestCaseError> {
         serde_json::to_string(x).expect("to_string").into_bytes(),
         serde_json::to_vec(x).expect("to_vec")
     );
+    Ok(())
+}
+
+/// The decoder `serde_json::from_str` was until the streaming one
+/// replaced it: `parse` the text into a tree, then `from_value` the tree
+/// into the type.
+///
+/// `parse` is `vendor/serde_json/src/read.rs` and `take_field`,
+/// `expect_array`, `expect_object`, `from_value` are
+/// `vendor/serde/src/__private.rs`, both as the parent commit held them
+/// (only the error type differs: the parser used `serde_json::Error`,
+/// whose constructor is private). What cannot be kept verbatim is the
+/// code the old derive generated and the `deserialize_tree` trait method
+/// it called, since the types under test now derive the visitor shape.
+/// `ValueDeserializer` therefore presents the tree to those visitors the
+/// way the generated code read it: a struct is `expect_object` and one
+/// `take_field` per declared field, in declaration order — so unknown
+/// keys, repeated keys and absent keys are settled by `take_field`, not
+/// by the visitor under test — a tuple is an array of exactly its
+/// length, and an enum is a string naming a unit variant or a single-key
+/// object naming any other.
+mod tree_decoder {
+    use serde::de::{
+        DeserializeOwned, DeserializeSeed, Deserializer, EnumAccess, MapAccess, SeqAccess,
+        VariantAccess, Visitor,
+    };
+    use serde::value::{Value, ValueError};
+
+    type Error = ValueError;
+
+    fn new_error(msg: String) -> Error {
+        ValueError(msg)
+    }
+
+    /// Nesting limit: protects the stack from adversarial input arriving
+    /// over the Journal wire protocol.
+    const MAX_DEPTH: usize = 256;
+
+    pub fn parse(input: &str) -> Result<Value, Error> {
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Parser<'a> {
+        fn err(&self, msg: &str) -> Error {
+            new_error(format!("{msg} at byte {}", self.pos))
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn bump(&mut self) -> Option<u8> {
+            let b = self.peek()?;
+            self.pos += 1;
+            Some(b)
+        }
+
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+        }
+
+        fn expect(&mut self, b: u8) -> Result<(), Error> {
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.err(&format!("expected {:?}", b as char)))
+            }
+        }
+
+        fn literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
+            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                Ok(value)
+            } else {
+                Err(self.err(&format!("invalid literal (expected {lit})")))
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Result<Value, Error> {
+            if depth > MAX_DEPTH {
+                return Err(self.err("JSON nesting too deep"));
+            }
+            match self.peek() {
+                Some(b'n') => self.literal("null", Value::Null),
+                Some(b't') => self.literal("true", Value::Bool(true)),
+                Some(b'f') => self.literal("false", Value::Bool(false)),
+                Some(b'"') => self.string().map(Value::Str),
+                Some(b'[') => self.array(depth),
+                Some(b'{') => self.object(depth),
+                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+                Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
+                None => Err(self.err("unexpected end of input")),
+            }
+        }
+
+        fn array(&mut self, depth: usize) -> Result<Value, Error> {
+            self.expect(b'[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Value::Array(items));
+            }
+            loop {
+                self.skip_ws();
+                items.push(self.value(depth + 1)?);
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b']') => return Ok(Value::Array(items)),
+                    _ => return Err(self.err("expected ',' or ']' in array")),
+                }
+            }
+        }
+
+        fn object(&mut self, depth: usize) -> Result<Value, Error> {
+            self.expect(b'{')?;
+            let mut entries = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Value::Object(entries));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                let value = self.value(depth + 1)?;
+                entries.push((key, value));
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b'}') => return Ok(Value::Object(entries)),
+                    _ => return Err(self.err("expected ',' or '}' in object")),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, Error> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.bump() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => return Ok(out),
+                    Some(b'\\') => match self.bump() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hi = self.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair.
+                                if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid low surrogate"));
+                                }
+                                let code = 0x10000
+                                    + ((u32::from(hi) - 0xD800) << 10)
+                                    + (u32::from(lo) - 0xDC00);
+                                char::from_u32(code)
+                                    .ok_or_else(|| self.err("invalid code point"))?
+                            } else {
+                                char::from_u32(u32::from(hi))
+                                    .ok_or_else(|| self.err("invalid code point"))?
+                            };
+                            out.push(c);
+                        }
+                        _ => return Err(self.err("invalid escape sequence")),
+                    },
+                    Some(c) if c < 0x20 => return Err(self.err("control character in string")),
+                    Some(c) if c < 0x80 => out.push(c as char),
+                    Some(c) => {
+                        // Multi-byte UTF-8: the input is validated UTF-8, so
+                        // re-decode the sequence starting at pos-1.
+                        let start = self.pos - 1;
+                        let width = match c {
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
+                        };
+                        let end = (start + width).min(self.bytes.len());
+                        let s = std::str::from_utf8(&self.bytes[start..end])
+                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                        out.push_str(s);
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+
+        fn hex4(&mut self) -> Result<u16, Error> {
+            let mut v: u16 = 0;
+            for _ in 0..4 {
+                let d = match self.bump() {
+                    Some(c @ b'0'..=b'9') => c - b'0',
+                    Some(c @ b'a'..=b'f') => c - b'a' + 10,
+                    Some(c @ b'A'..=b'F') => c - b'A' + 10,
+                    _ => return Err(self.err("invalid \\u escape")),
+                };
+                v = (v << 4) | u16::from(d);
+            }
+            Ok(v)
+        }
+
+        fn number(&mut self) -> Result<Value, Error> {
+            let start = self.pos;
+            if self.peek() == Some(b'-') {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+            let mut is_float = false;
+            if self.peek() == Some(b'.') {
+                is_float = true;
+                self.pos += 1;
+                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    self.pos += 1;
+                }
+            }
+            if matches!(self.peek(), Some(b'e' | b'E')) {
+                is_float = true;
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'+' | b'-')) {
+                    self.pos += 1;
+                }
+                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    self.pos += 1;
+                }
+            }
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .expect("number spans ASCII bytes");
+            if text.is_empty() || text == "-" {
+                return Err(self.err("invalid number"));
+            }
+            if !is_float {
+                if let Some(stripped) = text.strip_prefix('-') {
+                    if stripped.parse::<u64>().is_ok() || text.parse::<i64>().is_ok() {
+                        if let Ok(v) = text.parse::<i64>() {
+                            return Ok(Value::Int(v));
+                        }
+                    }
+                } else if let Ok(v) = text.parse::<u64>() {
+                    return Ok(Value::UInt(v));
+                }
+            }
+            text.parse::<f64>()
+                .map(Value::Float)
+                .map_err(|_| self.err("invalid number"))
+        }
+    }
+
+    /// Deserializer reading from an in-memory value tree.
+    pub struct ValueDeserializer(pub Value);
+
+    /// Deserializes any `DeserializeOwned` from a value tree.
+    pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, ValueError> {
+        T::deserialize(ValueDeserializer(value))
+    }
+
+    /// Removes a field from an object's entries; `Null` when absent (so
+    /// `Option` fields tolerate missing keys, as serde_json does).
+    pub fn take_field(entries: &mut Vec<(String, Value)>, name: &str) -> Value {
+        match entries.iter().position(|(k, _)| k == name) {
+            Some(i) => entries.remove(i).1,
+            None => Value::Null,
+        }
+    }
+
+    /// Unwraps an array value.
+    pub fn expect_array(value: Value, what: &str) -> Result<Vec<Value>, ValueError> {
+        match value {
+            Value::Array(items) => Ok(items),
+            other => Err(ValueError(format!(
+                "{what}: expected array, found {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// Unwraps an object value.
+    pub fn expect_object(value: Value, what: &str) -> Result<Vec<(String, Value)>, ValueError> {
+        match value {
+            Value::Object(entries) => Ok(entries),
+            other => Err(ValueError(format!(
+                "{what}: expected object, found {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// `serde_json::from_slice` as it was.
+    pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, Error> {
+        let s = std::str::from_utf8(bytes).map_err(|e| new_error(format!("invalid UTF-8: {e}")))?;
+        from_value(parse(s)?)
+    }
+
+    impl<'de> Deserializer<'de> for ValueDeserializer {
+        type Error = ValueError;
+
+        fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, ValueError> {
+            match self.0 {
+                Value::Null => visitor.visit_unit(),
+                Value::Bool(v) => visitor.visit_bool(v),
+                Value::Int(v) => visitor.visit_i64(v),
+                Value::UInt(v) => visitor.visit_u64(v),
+                Value::Float(v) => visitor.visit_f64(v),
+                Value::Str(v) => visitor.visit_str(&v),
+                // A `Vec` took every item; a tuple, a tuple struct and a
+                // tuple variant first checked `items.len() != n`.
+                Value::Array(items) => {
+                    let mut items = items.into_iter();
+                    let value = visitor.visit_seq(Items(&mut items))?;
+                    match items.len() {
+                        0 => Ok(value),
+                        left => Err(ValueError(format!("{left} more elements than expected"))),
+                    }
+                }
+                // A map and a `Value` took every entry.
+                Value::Object(entries) => visitor.visit_map(Entries {
+                    entries: entries.into_iter(),
+                    value: None,
+                }),
+            }
+        }
+
+        fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, ValueError> {
+            match self.0 {
+                Value::Null => visitor.visit_none(),
+                other => visitor.visit_some(ValueDeserializer(other)),
+            }
+        }
+
+        fn deserialize_struct<V: Visitor<'de>>(
+            self,
+            name: &'static str,
+            fields: &'static [&'static str],
+            visitor: V,
+        ) -> Result<V::Value, ValueError> {
+            let mut obj = expect_object(self.0, name)?;
+            let taken: Vec<(String, Value)> = fields
+                .iter()
+                .map(|field| ((*field).to_owned(), take_field(&mut obj, field)))
+                .collect();
+            visitor.visit_map(Entries {
+                entries: taken.into_iter(),
+                value: None,
+            })
+        }
+
+        fn deserialize_enum<V: Visitor<'de>>(
+            self,
+            name: &'static str,
+            _variants: &'static [&'static str],
+            visitor: V,
+        ) -> Result<V::Value, ValueError> {
+            match self.0 {
+                Value::Str(variant) => visitor.visit_enum(Variant {
+                    variant,
+                    content: None,
+                }),
+                Value::Object(mut obj) if obj.len() == 1 => {
+                    let (variant, inner) = obj.remove(0);
+                    visitor.visit_enum(Variant {
+                        variant,
+                        content: Some(inner),
+                    })
+                }
+                other => Err(ValueError(format!(
+                    "{name}: expected variant string or single-key object, found {}",
+                    other.kind()
+                ))),
+            }
+        }
+    }
+
+    struct Items<'a>(&'a mut std::vec::IntoIter<Value>);
+
+    impl<'de> SeqAccess<'de> for Items<'_> {
+        type Error = ValueError;
+
+        fn next_element_seed<T: DeserializeSeed<'de>>(
+            &mut self,
+            seed: T,
+        ) -> Result<Option<T::Value>, ValueError> {
+            self.0
+                .next()
+                .map(|item| seed.deserialize(ValueDeserializer(item)))
+                .transpose()
+        }
+    }
+
+    struct Entries {
+        entries: std::vec::IntoIter<(String, Value)>,
+        value: Option<Value>,
+    }
+
+    impl<'de> MapAccess<'de> for Entries {
+        type Error = ValueError;
+
+        fn next_key_seed<K: DeserializeSeed<'de>>(
+            &mut self,
+            seed: K,
+        ) -> Result<Option<K::Value>, ValueError> {
+            let Some((key, value)) = self.entries.next() else {
+                return Ok(None);
+            };
+            self.value = Some(value);
+            seed.deserialize(ValueDeserializer(Value::Str(key)))
+                .map(Some)
+        }
+
+        fn next_value_seed<V: DeserializeSeed<'de>>(
+            &mut self,
+            seed: V,
+        ) -> Result<V::Value, ValueError> {
+            let value = self.value.take().expect("a key was read first");
+            seed.deserialize(ValueDeserializer(value))
+        }
+    }
+
+    /// An enum's variant name and, in the single-key object form, what
+    /// the key held. The string arms of the generated match knew the
+    /// unit variants only, the object arms every other variant only.
+    struct Variant {
+        variant: String,
+        content: Option<Value>,
+    }
+
+    impl Variant {
+        fn unknown(&self) -> ValueError {
+            ValueError(format!("unknown variant {:?}", self.variant))
+        }
+    }
+
+    impl<'de> EnumAccess<'de> for Variant {
+        type Error = ValueError;
+        type Variant = Self;
+
+        fn variant_seed<V: DeserializeSeed<'de>>(
+            self,
+            seed: V,
+        ) -> Result<(V::Value, Self), ValueError> {
+            let index = seed.deserialize(ValueDeserializer(Value::Str(self.variant.clone())))?;
+            Ok((index, self))
+        }
+    }
+
+    impl<'de> VariantAccess<'de> for Variant {
+        type Error = ValueError;
+
+        fn unit_variant(self) -> Result<(), ValueError> {
+            match self.content {
+                None => Ok(()),
+                Some(_) => Err(self.unknown()),
+            }
+        }
+
+        fn newtype_variant_seed<T: DeserializeSeed<'de>>(
+            self,
+            seed: T,
+        ) -> Result<T::Value, ValueError> {
+            match self.content {
+                Some(inner) => seed.deserialize(ValueDeserializer(inner)),
+                None => Err(self.unknown()),
+            }
+        }
+
+        fn tuple_variant<V: Visitor<'de>>(
+            self,
+            len: usize,
+            visitor: V,
+        ) -> Result<V::Value, ValueError> {
+            let Some(inner) = self.content else {
+                return Err(self.unknown());
+            };
+            let items = expect_array(inner, &self.variant)?;
+            if items.len() != len {
+                return Err(ValueError(format!(
+                    "{}: expected {len} elements, found {}",
+                    self.variant,
+                    items.len()
+                )));
+            }
+            visitor.visit_seq(Items(&mut items.into_iter()))
+        }
+
+        fn struct_variant<V: Visitor<'de>>(
+            self,
+            fields: &'static [&'static str],
+            visitor: V,
+        ) -> Result<V::Value, ValueError> {
+            match self.content {
+                Some(inner) => {
+                    ValueDeserializer(inner).deserialize_struct("variant", fields, visitor)
+                }
+                None => Err(self.unknown()),
+            }
+        }
+    }
+}
+
+/// Whether the streaming decoder and the tree decoder agree on `bytes`
+/// read as a `T`; the value, when both accept. Also reads `bytes` as a
+/// `Value` both ways: there no visitor can object, so the trees are
+/// equal or the two error messages are, byte position included.
+fn agree<T: DeserializeOwned + Serialize>(
+    what: &str,
+    bytes: &[u8],
+) -> Result<Option<T>, TestCaseError> {
+    let shown = String::from_utf8_lossy(bytes);
+    // The spellings the old number grammar let through.
+    let stricter = |e: &serde_json::Error| e.to_string().starts_with("invalid number");
+
+    let streamed = serde_json::from_slice::<serde_json::Value>(bytes);
+    let tree = std::str::from_utf8(bytes)
+        .map_err(|e| serde::value::ValueError(format!("invalid UTF-8: {e}")))
+        .and_then(tree_decoder::parse);
+    match (&streamed, &tree) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{what}: Value of {shown}"),
+        (Err(e), _) if stricter(e) => {}
+        (Err(a), Err(b)) => {
+            prop_assert_eq!(a.to_string(), b.to_string(), "{what}: Value of {shown}")
+        }
+        (a, b) => prop_assert!(false, "{what}: Value of {shown}: {a:?} but the tree {b:?}"),
+    }
+
+    let streamed = serde_json::from_slice::<T>(bytes);
+    let tree = tree_decoder::from_slice::<T>(bytes);
+    match (streamed, tree) {
+        (Ok(a), Ok(b)) => {
+            let a_bytes = serde_json::to_string(&a).expect("to_string");
+            prop_assert_eq!(
+                &a_bytes,
+                &serde_json::to_string(&b).expect("to_string"),
+                "{what}: {shown}"
+            );
+            Ok(Some(a))
+        }
+        (Err(_), Err(_)) => Ok(None),
+        (Err(e), Ok(_)) if stricter(&e) => Ok(None),
+        (a, b) => {
+            prop_assert!(
+                false,
+                "{what}: {shown}: streamed {:?} but the tree {:?}",
+                a.map(drop),
+                b.map(drop)
+            );
+            unreachable!()
+        }
+    }
+}
+
+/// A small deterministic generator for picking what to change.
+struct Picks(u64);
+
+impl Picks {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) as usize) % n.max(1)
+    }
+}
+
+/// Every node of `doc`, children before their parent (so that what `f`
+/// adds to a node is not itself visited).
+fn for_each_node(doc: &mut serde_json::Value, f: &mut dyn FnMut(&mut serde_json::Value)) {
+    use serde_json::Value;
+    match doc {
+        Value::Array(items) => items.iter_mut().for_each(|v| for_each_node(v, f)),
+        Value::Object(entries) => entries.iter_mut().for_each(|(_, v)| for_each_node(v, f)),
+        _ => {}
+    }
+    f(doc);
+}
+
+/// A copy of `doc` with `edit` applied to the `pick`-th (modulo their
+/// number) node that `wanted` selects; `None` when it selects none.
+fn edited(
+    doc: &serde_json::Value,
+    wanted: fn(&serde_json::Value) -> bool,
+    pick: usize,
+    edit: &mut dyn FnMut(&mut serde_json::Value),
+) -> Option<serde_json::Value> {
+    let mut doc = doc.clone();
+    let mut count = 0;
+    for_each_node(&mut doc, &mut |v| count += usize::from(wanted(v)));
+    if count == 0 {
+        return None;
+    }
+    let mut countdown = pick % count + 1;
+    for_each_node(&mut doc, &mut |v| {
+        if wanted(v) {
+            countdown -= 1;
+            if countdown == 0 {
+                edit(v);
+                countdown = usize::MAX;
+            }
+        }
+    });
+    Some(doc)
+}
+
+fn is_object(v: &serde_json::Value) -> bool {
+    matches!(v, serde_json::Value::Object(_))
+}
+
+fn is_filled_object(v: &serde_json::Value) -> bool {
+    matches!(v, serde_json::Value::Object(entries) if !entries.is_empty())
+}
+
+/// What an unknown key, or the later copy of a repeated one, holds: a
+/// bit of everything, so skipping it walks every kind of token.
+fn junk() -> serde_json::Value {
+    serde_json::json!({
+        "deep": serde_json::json!([1u8, -2i8, 0.5f64, "é\n\u{1}\"", true]),
+        "none": serde_json::Value::Null,
+    })
+}
+
+/// What the top of a type's encoding is, for the edits whose outcome
+/// follows from it.
+#[derive(Clone, Copy, PartialEq)]
+enum Top {
+    /// A struct's object: an unknown key and a repeated key change
+    /// nothing.
+    Struct,
+    /// Any other typed target: keys may still come in any order.
+    Other,
+    /// A `Value`, which keeps every key in the order it came: only
+    /// agreement is checked.
+    Tree,
+}
+
+/// Decodes `x`'s encodings, and damaged copies of them, with both
+/// decoders; `seed` picks where the damage goes.
+fn check_decode<T: DeserializeOwned + Serialize>(
+    x: &T,
+    top: Top,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use serde_json::Value;
+    let compact = serde_json::to_vec(x).expect("to_vec");
+    let pretty = serde_json::to_vec_pretty(x).expect("to_vec_pretty");
+    // A NaN is written as null and read back as an error, by both.
+    let Some(back) = agree::<T>("compact", &compact)? else {
+        prop_assert!(agree::<T>("pretty", &pretty)?.is_none());
+        return Ok(());
+    };
+    let same = |what: &str, got: Option<T>| -> Result<(), TestCaseError> {
+        let Some(got) = got else {
+            prop_assert!(false, "{what}: rejected");
+            unreachable!()
+        };
+        prop_assert_eq!(
+            serde_json::to_vec(&got).expect("to_vec"),
+            compact.clone(),
+            "{what}: decoded to another value"
+        );
+        Ok(())
+    };
+    same("compact", Some(back))?;
+    same("pretty", agree::<T>("pretty", &pretty)?)?;
+
+    let doc = tree_decoder::parse(std::str::from_utf8(&compact).expect("UTF-8")).expect("parse");
+    let mut picks = Picks(seed);
+    let render = |doc: &Value, picks: &mut Picks| {
+        if picks.below(2) == 0 {
+            serde_json::to_vec(doc).expect("to_vec")
+        } else {
+            serde_json::to_vec_pretty(doc).expect("to_vec_pretty")
+        }
+    };
+
+    // Keys in another order, in every object at once.
+    let mut shuffled = doc.clone();
+    for_each_node(&mut shuffled, &mut |v| {
+        if let Value::Object(entries) = v {
+            let by = picks.below(entries.len());
+            entries.rotate_left(by);
+            if picks.below(2) == 0 {
+                entries.reverse();
+            }
+        }
+    });
+    let got = agree::<T>("shuffled", &render(&shuffled, &mut picks))?;
+    if top != Top::Tree {
+        same("shuffled", got)?;
+    }
+
+    // An Option's (and a unit struct's) key absent, everywhere at once.
+    let mut sparse = doc.clone();
+    for_each_node(&mut sparse, &mut |v| {
+        if let Value::Object(entries) = v {
+            entries.retain(|(_, v)| *v != Value::Null);
+        }
+    });
+    let got = agree::<T>("nulls removed", &render(&sparse, &mut picks))?;
+    if top == Top::Struct {
+        same("nulls removed", got)?;
+    }
+
+    // An unknown key and a repeated key at the top, where what they do
+    // to the value is known, and in an object picked anywhere.
+    let unknown = |v: &mut Value, at: usize| {
+        if let Value::Object(entries) = v {
+            entries.insert(at % (entries.len() + 1), ("~unknown".to_owned(), junk()));
+        }
+    };
+    let repeated = |v: &mut Value, which: usize, first: bool| {
+        if let Value::Object(entries) = v {
+            let key = entries[which % entries.len()].0.clone();
+            if first {
+                entries.insert(0, (key, junk()));
+            } else {
+                entries.push((key, junk()));
+            }
+        }
+    };
+    if top == Top::Struct {
+        let mut with_unknown = doc.clone();
+        unknown(&mut with_unknown, picks.below(8));
+        same(
+            "unknown key at the top",
+            agree::<T>("unknown key at the top", &render(&with_unknown, &mut picks))?,
+        )?;
+        let mut with_repeat = doc.clone();
+        repeated(&mut with_repeat, picks.below(8), false);
+        same(
+            "repeated key at the top",
+            agree::<T>("repeated key at the top", &render(&with_repeat, &mut picks))?,
+        )?;
+    }
+    let (pick, at, first) = (picks.below(usize::MAX), picks.below(8), picks.below(2) == 0);
+    if let Some(d) = edited(&doc, is_object, pick, &mut |v| unknown(v, at)) {
+        agree::<T>("unknown key", &render(&d, &mut picks))?;
+    }
+    if let Some(d) = edited(&doc, is_filled_object, pick, &mut |v| {
+        repeated(v, at, first)
+    }) {
+        agree::<T>("repeated key", &render(&d, &mut picks))?;
+    }
+    let mut everywhere = doc.clone();
+    for_each_node(&mut everywhere, &mut |v| unknown(v, at));
+    agree::<T>("unknown key everywhere", &render(&everywhere, &mut picks))?;
+
+    // Any one key removed.
+    if let Some(d) = edited(&doc, is_filled_object, pick, &mut |v| {
+        if let Value::Object(entries) = v {
+            entries.remove(at % entries.len());
+        }
+    }) {
+        agree::<T>("key removed", &render(&d, &mut picks))?;
+    }
+
+    // One node replaced by a value of another type.
+    for _ in 0..2 {
+        let d = edited(&doc, |_| true, picks.below(usize::MAX), &mut |v| {
+            *v = match v {
+                Value::Null => Value::Bool(false),
+                Value::Bool(_) => Value::UInt(1),
+                Value::Int(_) | Value::UInt(_) => Value::Str("7".to_owned()),
+                Value::Float(_) => Value::Array(vec![]),
+                Value::Str(_) => Value::UInt(7),
+                Value::Array(_) => Value::Object(vec![]),
+                Value::Object(_) => Value::Array(vec![Value::Null]),
+            }
+        })
+        .expect("the root is a node");
+        agree::<T>("type swapped", &render(&d, &mut picks))?;
+    }
+
+    // A string turned into a single-key object and the reverse: an enum
+    // in the form its variant does not take.
+    let to_keyed = edited(
+        &doc,
+        |v| matches!(v, Value::Str(_)),
+        picks.below(usize::MAX),
+        &mut |v| {
+            if let Value::Str(name) = v {
+                *v = Value::Object(vec![(std::mem::take(name), Value::Null)]);
+            }
+        },
+    );
+    let to_bare = edited(
+        &doc,
+        |v| matches!(v, Value::Object(entries) if entries.len() == 1),
+        picks.below(usize::MAX),
+        &mut |v| {
+            if let Value::Object(entries) = v {
+                *v = Value::Str(std::mem::take(&mut entries[0].0));
+            }
+        },
+    );
+    for d in [to_keyed, to_bare].into_iter().flatten() {
+        agree::<T>("enum form swapped", &render(&d, &mut picks))?;
+    }
+
+    // Cut short, and one byte replaced.
+    for bytes in [&compact, &pretty] {
+        let cut = picks.below(bytes.len());
+        let got = agree::<T>("truncated", &bytes[..cut])?;
+        if matches!(bytes[0], b'{' | b'[' | b'"') {
+            prop_assert!(got.is_none(), "accepted a truncated document");
+        }
+        const REPLACEMENTS: &[u8] = b"\"\\{}[]:,x \n0-.e\x00\xff";
+        let mut flipped = bytes.clone();
+        let at = picks.below(flipped.len());
+        flipped[at] = REPLACEMENTS[picks.below(REPLACEMENTS.len())];
+        agree::<T>("byte replaced", &flipped)?;
+    }
     Ok(())
 }
 
@@ -377,16 +1231,16 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
 // tuple struct, a generic struct with a skipped field, one enum with a
 // variant of each kind, tuples, a char and a map.
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Marker;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Meters(f64);
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Span(i64, u64);
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Tagged<T> {
     label: String,
     #[serde(skip)]
@@ -396,7 +1250,7 @@ struct Tagged<T> {
     inner: T,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 enum Shape {
     Unit,
     Newtype(Meters),
@@ -441,21 +1295,32 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 // ---------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn observations_and_wal_records(obs in arb_obs(), seq in arb_u64(), at in arb_u64()) {
+    fn observations_and_wal_records(
+        obs in arb_obs(),
+        seq in arb_u64(),
+        at in arb_u64(),
+        seed in any::<u64>(),
+    ) {
         check(&obs)?;
-        check(&WalRecord { seq, at: JTime(at), obs })?;
+        check_decode(&obs, Top::Struct, seed)?;
+        let record = WalRecord { seq, at: JTime(at), obs };
+        check(&record)?;
+        check_decode(&record, Top::Struct, seed)?;
     }
 
     #[test]
-    fn requests(req in arb_request(), trace_id in arb_u64()) {
+    fn requests(req in arb_request(), trace_id in arb_u64(), seed in any::<u64>()) {
         check(&req)?;
-        check(&RequestEnvelope {
+        check_decode(&req, Top::Other, seed)?;
+        let envelope = RequestEnvelope {
             ctx: TraceContext { trace_id, parent_span: trace_id / 2, at_micros: 7 },
             req,
-        })?;
+        };
+        check(&envelope)?;
+        check_decode(&envelope, Top::Struct, seed)?;
     }
 
     #[test]
@@ -463,48 +1328,62 @@ proptest! {
         obs in proptest::collection::vec(arb_obs(), 0..24),
         text in arb_text(),
         n in arb_u64(),
+        seed in any::<u64>(),
     ) {
         let journal = journal_of(&obs);
         let summary = journal.apply_batch(obs.iter().map(|o| (o, JTime(n / 2))));
-        check(&Response::Stored(summary))?;
-        check(&Response::Interfaces(journal.get_interfaces(&InterfaceQuery::all())))?;
-        check(&Response::Gateways(journal.get_gateways()))?;
-        check(&Response::Subnets(journal.get_subnets(&SubnetQuery::all())))?;
-        check(&Response::Deleted(n % 2 == 0))?;
-        check(&Response::Stats(journal.stats()))?;
-        check(&Response::Flushed)?;
-        check(&Response::Error(text.clone()))?;
-        check(&Response::Introspection(Box::new(IntrospectReport {
-            stats: journal.stats(),
-            shards: (n % 3 != 0).then(|| journal.sharding_metrics()),
-            wal: (n % 2 == 0).then(|| WalStateReport {
-                segment_first_seq: 1,
-                next_seq: n,
-                segment_bytes: n / 3,
-                sync_policy: text.clone(),
-            }),
-            metrics: text.clone(),
-            trace_tail: (0..n % 3)
-                .map(|i| TraceEvent {
-                    at: i,
-                    kind: "span_start".to_owned(),
-                    id: n,
-                    parent: 0,
-                    name: text.clone(),
-                    detail: text.clone(),
-                    trace_id: n,
-                    remote_parent: i,
-                })
-                .collect(),
-            trace_dropped: n,
-            health: text,
-        })))?;
-        check(&journal.to_snapshot())?;
+        let trace_tail: Vec<TraceEvent> = (0..n % 3)
+            .map(|i| TraceEvent {
+                at: i,
+                kind: "span_start".to_owned(),
+                id: n,
+                parent: 0,
+                name: text.clone(),
+                detail: text.clone(),
+                trace_id: n,
+                remote_parent: i,
+            })
+            .collect();
+        for event in &trace_tail {
+            check(event)?;
+            check_decode(event, Top::Struct, seed)?;
+        }
+        for response in [
+            Response::Stored(summary),
+            Response::Interfaces(journal.get_interfaces(&InterfaceQuery::all())),
+            Response::Gateways(journal.get_gateways()),
+            Response::Subnets(journal.get_subnets(&SubnetQuery::all())),
+            Response::Deleted(n % 2 == 0),
+            Response::Stats(journal.stats()),
+            Response::Flushed,
+            Response::Error(text.clone()),
+            Response::Introspection(Box::new(IntrospectReport {
+                stats: journal.stats(),
+                shards: (n % 3 != 0).then(|| journal.sharding_metrics()),
+                wal: (n % 2 == 0).then(|| WalStateReport {
+                    segment_first_seq: 1,
+                    next_seq: n,
+                    segment_bytes: n / 3,
+                    sync_policy: text.clone(),
+                }),
+                metrics: text.clone(),
+                trace_tail,
+                trace_dropped: n,
+                health: text,
+            })),
+        ] {
+            check(&response)?;
+            check_decode(&response, Top::Other, seed)?;
+        }
+        let snapshot = journal.to_snapshot();
+        check(&snapshot)?;
+        check_decode(&snapshot, Top::Struct, seed)?;
     }
 
     #[test]
-    fn fault_plans(plan in arb_fault_plan()) {
+    fn fault_plans(plan in arb_fault_plan(), seed in any::<u64>()) {
         check(&plan)?;
+        check_decode(&plan, Top::Struct, seed)?;
     }
 
     #[test]
@@ -514,20 +1393,104 @@ proptest! {
         f in arb_f64(),
         i in arb_i64(),
         u in arb_u64(),
+        seed in any::<u64>(),
     ) {
         check(&shape)?;
-        check(&Tagged { label: label.clone(), scratch: 9, marker: Marker, inner: (f, i, u) })?;
-        check(&Tagged { label, scratch: 9, marker: Marker, inner: Vec::<Option<Shape>>::new() })?;
+        check_decode(&shape, Top::Other, seed)?;
+        let tuple = Tagged { label: label.clone(), scratch: 9, marker: Marker, inner: (f, i, u) };
+        check(&tuple)?;
+        check_decode(&tuple, Top::Struct, seed)?;
+        let list = Tagged { label, scratch: 9, marker: Marker, inner: vec![None, Some(shape)] };
+        check(&list)?;
+        check_decode(&list, Top::Struct, seed)?;
         check(&f)?;
+        check_decode(&f, Top::Other, seed)?;
         check(&i)?;
+        check_decode(&i, Top::Other, seed)?;
         check(&u)?;
-        check(&[Some(f as f32), None])?;
-        check(&serde_json::json!({
+        check_decode(&u, Top::Other, seed)?;
+        let pair = [Some(f as f32), None];
+        check(&pair)?;
+        check_decode(&pair, Top::Other, seed)?;
+        let tree = serde_json::json!({
             "list": serde_json::json!([i, u, f]),
             "none": serde_json::Value::Null,
             "empty": serde_json::Value::Object(Vec::new()),
-        }))?;
+        });
+        check(&tree)?;
+        check_decode(&tree, Top::Tree, seed)?;
     }
+}
+
+/// Arrays in arrays, as deep as the text nests them.
+#[derive(Serialize, Deserialize)]
+struct Deep(Vec<Deep>);
+
+#[test]
+fn nesting_limit_is_where_it_was() {
+    for depth in [1, 2, 255, 256, 257, 258, 259, 5000] {
+        // The innermost array of 257 sits at depth 256, the limit.
+        let arrays = "[".repeat(depth) + &"]".repeat(depth);
+        let tree = agree::<serde_json::Value>("arrays", arrays.as_bytes()).unwrap();
+        assert_eq!(tree.is_some(), depth <= 257, "Value, {depth} deep");
+        let typed = agree::<Deep>("arrays", arrays.as_bytes()).unwrap();
+        assert_eq!(typed.is_some(), depth <= 257, "typed, {depth} deep");
+        // Under a key nobody reads, one level further down.
+        let skipped = format!(r#"{{"label":"l","zzz":{arrays},"inner":0}}"#);
+        let tagged = agree::<Tagged<u8>>("skipped arrays", skipped.as_bytes()).unwrap();
+        assert_eq!(tagged.is_some(), depth <= 256, "skipped, {depth} deep");
+        let objects = r#"{"k":"#.repeat(depth) + "null" + &"}".repeat(depth);
+        let tree = agree::<serde_json::Value>("objects", objects.as_bytes()).unwrap();
+        assert_eq!(tree.is_some(), depth <= 256, "objects, {depth} deep");
+    }
+    assert_eq!(
+        serde_json::from_str::<Deep>(&"[".repeat(300))
+            .map(drop)
+            .unwrap_err()
+            .to_string(),
+        "JSON nesting too deep at byte 257"
+    );
+}
+
+#[test]
+fn an_error_in_a_pretty_document_names_the_byte() {
+    let event = TraceEvent {
+        at: 7,
+        kind: "span_start".to_owned(),
+        id: 3,
+        parent: 1,
+        name: "bruno".to_owned(),
+        detail: String::new(),
+        trace_id: 0,
+        remote_parent: 0,
+    };
+    let pretty = serde_json::to_string_pretty(&event).unwrap();
+    assert_eq!(pretty.lines().count(), 10, "{pretty}");
+    // Not JSON any more: the same message, position included.
+    let at = pretty.find("\"bruno\"").unwrap();
+    let broken = pretty.replacen("\"bruno\"", "bruno", 1);
+    let message = format!("unexpected character 'b' at byte {at}");
+    assert_eq!(
+        serde_json::from_str::<TraceEvent>(&broken)
+            .unwrap_err()
+            .to_string(),
+        message
+    );
+    assert_eq!(
+        tree_decoder::from_slice::<TraceEvent>(broken.as_bytes())
+            .unwrap_err()
+            .to_string(),
+        message
+    );
+    // Still JSON, but not an event: the value that does not fit.
+    let at = pretty.find("\"span_start\"").unwrap();
+    let mistyped = pretty.replacen("\"span_start\"", "[1, 2]", 1);
+    assert_eq!(
+        serde_json::from_str::<TraceEvent>(&mistyped)
+            .unwrap_err()
+            .to_string(),
+        format!("invalid type: sequence, expected a string at byte {at}")
+    );
 }
 
 #[test]
