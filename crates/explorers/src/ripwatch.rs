@@ -317,12 +317,32 @@ mod tests {
         node.rip_learned.push(("10.1.1.0".parse().unwrap(), 1));
         node.rip_learned.push(("10.1.3.0".parse().unwrap(), 2));
         node.rip_learned.push(("10.1.2.0".parse().unwrap(), 1));
-        sim.add_node(node);
+        let promisc = sim.add_node(node);
 
         let h = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
         sim.run_for(SimDuration::from_mins(3));
         let w = sim.process_mut::<RipWatch>(h).unwrap();
         assert_eq!(w.promiscuous_sources(), vec![right_ip]);
+        // The rebroadcast is everything learned — the pre-seeded list
+        // min-merged with what r1 advertised meanwhile — one hop further.
+        let routes = |w: &RipWatch| {
+            let mut v: Vec<(String, u32)> = w.sources()[&right_ip]
+                .routes
+                .iter()
+                .map(|(dest, metric)| (dest.to_string(), *metric))
+                .collect();
+            v.sort();
+            v
+        };
+        let route = |dest: &str, metric: u32| (dest.to_owned(), metric);
+        assert_eq!(
+            routes(w),
+            [
+                route("10.1.1.0", 2),
+                route("10.1.2.0", 2),
+                route("10.1.3.0", 3)
+            ]
+        );
         // The observation stream carries the flag.
         let obs = sim.drain_observations();
         let flagged = obs.iter().any(|(_, _, o)| {
@@ -332,6 +352,18 @@ mod tests {
             )
         });
         assert!(flagged, "promiscuous source observation emitted");
+
+        // A crash forgets everything learned; after the reboot the host
+        // re-learns from r1 alone (whose split horizon withholds net-a)
+        // and rebroadcasts exactly that.
+        sim.set_node_up(promisc, false);
+        sim.run_for(SimDuration::from_mins(1));
+        assert!(sim.nodes[promisc.0].rip_learned.is_empty());
+        sim.set_node_up(promisc, true);
+        let h = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        sim.run_for(SimDuration::from_mins(3));
+        let w = sim.process_mut::<RipWatch>(h).unwrap();
+        assert_eq!(routes(w), [route("10.1.2.0", 2), route("10.1.3.0", 3)]);
     }
 
     #[test]

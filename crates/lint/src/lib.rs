@@ -29,7 +29,6 @@
 //! and unused or reasonless ones are themselves violations.
 
 pub mod callgraph;
-pub mod fix;
 pub mod lexer;
 pub mod report;
 pub mod rules;

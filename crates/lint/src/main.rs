@@ -5,24 +5,20 @@
 //! cargo run -p fremont-lint -- --deny       # warnings are fatal too (CI)
 //! cargo run -p fremont-lint -- --json       # machine-readable report (schema 2)
 //! cargo run -p fremont-lint -- --write-golden   # regenerate both goldens
-//! cargo run -p fremont-lint -- --fix        # preview stale-suppression deletions
-//! cargo run -p fremont-lint -- --fix --apply    # delete them in place
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fremont_lint::{analyze, find_workspace_root, fix, report, Config, Workspace};
+use fremont_lint::{analyze, find_workspace_root, report, Config, Workspace};
 
 const USAGE: &str = "usage: fremont-lint [--json] [--deny] [--write-golden] \
-                     [--fix [--apply]] [--root <dir>] [--max-suppressions <n>]";
+                     [--root <dir>] [--max-suppressions <n>]";
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut deny = false;
     let mut write_golden = false;
-    let mut do_fix = false;
-    let mut apply = false;
     let mut root: Option<PathBuf> = None;
     let mut max_suppressions: Option<usize> = None;
 
@@ -32,8 +28,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--deny" => deny = true,
             "--write-golden" => write_golden = true,
-            "--fix" => do_fix = true,
-            "--apply" => apply = true,
             "--root" => match args.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage_error("--root needs a directory"),
@@ -81,10 +75,6 @@ fn main() -> ExitCode {
         cfg.max_suppressions = n;
     }
 
-    if apply && !do_fix {
-        return usage_error("--apply only makes sense with --fix");
-    }
-
     let (analysis, goldens) = analyze(&ws, &cfg, write_golden);
     if let Some(g) = goldens {
         for (rel, content) in [
@@ -99,30 +89,6 @@ fn main() -> ExitCode {
             println!("fremont-lint: wrote {rel}");
         }
         return ExitCode::SUCCESS;
-    }
-
-    if do_fix {
-        let fixes = fix::plan(&analysis);
-        if fixes.is_empty() {
-            println!("fremont-lint: no stale suppressions to fix");
-            return ExitCode::SUCCESS;
-        }
-        match fix::apply(&cfg.root, &fixes, !apply) {
-            Ok(lines) => {
-                let verb = if apply { "removed" } else { "would remove" };
-                for l in &lines {
-                    println!("fremont-lint: {verb} stale suppression at {l}");
-                }
-                if !apply {
-                    println!("fremont-lint: dry run — pass --apply to rewrite files");
-                }
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("fremont-lint: --fix failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     let out = if json {

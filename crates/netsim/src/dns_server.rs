@@ -9,7 +9,14 @@
 
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
+
 use fremont_net::dns::{DnsMessage, DnsName, DnsRecord, RData, Rcode, RecordType};
+use fremont_net::udp::DNS_PORT;
+use fremont_net::{IpProtocol, Ipv4Packet, UdpDatagram};
+
+use crate::engine::Sim;
+use crate::segment::NodeId;
 
 /// One authoritative zone.
 #[derive(Debug, Clone)]
@@ -174,6 +181,48 @@ impl DnsServerState {
         resp.answers.extend(zone.records.iter().cloned());
         resp.answers.push(soa);
         resp
+    }
+}
+
+impl Sim {
+    /// A UDP datagram for port 53: name servers answer the query.
+    pub(crate) fn handle_dns_udp(
+        &mut self,
+        node: NodeId,
+        iface: usize,
+        pkt: &Ipv4Packet,
+        dgram: &UdpDatagram,
+    ) {
+        let Some(dns) = &self.nodes[node.0].dns else {
+            return;
+        };
+        let Ok(query) = DnsMessage::decode(&dgram.payload) else {
+            return;
+        };
+        let answer = Bytes::from(dns.answer(&query).encode());
+        let reply = UdpDatagram::new(DNS_PORT, dgram.src_port, answer);
+        self.reply_from(node, iface, pkt.src, IpProtocol::Udp, reply.encode());
+    }
+
+    /// The reliable-channel stand-in for TCP, used only for zone transfers.
+    pub(crate) fn handle_dns_tcp(&mut self, node: NodeId, pkt: &Ipv4Packet) {
+        let n = &self.nodes[node.0];
+        let Some(dns) = &n.dns else {
+            return;
+        };
+        let Ok(query) = DnsMessage::decode(&pkt.payload) else {
+            return;
+        };
+        if query.is_response {
+            return; // Our own reply echoed back; processes already saw it.
+        }
+        // Answer only queries addressed to one of our interfaces: a zone
+        // transfer aimed at a broadcast or host-zero address is dropped.
+        if n.iface_with_ip(pkt.dst).is_none() {
+            return;
+        }
+        let answer = dns.answer(&query).encode();
+        self.send_reply(node, pkt.dst, pkt.src, IpProtocol::Tcp, answer, None);
     }
 }
 

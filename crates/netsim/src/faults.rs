@@ -1,4 +1,4 @@
-//! Deterministic fault injection: the [`FaultPlan`].
+//! Deterministic fault injection: the [`FaultPlan`] and how `Sim` applies it.
 //!
 //! The paper's value proposition is discovering *problems*, not just
 //! characteristics — stale addresses, duplicate IPs, conflicting masks,
@@ -18,6 +18,10 @@ use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
+use fremont_net::SubnetMask;
+use fremont_telemetry::{SpanId, TelTime};
+
+use crate::engine::{Event, Sim};
 use crate::time::{SimDuration, SimTime};
 
 /// One injectable fault. See each variant for the Table 8 problem class
@@ -103,21 +107,42 @@ pub enum FaultKind {
     },
 }
 
+/// One row per [`FaultKind`], in [`FaultKind::index`] order: the stable
+/// trace-event name. The part after `fault.` is the `kind="…"` label of
+/// `fremont_sim_fault_events_total`.
+const TRACE_NAMES: [&str; 10] = [
+    "fault.node_crash",
+    "fault.node_reboot",
+    "fault.gateway_death",
+    "fault.partition",
+    "fault.heal",
+    "fault.degrade",
+    "fault.clear_degrade",
+    "fault.duplicate_ip",
+    "fault.wrong_mask",
+    "fault.clock_skew",
+];
+
 impl FaultKind {
+    /// This kind's row in [`TRACE_NAMES`] and [`FaultStats`].
+    fn index(&self) -> usize {
+        match self {
+            FaultKind::NodeCrash { .. } => 0,
+            FaultKind::NodeReboot { .. } => 1,
+            FaultKind::GatewayDeath { .. } => 2,
+            FaultKind::Partition { .. } => 3,
+            FaultKind::Heal { .. } => 4,
+            FaultKind::Degrade { .. } => 5,
+            FaultKind::ClearDegrade { .. } => 6,
+            FaultKind::DuplicateIp { .. } => 7,
+            FaultKind::WrongMask { .. } => 8,
+            FaultKind::ClockSkew { .. } => 9,
+        }
+    }
+
     /// Trace-event name for this fault kind (stable, `fault.`-prefixed).
     pub fn trace_name(&self) -> &'static str {
-        match self {
-            FaultKind::NodeCrash { .. } => "fault.node_crash",
-            FaultKind::NodeReboot { .. } => "fault.node_reboot",
-            FaultKind::GatewayDeath { .. } => "fault.gateway_death",
-            FaultKind::Partition { .. } => "fault.partition",
-            FaultKind::Heal { .. } => "fault.heal",
-            FaultKind::Degrade { .. } => "fault.degrade",
-            FaultKind::ClearDegrade { .. } => "fault.clear_degrade",
-            FaultKind::DuplicateIp { .. } => "fault.duplicate_ip",
-            FaultKind::WrongMask { .. } => "fault.wrong_mask",
-            FaultKind::ClockSkew { .. } => "fault.clock_skew",
-        }
+        TRACE_NAMES[self.index()]
     }
 
     /// The name of the node or segment this fault targets.
@@ -249,26 +274,8 @@ impl FaultPlan {
 /// builds without this module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// `NodeCrash` events applied.
-    pub node_crashes: u64,
-    /// `NodeReboot` events applied.
-    pub node_reboots: u64,
-    /// `GatewayDeath` events applied.
-    pub gateway_deaths: u64,
-    /// `Partition` events applied.
-    pub partitions: u64,
-    /// `Heal` events applied.
-    pub heals: u64,
-    /// `Degrade` events applied.
-    pub degrades: u64,
-    /// `ClearDegrade` events applied.
-    pub degrade_clears: u64,
-    /// `DuplicateIp` events applied.
-    pub duplicate_ips: u64,
-    /// `WrongMask` events applied.
-    pub wrong_masks: u64,
-    /// `ClockSkew` events applied.
-    pub clock_skews: u64,
+    /// Events applied, one slot per kind in [`FaultKind::index`] order.
+    applied: [u64; TRACE_NAMES.len()],
     /// Fault events naming an unknown node/segment (skipped).
     pub unresolved: u64,
     /// Frames swallowed by partitioned segments.
@@ -278,32 +285,106 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total fault events applied (excluding per-frame drop counts).
     pub fn total(&self) -> u64 {
-        self.node_crashes
-            + self.node_reboots
-            + self.gateway_deaths
-            + self.partitions
-            + self.heals
-            + self.degrades
-            + self.degrade_clears
-            + self.duplicate_ips
-            + self.wrong_masks
-            + self.clock_skews
+        self.applied.iter().sum()
     }
 
-    /// Bumps the counter for one applied fault kind.
-    pub fn record(&mut self, kind: &FaultKind) {
-        match kind {
-            FaultKind::NodeCrash { .. } => self.node_crashes += 1,
-            FaultKind::NodeReboot { .. } => self.node_reboots += 1,
-            FaultKind::GatewayDeath { .. } => self.gateway_deaths += 1,
-            FaultKind::Partition { .. } => self.partitions += 1,
-            FaultKind::Heal { .. } => self.heals += 1,
-            FaultKind::Degrade { .. } => self.degrades += 1,
-            FaultKind::ClearDegrade { .. } => self.degrade_clears += 1,
-            FaultKind::DuplicateIp { .. } => self.duplicate_ips += 1,
-            FaultKind::WrongMask { .. } => self.wrong_masks += 1,
-            FaultKind::ClockSkew { .. } => self.clock_skews += 1,
+    /// `(kind, events applied)` for every kind, where `kind` is the
+    /// snake-case name the `kind="…"` metric label carries.
+    pub fn by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let kinds = TRACE_NAMES.iter().map(|n| n.trim_start_matches("fault."));
+        kinds.zip(self.applied.iter().copied())
+    }
+
+    /// Events applied of one kind, named as in [`FaultStats::by_kind`]
+    /// (0 for a name that is no kind).
+    pub fn applied(&self, kind: &str) -> u64 {
+        self.by_kind()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |(_, n)| n)
+    }
+}
+
+impl Sim {
+    /// Schedules every event of a [`FaultPlan`] on the ordinary event
+    /// queue. Events whose time is already past fire "now" (still in
+    /// deterministic queue order).
+    ///
+    /// Installing an *empty* plan is a guaranteed no-op: it schedules
+    /// nothing, draws nothing from the RNG, and leaves the telemetry
+    /// exposition untouched, so a fault-free run with an empty plan is
+    /// byte-identical to one without this call.
+    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
+        if plan.is_empty() {
+            return;
         }
+        self.faults_installed = true;
+        for ev in &plan.events {
+            let delay = ev.at().since(self.now()); // saturates to ZERO if past
+            let kind = ev.kind.clone();
+            self.schedule(delay, Event::Fault { kind });
+        }
+    }
+
+    /// Applies one fault event. Unknown node/segment names are counted
+    /// and traced rather than panicking, so a plan written for one
+    /// topology degrades loudly-but-safely on another.
+    pub(crate) fn apply_fault(&mut self, kind: FaultKind) {
+        let resolved = self.try_apply_fault(&kind).is_some();
+        if resolved {
+            self.fault_stats.applied[kind.index()] += 1;
+        } else {
+            self.fault_stats.unresolved += 1;
+        }
+        if self.telemetry.enabled() {
+            let name = if resolved {
+                kind.trace_name()
+            } else {
+                "fault.unresolved"
+            };
+            let at = TelTime(self.now().as_micros());
+            self.telemetry.event(name, kind.target(), SpanId::NONE, at);
+        }
+    }
+
+    /// `None` when the fault's target (or, for a mask, its value) does
+    /// not resolve; nothing has been touched then.
+    fn try_apply_fault(&mut self, kind: &FaultKind) -> Option<()> {
+        let node = self.node_by_name(kind.target());
+        let seg = self.segment_by_name(kind.target());
+        match kind {
+            FaultKind::NodeCrash { .. } | FaultKind::GatewayDeath { .. } => {
+                self.set_node_up(node?, false)
+            }
+            FaultKind::NodeReboot { .. } => self.set_node_up(node?, true),
+            FaultKind::Partition { .. } => self.segments[seg?.0].partitioned = true,
+            FaultKind::Heal { .. } => self.segments[seg?.0].partitioned = false,
+            FaultKind::Degrade {
+                extra_loss,
+                extra_latency_micros,
+                ..
+            } => {
+                let seg = &mut self.segments[seg?.0];
+                seg.fault_loss = extra_loss.clamp(0.0, 1.0);
+                seg.fault_latency = SimDuration::from_micros(*extra_latency_micros);
+            }
+            FaultKind::ClearDegrade { .. } => {
+                let seg = &mut self.segments[seg?.0];
+                seg.fault_loss = 0.0;
+                seg.fault_latency = SimDuration::ZERO;
+            }
+            FaultKind::DuplicateIp { ip, .. } => self.nodes[node?.0].ifaces.first_mut()?.ip = *ip,
+            // Routes are deliberately left alone: the host now *answers
+            // mask requests* with the wrong mask, which is the observable
+            // symptom the paper reports.
+            FaultKind::WrongMask { prefix_len, .. } => {
+                let mask = SubnetMask::from_prefix_len(*prefix_len).ok()?;
+                self.nodes[node?.0].ifaces.first_mut()?.mask = mask;
+            }
+            FaultKind::ClockSkew { skew_micros, .. } => {
+                self.nodes[node?.0].clock_skew = *skew_micros
+            }
+        }
+        Some(())
     }
 }
 
@@ -379,21 +460,105 @@ mod tests {
         assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
     }
 
+    /// One fault of every kind, in declaration order, all aimed at `target`.
+    fn every_kind(target: &str) -> Vec<FaultKind> {
+        let (node, segment) = (target.to_owned(), target.to_owned());
+        vec![
+            FaultKind::NodeCrash { node: node.clone() },
+            FaultKind::NodeReboot { node: node.clone() },
+            FaultKind::GatewayDeath {
+                gateway: node.clone(),
+            },
+            FaultKind::Partition {
+                segment: segment.clone(),
+            },
+            FaultKind::Heal {
+                segment: segment.clone(),
+            },
+            FaultKind::Degrade {
+                segment: segment.clone(),
+                extra_loss: 0.5,
+                extra_latency_micros: 10,
+            },
+            FaultKind::ClearDegrade { segment },
+            FaultKind::DuplicateIp {
+                node: node.clone(),
+                ip: Ipv4Addr::new(10, 0, 0, 9),
+            },
+            FaultKind::WrongMask {
+                node: node.clone(),
+                prefix_len: 16,
+            },
+            FaultKind::ClockSkew {
+                node,
+                skew_micros: -5,
+            },
+        ]
+    }
+
+    /// The `kind="…"` labels dashboards, the CI chaos job and
+    /// `tests/chaos_scenarios.rs` know, in sorted (exposition) order.
+    const PUBLISHED_KINDS: [&str; 10] = [
+        "clear_degrade",
+        "clock_skew",
+        "degrade",
+        "duplicate_ip",
+        "gateway_death",
+        "heal",
+        "node_crash",
+        "node_reboot",
+        "partition",
+        "wrong_mask",
+    ];
+
     #[test]
-    fn stats_record_by_kind() {
-        let mut s = FaultStats::default();
-        s.record(&FaultKind::NodeCrash {
-            node: "x".to_owned(),
-        });
-        s.record(&FaultKind::Partition {
-            segment: "y".to_owned(),
-        });
-        s.record(&FaultKind::Partition {
-            segment: "y".to_owned(),
-        });
-        assert_eq!(s.node_crashes, 1);
-        assert_eq!(s.partitions, 2);
-        assert_eq!(s.total(), 3);
+    fn every_kind_has_a_name_row_and_its_own_counter() {
+        let kinds = every_kind("x");
+        assert_eq!(kinds.len(), TRACE_NAMES.len(), "a kind without a row");
+        let mut stats = FaultStats::default();
+        for (i, k) in kinds.iter().enumerate() {
+            assert_eq!(k.index(), i, "{k:?}");
+            assert!(k.trace_name().starts_with("fault."), "{k:?}");
+            stats.applied[k.index()] += i as u64 + 1;
+        }
+        for (i, k) in kinds.iter().enumerate() {
+            let label = k.trace_name().trim_start_matches("fault.");
+            assert_eq!(stats.applied(label), i as u64 + 1, "{label}");
+        }
+        assert_eq!(stats.total(), 55);
+        assert_eq!(stats.applied("no_such_kind"), 0);
+        let mut labels: Vec<&str> = stats.by_kind().map(|(k, _)| k).collect();
+        labels.sort_unstable();
+        assert_eq!(labels, PUBLISHED_KINDS);
+    }
+
+    #[test]
+    fn applied_and_unresolved_faults_publish_the_known_labels() {
+        let mut b = crate::builder::TopologyBuilder::new();
+        let lan = b.segment("lan", "10.0.0.0/24");
+        b.host("lan", lan, 1); // a node and a segment both named "lan"
+        let (mut sim, _) = b.build(1);
+        let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
+        sim.set_telemetry(telemetry);
+        let mut plan = FaultPlan::new();
+        for kind in every_kind("lan").into_iter().chain(every_kind("nowhere")) {
+            plan = plan.at(SimTime(1), kind);
+        }
+        sim.install_fault_plan(&plan);
+        sim.run_for(SimDuration::from_secs(1));
+        sim.publish_metrics();
+        assert_eq!(sim.fault_stats.total(), 10);
+        assert_eq!(sim.fault_stats.unresolved, 10);
+        let series = rec.counters_with_prefix("fremont_sim_fault_events_total");
+        let expected: Vec<(String, String, u64)> = std::iter::once(String::new())
+            .chain(PUBLISHED_KINDS.iter().map(|k| format!("kind=\"{k}\"")))
+            .map(|label| {
+                let n = if label.is_empty() { 10 } else { 1 };
+                ("fremont_sim_fault_events_total".to_owned(), label, n)
+            })
+            .collect();
+        assert_eq!(series, expected);
+        assert_eq!(rec.counter("fremont_sim_fault_unresolved_total", ""), 10);
     }
 
     #[test]

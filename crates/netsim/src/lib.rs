@@ -16,6 +16,18 @@
 //! process could: send packets, receive the host's packets, read the ARP
 //! cache, or tap the local segment.
 //!
+//! # Layout
+//!
+//! [`sched::EventCore`] owns simulated time — clock, schedule counter,
+//! timer wheel — over an opaque payload and knows no protocol.
+//! [`engine::Sim`] is the network on top: nodes, segments, processes,
+//! the one seeded RNG, the run loop and the dispatch. What an event does
+//! is one sibling module per layer, each a plain `impl Sim` block —
+//! `link`, [`arp`], `ip` (with ICMP and the UDP demux), `rip`,
+//! [`dns_server`], [`faults`], [`traffic`], [`stats`] — because handlers
+//! draw from the RNG and schedule *at the call*, in an order the goldens
+//! pin.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,16 +46,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arp_cache;
+pub mod arp;
 pub mod builder;
 pub mod campus;
 pub mod dns_server;
 pub mod engine;
 pub mod faults;
+mod ip;
+mod link;
 pub mod node;
 pub mod process;
+mod rip;
 pub mod routing;
-#[doc(hidden)]
 pub mod sched;
 pub mod segment;
 pub mod stats;

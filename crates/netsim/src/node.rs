@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 
 use fremont_net::{MacAddr, Subnet, SubnetMask};
 
-use crate::arp_cache::ArpCache;
+use crate::arp::ArpCache;
 use crate::dns_server::DnsServerState;
 use crate::routing::RoutingTable;
 use crate::segment::SegmentId;
@@ -159,27 +159,16 @@ pub struct Node {
     pub behavior: Behavior,
     /// Authoritative DNS server state, when this node runs named.
     pub dns: Option<DnsServerState>,
-    /// Routes learned from RIP (used by promiscuous rebroadcasters).
-    ///
-    /// Folding heard advertisements into this list is *deferred*: the
-    /// engine queues packets on `rip_pending` and compacts them in
-    /// arrival order right before anything reads the list (promiscuous
-    /// advertisement building), on node-down, or when the pending queue
-    /// grows past a bound. Re-applying an already-absorbed packet is a
-    /// no-op (entries only min-merge and are never removed short of a
-    /// full clear), so the deferral is observationally invisible.
+    /// Routes learned from RIP, in arrival order. Only a promiscuous
+    /// rebroadcaster (`behavior.rip` set and `promiscuous`) keeps this
+    /// list — it is what such a host re-advertises; every other node
+    /// ignores the responses it hears and leaves it empty.
     pub rip_learned: Vec<(Ipv4Addr, u32)>,
-    /// Mutation counter for `rip_learned`, bumped whenever a compaction
-    /// folds anything or the list is cleared. The engine's promiscuous
-    /// advertisement template cache keys on it, mirroring how the static
-    /// path keys on [`RoutingTable::version`].
+    /// Mutation counter for `rip_learned`, bumped whenever the list
+    /// changes or is cleared. The promiscuous advertisement template
+    /// cache keys on it, mirroring how the static path keys on
+    /// [`RoutingTable::version`].
     pub(crate) rip_version: u64,
-    /// RIP responses heard but not yet folded into `rip_learned`.
-    pub(crate) rip_pending: Vec<std::rc::Rc<fremont_net::rip::RipPacket>>,
-    /// Bitset over interned advertisement identities (the engine's
-    /// absorb keys) already queued or folded — repeat receipts of a
-    /// byte-identical advertisement are skipped with one bit test.
-    pub(crate) rip_absorbed: Vec<u64>,
     /// Signed time-of-day clock offset in microseconds (a
     /// [`crate::faults::FaultKind::ClockSkew`] fault). Kernel interval
     /// timers still fire on true simulated time; only what the node
@@ -207,56 +196,10 @@ impl Node {
             dns: None,
             rip_learned: Vec::new(),
             rip_version: 0,
-            rip_pending: Vec::new(),
-            rip_absorbed: Vec::new(),
             clock_skew: 0,
             arp_pending: Vec::new(),
             procs: Vec::new(),
         }
-    }
-
-    /// Tests and sets the absorb bit for `key`; returns `true` when an
-    /// advertisement with this identity was already queued or folded.
-    pub(crate) fn rip_absorb_test_and_set(&mut self, key: u32) -> bool {
-        let word = (key / 64) as usize;
-        let bit = 1u64 << (key % 64);
-        if word >= self.rip_absorbed.len() {
-            self.rip_absorbed.resize(word + 1, 0);
-        }
-        let seen = self.rip_absorbed[word] & bit != 0;
-        self.rip_absorbed[word] |= bit;
-        seen
-    }
-
-    /// Folds pending RIP responses into `rip_learned` in arrival order —
-    /// the same min-merge the engine used to run per received packet.
-    pub(crate) fn compact_rip_learned(&mut self) {
-        if self.rip_pending.is_empty() {
-            return;
-        }
-        self.rip_version += 1;
-        let pending = std::mem::take(&mut self.rip_pending);
-        for rip in &pending {
-            for e in &rip.entries {
-                if e.metric >= fremont_net::rip::METRIC_INFINITY {
-                    continue;
-                }
-                match self.rip_learned.iter_mut().find(|(a, _)| *a == e.addr) {
-                    Some((_, m)) => *m = (*m).min(e.metric),
-                    None => self.rip_learned.push((e.addr, e.metric)),
-                }
-            }
-        }
-    }
-
-    /// Forgets all RIP state (the node went down): learned routes,
-    /// pending packets, and absorb bits, so a fresh boot re-learns from
-    /// scratch exactly as before the deferred fold existed.
-    pub(crate) fn clear_rip_state(&mut self) {
-        self.rip_learned.clear();
-        self.rip_version += 1;
-        self.rip_pending.clear();
-        self.rip_absorbed.clear();
     }
 
     /// Finds the interface index carrying `ip`.

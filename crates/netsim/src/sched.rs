@@ -1,12 +1,16 @@
-//! The event core's scheduler: a hierarchical timer wheel over an
-//! arena of event records.
+//! The event core: a clock, a schedule counter and a hierarchical timer
+//! wheel, generic over an opaque event payload.
 //!
-//! This replaces the engine's former `BinaryHeap<Reverse<Queued>>`.
-//! The contract it must honor is strict total order: events pop in
-//! ascending `(at, seq)` order, where `seq` is the engine's monotone
-//! schedule counter — byte-identical telemetry across the determinism,
-//! chaos, and model-checking suites depends on reproducing the heap's
-//! pop order exactly.
+//! [`EventCore`] owns simulated time and nothing else: it does not know
+//! what a node, a frame or ARP is, imports only `std` and `crate::time`,
+//! and is unit-tested below without a campus. The network on top of it
+//! is `engine::Sim`, which pops events here and dispatches them itself.
+//!
+//! [`TimerWheel`] is the queue underneath. The contract it must honor
+//! is strict total order: events pop in ascending `(at, seq)` order,
+//! where `seq` is the core's monotone schedule counter — byte-identical
+//! telemetry across the determinism, chaos, and model-checking suites
+//! depends on reproducing a `BinaryHeap`'s pop order exactly.
 //!
 //! # Layout
 //!
@@ -27,8 +31,8 @@
 //! pending event" a few trailing-zero scans instead of a walk over
 //! empty slots — that bitmap *is* the skip-ahead oracle: when the
 //! earliest bound exceeds the caller's deadline, [`TimerWheel::pop_due`]
-//! returns `None` without touching a single slot, and the engine jumps
-//! its clock over the idle gap.
+//! returns `None` without touching a single slot, and
+//! [`EventCore::advance_to`] jumps the clock over the idle gap.
 //!
 //! # Tie-break contract
 //!
@@ -57,6 +61,70 @@
 //! mark, a few hundred entries for the full campus.
 
 use std::collections::VecDeque;
+
+use crate::time::{SimDuration, SimTime};
+
+/// Simulated time and the pending-event queue. `E` is opaque: the core
+/// orders events, the caller gives them meaning.
+pub struct EventCore<E> {
+    now: SimTime,
+    seq: u64,
+    queue: TimerWheel<E>,
+}
+
+impl<E> Default for EventCore<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventCore<E> {
+    /// An empty core with its clock at time zero.
+    pub fn new() -> Self {
+        EventCore {
+            now: SimTime::ZERO,
+            seq: 0,
+            queue: TimerWheel::new(),
+        }
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Events scheduled and not yet popped.
+    pub fn pending(&self) -> u64 {
+        self.queue.len()
+    }
+
+    /// Schedules `event` to fire `delay` from now. Equal-time events
+    /// fire in the order they were scheduled.
+    pub fn schedule(&mut self, delay: SimDuration, event: E) {
+        self.seq += 1;
+        self.queue
+            .insert((self.now + delay).as_micros(), self.seq, event);
+    }
+
+    /// Pops the earliest event if it is due by `deadline`, advancing the
+    /// clock to it; returns the idle gap jumped and the event. `None`
+    /// touches nothing: neither the clock nor the queue moves.
+    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimDuration, E)> {
+        let (at, _seq, event) = self.queue.pop_due(deadline.as_micros())?;
+        debug_assert!(at >= self.now.as_micros(), "time moves forward");
+        Some((self.advance_to(SimTime(at)), event))
+    }
+
+    /// Jumps the clock to `deadline` if it is ahead (call once
+    /// [`EventCore::pop_due`] has returned `None` for it: the wheel's
+    /// occupancy bitmaps bounded the next firing past the deadline, so
+    /// the whole gap is provably idle); returns the gap jumped.
+    pub fn advance_to(&mut self, deadline: SimTime) -> SimDuration {
+        let gap = deadline.since(self.now);
+        self.now = self.now.max(deadline);
+        gap
+    }
+}
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
@@ -297,6 +365,71 @@ mod tests {
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Drains everything due by `deadline`, as a run loop would.
+    fn run(core: &mut EventCore<&'static str>, deadline: u64) -> Vec<(u64, &'static str)> {
+        let mut fired = Vec::new();
+        while let Some((_, ev)) = core.pop_due(SimTime(deadline)) {
+            fired.push((core.now().as_micros(), ev));
+            if ev == "spawns" {
+                // Scheduled at `now` from inside the dispatch.
+                core.schedule(SimDuration::ZERO, "spawned");
+            }
+        }
+        fired
+    }
+
+    #[test]
+    fn core_pops_equal_times_in_schedule_order() {
+        let mut core = EventCore::new();
+        core.schedule(SimDuration(5), "a");
+        core.schedule(SimDuration(3), "early");
+        core.schedule(SimDuration(5), "b");
+        core.schedule(SimDuration(5), "c");
+        let fired = run(&mut core, 10);
+        assert_eq!(fired, [(3, "early"), (5, "a"), (5, "b"), (5, "c")]);
+        assert_eq!(core.pending(), 0);
+    }
+
+    #[test]
+    fn core_event_scheduled_at_now_fires_in_the_same_run() {
+        let mut core = EventCore::new();
+        core.schedule(SimDuration(7), "spawns");
+        core.schedule(SimDuration(7), "sibling");
+        core.schedule(SimDuration(8), "later");
+        let fired = run(&mut core, 7);
+        // After the in-flight batch at t=7, before anything later.
+        assert_eq!(fired, [(7, "spawns"), (7, "sibling"), (7, "spawned")]);
+        assert_eq!(core.now(), SimTime(7));
+        assert_eq!(core.pending(), 1);
+    }
+
+    #[test]
+    fn core_pop_past_the_deadline_touches_nothing() {
+        let mut core = EventCore::new();
+        core.schedule(SimDuration(100), "x");
+        assert!(core.pop_due(SimTime(99)).is_none());
+        assert_eq!(core.now(), SimTime::ZERO, "clock did not move");
+        assert_eq!(core.pending(), 1, "event still queued");
+        // The gap jumped to reach it is reported with the event.
+        assert_eq!(core.pop_due(SimTime(100)), Some((SimDuration(100), "x")));
+        assert_eq!(core.now(), SimTime(100));
+    }
+
+    #[test]
+    fn core_advance_lands_on_the_deadline_and_reports_the_gap() {
+        let mut core = EventCore::new();
+        core.schedule(SimDuration(40), "x");
+        assert_eq!(run(&mut core, 60), [(40, "x")]);
+        assert_eq!(core.advance_to(SimTime(60)), SimDuration(20));
+        assert_eq!(core.now(), SimTime(60));
+        // Never backwards: an earlier deadline is a no-op.
+        assert_eq!(core.advance_to(SimTime(10)), SimDuration::ZERO);
+        assert_eq!(core.now(), SimTime(60));
+        // Delays are relative to the advanced clock.
+        core.schedule(SimDuration(1), "y");
+        assert_eq!(run(&mut core, u64::MAX), [(61, "y")]);
+    }
 
     /// The wheel must reproduce the old heap's pop order exactly, under
     /// interleaved inserts and deadline-bounded pops.

@@ -4,6 +4,7 @@
 //! second) and completion time; the experiment harness measures these by
 //! reading segment counters before and after a module's run.
 
+use crate::engine::Sim;
 use crate::time::SimTime;
 
 /// Per-segment traffic counters.
@@ -47,22 +48,14 @@ impl SegmentStats {
         }
         if let Some(b) = &mut self.buckets {
             let sec = now.as_secs();
-            // The engine feeds monotone timestamps, so the hot path
-            // is "same second as the last slot" or a pure append.
-            match b.last().copied() {
-                Some((s, _)) if s == sec => {
-                    if let Some(last) = b.last_mut() {
-                        last.1 += 1;
-                    }
+            // The simulation clock is monotone, so a frame lands in the
+            // last slot's second or opens a new one.
+            match b.last_mut() {
+                Some((s, n)) if *s == sec => *n += 1,
+                last => {
+                    debug_assert!(last.is_none_or(|(s, _)| *s < sec), "clock ran backwards");
+                    b.push((sec, 1));
                 }
-                Some((s, _)) if s < sec => b.push((sec, 1)),
-                None => b.push((sec, 1)),
-                // Out-of-order (never from the engine, but the type
-                // doesn't forbid it): insert at the sorted position.
-                Some(_) => match b.binary_search_by_key(&sec, |&(s, _)| s) {
-                    Ok(i) => b[i].1 += 1,
-                    Err(i) => b.insert(i, (sec, 1)),
-                },
             }
         }
     }
@@ -139,6 +132,56 @@ pub struct ProcStats {
     pub packets_received: u64,
     /// Frames seen through a promiscuous tap.
     pub frames_tapped: u64,
+}
+
+impl Sim {
+    /// Sum of one counter across all segments.
+    pub(crate) fn segment_total(&self, counter: impl Fn(&SegmentStats) -> u64) -> u64 {
+        self.segments.iter().map(|s| counter(&s.stats)).sum()
+    }
+
+    /// Publishes engine-wide counters into the telemetry recorder. Called
+    /// at sync points (driver pump, end of run) rather than per event
+    /// so the hot loop stays allocation-free.
+    pub fn publish_metrics(&self) {
+        let t = &self.telemetry;
+        if !t.enabled() {
+            return;
+        }
+        let s = &self.stats;
+        let seg = |counter: fn(&SegmentStats) -> u64| self.segment_total(counter);
+        for (name, value) in [
+            ("fremont_sim_events_processed_total", s.events_processed),
+            ("fremont_sim_packets_originated_total", s.packets_originated),
+            ("fremont_sim_packets_forwarded_total", s.packets_forwarded),
+            ("fremont_sim_icmp_errors_total", s.icmp_errors),
+            ("fremont_sim_arp_requests_total", s.arp_requests),
+            ("fremont_sim_frames_sent_total", seg(|g| g.frames_sent)),
+            ("fremont_sim_frame_bytes_total", seg(|g| g.bytes_sent)),
+            ("fremont_sim_frames_lost_total", seg(|g| g.frames_lost)),
+            ("fremont_sim_broadcast_frames_total", seg(|g| g.broadcasts)),
+            ("fremont_sim_arp_frames_total", seg(|g| g.arp_frames)),
+        ] {
+            t.counter_set(name, "", value);
+        }
+        t.gauge_max("fremont_sim_queue_depth_hwm", "", s.queue_depth_hwm);
+        // The fault family appears only once a non-empty plan is
+        // installed: a fault-free exposition must stay byte-identical.
+        if self.faults_installed {
+            let f = &self.fault_stats;
+            t.counter_set("fremont_sim_fault_events_total", "", f.total());
+            for (kind, applied) in f.by_kind() {
+                let label = format!("kind=\"{kind}\"");
+                t.counter_set("fremont_sim_fault_events_total", &label, applied);
+            }
+            t.counter_set("fremont_sim_fault_unresolved_total", "", f.unresolved);
+            t.counter_set(
+                "fremont_sim_fault_partition_frames_dropped_total",
+                "",
+                f.frames_dropped,
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,19 +264,5 @@ mod tests {
         assert_eq!(s.frames_between(SimTime(3_000_000), SimTime(3_000_000)), 0);
         assert_eq!(s.frames_between(SimTime(4_000_000), SimTime(3_000_000)), 0);
         assert_eq!(s.peak_rate(SimTime(3_000_000), SimTime(3_000_000)), 0);
-    }
-
-    #[test]
-    fn out_of_order_records_stay_sorted() {
-        let mut s = SegmentStats::default();
-        s.enable_buckets();
-        s.record_frame(SimTime(5_000_000), 64, false, false);
-        s.record_frame(SimTime(1_000_000), 64, false, false);
-        s.record_frame(SimTime(5_200_000), 64, false, false);
-        s.record_frame(SimTime(1_900_000), 64, false, false);
-        assert_eq!(s.bucket_slots(), Some(2));
-        assert_eq!(s.frames_between(SimTime(1_000_000), SimTime(2_000_000)), 2);
-        assert_eq!(s.frames_between(SimTime(5_000_000), SimTime(6_000_000)), 2);
-        assert_eq!(s.peak_rate(SimTime::ZERO, SimTime(10_000_000)), 2);
     }
 }

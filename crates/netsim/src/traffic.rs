@@ -9,9 +9,13 @@
 
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use fremont_net::{IpProtocol, Ipv4Packet, UdpDatagram};
+
+use crate::engine::{Event, Sim};
 use crate::segment::NodeId;
 use crate::time::SimDuration;
 
@@ -86,6 +90,29 @@ impl TrafficModel {
         let u: f64 = rng.gen::<f64>().max(1e-12);
         let delay = (-u.ln() * self.mean_interval.as_micros() as f64) as u64;
         (out, Some(SimDuration::from_micros(delay.max(1))))
+    }
+}
+
+impl Sim {
+    pub(crate) fn traffic_tick(&mut self) {
+        let Some(model) = &mut self.traffic else {
+            return;
+        };
+        let (flows, next) = model.next_burst(&mut self.rng);
+        for (src, dst) in flows {
+            if !self.nodes[src.0].up {
+                continue;
+            }
+            // Background chatter: a 32-zero-byte NFS-ish datagram.
+            let dgram = UdpDatagram::new(2049, 2049, Bytes::from_static(&[0u8; 32]));
+            let src_ip = self.nodes[src.0].ifaces[0].ip;
+            let pkt = Ipv4Packet::new(src_ip, dst, IpProtocol::Udp, Bytes::from(dgram.encode()))
+                .with_id(self.next_ip_id());
+            let _ = self.node_send_ip(src, pkt);
+        }
+        if let Some(delay) = next {
+            self.schedule(delay, Event::TrafficTick);
+        }
     }
 }
 

@@ -20,9 +20,9 @@
 //! # Usage
 //!
 //! Instrumented components hold a cheap [`Telemetry`] handle (a
-//! cloneable `Option<Arc<dyn TelemetrySink>>`). The default handle is
-//! a no-op — one branch per call, no allocation — so uninstrumented
-//! runs pay nothing. [`Telemetry::recording`] attaches a [`Recorder`]
+//! cloneable `Option<Arc<Recorder>>`). The default handle is a no-op —
+//! one branch per call, no allocation — so uninstrumented runs pay
+//! nothing. [`Telemetry::recording`] attaches a [`Recorder`]
 //! that keeps a ring buffer of trace events (JSONL export) and a
 //! metrics registry (Prometheus-style text exposition).
 
@@ -66,13 +66,13 @@ impl fmt::Display for TelTime {
     }
 }
 
-/// Identifier of an open span. `SpanId(0)` is the null span (no-op
-/// sinks return it, and it is the "no parent" marker).
+/// Identifier of an open span. `SpanId(0)` is the null span (a
+/// disabled handle returns it, and it is the "no parent" marker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The null span: returned by no-op sinks, used as "no parent".
+    /// The null span: returned by a disabled handle, used as "no parent".
     pub const NONE: SpanId = SpanId(0);
 
     /// Whether this is a real (recorded) span.
@@ -103,178 +103,80 @@ pub mod bounds {
     pub const BYTES: &[u64] = &[64, 256, 1024, 4096, 16_384, 65_536, 262_144, 1_048_576];
 }
 
-/// Where instrumented components send their measurements.
-///
-/// Every method has a no-op default body so sinks implement only what
-/// they care about. Implementations must be internally synchronised
-/// (`&self` receivers; the engine and server threads share one sink).
-///
-/// The `label` argument is a single rendered Prometheus-style pair
-/// such as `module="ARPwatch"` — or `""` for an unlabelled series.
-pub trait TelemetrySink: Send + Sync {
-    /// Adds `delta` to a monotonic counter.
-    fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
-        let _ = (name, label, delta);
-    }
-
-    /// Sets a counter to an absolute value (for publishing totals
-    /// accumulated outside the sink, e.g. the sim's event count).
-    fn counter_set(&self, name: &'static str, label: &str, value: u64) {
-        let _ = (name, label, value);
-    }
-
-    /// Sets a gauge.
-    fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
-        let _ = (name, label, value);
-    }
-
-    /// Raises a gauge to `value` if it is below it (high-water marks).
-    fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
-        let _ = (name, label, value);
-    }
-
-    /// Records `value` into a histogram with fixed bucket `bounds`.
-    fn observe(&self, name: &'static str, label: &str, bounds: &'static [u64], value: u64) {
-        let _ = (name, label, bounds, value);
-    }
-
-    /// Opens a span at `at`; returns its id ([`SpanId::NONE`] from
-    /// no-op sinks). `parent` nests it under an open span.
-    fn span_start(&self, name: &'static str, label: &str, parent: SpanId, at: TelTime) -> SpanId {
-        let _ = (name, label, parent, at);
-        SpanId::NONE
-    }
-
-    /// Closes a span at `at`, attaching a free-form result `detail`.
-    fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
-        let _ = (span, detail, at);
-    }
-
-    /// Records a point event at `at`, optionally parented to a span.
-    fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
-        let _ = (name, detail, parent, at);
-    }
-
-    /// Attributes `amount` units of logical work (observations,
-    /// bytes, sim events, ...) to an open span. This is the
-    /// profiler's raw material: folded stacks sum `work` records by
-    /// the span path they landed on.
-    fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
-        let _ = (span, unit, amount, at);
-    }
-
-    /// Opens a span that participates in a *distributed* trace.
-    ///
-    /// `trace_id` names the trace; `remote_parent` is the span id in
-    /// the remote process that caused this one (0 when this process
-    /// owns the trace — e.g. a client-side RPC span). `parent` still
-    /// nests the span locally. Defaults to a plain [`span_start`]
-    /// (no-op sinks ignore the remote linkage).
-    ///
-    /// [`span_start`]: TelemetrySink::span_start
-    fn span_start_remote(
-        &self,
-        name: &'static str,
-        label: &str,
-        parent: SpanId,
-        trace_id: u64,
-        remote_parent: u64,
-        at: TelTime,
-    ) -> SpanId {
-        let _ = (trace_id, remote_parent);
-        self.span_start(name, label, parent, at)
-    }
-
-    /// A point-in-time metrics exposition, if this sink records
-    /// metrics (`None` otherwise).
-    fn exposition(&self) -> Option<String> {
-        None
-    }
-
-    /// The most recent `n` trace events plus the ring's drop count,
-    /// if this sink keeps a trace.
-    fn trace_tail(&self, n: usize) -> Option<(Vec<TraceEvent>, u64)> {
-        let _ = n;
-        None
-    }
-}
-
-/// The always-off sink: every method is the trait default no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Noop;
-
-impl TelemetrySink for Noop {}
-
 /// A cheap, cloneable handle instrumented components hold.
 ///
-/// Default ([`Telemetry::noop`]) carries no sink: each call is a
+/// Default ([`Telemetry::noop`]) carries no recorder: each call is a
 /// single `Option` branch. [`Telemetry::recording`] attaches a
 /// [`Recorder`] and returns it for later export.
+///
+/// The `label` argument of the metric methods is a single rendered
+/// Prometheus-style pair such as `module="ARPwatch"` — or `""` for an
+/// unlabelled series.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    sink: Option<Arc<dyn TelemetrySink>>,
+    rec: Option<Arc<Recorder>>,
 }
 
 impl Telemetry {
     /// A disabled handle (the default).
     pub fn noop() -> Self {
-        Telemetry { sink: None }
-    }
-
-    /// A handle forwarding to `sink`.
-    pub fn from_sink(sink: Arc<dyn TelemetrySink>) -> Self {
-        Telemetry { sink: Some(sink) }
+        Telemetry { rec: None }
     }
 
     /// A handle recording into a fresh [`Recorder`] (default trace
     /// ring capacity), returned alongside for export.
     pub fn recording() -> (Self, Arc<Recorder>) {
         let rec = Arc::new(Recorder::new());
-        (Telemetry::from_sink(rec.clone()), rec)
+        let handle = Telemetry {
+            rec: Some(rec.clone()),
+        };
+        (handle, rec)
     }
 
-    /// Whether a sink is attached. Guard allocation-heavy detail
+    /// Whether a recorder is attached. Guard allocation-heavy detail
     /// formatting behind this.
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.rec.is_some()
     }
 
-    /// See [`TelemetrySink::counter_add`].
+    /// Adds `delta` to a monotonic counter.
     pub fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
-        if let Some(s) = &self.sink {
-            s.counter_add(name, label, delta);
+        if let Some(r) = &self.rec {
+            r.counter_add(name, label, delta);
         }
     }
 
-    /// See [`TelemetrySink::counter_set`].
+    /// Sets a counter to an absolute value (for publishing totals
+    /// accumulated elsewhere, e.g. the sim's event count).
     pub fn counter_set(&self, name: &'static str, label: &str, value: u64) {
-        if let Some(s) = &self.sink {
-            s.counter_set(name, label, value);
+        if let Some(r) = &self.rec {
+            r.counter_set(name, label, value);
         }
     }
 
-    /// See [`TelemetrySink::gauge_set`].
+    /// Sets a gauge.
     pub fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
-        if let Some(s) = &self.sink {
-            s.gauge_set(name, label, value);
+        if let Some(r) = &self.rec {
+            r.gauge_set(name, label, value);
         }
     }
 
-    /// See [`TelemetrySink::gauge_max`].
+    /// Raises a gauge to `value` if it is below it (high-water marks).
     pub fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
-        if let Some(s) = &self.sink {
-            s.gauge_max(name, label, value);
+        if let Some(r) = &self.rec {
+            r.gauge_max(name, label, value);
         }
     }
 
-    /// See [`TelemetrySink::observe`].
+    /// Records `value` into a histogram with fixed bucket `bounds`.
     pub fn observe(&self, name: &'static str, label: &str, bounds: &'static [u64], value: u64) {
-        if let Some(s) = &self.sink {
-            s.observe(name, label, bounds, value);
+        if let Some(r) = &self.rec {
+            r.observe(name, label, bounds, value);
         }
     }
 
-    /// See [`TelemetrySink::span_start`].
+    /// Opens a span at `at`; returns its id ([`SpanId::NONE`] when
+    /// disabled). `parent` nests it under an open span.
     pub fn span_start(
         &self,
         name: &'static str,
@@ -282,38 +184,15 @@ impl Telemetry {
         parent: SpanId,
         at: TelTime,
     ) -> SpanId {
-        match &self.sink {
-            Some(s) => s.span_start(name, label, parent, at),
-            None => SpanId::NONE,
-        }
+        self.span_start_remote(name, label, parent, 0, 0, at)
     }
 
-    /// See [`TelemetrySink::span_end`].
-    pub fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
-        if let Some(s) = &self.sink {
-            s.span_end(span, detail, at);
-        }
-    }
-
-    /// See [`TelemetrySink::event`].
-    pub fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
-        if let Some(s) = &self.sink {
-            s.event(name, detail, parent, at);
-        }
-    }
-
-    /// See [`TelemetrySink::work`]. Zero amounts are elided: they
-    /// carry no cost information and would only bloat the trace.
-    pub fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
-        if amount == 0 {
-            return;
-        }
-        if let Some(s) = &self.sink {
-            s.work(span, unit, amount, at);
-        }
-    }
-
-    /// See [`TelemetrySink::span_start_remote`].
+    /// Opens a span that participates in a *distributed* trace.
+    ///
+    /// `trace_id` names the trace; `remote_parent` is the span id in
+    /// the remote process that caused this one (0 when this process
+    /// owns the trace — e.g. a client-side RPC span). `parent` still
+    /// nests the span locally.
     pub fn span_start_remote(
         &self,
         name: &'static str,
@@ -323,20 +202,46 @@ impl Telemetry {
         remote_parent: u64,
         at: TelTime,
     ) -> SpanId {
-        match &self.sink {
-            Some(s) => s.span_start_remote(name, label, parent, trace_id, remote_parent, at),
+        match &self.rec {
+            Some(r) => r.span_start_remote(name, label, parent, trace_id, remote_parent, at),
             None => SpanId::NONE,
         }
     }
 
-    /// See [`TelemetrySink::exposition`].
-    pub fn exposition(&self) -> Option<String> {
-        self.sink.as_ref().and_then(|s| s.exposition())
+    /// Closes a span at `at`, attaching a free-form result `detail`.
+    pub fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
+        if let Some(r) = &self.rec {
+            r.span_end(span, detail, at);
+        }
     }
 
-    /// See [`TelemetrySink::trace_tail`].
+    /// Records a point event at `at`, optionally parented to a span.
+    pub fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
+        if let Some(r) = &self.rec {
+            r.event(name, detail, parent, at);
+        }
+    }
+
+    /// Attributes `amount` units of logical work (observations,
+    /// bytes, sim events, ...) to an open span. This is the
+    /// profiler's raw material: folded stacks sum `work` records by
+    /// the span path they landed on. Zero amounts are elided: they
+    /// carry no cost information and would only bloat the trace.
+    pub fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
+        if let Some(r) = &self.rec {
+            r.work(span, unit, amount, at);
+        }
+    }
+
+    /// A point-in-time metrics exposition (`None` when disabled).
+    pub fn exposition(&self) -> Option<String> {
+        self.rec.as_ref().map(|r| r.expose())
+    }
+
+    /// The most recent `n` trace events plus the ring's drop count
+    /// (`None` when disabled).
     pub fn trace_tail(&self, n: usize) -> Option<(Vec<TraceEvent>, u64)> {
-        self.sink.as_ref().and_then(|s| s.trace_tail(n))
+        self.rec.as_ref().map(|r| r.trace_tail(n))
     }
 }
 
@@ -383,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn debug_impl_reports_state_not_sink() {
+    fn debug_impl_reports_state_not_recorder() {
         let t = Telemetry::noop();
         assert_eq!(format!("{t:?}"), "Telemetry { enabled: false }");
     }

@@ -4,7 +4,7 @@
 //! answers "where did the *work* go" — work being logical units the
 //! sim already counts (sim events, frames, observations, merge ops,
 //! WAL bytes, fsyncs). Instrumented code attributes work to its open
-//! span via [`crate::TelemetrySink::work`]; the folder charges each
+//! span via [`crate::Telemetry::work`]; the folder charges each
 //! amount to the span's full ancestry path. The output is the classic
 //! flamegraph "folded" format, one line per stack:
 //!

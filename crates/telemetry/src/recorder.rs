@@ -1,11 +1,12 @@
-//! The in-memory recording sink: a [`Registry`] plus a [`TraceBuffer`]
-//! behind one mutex, implementing [`TelemetrySink`].
+//! The in-memory recorder: a [`Registry`] plus a [`TraceBuffer`] behind
+//! one mutex. Instrumented code reaches it through a
+//! [`crate::Telemetry`] handle, which documents the recording methods.
 
 use std::sync::{Mutex, MutexGuard};
 
 use crate::metrics::Registry;
 use crate::trace::{TraceBuffer, TraceEvent};
-use crate::{SpanId, TelTime, TelemetrySink};
+use crate::{SpanId, TelTime};
 
 struct Inner {
     registry: Registry,
@@ -124,32 +125,35 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-impl TelemetrySink for Recorder {
-    fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
+/// The recording half of every [`crate::Telemetry`] method.
+impl Recorder {
+    pub(crate) fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
         self.lock().registry.counter_add(name, label, delta);
     }
 
-    fn counter_set(&self, name: &'static str, label: &str, value: u64) {
+    pub(crate) fn counter_set(&self, name: &'static str, label: &str, value: u64) {
         self.lock().registry.counter_set(name, label, value);
     }
 
-    fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
+    pub(crate) fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
         self.lock().registry.gauge_set(name, label, value);
     }
 
-    fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
+    pub(crate) fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
         self.lock().registry.gauge_max(name, label, value);
     }
 
-    fn observe(&self, name: &'static str, label: &str, bounds: &'static [u64], value: u64) {
+    pub(crate) fn observe(
+        &self,
+        name: &'static str,
+        label: &str,
+        bounds: &'static [u64],
+        value: u64,
+    ) {
         self.lock().registry.observe(name, label, bounds, value);
     }
 
-    fn span_start(&self, name: &'static str, label: &str, parent: SpanId, at: TelTime) -> SpanId {
-        self.span_start_remote(name, label, parent, 0, 0, at)
-    }
-
-    fn span_start_remote(
+    pub(crate) fn span_start_remote(
         &self,
         name: &'static str,
         label: &str,
@@ -173,7 +177,7 @@ impl TelemetrySink for Recorder {
         SpanId(id)
     }
 
-    fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
+    pub(crate) fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
         if !span.is_real() {
             return;
         }
@@ -189,7 +193,7 @@ impl TelemetrySink for Recorder {
         });
     }
 
-    fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
+    pub(crate) fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
         self.lock().trace.push(TraceEvent {
             at: at.0,
             kind: "event".to_string(),
@@ -202,7 +206,7 @@ impl TelemetrySink for Recorder {
         });
     }
 
-    fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
+    pub(crate) fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
         if amount == 0 {
             return;
         }
@@ -218,13 +222,9 @@ impl TelemetrySink for Recorder {
         });
     }
 
-    fn exposition(&self) -> Option<String> {
-        Some(self.expose())
-    }
-
-    fn trace_tail(&self, n: usize) -> Option<(Vec<TraceEvent>, u64)> {
+    pub(crate) fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
         let inner = self.lock();
-        Some((inner.trace.tail(n), inner.trace.dropped()))
+        (inner.trace.tail(n), inner.trace.dropped())
     }
 }
 
@@ -235,11 +235,11 @@ mod tests {
 
     #[test]
     fn records_spans_with_nesting() {
-        let rec = Recorder::new();
-        let root = rec.span_start("driver.pump", "cycle=1", SpanId::NONE, TelTime(10));
-        let child = rec.span_start("driver.correlate", "", root, TelTime(11));
-        rec.span_end(child, "links=2", TelTime(12));
-        rec.span_end(root, "ok", TelTime(13));
+        let (t, rec) = crate::Telemetry::recording();
+        let root = t.span_start("driver.pump", "cycle=1", SpanId::NONE, TelTime(10));
+        let child = t.span_start("driver.correlate", "", root, TelTime(11));
+        t.span_end(child, "links=2", TelTime(12));
+        t.span_end(root, "ok", TelTime(13));
         rec.with_trace(|t| {
             let evs: Vec<_> = t.iter().cloned().collect();
             assert_eq!(evs.len(), 4);
@@ -308,24 +308,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_tail_and_exposition_through_sink_interface() {
-        let rec = Recorder::new();
-        rec.counter_add("fremont_test_total", "", 1);
-        rec.event("a", "", SpanId::NONE, TelTime(1));
-        rec.event("b", "", SpanId::NONE, TelTime(2));
-        let (tail, dropped) = rec.trace_tail(1).unwrap();
+    fn trace_tail_and_exposition_through_the_handle() {
+        let (t, _rec) = crate::Telemetry::recording();
+        t.counter_add("fremont_test_total", "", 1);
+        t.event("a", "", SpanId::NONE, TelTime(1));
+        t.event("b", "", SpanId::NONE, TelTime(2));
+        let (tail, dropped) = t.trace_tail(1).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].name, "b");
-        assert!(rec.exposition().unwrap().contains("fremont_test_total"));
+        assert!(t.exposition().unwrap().contains("fremont_test_total"));
+        let off = crate::Telemetry::noop();
+        assert!(off.trace_tail(1).is_none() && off.exposition().is_none());
     }
 
     #[test]
     fn folded_profile_from_ring() {
-        let rec = Recorder::new();
-        let s = rec.span_start("driver.pump", "", SpanId::NONE, TelTime(1));
-        rec.work(s, "observations", 4, TelTime(2));
-        rec.span_end(s, "", TelTime(3));
+        let (t, rec) = crate::Telemetry::recording();
+        let s = t.span_start("driver.pump", "", SpanId::NONE, TelTime(1));
+        t.work(s, "observations", 4, TelTime(2));
+        t.span_end(s, "", TelTime(3));
         assert_eq!(rec.folded_profile(), "observations;driver.pump 4\n");
     }
 

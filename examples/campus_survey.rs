@@ -43,6 +43,14 @@ use fremont::netsim::time::SimDuration;
 use fremont::telemetry::Telemetry;
 
 fn main() {
+    run(std::env::args().skip(1));
+}
+
+/// The whole example, over explicit arguments: `tests/golden_16h.rs`
+/// includes this file and calls it, so the goldens are checked against
+/// this code path itself (the exposition counts the read locks the
+/// queries below take), not a copy of it.
+pub fn run(args: impl IntoIterator<Item = String>) {
     let mut metrics_file: Option<PathBuf> = None;
     let mut trace_file: Option<PathBuf> = None;
     let mut faults_file: Option<PathBuf> = None;
@@ -50,7 +58,7 @@ fn main() {
     let mut watch = false;
     let mut hours: u64 = 24;
     let mut seed: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--metrics-file" => metrics_file = args.next().map(PathBuf::from),
@@ -186,12 +194,12 @@ fn main() {
             "\nFaults injected: {} applied ({} crashes, {} reboots, {} gateway deaths, \
              {} partitions, {} heals, {} degrades), {} unresolved, {} frames dropped.",
             f.total(),
-            f.node_crashes,
-            f.node_reboots,
-            f.gateway_deaths,
-            f.partitions,
-            f.heals,
-            f.degrades,
+            f.applied("node_crash"),
+            f.applied("node_reboot"),
+            f.applied("gateway_death"),
+            f.applied("partition"),
+            f.applied("heal"),
+            f.applied("degrade"),
             f.unresolved,
             f.frames_dropped
         );

@@ -86,7 +86,7 @@ fn injected_duplicate_ip_is_rediscovered() {
     );
     let mut system = Fremont::over_campus(&cfg);
     system.explore(SimDuration::from_hours(14)).unwrap();
-    assert_eq!(system.driver.sim.fault_stats.duplicate_ips, 1);
+    assert_eq!(system.driver.sim.fault_stats.applied("duplicate_ip"), 1);
     let report = system.problems(4 * 86400, 3600);
     assert!(
         report.duplicates.iter().any(|c| c.ip
@@ -114,7 +114,7 @@ fn dead_gateway_becomes_a_stale_route() {
         .driver
         .set_max_module_runtime(Some(SimDuration::from_hours(2)));
     system.explore(SimDuration::from_hours(54)).unwrap();
-    assert_eq!(system.driver.sim.fault_stats.gateway_deaths, 1);
+    assert_eq!(system.driver.sim.fault_stats.applied("gateway_death"), 1);
     let report = system.problems(86400, 3600);
     let cs_gw_ip: std::net::Ipv4Addr = "128.138.243.1".parse().unwrap();
     assert!(
@@ -148,7 +148,7 @@ fn partitioned_segment_goes_silent() {
     system.explore(SimDuration::from_hours(48)).unwrap();
 
     let stats = system.driver.sim.fault_stats;
-    assert_eq!(stats.partitions, 1);
+    assert_eq!(stats.applied("partition"), 1);
     assert!(stats.frames_dropped > 0, "the cut wire swallowed frames");
 
     let report = system.problems(86400, 3600);
@@ -178,8 +178,8 @@ fn healed_partition_recovers_and_is_not_silent() {
     system.explore(SimDuration::from_hours(48)).unwrap();
 
     let stats = system.driver.sim.fault_stats;
-    assert_eq!(stats.partitions, 1);
-    assert_eq!(stats.heals, 1);
+    assert_eq!(stats.applied("partition"), 1);
+    assert_eq!(stats.applied("heal"), 1);
 
     let report = system.problems(86400, 3600);
     assert!(
@@ -207,7 +207,7 @@ fn injected_wrong_mask_is_rediscovered() {
     );
     let mut system = Fremont::over_campus(&cfg);
     system.explore(SimDuration::from_hours(14)).unwrap();
-    assert_eq!(system.driver.sim.fault_stats.wrong_masks, 1);
+    assert_eq!(system.driver.sim.fault_stats.applied("wrong_mask"), 1);
     let report = system.problems(4 * 86400, 3600);
     assert!(
         report
@@ -232,7 +232,7 @@ fn clock_skewed_reporter_poisons_the_journal_and_is_flagged() {
     );
     let mut system = Fremont::over_campus(&cfg);
     system.explore(SimDuration::from_hours(12)).unwrap();
-    assert_eq!(system.driver.sim.fault_stats.clock_skews, 1);
+    assert_eq!(system.driver.sim.fault_stats.applied("clock_skew"), 1);
     let report = system.problems(4 * 86400, 3600);
     assert!(
         !report.clock_skew.is_empty(),
@@ -259,7 +259,7 @@ fn crashed_host_goes_stale() {
     );
     let mut system = Fremont::over_campus(&cfg);
     system.explore(SimDuration::from_hours(36)).unwrap();
-    assert_eq!(system.driver.sim.fault_stats.node_crashes, 1);
+    assert_eq!(system.driver.sim.fault_stats.applied("node_crash"), 1);
     let report = system.problems(8 * 3600, 3600);
     let piper = report
         .stale
@@ -284,8 +284,8 @@ fn rebooted_host_recovers_and_is_not_stale() {
     let mut system = Fremont::over_campus(&cfg);
     system.explore(SimDuration::from_hours(36)).unwrap();
     let stats = system.driver.sim.fault_stats;
-    assert_eq!(stats.node_crashes, 1);
-    assert_eq!(stats.node_reboots, 1);
+    assert_eq!(stats.applied("node_crash"), 1);
+    assert_eq!(stats.applied("node_reboot"), 1);
     let report = system.problems(8 * 3600, 3600);
     assert!(
         !report
@@ -313,8 +313,8 @@ fn degraded_segment_slows_discovery_but_never_wedges_it() {
         .set_max_module_runtime(Some(SimDuration::from_hours(2)));
     system.explore(SimDuration::from_hours(24)).unwrap();
     let stats = system.driver.sim.fault_stats;
-    assert_eq!(stats.degrades, 1);
-    assert_eq!(stats.degrade_clears, 1);
+    assert_eq!(stats.applied("degrade"), 1);
+    assert_eq!(stats.applied("clear_degrade"), 1);
     // Discovery still produced a healthy map of the CS subnet...
     let cs = system
         .journal
