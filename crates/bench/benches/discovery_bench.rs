@@ -8,6 +8,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use fremont_core::correlate::correlate;
+use fremont_core::Fremont;
 use fremont_explorers::{
     BrdcastPing, BrdcastPingConfig, SeqPing, SeqPingConfig, Traceroute, TracerouteConfig,
 };
@@ -101,5 +103,23 @@ fn bench_traceroute_budget(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_seq_vs_broadcast, bench_traceroute_budget);
+/// What a draining pump pays for cross-correlation: `correlate` over the
+/// journal a 2-hour survey of the default campus (seed 1993) leaves —
+/// 545 interface records, 30 shared names and no shared MAC.
+fn bench_correlate(c: &mut Criterion) {
+    let mut f = Fremont::over_campus(&CampusConfig::default());
+    f.explore(SimDuration::from_hours(2)).expect("in-memory");
+    let mut g = c.benchmark_group("correlate");
+    g.bench_function("campus_2h", |b| {
+        b.iter(|| black_box(f.journal.read(correlate)).len())
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_seq_vs_broadcast,
+    bench_traceroute_budget,
+    bench_correlate
+);
 criterion_main!(benches);

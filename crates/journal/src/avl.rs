@@ -10,6 +10,7 @@
 //! The implementation is recursive over `Box` nodes, fully safe, and
 //! property-tested against `BTreeMap` in `tests/prop_avl.rs`.
 
+use core::borrow::Borrow;
 use core::cmp::Ordering;
 use core::fmt;
 use std::ops::Bound;
@@ -77,11 +78,17 @@ impl<K: Ord, V> AvlMap<K, V> {
         old
     }
 
-    /// Looks up a value by key.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Looks up a value by key, or by any borrowed form of it that
+    /// orders the same way (a `&str` for a `String` key), as `BTreeMap`
+    /// does.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let mut cur = self.root.as_deref();
         while let Some(n) = cur {
-            match key.cmp(&n.key) {
+            match key.cmp(n.key.borrow()) {
                 Ordering::Less => cur = n.left.as_deref(),
                 Ordering::Greater => cur = n.right.as_deref(),
                 Ordering::Equal => return Some(&n.value),
@@ -91,10 +98,14 @@ impl<K: Ord, V> AvlMap<K, V> {
     }
 
     /// Looks up a value mutably by key.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let mut cur = self.root.as_deref_mut();
         while let Some(n) = cur {
-            match key.cmp(&n.key) {
+            match key.cmp(n.key.borrow()) {
                 Ordering::Less => cur = n.left.as_deref_mut(),
                 Ordering::Greater => cur = n.right.as_deref_mut(),
                 Ordering::Equal => return Some(&mut n.value),
@@ -109,7 +120,11 @@ impl<K: Ord, V> AvlMap<K, V> {
     }
 
     /// Removes a key, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let root = self.root.take();
         let (new_root, removed) = remove_rec(root, key);
         self.root = new_root;
@@ -321,10 +336,14 @@ fn take_min<K: Ord, V>(mut n: Box<Node<K, V>>) -> (Link<K, V>, Box<Node<K, V>>) 
     (Some(rebalance(n)), min)
 }
 
-fn remove_rec<K: Ord, V>(link: Link<K, V>, key: &K) -> (Link<K, V>, Option<V>) {
+fn remove_rec<K, V, Q>(link: Link<K, V>, key: &Q) -> (Link<K, V>, Option<V>)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ?Sized,
+{
     match link {
         None => (None, None),
-        Some(mut n) => match key.cmp(&n.key) {
+        Some(mut n) => match key.cmp(n.key.borrow()) {
             Ordering::Less => {
                 let (l, removed) = remove_rec(n.left.take(), key);
                 n.left = l;

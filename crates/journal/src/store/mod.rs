@@ -31,6 +31,7 @@
 mod indexes;
 mod stats;
 
+pub use indexes::{SharedKeys, SharedMember};
 pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
 use std::collections::HashMap;
@@ -168,9 +169,7 @@ impl Store {
     }
 
     fn name_ids(&self, name: &str) -> &[InterfaceId] {
-        self.idx_name
-            .get(&name.to_owned())
-            .map_or(&[], Vec::as_slice)
+        self.idx_name.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// Moves `id` to the end of the modification order at time `now`.
@@ -727,7 +726,7 @@ impl Store {
             indexes::remove(&mut self.idx_mac, &mac, id);
         }
         if let Some(name) = rec.dns_name() {
-            indexes::remove(&mut self.idx_name, &name.to_owned(), id);
+            indexes::remove(&mut self.idx_name, name, id);
         }
         if let Some(key) = self.mod_keys.remove(&id.0) {
             self.idx_modified.remove(&key);
@@ -817,6 +816,20 @@ impl Journal {
             .filter(|r| q.matches(r))
             .cloned()
             .collect()
+    }
+
+    /// The Ethernet addresses and DNS names carried by two or more
+    /// interface records, with those records' ids, addresses and
+    /// subnets — what cross-correlation asks of the Journal. The MAC
+    /// and name indexes are walked under the one read guard and the
+    /// members read from the records in place (no record is cloned), so
+    /// both halves of the answer are a single state of the store.
+    pub fn shared_keys(&self) -> SharedKeys {
+        let st = self.begin_read();
+        SharedKeys {
+            by_mac: indexes::shared(&st.idx_mac, &st.records),
+            by_name: indexes::shared(&st.idx_name, &st.records),
+        }
     }
 
     // ------------------------------------------------------------------

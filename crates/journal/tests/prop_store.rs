@@ -1,13 +1,14 @@
 //! Property tests over the Journal store's merge semantics.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use fremont_journal::observation::{Fact, Observation, Source};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
-use fremont_journal::store::{Journal, StoreSummary};
+use fremont_journal::store::{Journal, SharedMember, StoreSummary};
 use fremont_journal::time::JTime;
-use fremont_net::MacAddr;
+use fremont_net::{MacAddr, SubnetMask};
 
 fn arb_source() -> impl Strategy<Value = Source> {
     prop_oneof![
@@ -75,8 +76,86 @@ fn arb_mixed_obs() -> impl Strategy<Value = Observation> {
     ]
 }
 
+/// One step of a history for the `shared_keys` property.
+#[derive(Debug, Clone)]
+enum Step {
+    Apply(Observation),
+    /// Delete the record at this position (modulo the count) of the
+    /// id-ordered listing.
+    Delete(usize),
+}
+
+/// The mixed vocabulary, plus masks (so members have subnets), interface
+/// facts with any mix of identifying fields (so names move between
+/// records, and MAC-only and name-only records exist) and deletes.
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_mixed_obs().prop_map(Step::Apply),
+        (arb_ip(), 0u8..2).prop_map(|(ip, wide)| {
+            let mask = SubnetMask::from_prefix_len(if wide == 0 { 30 } else { 24 }).unwrap();
+            Step::Apply(Observation::mask(Source::SubnetMasks, ip, mask))
+        }),
+        (
+            arb_source(),
+            proptest::option::of(arb_ip()),
+            arb_mac(),
+            proptest::option::of(0u8..4)
+        )
+            .prop_map(|(src, ip, mac, n)| {
+                let fact = Fact::Interface {
+                    ip,
+                    mac,
+                    name: n.map(|n| format!("host-{n}")),
+                    mask: None,
+                };
+                Step::Apply(Observation::new(src, fact))
+            }),
+        (0usize..64).prop_map(Step::Delete),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `shared_keys` is the full listing grouped by MAC and by name with
+    /// the groups of two or more kept — keys ascending, members in id
+    /// order — after every step of every history.
+    #[test]
+    fn shared_keys_equal_grouping_the_full_listing(
+        steps in proptest::collection::vec(arb_step(), 1..100),
+    ) {
+        let j = Journal::new();
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Apply(o) => {
+                    j.apply(o, JTime(i as u64));
+                }
+                Step::Delete(k) => {
+                    let all = j.get_interfaces(&InterfaceQuery::all());
+                    if !all.is_empty() {
+                        prop_assert!(j.delete_interface(all[k % all.len()].id));
+                    }
+                }
+            }
+            let mut by_mac: BTreeMap<MacAddr, Vec<SharedMember>> = BTreeMap::new();
+            let mut by_name: BTreeMap<String, Vec<SharedMember>> = BTreeMap::new();
+            for r in j.get_interfaces(&InterfaceQuery::all()) {
+                let member = SharedMember { id: r.id, ip: r.ip_addr(), subnet: r.subnet() };
+                if let Some(mac) = r.mac_addr() {
+                    by_mac.entry(mac).or_default().push(member);
+                }
+                if let Some(name) = r.dns_name() {
+                    by_name.entry(name.to_owned()).or_default().push(member);
+                }
+            }
+            by_mac.retain(|_, members| members.len() >= 2);
+            by_name.retain(|_, members| members.len() >= 2);
+            let shared = j.shared_keys();
+            prop_assert_eq!(shared.by_mac, by_mac.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(shared.by_name, by_name.into_iter().collect::<Vec<_>>());
+            j.check_invariants().unwrap();
+        }
+    }
 
     /// The batched write path is equivalent to one-at-a-time applies:
     /// the same observations, chunked arbitrarily and applied through
