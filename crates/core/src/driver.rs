@@ -10,7 +10,7 @@
 //! timestamps, and the manager decides what runs next based on Journal
 //! contents.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -120,7 +120,7 @@ pub struct DiscoveryDriver {
     cfg: DriverConfig,
     home: NodeId,
     backend: Backend,
-    running: HashMap<Source, RunningModule>,
+    running: BTreeMap<Source, RunningModule>,
     loads: BTreeMap<Source, ModuleLoad>,
     pump_cycle: u64,
     module_timeouts: u64,
@@ -137,17 +137,30 @@ impl DiscoveryDriver {
     /// Creates a driver running modules on `home`, storing into the
     /// given in-memory journal (ignores `cfg.persistence`; use
     /// [`DiscoveryDriver::open`] for durable deployments).
-    pub fn new(mut sim: Sim, journal: SharedJournal, home: NodeId, cfg: DriverConfig) -> Self {
+    pub fn new(sim: Sim, journal: SharedJournal, home: NodeId, cfg: DriverConfig) -> Self {
+        Self::start(sim, journal, home, cfg, Backend::InMemory, None)
+    }
+
+    /// The one place a driver is put together: attaches the telemetry
+    /// sink to the simulator and publishes the startup dump.
+    fn start(
+        mut sim: Sim,
+        journal: SharedJournal,
+        home: NodeId,
+        cfg: DriverConfig,
+        backend: Backend,
+        recovery: Option<RecoveryReport>,
+    ) -> Self {
         sim.set_telemetry(cfg.telemetry.clone());
         let driver = DiscoveryDriver {
             sim,
             journal,
             manager: DiscoveryManager::new(),
-            recovery: None,
+            recovery,
             cfg,
             home,
-            backend: Backend::InMemory,
-            running: HashMap::new(),
+            backend,
+            running: BTreeMap::new(),
             loads: BTreeMap::new(),
             pump_cycle: 0,
             module_timeouts: 0,
@@ -161,30 +174,16 @@ impl DiscoveryDriver {
     /// subsequent observation is logged before it is applied; a
     /// snapshot path is loaded if present and rewritten at flush
     /// points; in-memory starts empty.
-    pub fn open(mut sim: Sim, home: NodeId, cfg: DriverConfig) -> std::io::Result<Self> {
-        sim.set_telemetry(cfg.telemetry.clone());
-        if let Some(addr) = &cfg.remote_journal {
-            let client = RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), cfg.trace_id)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            let driver = DiscoveryDriver {
-                sim,
-                journal: SharedJournal::new(),
-                manager: DiscoveryManager::new(),
-                recovery: None,
-                cfg,
-                home,
-                backend: Backend::Remote(client),
-                running: HashMap::new(),
-                loads: BTreeMap::new(),
-                pump_cycle: 0,
-                module_timeouts: 0,
-            };
-            driver.publish_startup();
-            return Ok(driver);
-        }
-        let (journal, backend, recovery) = match &cfg.persistence {
-            PersistencePolicy::InMemory => (SharedJournal::new(), Backend::InMemory, None),
-            PersistencePolicy::SnapshotOnly { path } => {
+    pub fn open(sim: Sim, home: NodeId, cfg: DriverConfig) -> std::io::Result<Self> {
+        let (journal, backend, recovery) = match (&cfg.remote_journal, &cfg.persistence) {
+            (Some(addr), _) => {
+                let client =
+                    RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), cfg.trace_id)
+                        .map_err(|e| std::io::Error::other(e.to_string()))?;
+                (SharedJournal::new(), Backend::Remote(client), None)
+            }
+            (None, PersistencePolicy::InMemory) => (SharedJournal::new(), Backend::InMemory, None),
+            (None, PersistencePolicy::SnapshotOnly { path }) => {
                 let journal = if path.exists() {
                     SharedJournal::from_journal(JournalSnapshot::load(path)?.restore())
                 } else {
@@ -192,7 +191,7 @@ impl DiscoveryDriver {
                 };
                 (journal, Backend::Snapshot { path: path.clone() }, None)
             }
-            PersistencePolicy::Wal(wal_cfg) => {
+            (None, PersistencePolicy::Wal(wal_cfg)) => {
                 // Recovery publishes its report into the sink itself.
                 let (durable, report) =
                     DurableJournal::open_with_telemetry(wal_cfg.clone(), cfg.telemetry.clone())?;
@@ -200,21 +199,7 @@ impl DiscoveryDriver {
                 (journal, Backend::Wal(durable), Some(report))
             }
         };
-        let driver = DiscoveryDriver {
-            sim,
-            journal,
-            manager: DiscoveryManager::new(),
-            recovery,
-            cfg,
-            home,
-            backend,
-            running: HashMap::new(),
-            loads: BTreeMap::new(),
-            pump_cycle: 0,
-            module_timeouts: 0,
-        };
-        driver.publish_startup();
-        Ok(driver)
+        Ok(Self::start(sim, journal, home, cfg, backend, recovery))
     }
 
     /// Startup telemetry dump: the journal's opening statistics (what
@@ -366,10 +351,8 @@ impl DiscoveryDriver {
         // forcibly retire wedged ones so one unreachable target cannot
         // stall the whole schedule (graceful degradation under faults).
         let retire_span = tel.span_start("driver.retire", "", root, at);
-        // Sort: `running` is a HashMap, and retirement order is visible
-        // in the trace — it must not depend on hasher seeds.
         let now_sim = self.sim.now();
-        let mut finished: Vec<(Source, bool)> = self
+        let finished: Vec<(Source, bool)> = self
             .running
             .iter()
             .filter_map(|(s, m)| {
@@ -386,7 +369,6 @@ impl DiscoveryDriver {
                 }
             })
             .collect();
-        finished.sort();
         let retired_count = finished.len();
         for (source, timed_out) in finished {
             if timed_out {
@@ -474,11 +456,8 @@ impl DiscoveryDriver {
         let stats = self.sim.proc_stats(m.handle);
         let elapsed = self.sim.now().since(m.started);
         let load = self.loads.entry(source).or_default();
+        load.add_run(stats, elapsed);
         load.completed_runs += 1;
-        load.packets_sent += stats.packets_sent;
-        load.packets_received += stats.packets_received;
-        load.frames_tapped += stats.frames_tapped;
-        load.busy = load.busy + elapsed;
         load.last_completion = Some(elapsed);
         self.sim.kill_process(m.handle);
         let tel = &self.cfg.telemetry;
@@ -508,13 +487,11 @@ impl DiscoveryDriver {
     pub fn load_report(&self) -> ModuleLoadReport {
         let mut loads = self.loads.clone();
         for (source, m) in &self.running {
-            let stats = self.sim.proc_stats(m.handle);
             let elapsed = self.sim.now().since(m.started);
-            let load = loads.entry(*source).or_default();
-            load.packets_sent += stats.packets_sent;
-            load.packets_received += stats.packets_received;
-            load.frames_tapped += stats.frames_tapped;
-            load.busy = load.busy + elapsed;
+            loads
+                .entry(*source)
+                .or_default()
+                .add_run(self.sim.proc_stats(m.handle), elapsed);
         }
         ModuleLoadReport::new(&loads)
     }
@@ -703,48 +680,6 @@ impl DiscoveryDriver {
         };
         Some(handle)
     }
-
-    /// Convenience access for experiments: run one specific module to
-    /// completion (or until `timeout`), pumping observations; other
-    /// scheduling is suspended. Returns the accumulated store summary.
-    pub fn run_single(
-        &mut self,
-        source: Source,
-        timeout: SimDuration,
-    ) -> Option<(ProcHandle, StoreSummary)> {
-        let handle = self.spawn_module(source)?;
-        self.track_start(source, handle);
-        self.manager
-            .mark_started(source, self.sim.now().to_jtime(), None);
-        let deadline = self.sim.now() + timeout;
-        while self.sim.now() < deadline {
-            let slice = self.cfg.pump_interval.min(deadline - self.sim.now());
-            self.sim.run_for(slice);
-            // Pump observations only (no new spawns), batched like pump().
-            let at = TelTime(self.sim.now().as_micros());
-            let groups = group_drained(self.sim.drain_observations());
-            for (h, batches) in &groups {
-                let s = self.store_batched(batches, SpanId::NONE, at);
-                if *h == handle {
-                    if let Some(m) = self.running.get_mut(&source) {
-                        m.stored.absorb(s);
-                    }
-                }
-            }
-            if self.sim.process_done(handle) {
-                break;
-            }
-        }
-        let stored = self.running.get(&source).map(|m| m.stored)?;
-        // Retire the process like pump() does, so its taps and timer chain
-        // do not linger in the simulator.
-        let at = TelTime(self.sim.now().as_micros());
-        self.retire(source, at, SpanId::NONE);
-        if self.cfg.telemetry.enabled() {
-            self.publish_metrics();
-        }
-        Some((handle, stored))
-    }
 }
 
 /// Groups a drain in order: consecutive observations from the same
@@ -804,12 +739,13 @@ mod tests {
             sim,
             journal.clone(),
             home,
-            DriverConfig::full(network, None),
+            DriverConfig {
+                enabled: vec![Source::SeqPing],
+                ..DriverConfig::full(network, None)
+            },
         );
-        let (_, stored) = driver
-            .run_single(Source::SeqPing, SimDuration::from_mins(20))
-            .unwrap();
-        assert!(stored.created >= 2, "{stored:?}");
+        driver.run_for(SimDuration::from_mins(20)).unwrap();
+        assert!(driver.manager.schedule(Source::SeqPing).unwrap().runs >= 1);
         let stats = journal.stats().unwrap();
         assert!(stats.interfaces >= 2);
     }

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use fremont_journal::observation::Source;
+use fremont_netsim::stats::ProcStats;
 use fremont_netsim::time::SimDuration;
 
 use crate::registry::info_for;
@@ -34,6 +35,15 @@ pub struct ModuleLoad {
 }
 
 impl ModuleLoad {
+    /// Folds one run's packet counters and its sim time so far into the
+    /// totals — at retirement, or live for a module still running.
+    pub(crate) fn add_run(&mut self, stats: ProcStats, elapsed: SimDuration) {
+        self.packets_sent += stats.packets_sent;
+        self.packets_received += stats.packets_received;
+        self.frames_tapped += stats.frames_tapped;
+        self.busy = self.busy + elapsed;
+    }
+
     /// Whether the module has observably touched the network (sent,
     /// received, or tapped at least one packet).
     pub fn active(&self) -> bool {

@@ -7,28 +7,32 @@
 
 use std::fmt::Write as _;
 
-use fremont_journal::query::{InterfaceQuery, SubnetQuery};
+use fremont_journal::query::InterfaceQuery;
 use fremont_journal::records::InterfaceId;
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
 use fremont_net::Subnet;
 
-/// Program 1: the raw Journal dump.
+/// Program 1: the raw Journal dump — one snapshot, so the header counts
+/// the very records listed under it.
 pub fn dump(journal: &Journal) -> String {
     let mut out = String::new();
-    let stats = journal.stats();
+    let snap = journal.to_snapshot();
     let _ = writeln!(
         out,
         "JOURNAL DUMP: {} interfaces, {} gateways, {} subnets ({} observations applied)",
-        stats.interfaces, stats.gateways, stats.subnets, stats.observations_applied
+        snap.interfaces.len(),
+        snap.gateways.len(),
+        snap.subnets.len(),
+        snap.observations_applied
     );
-    for r in journal.get_interfaces(&InterfaceQuery::all()) {
+    for r in &snap.interfaces {
         let _ = writeln!(out, "interface {:?}: {r:?}", r.id);
     }
-    for g in journal.get_gateways() {
+    for g in &snap.gateways {
         let _ = writeln!(out, "gateway {:?}: {g:?}", g.id);
     }
-    for s in journal.get_subnets(&SubnetQuery::all()) {
+    for s in &snap.subnets {
         let _ = writeln!(out, "subnet {}: {s:?}", s.subnet);
     }
     out
@@ -226,6 +230,16 @@ mod tests {
         let d = dump(&j);
         assert!(d.contains("2 interfaces"));
         assert!(d.contains("0 subnets"), "{d}");
+    }
+
+    #[test]
+    fn one_dump_reads_the_store_once() {
+        let j = populated();
+        let read_locks = |j: &Journal| j.sharding_metrics().shards[0].read_locks;
+        let before = read_locks(&j);
+        dump(&j);
+        // The other lock counted is the closing `sharding_metrics`' own.
+        assert_eq!(read_locks(&j), before + 1 + 1);
     }
 
     #[test]

@@ -109,10 +109,6 @@ impl Process for ArpWatch {
             self.record(arp.target_ip, arp.target_mac, ctx);
         }
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

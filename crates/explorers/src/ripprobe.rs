@@ -186,10 +186,6 @@ impl Process for RipProbe {
     fn done(&self) -> bool {
         self.finished
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

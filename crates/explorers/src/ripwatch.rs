@@ -245,10 +245,6 @@ impl Process for RipWatch {
     fn done(&self) -> bool {
         self.finished
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

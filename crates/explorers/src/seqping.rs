@@ -145,10 +145,6 @@ impl Process for SeqPing {
     fn done(&self) -> bool {
         self.finished
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

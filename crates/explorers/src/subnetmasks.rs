@@ -126,10 +126,6 @@ impl Process for SubnetMasks {
     fn done(&self) -> bool {
         self.finished
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

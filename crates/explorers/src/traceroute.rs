@@ -465,10 +465,6 @@ impl Process for Traceroute {
     fn done(&self) -> bool {
         self.finished
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,15 @@
 //! "The Journal Server maintains an in-memory representation of the
 //! Journal data, which it writes to disk periodically and at termination."
 //! A snapshot is the flat record set; indexes are rebuilt on load.
+//!
+//! It is also how a whole-picture reader sees the Journal: the analysis
+//! programs, the topology export, the raw dump, the fingerprint and the
+//! save all take one [`Journal::to_snapshot`] — one read of the store,
+//! owned plain data, one state. The order it emits is a contract, not a
+//! courtesy: interfaces ascending by id (so the fingerprint is
+//! canonical, groupings see records in a fixed order and
+//! [`JournalSnapshot::interface_by_id`] can search), gateways ascending
+//! by id, subnets in address order.
 
 use std::fs;
 use std::io;
@@ -10,7 +19,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::records::{GatewayRecord, InterfaceRecord, SubnetRecord};
+use crate::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use crate::store::Journal;
 
 /// A serializable image of the Journal's records.
@@ -18,11 +27,11 @@ use crate::store::Journal;
 pub struct JournalSnapshot {
     /// Format version, for forward compatibility.
     pub version: u32,
-    /// All live interface records.
+    /// All live interface records, ascending by id.
     pub interfaces: Vec<InterfaceRecord>,
-    /// All live gateway records.
+    /// All live gateway records, ascending by id.
     pub gateways: Vec<GatewayRecord>,
-    /// All subnet records.
+    /// All subnet records, in address order.
     pub subnets: Vec<SubnetRecord>,
     /// Observation counter, preserved across restarts.
     pub observations_applied: u64,
@@ -35,6 +44,14 @@ impl JournalSnapshot {
     /// Captures a snapshot of a journal.
     pub fn capture(journal: &Journal) -> Self {
         journal.to_snapshot()
+    }
+
+    /// The interface record with this id, if it is live — how a reader
+    /// follows a gateway's member list. Binary search: relies on
+    /// `interfaces` being in id order.
+    pub fn interface_by_id(&self, id: InterfaceId) -> Option<&InterfaceRecord> {
+        let at = self.interfaces.binary_search_by_key(&id, |r| r.id).ok()?;
+        Some(&self.interfaces[at])
     }
 
     /// Restores a journal (rebuilding all indexes).
@@ -181,6 +198,20 @@ mod tests {
         );
         assert_eq!(j3.stats().interfaces, j.stats().interfaces);
         j3.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn interface_by_id_finds_live_records_only() {
+        let j = populated();
+        let all = j.get_interfaces(&InterfaceQuery::all());
+        assert!(all.len() >= 2);
+        j.delete_interface(all[0].id);
+        let snap = j.to_snapshot();
+        assert!(snap.interfaces.windows(2).all(|w| w[0].id < w[1].id));
+        assert_eq!(snap.interface_by_id(all[0].id), None);
+        for r in &all[1..] {
+            assert_eq!(snap.interface_by_id(r.id), Some(r));
+        }
     }
 
     #[test]

@@ -754,15 +754,6 @@ impl Journal {
         self.begin_read().records.get(&id.0).cloned()
     }
 
-    /// Fetches a gateway record by id.
-    pub fn gateway(&self, id: GatewayId) -> Option<GatewayRecord> {
-        let st = self.begin_read();
-        st.gateways
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .cloned()
-    }
-
     /// Fetches the subnet record for an exact subnet.
     pub fn subnet(&self, s: &Subnet) -> Option<SubnetRecord> {
         self.begin_read().subnets.get(s).cloned()

@@ -589,9 +589,6 @@ mod tests {
                     }
                 }
             }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
 
         let (mut sim, topo) = line_topology();
@@ -631,9 +628,6 @@ mod tests {
                 if let Ok(IcmpMessage::TimeExceeded { .. }) = IcmpMessage::decode(&pkt.payload) {
                     self.te_from = Some(pkt.src);
                 }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
 

@@ -11,6 +11,7 @@
 //! event *does* lives in sibling modules of plain `impl Sim` blocks, one
 //! per layer (see the crate docs; why not a context: DESIGN.md §5f).
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -279,10 +280,8 @@ impl Sim {
 
     /// Mutable, downcast access to a process (driver-side result reads).
     pub fn process_mut<T: Process>(&mut self, h: ProcHandle) -> Option<&mut T> {
-        self.nodes[h.node.0].procs[h.idx]
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let proc_: &mut dyn Any = self.nodes[h.node.0].procs[h.idx].as_deref_mut()?;
+        proc_.downcast_mut::<T>()
     }
 
     /// Returns `true` when the process reports itself finished.
@@ -499,10 +498,6 @@ mod tests {
                     self.replies.push(pkt.src);
                 }
             }
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -55,9 +55,9 @@ impl IfaceInfo {
 /// An event-driven program on a simulated node.
 ///
 /// All methods have empty defaults so a module only implements what it
-/// uses. `as_any_mut` enables the driver to downcast a finished module and
-/// read its results.
-pub trait Process: 'static {
+/// uses. The [`Any`] supertrait lets [`Sim::process_mut`] downcast a
+/// finished module so the driver can read its results.
+pub trait Process: Any {
     /// Called once when the process is spawned.
     fn on_start(&mut self, _ctx: &mut ProcCtx<'_>) {}
 
@@ -75,9 +75,6 @@ pub trait Process: 'static {
     fn done(&self) -> bool {
         false
     }
-
-    /// Downcasting support for result extraction.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The capability surface a process sees (its "kernel interface").
