@@ -146,6 +146,7 @@ impl Sim {
     }
 
     pub(crate) fn handle_arp(&mut self, node: NodeId, iface: usize, arp: &ArpPacket) {
+        self.stats.arp_packets += 1;
         let now = self.now();
         match arp.op {
             ArpOp::Request => {

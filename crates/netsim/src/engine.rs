@@ -14,7 +14,6 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,14 +38,12 @@ pub use crate::ip::SendError;
 pub use crate::process::ProcCtx;
 
 pub(crate) enum Event {
+    /// One frame reaching the far end of `seg`; who hears it is decided
+    /// on arrival ([`Sim::deliver`]).
     FrameRx {
-        node: NodeId,
-        iface: usize,
-        frame: Rc<FrameRecord>,
-    },
-    Tap {
-        handle: ProcHandle,
-        frame: Rc<FrameRecord>,
+        seg: SegmentId,
+        from: (NodeId, usize),
+        frame: FrameRecord,
     },
     Start {
         handle: ProcHandle,
@@ -315,10 +312,11 @@ impl Sim {
     ///
     /// With a telemetry sink attached, each call is wrapped in a
     /// `sim.run` span attributing the slice's logical work (events
-    /// dispatched, frames put on the wire) to the profiler's folded
-    /// stacks. The span opens at the slice's start; its work and close
-    /// are stamped with the slice's end, so interior events (faults,
-    /// node up/down) keep the trace stream monotone.
+    /// dispatched, frames put on the wire, per-station deliveries and
+    /// per-layer arrivals) to the profiler's folded stacks. The span
+    /// opens at the slice's start; its work and close are stamped with
+    /// the slice's end, so interior events (faults, node up/down) keep
+    /// the trace stream monotone.
     pub fn run_until(&mut self, deadline: SimTime) {
         let traced = self.telemetry.enabled();
         let span = if traced {
@@ -327,7 +325,7 @@ impl Sim {
         } else {
             SpanId::NONE
         };
-        let events_before = self.stats.events_processed;
+        let before = self.stats;
         let frames_before = self.segment_total(|s| s.frames_sent);
         while let Some((gap, event)) = self.core.pop_due(deadline) {
             self.stats.idle_skipped_micros += gap.as_micros();
@@ -337,10 +335,19 @@ impl Sim {
         self.stats.idle_skipped_micros += self.core.advance_to(deadline).as_micros();
         if traced {
             let at = TelTime(self.now().as_micros());
-            let events = self.stats.events_processed - events_before;
+            let since = |counter: fn(&SimStats) -> u64| counter(&self.stats) - counter(&before);
+            let events = since(|s| s.events_processed);
             let frames = self.segment_total(|s| s.frames_sent) - frames_before;
-            self.telemetry.work(span, "sim_events", events, at);
-            self.telemetry.work(span, "frames", frames, at);
+            for (unit, amount) in [
+                ("sim_events", events),
+                ("frames", frames),
+                ("link_deliveries", since(|s| s.frame_deliveries)),
+                ("arp_packets", since(|s| s.arp_packets)),
+                ("ip_packets", since(|s| s.ip_packets)),
+                ("rip_packets", since(|s| s.rip_packets)),
+            ] {
+                self.telemetry.work(span, unit, amount, at);
+            }
             self.telemetry
                 .span_end(span, &format!("events={events} frames={frames}"), at);
         }
@@ -354,8 +361,7 @@ impl Sim {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::FrameRx { node, iface, frame } => self.handle_frame(node, iface, &frame),
-            Event::Tap { handle, frame } => self.deliver_tap(handle, &frame),
+            Event::FrameRx { seg, from, frame } => self.deliver(seg, from, &frame),
             Event::Start { handle } => self.with_proc(handle, |p, ctx| p.on_start(ctx)),
             Event::Timer { handle, token } => {
                 self.with_proc(handle, |p, ctx| p.on_timer(token, ctx))

@@ -177,6 +177,7 @@ impl Sim {
         pkt: &Ipv4Packet,
         rec: &FrameRecord,
     ) {
+        self.stats.ip_packets += 1;
         let local = self.nodes[node.0].is_local_dst(pkt.dst, iface);
         if local {
             self.local_input(node, iface, pkt, rec);

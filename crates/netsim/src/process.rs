@@ -4,7 +4,8 @@
 //! started on a host, receive timers, see every IP packet the host
 //! receives (the raw-socket view a privileged SunOS process had), and —
 //! when they enable the tap — every frame on the attached segment (the
-//! Network Interface Tap the paper's passive modules use). They interact
+//! Network Interface Tap the paper's passive modules use; a tap is
+//! consulted when a frame arrives, not when it was sent). They interact
 //! with the network only through [`ProcCtx`], so a module cannot cheat by
 //! peeking at simulator state it could not observe in reality.
 
@@ -67,8 +68,9 @@ pub trait Process: Any {
     /// Called for every IP packet delivered locally to the host.
     fn on_ip(&mut self, _pkt: &Ipv4Packet, _ctx: &mut ProcCtx<'_>) {}
 
-    /// Called for every frame on the tapped segment (after
-    /// [`ProcCtx::enable_tap`]).
+    /// Called for every frame arriving on the tapped segment while the
+    /// tap is enabled ([`ProcCtx::enable_tap`]), after the frame's
+    /// receivers have handled it.
     fn on_tap(&mut self, _frame: &EthernetFrame, _ctx: &mut ProcCtx<'_>) {}
 
     /// Returns `true` once the process has finished its work.

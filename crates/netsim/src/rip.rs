@@ -1,10 +1,10 @@
 //! RIP: periodic advertisements, poll replies, and the learned-route
 //! list of a promiscuous rebroadcaster.
 //!
-//! On the idle campus nine events in ten are one advertisement arriving
-//! at one interface, so a receiver does nothing with a response unless it
-//! is such a rebroadcaster (a Table 8 problem RIPwatch flags) — nobody
-//! else's learned list is ever read.
+//! On the idle campus nine frame deliveries in ten are one advertisement
+//! arriving at one interface, so a receiver does nothing with a response
+//! unless it is such a rebroadcaster (a Table 8 problem RIPwatch flags) —
+//! nobody else's learned list is ever read.
 
 use std::rc::Rc;
 
@@ -89,6 +89,7 @@ impl Sim {
         dgram: &UdpDatagram,
         rip: &RipPacket,
     ) {
+        self.stats.rip_packets += 1;
         let n = &mut self.nodes[node.0];
         match rip.command {
             RipCommand::Response => {

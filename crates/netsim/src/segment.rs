@@ -1,11 +1,12 @@
 //! Shared network segments (Ethernets) with a collision model.
 //!
-//! Each segment is a broadcast medium: every frame reaches every attached
-//! interface (and every tap). The collision model captures the paper's
-//! Broadcast Ping observation — "closely spaced replies can cause many
-//! collisions", giving a "brief flood of ICMP Echo Reply packets (that)
-//! usually results in lost packets, including both ICMP Echo Replies and
-//! normal traffic".
+//! Each segment is a broadcast medium: a frame is on the wire once and
+//! reaches every attached interface (and every tap) at the same instant —
+//! one event, fanned out on arrival by the link layer. The collision
+//! model captures the paper's Broadcast Ping observation — "closely spaced
+//! replies can cause many collisions", giving a "brief flood of ICMP Echo
+//! Reply packets (that) usually results in lost packets, including both
+//! ICMP Echo Replies and normal traffic".
 
 use std::collections::VecDeque;
 
@@ -84,7 +85,8 @@ pub struct SegmentCfg {
     pub name: String,
     /// One-way propagation + queueing latency per frame.
     pub latency: SimDuration,
-    /// Random additional latency bound (uniform in `0..jitter`).
+    /// Random additional per-frame delay bound (uniform in `0..jitter`,
+    /// drawn once per frame: every station hears it together).
     pub jitter: SimDuration,
     /// Base random frame loss probability (bit errors etc.).
     pub base_loss: f64,

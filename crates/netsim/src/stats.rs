@@ -103,8 +103,18 @@ impl SegmentStats {
 /// Whole-simulation statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
-    /// Events processed by the engine.
+    /// Events processed by the engine. A frame on the wire is one event
+    /// however many stations hear it; `frame_deliveries` counts those.
     pub events_processed: u64,
+    /// Frames handed to a receiving interface by the link layer (a
+    /// broadcast on an N-station segment adds N − 1; taps not included).
+    pub frame_deliveries: u64,
+    /// ARP packets arriving at an interface that is up.
+    pub arp_packets: u64,
+    /// IPv4 packets arriving at an interface that is up.
+    pub ip_packets: u64,
+    /// RIP packets arriving at a node's UDP port 520.
+    pub rip_packets: u64,
     /// IP packets originated by any node or process.
     pub packets_originated: u64,
     /// IP packets forwarded by routers.
@@ -152,6 +162,7 @@ impl Sim {
         let seg = |counter: fn(&SegmentStats) -> u64| self.segment_total(counter);
         for (name, value) in [
             ("fremont_sim_events_processed_total", s.events_processed),
+            ("fremont_sim_frame_deliveries_total", s.frame_deliveries),
             ("fremont_sim_packets_originated_total", s.packets_originated),
             ("fremont_sim_packets_forwarded_total", s.packets_forwarded),
             ("fremont_sim_icmp_errors_total", s.icmp_errors),

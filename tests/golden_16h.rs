@@ -1,7 +1,9 @@
 //! The simulator's oracle as a tier-1 test: `campus_survey --hours 16`
 //! for both golden seeds must reproduce
-//! `tests/golden/campus_survey_16h/` byte for byte (see its README) —
-//! same events, same `(time, seq)` order, same RNG draws, same IP ids.
+//! `tests/golden/campus_survey_16h/` byte for byte — same events, same
+//! `(time, seq)` order, same RNG draws, same IP ids. The files move only
+//! when simulated behaviour is changed on purpose; their README records
+//! each move and why (last: one event per frame on the wire).
 //!
 //! The example's own `run` is included, not copied: the exposition
 //! counts the store locks its closing queries take.

@@ -52,6 +52,7 @@ fn same_seed_runs_are_byte_identical() {
     );
     for required in [
         "fremont_sim_events_processed_total",
+        "fremont_sim_frame_deliveries_total",
         "fremont_module_packets_sent_total",
         "fremont_journal_observations_applied",
         "fremont_sim_queue_depth_hwm",
@@ -67,6 +68,7 @@ fn trace_is_wellformed_jsonl_keyed_to_sim_time() {
     let (trace, _, _) = instrumented(&cfg, 1);
     let mut spans = 0usize;
     let mut last_at = 0u64;
+    let mut work_units = std::collections::BTreeSet::new();
     for line in trace.lines() {
         let ev: TraceEvent = serde_json::from_str(line).expect("each line parses");
         assert!(ev.at >= last_at, "trace timestamps are monotone sim time");
@@ -74,6 +76,20 @@ fn trace_is_wellformed_jsonl_keyed_to_sim_time() {
         if ev.kind == "span_start" {
             spans += 1;
         }
+        if ev.kind == "work" {
+            work_units.insert(ev.name);
+        }
     }
     assert!(spans > 0, "driver pumps must open spans");
+    // Simulator work is attributed per layer, not only per event.
+    for unit in [
+        "sim_events",
+        "frames",
+        "link_deliveries",
+        "arp_packets",
+        "ip_packets",
+        "rip_packets",
+    ] {
+        assert!(work_units.contains(unit), "no {unit} work in the trace");
+    }
 }
