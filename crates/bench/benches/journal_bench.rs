@@ -1,12 +1,12 @@
-//! Criterion benchmarks for the Journal: AVL index operations, the
-//! observation-merge path, query throughput, the batched write
-//! transaction (uncontended on an all-ARP batch and on the fact mix a
-//! survey actually records, and while contending threads hammer the
-//! other side of the lock), the durable batched write path (group
-//! commit: at most one fsync per StoreBatch), connection churn against
-//! the TCP server, the durable storage engine (WAL append
-//! with/without group commit, segment scan, recovery replay), and the
-//! wire decode of the largest reply and of a full store request.
+//! Criterion benchmarks for the Journal: the observation-merge path,
+//! query throughput, the batched write transaction (uncontended on an
+//! all-ARP batch and on the fact mix a survey actually records, and
+//! while contending threads hammer the other side of the lock), the
+//! durable batched write path (group commit: at most one fsync per
+//! StoreBatch), connection churn against the TCP server, the durable
+//! storage engine (WAL append with/without group commit, segment scan,
+//! recovery replay), and the wire decode of the largest reply and of a
+//! full store request.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::net::Ipv4Addr;
@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fremont_core::{DiscoveryDriver, DriverConfig};
-use fremont_journal::avl::AvlMap;
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Fact, Observation, Source};
 use fremont_journal::proto::{
@@ -37,45 +36,6 @@ fn ip_of(i: u32) -> Ipv4Addr {
 
 fn mac_of(i: u32) -> MacAddr {
     MacAddr::new([8, 0, 0x20, (i >> 16) as u8, (i >> 8) as u8, i as u8])
-}
-
-fn bench_avl(c: &mut Criterion) {
-    let mut g = c.benchmark_group("avl");
-    for n in [1_000u32, 16_000] {
-        g.bench_with_input(BenchmarkId::new("insert", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut m = AvlMap::new();
-                for i in 0..n {
-                    m.insert(i.wrapping_mul(2_654_435_761), i);
-                }
-                black_box(m.len())
-            })
-        });
-        let filled: AvlMap<u32, u32> = (0..n).map(|i| (i.wrapping_mul(2_654_435_761), i)).collect();
-        g.bench_with_input(BenchmarkId::new("lookup", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut hits = 0;
-                for i in 0..1000 {
-                    if filled.get(&((i % n).wrapping_mul(2_654_435_761))).is_some() {
-                        hits += 1;
-                    }
-                }
-                black_box(hits)
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("range_scan", n), &n, |b, _| {
-            b.iter(|| {
-                let count = filled
-                    .range((
-                        std::ops::Bound::Included(&0),
-                        std::ops::Bound::Included(&(u32::MAX / 8)),
-                    ))
-                    .count();
-                black_box(count)
-            })
-        });
-    }
-    g.finish();
 }
 
 fn bench_journal_apply(c: &mut Criterion) {
@@ -574,11 +534,11 @@ fn bench_proto(c: &mut Criterion) {
     let interfaces = journal
         .interfaces(&InterfaceQuery::all())
         .expect("in-memory read");
-    assert_eq!(interfaces.len(), 545, "the bench id names the record count");
+    assert_eq!(interfaces.len(), 540, "the bench id names the record count");
     let mut reply = Vec::new();
     write_frame(&mut reply, &Response::Interfaces(interfaces)).expect("encode");
     g.throughput(Throughput::Bytes(reply.len() as u64));
-    g.bench_function("decode_interfaces_545", |b| {
+    g.bench_function("decode_interfaces_540", |b| {
         b.iter(|| match decode_frame::<Response>(black_box(&reply)) {
             Ok(Some((Response::Interfaces(v), _))) => black_box(v.len()),
             other => panic!("not an interfaces reply: {other:?}"),
@@ -612,7 +572,6 @@ fn bench_proto(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_avl,
     bench_journal_apply,
     bench_store_batch,
     bench_contended,

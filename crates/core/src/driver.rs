@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
 
 use fremont_explorers::{
     ArpWatch, ArpWatchConfig, BrdcastPing, BrdcastPingConfig, DnsExplorer, DnsExplorerConfig,
@@ -24,14 +23,12 @@ use fremont_journal::observation::{Observation, Source};
 use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, SharedJournal};
-use fremont_journal::snapshot::JournalSnapshot;
 use fremont_journal::store::StoreSummary;
 use fremont_net::Subnet;
 use fremont_netsim::engine::Sim;
 use fremont_netsim::process::ProcHandle;
 use fremont_netsim::segment::NodeId;
 use fremont_netsim::time::{SimDuration, SimTime};
-use fremont_storage::{DurableJournal, PersistencePolicy, RecoveryReport};
 use fremont_telemetry::{SpanId, TelTime, Telemetry};
 
 use crate::correlate::correlate;
@@ -51,11 +48,8 @@ pub struct DriverConfig {
     pub pump_interval: SimDuration,
     /// Run the cross-correlation pass after each pump.
     pub correlate: bool,
-    /// How the Journal persists across restarts (see
-    /// [`DiscoveryDriver::open`]; `new` always runs in memory).
-    pub persistence: PersistencePolicy,
     /// Telemetry sink handle, threaded into the simulator and the
-    /// persistence backend (default: no-op).
+    /// remote journal client (default: no-op).
     pub telemetry: Telemetry,
     /// Hard cap on a single module run in sim time. A module still
     /// running past this is forcibly retired at the next pump — its
@@ -67,8 +61,8 @@ pub struct DriverConfig {
     /// [`DiscoveryDriver::open`] writes through: every batch is applied
     /// to the local in-memory journal (the authoritative, deterministic
     /// replica the manager plans from) *and* shipped over TCP, with the
-    /// driver's trace context propagated in each frame. Overrides
-    /// `persistence`.
+    /// driver's trace context propagated in each frame. Durability is
+    /// the server's: run it over a `DurableJournal`.
     pub remote_journal: Option<String>,
     /// Distributed trace id stamped on remote stores (0 disables
     /// propagation). Only meaningful with `remote_journal`.
@@ -84,26 +78,12 @@ impl DriverConfig {
             dns_server,
             pump_interval: SimDuration::from_secs(30),
             correlate: true,
-            persistence: PersistencePolicy::InMemory,
             telemetry: Telemetry::noop(),
             max_module_runtime: None,
             remote_journal: None,
             trace_id: 1,
         }
     }
-}
-
-/// The persistence backend behind the driver's journal handle.
-enum Backend {
-    /// State dies with the process.
-    InMemory,
-    /// The paper's scheme: a JSON snapshot written at flush points.
-    Snapshot { path: PathBuf },
-    /// WAL-backed: every stored observation is logged ahead of apply.
-    Wal(DurableJournal),
-    /// Write-through to a remote Journal Server: the local journal is
-    /// the deterministic replica, the server gets a traced copy.
-    Remote(RemoteJournal),
 }
 
 /// The running deployment: simulator + journal + manager.
@@ -114,12 +94,11 @@ pub struct DiscoveryDriver {
     pub journal: SharedJournal,
     /// The scheduling state.
     pub manager: DiscoveryManager,
-    /// What recovery found when the driver was [`DiscoveryDriver::open`]ed
-    /// over a WAL directory (`None` for in-memory/snapshot deployments).
-    pub recovery: Option<RecoveryReport>,
     cfg: DriverConfig,
     home: NodeId,
-    backend: Backend,
+    /// Write-through to a remote Journal Server: the local journal is
+    /// the deterministic replica, the server gets a traced copy.
+    remote: Option<RemoteJournal>,
     running: BTreeMap<Source, RunningModule>,
     loads: BTreeMap<Source, ModuleLoad>,
     pump_cycle: u64,
@@ -135,10 +114,10 @@ struct RunningModule {
 
 impl DiscoveryDriver {
     /// Creates a driver running modules on `home`, storing into the
-    /// given in-memory journal (ignores `cfg.persistence`; use
-    /// [`DiscoveryDriver::open`] for durable deployments).
+    /// given in-memory journal (use [`DiscoveryDriver::open`] to write
+    /// through to a Journal Server).
     pub fn new(sim: Sim, journal: SharedJournal, home: NodeId, cfg: DriverConfig) -> Self {
-        Self::start(sim, journal, home, cfg, Backend::InMemory, None)
+        Self::start(sim, journal, home, cfg, None)
     }
 
     /// The one place a driver is put together: attaches the telemetry
@@ -148,18 +127,16 @@ impl DiscoveryDriver {
         journal: SharedJournal,
         home: NodeId,
         cfg: DriverConfig,
-        backend: Backend,
-        recovery: Option<RecoveryReport>,
+        remote: Option<RemoteJournal>,
     ) -> Self {
         sim.set_telemetry(cfg.telemetry.clone());
         let driver = DiscoveryDriver {
             sim,
             journal,
             manager: DiscoveryManager::new(),
-            recovery,
             cfg,
             home,
-            backend,
+            remote,
             running: BTreeMap::new(),
             loads: BTreeMap::new(),
             pump_cycle: 0,
@@ -169,42 +146,21 @@ impl DiscoveryDriver {
         driver
     }
 
-    /// Creates a driver whose journal persists per `cfg.persistence`:
-    /// a WAL directory is recovered (snapshot + log replay) and every
-    /// subsequent observation is logged before it is applied; a
-    /// snapshot path is loaded if present and rewritten at flush
-    /// points; in-memory starts empty.
+    /// Creates a driver over a fresh in-memory journal that, when
+    /// `cfg.remote_journal` is set, also writes through to that Journal
+    /// Server.
     pub fn open(sim: Sim, home: NodeId, cfg: DriverConfig) -> std::io::Result<Self> {
-        let (journal, backend, recovery) = match (&cfg.remote_journal, &cfg.persistence) {
-            (Some(addr), _) => {
-                let client =
-                    RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), cfg.trace_id)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?;
-                (SharedJournal::new(), Backend::Remote(client), None)
-            }
-            (None, PersistencePolicy::InMemory) => (SharedJournal::new(), Backend::InMemory, None),
-            (None, PersistencePolicy::SnapshotOnly { path }) => {
-                let journal = if path.exists() {
-                    SharedJournal::from_journal(JournalSnapshot::load(path)?.restore())
-                } else {
-                    SharedJournal::new()
-                };
-                (journal, Backend::Snapshot { path: path.clone() }, None)
-            }
-            (None, PersistencePolicy::Wal(wal_cfg)) => {
-                // Recovery publishes its report into the sink itself.
-                let (durable, report) =
-                    DurableJournal::open_with_telemetry(wal_cfg.clone(), cfg.telemetry.clone())?;
-                let journal = durable.shared().clone();
-                (journal, Backend::Wal(durable), Some(report))
-            }
+        let remote = match &cfg.remote_journal {
+            Some(addr) => Some(
+                RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), cfg.trace_id)
+                    .map_err(|e| std::io::Error::other(e.to_string()))?,
+            ),
+            None => None,
         };
-        Ok(Self::start(sim, journal, home, cfg, backend, recovery))
+        Ok(Self::start(sim, SharedJournal::new(), home, cfg, remote))
     }
 
-    /// Startup telemetry dump: the journal's opening statistics (what
-    /// persistence restored) plus, for WAL deployments, the recovery
-    /// report — previously these were constructed and dropped silently.
+    /// Startup telemetry dump: the journal's opening statistics.
     fn publish_startup(&self) {
         let tel = &self.cfg.telemetry;
         if !tel.enabled() {
@@ -223,67 +179,51 @@ impl DiscoveryDriver {
                 TelTime(self.sim.now().as_micros()),
             );
         }
-        if let Some(report) = &self.recovery {
-            // Re-publish through the shared helper so in-memory sinks
-            // attached after `DurableJournal::open` still see it.
-            fremont_storage::publish_recovery(tel, report);
-        }
     }
 
-    /// Stores a batched request through the persistence backend: the
-    /// in-memory journal applies the whole group under one write-lock
-    /// acquisition, and WAL deployments log the whole group ahead of
-    /// apply with at most one fsync.
+    /// Stores a batched request: the in-memory journal applies the
+    /// whole group under one write-lock acquisition, then a remote
+    /// deployment ships the same group to its server.
     ///
-    /// With a real `parent` span, the backend's leg of the work joins
-    /// the pump's trace: WAL deployments emit `wal.append`/`wal.fsync`
-    /// children, remote deployments open a `client.store_batch` span
-    /// whose context rides in the frame to the server.
+    /// With a real `parent` span, the remote leg joins the pump's trace:
+    /// it opens a `client.store_batch` span whose context rides in the
+    /// frame to the server.
     fn store_batched(
         &self,
         batches: &[StoreBatchItem],
         parent: SpanId,
         at: TelTime,
     ) -> StoreSummary {
-        match &self.backend {
-            Backend::Wal(durable) => durable
-                .store_batch_traced(batches, parent, at)
-                .unwrap_or_default(),
-            Backend::Remote(client) => {
-                // The local replica is authoritative: its summary (and
-                // the planning reads against it) stay deterministic even
-                // if the remote side drops the connection mid-batch.
-                let summary = self.journal.store_batch(batches).unwrap_or_default();
-                if client.store_batch_traced(batches, parent, at).is_err() {
-                    self.cfg
-                        .telemetry
-                        .counter_add("fremont_driver_remote_errors_total", "", 1);
-                }
-                summary
+        // The local replica is authoritative: its summary (and the
+        // planning reads against it) stay deterministic even if the
+        // remote side drops the connection mid-batch.
+        let summary = self.journal.store_batch(batches).unwrap_or_default();
+        if let Some(client) = &self.remote {
+            if client.store_batch_traced(batches, parent, at).is_err() {
+                self.cfg
+                    .telemetry
+                    .counter_add("fremont_driver_remote_errors_total", "", 1);
             }
-            _ => self.journal.store_batch(batches).unwrap_or_default(),
         }
+        summary
     }
 
-    /// Makes the journal durable at the configured persistence level:
-    /// WAL deployments compact (durable snapshot + fresh segment),
-    /// snapshot deployments rewrite their snapshot file, in-memory is a
-    /// no-op. Called automatically at the end of [`Self::run_for`].
+    /// Asks the remote Journal Server, if any, to persist what it holds;
+    /// in memory this is a no-op. Called automatically at the end of
+    /// [`Self::run_for`].
     pub fn flush(&self) -> std::io::Result<()> {
-        match &self.backend {
-            Backend::InMemory => Ok(()),
-            Backend::Snapshot { path } => self.journal.read(JournalSnapshot::capture).save(path),
-            Backend::Wal(durable) => durable.compact(),
-            Backend::Remote(client) => client
+        match &self.remote {
+            None => Ok(()),
+            Some(client) => client
                 .flush()
                 .map_err(|e| std::io::Error::other(e.to_string())),
         }
     }
 
     /// Runs the deployment for a span of simulated time, then flushes
-    /// the journal to disk (for durable persistence policies). The error
-    /// is the flush failing: exploration itself has already happened and
-    /// its results are in memory, but durability was not achieved.
+    /// the remote journal (see [`Self::flush`]). The error is the flush
+    /// failing: exploration itself has already happened and its results
+    /// are in memory, but durability was not achieved.
     pub fn run_for(&mut self, duration: SimDuration) -> std::io::Result<()> {
         let deadline = self.sim.now() + duration;
         // Plan immediately so due modules start at the beginning of the
@@ -796,53 +736,5 @@ mod tests {
         driver.pump();
         // With an empty journal there are no target subnets: nothing runs.
         assert!(!driver.manager.is_running(Source::Traceroute));
-    }
-
-    #[test]
-    fn wal_persistence_survives_restart() {
-        let dir = std::env::temp_dir().join("fremont-driver-wal-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let (sim, home, network) = small_world();
-        let mut cfg = DriverConfig::full(network, None);
-        cfg.persistence = PersistencePolicy::Wal(fremont_storage::WalConfig::new(&dir));
-        let mut driver = DiscoveryDriver::open(sim, home, cfg.clone()).unwrap();
-        assert_eq!(driver.recovery.as_ref().unwrap().records_replayed, 0);
-        driver.run_for(SimDuration::from_hours(1)).unwrap();
-        let before = driver.journal.stats().unwrap();
-        assert!(before.interfaces >= 3, "{before:?}");
-        drop(driver);
-
-        // Restart over the same directory with a fresh simulator: the
-        // recovered journal must report the same discovered world.
-        let (sim2, home2, _) = small_world();
-        let driver2 = DiscoveryDriver::open(sim2, home2, cfg).unwrap();
-        let after = driver2.journal.stats().unwrap();
-        assert_eq!(before.interfaces, after.interfaces);
-        assert_eq!(before.gateways, after.gateways);
-        assert_eq!(before.subnets, after.subnets);
-        assert_eq!(before.observations_applied, after.observations_applied);
-        driver2.journal.read(|j| j.check_invariants()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_only_persistence_loads_at_open() {
-        let dir = std::env::temp_dir().join("fremont-driver-snap-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.json");
-        let (sim, home, network) = small_world();
-        let mut cfg = DriverConfig::full(network, None);
-        cfg.persistence = PersistencePolicy::SnapshotOnly { path: path.clone() };
-        let mut driver = DiscoveryDriver::open(sim, home, cfg.clone()).unwrap();
-        driver.run_for(SimDuration::from_mins(10)).unwrap();
-        let before = driver.journal.stats().unwrap();
-        drop(driver);
-        assert!(path.exists(), "run_for flushes the snapshot");
-
-        let (sim2, home2, _) = small_world();
-        let driver2 = DiscoveryDriver::open(sim2, home2, cfg).unwrap();
-        assert_eq!(driver2.journal.stats().unwrap(), before);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,12 +9,12 @@
 //!
 //! The crate provides, bottom up:
 //!
-//! * [`avl`] — the AVL tree index structure the paper's server uses;
 //! * [`time`] — the three-timestamp scheme (discovered / changed /
 //!   verified);
 //! * [`observation`] — the vocabulary Explorer Modules report in;
 //! * [`records`] — interface, gateway, and subnet records (paper Table 1);
-//! * [`store`] — the merging store with MAC/IP/name/subnet indexes;
+//! * [`store`] — the merging store with MAC/IP/name/subnet indexes
+//!   (std `BTreeMap`s, where the paper's server used AVL trees);
 //! * [`query`] — selection criteria for Get requests;
 //! * [`proto`] / [`server`] / [`client`] — the Store/Get/Delete protocol
 //!   over TCP, plus the shared in-process handle;
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod avl;
 pub mod client;
 pub mod observation;
 pub mod proto;

@@ -192,7 +192,7 @@ impl JournalAccess for SharedJournal {
     }
 
     fn capture_snapshot(&self) -> Result<JournalSnapshot, ProtoError> {
-        Ok(self.read(JournalSnapshot::capture))
+        Ok(self.read(Journal::to_snapshot))
     }
 
     fn sharding_metrics(&self) -> Option<ShardingMetrics> {

@@ -41,11 +41,6 @@ pub struct JournalSnapshot {
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 impl JournalSnapshot {
-    /// Captures a snapshot of a journal.
-    pub fn capture(journal: &Journal) -> Self {
-        journal.to_snapshot()
-    }
-
     /// The interface record with this id, if it is live — how a reader
     /// follows a gateway's member list. Binary search: relies on
     /// `interfaces` being in id order.
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_queries() {
         let j = populated();
-        let snap = JournalSnapshot::capture(&j);
+        let snap = j.to_snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION);
         let j2 = snap.restore();
         j2.check_invariants().unwrap();
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn snapshot_file_roundtrip() {
         let j = populated();
-        let snap = JournalSnapshot::capture(&j);
+        let snap = j.to_snapshot();
         let dir = std::env::temp_dir().join("fremont-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.json");
@@ -229,7 +224,7 @@ mod tests {
 
     #[test]
     fn fingerprint_and_save_stream_the_same_bytes_to_vec_renders() {
-        let snap = JournalSnapshot::capture(&populated());
+        let snap = populated().to_snapshot();
         assert_eq!(
             snap.fingerprint(),
             fremont_net::fnv1a_64(&serde_json::to_vec(&snap).unwrap())
@@ -248,7 +243,7 @@ mod tests {
     #[test]
     fn load_rejects_newer_version() {
         let j = populated();
-        let mut snap = JournalSnapshot::capture(&j);
+        let mut snap = j.to_snapshot();
         snap.version = SNAPSHOT_VERSION + 1;
         let dir = std::env::temp_dir().join("fremont-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();

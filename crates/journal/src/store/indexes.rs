@@ -10,33 +10,26 @@
 //! runs — [`shared`] — sorts them by id first.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use fremont_net::{MacAddr, Subnet};
 
-use crate::avl::AvlMap;
 use crate::records::{InterfaceId, InterfaceRecord};
 
 /// Adds `id` under `key`, at the end of its posting list.
 ///
 /// Re-adding an id that is already present keeps its original position.
-pub(super) fn add<K: Ord>(idx: &mut AvlMap<K, Vec<InterfaceId>>, key: K, id: InterfaceId) {
-    match idx.get_mut(&key) {
-        Some(v) => {
-            if !v.contains(&id) {
-                v.push(id);
-            }
-        }
-        None => {
-            idx.insert(key, vec![id]);
-        }
+pub(super) fn add<K: Ord>(idx: &mut BTreeMap<K, Vec<InterfaceId>>, key: K, id: InterfaceId) {
+    let v = idx.entry(key).or_default();
+    if !v.contains(&id) {
+        v.push(id);
     }
 }
 
 /// Removes `id` from the posting list under `key`, dropping the key when the
 /// list empties.
-pub(super) fn remove<K, Q>(idx: &mut AvlMap<K, Vec<InterfaceId>>, key: &Q, id: InterfaceId)
+pub(super) fn remove<K, Q>(idx: &mut BTreeMap<K, Vec<InterfaceId>>, key: &Q, id: InterfaceId)
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ?Sized,
@@ -83,7 +76,7 @@ pub struct SharedKeys {
 /// The keys of `idx` with two or more postings, in key order, each with
 /// its members read from `records` and sorted by id.
 pub(super) fn shared<K: Ord + Clone>(
-    idx: &AvlMap<K, Vec<InterfaceId>>,
+    idx: &BTreeMap<K, Vec<InterfaceId>>,
     records: &HashMap<u64, InterfaceRecord>,
 ) -> Vec<(K, Vec<SharedMember>)> {
     idx.iter()

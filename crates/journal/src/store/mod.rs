@@ -1,9 +1,11 @@
 //! The Journal: merge, index, and query discovered network facts.
 //!
 //! This is the in-memory representation the paper's Journal Server keeps:
-//! records in modification-time order, interface records indexed by AVL
-//! trees on Ethernet address, IP address, and DNS name, and subnet records
-//! indexed by subnet address. "Because it is the shared place where
+//! records in modification-time order, interface records indexed by
+//! Ethernet address, IP address, and DNS name, and subnet records indexed
+//! by subnet address. The paper's server kept those indexes in AVL trees;
+//! here they are std `BTreeMap`s, which give the same ordered lookups and
+//! range scans. "Because it is the shared place where
 //! observations are stored ... the Journal is more than just the sum of
 //! its parts": the merge rules below are what turn per-module observations
 //! into cross-correlated knowledge.
@@ -34,16 +36,14 @@ mod stats;
 pub use indexes::{SharedKeys, SharedMember};
 pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::ops::Bound;
 use std::sync::atomic::Ordering;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
 
-use crate::avl::AvlMap;
 use crate::observation::{Fact, Observation, Source};
 use crate::query::{InterfaceQuery, SubnetQuery};
 use crate::records::{GatewayId, GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
@@ -60,20 +60,20 @@ struct Store {
     records: HashMap<u64, InterfaceRecord>,
     /// Ethernet-address index. A MAC maps to *several* records when one
     /// adapter answers for several IP addresses (gateway or proxy ARP).
-    idx_mac: AvlMap<MacAddr, Vec<InterfaceId>>,
+    idx_mac: BTreeMap<MacAddr, Vec<InterfaceId>>,
     /// IP-address index. An IP maps to several records when two hosts are
     /// (mis)configured with the same address, or hardware changed.
-    idx_ip: AvlMap<Ipv4Addr, Vec<InterfaceId>>,
+    idx_ip: BTreeMap<Ipv4Addr, Vec<InterfaceId>>,
     /// DNS-name index. A name maps to several records for multi-homed
     /// gateways.
-    idx_name: AvlMap<String, Vec<InterfaceId>>,
+    idx_name: BTreeMap<String, Vec<InterfaceId>>,
     /// Modification-time ordering over the records (the paper's "lists
     /// ordered by time of last modification").
-    idx_modified: AvlMap<(JTime, u64), InterfaceId>,
+    idx_modified: BTreeMap<(JTime, u64), InterfaceId>,
     /// Current modification key per record, for removal on re-touch.
     mod_keys: HashMap<u64, (JTime, u64)>,
     gateways: Vec<Option<GatewayRecord>>,
-    subnets: AvlMap<Subnet, SubnetRecord>,
+    subnets: BTreeMap<Subnet, SubnetRecord>,
     /// Next interface id to allocate (ids are never reused).
     next_iface: u64,
     /// Modification sequence (tie-break within one `JTime`).
@@ -787,8 +787,8 @@ impl Journal {
     pub fn interfaces_by_modification(&self) -> Vec<InterfaceRecord> {
         let st = self.begin_read();
         st.idx_modified
-            .iter()
-            .filter_map(|(_, id)| st.records.get(&id.0).cloned())
+            .values()
+            .filter_map(|id| st.records.get(&id.0).cloned())
             .collect()
     }
 
@@ -802,8 +802,7 @@ impl Journal {
     pub fn get_subnets(&self, q: &SubnetQuery) -> Vec<SubnetRecord> {
         let st = self.begin_read();
         st.subnets
-            .iter()
-            .map(|(_, r)| r)
+            .values()
             .filter(|r| q.matches(r))
             .cloned()
             .collect()
@@ -884,7 +883,7 @@ impl Journal {
             version: crate::snapshot::SNAPSHOT_VERSION,
             interfaces: st.records_by_id(|_| true),
             gateways: st.gateways.iter().flatten().cloned().collect(),
-            subnets: st.subnets.iter().map(|(_, r)| r.clone()).collect(),
+            subnets: st.subnets.values().cloned().collect(),
             observations_applied: st.observations_applied,
         }
     }
@@ -967,22 +966,21 @@ impl Store {
     }
 
     /// Matching records with an address in `lo..=hi`, by (address,
-    /// insertion) order.
+    /// insertion) order. An inverted range (`lo > hi`, which a client can
+    /// send) is empty; `BTreeMap::range` would panic on it.
     fn scan_ip_range(
         &self,
         lo: Ipv4Addr,
         hi: Ipv4Addr,
         q: &InterfaceQuery,
     ) -> Vec<InterfaceRecord> {
-        let range = (Bound::Included(&lo), Bound::Included(&hi));
-        self.matching(self.idx_ip.range(range).flat_map(|(_, ids)| ids), q)
+        if lo > hi {
+            return Vec::new();
+        }
+        self.matching(self.idx_ip.range(lo..=hi).flat_map(|(_, ids)| ids), q)
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        self.idx_ip.check_invariants()?;
-        self.idx_mac.check_invariants()?;
-        self.idx_name.check_invariants()?;
-        self.idx_modified.check_invariants()?;
         for (ip, ids) in self.idx_ip.iter() {
             for id in ids {
                 let Some(r) = self.records.get(&id.0) else {
@@ -1001,6 +999,31 @@ impl Store {
                 if r.mac_addr() != Some(*mac) {
                     return Err(format!("idx_mac stale for {mac}"));
                 }
+            }
+        }
+        for (name, ids) in self.idx_name.iter() {
+            for id in ids {
+                let Some(r) = self.records.get(&id.0) else {
+                    return Err(format!("idx_name points at dead record {id:?}"));
+                };
+                if r.dns_name() != Some(name.as_str()) {
+                    return Err(format!("idx_name stale for {name}"));
+                }
+            }
+        }
+        if self.idx_modified.len() != self.records.len()
+            || self.mod_keys.len() != self.records.len()
+        {
+            return Err(format!(
+                "{} records but {} idx_modified and {} mod_keys entries",
+                self.records.len(),
+                self.idx_modified.len(),
+                self.mod_keys.len()
+            ));
+        }
+        for (key, id) in self.idx_modified.iter() {
+            if !self.records.contains_key(&id.0) || self.mod_keys.get(&id.0) != Some(key) {
+                return Err(format!("idx_modified key {key:?} is not {id:?}'s mod key"));
             }
         }
         for rec in self.records.values() {

@@ -8,7 +8,7 @@ use fremont_journal::observation::{Fact, Observation, Source};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::store::{Journal, SharedMember, StoreSummary};
 use fremont_journal::time::JTime;
-use fremont_net::{MacAddr, SubnetMask};
+use fremont_net::{MacAddr, Subnet, SubnetMask};
 
 fn arb_source() -> impl Strategy<Value = Source> {
     prop_oneof![
@@ -76,7 +76,7 @@ fn arb_mixed_obs() -> impl Strategy<Value = Observation> {
     ]
 }
 
-/// One step of a history for the `shared_keys` property.
+/// One step of a history.
 #[derive(Debug, Clone)]
 enum Step {
     Apply(Observation),
@@ -114,6 +114,55 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// Runs one step at time `i`.
+fn run_step(j: &Journal, i: usize, step: &Step) {
+    match step {
+        Step::Apply(o) => {
+            j.apply(o, JTime(i as u64));
+        }
+        Step::Delete(k) => {
+            let all = j.get_interfaces(&InterfaceQuery::all());
+            if !all.is_empty() {
+                assert!(j.delete_interface(all[k % all.len()].id));
+            }
+        }
+    }
+}
+
+/// Range-query bounds over the address pool and just past it; about
+/// half are inverted (`lo > hi`), which a client may send.
+fn arb_bounds() -> impl Strategy<Value = (Ipv4Addr, Ipv4Addr)> {
+    (0u8..20, 0u8..20).prop_map(|(a, b)| (Ipv4Addr::new(10, 0, 0, a), Ipv4Addr::new(10, 0, 0, b)))
+}
+
+/// Subnets from a single address to the whole pool's /24.
+fn arb_subnet() -> impl Strategy<Value = Subnet> {
+    (
+        0u8..20,
+        prop_oneof![Just(24u8), Just(28), Just(30), Just(32)],
+    )
+        .prop_map(|(h, len)| {
+            Subnet::containing(
+                Ipv4Addr::new(10, 0, 0, h),
+                SubnetMask::from_prefix_len(len).unwrap(),
+            )
+        })
+}
+
+/// The ids `q` answers with, and the ids of the full listing `q`
+/// matches, as sorted lists.
+fn answer_and_filtered_ids(j: &Journal, q: &InterfaceQuery) -> (Vec<u64>, Vec<u64>) {
+    let mut got: Vec<u64> = j.get_interfaces(q).iter().map(|r| r.id.0).collect();
+    got.sort_unstable();
+    let want = j
+        .get_interfaces(&InterfaceQuery::all())
+        .iter()
+        .filter(|r| q.matches(r))
+        .map(|r| r.id.0)
+        .collect();
+    (got, want)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -126,17 +175,7 @@ proptest! {
     ) {
         let j = Journal::new();
         for (i, step) in steps.iter().enumerate() {
-            match step {
-                Step::Apply(o) => {
-                    j.apply(o, JTime(i as u64));
-                }
-                Step::Delete(k) => {
-                    let all = j.get_interfaces(&InterfaceQuery::all());
-                    if !all.is_empty() {
-                        prop_assert!(j.delete_interface(all[k % all.len()].id));
-                    }
-                }
-            }
+            run_step(&j, i, step);
             let mut by_mac: BTreeMap<MacAddr, Vec<SharedMember>> = BTreeMap::new();
             let mut by_name: BTreeMap<String, Vec<SharedMember>> = BTreeMap::new();
             for r in j.get_interfaces(&InterfaceQuery::all()) {
@@ -207,13 +246,34 @@ proptest! {
         }
     }
 
+    /// Every index agrees with the records after every step, names and
+    /// the modification order included: the history moves names between
+    /// records, re-touches records and deletes them.
     #[test]
-    fn indexes_stay_consistent(obs in proptest::collection::vec(arb_obs(), 0..200)) {
+    fn indexes_stay_consistent(steps in proptest::collection::vec(arb_step(), 0..200)) {
         let j = Journal::new();
-        for (i, o) in obs.iter().enumerate() {
-            j.apply(o, JTime(i as u64));
+        for (i, step) in steps.iter().enumerate() {
+            run_step(&j, i, step);
+            j.check_invariants().unwrap();
         }
-        j.check_invariants().unwrap();
+    }
+
+    /// The `ip_range` and `in_subnet` index scans answer with exactly the
+    /// records of the full listing that the query matches, after every
+    /// step; an inverted range answers nothing rather than panicking.
+    #[test]
+    fn range_scans_equal_filtering_the_full_listing(
+        steps in proptest::collection::vec((arb_step(), arb_bounds(), arb_subnet()), 1..100),
+    ) {
+        let j = Journal::new();
+        for (i, (step, range, subnet)) in steps.iter().enumerate() {
+            run_step(&j, i, step);
+            let by_range = InterfaceQuery { ip_range: Some(*range), ..Default::default() };
+            let (got, want) = answer_and_filtered_ids(&j, &by_range);
+            prop_assert_eq!(got, want, "ip_range {:?}", range);
+            let (got, want) = answer_and_filtered_ids(&j, &InterfaceQuery::in_subnet(*subnet));
+            prop_assert_eq!(got, want, "in_subnet {}", subnet);
+        }
     }
 
     #[test]

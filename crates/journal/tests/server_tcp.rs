@@ -349,3 +349,43 @@ fn pipelined_requests_get_in_order_replies() {
     }
     server.shutdown();
 }
+
+/// An inverted `ip_range` (`lo > hi`) from the wire is an empty answer,
+/// not a panic that kills the connection's thread: the same connection
+/// goes on to answer `Stats`. A read timeout turns a dead connection
+/// into a failure rather than a hang.
+#[test]
+fn inverted_ip_range_answers_empty_and_the_connection_lives() {
+    use fremont_journal::proto::{read_frame, write_frame, RequestEnvelope, TraceContext};
+    let shared = SharedJournal::new();
+    let alive = Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, 5));
+    shared.store(JTime(1), &[alive]).unwrap();
+    let server = JournalServer::start(shared, "127.0.0.1:0", None).unwrap();
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+
+    let inverted = InterfaceQuery {
+        ip_range: Some((Ipv4Addr::new(10, 0, 0, 9), Ipv4Addr::new(10, 0, 0, 1))),
+        ..Default::default()
+    };
+    let mut ask = |req| -> Response {
+        let envelope = RequestEnvelope {
+            ctx: TraceContext::NONE,
+            req,
+        };
+        write_frame(&mut raw, &envelope).unwrap();
+        read_frame(&mut raw)
+            .expect("the connection answers")
+            .expect("a reply, not a close")
+    };
+    match ask(Request::GetInterfaces(inverted)) {
+        Response::Interfaces(v) => assert!(v.is_empty(), "inverted range matched {v:?}"),
+        other => panic!("expected Interfaces([]), got {other:?}"),
+    }
+    match ask(Request::Stats) {
+        Response::Stats(s) => assert_eq!(s.interfaces, 1),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    server.shutdown();
+}

@@ -39,20 +39,6 @@ use crate::wal::{
     list_segments, scan_segment, sync_dir, SyncPolicy, TailStatus, WalRecord, WalWriter,
 };
 
-/// How (and whether) a journal persists across restarts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum PersistencePolicy {
-    /// No disk at all; state dies with the process.
-    #[default]
-    InMemory,
-    /// The paper's scheme: periodic + at-termination JSON snapshots.
-    /// Everything since the last snapshot is lost on a crash.
-    SnapshotOnly { path: PathBuf },
-    /// Snapshot + write-ahead log: acknowledged observations survive
-    /// crashes (bounded by the [`SyncPolicy`]).
-    Wal(WalConfig),
-}
-
 /// Configuration of a WAL-backed journal directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalConfig {
@@ -107,7 +93,7 @@ pub struct RecoveryReport {
 /// Publishes a [`RecoveryReport`] into a telemetry sink: one counter
 /// per field plus a `storage.recovery` trace event (at time zero —
 /// recovery happens before the exploration clock starts).
-pub fn publish_recovery(telemetry: &Telemetry, report: &RecoveryReport) {
+fn publish_recovery(telemetry: &Telemetry, report: &RecoveryReport) {
     if !telemetry.enabled() {
         return;
     }

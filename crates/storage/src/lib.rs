@@ -16,9 +16,10 @@
 //!   durably, and obsolete segments are deleted.
 //!
 //! [`DurableJournal`] implements the journal's `JournalAccess` trait, so
-//! it drops into the Journal Server and the discovery driver wherever a
-//! `SharedJournal` is used today; [`PersistencePolicy`] selects between
-//! in-memory, snapshot-only, and WAL deployments.
+//! it drops into the Journal Server wherever a `SharedJournal` is used:
+//! as in the paper, the server persists the Journal, and a discovery
+//! driver that wants durability writes through to a
+//! `JournalServer<DurableJournal>`.
 //!
 //! [`JournalSnapshot`]: fremont_journal::snapshot::JournalSnapshot
 
@@ -26,5 +27,5 @@ pub mod crc32;
 pub mod durable;
 pub mod wal;
 
-pub use durable::{publish_recovery, DurableJournal, PersistencePolicy, RecoveryReport, WalConfig};
+pub use durable::{DurableJournal, RecoveryReport, WalConfig};
 pub use wal::{SyncPolicy, WalRecord};

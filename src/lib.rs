@@ -11,10 +11,11 @@
 //!   ICMP, UDP, RIPv1, DNS);
 //! * [`netsim`] — the simulated campus substrate (segments, host/router
 //!   stacks, taps, faults, the campus generator);
-//! * [`journal`] — the Journal, its AVL-indexed store, and the Journal
-//!   Server (TCP + in-process);
+//! * [`journal`] — the Journal, its indexed store (std `BTreeMap`s where
+//!   the paper used AVL trees), and the Journal Server (TCP + in-process);
 //! * [`storage`] — the durable storage engine (write-ahead log, crash
-//!   recovery, segment compaction) behind `DurableJournal`;
+//!   recovery, segment compaction) behind `DurableJournal`, the backend a
+//!   durable Journal Server runs over;
 //! * [`telemetry`] — the deterministic metrics registry and span/event
 //!   tracer threaded through every layer above;
 //! * [`obs`] — observability tooling over the trace stream (cross-process

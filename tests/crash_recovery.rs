@@ -43,7 +43,7 @@ fn reference_state(k: usize) -> JournalSnapshot {
     for i in 0..k {
         j.apply(&observation(i), JTime(i as u64 + 1));
     }
-    JournalSnapshot::capture(&j)
+    j.to_snapshot()
 }
 
 /// Writes `n` observations through a fresh `DurableJournal`, then
