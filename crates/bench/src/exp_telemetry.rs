@@ -66,7 +66,7 @@ pub fn table4_telemetry(cfg: &CampusConfig, hours: u64) -> Table {
     for row in &run.report.rows {
         t.row(&[
             row.source.name().to_owned(),
-            row.load.runs.to_string(),
+            row.runs.to_string(),
             row.load.packets_sent.to_string(),
             row.load.packets_received.to_string(),
             row.load.frames_tapped.to_string(),

@@ -21,6 +21,8 @@ use fremont_journal::time::JTime;
 use fremont_net::{MacAddr, Subnet, SubnetMask};
 use fremont_telemetry::Telemetry;
 
+use crate::invariants::CLASS_COUNT;
+
 /// A subnet whose interfaces disagree about the mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskConflict {
@@ -503,16 +505,24 @@ impl ProblemReport {
         }
     }
 
+    /// Findings per class, in [`crate::invariants::CLASS_NAMES`] order:
+    /// the one place that lists the eight finding vectors.
+    pub fn class_counts(&self) -> [usize; CLASS_COUNT] {
+        [
+            self.stale.len(),
+            self.hardware_changes.len(),
+            self.mask_conflicts.len(),
+            self.duplicates.len(),
+            self.promiscuous.len(),
+            self.stale_routes.len(),
+            self.silent_subnets.len(),
+            self.clock_skew.len(),
+        ]
+    }
+
     /// Total findings.
     pub fn total(&self) -> usize {
-        self.stale.len()
-            + self.hardware_changes.len()
-            + self.mask_conflicts.len()
-            + self.duplicates.len()
-            + self.promiscuous.len()
-            + self.stale_routes.len()
-            + self.silent_subnets.len()
-            + self.clock_skew.len()
+        self.class_counts().iter().sum()
     }
 }
 
@@ -526,17 +536,18 @@ pub fn publish_findings(telemetry: &Telemetry, report: &ProblemReport) {
     if !telemetry.enabled() {
         return;
     }
-    let classes: [(&str, usize); 8] = [
-        ("stale", report.stale.len()),
-        ("hardware_change", report.hardware_changes.len()),
-        ("mask_conflict", report.mask_conflicts.len()),
-        ("duplicate", report.duplicates.len()),
-        ("promiscuous_rip", report.promiscuous.len()),
-        ("stale_route", report.stale_routes.len()),
-        ("silent_subnet", report.silent_subnets.len()),
-        ("clock_skew", report.clock_skew.len()),
+    // The exposition's own labels, in `class_counts` order.
+    const LABELS: [&str; CLASS_COUNT] = [
+        "stale",
+        "hardware_change",
+        "mask_conflict",
+        "duplicate",
+        "promiscuous_rip",
+        "stale_route",
+        "silent_subnet",
+        "clock_skew",
     ];
-    for (class, n) in classes {
+    for (class, n) in LABELS.into_iter().zip(report.class_counts()) {
         telemetry.gauge_set(
             "fremont_analysis_findings",
             &format!("class=\"{class}\""),
@@ -961,6 +972,21 @@ mod tests {
         assert_eq!(lines.len(), 8, "{exposition}");
         assert!(lines.contains(&"fremont_analysis_findings{class=\"stale\"} 0"));
         assert!(lines.contains(&"fremont_analysis_findings{class=\"clock_skew\"} 0"));
+    }
+
+    #[test]
+    fn class_counts_follow_the_class_indexes() {
+        let report = ProblemReport {
+            promiscuous: vec![PromiscuousRipHost {
+                ip: ip("10.0.0.9"),
+                mac: None,
+            }],
+            ..ProblemReport::default()
+        };
+        let mut expected = [0; CLASS_COUNT];
+        expected[crate::invariants::PROMISCUOUS] = 1;
+        assert_eq!(report.class_counts(), expected);
+        assert_eq!(report.total(), 1);
     }
 }
 

@@ -35,28 +35,22 @@ use crate::correlate::correlate;
 use crate::load::{ModuleLoad, ModuleLoadReport};
 use crate::manager::{DiscoveryManager, RunOutcome};
 
+/// How often the driver pumps observations and re-plans, in sim time.
+const PUMP_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
-    /// Modules the manager may run (default: all eight).
+    /// Modules the manager schedules (default: all eight); no other
+    /// module ever runs.
     pub enabled: Vec<Source>,
     /// The network under exploration (bounds traceroute and DNS).
     pub network: Subnet,
     /// The campus name server (for the DNS module).
     pub dns_server: Option<Ipv4Addr>,
-    /// How often the driver pumps observations and re-plans, in sim time.
-    pub pump_interval: SimDuration,
-    /// Run the cross-correlation pass after each pump.
-    pub correlate: bool,
     /// Telemetry sink handle, threaded into the simulator and the
     /// remote journal client (default: no-op).
     pub telemetry: Telemetry,
-    /// Hard cap on a single module run in sim time. A module still
-    /// running past this is forcibly retired at the next pump — its
-    /// observations so far are kept — so a wedged probe (dead gateway,
-    /// partitioned segment) degrades discovery instead of stopping it.
-    /// `None` (the default) never times out.
-    pub max_module_runtime: Option<SimDuration>,
     /// Address of a remote Journal Server (`host:port`). When set,
     /// [`DiscoveryDriver::open`] writes through: every batch is applied
     /// to the local in-memory journal (the authoritative, deterministic
@@ -76,10 +70,7 @@ impl DriverConfig {
             enabled: Source::EXPLORERS.to_vec(),
             network,
             dns_server,
-            pump_interval: SimDuration::from_secs(30),
-            correlate: true,
             telemetry: Telemetry::noop(),
-            max_module_runtime: None,
             remote_journal: None,
             trace_id: 1,
         }
@@ -99,8 +90,10 @@ pub struct DiscoveryDriver {
     /// Write-through to a remote Journal Server: the local journal is
     /// the deterministic replica, the server gets a traced copy.
     remote: Option<RemoteJournal>,
+    /// The runs in flight: a module is running exactly while it is here.
     running: BTreeMap<Source, RunningModule>,
-    loads: BTreeMap<Source, ModuleLoad>,
+    /// See [`Self::set_max_module_runtime`].
+    max_module_runtime: Option<SimDuration>,
     pump_cycle: u64,
     module_timeouts: u64,
 }
@@ -109,6 +102,9 @@ pub struct DiscoveryDriver {
 struct RunningModule {
     handle: ProcHandle,
     stored: StoreSummary,
+    /// Start to the microsecond, for the run's busy time: the
+    /// schedule's `last_run` keeps only whole Journal seconds, and a
+    /// pump need not fall on a whole second.
     started: SimTime,
 }
 
@@ -133,12 +129,12 @@ impl DiscoveryDriver {
         let driver = DiscoveryDriver {
             sim,
             journal,
-            manager: DiscoveryManager::new(),
+            manager: DiscoveryManager::new(&cfg.enabled),
             cfg,
             home,
             remote,
             running: BTreeMap::new(),
-            loads: BTreeMap::new(),
+            max_module_runtime: None,
             pump_cycle: 0,
             module_timeouts: 0,
         };
@@ -230,7 +226,7 @@ impl DiscoveryDriver {
         // span rather than one pump interval in.
         self.pump();
         while self.sim.now() < deadline {
-            let slice = self.cfg.pump_interval.min(deadline - self.sim.now());
+            let slice = PUMP_INTERVAL.min(deadline - self.sim.now());
             self.sim.run_for(slice);
             self.pump();
         }
@@ -299,7 +295,6 @@ impl DiscoveryDriver {
                 if self.sim.process_done(m.handle) {
                     Some((*s, false))
                 } else if self
-                    .cfg
                     .max_module_runtime
                     .is_some_and(|cap| now_sim.since(m.started) > cap)
                 {
@@ -329,13 +324,20 @@ impl DiscoveryDriver {
         let now = self.sim.now().to_jtime();
         let mut started_count = 0usize;
         for source in self.manager.due(now) {
-            if !self.cfg.enabled.contains(&source) || self.running.contains_key(&source) {
+            if self.running.contains_key(&source) {
                 continue;
             }
             if let Some(handle) = self.spawn_module(source) {
                 self.manager
                     .mark_started(source, now, self.deficit_for(source));
-                self.track_start(source, handle);
+                self.running.insert(
+                    source,
+                    RunningModule {
+                        handle,
+                        stored: StoreSummary::default(),
+                        started: self.sim.now(),
+                    },
+                );
                 started_count += 1;
                 if tel.enabled() {
                     tel.event("module.start", source.name(), root, at);
@@ -347,7 +349,7 @@ impl DiscoveryDriver {
         }
 
         // 4. Cross-correlate — only when the journal actually changed.
-        if self.cfg.correlate && had_news {
+        if had_news {
             let corr_span = tel.span_start("driver.correlate", "", root, at);
             let derived = self.journal.read(correlate);
             let derived_count = derived.len();
@@ -373,32 +375,14 @@ impl DiscoveryDriver {
         }
     }
 
-    /// Starts load tracking for a freshly spawned module run.
-    fn track_start(&mut self, source: Source, handle: ProcHandle) {
-        self.loads.entry(source).or_default().runs += 1;
-        self.running.insert(
-            source,
-            RunningModule {
-                handle,
-                stored: StoreSummary::default(),
-                started: self.sim.now(),
-            },
-        );
-    }
-
-    /// Retires one running module: folds its per-process packet
-    /// counters into the load table, kills the process, and records
-    /// the run with the manager.
+    /// Retires one running module: kills the process and records the
+    /// run, its per-process packet counters included, with the manager.
     fn retire(&mut self, source: Source, at: TelTime, parent: SpanId) {
         let Some(m) = self.running.remove(&source) else {
             return; // Listed from this very map; cannot miss.
         };
         let stats = self.sim.proc_stats(m.handle);
         let elapsed = self.sim.now().since(m.started);
-        let load = self.loads.entry(source).or_default();
-        load.add_run(stats, elapsed);
-        load.completed_runs += 1;
-        load.last_completion = Some(elapsed);
         self.sim.kill_process(m.handle);
         let tel = &self.cfg.telemetry;
         if tel.enabled() {
@@ -418,6 +402,8 @@ impl DiscoveryDriver {
             RunOutcome {
                 stored: m.stored,
                 deficit_after,
+                stats,
+                elapsed,
             },
         );
     }
@@ -425,15 +411,20 @@ impl DiscoveryDriver {
     /// The Table 4 reproduction: measured per-module load, including
     /// still-running modules' live counters.
     pub fn load_report(&self) -> ModuleLoadReport {
-        let mut loads = self.loads.clone();
-        for (source, m) in &self.running {
-            let elapsed = self.sim.now().since(m.started);
-            loads
-                .entry(*source)
-                .or_default()
-                .add_run(self.sim.proc_stats(m.handle), elapsed);
-        }
-        ModuleLoadReport::new(&loads)
+        ModuleLoadReport::new(|source| {
+            let (mut runs, mut load) = self
+                .manager
+                .schedule(source)
+                .map_or((0, ModuleLoad::default()), |s| (u64::from(s.runs), s.load));
+            if let Some(m) = self.running.get(&source) {
+                runs += 1;
+                load.add_run(
+                    self.sim.proc_stats(m.handle),
+                    self.sim.now().since(m.started),
+                );
+            }
+            (runs, load)
+        })
     }
 
     /// Publishes sim counters, journal gauges, and per-module packet
@@ -471,26 +462,23 @@ impl DiscoveryDriver {
                 &label,
                 row.load.frames_tapped,
             );
-            tel.counter_set("fremont_module_runs_total", &label, row.load.runs);
+            tel.counter_set("fremont_module_runs_total", &label, row.runs);
         }
         // Gated on the cap being configured so deployments that never
         // opt in keep a byte-identical exposition.
-        if self.cfg.max_module_runtime.is_some() {
+        if self.max_module_runtime.is_some() {
             tel.counter_set("fremont_module_timeouts_total", "", self.module_timeouts);
         }
     }
 
-    /// How many module runs the driver has forcibly retired for
-    /// exceeding [`DriverConfig::max_module_runtime`].
-    pub fn module_timeouts(&self) -> u64 {
-        self.module_timeouts
-    }
-
-    /// Sets the module runtime cap after construction — chaos tests and
-    /// deployments built through [`crate::fremont::Fremont`] (whose
-    /// config is assembled internally) opt in here.
+    /// Sets the hard cap on a single module run in sim time. A module
+    /// still running past it is forcibly retired at the next pump — its
+    /// observations so far are kept, and `fremont_module_timeouts_total`
+    /// counts it — so a wedged probe (dead gateway, partitioned segment)
+    /// degrades discovery instead of stopping it. `None` (the default)
+    /// never times out.
     pub fn set_max_module_runtime(&mut self, cap: Option<SimDuration>) {
-        self.cfg.max_module_runtime = cap;
+        self.max_module_runtime = cap;
     }
 
     /// The unmet-need metric the manager tracks per module.
@@ -735,6 +723,62 @@ mod tests {
         );
         driver.pump();
         // With an empty journal there are no target subnets: nothing runs.
-        assert!(!driver.manager.is_running(Source::Traceroute));
+        assert!(!driver.running.contains_key(&Source::Traceroute));
+    }
+
+    #[test]
+    fn no_enabled_module_runs_nothing() {
+        let (sim, home, network) = small_world();
+        let journal = SharedJournal::new();
+        let mut driver = DiscoveryDriver::new(
+            sim,
+            journal.clone(),
+            home,
+            DriverConfig {
+                enabled: vec![],
+                ..DriverConfig::full(network, None)
+            },
+        );
+        // One hour of pumps. A spawned run stays in `running` at least
+        // until the next pump retires it, so an empty map after every
+        // pump means nothing was spawned.
+        driver.pump();
+        assert!(driver.running.is_empty());
+        for _ in 0..120 {
+            driver.sim.run_for(PUMP_INTERVAL);
+            driver.pump();
+            assert!(driver.running.is_empty());
+        }
+        let stats = journal.stats().unwrap();
+        assert_eq!(stats.observations_applied, 0, "{stats:?}");
+        assert_eq!(stats.interfaces + stats.subnets + stats.gateways, 0);
+        let report = driver.load_report();
+        assert_eq!(report.rows.len(), 8);
+        for row in &report.rows {
+            assert_eq!((row.runs, row.load), (0, ModuleLoad::default()), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn run_counters_agree() {
+        let (sim, home, network) = small_world();
+        let mut driver = DiscoveryDriver::new(
+            sim,
+            SharedJournal::new(),
+            home,
+            DriverConfig::full(network, None),
+        );
+        driver.run_for(SimDuration::from_hours(1)).unwrap();
+        // ARPwatch never finishes, so both terms of the sum are exercised.
+        assert!(driver.running.contains_key(&Source::ArpWatch));
+        let report = driver.load_report();
+        let mut completed = 0;
+        for row in &report.rows {
+            let runs = driver.manager.schedule(row.source).unwrap().runs;
+            completed += runs;
+            let in_flight = u64::from(driver.running.contains_key(&row.source));
+            assert_eq!(row.runs, u64::from(runs) + in_flight, "{:?}", row.source);
+        }
+        assert!(completed > 0);
     }
 }

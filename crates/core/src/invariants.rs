@@ -56,7 +56,8 @@ pub const SILENT_SUBNETS: usize = 6;
 /// Class index: interfaces reported with future timestamps.
 pub const CLOCK_SKEW: usize = 7;
 
-/// Human names for the finding classes, indexed by the constants above.
+/// Human names for the finding classes, indexed by the constants above
+/// (the order of [`ProblemReport::class_counts`]).
 pub const CLASS_NAMES: [&str; CLASS_COUNT] = [
     "stale",
     "hardware_changes",
@@ -67,20 +68,6 @@ pub const CLASS_NAMES: [&str; CLASS_COUNT] = [
     "silent_subnets",
     "clock_skew",
 ];
-
-/// Per-class finding counts of one report.
-pub fn class_counts(report: &ProblemReport) -> [usize; CLASS_COUNT] {
-    [
-        report.stale.len(),
-        report.hardware_changes.len(),
-        report.mask_conflicts.len(),
-        report.duplicates.len(),
-        report.promiscuous.len(),
-        report.stale_routes.len(),
-        report.silent_subnets.len(),
-        report.clock_skew.len(),
-    ]
-}
 
 /// The two analysis evaluations taken at the end of one run, reduced
 /// to per-class counts (all any invariant needs).
@@ -96,8 +83,8 @@ impl RunEvaluation {
     /// Reduces a pair of full reports.
     pub fn new(control: &ProblemReport, tight: &ProblemReport) -> Self {
         RunEvaluation {
-            control: class_counts(control),
-            tight: class_counts(tight),
+            control: control.class_counts(),
+            tight: tight.class_counts(),
         }
     }
 

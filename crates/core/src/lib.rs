@@ -1,9 +1,10 @@
 //! # fremont-core
 //!
-//! The integrated Fremont system: the Discovery Manager (scheduling +
-//! module registry + startup/history file), the cross-correlation pass,
-//! the analysis programs of Table 8, the presentation programs, and the
-//! topology exporter that regenerates Figure 2.
+//! The integrated Fremont system: the Discovery Manager (the module
+//! registry and one in-memory schedule and run history per module), the
+//! cross-correlation pass, the analysis programs of Table 8, the
+//! presentation programs, and the topology exporter that regenerates
+//! Figure 2.
 //!
 //! The crate sits on top of:
 //! * [`fremont_net`] — addresses and wire formats,
@@ -44,6 +45,6 @@ pub mod topology;
 pub use analysis::ProblemReport;
 pub use driver::{DiscoveryDriver, DriverConfig};
 pub use fremont::Fremont;
-pub use manager::{DiscoveryManager, HistoryFile, ModuleSchedule, RunOutcome};
+pub use manager::{DiscoveryManager, ModuleSchedule, RunOutcome};
 pub use registry::{registry, ModuleInfo};
 pub use topology::TopologyGraph;

@@ -1,12 +1,12 @@
 //! Per-module operational load: Table 4 as a first-class report.
 //!
 //! The paper's Table 4 characterises each Explorer Module by its
-//! network load (packets per second) and completion time. The driver
-//! accumulates measured packet counts and busy sim-time per module
-//! (from the engine's per-process counters) into a
-//! [`ModuleLoadReport`], rendered next to the paper's own numbers.
+//! network load (packets per second) and completion time. Each module's
+//! schedule accumulates the measured packet counts and busy sim-time of
+//! its completed runs (from the engine's per-process counters); the
+//! driver adds the run in flight and renders a [`ModuleLoadReport`]
+//! next to the paper's own numbers.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use fremont_journal::observation::Source;
@@ -18,10 +18,6 @@ use crate::registry::info_for;
 /// Measured load of one module across its runs so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleLoad {
-    /// Runs started.
-    pub runs: u64,
-    /// Runs retired (completed or killed at retirement).
-    pub completed_runs: u64,
     /// IP packets the module's processes originated.
     pub packets_sent: u64,
     /// UDP/ICMP payloads delivered to the module's handlers.
@@ -30,8 +26,6 @@ pub struct ModuleLoad {
     pub frames_tapped: u64,
     /// Total simulated time the module spent running.
     pub busy: SimDuration,
-    /// Sim-time length of the most recently retired run.
-    pub last_completion: Option<SimDuration>,
 }
 
 impl ModuleLoad {
@@ -66,6 +60,8 @@ impl ModuleLoad {
 pub struct ModuleLoadRow {
     /// The module.
     pub source: Source,
+    /// Runs started: the completed ones plus the one in flight, if any.
+    pub runs: u64,
     /// Measured counters.
     pub load: ModuleLoad,
     /// Paper's network-load description (Table 4).
@@ -82,18 +78,21 @@ pub struct ModuleLoadReport {
 }
 
 impl ModuleLoadReport {
-    /// Builds the report from accumulated loads; modules that never
-    /// ran still get a (zeroed) row, so the shape is always 8 rows.
-    pub fn new(loads: &BTreeMap<Source, ModuleLoad>) -> Self {
+    /// Builds the report from `measured`, each module's started runs
+    /// and accumulated load; modules that never ran still get a (zeroed)
+    /// row, so the shape is always 8 rows.
+    pub fn new(measured: impl Fn(Source) -> (u64, ModuleLoad)) -> Self {
         let rows = Source::EXPLORERS
             .iter()
             .map(|&source| {
+                let (runs, load) = measured(source);
                 let info = info_for(source);
                 ModuleLoadRow {
                     source,
-                    load: loads.get(&source).copied().unwrap_or_default(),
-                    paper_network_load: info.as_ref().map(|i| i.network_load).unwrap_or("-"),
-                    paper_completion: info.as_ref().map(|i| i.time_to_complete).unwrap_or("-"),
+                    runs,
+                    load,
+                    paper_network_load: info.map_or("-", |i| i.network_load),
+                    paper_completion: info.map_or("-", |i| i.time_to_complete),
                 }
             })
             .collect();
@@ -121,7 +120,7 @@ impl ModuleLoadReport {
                 out,
                 "{:<15} {:>5} {:>9} {:>9} {:>9} {:>9.0} {:>10.2}  {:<14} {}",
                 r.source.name(),
-                r.load.runs,
+                r.runs,
                 r.load.packets_sent,
                 r.load.packets_received,
                 r.load.frames_tapped,
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn report_always_has_eight_rows() {
-        let report = ModuleLoadReport::new(&BTreeMap::new());
+        let report = ModuleLoadReport::new(|_| Default::default());
         assert_eq!(report.rows.len(), 8);
         assert!(!report.all_modules_active());
         let text = report.render();
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn rows_carry_paper_descriptions() {
-        let report = ModuleLoadReport::new(&BTreeMap::new());
+        let report = ModuleLoadReport::new(|_| Default::default());
         let dns = report
             .rows
             .iter()

@@ -2,43 +2,48 @@
 //!
 //! "The purpose of the Discovery Manager is to decide what information
 //! needs to be collected and what Explorer Modules should be invoked to
-//! collect those data." It keeps a startup/history file with "the command
-//! name, invocation frequency, and information about recent runs for each
-//! Explorer Module", and adjusts the schedule by fruitfulness: "if the
-//! Discovery Manager sees that 20 of 400 interfaces recorded in the
-//! Journal do not have subnet masks recorded and that this was true before
-//! the 'subnet mask' module was last invoked, then the Discovery Manager
-//! will not shorten the interval until the next invocation of that
-//! module."
-
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
+//! collect those data." The paper's manager keeps "the command name,
+//! invocation frequency, and information about recent runs for each
+//! Explorer Module" in a startup/history file; here that entry is a
+//! [`ModuleSchedule`], held in memory. It adjusts the schedule by
+//! fruitfulness: "if the Discovery Manager sees that 20 of 400
+//! interfaces recorded in the Journal do not have subnet masks recorded
+//! and that this was true before the 'subnet mask' module was last
+//! invoked, then the Discovery Manager will not shorten the interval
+//! until the next invocation of that module."
 
 use fremont_journal::observation::Source;
 use fremont_journal::store::StoreSummary;
 use fremont_journal::time::JTime;
+use fremont_netsim::stats::ProcStats;
+use fremont_netsim::time::SimDuration;
 
+use crate::load::ModuleLoad;
 use crate::registry::{info_for, registry};
 
-/// Per-module scheduling state (one startup/history file entry).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Per-module scheduling state and run history. Whether a run is in
+/// flight, and its start to the microsecond, are the driver's: it holds
+/// the run.
+#[derive(Debug, Clone)]
 pub struct ModuleSchedule {
     /// Which module.
     pub source: Source,
     /// The adaptive re-invocation interval, seconds. Always within the
     /// registry's `[min_interval, max_interval]`.
     pub interval: u64,
-    /// When the module last started.
+    /// When the module last started, in whole Journal seconds. [`due`]
+    /// needs it after the run is retired, so it cannot be read off the
+    /// driver's in-flight run.
+    ///
+    /// [`due`]: DiscoveryManager::due
     pub last_run: Option<JTime>,
     /// Completed runs.
     pub runs: u32,
     /// The unmet-need metric (e.g. missing masks) observed before the last
     /// run, for the fruitfulness rule.
     pub deficit_before_last: Option<u64>,
-    /// Whether the module is currently running.
-    #[serde(skip)]
-    pub running: bool,
+    /// Measured load of the completed runs.
+    pub load: ModuleLoad,
 }
 
 /// Outcome of one module run, as the manager sees it.
@@ -49,6 +54,10 @@ pub struct RunOutcome {
     /// The unmet-need metric after the run (module-specific; e.g. number
     /// of interfaces still missing masks).
     pub deficit_after: Option<u64>,
+    /// The run's packet counters.
+    pub stats: ProcStats,
+    /// How long the run took, in simulated time.
+    pub elapsed: SimDuration,
 }
 
 /// The Discovery Manager's schedule table.
@@ -57,92 +66,36 @@ pub struct DiscoveryManager {
     schedules: Vec<ModuleSchedule>,
 }
 
-/// The on-disk startup/history file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HistoryFile {
-    /// Where the Journal Server lives (informational; the driver wires the
-    /// actual connection).
-    pub journal_server: String,
-    /// Per-module state.
-    pub modules: Vec<ModuleSchedule>,
-}
-
-impl Default for DiscoveryManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DiscoveryManager {
-    /// Fresh state: every module starts at its minimum interval so the
-    /// first exploration is eager.
-    pub fn new() -> Self {
+    /// Fresh state for the `enabled` modules, in the registry's Table 3
+    /// order: every module starts at its minimum interval so the first
+    /// exploration is eager.
+    pub fn new(enabled: &[Source]) -> Self {
         DiscoveryManager {
             schedules: registry()
-                .into_iter()
+                .iter()
+                .filter(|m| enabled.contains(&m.source))
                 .map(|m| ModuleSchedule {
                     source: m.source,
                     interval: m.min_interval.as_secs(),
                     last_run: None,
                     runs: 0,
                     deficit_before_last: None,
-                    running: false,
+                    load: ModuleLoad::default(),
                 })
                 .collect(),
         }
     }
 
-    /// Restores state from a history file (clamping intervals to the
-    /// registry bounds in case the file was edited).
-    pub fn from_history(h: &HistoryFile) -> Self {
-        let mut m = Self::new();
-        for entry in &h.modules {
-            if let Some(s) = m.schedules.iter_mut().find(|s| s.source == entry.source) {
-                let info = info_for(entry.source).expect("registry covers sources");
-                *s = entry.clone();
-                s.interval = s
-                    .interval
-                    .clamp(info.min_interval.as_secs(), info.max_interval.as_secs());
-                s.running = false;
-            }
-        }
-        m
-    }
-
-    /// Exports the history file.
-    pub fn to_history(&self, journal_server: &str) -> HistoryFile {
-        HistoryFile {
-            journal_server: journal_server.to_owned(),
-            modules: self.schedules.clone(),
-        }
-    }
-
-    /// Saves the history file as JSON.
-    pub fn save(&self, path: &Path, journal_server: &str) -> std::io::Result<()> {
-        let h = self.to_history(journal_server);
-        let body = serde_json::to_vec_pretty(&h)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, body)
-    }
-
-    /// Loads a history file saved by [`DiscoveryManager::save`].
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let body = std::fs::read(path)?;
-        let h: HistoryFile = serde_json::from_slice(&body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(Self::from_history(&h))
-    }
-
-    /// The schedule entry for a module.
+    /// The schedule entry for a module (`None` if it is not enabled).
     pub fn schedule(&self, source: Source) -> Option<&ModuleSchedule> {
         self.schedules.iter().find(|s| s.source == source)
     }
 
-    /// Modules due to run at `now` (not running, interval elapsed).
+    /// Modules whose interval has elapsed at `now`, in Table 3 order.
     pub fn due(&self, now: JTime) -> Vec<Source> {
         self.schedules
             .iter()
-            .filter(|s| !s.running)
             .filter(|s| match s.last_run {
                 None => true,
                 Some(last) => now.secs_since(last) >= s.interval,
@@ -155,7 +108,6 @@ impl DiscoveryManager {
     /// launched to address.
     pub fn mark_started(&mut self, source: Source, now: JTime, deficit: Option<u64>) {
         if let Some(s) = self.schedules.iter_mut().find(|s| s.source == source) {
-            s.running = true;
             s.last_run = Some(now);
             s.deficit_before_last = deficit;
         }
@@ -174,8 +126,8 @@ impl DiscoveryManager {
         let Some(s) = self.schedules.iter_mut().find(|s| s.source == source) else {
             return;
         };
-        s.running = false;
         s.runs += 1;
+        s.load.add_run(outcome.stats, outcome.elapsed);
         let deficit_unmoved = match (s.deficit_before_last, outcome.deficit_after) {
             (Some(before), Some(after)) => after >= before,
             _ => false,
@@ -188,81 +140,101 @@ impl DiscoveryManager {
             (s.interval * 2).min(max)
         };
     }
-
-    /// Returns `true` while the module is marked running.
-    pub fn is_running(&self, source: Source) -> bool {
-        self.schedule(source).map(|s| s.running).unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn summary(created: usize, updated: usize, verified: usize) -> StoreSummary {
-        StoreSummary {
-            created,
-            updated,
-            verified,
+    fn all() -> DiscoveryManager {
+        DiscoveryManager::new(&Source::EXPLORERS)
+    }
+
+    fn outcome(
+        created: usize,
+        updated: usize,
+        verified: usize,
+        deficit: Option<u64>,
+    ) -> RunOutcome {
+        RunOutcome {
+            stored: StoreSummary {
+                created,
+                updated,
+                verified,
+            },
+            deficit_after: deficit,
+            ..RunOutcome::default()
         }
     }
 
     #[test]
     fn everything_due_at_start() {
-        let m = DiscoveryManager::new();
-        assert_eq!(m.due(JTime(0)).len(), 8);
+        let m = all();
+        assert_eq!(m.due(JTime(0)), Source::EXPLORERS);
+    }
+
+    #[test]
+    fn only_enabled_modules_are_scheduled() {
+        let m = DiscoveryManager::new(&[Source::Dns, Source::SeqPing]);
+        assert_eq!(m.due(JTime(0)), vec![Source::SeqPing, Source::Dns]);
+        assert!(m.schedule(Source::ArpWatch).is_none());
+        assert!(DiscoveryManager::new(&[]).due(JTime(0)).is_empty());
     }
 
     #[test]
     fn running_module_not_due() {
-        let mut m = DiscoveryManager::new();
+        let mut m = all();
         m.mark_started(Source::SeqPing, JTime(0), None);
         assert!(!m.due(JTime(0)).contains(&Source::SeqPing));
-        assert!(m.is_running(Source::SeqPing));
     }
 
     #[test]
     fn interval_elapses() {
-        let mut m = DiscoveryManager::new();
+        let mut m = all();
         m.mark_started(Source::SeqPing, JTime(0), None);
-        m.record_run(
-            Source::SeqPing,
-            RunOutcome {
-                stored: summary(10, 0, 0),
-                deficit_after: None,
-            },
-        );
+        m.record_run(Source::SeqPing, outcome(10, 0, 0, None));
         // Fruitful run: interval stays at the 2-day minimum.
         let s = m.schedule(Source::SeqPing).unwrap();
         assert_eq!(s.interval, JTime::from_days(2).as_secs());
+        assert_eq!(s.runs, 1);
         assert!(!m.due(JTime::from_days(1)).contains(&Source::SeqPing));
         assert!(m.due(JTime::from_days(2)).contains(&Source::SeqPing));
     }
 
     #[test]
+    fn each_run_adds_its_load() {
+        let mut m = all();
+        for sent in [3, 4] {
+            m.mark_started(Source::SeqPing, JTime(0), None);
+            m.record_run(
+                Source::SeqPing,
+                RunOutcome {
+                    stats: ProcStats {
+                        packets_sent: sent,
+                        ..ProcStats::default()
+                    },
+                    elapsed: SimDuration::from_secs(10),
+                    ..RunOutcome::default()
+                },
+            );
+        }
+        let s = m.schedule(Source::SeqPing).unwrap();
+        assert_eq!((s.runs, s.load.packets_sent), (2, 7));
+        assert_eq!(s.load.busy, SimDuration::from_secs(20));
+    }
+
+    #[test]
     fn fruitless_run_backs_off() {
-        let mut m = DiscoveryManager::new();
+        let mut m = all();
         let before = m.schedule(Source::SeqPing).unwrap().interval;
         m.mark_started(Source::SeqPing, JTime(0), None);
-        m.record_run(
-            Source::SeqPing,
-            RunOutcome {
-                stored: summary(0, 0, 50),
-                deficit_after: None,
-            },
-        );
+        m.record_run(Source::SeqPing, outcome(0, 0, 50, None));
         let after = m.schedule(Source::SeqPing).unwrap().interval;
         assert_eq!(after, before * 2);
         // Repeated fruitless runs saturate at the maximum.
         for _ in 0..10 {
             m.mark_started(Source::SeqPing, JTime(0), None);
-            m.record_run(
-                Source::SeqPing,
-                RunOutcome {
-                    stored: summary(0, 0, 1),
-                    deficit_after: None,
-                },
-            );
+            m.record_run(Source::SeqPing, outcome(0, 0, 1, None));
         }
         assert_eq!(
             m.schedule(Source::SeqPing).unwrap().interval,
@@ -274,86 +246,22 @@ mod tests {
     fn unmoved_deficit_is_fruitless_even_with_updates() {
         // The paper's example: 20 of 400 interfaces still lack masks after
         // the mask module ran — do not shorten the interval.
-        let mut m = DiscoveryManager::new();
+        let mut m = all();
         let before = m.schedule(Source::SubnetMasks).unwrap().interval;
         m.mark_started(Source::SubnetMasks, JTime(0), Some(20));
-        m.record_run(
-            Source::SubnetMasks,
-            RunOutcome {
-                stored: summary(0, 5, 100),
-                deficit_after: Some(20),
-            },
-        );
+        m.record_run(Source::SubnetMasks, outcome(0, 5, 100, Some(20)));
         assert!(m.schedule(Source::SubnetMasks).unwrap().interval >= before);
     }
 
     #[test]
     fn shrinking_deficit_is_fruitful() {
-        let mut m = DiscoveryManager::new();
+        let mut m = all();
         // Push the interval up first.
         m.mark_started(Source::SubnetMasks, JTime(0), None);
-        m.record_run(
-            Source::SubnetMasks,
-            RunOutcome {
-                stored: summary(0, 0, 0),
-                deficit_after: None,
-            },
-        );
+        m.record_run(Source::SubnetMasks, outcome(0, 0, 0, None));
         let inflated = m.schedule(Source::SubnetMasks).unwrap().interval;
         m.mark_started(Source::SubnetMasks, JTime(0), Some(20));
-        m.record_run(
-            Source::SubnetMasks,
-            RunOutcome {
-                stored: summary(0, 18, 0),
-                deficit_after: Some(2),
-            },
-        );
+        m.record_run(Source::SubnetMasks, outcome(0, 18, 0, Some(2)));
         assert!(m.schedule(Source::SubnetMasks).unwrap().interval < inflated);
-    }
-
-    #[test]
-    fn history_roundtrip() {
-        let mut m = DiscoveryManager::new();
-        m.mark_started(Source::Dns, JTime(500), Some(3));
-        m.record_run(
-            Source::Dns,
-            RunOutcome {
-                stored: summary(40, 2, 0),
-                deficit_after: Some(0),
-            },
-        );
-        let h = m.to_history("127.0.0.1:7000");
-        let m2 = DiscoveryManager::from_history(&h);
-        let s = m2.schedule(Source::Dns).unwrap();
-        assert_eq!(s.runs, 1);
-        assert_eq!(s.last_run, Some(JTime(500)));
-        assert!(!s.running, "restored modules are never 'running'");
-    }
-
-    #[test]
-    fn history_file_on_disk() {
-        let m = DiscoveryManager::new();
-        let dir = std::env::temp_dir().join("fremont-history-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.json");
-        m.save(&path, "journal:7000").unwrap();
-        let m2 = DiscoveryManager::load(&path).unwrap();
-        assert_eq!(m2.due(JTime(0)).len(), 8);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn clamps_edited_history() {
-        let mut h = DiscoveryManager::new().to_history("x");
-        for e in &mut h.modules {
-            e.interval = 1; // Below every minimum.
-        }
-        let m = DiscoveryManager::from_history(&h);
-        for s in registry() {
-            assert_eq!(
-                m.schedule(s.source).unwrap().interval,
-                s.min_interval.as_secs()
-            );
-        }
     }
 }

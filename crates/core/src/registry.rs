@@ -1,28 +1,13 @@
 //! The Explorer Module registry.
 //!
-//! The Discovery Manager's "startup/history file records what each
-//! Explorer Module needs for input, and what features it discovers" —
-//! Table 3 of the paper. Table 4 adds the operational characteristics:
+//! In the paper, the Discovery Manager's "startup/history file records
+//! what each Explorer Module needs for input, and what features it
+//! discovers" — Table 3. Table 4 adds the operational characteristics:
 //! appropriate invocation intervals, completion time, and load. This
-//! module is the static source of both tables.
+//! module is the static source of both tables, in Table 3 order.
 
 use fremont_journal::observation::Source;
 use fremont_journal::time::JTime;
-
-/// What a module needs as input (Table 3 "Inputs" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputKind {
-    /// Runs unattended on the attached segment.
-    None,
-    /// A range of IP addresses.
-    IpRange,
-    /// A list of subnets or networks.
-    Subnets,
-    /// A list of already-known interface addresses.
-    KnownInterfaces,
-    /// A network number (e.g. the campus class B).
-    NetworkNumber,
-}
 
 /// One registry entry.
 #[derive(Debug, Clone)]
@@ -31,8 +16,6 @@ pub struct ModuleInfo {
     pub source: Source,
     /// Information source family (Table 3 "Source" column).
     pub family: &'static str,
-    /// Input requirement.
-    pub input: InputKind,
     /// Input description (Table 3 "Inputs" column).
     pub inputs_text: &'static str,
     /// Output description (Table 3 "Outputs" column).
@@ -49,132 +32,116 @@ pub struct ModuleInfo {
     pub system_load: &'static str,
     /// Runs continuously rather than to completion.
     pub continuous: bool,
-    /// Requires system privileges (taps the interface).
-    pub needs_privileges: bool,
 }
 
 /// The eight modules, in the paper's Table 3 order.
-pub fn registry() -> Vec<ModuleInfo> {
-    vec![
-        ModuleInfo {
-            source: Source::ArpWatch,
-            family: "ARP",
-            input: InputKind::None,
-            inputs_text: "none",
-            outputs_text: "Enet. & IP address matches (over time)",
-            min_interval: JTime::from_hours(2),
-            max_interval: JTime::from_days(7),
-            time_to_complete: "continuous",
-            network_load: "none",
-            system_load: "minimal",
-            continuous: true,
-            needs_privileges: true,
-        },
-        ModuleInfo {
-            source: Source::EtherHostProbe,
-            family: "ARP",
-            input: InputKind::IpRange,
-            inputs_text: "IP address range",
-            outputs_text: "Enet. & IP address matches (immediately)",
-            min_interval: JTime::from_days(1),
-            max_interval: JTime::from_days(7),
-            time_to_complete: "1 sec/address",
-            network_load: "1 - 4 pkts/sec",
-            system_load: "minimal",
-            continuous: false,
-            needs_privileges: false,
-        },
-        ModuleInfo {
-            source: Source::SeqPing,
-            family: "ICMP",
-            input: InputKind::IpRange,
-            inputs_text: "IP address range",
-            outputs_text: "Intf. IP addr.",
-            min_interval: JTime::from_days(2),
-            max_interval: JTime::from_days(14),
-            time_to_complete: "2 sec/address",
-            network_load: ".5 pkts/sec",
-            system_load: "minimal",
-            continuous: false,
-            needs_privileges: false,
-        },
-        ModuleInfo {
-            source: Source::BrdcastPing,
-            family: "ICMP",
-            input: InputKind::Subnets,
-            inputs_text: "Subnets or Nets",
-            outputs_text: "Intf. IP addr.",
-            min_interval: JTime::from_days(7),
-            max_interval: JTime::from_days(28),
-            time_to_complete: "30 sec/subnet",
-            network_load: "short storm",
-            system_load: "short high load",
-            continuous: false,
-            needs_privileges: false,
-        },
-        ModuleInfo {
-            source: Source::SubnetMasks,
-            family: "ICMP",
-            input: InputKind::KnownInterfaces,
-            inputs_text: "IP address",
-            outputs_text: "Subnet Masks",
-            min_interval: JTime::from_days(1),
-            max_interval: JTime::from_days(7),
-            time_to_complete: "2 sec/address",
-            network_load: ".5 pkts/sec",
-            system_load: "minimal",
-            continuous: false,
-            needs_privileges: false,
-        },
-        ModuleInfo {
-            source: Source::Traceroute,
-            family: "ICMP",
-            input: InputKind::Subnets,
-            inputs_text: "Subnets, Nets, or nothing",
-            outputs_text: "Intfs. per gateway; gateway-subnet links",
-            min_interval: JTime::from_days(2),
-            max_interval: JTime::from_days(14),
-            time_to_complete: "5 - 20 minutes",
-            network_load: "4 - 8 pkts/sec",
-            system_load: "moderate",
-            continuous: false,
-            needs_privileges: false,
-        },
-        ModuleInfo {
-            source: Source::RipWatch,
-            family: "RIP",
-            input: InputKind::None,
-            inputs_text: "none",
-            outputs_text: "Subnets, Nets, Hosts",
-            min_interval: JTime::from_hours(2),
-            max_interval: JTime::from_days(7),
-            time_to_complete: "2 minutes",
-            network_load: "none",
-            system_load: "minimal",
-            continuous: false,
-            needs_privileges: true,
-        },
-        ModuleInfo {
-            source: Source::Dns,
-            family: "DNS",
-            input: InputKind::NetworkNumber,
-            inputs_text: "Network number",
-            outputs_text: "Intfs. per gateway",
-            min_interval: JTime::from_days(2),
-            max_interval: JTime::from_days(14),
-            time_to_complete: "1 - 5 minutes",
-            network_load: "10 pkts/sec",
-            system_load: "high",
-            continuous: false,
-            needs_privileges: false,
-        },
-    ]
+pub fn registry() -> &'static [ModuleInfo] {
+    &REGISTRY
 }
 
 /// Looks up the registry entry for a source.
-pub fn info_for(source: Source) -> Option<ModuleInfo> {
-    registry().into_iter().find(|m| m.source == source)
+pub fn info_for(source: Source) -> Option<&'static ModuleInfo> {
+    REGISTRY.iter().find(|m| m.source == source)
 }
+
+static REGISTRY: [ModuleInfo; 8] = [
+    ModuleInfo {
+        source: Source::ArpWatch,
+        family: "ARP",
+        inputs_text: "none",
+        outputs_text: "Enet. & IP address matches (over time)",
+        min_interval: JTime::from_hours(2),
+        max_interval: JTime::from_days(7),
+        time_to_complete: "continuous",
+        network_load: "none",
+        system_load: "minimal",
+        continuous: true,
+    },
+    ModuleInfo {
+        source: Source::EtherHostProbe,
+        family: "ARP",
+        inputs_text: "IP address range",
+        outputs_text: "Enet. & IP address matches (immediately)",
+        min_interval: JTime::from_days(1),
+        max_interval: JTime::from_days(7),
+        time_to_complete: "1 sec/address",
+        network_load: "1 - 4 pkts/sec",
+        system_load: "minimal",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::SeqPing,
+        family: "ICMP",
+        inputs_text: "IP address range",
+        outputs_text: "Intf. IP addr.",
+        min_interval: JTime::from_days(2),
+        max_interval: JTime::from_days(14),
+        time_to_complete: "2 sec/address",
+        network_load: ".5 pkts/sec",
+        system_load: "minimal",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::BrdcastPing,
+        family: "ICMP",
+        inputs_text: "Subnets or Nets",
+        outputs_text: "Intf. IP addr.",
+        min_interval: JTime::from_days(7),
+        max_interval: JTime::from_days(28),
+        time_to_complete: "30 sec/subnet",
+        network_load: "short storm",
+        system_load: "short high load",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::SubnetMasks,
+        family: "ICMP",
+        inputs_text: "IP address",
+        outputs_text: "Subnet Masks",
+        min_interval: JTime::from_days(1),
+        max_interval: JTime::from_days(7),
+        time_to_complete: "2 sec/address",
+        network_load: ".5 pkts/sec",
+        system_load: "minimal",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::Traceroute,
+        family: "ICMP",
+        inputs_text: "Subnets, Nets, or nothing",
+        outputs_text: "Intfs. per gateway; gateway-subnet links",
+        min_interval: JTime::from_days(2),
+        max_interval: JTime::from_days(14),
+        time_to_complete: "5 - 20 minutes",
+        network_load: "4 - 8 pkts/sec",
+        system_load: "moderate",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::RipWatch,
+        family: "RIP",
+        inputs_text: "none",
+        outputs_text: "Subnets, Nets, Hosts",
+        min_interval: JTime::from_hours(2),
+        max_interval: JTime::from_days(7),
+        time_to_complete: "2 minutes",
+        network_load: "none",
+        system_load: "minimal",
+        continuous: false,
+    },
+    ModuleInfo {
+        source: Source::Dns,
+        family: "DNS",
+        inputs_text: "Network number",
+        outputs_text: "Intfs. per gateway",
+        min_interval: JTime::from_days(2),
+        max_interval: JTime::from_days(14),
+        time_to_complete: "1 - 5 minutes",
+        network_load: "10 pkts/sec",
+        system_load: "high",
+        continuous: false,
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -191,15 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn passive_modules_need_privileges() {
-        for m in registry() {
-            let passive = m.inputs_text == "none";
-            assert_eq!(
-                m.needs_privileges, passive,
-                "{:?}: exactly the tap-based modules need privileges",
-                m.source
-            );
-        }
+    fn table3_order_is_the_explorer_order() {
+        let order: Vec<Source> = registry().iter().map(|m| m.source).collect();
+        assert_eq!(order, Source::EXPLORERS);
     }
 
     #[test]

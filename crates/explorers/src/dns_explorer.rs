@@ -36,11 +36,6 @@ pub struct DnsExplorerConfig {
     /// Gap between successive zone transfers (the module's "10 pkts/sec"
     /// load comes from this phase).
     pub pace: SimDuration,
-    /// Record every name/address pair in the Journal. The paper's
-    /// prototype skipped pairs that were the only knowledge about an
-    /// interface (they are "readily available from the DNS"); recording
-    /// them lets the stale-address analysis see DNS-only ghosts.
-    pub record_all_pairs: bool,
     /// Gateway-name suffixes considered naming conventions.
     pub gw_suffixes: Vec<String>,
 }
@@ -52,7 +47,6 @@ impl DnsExplorerConfig {
             network,
             server,
             pace: SimDuration::from_millis(200),
-            record_all_pairs: true,
             gw_suffixes: vec!["-gw".to_owned(), "-gate".to_owned(), "gw".to_owned()],
         }
     }
@@ -314,11 +308,12 @@ impl DnsExplorer {
             ));
         }
 
-        // Interface pairs.
-        if self.cfg.record_all_pairs {
-            for (ip, name) in &self.pairs {
-                ctx.emit(Observation::named_ip(Source::Dns, *ip, &name.to_string()));
-            }
+        // Interface pairs, every one: the paper's prototype skipped pairs
+        // that were the only knowledge about an interface (they are
+        // "readily available from the DNS"); recording them lets the
+        // stale-address analysis see DNS-only ghosts.
+        for (ip, name) in &self.pairs {
+            ctx.emit(Observation::named_ip(Source::Dns, *ip, &name.to_string()));
         }
 
         // Subnet statistics: host count and lowest/highest assigned.
