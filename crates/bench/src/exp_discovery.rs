@@ -10,9 +10,7 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use fremont_explorers::{
-    ArpWatch, ArpWatchConfig, BrdcastPing, BrdcastPingConfig, DnsExplorer, DnsExplorerConfig,
-    EtherHostProbe, EtherHostProbeConfig, RipWatch, RipWatchConfig, SeqPing, SeqPingConfig,
-    Traceroute, TracerouteConfig,
+    ArpWatch, BrdcastPing, DnsExplorer, EtherHostProbe, RipWatch, SeqPing, Traceroute,
 };
 use fremont_net::Subnet;
 use fremont_netsim::campus::{generate, CampusConfig, CampusTruth};
@@ -51,7 +49,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_mins(1));
         let cs = truth.cs_subnet;
-        let h = sim.spawn(home, Box::new(ArpWatch::new(ArpWatchConfig::default())));
+        let h = sim.spawn(home, Box::new(ArpWatch::new()));
         sim.run_for(SimDuration::from_mins(30));
         let at_30 = count_cs(sim.process_mut::<ArpWatch>(h).expect("alive").pairs(), cs);
         sim.run_for(SimDuration::from_hours(24) - SimDuration::from_mins(30));
@@ -74,12 +72,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_hours(3));
         let cs = truth.cs_subnet;
-        let h = sim.spawn(
-            home,
-            Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(
-                cs.host_range(),
-            ))),
-        );
+        let h = sim.spawn(home, Box::new(EtherHostProbe::new(cs.host_range())));
         sim.run_for(SimDuration::from_mins(10));
         let found = count_cs(
             sim.process_mut::<EtherHostProbe>(h)
@@ -100,10 +93,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_hours(5));
         let cs = truth.cs_subnet;
-        let h = sim.spawn(
-            home,
-            Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![cs]))),
-        );
+        let h = sim.spawn(home, Box::new(BrdcastPing::new(vec![cs])));
         sim.run_for(SimDuration::from_mins(5));
         let found = sim
             .process_mut::<BrdcastPing>(h)
@@ -124,10 +114,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_hours(8));
         let cs = truth.cs_subnet;
-        let h = sim.spawn(
-            home,
-            Box::new(SeqPing::new(SeqPingConfig::over(cs.host_range()))),
-        );
+        let h = sim.spawn(home, Box::new(SeqPing::new(cs.host_range())));
         sim.run_for(SimDuration::from_mins(40));
         let found = sim
             .process_mut::<SeqPing>(h)
@@ -151,10 +138,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         let cs = truth.cs_subnet;
         let h = sim.spawn(
             home,
-            Box::new(DnsExplorer::new(DnsExplorerConfig::new(
-                cfg.network,
-                truth.dns_server,
-            ))),
+            Box::new(DnsExplorer::new(cfg.network, truth.dns_server)),
         );
         sim.run_for(SimDuration::from_mins(20));
         let p = sim.process_mut::<DnsExplorer>(h).expect("alive");
@@ -239,9 +223,8 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_mins(1));
         total = truth.connected_subnets.len();
-        let mut tc = TracerouteConfig::over(truth.assigned_subnets.clone());
-        tc.boundary = Some(cfg.network);
-        let h = sim.spawn(home, Box::new(Traceroute::new(tc)));
+        let tr = Traceroute::new(truth.assigned_subnets.clone(), cfg.network);
+        let h = sim.spawn(home, Box::new(tr));
         sim.run_for(SimDuration::from_mins(45));
         let p = sim.process_mut::<Traceroute>(h).expect("alive");
         assert!(p.done(), "traceroute finished");
@@ -261,7 +244,7 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
     // --- RIPwatch ----------------------------------------------------------
     {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_mins(1));
-        let h = sim.spawn(home, Box::new(RipWatch::new(RipWatchConfig::default())));
+        let h = sim.spawn(home, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
         let p = sim.process_mut::<RipWatch>(h).expect("alive");
         let found = p
@@ -282,10 +265,7 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_mins(1));
         let h = sim.spawn(
             home,
-            Box::new(DnsExplorer::new(DnsExplorerConfig::new(
-                cfg.network,
-                truth.dns_server,
-            ))),
+            Box::new(DnsExplorer::new(cfg.network, truth.dns_server)),
         );
         sim.run_for(SimDuration::from_mins(30));
         let p = sim.process_mut::<DnsExplorer>(h).expect("alive");

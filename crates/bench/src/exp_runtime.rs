@@ -4,9 +4,7 @@
 
 use fremont_core::registry::{info_for, registry};
 use fremont_explorers::{
-    ArpWatch, ArpWatchConfig, BrdcastPing, BrdcastPingConfig, DnsExplorer, DnsExplorerConfig,
-    EtherHostProbe, EtherHostProbeConfig, RipWatch, RipWatchConfig, SeqPing, SeqPingConfig,
-    SubnetMasks, SubnetMasksConfig, Traceroute, TracerouteConfig,
+    ArpWatch, BrdcastPing, DnsExplorer, EtherHostProbe, RipWatch, SeqPing, SubnetMasks, Traceroute,
 };
 use fremont_journal::observation::Source;
 use fremont_netsim::campus::{generate, CampusConfig};
@@ -58,30 +56,19 @@ fn measure(source: Source, cfg: &CampusConfig) -> ModuleRun {
     let events_before = sim.stats.events_processed;
     let (handle, budget): (ProcHandle, SimDuration) = match source {
         Source::ArpWatch => (
-            sim.spawn(home, Box::new(ArpWatch::new(ArpWatchConfig::default()))),
+            sim.spawn(home, Box::new(ArpWatch::new())),
             SimDuration::from_hours(1),
         ),
         Source::EtherHostProbe => (
-            sim.spawn(
-                home,
-                Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(
-                    cs.host_range(),
-                ))),
-            ),
+            sim.spawn(home, Box::new(EtherHostProbe::new(cs.host_range()))),
             SimDuration::from_mins(15),
         ),
         Source::SeqPing => (
-            sim.spawn(
-                home,
-                Box::new(SeqPing::new(SeqPingConfig::over(cs.host_range()))),
-            ),
+            sim.spawn(home, Box::new(SeqPing::new(cs.host_range()))),
             SimDuration::from_mins(40),
         ),
         Source::BrdcastPing => (
-            sim.spawn(
-                home,
-                Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![cs]))),
-            ),
+            sim.spawn(home, Box::new(BrdcastPing::new(vec![cs]))),
             SimDuration::from_mins(5),
         ),
         Source::SubnetMasks => {
@@ -92,32 +79,22 @@ fn measure(source: Source, cfg: &CampusConfig) -> ModuleRun {
                 .take(56)
                 .collect();
             (
-                sim.spawn(
-                    home,
-                    Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
-                ),
+                sim.spawn(home, Box::new(SubnetMasks::new(targets))),
                 SimDuration::from_mins(10),
             )
         }
         Source::Traceroute => {
-            let mut tc = TracerouteConfig::over(truth.assigned_subnets.clone());
-            tc.boundary = Some(quiet.network);
-            (
-                sim.spawn(home, Box::new(Traceroute::new(tc))),
-                SimDuration::from_mins(45),
-            )
+            let tr = Traceroute::new(truth.assigned_subnets.clone(), quiet.network);
+            (sim.spawn(home, Box::new(tr)), SimDuration::from_mins(45))
         }
         Source::RipWatch => (
-            sim.spawn(home, Box::new(RipWatch::new(RipWatchConfig::default()))),
+            sim.spawn(home, Box::new(RipWatch::new())),
             SimDuration::from_mins(5),
         ),
         Source::Dns => (
             sim.spawn(
                 home,
-                Box::new(DnsExplorer::new(DnsExplorerConfig::new(
-                    quiet.network,
-                    truth.dns_server,
-                ))),
+                Box::new(DnsExplorer::new(quiet.network, truth.dns_server)),
             ),
             SimDuration::from_mins(30),
         ),

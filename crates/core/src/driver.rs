@@ -14,9 +14,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use fremont_explorers::{
-    ArpWatch, ArpWatchConfig, BrdcastPing, BrdcastPingConfig, DnsExplorer, DnsExplorerConfig,
-    EtherHostProbe, EtherHostProbeConfig, RipWatch, RipWatchConfig, SeqPing, SeqPingConfig,
-    SubnetMasks, SubnetMasksConfig, Traceroute, TracerouteConfig,
+    ArpWatch, BrdcastPing, DnsExplorer, EtherHostProbe, RipWatch, SeqPing, SubnetMasks, Traceroute,
 };
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Observation, Source};
@@ -538,28 +536,19 @@ impl DiscoveryDriver {
         let home = self.home;
         let local = self.home_subnet();
         let handle = match source {
-            Source::ArpWatch => self
+            Source::ArpWatch => self.sim.spawn(home, Box::new(ArpWatch::new())),
+            Source::EtherHostProbe => self
                 .sim
-                .spawn(home, Box::new(ArpWatch::new(ArpWatchConfig::default()))),
-            Source::EtherHostProbe => self.sim.spawn(
-                home,
-                Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(
-                    local.host_range(),
-                ))),
-            ),
-            Source::SeqPing => self.sim.spawn(
-                home,
-                Box::new(SeqPing::new(SeqPingConfig::over(local.host_range()))),
-            ),
+                .spawn(home, Box::new(EtherHostProbe::new(local.host_range()))),
+            Source::SeqPing => self
+                .sim
+                .spawn(home, Box::new(SeqPing::new(local.host_range()))),
             Source::BrdcastPing => {
                 let mut subnets = self.known_subnets();
                 if subnets.is_empty() {
                     subnets.push(local);
                 }
-                self.sim.spawn(
-                    home,
-                    Box::new(BrdcastPing::new(BrdcastPingConfig::over(subnets))),
-                )
+                self.sim.spawn(home, Box::new(BrdcastPing::new(subnets)))
             }
             Source::SubnetMasks => {
                 let q = InterfaceQuery {
@@ -576,10 +565,7 @@ impl DiscoveryDriver {
                 if targets.is_empty() {
                     return None; // Nothing to ask yet.
                 }
-                self.sim.spawn(
-                    home,
-                    Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
-                )
+                self.sim.spawn(home, Box::new(SubnetMasks::new(targets)))
             }
             Source::Traceroute => {
                 let mut subnets = self.known_subnets();
@@ -587,22 +573,14 @@ impl DiscoveryDriver {
                 if subnets.is_empty() {
                     return None; // No clues yet; RIPwatch/DNS go first.
                 }
-                let mut cfg = TracerouteConfig::over(subnets);
-                cfg.boundary = Some(self.cfg.network);
-                self.sim.spawn(home, Box::new(Traceroute::new(cfg)))
+                let traceroute = Traceroute::new(subnets, self.cfg.network);
+                self.sim.spawn(home, Box::new(traceroute))
             }
-            Source::RipWatch => self
-                .sim
-                .spawn(home, Box::new(RipWatch::new(RipWatchConfig::default()))),
+            Source::RipWatch => self.sim.spawn(home, Box::new(RipWatch::new())),
             Source::Dns => {
                 let server = self.cfg.dns_server?;
-                self.sim.spawn(
-                    home,
-                    Box::new(DnsExplorer::new(DnsExplorerConfig::new(
-                        self.cfg.network,
-                        server,
-                    ))),
-                )
+                let dns = DnsExplorer::new(self.cfg.network, server);
+                self.sim.spawn(home, Box::new(dns))
             }
             Source::Manager => return None,
         };

@@ -17,38 +17,22 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::{SimDuration, SimTime};
 
-/// Configuration for [`ArpWatch`].
-#[derive(Debug, Clone)]
-pub struct ArpWatchConfig {
-    /// Re-emit a known pair to the Journal at most this often (keeps the
-    /// record's verification timestamp fresh without flooding).
-    pub reverify_interval: SimDuration,
-}
-
-impl Default for ArpWatchConfig {
-    fn default() -> Self {
-        ArpWatchConfig {
-            reverify_interval: SimDuration::from_mins(10),
-        }
-    }
-}
+/// Re-emit a known pair to the Journal at most this often (keeps the
+/// record's verification timestamp fresh without flooding).
+const REVERIFY_INTERVAL: SimDuration = SimDuration::from_mins(10);
 
 /// The passive ARP monitor.
+#[derive(Default)]
 pub struct ArpWatch {
-    cfg: ArpWatchConfig,
     /// `(ip, mac)` pairs seen, with the last time each was reported.
     seen: HashMap<(Ipv4Addr, MacAddr), SimTime>,
     frames_observed: u64,
 }
 
 impl ArpWatch {
-    /// Creates the module.
-    pub fn new(cfg: ArpWatchConfig) -> Self {
-        ArpWatch {
-            cfg,
-            seen: HashMap::new(),
-            frames_observed: 0,
-        }
+    /// Creates the module; it takes no input (paper Table 3).
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Distinct `(ip, mac)` pairs observed so far.
@@ -77,7 +61,7 @@ impl ArpWatch {
         }
         let now = ctx.now();
         let due = match self.seen.get(&(ip, mac)) {
-            Some(last) => now.since(*last) >= self.cfg.reverify_interval,
+            Some(last) => now.since(*last) >= REVERIFY_INTERVAL,
             None => true,
         };
         if due {
@@ -122,7 +106,7 @@ mod tests {
     #[test]
     fn quiet_network_yields_nothing() {
         let (mut sim, topo) = lan(4);
-        let h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new(Default::default())));
+        let h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new()));
         sim.run_for(SimDuration::from_mins(5));
         assert_eq!(sim.process_mut::<ArpWatch>(h).unwrap().distinct_ips(), 0);
         assert!(sim.drain_observations().is_empty());
@@ -133,7 +117,7 @@ mod tests {
         let (mut sim, topo) = lan(6);
         // Hosts 1 and 2 chat (host 0 runs the watcher and stays silent).
         // The watcher starts before traffic so its tap sees the exchange.
-        let h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new(Default::default())));
+        let h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new()));
         let dst1 = sim.nodes[topo.hosts[2].0].ifaces[0].ip;
         let dst2 = sim.nodes[topo.hosts[1].0].ifaces[0].ip;
         sim.set_traffic(TrafficModel::new(
@@ -188,7 +172,7 @@ mod tests {
             SimDuration::from_secs(2),
             1,
         ));
-        let _h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new(Default::default())));
+        let _h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new()));
         sim.run_for(SimDuration::from_mins(5));
         let obs = sim.drain_observations();
         // Host 1 ARPs for host 2 repeatedly (cache expiry >> 5 min means

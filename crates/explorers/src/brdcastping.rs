@@ -18,35 +18,17 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`BrdcastPing`].
-#[derive(Debug, Clone)]
-pub struct BrdcastPingConfig {
-    /// Subnets to probe, in order.
-    pub subnets: Vec<Subnet>,
-    /// Listening window per subnet (paper: "completes in 20 seconds on a
-    /// directly attached network").
-    pub window: SimDuration,
-    /// Maximum TTL tried during the minimal-TTL search.
-    pub max_ttl: u8,
-    /// ICMP identifier for this run.
-    pub ident: u16,
-}
-
-impl BrdcastPingConfig {
-    /// Defaults for a list of subnets.
-    pub fn over(subnets: Vec<Subnet>) -> Self {
-        BrdcastPingConfig {
-            subnets,
-            window: SimDuration::from_secs(20),
-            max_ttl: 8,
-            ident: 0xBCA5,
-        }
-    }
-}
+/// Listening window per subnet: the module "completes in 20 seconds on a
+/// directly attached network".
+const WINDOW: SimDuration = SimDuration::from_secs(20);
+/// Highest TTL tried during the minimal-TTL search.
+const MAX_TTL: u8 = 8;
+/// ICMP identifier marking this module's echoes.
+const IDENT: u16 = 0xBCA5;
 
 /// Module state.
 pub struct BrdcastPing {
-    cfg: BrdcastPingConfig,
+    subnets: Vec<Subnet>,
     current: usize,
     ttl: u8,
     responders: HashSet<Ipv4Addr>,
@@ -59,10 +41,11 @@ const TIMER_TTL_STEP: u64 = 1;
 const TIMER_SUBNET_DONE: u64 = 2;
 
 impl BrdcastPing {
-    /// Creates the module.
-    pub fn new(cfg: BrdcastPingConfig) -> Self {
+    /// Creates the module over its Table 3 input, the subnets to probe
+    /// in order.
+    pub fn new(subnets: Vec<Subnet>) -> Self {
         BrdcastPing {
-            cfg,
+            subnets,
             current: 0,
             ttl: 1,
             responders: HashSet::new(),
@@ -85,7 +68,7 @@ impl BrdcastPing {
     }
 
     fn current_subnet(&self) -> Option<Subnet> {
-        self.cfg.subnets.get(self.current).copied()
+        self.subnets.get(self.current).copied()
     }
 
     fn probe(&mut self, ctx: &mut ProcCtx<'_>) {
@@ -94,7 +77,7 @@ impl BrdcastPing {
             return;
         };
         let msg = IcmpMessage::EchoRequest {
-            ident: self.cfg.ident,
+            ident: IDENT,
             seq: u16::from(self.ttl),
             payload: vec![0u8; 8],
         };
@@ -125,7 +108,7 @@ impl BrdcastPing {
         self.current += 1;
         self.ttl = 1;
         self.got_reply_this_subnet = false;
-        if self.current >= self.cfg.subnets.len() {
+        if self.current >= self.subnets.len() {
             self.finished = true;
         } else {
             self.probe(ctx);
@@ -146,8 +129,8 @@ impl Process for BrdcastPing {
             TIMER_TTL_STEP => {
                 if self.got_reply_this_subnet {
                     // Minimal TTL found; just let the window run out.
-                    ctx.set_timer(self.cfg.window, TIMER_SUBNET_DONE);
-                } else if self.ttl >= self.cfg.max_ttl {
+                    ctx.set_timer(WINDOW, TIMER_SUBNET_DONE);
+                } else if self.ttl >= MAX_TTL {
                     // Nothing reachable (e.g. gateways refuse directed
                     // broadcasts): give up on this subnet.
                     self.finish_subnet(ctx);
@@ -168,7 +151,7 @@ impl Process for BrdcastPing {
         let Ok(IcmpMessage::EchoReply { ident, .. }) = IcmpMessage::decode(&pkt.payload) else {
             return;
         };
-        if ident != self.cfg.ident {
+        if ident != IDENT {
             return;
         }
         let Some(subnet) = self.current_subnet() else {
@@ -197,9 +180,7 @@ mod tests {
         let (mut sim, topo) = lan(6);
         let h = sim.spawn(
             topo.hosts[0],
-            Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![
-                "10.7.7.0/24".parse().unwrap(),
-            ]))),
+            Box::new(BrdcastPing::new(vec!["10.7.7.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_secs(60));
         let p = sim.process_mut::<BrdcastPing>(h).unwrap();
@@ -217,9 +198,7 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(
             left,
-            Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![
-                "10.1.3.0/24".parse().unwrap(),
-            ]))),
+            Box::new(BrdcastPing::new(vec!["10.1.3.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<BrdcastPing>(h).unwrap();
@@ -236,9 +215,7 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(
             left,
-            Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![
-                "10.1.3.0/24".parse().unwrap(),
-            ]))),
+            Box::new(BrdcastPing::new(vec!["10.1.3.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(3));
         let p = sim.process_mut::<BrdcastPing>(h).unwrap();
@@ -265,9 +242,7 @@ mod tests {
         let (mut sim, topo) = b.build(3);
         let h = sim.spawn(
             topo.hosts[0],
-            Box::new(BrdcastPing::new(BrdcastPingConfig::over(vec![
-                "10.9.9.0/24".parse().unwrap(),
-            ]))),
+            Box::new(BrdcastPing::new(vec!["10.9.9.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<BrdcastPing>(h).unwrap();

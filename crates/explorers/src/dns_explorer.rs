@@ -26,31 +26,12 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`DnsExplorer`].
-#[derive(Debug, Clone)]
-pub struct DnsExplorerConfig {
-    /// The network to examine (e.g. the campus class B).
-    pub network: Subnet,
-    /// Address of a name server authoritative for the network's zones.
-    pub server: Ipv4Addr,
-    /// Gap between successive zone transfers (the module's "10 pkts/sec"
-    /// load comes from this phase).
-    pub pace: SimDuration,
-    /// Gateway-name suffixes considered naming conventions.
-    pub gw_suffixes: Vec<String>,
-}
-
-impl DnsExplorerConfig {
-    /// Defaults for a network + server pair.
-    pub fn new(network: Subnet, server: Ipv4Addr) -> Self {
-        DnsExplorerConfig {
-            network,
-            server,
-            pace: SimDuration::from_millis(200),
-            gw_suffixes: vec!["-gw".to_owned(), "-gate".to_owned(), "gw".to_owned()],
-        }
-    }
-}
+/// Gap between successive zone transfers (the module's "10 pkts/sec"
+/// load comes from this phase).
+const PACE: SimDuration = SimDuration::from_millis(200);
+/// Name suffixes taken as gateway naming conventions: "names which differ
+/// only by `-gw` or similar naming conventions".
+const GW_SUFFIXES: [&str; 3] = ["-gw", "-gate", "gw"];
 
 /// A discovered gateway candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +63,8 @@ enum Phase {
 
 /// The DNS zone-walking module.
 pub struct DnsExplorer {
-    cfg: DnsExplorerConfig,
+    network: Subnet,
+    server: Ipv4Addr,
     phase: Phase,
     pending_zones: Vec<DnsName>,
     transferred: usize,
@@ -95,14 +77,18 @@ pub struct DnsExplorer {
     finished: bool,
 }
 
-const TIMER_NEXT: u64 = 1;
-const TIMER_TIMEOUT: u64 = 2;
+/// Timer token of the pace timer. Every other token is a timeout, and is
+/// the id of the query it guards.
+const TIMER_NEXT: u64 = 1 << 16;
 
 impl DnsExplorer {
-    /// Creates the module.
-    pub fn new(cfg: DnsExplorerConfig) -> Self {
+    /// Creates the module over its Table 3 input: the network to examine
+    /// (e.g. the campus class B) and a name server authoritative for its
+    /// zones.
+    pub fn new(network: Subnet, server: Ipv4Addr) -> Self {
         DnsExplorer {
-            cfg,
+            network,
+            server,
             phase: Phase::ParentTransfer,
             pending_zones: Vec::new(),
             transferred: 0,
@@ -149,24 +135,30 @@ impl DnsExplorer {
         self.mask.unwrap_or(SubnetMask::CLASS_C)
     }
 
-    /// The reverse-tree zone name for the configured network.
+    /// The reverse-tree zone name for the examined network.
     fn parent_zone(&self) -> DnsName {
-        DnsName::reverse_zone_for(self.cfg.network.network(), self.cfg.network.prefix_len())
+        DnsName::reverse_zone_for(self.network.network(), self.network.prefix_len())
+    }
+
+    /// Allocates the next query id and awaits it.
+    fn next_id(&mut self) -> u16 {
+        self.query_id = self.query_id.wrapping_add(1);
+        self.awaiting_id = Some(self.query_id);
+        self.query_id
     }
 
     fn send_axfr(&mut self, zone: DnsName, ctx: &mut ProcCtx<'_>) {
-        self.query_id = self.query_id.wrapping_add(1);
-        self.awaiting_id = Some(self.query_id);
-        let q = DnsMessage::query(self.query_id, zone, RecordType::Axfr);
+        let id = self.next_id();
+        let q = DnsMessage::query(id, zone, RecordType::Axfr);
         // Zone transfers ride the reliable (TCP) channel, as real AXFR does.
         let _ = ctx.send_ip(
-            self.cfg.server,
+            self.server,
             IpProtocol::Tcp,
             Bytes::from(q.encode()),
             None,
             None,
         );
-        ctx.set_timer(SimDuration::from_secs(10), TIMER_TIMEOUT);
+        ctx.set_timer(SimDuration::from_secs(10), u64::from(id));
     }
 
     fn absorb_records(&mut self, msg: &DnsMessage) {
@@ -174,7 +166,7 @@ impl DnsExplorer {
             match (&rr.rtype, &rr.rdata) {
                 (RecordType::Ptr, RData::Ptr(target)) => {
                     if let Some(ip) = rr.name.reverse_to_addr() {
-                        if self.cfg.network.contains(ip)
+                        if self.network.contains(ip)
                             && !self.pairs.iter().any(|(i, n)| *i == ip && n == target)
                         {
                             self.pairs.push((ip, target.clone()));
@@ -190,7 +182,7 @@ impl DnsExplorer {
                         self.pending_zones.push(rr.name.clone());
                     }
                 (RecordType::A, RData::A(ip))
-                    if self.cfg.network.contains(*ip)
+                    if self.network.contains(*ip)
                         && !self.pairs.iter().any(|(i, n)| i == ip && *n == rr.name)
                     => {
                         self.pairs.push((*ip, rr.name.clone()));
@@ -226,8 +218,8 @@ impl DnsExplorer {
         // "The DNS module also uses ICMP Mask Requests to retrieve the
         // subnet mask from one of the first hosts discovered ... usually
         // one of the name servers."
-        let target = if self.cfg.network.contains(self.cfg.server) {
-            Some(self.cfg.server)
+        let target = if self.network.contains(self.server) {
+            Some(self.server)
         } else {
             self.pairs.first().map(|(ip, _)| *ip)
         };
@@ -238,7 +230,8 @@ impl DnsExplorer {
                     seq: 0,
                 };
                 let _ = ctx.send_icmp(t, &msg);
-                ctx.set_timer(SimDuration::from_secs(8), TIMER_TIMEOUT);
+                let id = self.next_id();
+                ctx.set_timer(SimDuration::from_secs(8), u64::from(id));
             }
             None => self.analyze_and_emit(ctx),
         }
@@ -269,11 +262,9 @@ impl DnsExplorer {
         // Heuristic 2: naming conventions (-gw etc.), even single-address.
         for (name, ips) in &by_name {
             let leaf = name.leaf().unwrap_or("");
-            let conventional = self
-                .cfg
-                .gw_suffixes
+            let conventional = GW_SUFFIXES
                 .iter()
-                .any(|suf| leaf.ends_with(suf.as_str()) && leaf.len() > suf.len());
+                .any(|suf| leaf.ends_with(suf) && leaf.len() > suf.len());
             if conventional && !gw_names.iter().any(|(n, _, _)| n == name) {
                 gw_names.push((
                     name.clone(),
@@ -357,13 +348,13 @@ impl Process for DnsExplorer {
         }
         match token {
             TIMER_NEXT => self.next_step(ctx),
-            TIMER_TIMEOUT
-                if (self.awaiting_id.take().is_some() || self.phase == Phase::MaskProbe) =>
-            {
-                // Give up on the outstanding transfer/probe; move on.
+            id if self.awaiting_id.map(u64::from) == Some(id) => {
+                // The query this timer guards is still unanswered: give up
+                // on it and move on.
+                self.awaiting_id = None;
                 self.next_step(ctx);
             }
-            _ => {}
+            _ => {} // Its query was answered; a later one may be in flight.
         }
     }
 
@@ -387,7 +378,7 @@ impl Process for DnsExplorer {
                     }
                     _ => self.refused += 1,
                 }
-                ctx.set_timer(self.cfg.pace, TIMER_NEXT);
+                ctx.set_timer(PACE, TIMER_NEXT);
             }
             IpProtocol::Icmp => {
                 if self.phase != Phase::MaskProbe {
@@ -486,37 +477,39 @@ mod tests {
         (sim, topo)
     }
 
-    fn explore() -> (DnsExplorer, Vec<Observation>) {
-        let (mut sim, topo) = dns_world();
+    fn network() -> Subnet {
+        "128.200.0.0/16".parse().unwrap()
+    }
+
+    fn name_server() -> Ipv4Addr {
+        "128.200.5.53".parse().unwrap()
+    }
+
+    /// Runs one walk from "prober" and returns the finished module and
+    /// what it emitted.
+    fn explore_in(
+        mut sim: fremont_netsim::engine::Sim,
+        topo: fremont_netsim::builder::Topology,
+    ) -> (DnsExplorer, Vec<Observation>) {
         let prober = topo.nodes_by_name["prober"];
-        let cfg = DnsExplorerConfig::new(
-            "128.200.0.0/16".parse().unwrap(),
-            "128.200.5.53".parse().unwrap(),
-        );
-        let h = sim.spawn(prober, Box::new(DnsExplorer::new(cfg)));
+        let h = sim.spawn(prober, Box::new(DnsExplorer::new(network(), name_server())));
         sim.run_for(SimDuration::from_mins(5));
-        let p = sim.process_mut::<DnsExplorer>(h).unwrap();
-        assert!(p.done(), "explorer finished");
         let obs: Vec<Observation> = sim
             .drain_observations()
             .into_iter()
             .map(|(_, _, o)| o)
             .collect();
         let p = sim.process_mut::<DnsExplorer>(h).unwrap();
-        let result = DnsExplorer {
-            cfg: p.cfg.clone(),
-            phase: Phase::Done,
-            pending_zones: vec![],
-            transferred: p.transferred,
-            refused: p.refused,
-            query_id: 0,
-            awaiting_id: None,
-            pairs: p.pairs.clone(),
-            mask: p.mask,
-            gateways: p.gateways.clone(),
-            finished: true,
-        };
-        (result, obs)
+        assert!(p.done(), "explorer finished");
+        (
+            std::mem::replace(p, DnsExplorer::new(network(), name_server())),
+            obs,
+        )
+    }
+
+    fn explore() -> (DnsExplorer, Vec<Observation>) {
+        let (sim, topo) = dns_world();
+        explore_in(sim, topo)
     }
 
     #[test]
@@ -525,6 +518,19 @@ mod tests {
         let (transferred, refused) = p.zone_counts();
         assert_eq!(transferred, 4, "parent + three children");
         assert_eq!(refused, 0);
+        assert_eq!(p.pairs().len(), 5, "pairs: {:?}", p.pairs());
+    }
+
+    #[test]
+    fn slow_link_walk_keeps_every_zone() {
+        // A second of latency per hop: a transfer's 10 s timeout fires
+        // while a later transfer is in flight, and must leave it alone.
+        let (mut sim, topo) = dns_world();
+        for seg in &mut sim.segments {
+            seg.cfg.latency = SimDuration::from_secs(1);
+        }
+        let (p, _) = explore_in(sim, topo);
+        assert_eq!(p.zone_counts(), (4, 0), "parent + three children");
         assert_eq!(p.pairs().len(), 5, "pairs: {:?}", p.pairs());
     }
 
@@ -629,11 +635,7 @@ mod tests {
         sim.nodes[ns.0].dns = Some(server);
 
         let prober = topo.nodes_by_name["prober"];
-        let cfg = DnsExplorerConfig::new(
-            "128.200.0.0/16".parse().unwrap(),
-            "128.200.5.53".parse().unwrap(),
-        );
-        let h = sim.spawn(prober, Box::new(DnsExplorer::new(cfg)));
+        let h = sim.spawn(prober, Box::new(DnsExplorer::new(network(), name_server())));
         sim.run_for(SimDuration::from_mins(5));
         let p = sim.process_mut::<DnsExplorer>(h).unwrap();
         assert!(p.done());

@@ -19,33 +19,14 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`EtherHostProbe`].
-#[derive(Debug, Clone)]
-pub struct EtherHostProbeConfig {
-    /// Addresses to probe (must be on the directly attached subnet — the
-    /// ARP mechanism "is limited to gathering information only about hosts
-    /// that are on a directly attached, locally shared subnet").
-    pub range: IpRange,
-    /// Gap between probes (paper: four packets per second).
-    pub interval: SimDuration,
-    /// How long to wait after the sweep before harvesting the ARP cache.
-    pub harvest_grace: SimDuration,
-}
-
-impl EtherHostProbeConfig {
-    /// The paper's defaults over a range.
-    pub fn over(range: IpRange) -> Self {
-        EtherHostProbeConfig {
-            range,
-            interval: SimDuration::from_millis(250),
-            harvest_grace: SimDuration::from_secs(5),
-        }
-    }
-}
+/// "The module limits the rate of generated packets to four per second."
+const INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// How long to wait after the sweep before harvesting the ARP cache.
+const HARVEST_GRACE: SimDuration = SimDuration::from_secs(5);
 
 /// Module state.
 pub struct EtherHostProbe {
-    cfg: EtherHostProbeConfig,
+    range: IpRange,
     queue: Vec<Ipv4Addr>,
     next: usize,
     found: Vec<(Ipv4Addr, MacAddr)>,
@@ -57,12 +38,14 @@ const TIMER_NEXT: u64 = 1;
 const TIMER_HARVEST: u64 = 2;
 
 impl EtherHostProbe {
-    /// Creates the module.
-    pub fn new(cfg: EtherHostProbeConfig) -> Self {
-        let queue = cfg.range.iter().collect();
+    /// Creates the module over its Table 3 input, an address range. The
+    /// range must be on the directly attached subnet: the ARP mechanism
+    /// "is limited to gathering information only about hosts that are on
+    /// a directly attached, locally shared subnet".
+    pub fn new(range: IpRange) -> Self {
         EtherHostProbe {
-            cfg,
-            queue,
+            queue: range.iter().collect(),
+            range,
             next: 0,
             found: Vec::new(),
             probes_sent: 0,
@@ -90,7 +73,7 @@ impl Process for EtherHostProbe {
         match token {
             TIMER_NEXT => {
                 if self.next >= self.queue.len() {
-                    ctx.set_timer(self.cfg.harvest_grace, TIMER_HARVEST);
+                    ctx.set_timer(HARVEST_GRACE, TIMER_HARVEST);
                     return;
                 }
                 let target = self.queue[self.next];
@@ -99,12 +82,12 @@ impl Process for EtherHostProbe {
                 // The UDP packet itself is almost irrelevant; what matters
                 // is the ARP request the host stack emits to deliver it.
                 let _ = ctx.send_udp(target, 1042, ECHO_PORT, Bytes::from_static(b"fremont"));
-                ctx.set_timer(self.cfg.interval, TIMER_NEXT);
+                ctx.set_timer(INTERVAL, TIMER_NEXT);
             }
             TIMER_HARVEST => {
                 // Read the kernel ARP table (no privileges needed).
                 for (ip, mac) in ctx.arp_snapshot() {
-                    if self.cfg.range.contains(ip) {
+                    if self.range.contains(ip) {
                         self.found.push((ip, mac));
                         ctx.emit(Observation::arp_pair(Source::EtherHostProbe, ip, mac));
                     }
@@ -130,10 +113,7 @@ mod tests {
     fn harvests_macs_of_up_hosts() {
         let (mut sim, topo) = lan(4);
         let range = IpRange::new("10.7.7.1".parse().unwrap(), "10.7.7.30".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<EtherHostProbe>(h).unwrap();
         assert!(p.done());
@@ -159,10 +139,7 @@ mod tests {
         let (mut sim, topo) = lan(4);
         sim.set_node_up(topo.hosts[1], false);
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.13".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<EtherHostProbe>(h).unwrap();
         assert_eq!(p.found().len(), 2, "hosts .12/.13; .11 down, .10 is self");
@@ -172,10 +149,7 @@ mod tests {
     fn rate_is_four_per_second() {
         let (mut sim, topo) = lan(1);
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.49".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         // 40 probes at 4/s = 10 s; not done at 5 s.
         sim.run_for(SimDuration::from_secs(5));
         {

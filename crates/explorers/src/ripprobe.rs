@@ -25,35 +25,16 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`RipProbe`].
-#[derive(Debug, Clone)]
-pub struct RipProbeConfig {
-    /// Candidate gateway addresses (from the Journal: RIP sources and
-    /// traceroute hops).
-    pub targets: Vec<Ipv4Addr>,
-    /// Gap between polls.
-    pub interval: SimDuration,
-    /// How long to wait for stragglers after the last poll.
-    pub drain: SimDuration,
-    /// Source port identifying this run's replies.
-    pub src_port: u16,
-}
-
-impl RipProbeConfig {
-    /// Defaults for a target list.
-    pub fn over(targets: Vec<Ipv4Addr>) -> Self {
-        RipProbeConfig {
-            targets,
-            interval: SimDuration::from_secs(2),
-            drain: SimDuration::from_secs(10),
-            src_port: 2520,
-        }
-    }
-}
+/// Gap between polls.
+const INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// How long to wait for stragglers after the last poll.
+const DRAIN: SimDuration = SimDuration::from_secs(10);
+/// Source port identifying this module's replies.
+const SRC_PORT: u16 = 2520;
 
 /// The directed RIP prober.
 pub struct RipProbe {
-    cfg: RipProbeConfig,
+    targets: Vec<Ipv4Addr>,
     next: usize,
     /// Routes learned per responding gateway.
     responders: HashMap<Ipv4Addr, Vec<(Ipv4Addr, u32)>>,
@@ -66,10 +47,11 @@ const TIMER_NEXT: u64 = 1;
 const TIMER_DRAIN: u64 = 2;
 
 impl RipProbe {
-    /// Creates the module.
-    pub fn new(cfg: RipProbeConfig) -> Self {
+    /// Creates the module over its input: candidate gateway addresses
+    /// (from the Journal: RIP sources and traceroute hops).
+    pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         RipProbe {
-            cfg,
+            targets,
             next: 0,
             responders: HashMap::new(),
             emitted_subnets: HashSet::new(),
@@ -100,20 +82,15 @@ impl Process for RipProbe {
     fn on_timer(&mut self, token: u64, ctx: &mut ProcCtx<'_>) {
         match token {
             TIMER_NEXT => {
-                if self.next >= self.cfg.targets.len() {
-                    ctx.set_timer(self.cfg.drain, TIMER_DRAIN);
+                if self.next >= self.targets.len() {
+                    ctx.set_timer(DRAIN, TIMER_DRAIN);
                     return;
                 }
-                let target = self.cfg.targets[self.next];
+                let target = self.targets[self.next];
                 self.next += 1;
                 let poll = RipPacket::poll_request();
-                let _ = ctx.send_udp(
-                    target,
-                    self.cfg.src_port,
-                    RIP_PORT,
-                    Bytes::from(poll.encode()),
-                );
-                ctx.set_timer(self.cfg.interval, TIMER_NEXT);
+                let _ = ctx.send_udp(target, SRC_PORT, RIP_PORT, Bytes::from(poll.encode()));
+                ctx.set_timer(INTERVAL, TIMER_NEXT);
             }
             TIMER_DRAIN => self.finished = true,
             _ => {}
@@ -128,7 +105,7 @@ impl Process for RipProbe {
             return;
         };
         // Replies come back unicast to our poll's source port.
-        if dgram.dst_port != self.cfg.src_port || dgram.src_port != RIP_PORT {
+        if dgram.dst_port != SRC_PORT || dgram.src_port != RIP_PORT {
             return;
         }
         let Ok(rip) = RipPacket::decode(&dgram.payload) else {
@@ -201,9 +178,7 @@ mod tests {
         // only because RIP requests route (unlike broadcasts).
         let h = sim.spawn(
             left,
-            Box::new(RipProbe::new(RipProbeConfig::over(vec!["10.1.2.2"
-                .parse()
-                .unwrap()]))),
+            Box::new(RipProbe::new(vec!["10.1.2.2".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<RipProbe>(h).unwrap();
@@ -234,9 +209,7 @@ mod tests {
         // Poll the plain host "right": hosts don't speak RIP.
         let h = sim.spawn(
             left,
-            Box::new(RipProbe::new(RipProbeConfig::over(vec!["10.1.3.10"
-                .parse()
-                .unwrap()]))),
+            Box::new(RipProbe::new(vec!["10.1.3.10".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<RipProbe>(h).unwrap();
@@ -253,10 +226,10 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(
             left,
-            Box::new(RipProbe::new(RipProbeConfig::over(vec![
+            Box::new(RipProbe::new(vec![
                 "10.1.1.1".parse().unwrap(),
                 "10.1.2.2".parse().unwrap(),
-            ]))),
+            ])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<RipProbe>(h).unwrap();
@@ -271,9 +244,7 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         sim.spawn(
             left,
-            Box::new(RipProbe::new(RipProbeConfig::over(vec!["10.1.1.1"
-                .parse()
-                .unwrap()]))),
+            Box::new(RipProbe::new(vec!["10.1.1.1".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
         let obs = sim.drain_observations();

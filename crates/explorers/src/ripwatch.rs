@@ -18,21 +18,9 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`RipWatch`].
-#[derive(Debug, Clone)]
-pub struct RipWatchConfig {
-    /// How long to monitor before finishing (paper Table 4: 2 minutes —
-    /// enough for every router's 30-second advertisement cycle).
-    pub duration: SimDuration,
-}
-
-impl Default for RipWatchConfig {
-    fn default() -> Self {
-        RipWatchConfig {
-            duration: SimDuration::from_mins(2),
-        }
-    }
-}
+/// How long to monitor before finishing (paper Table 4: 2 minutes —
+/// enough for every router's 30-second advertisement cycle).
+const DURATION: SimDuration = SimDuration::from_mins(2);
 
 /// What one RIP source advertised.
 #[derive(Debug, Clone, Default)]
@@ -47,50 +35,26 @@ pub struct RipSourceInfo {
 }
 
 /// The passive RIP monitor.
+#[derive(Default)]
 pub struct RipWatch {
-    cfg: RipWatchConfig,
     local_subnet: Option<Subnet>,
     sources: HashMap<Ipv4Addr, RipSourceInfo>,
     subnets: HashSet<Subnet>,
-    networks: HashSet<Subnet>,
     hosts: HashSet<Ipv4Addr>,
     emitted_subnets: HashSet<Subnet>,
     finished: bool,
 }
 
 impl RipWatch {
-    /// Creates the module.
-    pub fn new(cfg: RipWatchConfig) -> Self {
-        RipWatch {
-            cfg,
-            local_subnet: None,
-            sources: HashMap::new(),
-            subnets: HashSet::new(),
-            networks: HashSet::new(),
-            hosts: HashSet::new(),
-            emitted_subnets: HashSet::new(),
-            finished: false,
-        }
+    /// Creates the module; it takes no input (paper Table 3).
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Subnet routes heard (within the local classful network).
     pub fn subnets(&self) -> Vec<Subnet> {
         let mut v: Vec<_> = self.subnets.iter().copied().collect();
         v.sort();
-        v
-    }
-
-    /// External network routes heard.
-    pub fn networks(&self) -> Vec<Subnet> {
-        let mut v: Vec<_> = self.networks.iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Host routes heard.
-    pub fn hosts(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<_> = self.hosts.iter().copied().collect();
-        v.sort_by_key(|ip| u32::from(*ip));
         v
     }
 
@@ -141,7 +105,7 @@ impl Process for RipWatch {
         let local = iface.subnet();
         self.local_subnet = Some(local);
         ctx.enable_tap(true);
-        ctx.set_timer(self.cfg.duration, 1);
+        ctx.set_timer(DURATION, 1);
         // The watcher knows its own attached subnet (from its interface
         // configuration) — that is how the paper's module reaches 111/111:
         // 110 advertised plus the one it sits on.
@@ -227,7 +191,6 @@ impl Process for RipWatch {
                     }
                 }
                 RouteKind::Network(n) => {
-                    self.networks.insert(n);
                     if self.emitted_subnets.insert(n) {
                         ctx.emit(Observation::subnet(Source::RipWatch, n, true));
                     }
@@ -257,7 +220,7 @@ mod tests {
     fn hears_advertised_subnets() {
         let (mut sim, topo) = line3();
         let left = topo.nodes_by_name["left"];
-        let h = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
         let w = sim.process_mut::<RipWatch>(h).unwrap();
         assert!(w.done());
@@ -291,8 +254,6 @@ mod tests {
         let right_ip: Ipv4Addr = "10.1.1.99".parse().unwrap();
         // Add a promiscuous host on net-a that learned routes from r1 and
         // rebroadcasts them — including net-a's own route.
-        let b = fremont_netsim::builder::TopologyBuilder::new();
-        let _ = b; // (constructed inline below instead)
         let seg = sim.nodes[left.0].ifaces[0].segment;
         let mut node = fremont_netsim::node::Node::new(
             "promisc",
@@ -315,7 +276,7 @@ mod tests {
         node.rip_learned.push(("10.1.2.0".parse().unwrap(), 1));
         let promisc = sim.add_node(node);
 
-        let h = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
         let w = sim.process_mut::<RipWatch>(h).unwrap();
         assert_eq!(w.promiscuous_sources(), vec![right_ip]);
@@ -356,7 +317,7 @@ mod tests {
         sim.run_for(SimDuration::from_mins(1));
         assert!(sim.nodes[promisc.0].rip_learned.is_empty());
         sim.set_node_up(promisc, true);
-        let h = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
         let w = sim.process_mut::<RipWatch>(h).unwrap();
         assert_eq!(routes(w), [route("10.1.2.0", 2), route("10.1.3.0", 3)]);
@@ -366,13 +327,8 @@ mod tests {
     fn finishes_after_configured_duration() {
         let (mut sim, topo) = line3();
         let left = topo.nodes_by_name["left"];
-        let h = sim.spawn(
-            left,
-            Box::new(RipWatch::new(RipWatchConfig {
-                duration: SimDuration::from_secs(10),
-            })),
-        );
-        sim.run_for(SimDuration::from_secs(5));
+        let h = sim.spawn(left, Box::new(RipWatch::new()));
+        sim.run_for(SimDuration::from_secs(115));
         assert!(!sim.process_done(h));
         sim.run_for(SimDuration::from_secs(10));
         assert!(sim.process_done(h));

@@ -17,31 +17,14 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`SeqPing`].
-#[derive(Debug, Clone)]
-pub struct SeqPingConfig {
-    /// Addresses to sweep.
-    pub range: IpRange,
-    /// Gap between requests (paper: 2 seconds).
-    pub interval: SimDuration,
-    /// ICMP identifier for this run.
-    pub ident: u16,
-}
-
-impl SeqPingConfig {
-    /// The paper's defaults over a range.
-    pub fn over(range: IpRange) -> Self {
-        SeqPingConfig {
-            range,
-            interval: SimDuration::from_secs(2),
-            ident: 0x5EC1,
-        }
-    }
-}
+/// "request packets are sent only once every two seconds"
+const INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// ICMP identifier marking this module's echoes.
+const IDENT: u16 = 0x5EC1;
 
 /// Module state.
 pub struct SeqPing {
-    cfg: SeqPingConfig,
+    range: IpRange,
     queue: Vec<Ipv4Addr>,
     next: usize,
     pass: u8,
@@ -53,12 +36,11 @@ pub struct SeqPing {
 const TIMER_NEXT: u64 = 1;
 
 impl SeqPing {
-    /// Creates the module.
-    pub fn new(cfg: SeqPingConfig) -> Self {
-        let queue: Vec<Ipv4Addr> = cfg.range.iter().collect();
+    /// Creates the module over its Table 3 input, an address range.
+    pub fn new(range: IpRange) -> Self {
         SeqPing {
-            cfg,
-            queue,
+            queue: range.iter().collect(),
+            range,
             next: 0,
             pass: 1,
             responders: HashSet::new(),
@@ -103,13 +85,13 @@ impl SeqPing {
                 continue;
             }
             let msg = IcmpMessage::EchoRequest {
-                ident: self.cfg.ident,
+                ident: IDENT,
                 seq: self.sent as u16,
                 payload: vec![0u8; 8],
             };
             self.sent += 1;
             let _ = ctx.send_icmp(target, &msg);
-            ctx.set_timer(self.cfg.interval, TIMER_NEXT);
+            ctx.set_timer(INTERVAL, TIMER_NEXT);
             return;
         }
     }
@@ -134,10 +116,10 @@ impl Process for SeqPing {
         let Ok(IcmpMessage::EchoReply { ident, .. }) = IcmpMessage::decode(&pkt.payload) else {
             return;
         };
-        if ident != self.cfg.ident {
+        if ident != IDENT {
             return;
         }
-        if self.cfg.range.contains(pkt.src) && self.responders.insert(pkt.src) {
+        if self.range.contains(pkt.src) && self.responders.insert(pkt.src) {
             ctx.emit(Observation::ip_alive(Source::SeqPing, pkt.src));
         }
     }
@@ -156,10 +138,7 @@ mod tests {
     fn finds_all_up_hosts_in_range() {
         let (mut sim, topo) = lan(5);
         let range = IpRange::new("10.7.7.1".parse().unwrap(), "10.7.7.20".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(3));
         let p = sim.process_mut::<SeqPing>(h).unwrap();
         assert!(p.done());
@@ -180,10 +159,7 @@ mod tests {
         sim.set_node_up(topo.hosts[2], false);
         sim.set_node_up(topo.hosts[3], false);
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.14".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(3));
         let p = sim.process_mut::<SeqPing>(h).unwrap();
         assert_eq!(
@@ -198,10 +174,7 @@ mod tests {
         let (mut sim, topo) = lan(1);
         // Range of 4 entirely-unused addresses: 4 + 4 retries.
         let range = IpRange::new("10.7.7.100".parse().unwrap(), "10.7.7.103".parse().unwrap());
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<SeqPing>(h).unwrap();
         assert_eq!(p.requests_sent(), 8);
@@ -214,10 +187,7 @@ mod tests {
         let (mut sim, topo) = lan(1);
         let range = IpRange::new("10.7.7.50".parse().unwrap(), "10.7.7.59".parse().unwrap());
         let before = sim.now();
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         // 10 addresses * 2s + retries 10 * 2s ≈ 40s minimum.
         sim.run_for(SimDuration::from_secs(30));
         let p = sim.process_mut::<SeqPing>(h).unwrap();
@@ -232,10 +202,7 @@ mod tests {
     fn observations_are_emitted_per_responder() {
         let (mut sim, topo) = lan(3);
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.12".parse().unwrap());
-        sim.spawn(
-            topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
-        );
+        sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(2));
         let obs = sim.drain_observations();
         assert_eq!(obs.len(), 2, "hosts .11 and .12 respond (prober is .10)");

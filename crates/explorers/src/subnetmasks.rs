@@ -17,32 +17,14 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
-/// Configuration for [`SubnetMasks`].
-#[derive(Debug, Clone)]
-pub struct SubnetMasksConfig {
-    /// Interfaces to interrogate (from the Journal: "interfaces that it
-    /// has already discovered").
-    pub targets: Vec<Ipv4Addr>,
-    /// Gap between requests (paper: 2 sec/address, 0.5 pkts/sec).
-    pub interval: SimDuration,
-    /// ICMP identifier for this run.
-    pub ident: u16,
-}
-
-impl SubnetMasksConfig {
-    /// Defaults for a target list.
-    pub fn over(targets: Vec<Ipv4Addr>) -> Self {
-        SubnetMasksConfig {
-            targets,
-            interval: SimDuration::from_secs(2),
-            ident: 0x3A5C,
-        }
-    }
-}
+/// Table 4: "2 sec/address", 0.5 pkts/sec.
+const INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// ICMP identifier marking this module's mask requests.
+const IDENT: u16 = 0x3A5C;
 
 /// Module state.
 pub struct SubnetMasks {
-    cfg: SubnetMasksConfig,
+    targets: Vec<Ipv4Addr>,
     next: usize,
     masks: HashMap<Ipv4Addr, SubnetMask>,
     finished: bool,
@@ -52,10 +34,11 @@ const TIMER_NEXT: u64 = 1;
 const TIMER_DRAIN: u64 = 2;
 
 impl SubnetMasks {
-    /// Creates the module.
-    pub fn new(cfg: SubnetMasksConfig) -> Self {
+    /// Creates the module over its Table 3 input: interfaces "that it has
+    /// already discovered", taken from the Journal.
+    pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         SubnetMasks {
-            cfg,
+            targets,
             next: 0,
             masks: HashMap::new(),
             finished: false,
@@ -78,18 +61,18 @@ impl Process for SubnetMasks {
     fn on_timer(&mut self, token: u64, ctx: &mut ProcCtx<'_>) {
         match token {
             TIMER_NEXT => {
-                if self.next >= self.cfg.targets.len() {
+                if self.next >= self.targets.len() {
                     ctx.set_timer(SimDuration::from_secs(5), TIMER_DRAIN);
                     return;
                 }
-                let target = self.cfg.targets[self.next];
+                let target = self.targets[self.next];
                 self.next += 1;
                 let msg = IcmpMessage::MaskRequest {
-                    ident: self.cfg.ident,
+                    ident: IDENT,
                     seq: self.next as u16,
                 };
                 let _ = ctx.send_icmp(target, &msg);
-                ctx.set_timer(self.cfg.interval, TIMER_NEXT);
+                ctx.set_timer(INTERVAL, TIMER_NEXT);
             }
             TIMER_DRAIN => self.finished = true,
             _ => {}
@@ -104,7 +87,7 @@ impl Process for SubnetMasks {
         else {
             return;
         };
-        if ident != self.cfg.ident {
+        if ident != IDENT {
             return;
         }
         let Ok(mask) = SubnetMask::from_addr(mask) else {
@@ -141,10 +124,7 @@ mod tests {
             "10.7.7.12".parse().unwrap(),
             "10.7.7.1".parse().unwrap(),
         ];
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
         let p = sim.process_mut::<SubnetMasks>(h).unwrap();
         assert!(p.done());
@@ -166,10 +146,7 @@ mod tests {
         sim.nodes[topo.hosts[1].0].behavior.mask_reply = false;
         let targets: Vec<Ipv4Addr> =
             vec!["10.7.7.11".parse().unwrap(), "10.7.7.12".parse().unwrap()];
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
         let p = sim.process_mut::<SubnetMasks>(h).unwrap();
         assert_eq!(p.masks().len(), 1);
@@ -183,10 +160,7 @@ mod tests {
         sim.nodes[topo.hosts[2].0].ifaces[0].mask = SubnetMask::from_prefix_len(16).unwrap();
         let targets: Vec<Ipv4Addr> =
             vec!["10.7.7.11".parse().unwrap(), "10.7.7.12".parse().unwrap()];
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
         let p = sim.process_mut::<SubnetMasks>(h).unwrap();
         let masks = p.masks();
@@ -198,10 +172,7 @@ mod tests {
     #[test]
     fn empty_target_list_finishes_immediately() {
         let (mut sim, topo) = lan(1);
-        let h = sim.spawn(
-            topo.hosts[0],
-            Box::new(SubnetMasks::new(SubnetMasksConfig::over(vec![]))),
-        );
+        let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(vec![])));
         sim.run_for(SimDuration::from_secs(10));
         assert!(sim.process_mut::<SubnetMasks>(h).unwrap().done());
     }

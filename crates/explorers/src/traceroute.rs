@@ -11,8 +11,8 @@
 //!   final Time Exceeded from its gateway;
 //! * runs destinations **in parallel**, limited to 8 packets/second and at
 //!   most 80 outstanding probes, with a 10-second probe timeout;
-//! * **stops on routing loops** and at a configurable boundary (the
-//!   "national backbone" stop list);
+//! * **stops on routing loops** and at a boundary (the "national
+//!   backbone" stop list);
 //! * tolerates the broken-router modes (silent drops, TTL-reflected
 //!   errors) by giving up on a destination after repeated timeouts;
 //! * sees only the **near-side interface** of each transit router, so a
@@ -30,53 +30,19 @@ use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::{SimDuration, SimTime};
 
-/// Configuration for [`Traceroute`].
-#[derive(Debug, Clone)]
-pub struct TracerouteConfig {
-    /// Target subnets to trace toward.
-    pub targets: Vec<Subnet>,
-    /// Maximum TTL per destination.
-    pub max_ttl: u8,
-    /// Probe timeout (paper: ten seconds).
-    pub probe_timeout: SimDuration,
-    /// Gap between transmissions (paper: ≤ 8 packets/second).
-    pub send_interval: SimDuration,
-    /// Maximum outstanding probes (paper: up to 80).
-    pub max_outstanding: usize,
-    /// Stop tracing once a hop falls outside this boundary (`None` = no
-    /// stop list). The paper "stops tracing towards a particular
-    /// destination if that trace reaches any of several national backbone
-    /// networks".
-    pub boundary: Option<Subnet>,
-    /// Mask assumed when grouping hop addresses into subnets (the real
-    /// module took masks from the Journal; /24 matches the campus).
-    pub mask_hint: SubnetMask,
-    /// Consecutive probe timeouts on one destination before giving up.
-    pub max_timeouts: u8,
-    /// First TTL tried. The paper's future-work optimization: "if the
-    /// network to be traced is only reachable through node G, and if G is
-    /// exactly and always H hops away ... all traces can start with a TTL
-    /// of H+1 rather than 1, because every packet will follow the same
-    /// path for the first H hops."
-    pub start_ttl: u8,
-}
-
-impl TracerouteConfig {
-    /// The paper's defaults toward a set of target subnets.
-    pub fn over(targets: Vec<Subnet>) -> Self {
-        TracerouteConfig {
-            targets,
-            max_ttl: 30,
-            probe_timeout: SimDuration::from_secs(10),
-            send_interval: SimDuration::from_millis(125),
-            max_outstanding: 80,
-            boundary: None,
-            mask_hint: SubnetMask::CLASS_C,
-            max_timeouts: 2,
-            start_ttl: 1,
-        }
-    }
-}
+/// Highest TTL tried per destination.
+const MAX_TTL: u8 = 30;
+/// Probe timeout (paper: ten seconds).
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Gap between transmissions (paper: ≤ 8 packets/second).
+const SEND_INTERVAL: SimDuration = SimDuration::from_millis(125);
+/// Maximum outstanding probes (paper: up to 80).
+const MAX_OUTSTANDING: usize = 80;
+/// Mask assumed when grouping hop addresses into subnets (the real module
+/// took masks from the Journal; /24 matches the campus).
+const MASK_HINT: SubnetMask = SubnetMask::CLASS_C;
+/// Consecutive probe timeouts on one destination before giving up.
+const MAX_TIMEOUTS: u8 = 2;
 
 /// Terminal status of one traced destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +81,7 @@ pub struct Trace {
 
 /// The traceroute module.
 pub struct Traceroute {
-    cfg: TracerouteConfig,
+    boundary: Subnet,
     traces: Vec<Trace>,
     /// Outstanding probes: destination port → (trace idx, ttl, sent at).
     outstanding: HashMap<u16, (usize, u8, SimTime)>,
@@ -128,10 +94,14 @@ pub struct Traceroute {
 const TIMER_TICK: u64 = 1;
 
 impl Traceroute {
-    /// Creates the module: three destinations per target subnet.
-    pub fn new(cfg: TracerouteConfig) -> Self {
-        let mut traces = Vec::with_capacity(cfg.targets.len() * 3);
-        for &subnet in &cfg.targets {
+    /// Creates the module over its Table 3 input, the subnets to trace
+    /// toward: three destinations per target subnet. A trace stops once a
+    /// hop falls outside `boundary`, the paper's stop list: it "stops
+    /// tracing towards a particular destination if that trace reaches any
+    /// of several national backbone networks".
+    pub fn new(targets: Vec<Subnet>, boundary: Subnet) -> Self {
+        let mut traces = Vec::with_capacity(targets.len() * 3);
+        for subnet in targets {
             // Host zero plus the two lowest host numbers: "although one of
             // those addresses may actually be the interface address of the
             // gateway ... the other address will not be that same gateway".
@@ -142,7 +112,7 @@ impl Traceroute {
                         subnet,
                         hops: Vec::new(),
                         status: TraceStatus::Active,
-                        ttl: cfg.start_ttl.max(1),
+                        ttl: 1,
                         awaiting: None,
                         timeouts: 0,
                     });
@@ -150,7 +120,7 @@ impl Traceroute {
             }
         }
         Traceroute {
-            cfg,
+            boundary,
             traces,
             outstanding: HashMap::new(),
             next_port: TRACEROUTE_BASE_PORT,
@@ -158,6 +128,18 @@ impl Traceroute {
             probes_sent: 0,
             finished: false,
         }
+    }
+
+    /// Starts every trace at `ttl` instead of 1. The paper's future-work
+    /// optimization: "if the network to be traced is only reachable
+    /// through node G, and if G is exactly and always H hops away ... all
+    /// traces can start with a TTL of H+1 rather than 1, because every
+    /// packet will follow the same path for the first H hops."
+    pub fn with_start_ttl(mut self, ttl: u8) -> Self {
+        for t in &mut self.traces {
+            t.ttl = ttl.max(1);
+        }
+        self
     }
 
     /// All per-destination traces.
@@ -206,15 +188,14 @@ impl Traceroute {
             self.finalize(ctx);
             return;
         }
-        ctx.set_timer(self.cfg.send_interval, TIMER_TICK);
+        ctx.set_timer(SEND_INTERVAL, TIMER_TICK);
     }
 
     fn expire(&mut self, now: SimTime) {
-        let timeout = self.cfg.probe_timeout;
         let expired: Vec<u16> = self
             .outstanding
             .iter()
-            .filter(|(_, (_, _, at))| now.since(*at) >= timeout)
+            .filter(|(_, (_, _, at))| now.since(*at) >= PROBE_TIMEOUT)
             .map(|(p, _)| *p)
             .collect();
         for port in expired {
@@ -228,7 +209,7 @@ impl Traceroute {
             t.awaiting = None;
             record_hop(t, ttl, None);
             t.timeouts += 1;
-            if t.timeouts >= self.cfg.max_timeouts || t.ttl >= self.cfg.max_ttl {
+            if t.timeouts >= MAX_TIMEOUTS || t.ttl >= MAX_TTL {
                 t.status = TraceStatus::GaveUp;
             } else {
                 t.ttl += 1;
@@ -239,7 +220,7 @@ impl Traceroute {
     /// Sends at most one probe per tick ("ensures that no more than eight
     /// packets per second appear on the network").
     fn fill_pipeline(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.outstanding.len() >= self.cfg.max_outstanding {
+        if self.outstanding.len() >= MAX_OUTSTANDING {
             return;
         }
         let n = self.traces.len();
@@ -296,8 +277,7 @@ impl Traceroute {
     /// subnet and `T` — even when `f` itself is the only evidence and "the
     /// address of the interface on that subnet" is unknown.
     fn finalize(&mut self, ctx: &mut ProcCtx<'_>) {
-        let mask = self.cfg.mask_hint;
-        let sub_of = |ip: Ipv4Addr| Subnet::containing(ip, mask);
+        let sub_of = |ip: Ipv4Addr| Subnet::containing(ip, MASK_HINT);
         let mut emitted_gateways: HashSet<(Ipv4Addr, Subnet)> = HashSet::new();
         let mut emitted_subnets: HashSet<Subnet> = HashSet::new();
         let mut observations: Vec<Observation> = Vec::new();
@@ -402,13 +382,11 @@ impl Traceroute {
                 }
                 record_hop(t, ttl, Some(pkt.src));
                 t.timeouts = 0;
-                if let Some(boundary) = self.cfg.boundary {
-                    if !boundary.contains(pkt.src) {
-                        t.status = TraceStatus::Boundary;
-                        return;
-                    }
+                if !self.boundary.contains(pkt.src) {
+                    t.status = TraceStatus::Boundary;
+                    return;
                 }
-                if t.ttl >= self.cfg.max_ttl {
+                if t.ttl >= MAX_TTL {
                     t.status = TraceStatus::GaveUp;
                 } else {
                     t.ttl += 1;
@@ -486,7 +464,7 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(
             left,
-            Box::new(Traceroute::new(TracerouteConfig::over(targets))),
+            Box::new(Traceroute::new(targets, subnet("10.0.0.0/8"))),
         );
         sim.run_for(SimDuration::from_mins(10));
         let p = sim.process_mut::<Traceroute>(h).unwrap();
@@ -591,9 +569,8 @@ mod tests {
         let (traces, _, gws) = {
             let (mut sim, topo) = line3();
             let left = topo.nodes_by_name["left"];
-            let mut cfg = TracerouteConfig::over(vec![subnet("10.1.3.0/24")]);
-            cfg.boundary = Some(subnet("10.1.1.0/24"));
-            let h = sim.spawn(left, Box::new(Traceroute::new(cfg)));
+            let tr = Traceroute::new(vec![subnet("10.1.3.0/24")], subnet("10.1.1.0/24"));
+            let h = sim.spawn(left, Box::new(tr));
             sim.run_for(SimDuration::from_mins(5));
             let p = sim.process_mut::<Traceroute>(h).unwrap();
             assert!(p.done());
@@ -622,7 +599,7 @@ mod tests {
         let targets = vec![subnet("10.1.2.0/24"), subnet("10.1.3.0/24")];
         let h = sim.spawn(
             left,
-            Box::new(Traceroute::new(TracerouteConfig::over(targets))),
+            Box::new(Traceroute::new(targets, subnet("10.0.0.0/8"))),
         );
         sim.run_for(SimDuration::from_secs(2));
         let p = sim.process_mut::<Traceroute>(h).unwrap();
@@ -640,9 +617,8 @@ mod tests {
         // re-tracing the shared first hop.
         let (mut sim, topo) = line3();
         let left = topo.nodes_by_name["left"];
-        let mut cfg = TracerouteConfig::over(vec![subnet("10.1.3.0/24")]);
-        cfg.start_ttl = 2;
-        let h = sim.spawn(left, Box::new(Traceroute::new(cfg)));
+        let tr = Traceroute::new(vec![subnet("10.1.3.0/24")], subnet("10.0.0.0/8"));
+        let h = sim.spawn(left, Box::new(tr.with_start_ttl(2)));
         sim.run_for(SimDuration::from_mins(5));
         let p = sim.process_mut::<Traceroute>(h).unwrap();
         assert!(p.done());
@@ -667,7 +643,7 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(
             left,
-            Box::new(Traceroute::new(TracerouteConfig::over(vec![]))),
+            Box::new(Traceroute::new(vec![], subnet("10.0.0.0/8"))),
         );
         sim.run_for(SimDuration::from_secs(1));
         assert!(sim.process_done(h));

@@ -2,13 +2,13 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::net::Ipv4Addr;
 
-use fremont_explorers::{
-    EtherHostProbe, EtherHostProbeConfig, SeqPing, SeqPingConfig, SubnetMasks, SubnetMasksConfig,
-};
+use fremont_explorers::{BrdcastPing, EtherHostProbe, SeqPing, SubnetMasks};
 use fremont_journal::observation::Fact;
 use fremont_net::{IpRange, Subnet};
 use fremont_netsim::builder::TopologyBuilder;
+use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
 
 /// A LAN with `n` hosts, of which the subset `down` is powered off.
@@ -53,7 +53,7 @@ proptest! {
         );
         let h = sim.spawn(
             topo.hosts[0],
-            Box::new(SeqPing::new(SeqPingConfig::over(range))),
+            Box::new(SeqPing::new(range)),
         );
         sim.run_for(SimDuration::from_mins(5));
         let p = sim.process_mut::<SeqPing>(h).expect("alive");
@@ -76,7 +76,7 @@ proptest! {
         );
         let h = sim.spawn(
             topo.hosts[0],
-            Box::new(EtherHostProbe::new(EtherHostProbeConfig::over(range))),
+            Box::new(EtherHostProbe::new(range)),
         );
         sim.run_for(SimDuration::from_mins(3));
         let found = sim
@@ -105,7 +105,7 @@ proptest! {
             .collect();
         let h = sim.spawn(
             topo.hosts[0],
-            Box::new(SubnetMasks::new(SubnetMasksConfig::over(targets))),
+            Box::new(SubnetMasks::new(targets)),
         );
         sim.run_for(SimDuration::from_mins(2));
         let p = sim.process_mut::<SubnetMasks>(h).expect("alive");
@@ -123,4 +123,78 @@ proptest! {
         });
         prop_assert!(confirmed_subnet, "confirmed subnet observation emitted");
     }
+}
+
+/// Runs `module` from the first of 12 hosts on a LAN spanning `subnet`
+/// until it finishes. Returns the simulated seconds it took and how many
+/// addresses answered.
+fn run_on_sparse_lan<P: Process>(
+    subnet: Subnet,
+    module: P,
+    responders: impl Fn(&P) -> Vec<Ipv4Addr>,
+) -> (u64, usize) {
+    let mut b = TopologyBuilder::new();
+    let lan = b.segment("lan", &subnet.to_string());
+    for i in 0..12 {
+        b.host(&format!("h{i}"), lan, 10 + i);
+    }
+    let (mut sim, topo) = b.build(9);
+    let start = sim.now();
+    let h = sim.spawn(topo.hosts[0], Box::new(module));
+    while !sim.process_done(h) {
+        sim.run_for(SimDuration::from_secs(1));
+    }
+    let secs = (sim.now() - start).as_secs();
+    let p = sim.process_mut::<P>(h).expect("alive");
+    (secs, responders(p).len())
+}
+
+/// The paper's crossover, in simulated time: broadcast ping wins "if the
+/// address space is large but there are not very many hosts on the
+/// individual subnets". SeqPing pays 2 s per address of the range;
+/// BrdcastPing pays one listening window whatever the prefix.
+#[test]
+fn broadcast_beats_sequential_on_large_sparse_subnets() {
+    let mut seq_secs = Vec::new();
+    let mut brd_secs = Vec::new();
+    for prefix_len in [26u8, 24, 22] {
+        let subnet: Subnet = format!("10.40.0.0/{prefix_len}").parse().expect("subnet");
+        let addresses = subnet.host_range().iter().count() as u64;
+        let (seq, seq_found) = run_on_sparse_lan(
+            subnet,
+            SeqPing::new(subnet.host_range()),
+            SeqPing::responders,
+        );
+        let (brd, brd_found) = run_on_sparse_lan(
+            subnet,
+            BrdcastPing::new(vec![subnet]),
+            BrdcastPing::responders,
+        );
+        assert_eq!(
+            seq_found, 11,
+            "/{prefix_len}: SeqPing hears every other host"
+        );
+        assert_eq!(
+            brd_found, 11,
+            "/{prefix_len}: BrdcastPing hears every other host"
+        );
+        assert!(
+            seq >= 2 * addresses,
+            "/{prefix_len}: {seq} s for {addresses} addresses"
+        );
+        assert!(
+            brd < seq,
+            "/{prefix_len}: broadcast {brd} s vs sequential {seq} s"
+        );
+        seq_secs.push(seq);
+        brd_secs.push(brd);
+    }
+    assert!(
+        seq_secs.windows(2).all(|w| w[1] > 3 * w[0]),
+        "sequential cost grows with the address space: {seq_secs:?}"
+    );
+    assert!(
+        brd_secs.iter().all(|&b| b == brd_secs[0]),
+        "broadcast cost is flat: {brd_secs:?}"
+    );
 }

@@ -25,7 +25,7 @@
 
 use std::path::PathBuf;
 
-use fremont::explorers::{SeqPing, SeqPingConfig};
+use fremont::explorers::SeqPing;
 use fremont::journal::client::RemoteJournal;
 use fremont::journal::{
     build_introspection, InterfaceQuery, JournalAccess, JournalServer, SharedJournal,
@@ -167,10 +167,7 @@ fn run_demo(addr: &str) {
         "192.168.10.1".parse().expect("ip"),
         "192.168.10.30".parse().expect("ip"),
     );
-    sim.spawn(
-        topo.hosts[0],
-        Box::new(SeqPing::new(SeqPingConfig::over(range))),
-    );
+    sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
     sim.run_for(SimDuration::from_mins(5));
 
     let module_conn = RemoteJournal::connect(addr).expect("connect");

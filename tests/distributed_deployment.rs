@@ -9,7 +9,7 @@
 use std::net::Ipv4Addr;
 
 use fremont::core::correlate::correlate;
-use fremont::explorers::{ArpWatch, ArpWatchConfig, SeqPing, SeqPingConfig};
+use fremont::explorers::{ArpWatch, SeqPing};
 use fremont::journal::client::RemoteJournal;
 use fremont::journal::{InterfaceQuery, JournalAccess, JournalServer, SharedJournal, Source};
 use fremont::net::{IpRange, MacAddr, SubnetMask};
@@ -38,10 +38,7 @@ fn modules_report_through_the_tcp_journal_server() {
         "10.50.0.10".parse().expect("ip"),
         "10.50.0.14".parse().expect("ip"),
     );
-    sim.spawn(
-        topo.hosts[0],
-        Box::new(SeqPing::new(SeqPingConfig::over(range))),
-    );
+    sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
     sim.run_for(SimDuration::from_mins(3));
 
     // Forward the module's observations over the socket, stamped with the
@@ -112,14 +109,8 @@ fn replicated_watchers_discover_a_gateway_together() {
     sim.add_node(gw);
 
     // Watchers on both segments; talkers ping the gateway so it ARPs.
-    let wa = sim.spawn(
-        topo.nodes_by_name["watcher-a"],
-        Box::new(ArpWatch::new(ArpWatchConfig::default())),
-    );
-    let wb = sim.spawn(
-        topo.nodes_by_name["watcher-b"],
-        Box::new(ArpWatch::new(ArpWatchConfig::default())),
-    );
+    let wa = sim.spawn(topo.nodes_by_name["watcher-a"], Box::new(ArpWatch::new()));
+    let wb = sim.spawn(topo.nodes_by_name["watcher-b"], Box::new(ArpWatch::new()));
     let _ = (wa, wb);
     sim.set_traffic(TrafficModel::new(
         vec![

@@ -9,7 +9,7 @@
 //! 3. **Initial-TTL optimization** — starting traces past the known
 //!    shared prefix of the path.
 
-use fremont::explorers::{RipProbe, RipProbeConfig, Traceroute, TracerouteConfig};
+use fremont::explorers::{RipProbe, Traceroute};
 use fremont::journal::{JournalAccess, SharedJournal, Source, SubnetQuery};
 use fremont::netsim::builder::TopologyBuilder;
 use fremont::netsim::process::Process as _;
@@ -45,14 +45,9 @@ fn multi_vantage_traceroute_sees_both_interface_halves() {
         "10.2.2.0/24".parse().unwrap(),
         "10.2.3.0/24".parse().unwrap(),
     ];
-    let hw = sim.spawn(
-        west,
-        Box::new(Traceroute::new(TracerouteConfig::over(targets.clone()))),
-    );
-    let he = sim.spawn(
-        east,
-        Box::new(Traceroute::new(TracerouteConfig::over(targets))),
-    );
+    let boundary = "10.0.0.0/8".parse().unwrap();
+    let hw = sim.spawn(west, Box::new(Traceroute::new(targets.clone(), boundary)));
+    let he = sim.spawn(east, Box::new(Traceroute::new(targets, boundary)));
     sim.run_for(SimDuration::from_mins(10));
 
     // Both runs' observations flow into one shared Journal.
@@ -89,9 +84,7 @@ fn rip_poll_reaches_across_routers_and_feeds_the_journal() {
     // Poll r3 — three hops away — by its far-side attachment address.
     let h = sim.spawn(
         west,
-        Box::new(RipProbe::new(RipProbeConfig::over(vec!["10.2.3.2"
-            .parse()
-            .unwrap()]))),
+        Box::new(RipProbe::new(vec!["10.2.3.2".parse().unwrap()])),
     );
     sim.run_for(SimDuration::from_mins(2));
     assert!(sim.process_done(h));
@@ -122,9 +115,11 @@ fn initial_ttl_optimization_halves_probe_cost() {
     let count_probes = |start_ttl: u8| {
         let (mut sim, topo) = line4();
         let west = topo.nodes_by_name["west"];
-        let mut cfg = TracerouteConfig::over(vec!["10.2.4.0/24".parse().unwrap()]);
-        cfg.start_ttl = start_ttl;
-        let h = sim.spawn(west, Box::new(Traceroute::new(cfg)));
+        let traceroute = Traceroute::new(
+            vec!["10.2.4.0/24".parse().unwrap()],
+            "10.0.0.0/8".parse().unwrap(),
+        );
+        let h = sim.spawn(west, Box::new(traceroute.with_start_ttl(start_ttl)));
         sim.run_for(SimDuration::from_mins(10));
         let p = sim.process_mut::<Traceroute>(h).expect("alive");
         assert!(p.done());
