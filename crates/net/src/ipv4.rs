@@ -26,7 +26,10 @@ pub enum IpProtocol {
     Tcp,
     /// UDP (17).
     Udp,
-    /// Anything else, preserved verbatim.
+    /// Anything else, preserved verbatim. `Other(1 | 6 | 17)` is not
+    /// canonical: it encodes as ICMP, TCP or UDP but decodes as the named
+    /// variant, and a simulated receiver is handed the packet as built,
+    /// not as decoded, so it would see the `Other` form.
     Other(u8),
 }
 

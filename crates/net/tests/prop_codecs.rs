@@ -60,11 +60,12 @@ proptest! {
 
     #[test]
     fn ipv4_roundtrip(src in arb_ip(), dst in arb_ip(), ttl in any::<u8>(), id in any::<u16>(),
-                      proto in any::<u8>(),
+                      tos in any::<u8>(), proto in any::<u8>(),
                       payload in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let p = Ipv4Packet::new(src, dst, IpProtocol::from_value(proto), Bytes::from(payload))
+        let mut p = Ipv4Packet::new(src, dst, IpProtocol::from_value(proto), Bytes::from(payload))
             .with_ttl(ttl)
             .with_id(id);
+        p.tos = tos;
         prop_assert_eq!(Ipv4Packet::decode(&p.encode()).unwrap(), p);
     }
 
@@ -236,5 +237,20 @@ proptest! {
             RData::Ptr(p) => prop_assert_eq!(p, &target),
             other => prop_assert!(false, "wrong rdata {:?}", other),
         }
+    }
+}
+
+/// The simulator hands receivers the packet its sender built instead of
+/// decoding it, which is only the same thing while every protocol value
+/// the sender can name survives the wire: every named variant, and every
+/// `Other` that is not a named value in disguise.
+#[test]
+fn ip_protocol_value_roundtrip() {
+    let named = [IpProtocol::Icmp, IpProtocol::Tcp, IpProtocol::Udp];
+    let other = (0..=u8::MAX)
+        .filter(|v| !matches!(v, 1 | 6 | 17))
+        .map(IpProtocol::Other);
+    for p in named.into_iter().chain(other) {
+        assert_eq!(IpProtocol::from_value(p.value()), p);
     }
 }

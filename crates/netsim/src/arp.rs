@@ -17,15 +17,13 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
-
 use fremont_net::icmp::unreachable_for;
 use fremont_net::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpMessage, IpProtocol, Ipv4Packet, MacAddr,
-    UnreachableCode,
+    ArpOp, ArpPacket, IcmpMessage, IpProtocol, Ipv4Packet, MacAddr, UnreachableCode,
 };
 
 use crate::engine::{Event, Sim};
+use crate::link::FrameRecord;
 use crate::node::{Node, NodeKind};
 use crate::segment::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -106,7 +104,7 @@ impl Node {
     fn take_arp_pending(
         &mut self,
         take: impl Fn(Ipv4Addr, SimTime) -> bool,
-    ) -> Vec<(Ipv4Addr, usize, Vec<u8>, SimTime)> {
+    ) -> Vec<(Ipv4Addr, usize, Ipv4Packet, SimTime)> {
         let (taken, kept) = std::mem::take(&mut self.arp_pending)
             .into_iter()
             .partition(|(next_hop, _, _, at)| take(*next_hop, *at));
@@ -123,24 +121,23 @@ impl Sim {
         node: NodeId,
         iface: usize,
         next_hop: Ipv4Addr,
-        pkt: &Ipv4Packet,
+        pkt: Ipv4Packet,
     ) {
         let now = self.now();
         match self.nodes[node.0].arp.lookup(next_hop, now) {
             Some(dst_mac) => {
-                let frame = self.ip_frame(node, iface, dst_mac, pkt);
-                self.transmit_frame(node, iface, frame);
+                let rec = self.ip_frame(node, iface, dst_mac, pkt);
+                self.transmit(node, iface, rec);
             }
             None => {
-                self.nodes[node.0]
-                    .arp_pending
-                    .push((next_hop, iface, pkt.encode(), now));
+                let n = &mut self.nodes[node.0];
+                n.arp_pending.push((next_hop, iface, pkt, now));
                 self.schedule(ARP_PENDING_TIMEOUT, Event::ArpGc { node });
                 self.stats.arp_requests += 1;
                 let my = &self.nodes[node.0].ifaces[iface];
-                let req = Bytes::from(ArpPacket::request(my.mac, my.ip, next_hop).encode());
-                let frame = EthernetFrame::new(MacAddr::BROADCAST, my.mac, EtherType::Arp, req);
-                self.transmit_frame(node, iface, frame);
+                let req = ArpPacket::request(my.mac, my.ip, next_hop);
+                let rec = FrameRecord::arp(MacAddr::BROADCAST, my.mac, req);
+                self.transmit(node, iface, rec);
             }
         }
     }
@@ -161,20 +158,9 @@ impl Sim {
                             .arp
                             .insert(arp.sender_ip, arp.sender_mac, now);
                     }
-                    let reply = ArpPacket {
-                        op: ArpOp::Reply,
-                        sender_mac: my_mac,
-                        sender_ip: arp.target_ip,
-                        target_mac: arp.sender_mac,
-                        target_ip: arp.sender_ip,
-                    };
-                    let frame = EthernetFrame::new(
-                        arp.sender_mac,
-                        my_mac,
-                        EtherType::Arp,
-                        Bytes::from(reply.encode()),
-                    );
-                    self.transmit_frame(node, iface, frame);
+                    let reply = ArpPacket::reply_to(arp, my_mac);
+                    let rec = FrameRecord::arp(arp.sender_mac, my_mac, reply);
+                    self.transmit(node, iface, rec);
                 }
             }
             ArpOp::Reply => {
@@ -182,10 +168,8 @@ impl Sim {
                 n.arp.insert(arp.sender_ip, arp.sender_mac, now);
                 // Flush pending packets for the resolved address.
                 let ready = n.take_arp_pending(|next_hop, _| next_hop == arp.sender_ip);
-                for (_, ifc, bytes, _) in ready {
-                    if let Ok(pkt) = Ipv4Packet::decode(&bytes) {
-                        self.unicast_output(node, ifc, arp.sender_ip, &pkt);
-                    }
+                for (_, ifc, pkt, _) in ready {
+                    self.unicast_output(node, ifc, arp.sender_ip, pkt);
                 }
             }
         }
@@ -218,10 +202,7 @@ impl Sim {
         if n.kind != NodeKind::Router || !n.up {
             return;
         }
-        for (_, ifc, bytes, _) in failed {
-            let Ok(orig) = Ipv4Packet::decode(&bytes) else {
-                continue;
-            };
+        for (_, ifc, orig, _) in failed {
             // Never answer errors with errors, and skip broadcasts.
             if orig.protocol == IpProtocol::Icmp {
                 if let Ok(msg) = IcmpMessage::decode(&orig.payload) {

@@ -2,8 +2,8 @@
 //!
 //! Deterministic (seeded RNG, total event order), packet-level, and
 //! protocol-faithful: every ARP exchange, TTL decrement, ICMP error, RIP
-//! broadcast, and DNS reply travels as encoded bytes inside Ethernet
-//! frames on shared segments, so the Explorer Modules exercise exactly the
+//! broadcast, and DNS reply is a wire-format packet in an Ethernet frame
+//! on a shared segment, so the Explorer Modules exercise exactly the
 //! code paths the paper's modules did on the Colorado campus.
 //!
 //! [`Sim`] is the campus — nodes, segments, processes, one RNG — and the

@@ -10,10 +10,7 @@ use rand::Rng;
 use fremont_net::icmp::{time_exceeded_for, unreachable_for};
 use fremont_net::rip::RipPacket;
 use fremont_net::udp::{DNS_PORT, ECHO_PORT, RIP_PORT};
-use fremont_net::{
-    EtherType, EthernetFrame, IcmpMessage, IpProtocol, Ipv4Packet, MacAddr, UdpDatagram,
-    UnreachableCode,
-};
+use fremont_net::{IcmpMessage, IpProtocol, Ipv4Packet, MacAddr, UdpDatagram, UnreachableCode};
 
 use crate::engine::{Event, Sim};
 use crate::link::FrameRecord;
@@ -106,14 +103,14 @@ impl Sim {
         if dst == Ipv4Addr::BROADCAST {
             let ifaces = self.nodes[node.0].ifaces.len();
             for i in 0..ifaces {
-                self.link_broadcast(node, i, &pkt);
+                self.link_broadcast(node, i, pkt.clone());
             }
             return Ok(());
         }
 
         // Directed broadcast of a *connected* subnet: link broadcast there.
         if let Some(i) = self.connected_broadcast_iface(node, dst) {
-            self.link_broadcast(node, i, &pkt);
+            self.link_broadcast(node, i, pkt);
             return Ok(());
         }
 
@@ -123,7 +120,7 @@ impl Sim {
             .ok_or(SendError::NoRoute(dst))?;
         let next_hop = route.gateway.unwrap_or(dst);
         self.check_mtu(node, route.iface, &pkt)?;
-        self.unicast_output(node, route.iface, next_hop, &pkt);
+        self.unicast_output(node, route.iface, next_hop, pkt);
         Ok(())
     }
 
@@ -158,16 +155,15 @@ impl Sim {
         node: NodeId,
         iface: usize,
         dst_mac: MacAddr,
-        pkt: &Ipv4Packet,
-    ) -> EthernetFrame {
-        let src_mac = self.nodes[node.0].ifaces[iface].mac;
-        EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, Bytes::from(pkt.encode()))
+        pkt: Ipv4Packet,
+    ) -> FrameRecord {
+        FrameRecord::ip(dst_mac, self.nodes[node.0].ifaces[iface].mac, pkt)
     }
 
     /// Link-broadcasts an IP packet on one interface.
-    fn link_broadcast(&mut self, node: NodeId, iface: usize, pkt: &Ipv4Packet) {
-        let frame = self.ip_frame(node, iface, MacAddr::BROADCAST, pkt);
-        self.transmit_frame(node, iface, frame);
+    fn link_broadcast(&mut self, node: NodeId, iface: usize, pkt: Ipv4Packet) {
+        let rec = self.ip_frame(node, iface, MacAddr::BROADCAST, pkt);
+        self.transmit(node, iface, rec);
     }
 
     pub(crate) fn handle_ip(
@@ -231,7 +227,7 @@ impl Sim {
         // Directed broadcast onto a connected subnet?
         if let Some(out_iface) = self.connected_broadcast_iface(node, pkt.dst) {
             if self.nodes[node.0].behavior.forward_directed_broadcast {
-                self.link_broadcast(node, out_iface, &pkt);
+                self.link_broadcast(node, out_iface, pkt);
             }
             return;
         }
@@ -245,7 +241,7 @@ impl Sim {
                     return;
                 }
                 let next_hop = route.gateway.unwrap_or(pkt.dst);
-                self.unicast_output(node, route.iface, next_hop, &pkt);
+                self.unicast_output(node, route.iface, next_hop, pkt);
             }
             None => {
                 self.stats.icmp_errors += 1;

@@ -4,7 +4,7 @@
 //! internetwork — the substrate this reproduction runs Fremont against in
 //! place of the University of Colorado's 1993 production network.
 //!
-//! Nodes run real protocol state machines over byte-encoded packets from
+//! Nodes run real protocol state machines over the packets of
 //! [`fremont_net`]: ARP resolution with caches and timeouts, IP forwarding
 //! with TTL and ICMP errors, UDP services (echo, RIP, DNS), directed
 //! broadcasts, proxy ARP, and the specific *misbehaviors* the paper

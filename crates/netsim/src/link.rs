@@ -8,60 +8,96 @@
 //! sender's, in attachment order, then the segment's taps. A station
 //! that is down at that instant hears nothing; one that came up, or a
 //! tap enabled while the frame was in flight, does.
+//!
+//! A record holds the ARP or IPv4 packet its sender built, not its bytes:
+//! receivers read that packet (`decode(encode(p)) == p` for every packet
+//! the stack builds), and the Ethernet bytes exist only once a tap reads
+//! the frame.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use rand::Rng;
 
 use fremont_net::rip::RipPacket;
-use fremont_net::{ArpPacket, EtherType, EthernetFrame, Ipv4Packet, UdpDatagram};
+use fremont_net::{arp, ethernet, ipv4};
+use fremont_net::{ArpPacket, EtherType, EthernetFrame, Ipv4Packet, MacAddr, UdpDatagram};
 
 use crate::engine::{Event, Sim};
 use crate::process::ProcHandle;
 use crate::segment::{NodeId, SegmentId};
 use crate::time::SimDuration;
 
+/// The packet inside a frame, as its sender built it.
+pub(crate) enum Packet {
+    Arp(ArpPacket),
+    Ipv4(Ipv4Packet),
+}
+
 /// One frame in flight on a segment, owned by its single delivery event
-/// and lent to every receiver in turn. The decode cells are filled
-/// lazily, at most once per frame — a broadcast RIP advertisement heard
-/// by six interfaces is parsed once, not six times.
+/// and lent to every receiver in turn. The cells are filled lazily, at
+/// most once per frame — a broadcast RIP advertisement heard by six
+/// interfaces has its UDP datagram parsed once, not six times.
 pub(crate) struct FrameRecord {
-    pub(crate) frame: EthernetFrame,
-    arp: OnceCell<Option<ArpPacket>>,
-    ipv4: OnceCell<Option<Ipv4Packet>>,
+    dst: MacAddr,
+    src: MacAddr,
+    packet: Packet,
+    frame: OnceCell<EthernetFrame>,
     pub(crate) udp: OnceCell<Option<UdpDatagram>>,
     pub(crate) rip: OnceCell<Option<Rc<RipPacket>>>,
 }
 
 impl FrameRecord {
-    pub(crate) fn new(frame: EthernetFrame) -> Self {
+    fn new(dst: MacAddr, src: MacAddr, packet: Packet) -> Self {
         FrameRecord {
-            frame,
-            arp: OnceCell::new(),
-            ipv4: OnceCell::new(),
+            dst,
+            src,
+            packet,
+            frame: OnceCell::new(),
             udp: OnceCell::new(),
             rip: OnceCell::new(),
         }
+    }
+
+    pub(crate) fn arp(dst: MacAddr, src: MacAddr, arp: ArpPacket) -> Self {
+        Self::new(dst, src, Packet::Arp(arp))
+    }
+
+    pub(crate) fn ip(dst: MacAddr, src: MacAddr, pkt: Ipv4Packet) -> Self {
+        Self::new(dst, src, Packet::Ipv4(pkt))
+    }
+
+    /// The Ethernet frame as a tap reads it, encoded on first call.
+    pub(crate) fn frame(&self) -> &EthernetFrame {
+        self.frame.get_or_init(|| {
+            let (ethertype, payload) = match &self.packet {
+                Packet::Arp(arp) => (EtherType::Arp, arp.encode()),
+                Packet::Ipv4(pkt) => (EtherType::Ipv4, pkt.encode()),
+            };
+            EthernetFrame::new(self.dst, self.src, ethertype, Bytes::from(payload))
+        })
+    }
+
+    /// Length of the encoded frame, padding included, without encoding it.
+    pub(crate) fn wire_len(&self) -> usize {
+        let body = match &self.packet {
+            Packet::Arp(_) => arp::PACKET_LEN,
+            Packet::Ipv4(pkt) => ipv4::HEADER_LEN + pkt.payload.len(),
+        };
+        ethernet::HEADER_LEN + body.max(ethernet::MIN_PAYLOAD)
     }
 }
 
 impl Sim {
     /// Puts a frame on a node's segment: loss/collision roll, then one
-    /// delivery event for the whole segment.
-    pub(crate) fn transmit_frame(&mut self, node: NodeId, iface: usize, frame: EthernetFrame) {
-        self.transmit_frame_rec(node, iface, FrameRecord::new(frame));
-    }
-
-    /// [`Sim::transmit_frame`] with a caller-prepared record (the RIP
-    /// advertisement path pre-fills the decode cache). A surviving frame
-    /// costs one jitter draw (none on a jitter-free segment) and one
-    /// scheduled event, however many stations will hear it.
-    pub(crate) fn transmit_frame_rec(&mut self, node: NodeId, iface: usize, rec: FrameRecord) {
+    /// delivery event for the whole segment. A surviving frame costs one
+    /// jitter draw (none on a jitter-free segment) and one scheduled
+    /// event, however many stations will hear it.
+    pub(crate) fn transmit(&mut self, node: NodeId, iface: usize, rec: FrameRecord) {
         if !self.nodes[node.0].up {
             return;
         }
-        let frame = &rec.frame;
         let seg_id = self.nodes[node.0].ifaces[iface].segment;
         let now = self.now();
         let seg = &mut self.segments[seg_id.0];
@@ -77,9 +113,9 @@ impl Sim {
             seg.stats.record_loss();
             return;
         }
-        let is_arp = frame.ethertype == EtherType::Arp;
+        let is_arp = matches!(rec.packet, Packet::Arp(_));
         seg.stats
-            .record_frame(now, frame.wire_len(), frame.is_broadcast(), is_arp);
+            .record_frame(now, rec.wire_len(), rec.dst.is_broadcast(), is_arp);
 
         let latency = seg.cfg.latency + seg.fault_latency;
         let jitter_bound = seg.cfg.jitter.as_micros();
@@ -100,14 +136,14 @@ impl Sim {
     /// attachment order, then taps, in `taps` order. Both lists are read
     /// live, so a handler that enables or drops a tap is honoured.
     pub(crate) fn deliver(&mut self, seg: SegmentId, from: (NodeId, usize), rec: &FrameRecord) {
-        let broadcast = rec.frame.is_broadcast();
+        let broadcast = rec.dst.is_broadcast();
         let mut i = 0;
         while let Some(&(node, iface)) = self.segments[seg.0].attached.get(i) {
             i += 1;
             if (node, iface) == from {
                 continue; // No self-reception.
             }
-            if broadcast || rec.frame.dst == self.nodes[node.0].ifaces[iface].mac {
+            if broadcast || rec.dst == self.nodes[node.0].ifaces[iface].mac {
                 self.stats.frame_deliveries += 1;
                 self.handle_frame(node, iface, rec);
             }
@@ -122,30 +158,14 @@ impl Sim {
         }
     }
 
-    /// A frame arrives at one interface: decode (once per frame) and hand
-    /// it to ARP or IP.
+    /// A frame arrives at one interface: its packet goes to ARP or IP.
     fn handle_frame(&mut self, node: NodeId, iface: usize, rec: &FrameRecord) {
         if !self.nodes[node.0].up {
             return;
         }
-        match rec.frame.ethertype {
-            EtherType::Arp => {
-                let arp = rec
-                    .arp
-                    .get_or_init(|| ArpPacket::decode(&rec.frame.payload).ok());
-                if let Some(arp) = arp {
-                    self.handle_arp(node, iface, arp);
-                }
-            }
-            EtherType::Ipv4 => {
-                let pkt = rec
-                    .ipv4
-                    .get_or_init(|| Ipv4Packet::decode(&rec.frame.payload).ok());
-                if let Some(pkt) = pkt {
-                    self.handle_ip(node, iface, pkt, rec);
-                }
-            }
-            EtherType::Other(_) => {}
+        match &rec.packet {
+            Packet::Arp(arp) => self.handle_arp(node, iface, arp),
+            Packet::Ipv4(pkt) => self.handle_ip(node, iface, pkt, rec),
         }
     }
 
@@ -153,7 +173,7 @@ impl Sim {
         if self.nodes[handle.node.0].procs[handle.idx].is_some() {
             self.proc_stats_mut(handle).frames_tapped += 1;
         }
-        self.with_proc(handle, |p, ctx| p.on_tap(&rec.frame, ctx));
+        self.with_proc(handle, |p, ctx| p.on_tap(rec.frame(), ctx));
     }
 }
 
@@ -161,8 +181,7 @@ impl Sim {
 mod tests {
     use std::net::Ipv4Addr;
 
-    use bytes::Bytes;
-    use fremont_net::{ArpOp, MacAddr};
+    use fremont_net::{ArpOp, IpProtocol};
 
     use super::*;
     use crate::builder::TopologyBuilder;
@@ -191,9 +210,8 @@ mod tests {
             target_mac: dst,
             target_ip: Ipv4Addr::BROADCAST,
         };
-        let payload = Bytes::from(arp.encode());
-        let frame = EthernetFrame::new(dst, my.mac, EtherType::Arp, payload);
-        sim.transmit_frame(from, 0, frame);
+        let rec = FrameRecord::arp(dst, my.mac, arp);
+        sim.transmit(from, 0, rec);
     }
 
     fn heard(sim: &Sim, listener: NodeId, speaker: NodeId) -> bool {
@@ -201,15 +219,17 @@ mod tests {
         sim.nodes[listener.0].arp.lookup(ip, sim.now()).is_some()
     }
 
-    /// Records, per tapped frame, how many stations had been handed a
-    /// frame by then.
+    /// Records every tapped frame and how many stations had been handed
+    /// a frame by then.
     #[derive(Default)]
     struct Tap {
+        frames: Vec<EthernetFrame>,
         deliveries_at_tap: Vec<u64>,
     }
 
     impl Process for Tap {
-        fn on_tap(&mut self, _frame: &EthernetFrame, ctx: &mut ProcCtx<'_>) {
+        fn on_tap(&mut self, frame: &EthernetFrame, ctx: &mut ProcCtx<'_>) {
+            self.frames.push(frame.clone());
             self.deliveries_at_tap.push(ctx.sim.stats.frame_deliveries);
         }
     }
@@ -296,5 +316,63 @@ mod tests {
         assert_eq!(jitter_free, untouched, "no jitter, no draw");
         let broadcast = probe_after(|sim, hosts| announce(sim, hosts[0], MacAddr::BROADCAST));
         assert_eq!(broadcast, one_draw, "five receivers, one jitter draw");
+    }
+
+    #[test]
+    fn a_tap_reads_the_bytes_of_the_packet_the_sender_built() {
+        let (mut sim, hosts) = lan(3);
+        let tap = sim.spawn(hosts[2], Box::new(Tap::default()));
+        sim.with_proc(tap, |_, ctx| ctx.enable_tap(true));
+        let my = &sim.nodes[hosts[0].0].ifaces[0];
+        let (mac, ip) = (my.mac, my.ip);
+        // Nobody owns 10.9.0.99, so no receiver answers and the tap sees
+        // exactly the three frames sent.
+        let nobody = Ipv4Addr::new(10, 9, 0, 99);
+        let ip_pkt = |len: usize| {
+            Ipv4Packet::new(ip, nobody, IpProtocol::Udp, Bytes::from(vec![0xa5; len])).with_id(7)
+        };
+        let arp = ArpPacket::request(mac, ip, nobody);
+        let small = ip_pkt(10); // padded up to the 46-byte minimum
+        let large = ip_pkt(1400 - ipv4::HEADER_LEN);
+        let bcast = MacAddr::BROADCAST;
+        let expected: Vec<Vec<u8>> = [
+            (EtherType::Arp, arp.encode()),
+            (EtherType::Ipv4, small.encode()),
+            (EtherType::Ipv4, large.encode()),
+        ]
+        .into_iter()
+        .map(|(ty, body)| EthernetFrame::new(bcast, mac, ty, Bytes::from(body)).encode())
+        .collect();
+        let sent = [
+            FrameRecord::arp(bcast, mac, arp),
+            FrameRecord::ip(bcast, mac, small),
+            FrameRecord::ip(bcast, mac, large),
+        ];
+        for rec in sent {
+            sim.transmit(hosts[0], 0, rec);
+            sim.run_for(SimDuration::from_secs(1));
+        }
+        let seen = &sim.process_mut::<Tap>(tap).unwrap().frames;
+        let seen: Vec<Vec<u8>> = seen.iter().map(EthernetFrame::encode).collect();
+        assert_eq!(seen, expected);
+        let bytes: usize = expected.iter().map(Vec::len).sum();
+        assert_eq!(sim.segments[0].stats.bytes_sent, bytes as u64);
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        let (bcast, mac) = (MacAddr::BROADCAST, MacAddr::new([8, 0, 0x20, 0, 0, 1]));
+        let (src, dst) = (Ipv4Addr::new(10, 9, 0, 1), Ipv4Addr::new(10, 9, 0, 2));
+        let arp = FrameRecord::arp(bcast, mac, ArpPacket::request(mac, src, dst));
+        assert_eq!(arp.wire_len(), arp.frame().encode().len());
+        for len in 0..=1480 {
+            let pkt = Ipv4Packet::new(src, dst, IpProtocol::Udp, Bytes::from(vec![0; len]));
+            let rec = FrameRecord::ip(bcast, mac, pkt);
+            assert_eq!(
+                rec.wire_len(),
+                rec.frame().encode().len(),
+                "{len}-byte payload"
+            );
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::net::Ipv4Addr;
 
-use fremont_net::{MacAddr, Subnet, SubnetMask};
+use fremont_net::{Ipv4Packet, MacAddr, Subnet, SubnetMask};
 
 use crate::arp::ArpCache;
 use crate::dns_server::DnsServerState;
@@ -175,9 +175,9 @@ pub struct Node {
     /// *reads as the current time* — and therefore every timestamp it
     /// attaches to emitted observations — is shifted.
     pub clock_skew: i64,
-    /// Packets queued awaiting ARP resolution: `(next_hop, iface,
-    /// encoded-ip-packet, queued-at)`.
-    pub(crate) arp_pending: Vec<(Ipv4Addr, usize, Vec<u8>, crate::time::SimTime)>,
+    /// Packets queued awaiting ARP resolution: `(next_hop, iface, packet,
+    /// queued-at)`.
+    pub(crate) arp_pending: Vec<(Ipv4Addr, usize, Ipv4Packet, crate::time::SimTime)>,
     /// Processes running on this node (explorer modules).
     pub(crate) procs: Vec<Option<Box<dyn crate::process::Process>>>,
 }

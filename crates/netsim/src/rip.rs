@@ -16,7 +16,6 @@ use fremont_net::udp::RIP_PORT;
 use fremont_net::{IpProtocol, Ipv4Packet, MacAddr, RipCommand, UdpDatagram};
 
 use crate::engine::{Event, Sim};
-use crate::link::FrameRecord;
 use crate::node::{Node, NodeKind, RipConfig};
 use crate::segment::NodeId;
 use crate::time::SimDuration;
@@ -137,8 +136,8 @@ impl Sim {
             // node's route state: the static table for normal speakers,
             // the learned-route list for promiscuous rebroadcasters.
             // Both carry a monotone version, so the split + UDP encode is
-            // cached per interface and only the IP identification (and
-            // therefore the frame bytes) is stamped fresh per tick.
+            // cached per interface and only the IP identification is
+            // stamped fresh per tick.
             let n = &self.nodes[node.0];
             let version = if cfg.promiscuous {
                 n.rip_version
@@ -180,11 +179,11 @@ impl Sim {
                 let out = Ipv4Packet::new(src_ip, bcast, IpProtocol::Udp, udp_bytes.clone())
                     .with_ttl(1)
                     .with_id(id);
-                // The decoded packet rides pre-filled on the frame record,
-                // so no receiver re-parses the UDP payload.
-                let rec = FrameRecord::new(self.ip_frame(node, ifc, MacAddr::BROADCAST, &out));
+                // The RIP packet rides pre-filled on the frame record, so
+                // no receiver parses it.
+                let rec = self.ip_frame(node, ifc, MacAddr::BROADCAST, out);
                 let _ = rec.rip.set(Some(Rc::clone(rip)));
-                self.transmit_frame_rec(node, ifc, rec);
+                self.transmit(node, ifc, rec);
             }
         }
     }
