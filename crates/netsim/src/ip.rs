@@ -1,5 +1,6 @@
 //! IP: origination, forwarding with TTL and ICMP errors, and local
-//! delivery — the ICMP echo/mask services and the UDP port demux.
+//! delivery — the ICMP echo/mask services and the UDP port demux, which
+//! a RIP response to a station that runs nothing never reaches (rip.rs).
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -252,6 +253,11 @@ impl Sim {
     }
 
     fn local_input(&mut self, node: NodeId, iface: usize, pkt: &Ipv4Packet, rec: &FrameRecord) {
+        // A station that runs nothing reads nothing: it only counts.
+        if self.reads_nothing_of(node, rec) {
+            self.stats.rip_packets += 1;
+            return;
+        }
         // Raw-socket view: every locally-delivered packet reaches processes.
         self.deliver_ip_to_procs(node, pkt);
 

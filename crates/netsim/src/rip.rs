@@ -2,9 +2,12 @@
 //! list of a promiscuous rebroadcaster.
 //!
 //! On the idle campus nine frame deliveries in ten are one advertisement
-//! arriving at one interface, so a receiver does nothing with a response
-//! unless it is such a rebroadcaster (a Table 8 problem RIPwatch flags) —
-//! nobody else's learned list is ever read.
+//! arriving at one interface. A receiver does nothing with a response
+//! unless it is such a rebroadcaster (a Table 8 problem RIPwatch flags):
+//! nobody else's learned list is ever read. So **a station that runs
+//! nothing reads nothing**: with no live process to hand the packet to
+//! and no rebroadcast, IP input only counts it ([`Sim::reads_nothing_of`]
+//! reads the RIP cell its sender filled, decodes nothing, draws no RNG).
 
 use std::rc::Rc;
 
@@ -16,6 +19,7 @@ use fremont_net::udp::RIP_PORT;
 use fremont_net::{IpProtocol, Ipv4Packet, MacAddr, RipCommand, UdpDatagram};
 
 use crate::engine::{Event, Sim};
+use crate::link::FrameRecord;
 use crate::node::{Node, NodeKind, RipConfig};
 use crate::segment::NodeId;
 use crate::time::SimDuration;
@@ -80,6 +84,15 @@ impl Node {
 }
 
 impl Sim {
+    /// `true` when `rec` carries a RIP response that `node` would only
+    /// count: it runs no live process and does not rebroadcast.
+    pub(crate) fn reads_nothing_of(&self, node: NodeId, rec: &FrameRecord) -> bool {
+        let n = &self.nodes[node.0];
+        matches!(rec.rip.get(), Some(Some(rip)) if rip.command == RipCommand::Response)
+            && n.procs.iter().all(Option::is_none)
+            && !n.behavior.rip.as_ref().is_some_and(|c| c.promiscuous)
+    }
+
     pub(crate) fn handle_rip(
         &mut self,
         node: NodeId,
@@ -191,8 +204,13 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
+    use fremont_net::SubnetMask;
+
     use super::*;
     use crate::builder::TopologyBuilder;
+    use crate::process::{ProcCtx, ProcHandle, Process};
 
     #[test]
     fn only_a_rebroadcaster_keeps_what_it_hears() {
@@ -225,5 +243,122 @@ mod tests {
         let learned: Vec<String> = n.rip_learned.iter().map(|(a, _)| a.to_string()).collect();
         assert_eq!(learned, ["10.1.2.0"]);
         assert_eq!(n.rip_version, 1, "repeat advertisements bumped the version");
+    }
+
+    /// Counts the RIP responses its host's raw IP view hands it.
+    #[derive(Default)]
+    struct RipCounter {
+        responses: u32,
+    }
+
+    impl Process for RipCounter {
+        fn on_ip(&mut self, pkt: &Ipv4Packet, _ctx: &mut ProcCtx<'_>) {
+            let rip = UdpDatagram::decode(&pkt.payload)
+                .ok()
+                .filter(|d| d.dst_port == RIP_PORT)
+                .and_then(|d| RipPacket::decode(&d.payload).ok());
+            if rip.is_some_and(|r| r.command == RipCommand::Response) {
+                self.responses += 1;
+            }
+        }
+    }
+
+    /// `(frame_deliveries, ip_packets, rip_packets)` added by one
+    /// advertisement from `speaker`: one frame, so one event, on each of
+    /// its interfaces, and nothing else happening meanwhile.
+    fn advertise(sim: &mut Sim, speaker: NodeId) -> (u64, u64, u64) {
+        let before = sim.stats;
+        let cfg = sim.nodes[speaker.0]
+            .behavior
+            .rip
+            .clone()
+            .expect("a speaker");
+        sim.send_rip_advertisements(speaker, &cfg);
+        sim.run_for(SimDuration::from_millis(10));
+        let frames = sim.nodes[speaker.0].ifaces.len() as u64;
+        assert_eq!(sim.stats.events_processed - before.events_processed, frames);
+        (
+            sim.stats.frame_deliveries - before.frame_deliveries,
+            sim.stats.ip_packets - before.ip_packets,
+            sim.stats.rip_packets - before.rip_packets,
+        )
+    }
+
+    #[test]
+    fn a_station_that_runs_nothing_reads_nothing() {
+        let mut b = TopologyBuilder::new();
+        let a = b.segment("net-a", "10.1.1.0/24");
+        let m = b.segment("net-m", "10.1.2.0/24");
+        b.host("quiet", a, 10);
+        let badmask = b.host("badmask", a, 11);
+        b.host_mut(badmask).mask = SubnetMask::from_prefix_len(16).expect("/16");
+        b.host("counter", a, 12);
+        let chatty = b.host("chatty", a, 13);
+        b.host_mut(chatty).behavior.rip = Some(RipConfig {
+            promiscuous: true,
+            split_horizon: false,
+            ..Default::default()
+        });
+        b.router("r1", &[(a, 1), (m, 1)]);
+        let (mut sim, topo) = b.build(7);
+        let node = |name: &str| topo.nodes_by_name[name];
+        let counter = sim.spawn(node("counter"), Box::<RipCounter>::default());
+        sim.run_for(SimDuration::from_millis(10)); // its Start event
+        let responses = |sim: &mut Sim, h: ProcHandle| {
+            sim.process_mut::<RipCounter>(h).expect("alive").responses
+        };
+
+        // Four stations hear r1 on net-a (nobody else is on net-m); the
+        // /16 host holds 10.1.1.255 as transit and drops it; quiet,
+        // counter and chatty each count one RIP packet.
+        let r1 = node("r1");
+        assert_eq!(advertise(&mut sim, r1), (4, 4, 3));
+        assert_eq!(responses(&mut sim, counter), 1);
+        let learned = |sim: &Sim, name: &str| sim.nodes[node(name).0].rip_learned.clone();
+        assert_eq!(learned(&sim, "chatty"), [(Ipv4Addr::new(10, 1, 2, 0), 1)]);
+        assert!(learned(&sim, "quiet").is_empty());
+
+        // A process spawned between ticks sees the next advertisement.
+        let late = sim.spawn(node("quiet"), Box::<RipCounter>::default());
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(advertise(&mut sim, r1), (4, 4, 3));
+        assert_eq!(responses(&mut sim, late), 1);
+        assert_eq!(responses(&mut sim, counter), 2);
+
+        // Killed, it leaves the host quiet again; the counts do not move.
+        let seen = sim.proc_stats(late).packets_received;
+        sim.kill_process(late);
+        assert_eq!(advertise(&mut sim, r1), (4, 4, 3));
+        assert_eq!(sim.proc_stats(late).packets_received, seen);
+        assert_eq!(responses(&mut sim, counter), 3);
+        assert_eq!(learned(&sim, "chatty"), [(Ipv4Addr::new(10, 1, 2, 0), 1)]);
+
+        // The predicate itself: only a filled Response cell, only a node
+        // with no live process that does not rebroadcast.
+        let my = &sim.nodes[r1.0].ifaces[0];
+        let (mac, ip) = (my.mac, my.ip);
+        let pkt = Ipv4Packet::new(ip, Ipv4Addr::BROADCAST, IpProtocol::Udp, Bytes::new());
+        let record = |rip: Option<RipPacket>| {
+            let rec = FrameRecord::ip(MacAddr::BROADCAST, mac, pkt.clone());
+            if let Some(rip) = rip {
+                let _ = rec.rip.set(Some(Rc::new(rip)));
+            }
+            rec
+        };
+        let response = record(Some(RipPacket::response(vec![])));
+        let reads_nothing =
+            |sim: &Sim, name: &str, rec: &FrameRecord| sim.reads_nothing_of(node(name), rec);
+        assert!(reads_nothing(&sim, "quiet", &response));
+        assert!(!reads_nothing(&sim, "counter", &response));
+        assert!(!reads_nothing(&sim, "chatty", &response));
+        assert!(
+            !reads_nothing(&sim, "quiet", &record(None)),
+            "an empty cell is never decoded"
+        );
+        let poll = RipPacket {
+            command: RipCommand::Request,
+            entries: vec![],
+        };
+        assert!(!reads_nothing(&sim, "quiet", &record(Some(poll))));
     }
 }

@@ -8,7 +8,7 @@ use crate::engine::Sim;
 use crate::time::SimTime;
 
 /// Per-segment traffic counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Frames successfully delivered onto the wire.
     pub frames_sent: u64,

@@ -1,10 +1,15 @@
 //! Property tests over the simulator: determinism, routing completeness,
 //! and conservation-style invariants.
 
+use std::net::Ipv4Addr;
+
 use proptest::prelude::*;
 
 use fremont_netsim::builder::TopologyBuilder;
 use fremont_netsim::campus::{generate, CampusConfig};
+use fremont_netsim::process::Process;
+use fremont_netsim::segment::NodeId;
+use fremont_netsim::stats::SegmentStats;
 use fremont_netsim::time::SimDuration;
 use fremont_netsim::traffic::{Flow, TrafficModel};
 
@@ -137,5 +142,86 @@ proptest! {
             prop_assert!(sim.now() >= last);
             last = sim.now();
         }
+    }
+}
+
+/// A process that does nothing. Spawned on a node, it only makes that
+/// node one that runs something, so its stack walks a RIP response all
+/// the way to `handle_rip` instead of counting it at IP input.
+struct Deaf;
+
+impl Process for Deaf {}
+
+/// What two simulated hours leave behind that a RIP arrival could touch.
+struct Outcome {
+    /// `frame_deliveries`, `arp_packets`, `ip_packets`, `rip_packets`,
+    /// `packets_originated`, `packets_forwarded`, `icmp_errors`.
+    counters: [u64; 7],
+    segments: Vec<SegmentStats>,
+    fingerprint: u64,
+    rip_learned: Vec<Vec<(Ipv4Addr, u32)>>,
+    rng_probe: u64,
+}
+
+/// Runs `cfg` for two hours, with a [`Deaf`] on every node if `deaf`;
+/// returns the outcome and the events dispatched.
+fn two_hours(cfg: &CampusConfig, deaf: bool) -> (Outcome, u64) {
+    let (mut sim, _) = generate(cfg);
+    if deaf {
+        for n in 0..sim.nodes.len() {
+            sim.spawn(NodeId(n), Box::new(Deaf));
+        }
+    }
+    sim.run_for(SimDuration::from_hours(2));
+    let s = sim.stats;
+    let outcome = Outcome {
+        counters: [
+            s.frame_deliveries,
+            s.arp_packets,
+            s.ip_packets,
+            s.rip_packets,
+            s.packets_originated,
+            s.packets_forwarded,
+            s.icmp_errors,
+        ],
+        segments: sim.segments.iter().map(|seg| seg.stats.clone()).collect(),
+        fingerprint: sim.state_fingerprint(),
+        rip_learned: sim.nodes.iter().map(|n| n.rip_learned.clone()).collect(),
+        rng_probe: sim.rng_position_probe(),
+    };
+    (outcome, s.events_processed)
+}
+
+/// A station that runs nothing reads nothing: counting a RIP response at
+/// IP input, where a node runs no process and does not rebroadcast, is
+/// indistinguishable from walking it through the whole stack. A `Deaf`
+/// on every node, routers included, turns that shortcut off everywhere,
+/// and nothing but the `Start` events it costs may change. The default
+/// campus has the promiscuous `chatty` host and the wrong-mask host.
+#[test]
+fn a_station_that_runs_nothing_reads_nothing() {
+    let mut cfgs = vec![
+        CampusConfig::default(),
+        CampusConfig {
+            seed: 20717,
+            ..Default::default()
+        },
+    ];
+    cfgs.extend([1, 7, 42].map(CampusConfig::micro));
+    for cfg in &cfgs {
+        let seed = cfg.seed;
+        let (quiet, quiet_events) = two_hours(cfg, false);
+        let (deaf, deaf_events) = two_hours(cfg, true);
+        assert!(quiet.counters[3] > 0, "seed {seed}: no RIP heard");
+        assert_eq!(quiet.counters, deaf.counters, "seed {seed}: SimStats");
+        assert!(quiet.segments == deaf.segments, "seed {seed}: segments");
+        assert_eq!(quiet.fingerprint, deaf.fingerprint, "seed {seed}");
+        assert!(
+            quiet.rip_learned == deaf.rip_learned,
+            "seed {seed}: learned"
+        );
+        assert_eq!(quiet.rng_probe, deaf.rng_probe, "seed {seed}: RNG");
+        let spawns = deaf.rip_learned.len() as u64;
+        assert_eq!(deaf_events - quiet_events, spawns, "seed {seed}");
     }
 }
