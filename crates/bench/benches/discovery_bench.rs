@@ -15,7 +15,10 @@ use fremont_netsim::time::SimDuration;
 /// of the default campus (seed 1993) leaves — 545 interface records, 84
 /// gateways, 30 shared names and no shared MAC: `correlate` (what a
 /// draining pump pays), one problem report at the benchmark's windows,
-/// and one topology export.
+/// and one topology export. Last, what a draining pump pays to store
+/// `correlate`'s answer back: its 30 name-derived gateway facts as one
+/// batch into the same journal, the pump's largest step (measured last
+/// because it writes to the journal the readers look at).
 fn bench_whole_journal_readers(c: &mut Criterion) {
     let mut f = Fremont::over_campus(&CampusConfig::default());
     f.explore(SimDuration::from_hours(2)).expect("in-memory");
@@ -41,6 +44,16 @@ fn bench_whole_journal_readers(c: &mut Criterion) {
             black_box(f.journal.read(TopologyGraph::from_journal))
                 .gateways
                 .len()
+        })
+    });
+    g.finish();
+    let derived = f.journal.read(correlate);
+    let mut g = c.benchmark_group("correlate");
+    g.bench_function("store_campus_2h", |b| {
+        b.iter(|| {
+            f.journal
+                .read(|j| j.apply_batch(derived.iter().map(|o| (o, now))))
+                .verified
         })
     });
     g.finish();

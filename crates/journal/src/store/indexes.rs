@@ -10,7 +10,7 @@
 //! runs — [`shared`] — sorts them by id first.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use fremont_net::{MacAddr, Subnet};
@@ -74,24 +74,22 @@ pub struct SharedKeys {
 }
 
 /// The keys of `idx` with two or more postings, in key order, each with
-/// its members read from `records` and sorted by id.
+/// its members read from the `records` slab and sorted by id.
 pub(super) fn shared<K: Ord + Clone>(
     idx: &BTreeMap<K, Vec<InterfaceId>>,
-    records: &HashMap<u64, InterfaceRecord>,
+    records: &[Option<InterfaceRecord>],
 ) -> Vec<(K, Vec<SharedMember>)> {
     idx.iter()
         .filter(|(_, ids)| ids.len() >= 2)
         .map(|(key, ids)| {
             let mut members: Vec<SharedMember> = ids
                 .iter()
-                .map(|id| {
-                    // Postings only reference live records.
-                    let r = &records[&id.0];
-                    SharedMember {
-                        id: r.id,
-                        ip: r.ip_addr(),
-                        subnet: r.subnet(),
-                    }
+                // Postings only reference live records.
+                .filter_map(|id| records.get(id.0 as usize)?.as_ref())
+                .map(|r| SharedMember {
+                    id: r.id,
+                    ip: r.ip_addr(),
+                    subnet: r.subnet(),
                 })
                 .collect();
             members.sort_unstable_by_key(|m| m.id);

@@ -36,7 +36,7 @@ mod stats;
 pub use indexes::{SharedKeys, SharedMember};
 pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering;
 
@@ -56,8 +56,12 @@ use stats::StoreCounters;
 /// tie-breaks depend on.
 #[derive(Default)]
 struct Store {
-    /// Interface records, keyed by raw id.
-    records: HashMap<u64, InterfaceRecord>,
+    /// Interface records, indexed by raw id; a deleted record leaves a
+    /// `None`. Ids are allocated densely from 0, so a record is one
+    /// index away, not a hash lookup.
+    records: Vec<Option<InterfaceRecord>>,
+    /// Number of `Some` slots in `records`.
+    live: usize,
     /// Ethernet-address index. A MAC maps to *several* records when one
     /// adapter answers for several IP addresses (gateway or proxy ARP).
     idx_mac: BTreeMap<MacAddr, Vec<InterfaceId>>,
@@ -70,15 +74,60 @@ struct Store {
     /// Modification-time ordering over the records (the paper's "lists
     /// ordered by time of last modification").
     idx_modified: BTreeMap<(JTime, u64), InterfaceId>,
-    /// Current modification key per record, for removal on re-touch.
-    mod_keys: HashMap<u64, (JTime, u64)>,
+    /// Current modification key per record, for removal on re-touch:
+    /// a slab beside `records`, `Some` exactly where a record lives.
+    mod_keys: Vec<Option<(JTime, u64)>>,
     gateways: Vec<Option<GatewayRecord>>,
     subnets: BTreeMap<Subnet, SubnetRecord>,
-    /// Next interface id to allocate (ids are never reused).
+    /// Next interface id to allocate. A live journal never hands out an
+    /// id twice, but a snapshot does not record this counter:
+    /// [`Journal::from_snapshot`] resumes past the highest *live* id,
+    /// so deleting the newest record and then recovering reissues its
+    /// id.
     next_iface: u64,
     /// Modification sequence (tie-break within one `JTime`).
     mod_seq: u64,
     observations_applied: u64,
+    /// The lists `apply_gateway` fills and empties on every call, kept
+    /// here so a gateway fact allocates nothing once they have grown.
+    gw_scratch: GatewayScratch,
+}
+
+/// Per-call working lists of one gateway merge (see `Store::gw_scratch`).
+#[derive(Default)]
+struct GatewayScratch {
+    /// The interface records the fact resolves to.
+    members: Vec<InterfaceId>,
+    /// The gateways those members already belong to.
+    gids: Vec<GatewayId>,
+    /// Every subnet to attach, with whether its mask is only assumed.
+    subnets: Vec<(Subnet, bool)>,
+}
+
+/// The records one interface observation applies to. Nearly always
+/// zero or one, which take no allocation.
+enum Targets {
+    One(InterfaceId),
+    Many(Vec<InterfaceId>),
+}
+
+impl Targets {
+    /// No records: create one.
+    const NONE: Targets = Targets::Many(Vec::new());
+
+    fn of(ids: &[InterfaceId]) -> Targets {
+        match ids {
+            [id] => Targets::One(*id),
+            _ => Targets::Many(ids.to_vec()),
+        }
+    }
+
+    fn as_slice(&self) -> &[InterfaceId] {
+        match self {
+            Targets::One(id) => std::slice::from_ref(id),
+            Targets::Many(ids) => ids,
+        }
+    }
 }
 
 /// The Journal store: one `Store` behind one reader-writer lock.
@@ -153,11 +202,26 @@ impl Journal {
 }
 
 impl Store {
-    /// The record a posting points at, panicking (via map indexing) if
-    /// the id is dead — callers only pass ids taken from live index
-    /// postings, which only reference live records.
-    fn rec(&self, id: InterfaceId) -> &InterfaceRecord {
-        &self.records[&id.0]
+    /// The live record with this id. Ids taken from index postings
+    /// always resolve: postings only reference live records.
+    fn rec(&self, id: InterfaceId) -> Option<&InterfaceRecord> {
+        self.records.get(id.0 as usize).and_then(Option::as_ref)
+    }
+
+    fn rec_mut(&mut self, id: InterfaceId) -> Option<&mut InterfaceRecord> {
+        self.records.get_mut(id.0 as usize).and_then(Option::as_mut)
+    }
+
+    /// Puts `rec` in the slot of its id, growing both slabs to reach it.
+    fn insert_record(&mut self, rec: InterfaceRecord) {
+        let i = rec.id.0 as usize;
+        if self.records.len() <= i {
+            self.records.resize_with(i + 1, || None);
+            self.mod_keys.resize(i + 1, None);
+        }
+        if self.records[i].replace(rec).is_none() {
+            self.live += 1;
+        }
     }
 
     fn ip_ids(&self, ip: Ipv4Addr) -> &[InterfaceId] {
@@ -173,14 +237,17 @@ impl Store {
     }
 
     /// Moves `id` to the end of the modification order at time `now`.
+    /// `id` must be live.
     fn touch_modified(&mut self, id: InterfaceId, now: JTime) {
-        if let Some(old) = self.mod_keys.remove(&id.0) {
-            self.idx_modified.remove(&old);
-        }
         self.mod_seq += 1;
         let key = (now, self.mod_seq);
+        let Some(slot) = self.mod_keys.get_mut(id.0 as usize) else {
+            return;
+        };
+        if let Some(old) = slot.replace(key) {
+            self.idx_modified.remove(&old);
+        }
         self.idx_modified.insert(key, id);
-        self.mod_keys.insert(id.0, key);
     }
 
     fn apply(&mut self, obs: &Observation, now: JTime) -> StoreSummary {
@@ -231,7 +298,7 @@ impl Store {
     ) -> StoreSummary {
         let mut sum = StoreSummary::default();
         let targets = self.resolve_targets(ip, mac, name);
-        if targets.is_empty() {
+        if targets.as_slice().is_empty() {
             if ip.is_none() && mac.is_none() && name.is_none() {
                 return sum; // Nothing identifying; drop.
             }
@@ -240,7 +307,7 @@ impl Store {
             sum.created += 1;
             return sum;
         }
-        for id in targets {
+        for &id in targets.as_slice() {
             if self.update_interface(id, source, ip, mac, name, mask, now) {
                 sum.updated += 1;
             } else {
@@ -269,64 +336,52 @@ impl Store {
         ip: Option<Ipv4Addr>,
         mac: Option<MacAddr>,
         name: Option<&str>,
-    ) -> Vec<InterfaceId> {
+    ) -> Targets {
         if let Some(mac) = mac {
             let with_mac = self.mac_ids(mac);
             if let Some(ip) = ip {
+                let ip_of = |id| self.rec(id).map(InterfaceRecord::ip_addr);
                 // Exact (mac, ip) record?
-                if let Some(&id) = with_mac
-                    .iter()
-                    .find(|&&id| self.rec(id).ip_addr() == Some(ip))
-                {
-                    return vec![id];
+                if let Some(&id) = with_mac.iter().find(|&&id| ip_of(id) == Some(Some(ip))) {
+                    return Targets::One(id);
                 }
                 // A record with this MAC and no IP yet?
-                if let Some(&id) = with_mac
-                    .iter()
-                    .find(|&&id| self.rec(id).ip_addr().is_none())
-                {
-                    return vec![id];
+                if let Some(&id) = with_mac.iter().find(|&&id| ip_of(id) == Some(None)) {
+                    return Targets::One(id);
                 }
                 // A record with this IP and no MAC yet (created by a ping)?
                 if let Some(&id) = self
                     .ip_ids(ip)
                     .iter()
-                    .find(|&&id| self.rec(id).mac_addr().is_none())
+                    .find(|&&id| self.rec(id).is_some_and(|r| r.mac_addr().is_none()))
                 {
-                    return vec![id];
+                    return Targets::One(id);
                 }
                 // Otherwise: new record (same MAC answering another IP, or
                 // same IP on different hardware).
-                return Vec::new();
+                return Targets::NONE;
             }
-            return with_mac.to_vec();
+            return Targets::of(with_mac);
         }
         if let Some(ip) = ip {
-            let ids = self.ip_ids(ip);
-            if ids.len() <= 1 {
-                return ids.to_vec();
-            }
-            // Multiple claimants: credit the presumed current owner only.
-            return ids
-                .iter()
-                .copied()
-                .max_by_key(|&id| {
-                    let r = self.rec(id);
-                    (r.live_verified, r.verified, r.discovered)
-                })
-                .into_iter()
-                .collect();
+            // With several claimants, credit the presumed current owner
+            // only.
+            let owner = self.ip_ids(ip).iter().copied().max_by_key(|&id| {
+                self.rec(id)
+                    .map(|r| (r.live_verified, r.verified, r.discovered))
+            });
+            return owner.map_or(Targets::NONE, Targets::One);
         }
         if let Some(name) = name {
-            return self.name_ids(name).to_vec();
+            return Targets::of(self.name_ids(name));
         }
-        Vec::new()
+        Targets::NONE
     }
 
     fn create_interface(&mut self, now: JTime) -> InterfaceId {
         let id = InterfaceId(self.next_iface);
         self.next_iface += 1;
-        self.records.insert(id.0, InterfaceRecord::new(id, now));
+        self.insert_record(InterfaceRecord::new(id, now));
         self.touch_modified(id, now);
         id
     }
@@ -344,13 +399,16 @@ impl Store {
         mask: Option<fremont_net::SubnetMask>,
         now: JTime,
     ) -> bool {
-        let Some(r) = self.records.get_mut(&id.0) else {
+        let Some(r) = self.rec_mut(id) else {
             return false;
         };
 
-        // Index maintenance requires knowing old values first.
-        let (old_ip, old_mac, old_name) =
-            (r.ip_addr(), r.mac_addr(), r.dns_name().map(str::to_owned));
+        // Index maintenance requires knowing old values first. The name
+        // is the one that is not `Copy`: it is compared where it lies,
+        // and the old one is copied out only when it is being replaced.
+        let (old_ip, old_mac) = (r.ip_addr(), r.mac_addr());
+        // `Some(previous name)` when the name index must move.
+        let mut renamed: Option<Option<String>> = None;
 
         let mut changed = false;
         if let Some(ip) = ip {
@@ -373,9 +431,14 @@ impl Store {
         }
         if let Some(name) = name {
             match &mut r.name {
-                Some(t) => changed |= t.observe(name.to_owned(), now),
+                Some(t) if t.get() == name => t.verify(now),
+                Some(t) => {
+                    renamed = Some(Some(t.get().clone()));
+                    changed |= t.observe(name.to_owned(), now);
+                }
                 None => {
                     r.name = Some(Timestamped::new(name.to_owned(), now));
+                    renamed = Some(None);
                     changed = true;
                 }
             }
@@ -420,13 +483,11 @@ impl Store {
                 indexes::add(&mut self.idx_mac, mac, id);
             }
         }
-        if let Some(name) = name {
-            if old_name.as_deref() != Some(name) {
-                if let Some(old) = old_name {
-                    indexes::remove(&mut self.idx_name, &old, id);
-                }
-                indexes::add(&mut self.idx_name, name.to_owned(), id);
+        if let (Some(name), Some(old_name)) = (name, renamed) {
+            if let Some(old) = old_name {
+                indexes::remove(&mut self.idx_name, &old, id);
             }
+            indexes::add(&mut self.idx_name, name.to_owned(), id);
         }
         if changed {
             self.touch_modified(id, now);
@@ -520,10 +581,40 @@ impl Store {
         subnets: &[Subnet],
         now: JTime,
     ) -> StoreSummary {
+        let mut scratch = std::mem::take(&mut self.gw_scratch);
+        let sum = self.merge_gateway_fact(
+            &mut scratch,
+            source,
+            interface_ips,
+            interface_names,
+            subnets,
+            now,
+        );
+        self.gw_scratch = scratch;
+        sum
+    }
+
+    /// `apply_gateway` on working lists borrowed from `gw_scratch`.
+    fn merge_gateway_fact(
+        &mut self,
+        scratch: &mut GatewayScratch,
+        source: Source,
+        interface_ips: &[Ipv4Addr],
+        interface_names: &[String],
+        subnets: &[Subnet],
+        now: JTime,
+    ) -> StoreSummary {
+        let GatewayScratch {
+            members,
+            gids,
+            subnets: all_subnets,
+        } = scratch;
+        members.clear();
+        gids.clear();
+        all_subnets.clear();
         let mut sum = StoreSummary::default();
 
         // Resolve or create an interface record per address.
-        let mut members: Vec<InterfaceId> = Vec::new();
         for &ip in interface_ips {
             let s = self.apply_interface(source, Some(ip), None, None, None, now);
             sum.absorb(s);
@@ -533,7 +624,7 @@ impl Store {
             let chosen = ids
                 .iter()
                 .copied()
-                .find(|&id| self.rec(id).gateway.is_some())
+                .find(|&id| self.rec(id).is_some_and(|r| r.gateway.is_some()))
                 .or_else(|| ids.first().copied());
             if let Some(id) = chosen {
                 if !members.contains(&id) {
@@ -560,9 +651,8 @@ impl Store {
         }
 
         // Find the gateways any member already belongs to.
-        let mut gids: Vec<GatewayId> = Vec::new();
-        for &m in &members {
-            if let Some(g) = self.rec(m).gateway {
+        for &m in members.iter() {
+            if let Some(g) = self.rec(m).and_then(|r| r.gateway) {
                 if !gids.contains(&g) {
                     gids.push(g);
                 }
@@ -570,11 +660,11 @@ impl Store {
         }
         // Take the gateway record out of the slab while we mutate it, so
         // the borrow of `self` stays free for subnet upserts below.
-        let (gid, mut g) = match gids.first().copied() {
-            Some(primary) => {
+        let (gid, mut g) = match gids.split_first() {
+            Some((&primary, others)) => {
                 // Merge any additional gateways into the primary: two
                 // modules discovered the same box from different sides.
-                for &other in &gids[1..] {
+                for &other in others {
                     self.merge_gateways(primary, other, now);
                 }
                 let Some(g) = self
@@ -596,8 +686,8 @@ impl Store {
 
         // Attach members and subnets.
         let mut gw_changed = false;
-        for &m in &members {
-            if let Some(r) = self.records.get_mut(&m.0) {
+        for &m in members.iter() {
+            if let Some(r) = self.rec_mut(m) {
                 if r.gateway != Some(gid) {
                     r.gateway = Some(gid);
                     r.changed = now;
@@ -609,9 +699,9 @@ impl Store {
         // Subnets derived from member interfaces carry confirmed masks;
         // explicitly-claimed subnets keep their mask *assumed* (modules
         // guess /24 when linking hops) until a mask reply confirms them.
-        let mut all_subnets: Vec<(Subnet, bool)> = subnets.iter().map(|s| (*s, true)).collect();
-        for &m in &members {
-            if let Some(s) = self.rec(m).subnet() {
+        all_subnets.extend(subnets.iter().map(|s| (*s, true)));
+        for &m in members.iter() {
+            if let Some(s) = self.rec(m).and_then(InterfaceRecord::subnet) {
                 if let Some(e) = all_subnets.iter_mut().find(|(x, _)| *x == s) {
                     e.1 = false;
                 } else {
@@ -619,7 +709,7 @@ impl Store {
                 }
             }
         }
-        for (s, assumed) in all_subnets {
+        for &(s, assumed) in all_subnets.iter() {
             sum.absorb(self.apply_subnet(source, s, assumed, now));
             gw_changed |= g.add_subnet(s);
             if let Some(srec) = self.subnets.get_mut(&s) {
@@ -649,7 +739,7 @@ impl Store {
             return;
         };
         for &i in &old.interfaces {
-            if let Some(r) = self.records.get_mut(&i.0) {
+            if let Some(r) = self.rec_mut(i) {
                 if r.gateway != Some(into) {
                     r.gateway = Some(into);
                     r.changed = now;
@@ -692,12 +782,12 @@ impl Store {
     ) -> StoreSummary {
         let mut sum = self.apply_interface(source, Some(ip), mac, None, None, now);
         for id in self.ip_ids(ip).to_vec() {
-            let matches_mac = match (mac, self.rec(id).mac_addr()) {
+            let matches_mac = match (mac, self.rec(id).and_then(InterfaceRecord::mac_addr)) {
                 (Some(m), Some(rm)) => m == rm,
                 _ => true,
             };
             if matches_mac {
-                if let Some(r) = self.records.get_mut(&id.0) {
+                if let Some(r) = self.rec_mut(id) {
                     if !r.rip_source || r.rip_promiscuous != promiscuous {
                         r.rip_source = true;
                         r.rip_promiscuous = promiscuous;
@@ -716,9 +806,11 @@ impl Store {
     // ------------------------------------------------------------------
 
     fn delete_interface(&mut self, id: InterfaceId) -> bool {
-        let Some(rec) = self.records.remove(&id.0) else {
+        let i = id.0 as usize;
+        let Some(rec) = self.records.get_mut(i).and_then(Option::take) else {
             return false;
         };
+        self.live -= 1;
         if let Some(ip) = rec.ip_addr() {
             indexes::remove(&mut self.idx_ip, &ip, id);
         }
@@ -728,7 +820,7 @@ impl Store {
         if let Some(name) = rec.dns_name() {
             indexes::remove(&mut self.idx_name, name, id);
         }
-        if let Some(key) = self.mod_keys.remove(&id.0) {
+        if let Some(key) = self.mod_keys.get_mut(i).and_then(Option::take) {
             self.idx_modified.remove(&key);
         }
         if let Some(gid) = rec.gateway {
@@ -751,7 +843,7 @@ impl Journal {
 
     /// Fetches an interface record by id.
     pub fn interface(&self, id: InterfaceId) -> Option<InterfaceRecord> {
-        self.begin_read().records.get(&id.0).cloned()
+        self.begin_read().rec(id).cloned()
     }
 
     /// Fetches the subnet record for an exact subnet.
@@ -788,7 +880,7 @@ impl Journal {
         let st = self.begin_read();
         st.idx_modified
             .values()
-            .filter_map(|id| st.records.get(&id.0).cloned())
+            .filter_map(|&id| st.rec(id).cloned())
             .collect()
     }
 
@@ -842,7 +934,7 @@ impl Journal {
     pub fn stats(&self) -> JournalStats {
         let st = self.begin_read();
         JournalStats {
-            interfaces: st.records.len(),
+            interfaces: st.live,
             gateways: st.gateways.iter().flatten().count(),
             subnets: st.subnets.len(),
             observations_applied: st.observations_applied,
@@ -852,7 +944,7 @@ impl Journal {
     /// Point-in-time lock and batching metrics for observability: the
     /// one partition reports as shard 0.
     pub fn sharding_metrics(&self) -> ShardingMetrics {
-        let records = self.begin_read().records.len();
+        let records = self.begin_read().live;
         let c = &self.counters;
         ShardingMetrics {
             shards: vec![ShardMetrics {
@@ -899,7 +991,9 @@ impl Journal {
     /// Rebuilds a journal (including every index) from a snapshot.
     pub fn from_snapshot(snap: &crate::snapshot::JournalSnapshot) -> Journal {
         // Records keep their identifiers, so allocation resumes past
-        // the maximum and the gateway slab is sized to it.
+        // the highest live one (a deleted newest id is issued again:
+        // the snapshot does not carry `next_iface`) and the gateway slab
+        // is sized to the maximum.
         let max_gw = snap.gateways.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
         let mut st = Store {
             observations_applied: snap.observations_applied,
@@ -918,7 +1012,7 @@ impl Journal {
         by_changed.sort_by_key(|r| r.changed);
         for rec in by_changed {
             let id = rec.id;
-            st.records.insert(id.0, rec.clone());
+            st.insert_record(rec.clone());
             if let Some(ip) = rec.ip_addr() {
                 indexes::add(&mut st.idx_ip, ip, id);
             }
@@ -946,11 +1040,13 @@ impl Journal {
 }
 
 impl Store {
-    /// Clones of the records `keep` accepts, in id order (a full scan).
+    /// Clones of the records `keep` accepts, in id order: a walk of the
+    /// slab, into a result sized for every live record (a filtered
+    /// `collect` would grow it by doubling, copying clones as it goes).
     fn records_by_id(&self, keep: impl Fn(&InterfaceRecord) -> bool) -> Vec<InterfaceRecord> {
-        let mut v: Vec<&InterfaceRecord> = self.records.values().filter(|r| keep(r)).collect();
-        v.sort_unstable_by_key(|r| r.id.0);
-        v.into_iter().cloned().collect()
+        let mut v = Vec::with_capacity(self.live);
+        v.extend(self.records.iter().flatten().filter(|r| keep(r)).cloned());
+        v
     }
 
     /// Clones the live records `ids` point at that match `q`, in order.
@@ -959,7 +1055,7 @@ impl Store {
         ids: impl Iterator<Item = &'a InterfaceId>,
         q: &InterfaceQuery,
     ) -> Vec<InterfaceRecord> {
-        ids.filter_map(|id| self.records.get(&id.0))
+        ids.filter_map(|&id| self.rec(id))
             .filter(|r| q.matches(r))
             .cloned()
             .collect()
@@ -981,9 +1077,44 @@ impl Store {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
+        // The slabs: a live record sits at its own id with its own mod
+        // key; a dead slot has neither.
+        if self.mod_keys.len() != self.records.len() {
+            return Err(format!(
+                "{} record slots but {} mod-key slots",
+                self.records.len(),
+                self.mod_keys.len()
+            ));
+        }
+        let mut live = 0;
+        for (i, (slot, key)) in self.records.iter().zip(&self.mod_keys).enumerate() {
+            match (slot, key) {
+                (Some(r), Some(key)) => {
+                    live += 1;
+                    if r.id.0 != i as u64 {
+                        return Err(format!("record {:?} sits in slot {i}", r.id));
+                    }
+                    if self.idx_modified.get(key) != Some(&r.id) {
+                        return Err(format!(
+                            "{:?}'s mod key {key:?} is not in idx_modified",
+                            r.id
+                        ));
+                    }
+                }
+                (Some(r), None) => return Err(format!("record {:?} has no mod key", r.id)),
+                (None, Some(key)) => return Err(format!("dead slot {i} has mod key {key:?}")),
+                (None, None) => {}
+            }
+        }
+        if live != self.live {
+            return Err(format!(
+                "{live} live slots but a live count of {}",
+                self.live
+            ));
+        }
         for (ip, ids) in self.idx_ip.iter() {
             for id in ids {
-                let Some(r) = self.records.get(&id.0) else {
+                let Some(r) = self.rec(*id) else {
                     return Err(format!("idx_ip points at dead record {id:?}"));
                 };
                 if r.ip_addr() != Some(*ip) {
@@ -993,7 +1124,7 @@ impl Store {
         }
         for (mac, ids) in self.idx_mac.iter() {
             for id in ids {
-                let Some(r) = self.records.get(&id.0) else {
+                let Some(r) = self.rec(*id) else {
                     return Err(format!("idx_mac points at dead record {id:?}"));
                 };
                 if r.mac_addr() != Some(*mac) {
@@ -1003,7 +1134,7 @@ impl Store {
         }
         for (name, ids) in self.idx_name.iter() {
             for id in ids {
-                let Some(r) = self.records.get(&id.0) else {
+                let Some(r) = self.rec(*id) else {
                     return Err(format!("idx_name points at dead record {id:?}"));
                 };
                 if r.dns_name() != Some(name.as_str()) {
@@ -1011,22 +1142,16 @@ impl Store {
                 }
             }
         }
-        if self.idx_modified.len() != self.records.len()
-            || self.mod_keys.len() != self.records.len()
-        {
+        // Each live record's key is in idx_modified, pointing back at
+        // it, so equal sizes leave no other entry.
+        if self.idx_modified.len() != self.live {
             return Err(format!(
-                "{} records but {} idx_modified and {} mod_keys entries",
-                self.records.len(),
-                self.idx_modified.len(),
-                self.mod_keys.len()
+                "{} records but {} idx_modified entries",
+                self.live,
+                self.idx_modified.len()
             ));
         }
-        for (key, id) in self.idx_modified.iter() {
-            if !self.records.contains_key(&id.0) || self.mod_keys.get(&id.0) != Some(key) {
-                return Err(format!("idx_modified key {key:?} is not {id:?}'s mod key"));
-            }
-        }
-        for rec in self.records.values() {
+        for rec in self.records.iter().flatten() {
             if let Some(ip) = rec.ip_addr() {
                 if !self.ip_ids(ip).contains(&rec.id) {
                     return Err(format!("record {:?} missing from idx_ip", rec.id));
@@ -1335,6 +1460,58 @@ mod tests {
             .get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.5")))
             .is_empty());
         j.check_invariants().unwrap();
+    }
+
+    /// A live journal never reissues an id, but a snapshot does not
+    /// carry the id counter: a journal rebuilt from one resumes past the
+    /// highest *live* id, so the id of a deleted newest record comes
+    /// back. A durable delete compacts, so recovery after it does this.
+    #[test]
+    fn recovery_after_deleting_the_newest_record_reissues_its_id() {
+        let j = Journal::new();
+        for h in 1..=3u8 {
+            j.apply(
+                &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, h)),
+                JTime(1),
+            );
+        }
+        assert!(j.delete_interface(InterfaceId(2)));
+        let next = Observation::ip_alive(Source::SeqPing, ip("10.0.0.9"));
+
+        let recovered = Journal::from_snapshot(&j.to_snapshot());
+        j.apply(&next, JTime(2));
+        let fresh = j.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
+        assert_eq!(fresh[0].id, InterfaceId(3), "a live journal moves on");
+
+        recovered.apply(&next, JTime(2));
+        let reissued = recovered.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
+        assert_eq!(reissued[0].id, InterfaceId(2), "recovery reissues the id");
+        recovered.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_catches_a_broken_slab() {
+        let breaks: [fn(&mut Store); 4] = [
+            |st| st.live += 1,
+            |st| st.records.swap(0, 1),
+            |st| st.mod_keys[1] = Some((JTime(0), 99)),
+            |st| {
+                st.records[2] = None;
+                st.live -= 1;
+            },
+        ];
+        for (k, break_it) in breaks.iter().enumerate() {
+            let j = Journal::new();
+            for h in 1..=3u8 {
+                j.apply(
+                    &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, h)),
+                    JTime(1),
+                );
+            }
+            j.check_invariants().unwrap();
+            break_it(&mut j.store.write());
+            assert!(j.check_invariants().is_err(), "break {k} went unnoticed");
+        }
     }
 
     #[test]
