@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the in-tree static analyzer: workspace
 //! source loading, the cross-crate call-graph build, the newest
-//! rule in isolation, and the full six-rule analysis pass — all
+//! rule in isolation, and the full five-rule analysis pass — all
 //! measured over the real workspace so the CI `--deny` gate's cost
 //! stays visible.
 

@@ -13,7 +13,7 @@
 //! # One partition, one lock
 //!
 //! [`Journal`] is one `Store` — every record, every index, the gateway
-//! and subnet slabs and the ordering sequences — behind one
+//! and subnet slabs and the ordering sequences — behind one std
 //! reader-writer lock, the paper's single process that "serializes
 //! updates, time-stamps and records the data, and answers queries".
 //!
@@ -22,9 +22,11 @@
 //! guard taken once by `begin_write`, on which the merge rules run in
 //! observation order. Every query takes the read guard once and holds
 //! it until its answer is built, so queries run concurrently with each
-//! other and no public query method calls another (the lock is not
-//! reentrant; `fremont-lint`'s `lock-order` rule rejects a `store`
-//! acquisition reached while `store` is held).
+//! other. Only `begin_read`/`begin_write` take the lock, and a function
+//! holding a guard calls no `self.` method but those and `counters`, so
+//! no query calls another (the lock is not reentrant) and nothing else
+//! is acquired under it. `fremont-lint`'s `workspace_clean` test checks
+//! both (DESIGN.md § 6, "Four locks, one order").
 //!
 //! Consistency: a query sees a single state of the whole store, and a
 //! write transaction — a batch, a single apply, a delete — is atomic
@@ -39,8 +41,7 @@ pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering;
-
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
 
@@ -162,13 +163,15 @@ impl Journal {
     /// Takes the read guard a query holds until its answer is built.
     fn begin_read(&self) -> RwLockReadGuard<'_, Store> {
         self.counters.read_locks.fetch_add(1, Ordering::Relaxed);
-        self.store.read()
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Opens a write transaction: the write guard, held until drop.
+    /// Both guards recover a poisoned lock, as the telemetry `Recorder`
+    /// does: no caller could act on the poison.
     fn begin_write(&self) -> RwLockWriteGuard<'_, Store> {
         self.counters.write_locks.fetch_add(1, Ordering::Relaxed);
-        self.store.write()
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     // ------------------------------------------------------------------
@@ -1509,7 +1512,7 @@ mod tests {
                 );
             }
             j.check_invariants().unwrap();
-            break_it(&mut j.store.write());
+            break_it(&mut j.begin_write());
             assert!(j.check_invariants().is_err(), "break {k} went unnoticed");
         }
     }

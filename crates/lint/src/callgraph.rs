@@ -1,13 +1,14 @@
 //! Cross-crate symbol table and call graph.
 //!
-//! `fremont-lint`'s interprocedural rules (`lock-order`, `panic`,
-//! `ignored-io`) follow call chains like
-//! `DiscoveryDriver::run_for → Journal::apply_batch →
-//! WalWriter::append_batch` that cross crate boundaries. This module
-//! builds the workspace-wide view those rules share:
+//! `fremont-lint`'s two interprocedural rules (`panic`, `ignored-io`)
+//! follow call chains like `DiscoveryDriver::run_for →
+//! Journal::apply_batch → WalWriter::append_batch` that cross crate
+//! boundaries, and the lock-structure check in
+//! `tests/workspace_clean.rs` reads function extents. This module
+//! builds the workspace-wide view they share:
 //!
-//! * a **symbol table** of every non-test `fn` definition, keyed by
-//!   `(crate, name)`;
+//! * a **symbol table** of every `fn` definition with its body's token
+//!   extent, keyed by `(crate, name)` for the non-test ones;
 //! * per-file **import maps** from `use fremont_*::…` statements
 //!   (including `as` renames and `{…}` groups; globs are ignored);
 //! * **call sites** with their path qualifier head, so
@@ -348,9 +349,11 @@ fn parse_imports(
 }
 
 /// Function/method calls in `[start, end)` — an identifier directly
-/// followed by `(`, excluding keywords, macros (`name!`), and the lock
-/// methods (`lock`/`read`/`write`, which the lock rules handle as
-/// acquisitions). Path qualifiers are walked back to their head segment.
+/// followed by `(`, excluding keywords, macros (`name!`), and
+/// `lock`/`read`/`write`: nearly every such call is a guard acquisition
+/// or std IO, and linking it by bare name to one of the workspace's few
+/// same-named functions (`SharedJournal::read`, `Recorder::lock`) would
+/// invent chains. Path qualifiers are walked back to their head segment.
 pub fn calls_in_range(code: &[Tok], start: usize, end: usize) -> Vec<CallSite> {
     let mut out = Vec::new();
     for i in start..end.min(code.len()) {
@@ -386,55 +389,6 @@ pub fn calls_in_range(code: &[Tok], start: usize, end: usize) -> Vec<CallSite> {
         });
     }
     out
-}
-
-/// Propagates a boolean property (e.g. "does file IO") backwards over
-/// the call graph: the result contains every function that has it
-/// directly (`seed`) or reaches one that does.
-pub(crate) fn reach_flag(
-    calls: &BTreeMap<String, BTreeSet<String>>,
-    seed: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let mut hit = seed.clone();
-    loop {
-        let mut grew = false;
-        for (name, callees) in calls {
-            if !hit.contains(name) && callees.iter().any(|c| hit.contains(c)) {
-                hit.insert(name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            return hit;
-        }
-    }
-}
-
-/// Propagates per-function sets (e.g. acquired lock labels) backwards
-/// over the call graph.
-pub(crate) fn reach_sets(
-    calls: &BTreeMap<String, BTreeSet<String>>,
-    own: &BTreeMap<String, BTreeSet<String>>,
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut reach = own.clone();
-    loop {
-        let mut grew = false;
-        for (name, callees) in calls {
-            let mut add: BTreeSet<String> = BTreeSet::new();
-            for c in callees {
-                if let Some(ls) = reach.get(c) {
-                    add.extend(ls.iter().cloned());
-                }
-            }
-            let entry = reach.entry(name.clone()).or_default();
-            let before = entry.len();
-            entry.extend(add);
-            grew |= entry.len() != before;
-        }
-        if !grew {
-            return reach;
-        }
-    }
 }
 
 /// Propagates witness strings backwards: a function inherits the first

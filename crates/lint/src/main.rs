@@ -10,17 +10,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fremont_lint::{analyze, find_workspace_root, report, Config, Workspace};
+use fremont_lint::{analyze, find_workspace_root, report, Config, Workspace, MAX_SUPPRESSIONS};
 
-const USAGE: &str = "usage: fremont-lint [--json] [--deny] [--write-golden] \
-                     [--root <dir>] [--max-suppressions <n>]";
+const USAGE: &str = "usage: fremont-lint [--json] [--deny] [--write-golden] [--root <dir>]";
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut deny = false;
     let mut write_golden = false;
     let mut root: Option<PathBuf> = None;
-    let mut max_suppressions: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -31,10 +29,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage_error("--root needs a directory"),
-            },
-            "--max-suppressions" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => max_suppressions = Some(n),
-                None => return usage_error("--max-suppressions needs a number"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -70,10 +64,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cfg = Config::for_root(root);
-    if let Some(n) = max_suppressions {
-        cfg.max_suppressions = n;
-    }
+    let cfg = Config::for_root(root);
 
     let (analysis, goldens) = analyze(&ws, &cfg, write_golden);
     if let Some(g) = goldens {
@@ -92,9 +83,9 @@ fn main() -> ExitCode {
     }
 
     let out = if json {
-        report::json(&analysis, cfg.max_suppressions)
+        report::json(&analysis, MAX_SUPPRESSIONS)
     } else {
-        report::human(&analysis, cfg.max_suppressions)
+        report::human(&analysis, MAX_SUPPRESSIONS)
     };
     print!("{out}");
 

@@ -1,8 +1,7 @@
-//! The six Fremont invariant rules.
+//! The five Fremont invariant rules.
 
 pub mod determinism;
 pub mod ignored_io;
-pub mod lock_order;
 pub mod metric_registry;
 pub mod panics;
 pub mod schema;
@@ -21,7 +20,7 @@ fn closes(t: &Tok) -> bool {
 
 /// Index of the token matching the opening bracket at `open` (or the
 /// end of the stream when unbalanced).
-pub(crate) fn matching_close(code: &[Tok], open: usize) -> usize {
+pub fn matching_close(code: &[Tok], open: usize) -> usize {
     let mut depth = 0i64;
     let mut i = open;
     while i < code.len() {

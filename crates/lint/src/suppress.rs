@@ -5,8 +5,8 @@
 //! directly above it, naming the rule(s) and giving a reason:
 //!
 //! ```text
-//! // fremont-lint: allow(lock-order) -- WAL append must be ordered with apply
-//! let mut wal = self.wal.lock();
+//! // fremont-lint: allow(ignored-io) -- Drop cannot propagate; callers wanting the error use sync() first
+//! let _ = self.writer.sync_now();
 //! ```
 //!
 //! A missing reason or an annotation that no longer matches anything is
@@ -143,13 +143,13 @@ mod tests {
 
     #[test]
     fn well_formed() {
-        let s = one("// fremont-lint: allow(lock-order) -- WAL ordering requires it\nx();");
+        let s = one("// fremont-lint: allow(ignored-io) -- Drop cannot propagate\nx();");
         assert!(s.problem().is_none());
-        assert_eq!(s.rules, vec!["lock-order"]);
-        assert_eq!(s.reason, "WAL ordering requires it");
-        assert!(s.covers("lock-order", 1));
-        assert!(s.covers("lock-order", 2), "covers the next line");
-        assert!(!s.covers("lock-order", 3));
+        assert_eq!(s.rules, vec!["ignored-io"]);
+        assert_eq!(s.reason, "Drop cannot propagate");
+        assert!(s.covers("ignored-io", 1));
+        assert!(s.covers("ignored-io", 2), "covers the next line");
+        assert!(!s.covers("ignored-io", 3));
         assert!(!s.covers("panic", 2), "other rules stay live");
     }
 

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use fremont_lint::{analyze, report, Analysis, Config, Severity, Workspace};
+use fremont_lint::{analyze, report, Analysis, Config, Severity, Workspace, MAX_SUPPRESSIONS};
 
 fn fixture_workspace() -> Workspace {
     Workspace::from_sources(&[
@@ -23,10 +23,6 @@ fn fixture_workspace() -> Workspace {
         (
             "crates/core/src/fixture.rs",
             include_str!("fixtures/ignored_io.rs"),
-        ),
-        (
-            "crates/journal/src/fixture.rs",
-            include_str!("fixtures/lock_order.rs"),
         ),
         (
             "crates/journal/src/fixture_schema.rs",
@@ -59,16 +55,15 @@ fn maybe_bless(name: &str, rendered: &str) {
     }
 }
 
-fn run() -> (Analysis, Config) {
-    let cfg = fixture_config();
-    let (analysis, golden) = analyze(&fixture_workspace(), &cfg, false);
+fn run() -> Analysis {
+    let (analysis, golden) = analyze(&fixture_workspace(), &fixture_config(), false);
     assert!(golden.is_none(), "not in write mode");
-    (analysis, cfg)
+    analysis
 }
 
 /// (rule, path, line, col, severity, message fragment) for each seeded
 /// violation, in report order.
-const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 7] = [
+const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 6] = [
     (
         "ignored-io",
         "crates/core/src/fixture.rs",
@@ -84,14 +79,6 @@ const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 7] = [
         24,
         Severity::Error,
         "non-deterministic clock `SystemTime`",
-    ),
-    (
-        "lock-order",
-        "crates/journal/src/fixture.rs",
-        10,
-        32,
-        Severity::Error,
-        "held across file IO",
     ),
     (
         "wal-schema",
@@ -129,7 +116,7 @@ const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 7] = [
 
 #[test]
 fn each_rule_catches_its_seeded_fixture_at_the_exact_span() {
-    let (analysis, _) = run();
+    let analysis = run();
     assert_eq!(
         analysis.violations.len(),
         EXPECTED.len(),
@@ -149,16 +136,14 @@ fn each_rule_catches_its_seeded_fixture_at_the_exact_span() {
 
 #[test]
 fn human_report_matches_committed_expectation() {
-    let (analysis, cfg) = run();
-    let rendered = report::human(&analysis, cfg.max_suppressions);
+    let rendered = report::human(&run(), MAX_SUPPRESSIONS);
     maybe_bless("expected_human.txt", &rendered);
     assert_eq!(rendered, include_str!("fixtures/expected_human.txt"));
 }
 
 #[test]
 fn json_report_matches_committed_expectation() {
-    let (analysis, cfg) = run();
-    let rendered = report::json(&analysis, cfg.max_suppressions);
+    let rendered = report::json(&run(), MAX_SUPPRESSIONS);
     maybe_bless("expected.json", &rendered);
     assert_eq!(rendered, include_str!("fixtures/expected.json"));
 }

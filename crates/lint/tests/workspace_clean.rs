@@ -1,11 +1,16 @@
 //! The analyzer's verdict on the real workspace: zero errors within the
-//! suppression budget, and the acceptance property that mutating an
-//! existing WAL variant fails the build.
+//! suppression budget, the acceptance property that mutating an existing
+//! WAL variant fails the build, and the lock structure that makes lock
+//! order a fact rather than a rule (DESIGN.md § 6), with a seeded
+//! mutation for each way of breaking it.
 
 use std::path::Path;
 
+use fremont_lint::callgraph::CallGraph;
+use fremont_lint::lexer::{Tok, TokKind};
+use fremont_lint::rules::matching_close;
 use fremont_lint::{
-    analyze, find_workspace_root, Analysis, Config, Severity, SourceFile, Workspace,
+    analyze, find_workspace_root, Config, Severity, SourceFile, Workspace, MAX_SUPPRESSIONS,
 };
 
 fn real_workspace() -> (Workspace, Config) {
@@ -28,10 +33,9 @@ fn workspace_is_clean_within_the_suppression_budget() {
         .collect();
     assert!(errors.is_empty(), "{errors:#?}");
     assert!(
-        analysis.suppressions_total <= cfg.max_suppressions,
-        "{} suppressions exceed the budget of {}",
-        analysis.suppressions_total,
-        cfg.max_suppressions
+        analysis.suppressions_total <= MAX_SUPPRESSIONS,
+        "{} suppressions exceed the budget of {MAX_SUPPRESSIONS}",
+        analysis.suppressions_total
     );
     // Hygiene: every committed suppression still earns its keep.
     assert_eq!(analysis.suppressions_used, analysis.suppressions_total);
@@ -62,8 +66,8 @@ fn mutating_an_existing_wal_variant_fails_the_build() {
 }
 
 /// The real workspace with `append` added to the end of the file at
-/// `path`, analyzed.
-fn analyze_with_appended(path: &str, append: &str) -> Analysis {
+/// `path`.
+fn workspace_with_appended(path: &str, append: &str) -> Workspace {
     let (mut ws, cfg) = real_workspace();
     let idx = ws
         .files
@@ -72,69 +76,260 @@ fn analyze_with_appended(path: &str, append: &str) -> Analysis {
         .expect("the mutated file is in the workspace");
     let content = std::fs::read_to_string(cfg.root.join(path)).expect("source readable");
     ws.files[idx] = SourceFile::new(path.to_owned(), &format!("{content}\n{append}"));
-    analyze(&ws, &cfg, false).0
+    ws
 }
 
-fn lock_order_errors(analysis: &Analysis) -> Vec<&str> {
-    analysis
-        .violations
-        .iter()
-        .filter(|v| v.rule == "lock-order" && v.severity == Severity::Error)
-        .map(|v| v.message.as_str())
-        .collect()
+/// Where the argument these facts serve is written down.
+const SEE: &str = "see DESIGN.md § 6, \"Four locks, one order\"";
+
+/// Every lock in the program, as `Owner::field`, sorted.
+const LOCKS: [&str; 4] = [
+    "DurableJournal::wal",
+    "Journal::store",
+    "Recorder::inner",
+    "RemoteJournal::io",
+];
+
+const STORE: &str = "crates/journal/src/store/mod.rs";
+
+/// Direct file IO: path heads followed by `::`, methods followed by `(`.
+const IO_PATHS: [&str; 3] = ["fs", "File", "OpenOptions"];
+const IO_METHODS: [&str; 11] = [
+    "sync_all",
+    "sync_data",
+    "sync_now",
+    "flush",
+    "write_all",
+    "read_to_end",
+    "read_to_string",
+    "read_exact",
+    "set_len",
+    "seek",
+    "rename",
+];
+
+/// True for program source: `src/` and `crates/*/src/`.
+fn is_program(path: &str) -> bool {
+    path.starts_with("src/")
+        || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"))
+}
+
+fn punct_at(code: &[Tok], i: usize, c: char) -> bool {
+    code.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+/// `Owner::field` for a lock type at `i` inside a braced struct's
+/// fields, else `path:line`.
+fn lock_label(path: &str, code: &[Tok], i: usize) -> String {
+    let owner = (0..i)
+        .rev()
+        .find(|&s| code[s].is_ident("struct"))
+        .and_then(|s| {
+            let open = (s..i).find(|&k| code[k].is_punct('{') || code[k].is_punct(';'))?;
+            (code[open].is_punct('{') && i < matching_close(code, open))
+                .then(|| code[s + 1].text.clone())
+        });
+    // The field's own `:`, not a path's `::`.
+    let colon = (1..i).rev().find(|&k| {
+        code[k].is_punct(':') && !punct_at(code, k - 1, ':') && !punct_at(code, k + 1, ':')
+    });
+    match (owner, colon) {
+        (Some(owner), Some(k)) => format!("{owner}::{}", code[k - 1].text),
+        _ => format!("{path}:{}", code[i].line),
+    }
+}
+
+/// The structural facts DESIGN.md § 6 rests on for lock order, one
+/// message per fact broken: (a) the program has exactly [`LOCKS`];
+/// (b) only `begin_read`/`begin_write` in the store take the store lock
+/// and only the store names its guards; (c) a store function holding
+/// the guard calls no `self.` method but `begin_*` and `counters`, so
+/// nothing is acquired and no query re-entered under it; (d) the store
+/// and the `Recorder` do no file IO, and telemetry depends on no
+/// workspace crate.
+fn lock_structure(ws: &Workspace) -> Vec<String> {
+    let cg = CallGraph::build(ws);
+    let innermost_fn = |file: usize, i: usize| {
+        cg.fns
+            .iter()
+            .filter(|f| f.file == file && f.body_start <= i && i <= f.body_end)
+            .max_by_key(|f| f.body_start)
+            .map(|f| f.name.as_str())
+    };
+    let mut out = Vec::new();
+    let mut locks = Vec::new();
+    for (fi, f) in ws.files.iter().enumerate() {
+        if !is_program(&f.path) {
+            continue;
+        }
+        let code = &f.code;
+        for (i, t) in code.iter().enumerate() {
+            if t.kind != TokKind::Ident || f.in_test(t.line) {
+                continue;
+            }
+            let at = format!("{}:{}", f.path, t.line);
+            match t.text.as_str() {
+                "Mutex" | "RwLock" if punct_at(code, i + 1, '<') => {
+                    locks.push(lock_label(&f.path, code, i));
+                }
+                "RwLockReadGuard" | "RwLockWriteGuard" if f.path != STORE => out.push(format!(
+                    "(b) `{}` named at {at}: only the store hands out its guards; {SEE}",
+                    t.text
+                )),
+                "store"
+                    if punct_at(code, i.wrapping_sub(1), '.')
+                        && punct_at(code, i + 1, '.')
+                        && code
+                            .get(i + 2)
+                            .is_some_and(|m| m.is_ident("read") || m.is_ident("write"))
+                        && punct_at(code, i + 3, '(') =>
+                {
+                    let taker = innermost_fn(fi, i);
+                    if f.path != STORE || !matches!(taker, Some("begin_read" | "begin_write")) {
+                        out.push(format!(
+                            "(b) `.store.{}()` at {at}: the store lock is taken in \
+                             `begin_read`/`begin_write` only; {SEE}",
+                            code[i + 2].text
+                        ));
+                    }
+                }
+                name if (f.path.starts_with("crates/journal/src/store/")
+                    || f.path.starts_with("crates/telemetry/src/"))
+                    && ((IO_PATHS.contains(&name)
+                        && punct_at(code, i + 1, ':')
+                        && punct_at(code, i + 2, ':'))
+                        || (IO_METHODS.contains(&name) && punct_at(code, i + 1, '('))) =>
+                {
+                    out.push(format!(
+                        "(d) file IO `{name}` at {at}: the store and the `Recorder` are \
+                         leaves that do no IO; {SEE}"
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+    locks.sort();
+    if locks != LOCKS {
+        out.push(format!(
+            "(a) the program's locks are {locks:?}, not exactly {LOCKS:?}: a new lock \
+             needs its place in the one order first; {SEE}"
+        ));
+    }
+
+    for f in cg.fns.iter().filter(|f| !f.in_test) {
+        let file = &ws.files[f.file];
+        if !file.path.starts_with("crates/journal/src/store/") {
+            continue;
+        }
+        let body = &file.code[f.body_start..f.body_end.min(file.code.len())];
+        let holds = body.windows(2).any(|w| {
+            (w[0].is_ident("begin_read") || w[0].is_ident("begin_write")) && w[1].is_punct('(')
+        });
+        if !holds {
+            continue;
+        }
+        for k in 0..body.len() {
+            if !(body[k].is_ident("self") && punct_at(body, k + 1, '.')) {
+                continue;
+            }
+            let Some(head) = body.get(k + 2).filter(|t| t.kind == TokKind::Ident) else {
+                continue;
+            };
+            if head.text.starts_with("begin_") || head.text == "counters" {
+                continue;
+            }
+            let mut end = k + 2;
+            while punct_at(body, end + 1, '.')
+                && body.get(end + 2).is_some_and(|t| t.kind == TokKind::Ident)
+            {
+                end += 2;
+            }
+            if punct_at(body, end + 1, '(') {
+                let call: Vec<&str> = body[k..=end].iter().map(|t| t.text.as_str()).collect();
+                out.push(format!(
+                    "(c) `{}` holds the store guard and calls `{}()` at {}:{}: nothing may \
+                     be acquired, and no query re-entered, under the store lock; {SEE}",
+                    f.name,
+                    call.concat(),
+                    file.path,
+                    head.line
+                ));
+            }
+        }
+    }
+
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("lint crate lives inside the workspace");
+    let manifest = std::fs::read_to_string(root.join("crates/telemetry/Cargo.toml"))
+        .expect("telemetry manifest readable");
+    for dep in manifest
+        .lines()
+        .filter(|l| l.trim_start().starts_with("fremont-"))
+    {
+        out.push(format!(
+            "(d) crates/telemetry/Cargo.toml depends on `{}`: the `Recorder` is a leaf \
+             that calls into no workspace crate; {SEE}",
+            dep.trim()
+        ));
+    }
+    out
+}
+
+#[test]
+fn the_four_locks_keep_their_one_order() {
+    let (ws, _) = real_workspace();
+    let problems = lock_structure(&ws);
+    assert!(problems.is_empty(), "{problems:#?}");
+}
+
+/// `lock_structure` after appending `append` to the file at `path`:
+/// asserts it reports the broken fact `fact` and mentions `needle`.
+fn assert_mutation_breaks(path: &str, append: &str, fact: &str, needle: &str) {
+    let problems = lock_structure(&workspace_with_appended(path, append));
+    assert!(
+        problems
+            .iter()
+            .any(|m| m.starts_with(fact) && m.contains(needle) && m.contains(SEE)),
+        "the mutation must break fact {fact} at `{needle}`: {problems:#?}"
+    );
 }
 
 #[test]
 fn an_inverted_lock_acquisition_fails_the_build() {
-    // Seed a WAL-after-store inversion into the real store: the rule
-    // must reject the cycle it closes with the durable write path's
-    // WAL-then-store order.
-    let analysis = analyze_with_appended(
-        "crates/journal/src/store/mod.rs",
+    // Store, then WAL: the inverse of the durable write path's order.
+    assert_mutation_breaks(
+        STORE,
         "impl Journal {\n    fn lint_probe_inverted(&self) -> u64 {\n        \
-         let st = self.store.read();\n        let w = self.wal.lock();\n        \
+         let st = self.begin_read();\n        let w = self.wal.lock();\n        \
          w.next_seq + st.mod_seq\n    }\n}\n",
-    );
-    let errors = lock_order_errors(&analysis);
-    assert!(
-        errors
-            .iter()
-            .any(|m| m.contains("potential lock cycle between `store` and `wal`")),
-        "inverted acquisition must be an error: {errors:#?}"
+        "(c)",
+        "self.wal.lock()",
     );
 }
 
 #[test]
 fn reentering_the_store_lock_fails_the_build() {
-    // A query that calls another query with the read guard still held
-    // deadlocks behind any waiting writer; the rule follows the call.
-    let analysis = analyze_with_appended(
-        "crates/journal/src/store/mod.rs",
+    // A query calling another query with the read guard held deadlocks
+    // behind any waiting writer.
+    assert_mutation_breaks(
+        STORE,
         "impl Journal {\n    fn lint_probe_reentrant(&self) -> usize {\n        \
-         let st = self.store.read();\n        \
+         let st = self.begin_read();\n        \
          self.get_gateways().len() + st.mod_seq as usize\n    }\n}\n",
-    );
-    let errors = lock_order_errors(&analysis);
-    assert!(
-        errors
-            .iter()
-            .any(|m| m.contains("lock `store` re-acquired while already held")),
-        "re-entry must be an error: {errors:#?}"
+        "(c)",
+        "self.get_gateways()",
     );
 }
 
 #[test]
-fn io_inside_a_shared_journal_closure_is_not_a_held_lock() {
-    // `SharedJournal::read` hands the closure the journal and takes no
-    // lock, so file IO inside it with nothing else held is clean.
-    let analysis = analyze_with_appended(
-        "crates/storage/src/durable.rs",
-        "impl DurableJournal {\n    fn lint_probe_unlocked_io(&self) -> io::Result<()> {\n        \
-         self.shared.read(|j| std::fs::write(\"probe\", j.stats().interfaces.to_string()))\n    \
-         }\n}\n",
+fn a_fifth_lock_fails_the_build() {
+    assert_mutation_breaks(
+        "crates/core/src/driver.rs",
+        "pub struct LintProbe {\n    extra: std::sync::Mutex<u8>,\n}\n",
+        "(a)",
+        "LintProbe::extra",
     );
-    let errors = lock_order_errors(&analysis);
-    assert!(errors.is_empty(), "no lock is held: {errors:#?}");
 }
 
 #[test]

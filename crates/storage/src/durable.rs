@@ -21,10 +21,9 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fremont_telemetry::{SpanId, TelTime, Telemetry};
-use parking_lot::Mutex;
 
 use fremont_journal::observation::Observation;
 use fremont_journal::proto::{ProtoError, StoreBatchItem, WalStateReport};
@@ -197,10 +196,16 @@ impl DurableJournal {
         &self.shared
     }
 
+    /// Takes the WAL lock, held by every mutation and across its WAL IO
+    /// (DESIGN.md § 6). A poisoned lock is recovered, as the telemetry
+    /// `Recorder` does: no caller could act on the poison.
+    fn wal(&self) -> MutexGuard<'_, WalState> {
+        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Forces buffered WAL appends to disk (group-commit flush point).
     pub fn sync(&self) -> io::Result<()> {
-        // fremont-lint: allow(lock-order) -- the WAL mutex exists to serialize exactly this fsync against appends
-        if self.wal.lock().writer.sync_now()? {
+        if self.wal().writer.sync_now()? {
             self.telemetry
                 .counter_add("fremont_wal_fsyncs_total", "", 1);
         }
@@ -210,8 +215,7 @@ impl DurableJournal {
     /// Writes a durable snapshot, rotates to a fresh segment, and
     /// deletes segments the snapshot made obsolete.
     pub fn compact(&self) -> io::Result<()> {
-        // fremont-lint: allow(lock-order) -- compaction must hold the WAL lock across its IO to keep appends out of the rotating segment
-        let mut wal = self.wal.lock();
+        let mut wal = self.wal();
         self.compact_locked(&mut wal)
     }
 
@@ -323,8 +327,7 @@ impl DurableJournal {
         if total == 0 {
             return Ok(StoreSummary::default());
         }
-        // fremont-lint: allow(lock-order) -- WAL-before-journal is the crate's one lock order; store/compact/delete all follow it
-        let mut wal = self.wal.lock();
+        let mut wal = self.wal();
         let bytes_before = wal.writer.bytes();
         let mut fsyncs = 0u64;
         let summary = self
@@ -408,7 +411,7 @@ impl JournalAccess for DurableJournal {
 
     fn wal_state(&self) -> Option<WalStateReport> {
         let (segment_first_seq, segment_bytes, sync_policy) = {
-            let wal = self.wal.lock();
+            let wal = self.wal();
             (
                 wal.writer.first_seq(),
                 wal.writer.bytes(),
@@ -439,8 +442,7 @@ impl JournalAccess for DurableJournal {
     fn delete(&self, id: InterfaceId) -> Result<bool, ProtoError> {
         // Deletions are not observations, so they can't ride the WAL;
         // persist them by snapshotting the post-delete state.
-        // fremont-lint: allow(lock-order) -- same WAL-before-journal order as store(); held across the compaction IO
-        let mut wal = self.wal.lock();
+        let mut wal = self.wal();
         let existed = self.shared.read(|j| j.delete_interface(id));
         if existed {
             self.compact_locked(&mut wal).map_err(io_err)?;
