@@ -76,7 +76,12 @@ pub(crate) enum Event {
 pub struct Sim {
     /// Clock and pending events; the only place time lives.
     pub(crate) core: EventCore<Event>,
-    /// All nodes; index = `NodeId`.
+    /// All nodes; index = `NodeId`. Once the simulation has run, change a
+    /// node's interface addressing, `up` flag and processes only through
+    /// `Sim` methods ([`Sim::set_node_up`], [`Sim::spawn`],
+    /// [`Sim::kill_process`], faults): each segment caches which stations
+    /// a RIP broadcast must walk, and those methods drop the cache (debug
+    /// builds check it on every advertisement).
     pub nodes: Vec<Node>,
     /// All segments; index = `SegmentId`.
     pub segments: Vec<Segment>,
@@ -164,6 +169,7 @@ impl Sim {
         }
         let has_rip = node.behavior.rip.is_some();
         self.nodes.push(node);
+        self.drop_audiences(id);
         self.uptime.push(None);
         if has_rip {
             // Stagger first advertisements to avoid global synchrony.
@@ -270,6 +276,7 @@ impl Sim {
     pub fn spawn(&mut self, node: NodeId, proc_: Box<dyn Process>) -> ProcHandle {
         let idx = self.nodes[node.0].procs.len();
         self.nodes[node.0].procs.push(Some(proc_));
+        self.drop_audiences(node);
         let handle = ProcHandle { node, idx };
         self.schedule(SimDuration::ZERO, Event::Start { handle });
         handle
@@ -290,6 +297,7 @@ impl Sim {
     /// Removes a process (stops future event delivery to it).
     pub fn kill_process(&mut self, h: ProcHandle) {
         self.nodes[h.node.0].procs[h.idx] = None;
+        self.drop_audiences(h.node);
         self.taps.retain(|(_, t)| *t != h);
     }
 
@@ -395,6 +403,7 @@ impl Sim {
             n.arp_pending.clear();
             n.clear_rip_state();
         }
+        self.drop_audiences(node);
         if self.telemetry.enabled() {
             let name = if up { "node.up" } else { "node.down" };
             let at = TelTime(self.now().as_micros());

@@ -372,13 +372,18 @@ impl Sim {
                 seg.fault_loss = 0.0;
                 seg.fault_latency = SimDuration::ZERO;
             }
-            FaultKind::DuplicateIp { ip, .. } => self.nodes[node?.0].ifaces.first_mut()?.ip = *ip,
+            FaultKind::DuplicateIp { ip, .. } => {
+                let node = node?;
+                self.nodes[node.0].ifaces.first_mut()?.ip = *ip;
+                self.drop_audiences(node);
+            }
             // Routes are deliberately left alone: the host now *answers
             // mask requests* with the wrong mask, which is the observable
             // symptom the paper reports.
             FaultKind::WrongMask { prefix_len, .. } => {
-                let mask = SubnetMask::from_prefix_len(*prefix_len).ok()?;
-                self.nodes[node?.0].ifaces.first_mut()?.mask = mask;
+                let (node, mask) = (node?, SubnetMask::from_prefix_len(*prefix_len).ok()?);
+                self.nodes[node.0].ifaces.first_mut()?.mask = mask;
+                self.drop_audiences(node);
             }
             FaultKind::ClockSkew { skew_micros, .. } => {
                 self.nodes[node?.0].clock_skew = *skew_micros

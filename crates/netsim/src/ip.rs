@@ -1,6 +1,7 @@
 //! IP: origination, forwarding with TTL and ICMP errors, and local
-//! delivery — the ICMP echo/mask services and the UDP port demux, which
-//! a RIP response to a station that runs nothing never reaches (rip.rs).
+//! delivery — the ICMP echo/mask services and the UDP port demux. A RIP
+//! response broadcast reaches IP input only at the stations its segment's
+//! audience walks (rip.rs); the others were counted by the link.
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -253,11 +254,6 @@ impl Sim {
     }
 
     fn local_input(&mut self, node: NodeId, iface: usize, pkt: &Ipv4Packet, rec: &FrameRecord) {
-        // A station that runs nothing reads nothing: it only counts.
-        if self.reads_nothing_of(node, rec) {
-            self.stats.rip_packets += 1;
-            return;
-        }
         // Raw-socket view: every locally-delivered packet reaches processes.
         self.deliver_ip_to_procs(node, pkt);
 

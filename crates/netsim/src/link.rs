@@ -7,7 +7,10 @@
 //! interface whose MAC matches (all of them for a broadcast) except the
 //! sender's, in attachment order, then the segment's taps. A station
 //! that is down at that instant hears nothing; one that came up, or a
-//! tap enabled while the frame was in flight, does.
+//! tap enabled while the frame was in flight, does. For a broadcast the
+//! link asks the segment's audience first (`rip.rs`): stations that would
+//! only count the frame are counted there in one step, and only the rest
+//! are walked. The link does not know what makes a station quiet.
 //!
 //! A record holds the ARP or IPv4 packet its sender built, not its bytes:
 //! receivers read that packet (`decode(encode(p)) == p` for every packet
@@ -133,19 +136,32 @@ impl Sim {
     }
 
     /// A frame reaches the far end of its segment: receivers first, in
-    /// attachment order, then taps, in `taps` order. Both lists are read
-    /// live, so a handler that enables or drops a tap is honoured.
+    /// attachment order, then taps, in `taps` order. A broadcast that
+    /// only some stations read ([`Sim::quiet_audience`]) counts the rest
+    /// at once and walks the readers. Taps are read live, so a handler
+    /// that enables or drops a tap is honoured.
     pub(crate) fn deliver(&mut self, seg: SegmentId, from: (NodeId, usize), rec: &FrameRecord) {
         let broadcast = rec.dst.is_broadcast();
-        let mut i = 0;
-        while let Some(&(node, iface)) = self.segments[seg.0].attached.get(i) {
-            i += 1;
-            if (node, iface) == from {
-                continue; // No self-reception.
-            }
-            if broadcast || rec.dst == self.nodes[node.0].ifaces[iface].mac {
+        let audience = match &rec.packet {
+            Packet::Ipv4(pkt) if broadcast => self.quiet_audience(seg, from, pkt, rec),
+            _ => None,
+        };
+        if let Some(audience) = audience {
+            for &(node, iface) in audience.walk.iter().filter(|&&at| at != from) {
                 self.stats.frame_deliveries += 1;
                 self.handle_frame(node, iface, rec);
+            }
+        } else {
+            let mut i = 0;
+            while let Some(&(node, iface)) = self.segments[seg.0].attached.get(i) {
+                i += 1;
+                if (node, iface) == from {
+                    continue; // No self-reception.
+                }
+                if broadcast || rec.dst == self.nodes[node.0].ifaces[iface].mac {
+                    self.stats.frame_deliveries += 1;
+                    self.handle_frame(node, iface, rec);
+                }
             }
         }
         // Taps see every surviving frame on the segment.

@@ -1,14 +1,20 @@
-//! RIP: periodic advertisements, poll replies, and the learned-route
-//! list of a promiscuous rebroadcaster.
+//! RIP: periodic advertisements, poll replies, the learned-route list of
+//! a promiscuous rebroadcaster, and which stations on a segment read an
+//! advertisement at all.
 //!
 //! On the idle campus nine frame deliveries in ten are one advertisement
 //! arriving at one interface. A receiver does nothing with a response
 //! unless it is such a rebroadcaster (a Table 8 problem RIPwatch flags):
 //! nobody else's learned list is ever read. So **a station that runs
-//! nothing reads nothing**: with no live process to hand the packet to
-//! and no rebroadcast, IP input only counts it ([`Sim::reads_nothing_of`]
-//! reads the RIP cell its sender filled, decodes nothing, draws no RNG).
+//! nothing reads nothing**, and nobody need walk it: each segment keeps an
+//! [`Audience`], the stations a RIP response broadcast there must be
+//! walked through plus how many only count it. The link asks
+//! [`Sim::quiet_audience`] when a broadcast arrives. The audience is built
+//! from [`Sim::reads_nothing_of`] on first use and dropped by
+//! [`Sim::drop_audiences`] whenever an attached station's processes, `up`
+//! flag or addressing change.
 
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -21,7 +27,7 @@ use fremont_net::{IpProtocol, Ipv4Packet, MacAddr, RipCommand, UdpDatagram};
 use crate::engine::{Event, Sim};
 use crate::link::FrameRecord;
 use crate::node::{Node, NodeKind, RipConfig};
-use crate::segment::NodeId;
+use crate::segment::{NodeId, SegmentId};
 use crate::time::SimDuration;
 
 /// Cached encoding of one interface's periodic RIP advertisement.
@@ -34,8 +40,25 @@ pub(crate) struct RipAdvertTemplate {
     packets: Rc<[(Rc<RipPacket>, Bytes)]>,
 }
 
+/// One segment's stations, split by what a RIP response broadcast to
+/// `bcast` does to them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Audience {
+    /// The IP destination the stations were classified against.
+    bcast: Ipv4Addr,
+    /// Stations that must be walked through the stack, in attachment
+    /// order: a process runs there, it rebroadcasts, or it does not hold
+    /// `bcast` local (a wrong mask; a router takes its TTL path).
+    pub(crate) walk: Vec<(NodeId, usize)>,
+    /// Stations that only count the response: one frame delivery each,
+    /// powered off or not ...
+    counted: u64,
+    /// ... and, for those that are up, one IP and one RIP packet.
+    counted_up: u64,
+}
+
 /// The entry a speaker advertises for a route it holds at `metric`.
-fn advertised(addr: std::net::Ipv4Addr, metric: u32) -> RipEntry {
+fn advertised(addr: Ipv4Addr, metric: u32) -> RipEntry {
     RipEntry {
         addr,
         metric: (metric + 1).min(METRIC_INFINITY),
@@ -84,13 +107,82 @@ impl Node {
 }
 
 impl Sim {
-    /// `true` when `rec` carries a RIP response that `node` would only
-    /// count: it runs no live process and does not rebroadcast.
-    pub(crate) fn reads_nothing_of(&self, node: NodeId, rec: &FrameRecord) -> bool {
+    /// `true` when `node` only counts a RIP response to `dst` arriving on
+    /// `iface`: it runs no live process, does not rebroadcast, and holds
+    /// `dst` local there.
+    pub(crate) fn reads_nothing_of(&self, node: NodeId, iface: usize, dst: Ipv4Addr) -> bool {
         let n = &self.nodes[node.0];
-        matches!(rec.rip.get(), Some(Some(rip)) if rip.command == RipCommand::Response)
-            && n.procs.iter().all(Option::is_none)
+        n.procs.iter().all(Option::is_none)
             && !n.behavior.rip.as_ref().is_some_and(|c| c.promiscuous)
+            && n.is_local_dst(dst, iface)
+    }
+
+    fn build_audience(&self, seg: SegmentId, bcast: Ipv4Addr) -> Audience {
+        let mut audience = Audience {
+            bcast,
+            walk: Vec::new(),
+            counted: 0,
+            counted_up: 0,
+        };
+        for &(node, iface) in &self.segments[seg.0].attached {
+            if self.reads_nothing_of(node, iface, bcast) {
+                audience.counted += 1;
+                audience.counted_up += u64::from(self.nodes[node.0].up);
+            } else {
+                audience.walk.push((node, iface));
+            }
+        }
+        audience
+    }
+
+    /// For a frame carrying `pkt` broadcast on `seg`: when its RIP cell
+    /// holds a `Response`, adds what the stations that only count it
+    /// would have added (the sender excepted) and returns the audience
+    /// whose `walk` is still to be delivered; `None` for any other frame.
+    pub(crate) fn quiet_audience(
+        &mut self,
+        seg: SegmentId,
+        from: (NodeId, usize),
+        pkt: &Ipv4Packet,
+        rec: &FrameRecord,
+    ) -> Option<Rc<Audience>> {
+        if !matches!(rec.rip.get(), Some(Some(rip)) if rip.command == RipCommand::Response) {
+            return None;
+        }
+        let audience = match &self.segments[seg.0].audience {
+            Some(cached) if cached.bcast == pkt.dst => {
+                // `Sim::nodes` is public: a write there that bypassed
+                // `drop_audiences` shows up here in every debug test.
+                debug_assert_eq!(
+                    **cached,
+                    self.build_audience(seg, pkt.dst),
+                    "stale audience"
+                );
+                Rc::clone(cached)
+            }
+            _ => {
+                let built = Rc::new(self.build_audience(seg, pkt.dst));
+                self.segments[seg.0].audience = Some(Rc::clone(&built));
+                built
+            }
+        };
+        let (node, iface) = from;
+        let sender = self.reads_nothing_of(node, iface, pkt.dst);
+        let sender_up = sender && self.nodes[node.0].up;
+        let up = audience.counted_up - u64::from(sender_up);
+        self.stats.frame_deliveries += audience.counted - u64::from(sender);
+        self.stats.ip_packets += up;
+        self.stats.rip_packets += up;
+        Some(audience)
+    }
+
+    /// Forgets the audience of every segment `node` is attached to; the
+    /// next RIP response there rebuilds it. Called wherever an input of
+    /// [`Sim::reads_nothing_of`] or a station's `up` flag changes.
+    pub(crate) fn drop_audiences(&mut self, node: NodeId) {
+        for iface in &self.nodes[node.0].ifaces {
+            self.segments[iface.segment.0].audience = None;
+        }
     }
 
     pub(crate) fn handle_rip(
@@ -204,12 +296,11 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
-    use std::net::Ipv4Addr;
-
     use fremont_net::SubnetMask;
 
     use super::*;
     use crate::builder::TopologyBuilder;
+    use crate::faults::FaultKind;
     use crate::process::{ProcCtx, ProcHandle, Process};
 
     #[test]
@@ -333,11 +424,29 @@ mod tests {
         assert_eq!(responses(&mut sim, counter), 3);
         assert_eq!(learned(&sim, "chatty"), [(Ipv4Addr::new(10, 1, 2, 0), 1)]);
 
-        // The predicate itself: only a filled Response cell, only a node
-        // with no live process that does not rebroadcast.
+        // The classifier: no live process, no rebroadcast, 10.1.1.255
+        // local. Quiet and r1, the sender, are counted; the rest walked.
+        let bcast = Ipv4Addr::new(10, 1, 1, 255);
+        let reads_nothing = |sim: &Sim, name: &str| sim.reads_nothing_of(node(name), 0, bcast);
+        assert!(reads_nothing(&sim, "quiet") && reads_nothing(&sim, "r1"));
+        for name in ["badmask", "counter", "chatty"] {
+            assert!(!reads_nothing(&sim, name), "{name}");
+        }
+        let seg = topo.segments[a].0;
+        let walked = |sim: &Sim| -> Vec<String> {
+            let audience = sim.segments[seg.0].audience.as_ref().expect("built");
+            let names = audience
+                .walk
+                .iter()
+                .map(|(n, _)| sim.nodes[n.0].name.clone());
+            names.collect()
+        };
+        assert_eq!(walked(&sim), ["badmask", "counter", "chatty"]);
+
+        // Only a filled Response cell takes the counted path.
         let my = &sim.nodes[r1.0].ifaces[0];
         let (mac, ip) = (my.mac, my.ip);
-        let pkt = Ipv4Packet::new(ip, Ipv4Addr::BROADCAST, IpProtocol::Udp, Bytes::new());
+        let pkt = Ipv4Packet::new(ip, bcast, IpProtocol::Udp, Bytes::new());
         let record = |rip: Option<RipPacket>| {
             let rec = FrameRecord::ip(MacAddr::BROADCAST, mac, pkt.clone());
             if let Some(rip) = rip {
@@ -345,20 +454,33 @@ mod tests {
             }
             rec
         };
-        let response = record(Some(RipPacket::response(vec![])));
-        let reads_nothing =
-            |sim: &Sim, name: &str, rec: &FrameRecord| sim.reads_nothing_of(node(name), rec);
-        assert!(reads_nothing(&sim, "quiet", &response));
-        assert!(!reads_nothing(&sim, "counter", &response));
-        assert!(!reads_nothing(&sim, "chatty", &response));
+        let from = (r1, 0);
         assert!(
-            !reads_nothing(&sim, "quiet", &record(None)),
+            sim.quiet_audience(seg, from, &pkt, &record(None)).is_none(),
             "an empty cell is never decoded"
         );
         let poll = RipPacket {
             command: RipCommand::Request,
             entries: vec![],
         };
-        assert!(!reads_nothing(&sim, "quiet", &record(Some(poll))));
+        assert!(sim
+            .quiet_audience(seg, from, &pkt, &record(Some(poll)))
+            .is_none());
+
+        // Powered off, the quiet host still takes the frame off the wire
+        // but counts no IP and no RIP.
+        sim.set_node_up(node("quiet"), false);
+        assert_eq!(advertise(&mut sim, r1), (4, 3, 2));
+        sim.set_node_up(node("quiet"), true);
+        assert_eq!(advertise(&mut sim, r1), (4, 4, 3));
+
+        // A wrong mask applied mid-run: 10.1.1.255 is transit for a /16,
+        // so the host is walked and counts IP but no longer RIP.
+        sim.apply_fault(FaultKind::WrongMask {
+            node: "quiet".to_owned(),
+            prefix_len: 16,
+        });
+        assert_eq!(advertise(&mut sim, r1), (4, 4, 2));
+        assert_eq!(walked(&sim), ["quiet", "badmask", "counter", "chatty"]);
     }
 }

@@ -9,7 +9,9 @@
 //! ICMP Echo Replies and normal traffic".
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
+use crate::rip::Audience;
 use crate::stats::SegmentStats;
 use crate::time::{SimDuration, SimTime};
 
@@ -138,6 +140,10 @@ pub struct Segment {
     pub fault_loss: f64,
     /// Additional per-frame latency from an active degrade window.
     pub fault_latency: SimDuration,
+    /// Who must be walked for a RIP response broadcast here, and how
+    /// many stations only count it; built on the first such frame and
+    /// dropped whenever an attached station changes (`rip.rs`).
+    pub(crate) audience: Option<Rc<Audience>>,
 }
 
 impl Segment {
@@ -151,6 +157,7 @@ impl Segment {
             partitioned: false,
             fault_loss: 0.0,
             fault_latency: SimDuration::ZERO,
+            audience: None,
         }
     }
 

@@ -2,15 +2,20 @@
 //! and conservation-style invariants.
 
 use std::net::Ipv4Addr;
+use std::path::Path;
 
 use proptest::prelude::*;
 
+use fremont_net::MacAddr;
 use fremont_netsim::builder::TopologyBuilder;
 use fremont_netsim::campus::{generate, CampusConfig};
+use fremont_netsim::engine::Sim;
+use fremont_netsim::faults::{FaultKind, FaultPlan};
+use fremont_netsim::node::{Node, NodeKind};
 use fremont_netsim::process::Process;
 use fremont_netsim::segment::NodeId;
 use fremont_netsim::stats::SegmentStats;
-use fremont_netsim::time::SimDuration;
+use fremont_netsim::time::{SimDuration, SimTime};
 use fremont_netsim::traffic::{Flow, TrafficModel};
 
 /// A random small topology: `n_subnets` in a star around a backbone, with
@@ -146,13 +151,13 @@ proptest! {
 }
 
 /// A process that does nothing. Spawned on a node, it only makes that
-/// node one that runs something, so its stack walks a RIP response all
-/// the way to `handle_rip` instead of counting it at IP input.
+/// node one that runs something, so its segments' audiences walk it
+/// through the stack instead of counting it.
 struct Deaf;
 
 impl Process for Deaf {}
 
-/// What two simulated hours leave behind that a RIP arrival could touch.
+/// What a run leaves behind that a RIP arrival could touch.
 struct Outcome {
     /// `frame_deliveries`, `arp_packets`, `ip_packets`, `rip_packets`,
     /// `packets_originated`, `packets_forwarded`, `icmp_errors`.
@@ -163,65 +168,194 @@ struct Outcome {
     rng_probe: u64,
 }
 
-/// Runs `cfg` for two hours, with a [`Deaf`] on every node if `deaf`;
-/// returns the outcome and the events dispatched.
-fn two_hours(cfg: &CampusConfig, deaf: bool) -> (Outcome, u64) {
-    let (mut sim, _) = generate(cfg);
-    if deaf {
-        for n in 0..sim.nodes.len() {
-            sim.spawn(NodeId(n), Box::new(Deaf));
-        }
-    }
-    sim.run_for(SimDuration::from_hours(2));
-    let s = sim.stats;
-    let outcome = Outcome {
-        counters: [
-            s.frame_deliveries,
-            s.arp_packets,
-            s.ip_packets,
-            s.rip_packets,
-            s.packets_originated,
-            s.packets_forwarded,
-            s.icmp_errors,
-        ],
-        segments: sim.segments.iter().map(|seg| seg.stats.clone()).collect(),
-        fingerprint: sim.state_fingerprint(),
-        rip_learned: sim.nodes.iter().map(|n| n.rip_learned.clone()).collect(),
-        rng_probe: sim.rng_position_probe(),
-    };
-    (outcome, s.events_processed)
+/// Something a case does to the simulator at the start of every
+/// simulated hour (the hour is its argument).
+type Script = Box<dyn FnMut(&mut Sim, u64)>;
+
+/// One input of the differential: a campus, how many hours it runs, and
+/// what happens to it meanwhile.
+struct Case {
+    name: String,
+    cfg: CampusConfig,
+    hours: u64,
+    script: fn() -> Script,
 }
 
-/// A station that runs nothing reads nothing: counting a RIP response at
-/// IP input, where a node runs no process and does not rebroadcast, is
+impl Case {
+    fn plain(name: &str, cfg: CampusConfig, hours: u64) -> Self {
+        let script: fn() -> Script = || Box::new(|_, _| {});
+        Case {
+            name: name.to_owned(),
+            cfg,
+            hours,
+            script,
+        }
+    }
+
+    /// Runs the case, with a [`Deaf`] on every node (a node added
+    /// mid-run included) if `deaf`; returns the outcome and the events
+    /// dispatched.
+    fn run(&self, deaf: bool) -> (Outcome, u64) {
+        let (mut sim, _) = generate(&self.cfg);
+        let mut script = (self.script)();
+        let mut deafened = 0;
+        for hour in 0..self.hours {
+            script(&mut sim, hour);
+            while deaf && deafened < sim.nodes.len() {
+                sim.spawn(NodeId(deafened), Box::new(Deaf));
+                deafened += 1;
+            }
+            sim.run_for(SimDuration::from_hours(1));
+        }
+        assert_eq!(
+            sim.fault_stats.unresolved, 0,
+            "{}: a fault missed",
+            self.name
+        );
+        let s = sim.stats;
+        let outcome = Outcome {
+            counters: [
+                s.frame_deliveries,
+                s.arp_packets,
+                s.ip_packets,
+                s.rip_packets,
+                s.packets_originated,
+                s.packets_forwarded,
+                s.icmp_errors,
+            ],
+            segments: sim.segments.iter().map(|seg| seg.stats.clone()).collect(),
+            fingerprint: sim.state_fingerprint(),
+            rip_learned: sim.nodes.iter().map(|n| n.rip_learned.clone()).collect(),
+            rng_probe: sim.rng_position_probe(),
+        };
+        (outcome, s.events_processed)
+    }
+}
+
+/// `piper` is a CS host that never churns and runs nothing.
+fn piper(sim: &Sim) -> NodeId {
+    sim.node_by_name("piper").expect("piper is on every campus")
+}
+
+/// A [`Deaf`] spawned on `piper` after an hour and killed an hour later.
+fn spawn_then_kill() -> Script {
+    let mut handle = None;
+    Box::new(move |sim, hour| match hour {
+        1 => handle = Some(sim.spawn(piper(sim), Box::new(Deaf))),
+        2 => sim.kill_process(handle.take().expect("spawned")),
+        _ => {}
+    })
+}
+
+/// A quiet host plugged into `piper`'s segment after an hour.
+fn add_a_node() -> Script {
+    Box::new(|sim, hour| {
+        if hour == 1 {
+            let mut iface = sim.nodes[piper(sim).0].ifaces[0].clone();
+            iface.mac = MacAddr::new([0x08, 0, 0x20, 0xfe, 0xfe, 0xfe]);
+            iface.ip = iface.subnet().nth(250).expect("a /24");
+            sim.add_node(Node::new("latecomer", NodeKind::Host, vec![iface]));
+        }
+    })
+}
+
+/// The fault plans committed under `scenarios/`, in name order, each
+/// with the hours it needs to play out plus one.
+fn scenario_cases() -> Vec<Case> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scenarios/")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no fault plan under {}", dir.display());
+    paths
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("fixture");
+            let plan = FaultPlan::from_json(&text).expect("a fault plan");
+            let last = plan.events.iter().map(|e| e.at_micros).max().unwrap_or(0);
+            let hours = last / 3_600_000_000 + 2;
+            let name = path.file_stem().expect("name").to_string_lossy();
+            let mut cfg = CampusConfig::quiet_small(7);
+            cfg.fault_plan = plan;
+            Case::plain(&name, cfg, hours)
+        })
+        .collect()
+}
+
+/// A station that runs nothing reads nothing: counting a RIP response
+/// for every station its segment's audience does not walk is
 /// indistinguishable from walking it through the whole stack. A `Deaf`
-/// on every node, routers included, turns that shortcut off everywhere,
-/// and nothing but the `Start` events it costs may change. The default
-/// campus has the promiscuous `chatty` host and the wrong-mask host.
+/// on every node, routers included, empties every audience's count, and
+/// nothing but the `Start` events it costs may change. The inputs cover
+/// everything an audience is built from: the default campus has the
+/// promiscuous `chatty` host and the wrong-mask host and churns hosts up
+/// and down; each `scenarios/*.json` plan crashes, reboots, re-addresses
+/// or re-masks a station mid-run; and on the quiet small campus a
+/// process comes and goes on a quiet host, and a node is added.
 #[test]
 fn a_station_that_runs_nothing_reads_nothing() {
-    let mut cfgs = vec![
-        CampusConfig::default(),
-        CampusConfig {
-            seed: 20717,
-            ..Default::default()
-        },
+    let mut cases = vec![
+        Case::plain("default", CampusConfig::default(), 2),
+        Case::plain(
+            "default",
+            CampusConfig {
+                seed: 20717,
+                ..Default::default()
+            },
+            2,
+        ),
     ];
-    cfgs.extend([1, 7, 42].map(CampusConfig::micro));
-    for cfg in &cfgs {
-        let seed = cfg.seed;
-        let (quiet, quiet_events) = two_hours(cfg, false);
-        let (deaf, deaf_events) = two_hours(cfg, true);
-        assert!(quiet.counters[3] > 0, "seed {seed}: no RIP heard");
-        assert_eq!(quiet.counters, deaf.counters, "seed {seed}: SimStats");
-        assert!(quiet.segments == deaf.segments, "seed {seed}: segments");
-        assert_eq!(quiet.fingerprint, deaf.fingerprint, "seed {seed}");
-        assert!(
-            quiet.rip_learned == deaf.rip_learned,
-            "seed {seed}: learned"
-        );
-        assert_eq!(quiet.rng_probe, deaf.rng_probe, "seed {seed}: RNG");
+    cases.extend([1, 7, 42].map(|seed| Case::plain("micro", CampusConfig::micro(seed), 2)));
+    cases.extend(scenario_cases());
+    // Those fixtures re-mask or re-address `piper` before its segment's
+    // first advertisement, or amid churn that rebuilds the audience
+    // anyway. On the churn-free micro campus the same faults land on an
+    // audience already built.
+    let node = "piper".to_owned();
+    let foreign = Ipv4Addr::new(128, 138, 9, 9);
+    for (name, kind) in [
+        (
+            "wrong_mask_at_1h",
+            FaultKind::WrongMask {
+                node: node.clone(),
+                prefix_len: 16,
+            },
+        ),
+        (
+            "foreign_ip_at_1h",
+            FaultKind::DuplicateIp { node, ip: foreign },
+        ),
+    ] {
+        let mut cfg = CampusConfig::micro(7);
+        cfg.fault_plan = FaultPlan::new().at(SimTime(3_600_000_000), kind);
+        cases.push(Case::plain(name, cfg, 2));
+    }
+    cases.push(Case {
+        name: "spawn_then_kill".to_owned(),
+        cfg: CampusConfig::quiet_small(1993),
+        hours: 3,
+        script: spawn_then_kill,
+    });
+    cases.push(Case {
+        name: "add_a_node".to_owned(),
+        cfg: CampusConfig::quiet_small(1993),
+        hours: 3,
+        script: add_a_node,
+    });
+    for case in &cases {
+        let at = format!("{} seed {}", case.name, case.cfg.seed);
+        let (quiet, quiet_events) = case.run(false);
+        let (deaf, deaf_events) = case.run(true);
+        assert!(quiet.counters[3] > 0, "{at}: no RIP heard");
+        assert_eq!(quiet.counters, deaf.counters, "{at}: SimStats");
+        assert!(quiet.segments == deaf.segments, "{at}: segments");
+        assert_eq!(quiet.fingerprint, deaf.fingerprint, "{at}");
+        assert!(quiet.rip_learned == deaf.rip_learned, "{at}: learned");
+        assert_eq!(quiet.rng_probe, deaf.rng_probe, "{at}: RNG");
         let spawns = deaf.rip_learned.len() as u64;
-        assert_eq!(deaf_events - quiet_events, spawns, "seed {seed}");
+        assert_eq!(deaf_events - quiet_events, spawns, "{at}");
     }
 }
