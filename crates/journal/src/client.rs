@@ -6,7 +6,6 @@ use std::sync::Mutex;
 
 use fremont_telemetry::{SpanId, TelTime, Telemetry};
 
-use crate::observation::Observation;
 use crate::proto::{
     read_frame, write_frame, IntrospectReport, ProtoError, Request, RequestEnvelope, Response,
     StoreBatchItem, TraceContext,
@@ -15,7 +14,6 @@ use crate::query::{InterfaceQuery, SubnetQuery};
 use crate::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use crate::server::JournalAccess;
 use crate::store::{JournalStats, StoreSummary};
-use crate::time::JTime;
 
 /// A connection to a remote Journal Server.
 ///
@@ -23,14 +21,16 @@ use crate::time::JTime;
 /// shared by several module threads, matching the paper's "common library
 /// of access and data transfer routines". Idempotent query RPCs survive
 /// one dropped connection: the client reconnects to the original address
-/// and retries once. Mutating RPCs (Store, StoreBatch, Delete, Flush) are
+/// and retries once. Mutating RPCs (StoreBatch, Delete, Flush) are
 /// never retried — a lost response leaves it unknown whether the server
 /// applied them.
 ///
 /// A client opened with [`RemoteJournal::connect_traced`] participates in
-/// end-to-end causal tracing: each batched store opens a local
-/// `client.store_batch` span and propagates `(trace_id, span, clock)` in
-/// the request frame, so the server's spans can be stitched under it.
+/// end-to-end causal tracing: each store under a real parent span opens
+/// a local `client.store_batch` span and propagates `(trace_id, span,
+/// clock)` in the request frame, so the server's spans can be stitched
+/// under it. An untraced store sends [`TraceContext::NONE`] and opens
+/// no span.
 pub struct RemoteJournal {
     addr: String,
     io: Mutex<(BufReader<TcpStream>, TcpStream)>,
@@ -117,41 +117,6 @@ impl RemoteJournal {
         Ok(())
     }
 
-    /// Pipelines several requests over the connection: every frame is
-    /// written back-to-back before any reply is read, then the replies
-    /// are collected in request order (the server answers frames in
-    /// arrival order, so one round trip covers the whole slice).
-    ///
-    /// Like the mutating single-request path, pipelined requests are
-    /// never retried — a connection failure leaves it unknown which of
-    /// them the server applied. `Response::Error` is surfaced in place
-    /// rather than short-circuiting, so callers can attribute per-slot
-    /// failures.
-    pub fn pipeline(&self, reqs: &[Request]) -> Result<Vec<Response>, ProtoError> {
-        self.with_io(|reader, writer| {
-            for req in reqs {
-                let env = RequestEnvelope {
-                    ctx: TraceContext::NONE,
-                    req: req.clone(),
-                };
-                write_frame(writer, &env)?;
-            }
-            let mut replies = Vec::with_capacity(reqs.len());
-            for _ in reqs {
-                match read_frame::<_, Response>(reader)? {
-                    Some(resp) => replies.push(resp),
-                    None => {
-                        return Err(ProtoError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed connection mid-pipeline",
-                        )))
-                    }
-                }
-            }
-            Ok(replies)
-        })
-    }
-
     /// Asks the server to write its snapshot.
     pub fn flush(&self) -> Result<(), ProtoError> {
         match self.call(Request::Flush)? {
@@ -181,34 +146,21 @@ fn unexpected(resp: Response) -> ProtoError {
 }
 
 impl JournalAccess for RemoteJournal {
-    fn store(&self, now: JTime, observations: &[Observation]) -> Result<StoreSummary, ProtoError> {
-        match self.call(Request::Store {
-            now,
-            observations: observations.to_vec(),
-        })? {
-            Response::Stored(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn store_batch(&self, batches: &[StoreBatchItem]) -> Result<StoreSummary, ProtoError> {
-        // The whole pump's worth of observations travels as one frame.
-        match self.call(Request::StoreBatch {
-            batches: batches.to_vec(),
-        })? {
-            Response::Stored(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
-
     fn store_batch_traced(
         &self,
         batches: &[StoreBatchItem],
         parent: SpanId,
         at: TelTime,
     ) -> Result<StoreSummary, ProtoError> {
-        if self.trace_id == 0 || !self.telemetry.enabled() {
-            return self.store_batch(batches);
+        // The whole pump's worth of observations travels as one frame.
+        let req = Request::StoreBatch {
+            batches: batches.to_vec(),
+        };
+        if self.trace_id == 0 || !parent.is_real() || !self.telemetry.enabled() {
+            return match self.call(req)? {
+                Response::Stored(s) => Ok(s),
+                other => Err(unexpected(other)),
+            };
         }
         // The client-side RPC span: marked with our own trace id and
         // remote_parent 0 — that is what tells the stitcher this
@@ -229,13 +181,7 @@ impl JournalAccess for RemoteJournal {
             parent_span: span.0,
             at_micros: at.0,
         };
-        let res = self.call_ctx(
-            Request::StoreBatch {
-                batches: batches.to_vec(),
-            },
-            ctx,
-        );
-        match res {
+        match self.call_ctx(req, ctx) {
             Ok(Response::Stored(s)) => {
                 self.telemetry.span_end(
                     span,

@@ -5,6 +5,10 @@
 //! of access and data transfer routines that the Explorer Modules,
 //! Discovery Manager, and data analysis and presentation programs use."
 //!
+//! Store/Update is [`Request::StoreBatch`], the one write request: a
+//! single store is a batch of one. Get is `GetInterfaces`,
+//! `GetGateways` and `GetSubnets`; Delete is `Delete`.
+//!
 //! Frames are length-prefixed JSON: a 4-byte big-endian length followed by
 //! the serialized request or response. JSON keeps snapshots and traffic
 //! inspectable; the framing keeps the stream message-oriented.
@@ -70,17 +74,6 @@ pub struct RequestEnvelope {
 /// A request to the Journal Server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Store/Update: apply observations at the given journal time.
-    ///
-    /// The server serializes and stamps updates; `now` is the exploration
-    /// clock supplied by the driving deployment (simulation time here,
-    /// wall-clock in a live system).
-    Store {
-        /// Exploration clock at submission.
-        now: JTime,
-        /// Observations to merge.
-        observations: Vec<Observation>,
-    },
     /// Get interface records matching a query.
     GetInterfaces(InterfaceQuery),
     /// Get all gateway records.
@@ -93,11 +86,14 @@ pub enum Request {
     Stats,
     /// Ask the server to snapshot to its configured path.
     Flush,
-    /// Store/Update for several timestamped observation batches in one
-    /// framed round trip — the batched write path the explorers' pump
-    /// drains into. The server applies the whole request as one group,
-    /// so group-commit durability policies amortize to one fsync per
-    /// frame instead of one per observation.
+    /// Store/Update, the only write request: several timestamped
+    /// observation batches in one framed round trip (a single store is
+    /// a batch of one). The server serializes and stamps updates; each
+    /// batch's `now` is the exploration clock supplied by the driving
+    /// deployment (simulation time here, wall-clock in a live system).
+    /// The server applies the whole request as one group, so
+    /// group-commit durability policies amortize to one fsync per frame
+    /// instead of one per observation.
     StoreBatch {
         /// The batches, in submission order.
         batches: Vec<StoreBatchItem>,
@@ -124,7 +120,7 @@ pub struct StoreBatchItem {
 /// A response from the Journal Server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
-    /// Result of a Store.
+    /// Result of a StoreBatch.
     Stored(StoreSummary),
     /// Result of GetInterfaces.
     Interfaces(Vec<InterfaceRecord>),
@@ -298,12 +294,14 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let req = Request::Store {
-            now: JTime(42),
-            observations: vec![Observation::ip_alive(
-                Source::SeqPing,
-                Ipv4Addr::new(10, 0, 0, 1),
-            )],
+        let req = Request::StoreBatch {
+            batches: vec![StoreBatchItem {
+                now: JTime(42),
+                observations: vec![Observation::ip_alive(
+                    Source::SeqPing,
+                    Ipv4Addr::new(10, 0, 0, 1),
+                )],
+            }],
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &req).unwrap();

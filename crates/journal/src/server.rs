@@ -47,9 +47,24 @@ use crate::store::{Journal, JournalStats, ShardingMetrics, StoreSummary};
 use crate::time::JTime;
 
 /// Unified access to a Journal, local or remote.
+///
+/// [`JournalAccess::store_batch_traced`] is the one write a backend
+/// implements; [`JournalAccess::store`] (a batch of one) and
+/// [`JournalAccess::store_batch`] (no parent span) are provided on top
+/// of it.
 pub trait JournalAccess {
-    /// Store/Update: merge observations, stamped at `now`.
-    fn store(&self, now: JTime, observations: &[Observation]) -> Result<StoreSummary, ProtoError>;
+    /// Store/Update for several timestamped batches as one group (one
+    /// lock acquisition, one WAL group commit, one RPC frame), causally
+    /// attributed: `parent`/`at` locate the write under an open span of
+    /// the backend's telemetry sink. Backends with span-aware write
+    /// paths (the WAL-backed store, the TCP client) emit child spans
+    /// under a real `parent`; [`SpanId::NONE`] asks for none.
+    fn store_batch_traced(
+        &self,
+        batches: &[StoreBatchItem],
+        parent: SpanId,
+        at: TelTime,
+    ) -> Result<StoreSummary, ProtoError>;
     /// Get interface records matching the query.
     fn interfaces(&self, q: &InterfaceQuery) -> Result<Vec<InterfaceRecord>, ProtoError>;
     /// Get all gateway records.
@@ -61,16 +76,17 @@ pub trait JournalAccess {
     /// Journal statistics.
     fn stats(&self) -> Result<JournalStats, ProtoError>;
 
-    /// Store/Update for several timestamped batches as one group. The
-    /// default applies batch by batch; backends with a batched write path
-    /// (one lock acquisition, one WAL group commit, one RPC frame)
-    /// override it.
+    /// Store/Update: merge observations, stamped at `now` — a batch of one.
+    fn store(&self, now: JTime, observations: &[Observation]) -> Result<StoreSummary, ProtoError> {
+        self.store_batch(&[StoreBatchItem {
+            now,
+            observations: observations.to_vec(),
+        }])
+    }
+
+    /// [`JournalAccess::store_batch_traced`] with no parent span.
     fn store_batch(&self, batches: &[StoreBatchItem]) -> Result<StoreSummary, ProtoError> {
-        let mut sum = StoreSummary::default();
-        for b in batches {
-            sum.absorb(self.store(b.now, &b.observations)?);
-        }
-        Ok(sum)
+        self.store_batch_traced(batches, SpanId::NONE, TelTime(0))
     }
 
     /// Captures a full snapshot image of the journal, for backends with
@@ -100,21 +116,6 @@ pub trait JournalAccess {
     /// frozen wire type (wal-schema golden).
     fn batch_groups_total(&self) -> Option<u64> {
         None
-    }
-
-    /// Like [`JournalAccess::store_batch`], causally attributed:
-    /// `parent`/`at` locate the write under an open span of the
-    /// backend's telemetry sink. The default ignores the attribution;
-    /// backends with span-aware write paths (the WAL-backed store,
-    /// the TCP client) override it to emit child spans.
-    fn store_batch_traced(
-        &self,
-        batches: &[StoreBatchItem],
-        parent: SpanId,
-        at: TelTime,
-    ) -> Result<StoreSummary, ProtoError> {
-        let _ = (parent, at);
-        self.store_batch(batches)
     }
 
     /// Write-ahead-log segment state, for durable backends.
@@ -157,13 +158,12 @@ impl SharedJournal {
 }
 
 impl JournalAccess for SharedJournal {
-    fn store(&self, now: JTime, observations: &[Observation]) -> Result<StoreSummary, ProtoError> {
-        Ok(self
-            .inner
-            .apply_batch(observations.iter().map(|o| (o, now))))
-    }
-
-    fn store_batch(&self, batches: &[StoreBatchItem]) -> Result<StoreSummary, ProtoError> {
+    fn store_batch_traced(
+        &self,
+        batches: &[StoreBatchItem],
+        _parent: SpanId,
+        _at: TelTime,
+    ) -> Result<StoreSummary, ProtoError> {
         Ok(self.inner.apply_batch(
             batches
                 .iter()
@@ -585,7 +585,6 @@ fn sum_series(metrics: &str, name: &str) -> u64 {
 
 fn rpc_label(req: &Request) -> &'static str {
     match req {
-        Request::Store { .. } => "rpc=\"store\"",
         Request::GetInterfaces(_) => "rpc=\"get_interfaces\"",
         Request::GetGateways => "rpc=\"get_gateways\"",
         Request::GetSubnets(_) => "rpc=\"get_subnets\"",
@@ -616,43 +615,11 @@ fn handle_request<J: JournalAccess>(
     at: TelTime,
 ) -> Response {
     match req {
-        Request::Store { now, observations } => {
+        Request::StoreBatch { batches } => {
+            let total: u64 = batches.iter().map(|b| b.observations.len() as u64).sum();
             // Merge cost in logical work units (observations offered /
             // records touched) — the deterministic stand-in for wall
             // latency, which the lint's clock ban rules out.
-            telemetry.observe(
-                "fremont_journal_store_batch_observations",
-                "",
-                bounds::WORK_UNITS,
-                observations.len() as u64,
-            );
-            let apply = if rpc_span.is_real() {
-                telemetry.span_start("server.apply", "", rpc_span, at)
-            } else {
-                SpanId::NONE
-            };
-            match journal.store(now, &observations) {
-                Ok(s) => {
-                    let merged = (s.created + s.updated + s.verified) as u64;
-                    telemetry.observe(
-                        "fremont_journal_store_merge_ops",
-                        "",
-                        bounds::WORK_UNITS,
-                        merged,
-                    );
-                    telemetry.work(apply, "observations", observations.len() as u64, at);
-                    telemetry.work(apply, "merge_ops", merged, at);
-                    telemetry.span_end(apply, &format!("merged={merged}"), at);
-                    Response::Stored(s)
-                }
-                Err(e) => {
-                    telemetry.span_end(apply, "error", at);
-                    Response::Error(e.to_string())
-                }
-            }
-        }
-        Request::StoreBatch { batches } => {
-            let total: u64 = batches.iter().map(|b| b.observations.len() as u64).sum();
             telemetry.observe(
                 "fremont_journal_store_batch_observations",
                 "",

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Fact, Observation, Source};
-use fremont_journal::proto::{Request, Response};
+use fremont_journal::proto::{Request, Response, StoreBatchItem};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::time::JTime;
@@ -309,25 +309,43 @@ fn mid_request_disconnect_counts_and_server_survives() {
     server.shutdown();
 }
 
-/// Two requests queued on one socket come back as two replies in
+/// Three requests queued on one socket come back as three replies in
 /// request order — the framing contract that makes client pipelining
-/// legal against the server.
+/// legal against the server. Every frame is written before any reply
+/// is read.
 #[test]
 fn pipelined_requests_get_in_order_replies() {
+    use fremont_journal::proto::{read_frame, write_frame, RequestEnvelope, TraceContext};
     let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
-    let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
 
     let ip = Ipv4Addr::new(10, 200, 0, 1);
-    let replies = client
-        .pipeline(&[
-            Request::Store {
+    let requests = [
+        Request::StoreBatch {
+            batches: vec![StoreBatchItem {
                 now: JTime(3),
                 observations: vec![Observation::ip_alive(Source::SeqPing, ip)],
-            },
-            Request::GetInterfaces(InterfaceQuery::by_ip(ip)),
-            Request::Stats,
-        ])
-        .unwrap();
+            }],
+        },
+        Request::GetInterfaces(InterfaceQuery::by_ip(ip)),
+        Request::Stats,
+    ];
+    for req in requests {
+        let envelope = RequestEnvelope {
+            ctx: TraceContext::NONE,
+            req,
+        };
+        write_frame(&mut raw, &envelope).unwrap();
+    }
+    let replies: Vec<Response> = (0..3)
+        .map(|_| {
+            read_frame(&mut raw)
+                .expect("the connection answers")
+                .expect("a reply, not a close")
+        })
+        .collect();
 
     // The replies land in request order: the second sees the record the
     // first created, which only in-order execution can produce.

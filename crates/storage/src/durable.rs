@@ -25,14 +25,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fremont_telemetry::{SpanId, TelTime, Telemetry};
 
-use fremont_journal::observation::Observation;
 use fremont_journal::proto::{ProtoError, StoreBatchItem, WalStateReport};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use fremont_journal::server::{JournalAccess, SharedJournal};
 use fremont_journal::snapshot::JournalSnapshot;
 use fremont_journal::store::{Journal, JournalStats, StoreSummary};
-use fremont_journal::time::JTime;
 
 use crate::wal::{
     list_segments, scan_segment, sync_dir, SyncPolicy, TailStatus, WalRecord, WalWriter,
@@ -149,9 +147,9 @@ impl Drop for WalState {
 
 /// A cheaply-cloneable handle to a WAL-backed journal.
 ///
-/// All mutations ([`JournalAccess::store`], [`JournalAccess::delete`])
-/// are serialized through the WAL lock; reads go straight to the
-/// underlying [`SharedJournal`].
+/// All mutations ([`JournalAccess::store_batch_traced`], the one write,
+/// and [`JournalAccess::delete`]) are serialized through the WAL lock;
+/// reads go straight to the underlying [`SharedJournal`].
 #[derive(Clone)]
 pub struct DurableJournal {
     shared: SharedJournal,
@@ -305,8 +303,8 @@ fn io_err(e: io::Error) -> ProtoError {
     ProtoError::Io(e)
 }
 
-impl DurableJournal {
-    /// The one write path: logs every observation in `runs` ahead of
+impl JournalAccess for DurableJournal {
+    /// The one write path: logs every observation in `batches` ahead of
     /// applying it, as a single group — one WAL lock acquisition, one
     /// buffered segment write, and at most one fsync for the whole
     /// call (the sync policy is applied once, after the group).
@@ -317,13 +315,13 @@ impl DurableJournal {
     /// `wal.fsync` child when the sync policy fired. Both are logical
     /// (same `at` for start and end) and are pushed only after the WAL
     /// lock is released.
-    fn store_runs(
+    fn store_batch_traced(
         &self,
-        runs: &[(JTime, &[Observation])],
+        batches: &[StoreBatchItem],
         parent: SpanId,
         at: TelTime,
     ) -> Result<StoreSummary, ProtoError> {
-        let total: usize = runs.iter().map(|(_, obs)| obs.len()).sum();
+        let total: usize = batches.iter().map(|b| b.observations.len()).sum();
         if total == 0 {
             return Ok(StoreSummary::default());
         }
@@ -341,12 +339,12 @@ impl DurableJournal {
                 // `apply_batch`).
                 let mut seq = j.stats().observations_applied;
                 let mut records = Vec::with_capacity(total);
-                for (now, observations) in runs {
-                    for obs in *observations {
+                for b in batches {
+                    for obs in &b.observations {
                         seq += 1;
                         records.push(WalRecord {
                             seq,
-                            at: *now,
+                            at: b.now,
                             obs: obs.clone(),
                         });
                     }
@@ -354,8 +352,9 @@ impl DurableJournal {
                 let synced = wal.writer.append_batch(&records)?;
                 fsyncs += u64::from(synced);
                 Ok(j.apply_batch(
-                    runs.iter()
-                        .flat_map(|(now, observations)| observations.iter().map(|o| (o, *now))),
+                    batches
+                        .iter()
+                        .flat_map(|b| b.observations.iter().map(move |o| (o, b.now))),
                 ))
             })
             .map_err(io_err)?;
@@ -384,29 +383,6 @@ impl DurableJournal {
             }
         }
         Ok(summary)
-    }
-}
-
-impl JournalAccess for DurableJournal {
-    fn store(&self, now: JTime, observations: &[Observation]) -> Result<StoreSummary, ProtoError> {
-        self.store_runs(&[(now, observations)], SpanId::NONE, TelTime(0))
-    }
-
-    fn store_batch(&self, batches: &[StoreBatchItem]) -> Result<StoreSummary, ProtoError> {
-        self.store_batch_traced(batches, SpanId::NONE, TelTime(0))
-    }
-
-    fn store_batch_traced(
-        &self,
-        batches: &[StoreBatchItem],
-        parent: SpanId,
-        at: TelTime,
-    ) -> Result<StoreSummary, ProtoError> {
-        let runs: Vec<(JTime, &[Observation])> = batches
-            .iter()
-            .map(|b| (b.now, b.observations.as_slice()))
-            .collect();
-        self.store_runs(&runs, parent, at)
     }
 
     fn wal_state(&self) -> Option<WalStateReport> {
@@ -471,7 +447,8 @@ impl JournalAccess for DurableJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fremont_journal::observation::Source;
+    use fremont_journal::observation::{Observation, Source};
+    use fremont_journal::time::JTime;
     use std::net::Ipv4Addr;
 
     fn tmp(name: &str) -> PathBuf {

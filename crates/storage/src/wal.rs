@@ -32,7 +32,7 @@
 //! streaming JSON serializer directly behind its 8-byte header, which
 //! is patched once the payload's length and checksum (slice-by-8, see
 //! [`crate::crc32`]) are known — and [`WalWriter::append_batch`] hands
-//! that buffer to one `write`. [`WalWriter::append`] is a group of one.
+//! that buffer to one `write`. A single record is a group of one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -190,39 +190,6 @@ impl WalWriter {
         })
     }
 
-    /// Reopens an existing segment for appending, first truncating it
-    /// to `valid_bytes` to shed a torn tail.
-    pub fn open_end(path: &Path, valid_bytes: u64, sync: SyncPolicy) -> io::Result<WalWriter> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len != valid_bytes {
-            file.set_len(valid_bytes)?;
-            file.sync_all()?;
-        }
-        let first_seq = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_segment_name)
-            .unwrap_or(0);
-        let mut w = WalWriter {
-            file,
-            path: path.to_path_buf(),
-            first_seq,
-            bytes: valid_bytes,
-            sync,
-            unsynced: 0,
-        };
-        io::Seek::seek(&mut w.file, io::SeekFrom::Start(valid_bytes))?;
-        Ok(w)
-    }
-
-    /// Appends one record: a group of one (see
-    /// [`WalWriter::append_batch`]). Returns whether this append
-    /// triggered an fsync (so callers can count real disk syncs).
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<bool> {
-        self.append_batch(std::slice::from_ref(record))
-    }
-
     /// Appends a run of records as one group: every frame is assembled
     /// into a single buffer, written with one `write` call, and the sync
     /// policy is applied once at the end — so the group costs at most
@@ -277,8 +244,7 @@ impl WalWriter {
         self.bytes
     }
 
-    /// Sequence number the segment was opened for (0 when the name of
-    /// a reopened segment did not parse).
+    /// Sequence number the segment was opened for.
     pub fn first_seq(&self) -> u64 {
         self.first_seq
     }
@@ -308,7 +274,7 @@ pub enum TailStatus {
 pub struct SegmentScan {
     /// Records of the valid prefix, in file order.
     pub records: Vec<WalRecord>,
-    /// Byte length of the valid prefix (where appending may resume).
+    /// Byte length of the valid prefix.
     pub valid_bytes: u64,
     pub tail: TailStatus,
 }
@@ -396,7 +362,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Always).unwrap();
         for seq in 1..=5 {
-            w.append(&rec(seq)).unwrap();
+            w.append_batch(&[rec(seq)]).unwrap();
         }
         let scan = scan_segment(w.path()).unwrap();
         assert_eq!(scan.tail, TailStatus::Clean);
@@ -406,11 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_dropped_and_writable_over() {
+    fn torn_tail_is_dropped() {
         let dir = tmp_dir("torn");
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Always).unwrap();
         for seq in 1..=3 {
-            w.append(&rec(seq)).unwrap();
+            w.append_batch(&[rec(seq)]).unwrap();
         }
         let path = w.path().to_path_buf();
         let full = w.bytes();
@@ -422,15 +388,6 @@ mod tests {
         assert_eq!(scan.records.len(), 2);
         assert!(matches!(scan.tail, TailStatus::Torn { dropped_bytes } if dropped_bytes > 0));
         assert!(scan.valid_bytes < full);
-        // Recovery resumes appending over the torn bytes.
-        let mut w = WalWriter::open_end(&path, scan.valid_bytes, SyncPolicy::Always).unwrap();
-        w.append(&rec(3)).unwrap();
-        let scan = scan_segment(&path).unwrap();
-        assert_eq!(scan.tail, TailStatus::Clean);
-        assert_eq!(
-            scan.records.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
     }
 
     #[test]
@@ -438,7 +395,7 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Always).unwrap();
         for seq in 1..=4 {
-            w.append(&rec(seq)).unwrap();
+            w.append_batch(&[rec(seq)]).unwrap();
         }
         let path = w.path().to_path_buf();
         drop(w);
@@ -492,7 +449,7 @@ mod tests {
         // Batched frames are byte-identical to one-at-a-time frames.
         let mut one = WalWriter::create(&dir, 100, SyncPolicy::Never).unwrap();
         for r in &records {
-            one.append(r).unwrap();
+            one.append_batch(std::slice::from_ref(r)).unwrap();
         }
         assert_eq!(one.bytes(), {
             let mut b = WalWriter::create(&dir, 200, SyncPolicy::Never).unwrap();
@@ -517,7 +474,7 @@ mod tests {
         assert_eq!(w.unsynced, 0);
         assert_eq!(fs::metadata(w.path()).unwrap().len(), 0);
         // The writer is still usable.
-        w.append(&rec(1)).unwrap();
+        w.append_batch(&[rec(1)]).unwrap();
         assert_eq!(scan_segment(w.path()).unwrap().records, vec![rec(1)]);
     }
 
@@ -534,7 +491,7 @@ mod tests {
         let dir = tmp_dir("group");
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::EveryN(8)).unwrap();
         for seq in 1..=20 {
-            w.append(&rec(seq)).unwrap();
+            w.append_batch(&[rec(seq)]).unwrap();
         }
         // 20 appends with n=8: syncs at 8 and 16, leaving 4 pending.
         assert_eq!(w.unsynced, 4);

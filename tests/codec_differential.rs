@@ -1163,12 +1163,6 @@ fn arb_batches() -> impl Strategy<Value = Vec<StoreBatchItem>> {
 
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (arb_u64(), proptest::collection::vec(arb_obs(), 0..6)).prop_map(|(now, observations)| {
-            Request::Store {
-                now: JTime(now),
-                observations,
-            }
-        }),
         (
             proptest::option::of(arb_ip()),
             proptest::option::of(arb_text()),
@@ -1516,6 +1510,46 @@ fn known_renderings() {
     assert_eq!(
         serde_json::to_string_pretty(&Shape::Newtype(Meters(2.5))).unwrap(),
         "{\n  \"Newtype\": 2.5\n}"
+    );
+    // Request frames name their variant, so dropping a variant renumbers
+    // nothing on the wire.
+    let envelope = RequestEnvelope {
+        ctx: TraceContext {
+            trace_id: 7,
+            parent_span: 42,
+            at_micros: 1_000_000,
+        },
+        req: Request::StoreBatch {
+            batches: vec![StoreBatchItem {
+                now: JTime(42),
+                observations: vec![Observation::ip_alive(
+                    Source::SeqPing,
+                    Ipv4Addr::new(10, 0, 0, 1),
+                )],
+            }],
+        },
+    };
+    assert_eq!(
+        serde_json::to_string(&envelope).unwrap(),
+        concat!(
+            r#"{"ctx":{"trace_id":7,"parent_span":42,"at_micros":1000000},"#,
+            r#""req":{"StoreBatch":{"batches":[{"now":42,"observations":"#,
+            r#"[{"source":"SeqPing","fact":{"Interface":"#,
+            r#"{"ip":"10.0.0.1","mac":null,"name":null,"mask":null}}}]}]}}}"#,
+        )
+    );
+    assert_eq!(
+        serde_json::to_string(&Request::Stats).unwrap(),
+        r#""Stats""#
+    );
+    assert_eq!(
+        serde_json::to_string(&Request::GetInterfaces(InterfaceQuery::all())).unwrap(),
+        concat!(
+            r#"{"GetInterfaces":{"ip":null,"mac":null,"name":null,"in_subnet":null,"#,
+            r#""ip_range":null,"modified_since":null,"verified_before":null,"#,
+            r#""live_verified_before":null,"rip_source":null,"#,
+            r#""is_gateway_member":null,"missing_mask":null}}"#,
+        )
     );
 }
 

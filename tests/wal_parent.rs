@@ -57,9 +57,36 @@ fn parent_segment_is_reproduced_byte_for_byte() {
 
     let mut single = WalWriter::create(&dir, 13, SyncPolicy::Never).expect("create");
     for record in &scan.records {
-        single.append(record).expect("append");
+        single
+            .append_batch(std::slice::from_ref(record))
+            .expect("append_batch");
     }
     assert_eq!(std::fs::read(single.path()).expect("read"), committed);
+}
+
+/// The provided `JournalAccess::store` — a batch of one — logs what
+/// the parent's one-record stores logged: storing the segment's records
+/// one at a time on top of the parent's snapshot rewrites its bytes.
+#[test]
+fn one_record_stores_rewrite_the_parent_segment() {
+    let committed = std::fs::read(golden().join(SEGMENT)).expect("read fixture");
+    let scan = scan_segment(&golden().join(SEGMENT)).expect("scan");
+    let dir = scratch("restore");
+    std::fs::copy(golden().join("snapshot.json"), dir.join("snapshot.json")).expect("copy");
+    let cfg = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::new(&dir)
+    };
+    let (journal, report) = DurableJournal::open(cfg).expect("open");
+    assert_eq!(report.watermark, 12);
+    for record in &scan.records {
+        journal
+            .store(record.at, std::slice::from_ref(&record.obs))
+            .expect("store");
+    }
+    assert_eq!(std::fs::read(dir.join(SEGMENT)).expect("read"), committed);
+    let snap = journal.capture_snapshot().expect("snapshot");
+    assert_eq!(snap.fingerprint(), 0xa5ba_b899_9fdd_29d9);
 }
 
 #[test]
