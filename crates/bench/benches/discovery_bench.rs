@@ -8,6 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use fremont_core::correlate::correlate;
 use fremont_core::{Fremont, ProblemReport, TopologyGraph};
+use fremont_journal::InterfaceQuery;
 use fremont_netsim::campus::CampusConfig;
 use fremont_netsim::time::SimDuration;
 
@@ -15,7 +16,10 @@ use fremont_netsim::time::SimDuration;
 /// of the default campus (seed 1993) leaves — 545 interface records, 84
 /// gateways, 30 shared names and no shared MAC: `correlate` (what a
 /// draining pump pays), one problem report at the benchmark's windows,
-/// and one topology export. Last, what a draining pump pays to store
+/// one topology export, and the two whole-journal copies readers start
+/// from: `interfaces(all)` (a remote reader's Get) and `to_snapshot`
+/// (what the report and the export take). Last, what a draining pump
+/// pays to store
 /// `correlate`'s answer back: its 30 name-derived gateway facts as one
 /// batch into the same journal, the pump's largest step (measured last
 /// because it writes to the journal the readers look at).
@@ -43,6 +47,18 @@ fn bench_whole_journal_readers(c: &mut Criterion) {
         b.iter(|| {
             black_box(f.journal.read(TopologyGraph::from_journal))
                 .gateways
+                .len()
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("reads");
+    g.bench_function("interfaces_all_campus_2h", |b| {
+        b.iter(|| black_box(f.journal.read(|j| j.get_interfaces(&InterfaceQuery::all()))).len())
+    });
+    g.bench_function("to_snapshot_campus_2h", |b| {
+        b.iter(|| {
+            black_box(f.journal.read(|j| j.to_snapshot()))
+                .interfaces
                 .len()
         })
     });

@@ -75,8 +75,13 @@ pub fn table1() -> Table {
 }
 
 /// Rough in-memory footprint of an interface record (struct + heap).
+/// A name is one shared allocation: its two reference counters and
+/// its bytes.
 pub fn interface_bytes(r: &InterfaceRecord) -> usize {
-    size_of::<InterfaceRecord>() + r.name.as_ref().map(|t| t.get().capacity()).unwrap_or(0)
+    size_of::<InterfaceRecord>()
+        + r.name
+            .as_ref()
+            .map_or(0, |t| 2 * size_of::<usize>() + t.get().len())
 }
 
 /// Rough in-memory footprint of a gateway record.

@@ -149,7 +149,7 @@ pub fn level3_interface(journal: &Journal, id: InterfaceId, now: JTime) -> Strin
         fmt3(
             &mut out,
             "DNS name",
-            t.get().clone(),
+            t.get().to_string(),
             t.discovered,
             t.changed,
             t.verified,

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use fremont_net::{MacAddr, Subnet, SubnetMask};
 
@@ -31,8 +32,10 @@ pub struct InterfaceRecord {
     pub mac: Option<Timestamped<MacAddr>>,
     /// Network layer (IP) address, when discovered.
     pub ip: Option<Timestamped<Ipv4Addr>>,
-    /// DNS name, when discovered.
-    pub name: Option<Timestamped<String>>,
+    /// DNS name, when discovered. One allocation per stored name,
+    /// shared by every copy of the record a read hands out; a rename
+    /// replaces the pointer, so an earlier copy keeps the old name.
+    pub name: Option<Timestamped<Arc<str>>>,
     /// Subnet mask, when discovered.
     pub mask: Option<Timestamped<SubnetMask>>,
     /// Gateway to which this interface belongs, when known.
@@ -91,7 +94,7 @@ impl InterfaceRecord {
 
     /// Current DNS name, if any.
     pub fn dns_name(&self) -> Option<&str> {
-        self.name.as_ref().map(|t| t.get().as_str())
+        self.name.as_ref().map(|t| &**t.get())
     }
 
     /// Current subnet mask, if any.
@@ -289,10 +292,7 @@ mod tests {
             "08:00:20:01:02:03".parse().unwrap(),
             JTime(1),
         ));
-        r.name = Some(Timestamped::new(
-            "bruno.cs.colorado.edu".to_owned(),
-            JTime(2),
-        ));
+        r.name = Some(Timestamped::new("bruno.cs.colorado.edu".into(), JTime(2)));
         let mut set = SourceSet::EMPTY;
         set.insert(Source::ArpWatch);
         r.sources = set;

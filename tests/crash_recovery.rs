@@ -13,6 +13,7 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
 use fremont::journal::observation::{Observation, Source};
+use fremont::journal::query::InterfaceQuery;
 use fremont::journal::server::JournalAccess;
 use fremont::journal::snapshot::JournalSnapshot;
 use fremont::journal::store::Journal;
@@ -106,6 +107,47 @@ fn assert_prefix_recovery(dir: &PathBuf, offset: usize, ends: &[usize]) {
         dj2.capture_snapshot().expect("capture"),
         reference_state(expected_k)
     );
+}
+
+/// Ids survive a crash after the newest record is deleted. The delete
+/// compacts, so recovery starts from a snapshot whose newest live id is
+/// below the one the live journal would hand out next; the records
+/// stored after the delete are replayed from the WAL and must get the
+/// ids the live journal answered with, not reuse the deleted one.
+#[test]
+fn recovery_after_deleting_the_newest_record_keeps_every_id() {
+    let dir = std::env::temp_dir()
+        .join("fremont-crash-tests")
+        .join("delete-newest");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).expect("open");
+    for i in 0..6 {
+        dj.store(JTime(i as u64 + 1), &[observation(i)])
+            .expect("store");
+    }
+    let listing = |dj: &DurableJournal| dj.interfaces(&InterfaceQuery::all()).expect("read");
+    let newest = listing(&dj).last().expect("records").id;
+    assert!(dj.delete(newest).expect("delete"));
+    for i in 6..10 {
+        dj.store(JTime(i as u64 + 1), &[observation(i)])
+            .expect("store");
+    }
+    let before = listing(&dj);
+    assert!(
+        before.iter().all(|r| r.id != newest),
+        "a live journal moves on"
+    );
+    drop(dj); // crash: no shutdown compaction
+
+    let (dj, report) = DurableJournal::open(WalConfig::new(&dir)).expect("recover");
+    assert_eq!(report.records_replayed, 4, "the stores after the delete");
+    assert_eq!(listing(&dj), before, "every id unchanged");
+    dj.store(JTime(11), &[observation(10)]).expect("store");
+    let after = listing(&dj);
+    assert_eq!(after.len(), before.len() + 1);
+    assert!(after.last().expect("records").id > before.last().expect("records").id);
+    drop(dj);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
