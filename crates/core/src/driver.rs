@@ -10,6 +10,18 @@
 //! timestamps, and the manager decides what runs next based on Journal
 //! contents.
 
+// The driver runs every discovery and carries its observations to the
+// Journal: no panic and no discarded Result here (DESIGN.md § 6).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::let_underscore_must_use
+)]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -461,6 +473,15 @@ impl DiscoveryDriver {
                 row.load.frames_tapped,
             );
             tel.counter_set("fremont_module_runs_total", &label, row.runs);
+            // Only once nonzero: a run that loses no probe keeps a
+            // byte-identical exposition.
+            if row.load.send_errors > 0 {
+                tel.counter_set(
+                    "fremont_explorer_send_errors_total",
+                    &label,
+                    row.load.send_errors,
+                );
+            }
         }
         // Gated on the cap being configured so deployments that never
         // opt in keep a byte-identical exposition.
@@ -654,6 +675,51 @@ mod tests {
         assert!(driver.manager.schedule(Source::SeqPing).unwrap().runs >= 1);
         let stats = journal.stats().unwrap();
         assert!(stats.interfaces >= 2);
+    }
+
+    #[test]
+    fn a_failed_send_is_counted_and_published() {
+        let (mut sim, home, network) = small_world();
+        // The module host is down: the stack refuses every probe.
+        sim.set_node_up(home, false);
+        let (telemetry, rec) = Telemetry::recording();
+        let mut driver = DiscoveryDriver::new(
+            sim,
+            SharedJournal::new(),
+            home,
+            DriverConfig {
+                enabled: vec![Source::SeqPing],
+                telemetry,
+                ..DriverConfig::full(network, None)
+            },
+        );
+        driver.pump();
+        let handle = driver.running[&Source::SeqPing].handle;
+        driver.sim.run_for(SimDuration::from_secs(1));
+        // Both passes try all 62 hosts of the /26, the second because
+        // nobody answered the first; nothing leaves the host.
+        let stats = driver.sim.proc_stats(handle);
+        assert_eq!((stats.packets_sent, stats.send_errors), (0, 124));
+
+        driver.run_for(SimDuration::from_mins(10)).unwrap();
+        assert!(driver.manager.schedule(Source::SeqPing).unwrap().runs >= 1);
+        let row = driver
+            .load_report()
+            .rows
+            .into_iter()
+            .find(|r| r.source == Source::SeqPing)
+            .unwrap();
+        assert_eq!(row.load.send_errors % 124, 0, "{row:?}");
+        let exposition = rec.expose();
+        let line = format!(
+            "fremont_explorer_send_errors_total{{module=\"SeqPing\"}} {}",
+            row.load.send_errors
+        );
+        assert!(exposition.contains(&line), "{exposition}");
+        assert!(
+            !exposition.contains("fremont_explorer_send_errors_total{module=\"ARPwatch\"}"),
+            "a module that lost no probe publishes no send-error series"
+        );
     }
 
     #[test]

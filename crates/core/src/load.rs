@@ -24,6 +24,9 @@ pub struct ModuleLoad {
     pub packets_received: u64,
     /// Frames seen through a promiscuous tap (ARPwatch, RIPwatch).
     pub frames_tapped: u64,
+    /// Sends the host stack refused (host down, no route): probes that
+    /// never reached the wire.
+    pub send_errors: u64,
     /// Total simulated time the module spent running.
     pub busy: SimDuration,
 }
@@ -35,6 +38,7 @@ impl ModuleLoad {
         self.packets_sent += stats.packets_sent;
         self.packets_received += stats.packets_received;
         self.frames_tapped += stats.frames_tapped;
+        self.send_errors += stats.send_errors;
         self.busy = self.busy + elapsed;
     }
 

@@ -83,14 +83,20 @@ impl BrdcastPing {
         };
         // Minimal TTL: start at 1 and climb only until replies arrive —
         // a low TTL bounds the damage if a broadcast storm starts.
-        let _ = ctx.send_ip(
+        let sent = ctx.send_ip(
             subnet.directed_broadcast(),
             IpProtocol::Icmp,
             bytes::Bytes::from(msg.encode()),
             Some(self.ttl),
             None,
         );
-        ctx.set_timer(SimDuration::from_secs(2), TIMER_TTL_STEP);
+        match sent {
+            Ok(()) => ctx.set_timer(SimDuration::from_secs(2), TIMER_TTL_STEP),
+            // The stack refused the probe (host down, no route), and a
+            // higher TTL would not change that: `ProcStats` counts it, and
+            // the subnet is done now.
+            Err(_) => ctx.set_timer(SimDuration::ZERO, TIMER_SUBNET_DONE),
+        }
     }
 
     fn finish_subnet(&mut self, ctx: &mut ProcCtx<'_>) {

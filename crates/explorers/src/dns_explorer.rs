@@ -80,6 +80,20 @@ pub struct DnsExplorer {
 /// Timer token of the pace timer. Every other token is a timeout, and is
 /// the id of the query it guards.
 const TIMER_NEXT: u64 = 1 << 16;
+/// How long a zone transfer may take to answer.
+const AXFR_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// How long the mask probe may take to answer.
+const MASK_TIMEOUT: SimDuration = SimDuration::from_secs(8);
+
+/// The timeout for a query the stack took, or none for one it refused
+/// (host down, no route): that query never left, `ProcStats` counts it,
+/// and waiting for its answer would only stall the walk.
+fn timeout_after<E>(sent: Result<(), E>, timeout: SimDuration) -> SimDuration {
+    match sent {
+        Ok(()) => timeout,
+        Err(_) => SimDuration::ZERO,
+    }
+}
 
 impl DnsExplorer {
     /// Creates the module over its Table 3 input: the network to examine
@@ -151,14 +165,14 @@ impl DnsExplorer {
         let id = self.next_id();
         let q = DnsMessage::query(id, zone, RecordType::Axfr);
         // Zone transfers ride the reliable (TCP) channel, as real AXFR does.
-        let _ = ctx.send_ip(
+        let sent = ctx.send_ip(
             self.server,
             IpProtocol::Tcp,
             Bytes::from(q.encode()),
             None,
             None,
         );
-        ctx.set_timer(SimDuration::from_secs(10), u64::from(id));
+        ctx.set_timer(timeout_after(sent, AXFR_TIMEOUT), u64::from(id));
     }
 
     fn absorb_records(&mut self, msg: &DnsMessage) {
@@ -229,9 +243,9 @@ impl DnsExplorer {
                     ident: 0x0D25,
                     seq: 0,
                 };
-                let _ = ctx.send_icmp(t, &msg);
+                let sent = ctx.send_icmp(t, &msg);
                 let id = self.next_id();
-                ctx.set_timer(SimDuration::from_secs(8), u64::from(id));
+                ctx.set_timer(timeout_after(sent, MASK_TIMEOUT), u64::from(id));
             }
             None => self.analyze_and_emit(ctx),
         }

@@ -78,11 +78,19 @@ impl Process for EtherHostProbe {
                 }
                 let target = self.queue[self.next];
                 self.next += 1;
-                self.probes_sent += 1;
                 // The UDP packet itself is almost irrelevant; what matters
-                // is the ARP request the host stack emits to deliver it.
-                let _ = ctx.send_udp(target, 1042, ECHO_PORT, Bytes::from_static(b"fremont"));
-                ctx.set_timer(INTERVAL, TIMER_NEXT);
+                // is the ARP request the host stack emits to deliver it. A
+                // probe the stack refuses (host down, no route) never left:
+                // `ProcStats` counts it, and the next one goes now.
+                let pace =
+                    match ctx.send_udp(target, 1042, ECHO_PORT, Bytes::from_static(b"fremont")) {
+                        Ok(()) => {
+                            self.probes_sent += 1;
+                            INTERVAL
+                        }
+                        Err(_) => SimDuration::ZERO,
+                    };
+                ctx.set_timer(pace, TIMER_NEXT);
             }
             TIMER_HARVEST => {
                 // Read the kernel ARP table (no privileges needed).

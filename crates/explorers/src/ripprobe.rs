@@ -89,8 +89,14 @@ impl Process for RipProbe {
                 let target = self.targets[self.next];
                 self.next += 1;
                 let poll = RipPacket::poll_request();
-                let _ = ctx.send_udp(target, SRC_PORT, RIP_PORT, Bytes::from(poll.encode()));
-                ctx.set_timer(INTERVAL, TIMER_NEXT);
+                // A poll the stack refuses (host down, no route) never
+                // left: `ProcStats` counts it, and the next one goes now.
+                let pace =
+                    match ctx.send_udp(target, SRC_PORT, RIP_PORT, Bytes::from(poll.encode())) {
+                        Ok(()) => INTERVAL,
+                        Err(_) => SimDuration::ZERO,
+                    };
+                ctx.set_timer(pace, TIMER_NEXT);
             }
             TIMER_DRAIN => self.finished = true,
             _ => {}

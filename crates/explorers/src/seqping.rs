@@ -89,8 +89,12 @@ impl SeqPing {
                 seq: self.sent as u16,
                 payload: vec![0u8; 8],
             };
+            // A request the stack refuses (host down, no route) never left:
+            // `ProcStats` counts it, and the next target goes now.
+            if ctx.send_icmp(target, &msg).is_err() {
+                continue;
+            }
             self.sent += 1;
-            let _ = ctx.send_icmp(target, &msg);
             ctx.set_timer(INTERVAL, TIMER_NEXT);
             return;
         }

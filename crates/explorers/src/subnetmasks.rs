@@ -71,8 +71,13 @@ impl Process for SubnetMasks {
                     ident: IDENT,
                     seq: self.next as u16,
                 };
-                let _ = ctx.send_icmp(target, &msg);
-                ctx.set_timer(INTERVAL, TIMER_NEXT);
+                // A request the stack refuses (host down, no route) never
+                // left: `ProcStats` counts it, and the next one goes now.
+                let pace = match ctx.send_icmp(target, &msg) {
+                    Ok(()) => INTERVAL,
+                    Err(_) => SimDuration::ZERO,
+                };
+                ctx.set_timer(pace, TIMER_NEXT);
             }
             TIMER_DRAIN => self.finished = true,
             _ => {}

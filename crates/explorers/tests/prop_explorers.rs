@@ -1,5 +1,8 @@
 //! Property tests over explorer modules on randomized LANs.
 
+// Test code: a failed unwrap or expect is a failed test.
+#![allow(clippy::expect_used)]
+
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;

@@ -2,7 +2,7 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use fremont_telemetry::{SpanId, TelTime, Telemetry};
 
@@ -62,8 +62,18 @@ impl RemoteJournal {
 
     /// Runs a closure over the locked connection pair; every
     /// request/response exchange serializes through here.
-    fn with_io<R>(&self, f: impl FnOnce(&mut BufReader<TcpStream>, &mut TcpStream) -> R) -> R {
-        let mut guard = self.io.lock().expect("journal client poisoned");
+    /// A caller that panicked mid-exchange poisons the lock and may
+    /// have left half a frame on the wire: the exchange fails as I/O,
+    /// and only [`RemoteJournal::reconnect`] heals it.
+    fn with_io<R>(
+        &self,
+        f: impl FnOnce(&mut BufReader<TcpStream>, &mut TcpStream) -> Result<R, ProtoError>,
+    ) -> Result<R, ProtoError> {
+        let mut guard = self.io.lock().map_err(|_| {
+            ProtoError::Io(std::io::Error::other(
+                "journal client connection poisoned by a panicked caller",
+            ))
+        })?;
         let (reader, writer) = &mut *guard;
         f(reader, writer)
     }
@@ -112,8 +122,9 @@ impl RemoteJournal {
     /// Replaces the connection with a fresh one to the original address.
     fn reconnect(&self) -> Result<(), ProtoError> {
         let fresh = open(&self.addr)?;
-        let mut guard = self.io.lock().expect("journal client poisoned");
-        *guard = fresh;
+        // The fresh pair replaces whatever a panicked caller left behind.
+        *self.io.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
+        self.io.clear_poison();
         Ok(())
     }
 

@@ -319,6 +319,11 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
                     .counter_add("fremont_journal_connections_severed_total", "", 1);
                 sever(&socket);
             }
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a connection thread that panicked has nothing left to hand back; \
+                          stopping the server goes on"
+            )]
             let _ = thread.join();
         }
         // Termination persistence: self-managed backends flush
@@ -364,7 +369,10 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> Drop for JournalServer<J>
 /// Ends a connection through any handle on its socket, so the peer (and
 /// a thread blocked reading or writing it) observes a closed connection.
 fn sever(socket: &TcpStream) {
-    // fremont-lint: allow(ignored-io) -- TcpStream::shutdown severs a socket, nothing flushes
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a socket the peer already closed is as severed as one shut down here"
+    )]
     let _ = socket.shutdown(Shutdown::Both);
 }
 

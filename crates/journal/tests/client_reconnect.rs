@@ -7,6 +7,9 @@
 //! connection before returning, never on how connections are torn down
 //! or how quickly a serving thread notices the stop.
 
+// Test code: a server that never comes back is a failed test.
+#![allow(clippy::panic)]
+
 use std::io::Read;
 use std::net::{Ipv4Addr, TcpListener};
 

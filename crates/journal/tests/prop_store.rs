@@ -1,5 +1,8 @@
 //! Property tests over the Journal store's merge semantics.
 
+// Test code: a failed unwrap or expect is a failed test.
+#![allow(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;

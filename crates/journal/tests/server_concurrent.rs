@@ -8,6 +8,9 @@
 //! A second, in-process test checks that a batch is atomic to readers:
 //! every full-scan Get sees all of a batch or none of it.
 
+// Test code: a failed unwrap or expect is a failed test.
+#![allow(clippy::unwrap_used)]
+
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,5 +1,8 @@
 //! Integration test: the Journal Server over real TCP sockets.
 
+// Test code: a failed unwrap or expect is a failed test.
+#![allow(clippy::unwrap_used)]
+
 use std::net::Ipv4Addr;
 
 use fremont_journal::client::RemoteJournal;

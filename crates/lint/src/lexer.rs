@@ -505,14 +505,14 @@ mod tests {
 
     #[test]
     fn line_comment_variants() {
-        let src = "/// doc\n//! inner\n// plain fremont-lint: allow(x) -- y\ncode";
+        let src = "/// doc\n//! inner\n// plain words(x) -- y\ncode";
         let comments: Vec<_> = lex(src)
             .into_iter()
             .filter(|t| t.kind == TokKind::Comment)
             .map(|t| t.text)
             .collect();
         assert_eq!(comments.len(), 3);
-        assert!(comments[2].contains("fremont-lint"));
+        assert!(comments[2].contains("words(x)"));
         assert_eq!(
             idents(src),
             vec!["code"],

@@ -3,59 +3,41 @@
 //!
 //! The Journal's value is cross-correlating timestamped observations,
 //! which only holds if discovery runs are replayable and the durable WAL
-//! never silently changes format or panics mid-append. Those are
-//! properties no unit test can guard — one `SystemTime::now()` added to
-//! an explorer breaks replay everywhere — so this crate walks every
-//! `.rs` file in the workspace with its own token-level lexer
-//! ([`lexer`]), builds a cross-crate symbol table and call graph
-//! ([`callgraph`]), and enforces five rules:
+//! and metric names never silently change. Those are properties no unit
+//! test can guard — one `SystemTime::now()` added to an explorer breaks
+//! replay everywhere — so this crate walks every `.rs` file in the
+//! workspace with its own token-level lexer ([`lexer`]) and enforces
+//! three rules:
 //!
 //! | rule               | invariant |
 //! |--------------------|-----------|
 //! | `determinism`      | no wall-clock / unseeded RNG outside the clock module |
-//! | `panic`            | no `unwrap`/`expect`/`panic!` reachable from hot/IO paths |
-//! | `ignored-io`       | no `let _ =` discarding a (transitive) flush/sync result |
 //! | `metric-registry`  | `fremont_*` metric names are append-only vs a golden |
 //! | `wal-schema`       | serialized record types are append-only vs a golden |
 //!
-//! `panic` and `ignored-io` follow call chains across crate boundaries
-//! (resolved through `use` imports and qualified paths, with a
-//! one-definition precision guard per resolved crate). Lock order is not
-//! a rule: the workspace has four locks and one nesting, and
-//! `tests/workspace_clean.rs` checks the structure that keeps it so
-//! (DESIGN.md § 6, "Four locks, one order").
-//!
-//! Findings can be suppressed inline with
-//! `// fremont-lint: allow(<rule>) -- <reason>` on the offending line or
-//! the line above; at most [`MAX_SUPPRESSIONS`] may exist workspace-wide,
-//! and unused or reasonless ones are themselves violations.
+//! Panics and discarded `Result`s on the discovery, Journal and WAL paths
+//! are the compiler's to catch: the workspace denies clippy's
+//! `unwrap_used`, `expect_used`, `panic`, `todo`, `unimplemented`,
+//! `unreachable` and `let_underscore_must_use` there (DESIGN.md § 6), and
+//! a deliberate exception is an `#[expect(…, reason = "…")]` at the site.
+//! Lock order is not a rule either: the workspace has four locks and one
+//! nesting, and `tests/workspace_clean.rs` checks the structure that
+//! keeps it so, reading function extents from [`callgraph`] (DESIGN.md
+//! § 6, "Four locks, one order").
 
 pub mod callgraph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod suppress;
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use lexer::{lex, Tok, TokKind};
-use suppress::Suppression;
 
 /// All rule names, in reporting order.
-pub const RULES: [&str; 5] = [
-    "determinism",
-    "panic",
-    "ignored-io",
-    "metric-registry",
-    "wal-schema",
-];
-
-/// Most `fremont-lint: allow` annotations tolerated workspace-wide: the
-/// two that exist, both `ignored-io` (a `Drop` that cannot propagate
-/// its sync error, and a bare-name false link).
-pub const MAX_SUPPRESSIONS: usize = 2;
+pub const RULES: [&str; 3] = ["determinism", "metric-registry", "wal-schema"];
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,7 +61,7 @@ impl fmt::Display for Severity {
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Which rule fired (one of [`RULES`], or `suppression`).
+    /// Which rule fired (one of [`RULES`]).
     pub rule: &'static str,
     /// Workspace-relative path (unix separators).
     pub path: String,
@@ -99,8 +81,6 @@ pub struct Config {
     /// Path prefixes where wall-clock/RNG use is allowed (the clock
     /// module; `vendor/` and test code are always exempt).
     pub clock_allowlist: Vec<String>,
-    /// Path prefixes the panic-freedom rule covers (hot/IO paths).
-    pub panic_scope: Vec<String>,
     /// Path prefixes whose serialized types are schema-fingerprinted.
     pub schema_scope: Vec<String>,
     /// Workspace-relative path of the committed schema golden.
@@ -118,16 +98,6 @@ impl Config {
         Config {
             root,
             clock_allowlist: vec!["crates/journal/src/time.rs".to_owned()],
-            panic_scope: vec![
-                "crates/storage/".to_owned(),
-                "crates/explorers/".to_owned(),
-                "crates/core/src/driver.rs".to_owned(),
-                "crates/telemetry/".to_owned(),
-                "crates/journal/src/store/".to_owned(),
-                "crates/netsim/src/faults.rs".to_owned(),
-                "crates/netsim/src/sched.rs".to_owned(),
-                "crates/mc/".to_owned(),
-            ],
             schema_scope: vec![
                 "crates/journal/src/".to_owned(),
                 "crates/storage/src/".to_owned(),
@@ -146,8 +116,6 @@ pub struct SourceFile {
     pub path: String,
     /// Code tokens (comments stripped).
     pub code: Vec<Tok>,
-    /// Suppression annotations parsed from comments.
-    pub suppressions: Vec<Suppression>,
     /// Line ranges (inclusive) belonging to `#[cfg(test)]` / `#[test]`
     /// items; rules skip them.
     test_spans: Vec<(u32, u32)>,
@@ -159,18 +127,14 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lexes `content` as the file at `path`.
     pub fn new(path: String, content: &str) -> Self {
-        let toks = lex(content);
-        let code: Vec<Tok> = toks
-            .iter()
+        let code: Vec<Tok> = lex(content)
+            .into_iter()
             .filter(|t| t.kind != TokKind::Comment)
-            .cloned()
             .collect();
-        let suppressions = suppress::parse(&toks);
         let test_spans = find_test_spans(&code);
         SourceFile {
             path,
             code,
-            suppressions,
             test_spans,
             all_test: false,
         }
@@ -380,16 +344,8 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()
 
 /// The full result of one analyzer run.
 pub struct Analysis {
-    /// Findings that survived suppression, sorted by position.
+    /// Every finding, sorted by position.
     pub violations: Vec<Violation>,
-    /// Findings silenced by a matching suppression, sorted by position
-    /// (surfaced in `--json` output so tooling can audit what the
-    /// annotations are hiding).
-    pub suppressed: Vec<Violation>,
-    /// Suppression annotations that matched a finding.
-    pub suppressions_used: usize,
-    /// All suppression annotations seen.
-    pub suppressions_total: usize,
     /// Files scanned.
     pub files: usize,
 }
@@ -421,109 +377,28 @@ pub struct Goldens {
     pub metrics: String,
 }
 
-/// Runs every rule over the workspace and applies suppressions.
+/// Runs every rule over the workspace.
 ///
 /// `write_golden` regenerates the two committed goldens (WAL schema,
 /// metric registry) instead of checking against them; the returned
 /// [`Goldens`] holds the new contents for the caller to persist.
 pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, Option<Goldens>) {
-    let cg = callgraph::CallGraph::build(ws);
-    let mut raw: Vec<Violation> = Vec::new();
-    raw.extend(rules::determinism::check(ws, cfg));
-    raw.extend(rules::panics::check(ws, cfg, &cg));
-    raw.extend(rules::ignored_io::check(ws, cfg, &cg));
+    let mut violations = rules::determinism::check(ws, cfg);
     let (metric_violations, metrics_golden) = rules::metric_registry::check(ws, cfg, write_golden);
-    raw.extend(metric_violations);
+    violations.extend(metric_violations);
     let (schema_violations, wal_golden) = rules::schema::check(ws, cfg, write_golden);
-    raw.extend(schema_violations);
+    violations.extend(schema_violations);
 
     let goldens = write_golden.then(|| Goldens {
         wal_schema: wal_golden.unwrap_or_default(),
         metrics: metrics_golden.unwrap_or_default(),
     });
-
-    // Apply suppressions: an annotation covers its own line and the
-    // next line, for its listed rules only.
-    let mut violations = Vec::new();
-    let mut suppressed_out = Vec::new();
-    for v in raw {
-        let suppressed = ws
-            .files
-            .iter()
-            .find(|f| f.path == v.path)
-            .map(|f| {
-                f.suppressions.iter().any(|s| {
-                    s.covers(v.rule, v.line) && {
-                        s.mark_used();
-                        true
-                    }
-                })
-            })
-            .unwrap_or(false);
-        if suppressed {
-            suppressed_out.push(v);
-        } else {
-            violations.push(v);
-        }
-    }
-
-    // Suppression hygiene: a reason is mandatory; unused annotations rot.
-    let mut used = 0usize;
-    let mut total = 0usize;
-    for f in &ws.files {
-        for s in &f.suppressions {
-            total += 1;
-            if s.used() {
-                used += 1;
-            }
-            if let Some(problem) = s.problem() {
-                violations.push(Violation {
-                    rule: "suppression",
-                    path: f.path.clone(),
-                    line: s.line,
-                    col: 1,
-                    severity: Severity::Error,
-                    message: problem,
-                });
-            } else if !s.used() {
-                violations.push(Violation {
-                    rule: "suppression",
-                    path: f.path.clone(),
-                    line: s.line,
-                    col: 1,
-                    severity: Severity::Warning,
-                    message: format!(
-                        "unused suppression for `{}` — the finding it silenced is gone; remove it",
-                        s.rules.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-    if total > MAX_SUPPRESSIONS {
-        violations.push(Violation {
-            rule: "suppression",
-            path: String::new(),
-            line: 0,
-            col: 0,
-            severity: Severity::Error,
-            message: format!(
-                "{total} suppression annotations exceed the workspace budget of {MAX_SUPPRESSIONS} — fix findings instead of silencing them"
-            ),
-        });
-    }
-
-    let by_pos = |a: &Violation, b: &Violation| {
+    violations.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    };
-    violations.sort_by(by_pos);
-    suppressed_out.sort_by(by_pos);
+    });
     (
         Analysis {
             violations,
-            suppressed: suppressed_out,
-            suppressions_used: used,
-            suppressions_total: total,
             files: ws.files.len(),
         },
         goldens,

@@ -3,14 +3,14 @@
 //! ```text
 //! cargo run -p fremont-lint                 # human report, exit 1 on errors
 //! cargo run -p fremont-lint -- --deny       # warnings are fatal too (CI)
-//! cargo run -p fremont-lint -- --json       # machine-readable report (schema 2)
+//! cargo run -p fremont-lint -- --json       # machine-readable report (schema 3)
 //! cargo run -p fremont-lint -- --write-golden   # regenerate both goldens
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fremont_lint::{analyze, find_workspace_root, report, Config, Workspace, MAX_SUPPRESSIONS};
+use fremont_lint::{analyze, find_workspace_root, report, Config, Workspace};
 
 const USAGE: &str = "usage: fremont-lint [--json] [--deny] [--write-golden] [--root <dir>]";
 
@@ -83,9 +83,9 @@ fn main() -> ExitCode {
     }
 
     let out = if json {
-        report::json(&analysis, MAX_SUPPRESSIONS)
+        report::json(&analysis)
     } else {
-        report::human(&analysis, MAX_SUPPRESSIONS)
+        report::human(&analysis)
     };
     print!("{out}");
 

@@ -2,42 +2,37 @@
 //!
 //! The JSON emitter is hand-rolled (this crate is dependency-free by
 //! design — it must build even when the analyzer itself has found the
-//! workspace wanting) and emits a stable, versioned shape — schema 2:
+//! workspace wanting) and emits a stable, versioned shape — schema 3:
 //!
 //! ```json
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "files": 110,
 //!   "violations": [
-//!     {"rule": "panic", "severity": "error",
-//!      "path": "crates/storage/src/wal.rs",
-//!      "span": {"line": 265, "col": 60},
-//!      "suppressed": false, "message": "…"}
+//!     {"rule": "determinism", "severity": "error",
+//!      "path": "crates/explorers/src/seqping.rs",
+//!      "span": {"line": 65, "col": 24}, "message": "…"}
 //!   ],
-//!   "errors": 1, "warnings": 0,
-//!   "suppressions": {"used": 8, "total": 8, "budget": 15}
+//!   "errors": 1, "warnings": 0
 //! }
 //! ```
 //!
 //! Contract, byte-for-byte pinned by `tests/golden.rs`:
 //! - `schema` bumps on any key change; consumers must check it.
-//! - `violations` merges active and suppressed findings, sorted by
-//!   (path, line, col, rule); `suppressed: true` marks findings an
-//!   inline `allow(...)` silenced. `errors`/`warnings` count only
-//!   active findings — a suppressed error does not fail the build.
+//! - `violations` is sorted by (path, line, col, rule).
 //! - `span.line`/`span.col` are 1-based; 0 means file-level (the
 //!   whole-golden findings) or unknown.
 
 use std::fmt::Write as _;
 
-use crate::{Analysis, Severity, Violation};
+use crate::{Analysis, Severity};
 
 /// The current `--json` schema version.
-pub const JSON_SCHEMA: u32 = 2;
+pub const JSON_SCHEMA: u32 = 3;
 
 /// `file:line:col: severity[rule]: message` lines plus a summary —
 /// the shape editors and CI log scrapers already understand.
-pub fn human(a: &Analysis, budget: usize) -> String {
+pub fn human(a: &Analysis) -> String {
     let mut s = String::new();
     for v in &a.violations {
         if v.path.is_empty() {
@@ -52,44 +47,28 @@ pub fn human(a: &Analysis, budget: usize) -> String {
     }
     let _ = writeln!(
         s,
-        "fremont-lint: {} files, {} error(s), {} warning(s), {}/{} suppression(s) used (budget {})",
+        "fremont-lint: {} files, {} error(s), {} warning(s)",
         a.files,
         a.errors(),
-        a.warnings(),
-        a.suppressions_used,
-        a.suppressions_total,
-        budget
+        a.warnings()
     );
     s
 }
 
 /// Machine-readable report (see module docs for the schema contract).
-pub fn json(a: &Analysis, budget: usize) -> String {
-    // Merge active and suppressed findings into one position-sorted
-    // stream; both inputs are already sorted.
-    let mut merged: Vec<(&Violation, bool)> = a
-        .violations
-        .iter()
-        .map(|v| (v, false))
-        .chain(a.suppressed.iter().map(|v| (v, true)))
-        .collect();
-    merged.sort_by(|(x, _), (y, _)| {
-        (x.path.as_str(), x.line, x.col, x.rule).cmp(&(y.path.as_str(), y.line, y.col, y.rule))
-    });
-
+pub fn json(a: &Analysis) -> String {
     let mut s = String::from("{\n");
     let _ = write!(
         s,
         "  \"schema\": {JSON_SCHEMA},\n  \"files\": {},\n  \"violations\": [",
         a.files
     );
-    for (i, (v, suppressed)) in merged.iter().enumerate() {
+    for (i, v) in a.violations.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
         let _ = write!(
             s,
             "{sep}    {{\"rule\": {}, \"severity\": {}, \"path\": {}, \
-             \"span\": {{\"line\": {}, \"col\": {}}}, \"suppressed\": {suppressed}, \
-             \"message\": {}}}",
+             \"span\": {{\"line\": {}, \"col\": {}}}, \"message\": {}}}",
             quote(v.rule),
             quote(match v.severity {
                 Severity::Warning => "warning",
@@ -101,18 +80,14 @@ pub fn json(a: &Analysis, budget: usize) -> String {
             quote(&v.message)
         );
     }
-    if !merged.is_empty() {
+    if !a.violations.is_empty() {
         s.push_str("\n  ");
     }
     let _ = write!(
         s,
-        "],\n  \"errors\": {},\n  \"warnings\": {},\n  \"suppressions\": \
-         {{\"used\": {}, \"total\": {}, \"budget\": {}}}\n}}\n",
+        "],\n  \"errors\": {},\n  \"warnings\": {}\n}}\n",
         a.errors(),
-        a.warnings(),
-        a.suppressions_used,
-        a.suppressions_total,
-        budget
+        a.warnings()
     );
     s
 }
@@ -146,72 +121,45 @@ mod tests {
     fn sample() -> Analysis {
         Analysis {
             violations: vec![Violation {
-                rule: "panic",
-                path: "crates/storage/src/wal.rs".to_owned(),
-                line: 265,
-                col: 60,
-                severity: Severity::Error,
-                message: "`.unwrap()` says \"boom\"".to_owned(),
-            }],
-            suppressed: vec![Violation {
                 rule: "determinism",
-                path: "crates/core/src/a.rs".to_owned(),
-                line: 4,
-                col: 9,
+                path: "crates/explorers/src/seqping.rs".to_owned(),
+                line: 65,
+                col: 24,
                 severity: Severity::Error,
-                message: "wall clock".to_owned(),
+                message: "`SystemTime` says \"boom\"".to_owned(),
             }],
-            suppressions_used: 1,
-            suppressions_total: 2,
             files: 3,
         }
     }
 
     #[test]
     fn human_has_grep_able_lines() {
-        let out = human(&sample(), 15);
-        assert!(out.contains("crates/storage/src/wal.rs:265:60: error[panic]:"));
-        assert!(out.contains("1 error(s), 0 warning(s), 1/2 suppression(s)"));
-    }
-
-    #[test]
-    fn human_omits_suppressed_findings() {
-        assert!(!human(&sample(), 15).contains("crates/core/src/a.rs"));
+        let out = human(&sample());
+        assert!(out.contains("crates/explorers/src/seqping.rs:65:24: error[determinism]:"));
+        assert!(
+            out.ends_with("3 files, 1 error(s), 0 warning(s)\n"),
+            "{out}"
+        );
     }
 
     #[test]
     fn json_escapes_and_counts() {
-        let out = json(&sample(), 15);
+        let out = json(&sample());
         assert!(out.contains("\\\"boom\\\""), "{out}");
-        assert!(out.contains("\"schema\": 2"), "{out}");
+        assert!(out.contains("\"schema\": 3"), "{out}");
         assert!(out.contains("\"errors\": 1"));
-        assert!(out.contains("\"budget\": 15"));
-    }
-
-    #[test]
-    fn json_merges_suppressed_findings_in_position_order() {
-        let out = json(&sample(), 15);
-        let active = out.find("crates/storage/src/wal.rs").unwrap();
-        let silenced = out.find("crates/core/src/a.rs").unwrap();
-        assert!(silenced < active, "sorted by path:\n{out}");
-        assert!(out.contains("\"suppressed\": true"), "{out}");
         assert!(
-            out.contains("\"span\": {\"line\": 265, \"col\": 60}"),
+            out.contains("\"span\": {\"line\": 65, \"col\": 24}"),
             "{out}"
         );
-        // A suppressed error is not an error.
-        assert!(out.contains("\"errors\": 1"), "{out}");
     }
 
     #[test]
     fn empty_violations_render_empty_array() {
         let a = Analysis {
             violations: vec![],
-            suppressed: vec![],
-            suppressions_used: 0,
-            suppressions_total: 0,
             files: 0,
         };
-        assert!(json(&a, 15).contains("\"violations\": []"));
+        assert!(json(&a).contains("\"violations\": []"));
     }
 }

@@ -1,9 +1,7 @@
-//! The five Fremont invariant rules.
+//! The three Fremont invariant rules.
 
 pub mod determinism;
-pub mod ignored_io;
 pub mod metric_registry;
-pub mod panics;
 pub mod schema;
 
 use crate::lexer::{Tok, TokKind};
@@ -31,28 +29,6 @@ pub fn matching_close(code: &[Tok], open: usize) -> usize {
             if depth == 0 {
                 return i;
             }
-        }
-        i += 1;
-    }
-    code.len().saturating_sub(1)
-}
-
-/// Index of the `;` ending the statement containing `start` (brackets
-/// respected), or the index where the enclosing block closes.
-pub(crate) fn statement_end(code: &[Tok], start: usize) -> usize {
-    let mut depth = 0i64;
-    let mut i = start;
-    while i < code.len() {
-        let t = &code[i];
-        if opens(t) {
-            depth += 1;
-        } else if closes(t) {
-            depth -= 1;
-            if depth < 0 {
-                return i;
-            }
-        } else if depth == 0 && t.is_punct(';') {
-            return i;
         }
         i += 1;
     }

@@ -1,17 +1,16 @@
-//! The analyzer's verdict on the real workspace: zero errors within the
-//! suppression budget, the acceptance property that mutating an existing
-//! WAL variant fails the build, and the lock structure that makes lock
-//! order a fact rather than a rule (DESIGN.md § 6), with a seeded
-//! mutation for each way of breaking it.
+//! The analyzer's verdict on the real workspace: zero errors, the clippy
+//! lints denied where panics and discarded `Result`s must not be, the
+//! acceptance property that mutating an existing WAL variant fails the
+//! build, and the lock structure that makes lock order a fact rather
+//! than a rule (DESIGN.md § 6), with a seeded mutation for each way of
+//! breaking it.
 
 use std::path::Path;
 
 use fremont_lint::callgraph::CallGraph;
 use fremont_lint::lexer::{Tok, TokKind};
 use fremont_lint::rules::matching_close;
-use fremont_lint::{
-    analyze, find_workspace_root, Config, Severity, SourceFile, Workspace, MAX_SUPPRESSIONS,
-};
+use fremont_lint::{analyze, find_workspace_root, Config, Severity, SourceFile, Workspace};
 
 fn real_workspace() -> (Workspace, Config) {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -22,7 +21,7 @@ fn real_workspace() -> (Workspace, Config) {
 }
 
 #[test]
-fn workspace_is_clean_within_the_suppression_budget() {
+fn workspace_is_clean() {
     let (ws, cfg) = real_workspace();
     let (analysis, golden) = analyze(&ws, &cfg, false);
     assert!(golden.is_none());
@@ -32,13 +31,108 @@ fn workspace_is_clean_within_the_suppression_budget() {
         .filter(|v| v.severity == Severity::Error)
         .collect();
     assert!(errors.is_empty(), "{errors:#?}");
+}
+
+/// The clippy lints that keep panics and discarded `Result`s off the
+/// discovery, Journal and WAL paths (DESIGN.md § 6).
+const DENIED: [&str; 7] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "let_underscore_must_use",
+];
+
+/// The `key = value` lines of the TOML table headed `[table]`.
+fn toml_table<'a>(manifest: &'a str, table: &str) -> Vec<&'a str> {
+    let header = format!("[{table}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| l.contains('='))
+        .collect()
+}
+
+/// Clippy runs in CI, not in `cargo test`: this pins where it denies
+/// the seven lints, so a manifest or file that drops out of the set
+/// fails here, and every exception in program code must give its reason.
+#[test]
+fn the_panic_and_discard_lints_stay_denied() {
+    let (ws, cfg) = real_workspace();
+    let read = |rel: &str| std::fs::read_to_string(cfg.root.join(rel)).expect("readable");
+    let denies =
+        |lines: &[&str], lint: &str| lines.contains(&format!("{lint} = \"deny\"").as_str());
+
+    let workspace = read("Cargo.toml");
+    let table = toml_table(&workspace, "workspace.lints.clippy");
+    for lint in DENIED {
+        assert!(denies(&table, lint), "the workspace denies clippy::{lint}");
+    }
+    for krate in ["storage", "explorers", "telemetry", "mc", "net", "journal"] {
+        let manifest = read(&format!("crates/{krate}/Cargo.toml"));
+        assert_eq!(
+            toml_table(&manifest, "lints"),
+            ["workspace = true"],
+            "crates/{krate} inherits the workspace's denied lints"
+        );
+    }
+    let netsim = read("crates/netsim/Cargo.toml");
+    let table = toml_table(&netsim, "lints.clippy");
+    for lint in &DENIED[..6] {
+        assert!(denies(&table, lint), "netsim denies clippy::{lint}");
+    }
+    for path in [
+        "crates/core/src/driver.rs",
+        "crates/journal/src/store/mod.rs",
+        "crates/netsim/src/faults.rs",
+        "crates/netsim/src/sched.rs",
+    ] {
+        let text = read(path);
+        let attr = text
+            .split("#![deny(")
+            .nth(1)
+            .and_then(|rest| rest.split(')').next())
+            .unwrap_or_default();
+        for lint in DENIED {
+            assert!(
+                attr.contains(&format!("clippy::{lint}")),
+                "{path} denies clippy::{lint} in its `#![deny]`"
+            );
+        }
+    }
+
+    // Every `allow`/`expect` of one of them in program code says why.
+    let mut reasonless = Vec::new();
+    for f in ws.files.iter().filter(|f| is_program(&f.path)) {
+        let code = &f.code;
+        for (i, t) in code.iter().enumerate() {
+            let in_attr = punct_at(code, i.wrapping_sub(1), '[')
+                && (punct_at(code, i.wrapping_sub(2), '#')
+                    || (punct_at(code, i.wrapping_sub(2), '!')
+                        && punct_at(code, i.wrapping_sub(3), '#')));
+            if !(t.is_ident("allow") || t.is_ident("expect"))
+                || !in_attr
+                || !punct_at(code, i + 1, '(')
+                || f.in_test(t.line)
+            {
+                continue;
+            }
+            let args = &code[i + 1..=matching_close(code, i + 1)];
+            let names_one = args.iter().any(|a| DENIED.contains(&a.text.as_str()));
+            if names_one && !args.iter().any(|a| a.is_ident("reason")) {
+                reasonless.push(format!("{}:{}", f.path, t.line));
+            }
+        }
+    }
     assert!(
-        analysis.suppressions_total <= MAX_SUPPRESSIONS,
-        "{} suppressions exceed the budget of {MAX_SUPPRESSIONS}",
-        analysis.suppressions_total
+        reasonless.is_empty(),
+        "an exception to a denied lint gives its `reason`: {reasonless:?}"
     );
-    // Hygiene: every committed suppression still earns its keep.
-    assert_eq!(analysis.suppressions_used, analysis.suppressions_total);
 }
 
 #[test]

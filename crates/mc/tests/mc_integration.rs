@@ -3,6 +3,9 @@
 //! pipeline (minimize, emit, replay), byte-stable telemetry, and the
 //! no-op-prefix premise the pruning abstraction rests on.
 
+// Test code: a scratch directory that is already gone needs no removing.
+#![allow(clippy::let_underscore_must_use)]
+
 use std::fs;
 use std::path::PathBuf;
 

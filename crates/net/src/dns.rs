@@ -120,16 +120,19 @@ impl DnsName {
     /// The conventional reverse-lookup name for an IPv4 address,
     /// `d.c.b.a.in-addr.arpa`.
     pub fn reverse_for(addr: Ipv4Addr) -> DnsName {
+        // Decimal octets and two fixed lowercase labels: every label is
+        // one that `from_labels` would accept unchanged.
         let o = addr.octets();
-        DnsName::from_labels([
-            o[3].to_string(),
-            o[2].to_string(),
-            o[1].to_string(),
-            o[0].to_string(),
-            "in-addr".to_string(),
-            "arpa".to_string(),
-        ])
-        .expect("octet labels are always valid")
+        DnsName {
+            labels: vec![
+                o[3].to_string(),
+                o[2].to_string(),
+                o[1].to_string(),
+                o[0].to_string(),
+                "in-addr".to_owned(),
+                "arpa".to_owned(),
+            ],
+        }
     }
 
     /// The reverse-tree *zone* for a network, keeping only the octets

@@ -88,7 +88,7 @@ impl fmt::Display for MacAddr {
             buf[3 * i] = HEX[usize::from(octet >> 4)];
             buf[3 * i + 1] = HEX[usize::from(octet & 0xf)];
         }
-        f.pad(core::str::from_utf8(&buf).expect("hex digits and colons are ASCII"))
+        f.pad(crate::subnet::ascii(&buf)?)
     }
 }
 

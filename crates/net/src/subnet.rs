@@ -117,11 +117,17 @@ fn push_dotted(buf: &mut [u8], mut len: usize, bits: u32) -> usize {
     len
 }
 
+/// `buf` as text for a `Display` impl: the buffers hold only ASCII
+/// digits and separators, so this never fails.
+pub(crate) fn ascii(buf: &[u8]) -> Result<&str, fmt::Error> {
+    core::str::from_utf8(buf).map_err(|_| fmt::Error)
+}
+
 impl fmt::Display for SubnetMask {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut buf = [0u8; 15];
         let len = push_dotted(&mut buf, 0, self.0);
-        f.pad(core::str::from_utf8(&buf[..len]).expect("digits and dots are ASCII"))
+        f.pad(ascii(&buf[..len])?)
     }
 }
 
@@ -298,7 +304,7 @@ impl fmt::Display for Subnet {
         let mut len = push_dotted(&mut buf, 0, self.network);
         buf[len] = b'/';
         len = push_decimal(&mut buf, len + 1, self.prefix_len());
-        f.pad(core::str::from_utf8(&buf[..len]).expect("digits, dots and a slash are ASCII"))
+        f.pad(ascii(&buf[..len])?)
     }
 }
 

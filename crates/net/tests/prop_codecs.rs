@@ -4,6 +4,11 @@
 //! 1. **Roundtrip**: encode → decode is the identity for any valid packet.
 //! 2. **Totality**: decode never panics on arbitrary bytes.
 
+// Test code is exempt from the workspace's panic and discard lints: a
+// failed `expect` is a failed test, and a totality check discards on
+// purpose.
+#![allow(clippy::expect_used, clippy::let_underscore_must_use)]
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;

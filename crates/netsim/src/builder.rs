@@ -7,6 +7,12 @@
 //! a [`Topology`] "ground truth" that experiments compare discovery
 //! results against (the "% of Total" columns of Tables 5 and 6).
 
+#![allow(
+    clippy::expect_used,
+    reason = "topology setup: a spec that names a missing segment or an invalid \
+              subnet is a broken experiment, caught before the simulation starts"
+)]
+
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 

@@ -16,6 +16,13 @@
 //!   two stale DNS entries, and the Table 8 faults (duplicate IP, wrong
 //!   mask, promiscuous RIP host, silent hardware change, removed host).
 
+#![allow(
+    clippy::expect_used,
+    reason = "topology setup: the generator's fixed address plan cannot fail \
+              for any seed, and a failure is a broken generator, caught before \
+              the simulation starts"
+)]
+
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 

@@ -151,7 +151,9 @@ impl ProcCtx<'_> {
         self.send_ip(dst, IpProtocol::Icmp, Bytes::from(msg.encode()), None, None)
     }
 
-    /// Sends a raw IP packet with optional TTL and identification.
+    /// Sends a raw IP packet with optional TTL and identification. A
+    /// send the stack refuses is counted in
+    /// [`ProcStats::send_errors`](crate::stats::ProcStats::send_errors).
     pub fn send_ip(
         &mut self,
         dst: Ipv4Addr,
@@ -169,8 +171,10 @@ impl ProcCtx<'_> {
         }
         let handle = self.handle;
         let res = self.sim.node_send_ip(node, pkt);
-        if res.is_ok() {
-            self.sim.proc_stats_mut(handle).packets_sent += 1;
+        let stats = self.sim.proc_stats_mut(handle);
+        match res {
+            Ok(()) => stats.packets_sent += 1,
+            Err(_) => stats.send_errors += 1,
         }
         res
     }

@@ -60,6 +60,18 @@
 //! shrinks — its high-water mark equals the queue-depth high-water
 //! mark, a few hundred entries for the full campus.
 
+// The event core orders every simulated event: no panic and no
+// discarded Result (DESIGN.md § 6).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::let_underscore_must_use
+)]
+
 use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};

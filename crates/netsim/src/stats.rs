@@ -142,6 +142,9 @@ pub struct ProcStats {
     pub packets_received: u64,
     /// Frames seen through a promiscuous tap.
     pub frames_tapped: u64,
+    /// IP packets this process tried to originate that the stack
+    /// refused (host down, no route, too big): nothing reached the wire.
+    pub send_errors: u64,
 }
 
 impl Sim {

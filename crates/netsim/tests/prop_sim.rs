@@ -1,6 +1,9 @@
 //! Property tests over the simulator: determinism, routing completeness,
 //! and conservation-style invariants.
 
+// Test code: a failed unwrap or expect is a failed test.
+#![allow(clippy::expect_used)]
+
 use std::net::Ipv4Addr;
 use std::path::Path;
 

@@ -140,7 +140,10 @@ struct WalState {
 impl Drop for WalState {
     fn drop(&mut self) {
         // Last-gasp durability for group-commit/never policies.
-        // fremont-lint: allow(ignored-io) -- Drop cannot propagate; callers wanting the error use sync() first
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "Drop cannot propagate; callers wanting the error call sync() first"
+        )]
         let _ = self.writer.sync_now();
     }
 }
@@ -455,7 +458,9 @@ mod tests {
         let dir = std::env::temp_dir()
             .join("fremont-durable-tests")
             .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
         dir
     }
 

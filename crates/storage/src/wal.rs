@@ -352,7 +352,9 @@ mod tests {
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fremont-wal-tests").join(name);
-        let _ = fs::remove_dir_all(&dir);
+        if dir.exists() {
+            fs::remove_dir_all(&dir).unwrap();
+        }
         fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -5,6 +5,11 @@
 //! three backends — in memory, WAL-backed and reopened, or over TCP —
 //! must give one summed `StoreSummary` and one journal fingerprint.
 
+// Test code is exempt from the workspace's panic and discard lints: a
+// failed `unwrap` is a failed test, and a scratch directory that is
+// already gone needs no removing.
+#![allow(clippy::unwrap_used, clippy::let_underscore_must_use)]
+
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
