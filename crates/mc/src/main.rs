@@ -30,18 +30,23 @@ struct Args {
 const USAGE: &str = "usage: fremont-mc [--budget N] [--deep] [--seed N] [--json] \
 [--require-states N] [--emit-dir DIR] [--assert-quiet] [--replay FIXTURE.json]";
 
-fn parse_args() -> Result<Args, String> {
+/// Where counterexample fixtures go unless `--emit-dir` says otherwise:
+/// their own directory, not `scenarios/`, where every test that reads
+/// each `*.json` as a fault plan would trip over them.
+const DEFAULT_EMIT_DIR: &str = "mc-fixtures";
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         budget: 2000,
         deep: false,
         seed: 1993,
         json: false,
         require_states: None,
-        emit_dir: PathBuf::from("scenarios"),
+        emit_dir: PathBuf::from(DEFAULT_EMIT_DIR),
         assert_quiet: false,
         replay: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
             it.next()
@@ -120,7 +125,7 @@ fn run_replay(path: &std::path::Path, json: bool) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -229,5 +234,25 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn fixtures_go_outside_scenarios_by_default() {
+        for argv in [&[][..], &["--deep"], &["--assert-quiet", "--budget", "40"]] {
+            let args = parse(argv).map_err(|e| format!("{argv:?}: {e}"));
+            let emit_dir = args.map(|a| a.emit_dir);
+            assert_eq!(emit_dir, Ok(PathBuf::from("mc-fixtures")), "{argv:?}");
+        }
+        let chosen = parse(&["--emit-dir", "scenarios"]).map(|a| a.emit_dir);
+        assert_eq!(chosen, Ok(PathBuf::from("scenarios")), "still a flag away");
     }
 }

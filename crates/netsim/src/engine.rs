@@ -26,7 +26,7 @@ use crate::faults::{FaultKind, FaultStats};
 use crate::link::FrameRecord;
 use crate::node::Node;
 use crate::process::{ProcHandle, Process};
-use crate::rip::RipAdvertTemplate;
+use crate::rip::{QuietFlight, RipAdvertTemplate};
 use crate::sched::EventCore;
 use crate::segment::{NodeId, Segment, SegmentCfg, SegmentId};
 use crate::stats::{ProcStats, SimStats};
@@ -106,6 +106,9 @@ pub struct Sim {
     /// the node's routing-table version — rebuilt only when the table
     /// changes, which on the static campus is never after build.
     pub(crate) rip_advert_cache: BTreeMap<(usize, usize), RipAdvertTemplate>,
+    /// RIP responses on the wire that no station walks and no tap reads,
+    /// held off the wheel until counted (`rip.rs`).
+    pub(crate) quiet_flights: Vec<QuietFlight>,
 }
 
 impl Sim {
@@ -127,6 +130,7 @@ impl Sim {
             fault_stats: FaultStats::default(),
             faults_installed: false,
             rip_advert_cache: BTreeMap::new(),
+            quiet_flights: Vec::new(),
         }
     }
 
@@ -164,12 +168,12 @@ impl Sim {
     /// a RIP configuration get their advertisement timer started.
     pub fn add_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len());
-        for (idx, iface) in node.ifaces.iter().enumerate() {
-            self.segments[iface.segment.0].attached.push((id, idx));
-        }
         let has_rip = node.behavior.rip.is_some();
         self.nodes.push(node);
         self.drop_audiences(id);
+        for (idx, iface) in self.nodes[id.0].ifaces.iter().enumerate() {
+            self.segments[iface.segment.0].attached.push((id, idx));
+        }
         self.uptime.push(None);
         if has_rip {
             // Stagger first advertisements to avoid global synchrony.
@@ -274,9 +278,9 @@ impl Sim {
 
     /// Spawns a process on a node; it starts at the current time.
     pub fn spawn(&mut self, node: NodeId, proc_: Box<dyn Process>) -> ProcHandle {
+        self.drop_audiences(node);
         let idx = self.nodes[node.0].procs.len();
         self.nodes[node.0].procs.push(Some(proc_));
-        self.drop_audiences(node);
         let handle = ProcHandle { node, idx };
         self.schedule(SimDuration::ZERO, Event::Start { handle });
         handle
@@ -296,8 +300,8 @@ impl Sim {
 
     /// Removes a process (stops future event delivery to it).
     pub fn kill_process(&mut self, h: ProcHandle) {
-        self.nodes[h.node.0].procs[h.idx] = None;
         self.drop_audiences(h.node);
+        self.nodes[h.node.0].procs[h.idx] = None;
         self.taps.retain(|(_, t)| *t != h);
     }
 
@@ -341,6 +345,7 @@ impl Sim {
             self.dispatch(event);
         }
         self.stats.idle_skipped_micros += self.core.advance_to(deadline).as_micros();
+        self.land_quiet_flights(true);
         if traced {
             let at = TelTime(self.now().as_micros());
             let since = |counter: fn(&SimStats) -> u64| counter(&self.stats) - counter(&before);
@@ -395,6 +400,7 @@ impl Sim {
 
     /// Marks a node up or down immediately.
     pub fn set_node_up(&mut self, node: NodeId, up: bool) {
+        self.drop_audiences(node);
         let n = &mut self.nodes[node.0];
         n.up = up;
         if !up {
@@ -403,7 +409,6 @@ impl Sim {
             n.arp_pending.clear();
             n.clear_rip_state();
         }
-        self.drop_audiences(node);
         if self.telemetry.enabled() {
             let name = if up { "node.up" } else { "node.down" };
             let at = TelTime(self.now().as_micros());

@@ -386,16 +386,16 @@ impl Sim {
             }
             FaultKind::DuplicateIp { ip, .. } => {
                 let node = node?;
-                self.nodes[node.0].ifaces.first_mut()?.ip = *ip;
                 self.drop_audiences(node);
+                self.nodes[node.0].ifaces.first_mut()?.ip = *ip;
             }
             // Routes are deliberately left alone: the host now *answers
             // mask requests* with the wrong mask, which is the observable
             // symptom the paper reports.
             FaultKind::WrongMask { prefix_len, .. } => {
                 let (node, mask) = (node?, SubnetMask::from_prefix_len(*prefix_len).ok()?);
-                self.nodes[node.0].ifaces.first_mut()?.mask = mask;
                 self.drop_audiences(node);
+                self.nodes[node.0].ifaces.first_mut()?.mask = mask;
             }
             FaultKind::ClockSkew { skew_micros, .. } => {
                 self.nodes[node?.0].clock_skew = *skew_micros

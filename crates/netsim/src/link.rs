@@ -10,7 +10,10 @@
 //! tap enabled while the frame was in flight, does. For a broadcast the
 //! link asks the segment's audience first (`rip.rs`): stations that would
 //! only count the frame are counted there in one step, and only the rest
-//! are walked. The link does not know what makes a station quiet.
+//! are walked. When nobody is left to walk and no tap listens, `rip.rs`
+//! holds the frame off the event wheel at the place the wheel would have
+//! given it and counts it there. The link does not know what makes a
+//! station quiet.
 //!
 //! A record holds the ARP or IPv4 packet its sender built, not its bytes:
 //! receivers read that packet (`decode(encode(p)) == p` for every packet
@@ -82,6 +85,15 @@ impl FrameRecord {
         })
     }
 
+    /// The IPv4 packet of a link-layer broadcast; `None` for a unicast
+    /// or ARP frame.
+    pub(crate) fn broadcast_ipv4(&self) -> Option<&Ipv4Packet> {
+        match &self.packet {
+            Packet::Ipv4(pkt) if self.dst.is_broadcast() => Some(pkt),
+            _ => None,
+        }
+    }
+
     /// Length of the encoded frame, padding included, without encoding it.
     pub(crate) fn wire_len(&self) -> usize {
         let body = match &self.packet {
@@ -96,7 +108,8 @@ impl Sim {
     /// Puts a frame on a node's segment: loss/collision roll, then one
     /// delivery event for the whole segment. A surviving frame costs one
     /// jitter draw (none on a jitter-free segment) and one scheduled
-    /// event, however many stations will hear it.
+    /// event, however many stations will hear it — or none, when
+    /// [`Sim::hold_quiet_flight`] keeps it because it will only be counted.
     pub(crate) fn transmit(&mut self, node: NodeId, iface: usize, rec: FrameRecord) {
         if !self.nodes[node.0].up {
             return;
@@ -127,12 +140,15 @@ impl Sim {
         } else {
             SimDuration::ZERO
         };
-        let event = Event::FrameRx {
-            seg: seg_id,
-            from: (node, iface),
-            frame: rec,
-        };
-        self.schedule(latency + jitter, event);
+        let (from, delay) = ((node, iface), latency + jitter);
+        if let Some(frame) = self.hold_quiet_flight(seg_id, from, rec, delay) {
+            let event = Event::FrameRx {
+                seg: seg_id,
+                from,
+                frame,
+            };
+            self.schedule(delay, event);
+        }
     }
 
     /// A frame reaches the far end of its segment: receivers first, in
@@ -142,11 +158,7 @@ impl Sim {
     /// that enables or drops a tap is honoured.
     pub(crate) fn deliver(&mut self, seg: SegmentId, from: (NodeId, usize), rec: &FrameRecord) {
         let broadcast = rec.dst.is_broadcast();
-        let audience = match &rec.packet {
-            Packet::Ipv4(pkt) if broadcast => self.quiet_audience(seg, from, pkt, rec),
-            _ => None,
-        };
-        if let Some(audience) = audience {
+        if let Some(audience) = self.quiet_audience(seg, from, rec) {
             for &(node, iface) in audience.walk.iter().filter(|&&at| at != from) {
                 self.stats.frame_deliveries += 1;
                 self.handle_frame(node, iface, rec);

@@ -201,6 +201,8 @@ impl ProcCtx<'_> {
         let handle = self.handle;
         if on {
             if !self.sim.taps.contains(&(seg, handle)) {
+                // A response held off the wheel must now reach the tap.
+                self.sim.land_quiet_flights(false);
                 self.sim.taps.push((seg, handle));
             }
         } else {

@@ -13,6 +13,15 @@
 //! from [`Sim::reads_nothing_of`] on first use and dropped by
 //! [`Sim::drop_audiences`] whenever an attached station's processes, `up`
 //! flag or addressing change.
+//!
+//! A response whose audience walks nobody but its sender, on a segment
+//! no tap reads, is **counted, not queued**: the link hands it to
+//! [`Sim::hold_quiet_flight`], which keeps it off the event wheel under
+//! the place `(at, seq)` the wheel would have given it.
+//! [`Sim::land_quiet_flights`] counts it once the clock has passed that
+//! place — at the end of `run_until`, or at a hook that is about to
+//! change what an arrival would do — and files it on the wheel, to be
+//! walked as usual, when the clock has not.
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -28,7 +37,8 @@ use crate::engine::{Event, Sim};
 use crate::link::FrameRecord;
 use crate::node::{Node, NodeKind, RipConfig};
 use crate::segment::{NodeId, SegmentId};
-use crate::time::SimDuration;
+use crate::stats::SimStats;
+use crate::time::{SimDuration, SimTime};
 
 /// Cached encoding of one interface's periodic RIP advertisement.
 pub(crate) struct RipAdvertTemplate {
@@ -55,6 +65,42 @@ pub(crate) struct Audience {
     counted: u64,
     /// ... and, for those that are up, one IP and one RIP packet.
     counted_up: u64,
+}
+
+/// What one RIP response adds for the stations that only count it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct QuietCounts {
+    /// One frame delivery per station, powered off or not ...
+    deliveries: u64,
+    /// ... and one IP and one RIP packet per station that is up.
+    up: u64,
+}
+
+impl QuietCounts {
+    fn add_to(self, stats: &mut SimStats) {
+        stats.frame_deliveries += self.deliveries;
+        stats.ip_packets += self.up;
+        stats.rip_packets += self.up;
+    }
+}
+
+/// A RIP response on the wire that only counters will hear, held off
+/// the event wheel at the place the wheel would have given it.
+pub(crate) struct QuietFlight {
+    at: SimTime,
+    seq: u64,
+    seg: SegmentId,
+    from: (NodeId, usize),
+    frame: FrameRecord,
+    counts: QuietCounts,
+}
+
+/// The broadcast IP destination of a frame whose RIP cell holds a
+/// `Response`; `None` for any other frame.
+fn response_bcast(rec: &FrameRecord) -> Option<Ipv4Addr> {
+    let pkt = rec.broadcast_ipv4()?;
+    let response = matches!(rec.rip.get(), Some(Some(rip)) if rip.command == RipCommand::Response);
+    response.then_some(pkt.dst)
 }
 
 /// The entry a speaker advertises for a route it holds at `metric`.
@@ -135,51 +181,190 @@ impl Sim {
         audience
     }
 
-    /// For a frame carrying `pkt` broadcast on `seg`: when its RIP cell
-    /// holds a `Response`, adds what the stations that only count it
-    /// would have added (the sender excepted) and returns the audience
-    /// whose `walk` is still to be delivered; `None` for any other frame.
+    /// `seg`'s audience for a response to `bcast`, from the cache when
+    /// it was built for that destination.
+    fn audience(&mut self, seg: SegmentId, bcast: Ipv4Addr) -> Rc<Audience> {
+        match &self.segments[seg.0].audience {
+            Some(cached) if cached.bcast == bcast => {
+                // `Sim::nodes` is public: a write there that bypassed
+                // `drop_audiences` shows up here in every debug test.
+                debug_assert_eq!(**cached, self.build_audience(seg, bcast), "stale audience");
+                Rc::clone(cached)
+            }
+            _ => {
+                let built = Rc::new(self.build_audience(seg, bcast));
+                self.segments[seg.0].audience = Some(Rc::clone(&built));
+                built
+            }
+        }
+    }
+
+    /// What a response to `bcast` from `from` adds on arriving at the
+    /// stations of `seg` that only count it, beside their audience.
+    fn quiet_counts(
+        &mut self,
+        seg: SegmentId,
+        from: (NodeId, usize),
+        bcast: Ipv4Addr,
+    ) -> (Rc<Audience>, QuietCounts) {
+        let audience = self.audience(seg, bcast);
+        // The sender is attached to `seg`, so it is counted unless walked.
+        let sender = !audience.walk.contains(&from);
+        let sender_up = sender && self.nodes[from.0 .0].up;
+        let counts = QuietCounts {
+            deliveries: audience.counted - u64::from(sender),
+            up: audience.counted_up - u64::from(sender_up),
+        };
+        (audience, counts)
+    }
+
+    /// For a frame broadcast on `seg`: when its RIP cell holds a
+    /// `Response`, adds what the stations that only count it would have
+    /// added (the sender excepted) and returns the audience whose `walk`
+    /// is still to be delivered; `None` for any other frame.
     pub(crate) fn quiet_audience(
         &mut self,
         seg: SegmentId,
         from: (NodeId, usize),
-        pkt: &Ipv4Packet,
         rec: &FrameRecord,
     ) -> Option<Rc<Audience>> {
-        if !matches!(rec.rip.get(), Some(Some(rip)) if rip.command == RipCommand::Response) {
-            return None;
-        }
-        let audience = match &self.segments[seg.0].audience {
-            Some(cached) if cached.bcast == pkt.dst => {
-                // `Sim::nodes` is public: a write there that bypassed
-                // `drop_audiences` shows up here in every debug test.
-                debug_assert_eq!(
-                    **cached,
-                    self.build_audience(seg, pkt.dst),
-                    "stale audience"
-                );
-                Rc::clone(cached)
-            }
-            _ => {
-                let built = Rc::new(self.build_audience(seg, pkt.dst));
-                self.segments[seg.0].audience = Some(Rc::clone(&built));
-                built
-            }
-        };
-        let (node, iface) = from;
-        let sender = self.reads_nothing_of(node, iface, pkt.dst);
-        let sender_up = sender && self.nodes[node.0].up;
-        let up = audience.counted_up - u64::from(sender_up);
-        self.stats.frame_deliveries += audience.counted - u64::from(sender);
-        self.stats.ip_packets += up;
-        self.stats.rip_packets += up;
+        let bcast = response_bcast(rec)?;
+        let (audience, counts) = self.quiet_counts(seg, from, bcast);
+        counts.add_to(&mut self.stats);
         Some(audience)
     }
 
-    /// Forgets the audience of every segment `node` is attached to; the
-    /// next RIP response there rebuilds it. Called wherever an input of
-    /// [`Sim::reads_nothing_of`] or a station's `up` flag changes.
+    fn tapped(&self, seg: SegmentId) -> bool {
+        self.taps.iter().any(|&(tapped, _)| tapped == seg)
+    }
+
+    /// Holds a frame leaving `from` on `seg`, due `delay` from now, off
+    /// the event wheel when its arrival would only be counted: a RIP
+    /// response on an untapped segment whose audience walks nobody but
+    /// the sender. Hands the frame back when it must be scheduled.
+    pub(crate) fn hold_quiet_flight(
+        &mut self,
+        seg: SegmentId,
+        from: (NodeId, usize),
+        frame: FrameRecord,
+        delay: SimDuration,
+    ) -> Option<FrameRecord> {
+        let Some(bcast) = response_bcast(&frame) else {
+            return Some(frame);
+        };
+        if self.tapped(seg) {
+            return Some(frame);
+        }
+        let (audience, counts) = self.quiet_counts(seg, from, bcast);
+        if audience.walk.iter().any(|&at| at != from) {
+            return Some(frame);
+        }
+        let at = self.now() + delay;
+        let seq = self.core.reserve();
+        let flight = QuietFlight {
+            at,
+            seq,
+            seg,
+            from,
+            frame,
+            counts,
+        };
+        self.quiet_flights.push(flight);
+        None
+    }
+
+    /// Counts every held frame the clock has passed — one event and the
+    /// counts [`Sim::quiet_audience`] would add, as its arrival would
+    /// have — and files the rest on the wheel under their own places, to
+    /// be delivered as any frame is. With `count` false a passed frame
+    /// stays held for a later landing instead: a process enabling a tap
+    /// is out of its slot while it runs, so its own station cannot be
+    /// classified then.
+    pub(crate) fn land_quiet_flights(&mut self, count: bool) {
+        if self.quiet_flights.is_empty() {
+            return;
+        }
+        let now = self.now();
+        let mut flights = std::mem::take(&mut self.quiet_flights);
+        if count {
+            // What was due before `now` has landed: count it where it
+            // lies, without moving it again.
+            flights.retain(|flight| {
+                let landed = flight.at < now;
+                if landed {
+                    self.count_landed(flight);
+                }
+                !landed
+            });
+        }
+        for flight in flights.drain(..) {
+            let Some(landed) = self.file_quiet_flight(flight) else {
+                continue;
+            };
+            if count {
+                self.count_landed(&landed);
+            } else {
+                self.quiet_flights.push(landed);
+            }
+        }
+        if self.quiet_flights.is_empty() {
+            self.quiet_flights = flights;
+        }
+        let depth = self.core.pending();
+        self.stats.queue_depth_hwm = self.stats.queue_depth_hwm.max(depth);
+    }
+
+    /// Files a held frame on the wheel at its place; hands it back when
+    /// the clock has passed that place.
+    fn file_quiet_flight(&mut self, flight: QuietFlight) -> Option<QuietFlight> {
+        let QuietFlight {
+            at,
+            seq,
+            seg,
+            from,
+            frame,
+            counts,
+        } = flight;
+        let event = Event::FrameRx { seg, from, frame };
+        let Err(Event::FrameRx { seg, from, frame }) = self.core.schedule_at(at, seq, event) else {
+            return None;
+        };
+        Some(QuietFlight {
+            at,
+            seq,
+            seg,
+            from,
+            frame,
+            counts,
+        })
+    }
+
+    /// A held frame has arrived: one event, and the counts taken when it
+    /// was sent. Nothing they were taken from can have changed since, as
+    /// every change lands the held frames first; debug builds take them
+    /// again to check.
+    fn count_landed(&mut self, flight: &QuietFlight) {
+        self.stats.events_processed += 1;
+        flight.counts.add_to(&mut self.stats);
+        if cfg!(debug_assertions) {
+            let (seg, from) = (flight.seg, flight.from);
+            let again = response_bcast(&flight.frame).map(|bcast| {
+                let (audience, counts) = self.quiet_counts(seg, from, bcast);
+                (audience.walk.iter().any(|&at| at != from), counts)
+            });
+            debug_assert_eq!(again, Some((false, flight.counts)), "a held frame changed");
+            debug_assert!(!self.tapped(seg), "a held frame on a tapped segment");
+        }
+    }
+
+    /// Lands the held frames ([`Sim::land_quiet_flights`]), then forgets
+    /// the audience of every segment `node` is attached to; the next RIP
+    /// response there rebuilds it. Called just before an input of
+    /// [`Sim::reads_nothing_of`] or a station's `up` flag changes, so a
+    /// frame that arrived before the change counts what it found and
+    /// one still in flight is walked through what it will find.
     pub(crate) fn drop_audiences(&mut self, node: NodeId) {
+        self.land_quiet_flights(true);
         for iface in &self.nodes[node.0].ifaces {
             self.segments[iface.segment.0].audience = None;
         }
@@ -358,6 +543,16 @@ mod tests {
     /// advertisement from `speaker`: one frame, so one event, on each of
     /// its interfaces, and nothing else happening meanwhile.
     fn advertise(sim: &mut Sim, speaker: NodeId) -> (u64, u64, u64) {
+        advertise_then(sim, speaker, |_| {})
+    }
+
+    /// [`advertise`], with `in_flight` done to the simulator while the
+    /// frames are on the wire.
+    fn advertise_then(
+        sim: &mut Sim,
+        speaker: NodeId,
+        in_flight: impl FnOnce(&mut Sim),
+    ) -> (u64, u64, u64) {
         let before = sim.stats;
         let cfg = sim.nodes[speaker.0]
             .behavior
@@ -365,6 +560,7 @@ mod tests {
             .clone()
             .expect("a speaker");
         sim.send_rip_advertisements(speaker, &cfg);
+        in_flight(sim);
         sim.run_for(SimDuration::from_millis(10));
         let frames = sim.nodes[speaker.0].ifaces.len() as u64;
         assert_eq!(sim.stats.events_processed - before.events_processed, frames);
@@ -456,16 +652,14 @@ mod tests {
         };
         let from = (r1, 0);
         assert!(
-            sim.quiet_audience(seg, from, &pkt, &record(None)).is_none(),
+            sim.quiet_audience(seg, from, &record(None)).is_none(),
             "an empty cell is never decoded"
         );
         let poll = RipPacket {
             command: RipCommand::Request,
             entries: vec![],
         };
-        assert!(sim
-            .quiet_audience(seg, from, &pkt, &record(Some(poll)))
-            .is_none());
+        assert!(sim.quiet_audience(seg, from, &record(Some(poll))).is_none());
 
         // Powered off, the quiet host still takes the frame off the wire
         // but counts no IP and no RIP.
@@ -482,5 +676,33 @@ mod tests {
         });
         assert_eq!(advertise(&mut sim, r1), (4, 4, 2));
         assert_eq!(walked(&sim), ["quiet", "badmask", "counter", "chatty"]);
+
+        // A quiet host joins net-m, where r1 is the only other station:
+        // r1's response there walks nobody, so it is held off the wheel
+        // and counted once the clock passes its arrival.
+        let mut iface = sim.nodes[r1.0].ifaces[1].clone();
+        iface.mac = MacAddr::new([8, 0, 0x20, 0, 2, 20]);
+        iface.ip = Ipv4Addr::new(10, 1, 2, 20);
+        let late = sim.add_node(Node::new("late", NodeKind::Host, vec![iface]));
+        let pending = sim.core.pending();
+        let held = |sim: &mut Sim| {
+            assert_eq!(sim.quiet_flights.len(), 1, "net-m's frame is held");
+            assert_eq!(sim.core.pending(), pending + 1, "net-a's rides the wheel");
+        };
+        assert_eq!(advertise_then(&mut sim, r1, held), (5, 5, 3));
+        assert!(sim.quiet_flights.is_empty(), "landed by run_until");
+
+        // Powered off in flight: the hook files the held frame on the
+        // wheel first, and it arrives to find the host down.
+        let off_in_flight = |sim: &mut Sim| {
+            held(sim);
+            sim.set_node_up(late, false);
+            assert!(sim.quiet_flights.is_empty(), "filed by the hook");
+            assert_eq!(sim.core.pending(), pending + 2);
+        };
+        assert_eq!(advertise_then(&mut sim, r1, off_in_flight), (5, 4, 2));
+        assert_eq!(advertise(&mut sim, r1), (5, 4, 2));
+        sim.set_node_up(late, true);
+        assert_eq!(advertise(&mut sim, r1), (5, 5, 3));
     }
 }

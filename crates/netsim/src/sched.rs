@@ -43,7 +43,10 @@
 //! order the `BinaryHeap` produced. Events scheduled *at the current
 //! instant* while its slot is being delivered re-enter that same slot
 //! with larger `seq` values and drain in a later pass, which again
-//! preserves the order.
+//! preserves the order. A place reserved earlier
+//! ([`EventCore::reserve`]) and filed at that instant
+//! ([`EventCore::schedule_at`]) can have a smaller `seq` than entries
+//! already drained: it is put into the ready queue in `seq` order.
 //!
 //! # Cascades
 //!
@@ -81,6 +84,11 @@ use crate::time::{SimDuration, SimTime};
 pub struct EventCore<E> {
     now: SimTime,
     seq: u64,
+    /// Every place `(now, s)` with `s <= passed` is behind the clock: the
+    /// seq of the event last popped at `now`, or, once
+    /// [`EventCore::advance_to`] has declared `now` done, every seq
+    /// handed out by then.
+    passed: u64,
     queue: TimerWheel<E>,
 }
 
@@ -96,6 +104,7 @@ impl<E> EventCore<E> {
         EventCore {
             now: SimTime::ZERO,
             seq: 0,
+            passed: 0,
             queue: TimerWheel::new(),
         }
     }
@@ -113,27 +122,56 @@ impl<E> EventCore<E> {
     /// Schedules `event` to fire `delay` from now. Equal-time events
     /// fire in the order they were scheduled.
     pub fn schedule(&mut self, delay: SimDuration, event: E) {
-        self.seq += 1;
+        let seq = self.reserve();
         self.queue
-            .insert((self.now + delay).as_micros(), self.seq, event);
+            .insert((self.now + delay).as_micros(), seq, event);
+    }
+
+    /// Takes the seq the next [`EventCore::schedule`] would have used,
+    /// for an event the caller holds off the queue. It keeps its place
+    /// in the total order: [`EventCore::schedule_at`] files it there.
+    pub fn reserve(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Files `event` at `(at, seq)`, a place taken with
+    /// [`EventCore::reserve`], so it pops exactly where it would have
+    /// had it been scheduled then. A place the clock has already passed
+    /// (before `now`, or at `now` and not after the event last popped
+    /// there) is refused and the event handed back.
+    pub fn schedule_at(&mut self, at: SimTime, seq: u64, event: E) -> Result<(), E> {
+        if at < self.now || (at == self.now && seq <= self.passed) {
+            return Err(event);
+        }
+        self.queue.insert(at.as_micros(), seq, event);
+        Ok(())
     }
 
     /// Pops the earliest event if it is due by `deadline`, advancing the
     /// clock to it; returns the idle gap jumped and the event. `None`
     /// touches nothing: neither the clock nor the queue moves.
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimDuration, E)> {
-        let (at, _seq, event) = self.queue.pop_due(deadline.as_micros())?;
+        let (at, seq, event) = self.queue.pop_due(deadline.as_micros())?;
         debug_assert!(at >= self.now.as_micros(), "time moves forward");
-        Some((self.advance_to(SimTime(at)), event))
+        let gap = SimTime(at).since(self.now);
+        self.now = SimTime(at);
+        self.passed = seq;
+        Some((gap, event))
     }
 
-    /// Jumps the clock to `deadline` if it is ahead (call once
-    /// [`EventCore::pop_due`] has returned `None` for it: the wheel's
-    /// occupancy bitmaps bounded the next firing past the deadline, so
-    /// the whole gap is provably idle); returns the gap jumped.
+    /// Jumps the clock to `deadline` if it is not behind and declares
+    /// every place up to it passed (call once [`EventCore::pop_due`] has
+    /// returned `None` for it: the wheel's occupancy bitmaps bounded the
+    /// next firing past the deadline, so the whole gap is provably
+    /// idle); returns the gap jumped.
     pub fn advance_to(&mut self, deadline: SimTime) -> SimDuration {
+        if deadline < self.now {
+            return SimDuration::ZERO;
+        }
         let gap = deadline.since(self.now);
-        self.now = self.now.max(deadline);
+        self.now = deadline;
+        self.passed = self.seq;
         gap
     }
 }
@@ -228,10 +266,19 @@ impl<T> TimerWheel<T> {
         self.level_occ |= 1 << level;
     }
 
-    /// Schedules an event. `seq` must be strictly monotone across
-    /// inserts and `at` must not precede any already-popped time.
+    /// Schedules an event. `seq` must be unique and `(at, seq)` must
+    /// follow every already-popped `(at, seq)`; an insert at the instant
+    /// being delivered may precede entries already drained for it.
     pub fn insert(&mut self, at: u64, seq: u64, event: T) {
         debug_assert!(at >= self.base, "insert into the past");
+        if at == self.ready_at && self.ready.back().is_some_and(|&(last, _)| seq < last) {
+            // What sits in the level-0 slot for this instant was inserted
+            // after the drain with a later seq than the whole ready queue.
+            let i = self.ready.partition_point(|&(s, _)| s < seq);
+            self.ready.insert(i, (seq, event));
+            self.len += 1;
+            return;
+        }
         let idx = if self.free != NIL {
             let idx = self.free;
             let rec = &mut self.arena[idx as usize];
@@ -483,6 +530,160 @@ mod tests {
                 now = deadline;
             }
         }
+    }
+
+    /// The core with places held off it: a seq reserved now and filed
+    /// later — often at the instant being delivered, ahead of entries
+    /// already drained for it — pops exactly where the heap puts it,
+    /// beside ordinary schedules, and a place the clock has passed is
+    /// refused and handed back.
+    #[test]
+    fn reserved_places_match_binary_heap_order() {
+        struct Oracle {
+            rng: StdRng,
+            core: EventCore<u64>,
+            heap: BinaryHeap<Reverse<(u64, u64)>>,
+            held: Vec<(u64, u64)>,
+            /// The core's counter, and the last place it passed.
+            seq: u64,
+            passed: (u64, u64),
+            filed_into_ready: u32,
+            refused: u32,
+        }
+
+        impl Oracle {
+            /// The current instant or a millisecond mark, mostly one of
+            /// the next few, so that instants pile up.
+            fn place(&mut self) -> u64 {
+                let now = self.core.now().as_micros();
+                let mark = now / 1_000
+                    + match self.rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 | 2 => self.rng.gen_range(1..4),
+                        _ => self.rng.gen_range(1..5_000),
+                    };
+                (mark * 1_000).max(now)
+            }
+
+            fn schedule(&mut self) {
+                let at = self.place();
+                self.seq += 1;
+                let delay = SimDuration(at - self.core.now().as_micros());
+                self.core.schedule(delay, self.seq);
+                self.heap.push(Reverse((at, self.seq)));
+            }
+
+            fn reserve(&mut self) {
+                let at = self.place();
+                self.seq += 1;
+                assert_eq!(self.core.reserve(), self.seq);
+                self.held.push((at, self.seq));
+            }
+
+            /// Files a held place: one for this instant if there is one,
+            /// else any, late or early.
+            fn file(&mut self) {
+                let now = self.core.now().as_micros();
+                let i = match self.held.iter().position(|&(at, _)| at == now) {
+                    Some(i) => i,
+                    None if self.held.is_empty() => return,
+                    None => self.rng.gen_range(0..self.held.len()),
+                };
+                let (at, s) = self.held.swap_remove(i);
+                let wheel = &self.core.queue;
+                if at == wheel.ready_at && wheel.ready.back().is_some_and(|&(last, _)| s < last) {
+                    self.filed_into_ready += 1;
+                }
+                match self.core.schedule_at(SimTime(at), s, s) {
+                    Ok(()) => {
+                        assert!((at, s) > self.passed, "filed behind the clock");
+                        self.heap.push(Reverse((at, s)));
+                    }
+                    Err(back) => {
+                        assert_eq!(back, s);
+                        assert!((at, s) <= self.passed, "refused a place ahead");
+                        self.refused += 1;
+                    }
+                }
+            }
+        }
+
+        let mut filed_into_ready = 0;
+        let mut refused = 0;
+        for seed in 0..8u64 {
+            let mut o = Oracle {
+                rng: StdRng::seed_from_u64(seed),
+                core: EventCore::new(),
+                heap: BinaryHeap::new(),
+                held: Vec::new(),
+                seq: 0,
+                passed: (0, 0),
+                filed_into_ready: 0,
+                refused: 0,
+            };
+            for round in 0..300 {
+                for _ in 0..o.rng.gen_range(1..16) {
+                    if o.rng.gen() {
+                        o.schedule();
+                    } else {
+                        o.reserve();
+                    }
+                }
+                let deadline = o.core.now().as_micros() + o.rng.gen_range(0..20_000u64);
+                while let Some((_, s)) = o.core.pop_due(SimTime(deadline)) {
+                    let Reverse(expected) = o.heap.pop().expect("heap has it too");
+                    let at = o.core.now().as_micros();
+                    assert_eq!((at, s), expected, "round {round} seed {seed}");
+                    o.passed = expected;
+                    // Dispatching it: file a held place, schedule, reserve.
+                    match o.rng.gen_range(0..6u32) {
+                        0..=2 => o.file(),
+                        3 => o.schedule(),
+                        4 => o.reserve(),
+                        _ => {}
+                    }
+                }
+                if let Some(&Reverse((at, _))) = o.heap.peek() {
+                    assert!(at > deadline, "core stopped early");
+                }
+                assert_eq!(o.core.pending(), o.heap.len() as u64);
+                o.core.advance_to(SimTime(deadline));
+                o.passed = (deadline, o.seq);
+                o.file();
+            }
+            filed_into_ready += o.filed_into_ready;
+            refused += o.refused;
+        }
+        assert!(
+            filed_into_ready > 100,
+            "{filed_into_ready} filed ahead of the ready queue"
+        );
+        assert!(refused > 100, "{refused} refusals");
+    }
+
+    #[test]
+    fn a_reserved_place_pops_ahead_of_what_was_drained_after_it() {
+        let mut core = EventCore::new();
+        core.schedule(SimDuration(5), "a");
+        let held = core.reserve();
+        core.schedule(SimDuration(5), "b");
+        assert_eq!(core.pop_due(SimTime(5)), Some((SimDuration(5), "a")));
+        // "b" is drained and waiting; the held place comes before it.
+        assert_eq!(core.schedule_at(SimTime(5), held, "held"), Ok(()));
+        assert_eq!(core.pop_due(SimTime(5)), Some((SimDuration::ZERO, "held")));
+        assert_eq!(core.pop_due(SimTime(5)), Some((SimDuration::ZERO, "b")));
+        // Popped past, a held place is handed back ...
+        let late = core.reserve();
+        core.schedule(SimDuration::ZERO, "c");
+        assert_eq!(core.pop_due(SimTime(5)), Some((SimDuration::ZERO, "c")));
+        assert_eq!(core.schedule_at(SimTime(5), late, "late"), Err("late"));
+        // ... and so is every place up to a deadline the clock advanced to.
+        let idle = core.reserve();
+        core.advance_to(SimTime(9));
+        assert_eq!(core.schedule_at(SimTime(9), idle, "idle"), Err("idle"));
+        assert_eq!(core.schedule_at(SimTime(4), idle, "before"), Err("before"));
+        assert_eq!(core.schedule_at(SimTime(10), idle, "after"), Ok(()));
+        assert_eq!(core.pending(), 1);
     }
 
     /// Same-instant events scheduled *while* that instant is being

@@ -104,7 +104,10 @@ impl SegmentStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
     /// Events processed by the engine. A frame on the wire is one event
-    /// however many stations hear it; `frame_deliveries` counts those.
+    /// however many stations hear it; `frame_deliveries` counts those. A
+    /// RIP response that only counters hear never rides the event wheel
+    /// (`rip.rs`, "counted, not queued"), but its counted arrival is one
+    /// event all the same.
     pub events_processed: u64,
     /// Frames handed to a receiving interface by the link layer (a
     /// broadcast on an N-station segment adds N − 1; taps not included).
@@ -123,7 +126,8 @@ pub struct SimStats {
     pub icmp_errors: u64,
     /// ARP requests broadcast.
     pub arp_requests: u64,
-    /// High-water mark of the pending event queue depth.
+    /// High-water mark of the pending event queue depth (the wheel's;
+    /// responses held off it are not counted).
     pub queue_depth_hwm: u64,
     /// Simulated microseconds the clock advanced without dispatching an
     /// event: inter-event gaps plus idle tails jumped to a `run_until`

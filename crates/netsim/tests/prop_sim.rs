@@ -9,13 +9,16 @@ use std::path::Path;
 
 use proptest::prelude::*;
 
-use fremont_net::MacAddr;
+use fremont_net::udp::RIP_PORT;
+use fremont_net::{
+    EtherType, EthernetFrame, Ipv4Packet, MacAddr, RipCommand, RipPacket, UdpDatagram,
+};
 use fremont_netsim::builder::TopologyBuilder;
 use fremont_netsim::campus::{generate, CampusConfig};
 use fremont_netsim::engine::Sim;
 use fremont_netsim::faults::{FaultKind, FaultPlan};
 use fremont_netsim::node::{Node, NodeKind};
-use fremont_netsim::process::Process;
+use fremont_netsim::process::{ProcCtx, ProcHandle, Process};
 use fremont_netsim::segment::NodeId;
 use fremont_netsim::stats::SegmentStats;
 use fremont_netsim::time::{SimDuration, SimTime};
@@ -160,6 +163,38 @@ struct Deaf;
 
 impl Process for Deaf {}
 
+/// Records the RIP responses its station's primary segment carries,
+/// from `tap_from` on: a tap is read when a frame arrives, so each is
+/// stamped with its arrival instant.
+#[derive(Default)]
+struct RipArrivals {
+    tap_from: SimTime,
+    seen: Vec<(SimTime, MacAddr)>,
+}
+
+impl Process for RipArrivals {
+    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+        let wait = self.tap_from.since(ctx.now());
+        ctx.set_timer(wait, 0);
+    }
+
+    fn on_timer(&mut self, _token: u64, ctx: &mut ProcCtx<'_>) {
+        ctx.enable_tap(true);
+    }
+
+    fn on_tap(&mut self, frame: &EthernetFrame, ctx: &mut ProcCtx<'_>) {
+        let rip = Some(frame)
+            .filter(|f| f.ethertype == EtherType::Ipv4)
+            .and_then(|f| Ipv4Packet::decode(&f.payload).ok())
+            .and_then(|p| UdpDatagram::decode(&p.payload).ok())
+            .filter(|d| d.dst_port == RIP_PORT)
+            .and_then(|d| RipPacket::decode(&d.payload).ok());
+        if rip.is_some_and(|r| r.command == RipCommand::Response) {
+            self.seen.push((ctx.now(), frame.src));
+        }
+    }
+}
+
 /// What a run leaves behind that a RIP arrival could touch.
 struct Outcome {
     /// `frame_deliveries`, `arp_packets`, `ip_packets`, `rip_packets`,
@@ -168,12 +203,16 @@ struct Outcome {
     segments: Vec<SegmentStats>,
     fingerprint: u64,
     rip_learned: Vec<Vec<(Ipv4Addr, u32)>>,
+    /// Frames tapped by the first process of each node, the only one a
+    /// case ever gives a tap.
+    tapped: Vec<u64>,
     rng_probe: u64,
 }
 
 /// Something a case does to the simulator at the start of every
-/// simulated hour (the hour is its argument).
-type Script = Box<dyn FnMut(&mut Sim, u64)>;
+/// simulated hour and at each of its other stops (the instant is its
+/// argument).
+type Script = Box<dyn FnMut(&mut Sim, SimTime)>;
 
 /// One input of the differential: a campus, how many hours it runs, and
 /// what happens to it meanwhile.
@@ -181,17 +220,28 @@ struct Case {
     name: String,
     cfg: CampusConfig,
     hours: u64,
-    script: fn() -> Script,
+    /// Instants besides the hour marks at which the script runs.
+    stops: Vec<SimTime>,
+    script: Box<dyn Fn() -> Script>,
 }
 
 impl Case {
     fn plain(name: &str, cfg: CampusConfig, hours: u64) -> Self {
-        let script: fn() -> Script = || Box::new(|_, _| {});
+        Self::scripted(name, cfg, hours, || Box::new(|_, _| {}))
+    }
+
+    fn scripted(
+        name: &str,
+        cfg: CampusConfig,
+        hours: u64,
+        script: impl Fn() -> Script + 'static,
+    ) -> Self {
         Case {
             name: name.to_owned(),
             cfg,
             hours,
-            script,
+            stops: Vec::new(),
+            script: Box::new(script),
         }
     }
 
@@ -201,15 +251,19 @@ impl Case {
     fn run(&self, deaf: bool) -> (Outcome, u64) {
         let (mut sim, _) = generate(&self.cfg);
         let mut script = (self.script)();
+        let mut stops: Vec<SimTime> = (0..self.hours).map(SimTime::from_hours).collect();
+        stops.extend(&self.stops);
+        stops.sort();
         let mut deafened = 0;
-        for hour in 0..self.hours {
-            script(&mut sim, hour);
+        for at in stops {
+            sim.run_until(at);
+            script(&mut sim, at);
             while deaf && deafened < sim.nodes.len() {
                 sim.spawn(NodeId(deafened), Box::new(Deaf));
                 deafened += 1;
             }
-            sim.run_for(SimDuration::from_hours(1));
         }
+        sim.run_until(SimTime::from_hours(self.hours));
         assert_eq!(
             sim.fault_stats.unresolved, 0,
             "{}: a fault missed",
@@ -229,6 +283,15 @@ impl Case {
             segments: sim.segments.iter().map(|seg| seg.stats.clone()).collect(),
             fingerprint: sim.state_fingerprint(),
             rip_learned: sim.nodes.iter().map(|n| n.rip_learned.clone()).collect(),
+            tapped: (0..sim.nodes.len())
+                .map(|n| {
+                    let first = ProcHandle {
+                        node: NodeId(n),
+                        idx: 0,
+                    };
+                    sim.proc_stats(first).frames_tapped
+                })
+                .collect(),
             rng_probe: sim.rng_position_probe(),
         };
         (outcome, s.events_processed)
@@ -240,20 +303,22 @@ fn piper(sim: &Sim) -> NodeId {
     sim.node_by_name("piper").expect("piper is on every campus")
 }
 
-/// A [`Deaf`] spawned on `piper` after an hour and killed an hour later.
-fn spawn_then_kill() -> Script {
+/// A [`Deaf`] spawned on `piper` at `spawn` and killed at `kill`.
+fn spawn_then_kill(spawn: SimTime, kill: SimTime) -> Script {
     let mut handle = None;
-    Box::new(move |sim, hour| match hour {
-        1 => handle = Some(sim.spawn(piper(sim), Box::new(Deaf))),
-        2 => sim.kill_process(handle.take().expect("spawned")),
-        _ => {}
+    Box::new(move |sim, at| {
+        if at == spawn {
+            handle = Some(sim.spawn(piper(sim), Box::new(Deaf)));
+        } else if at == kill {
+            sim.kill_process(handle.take().expect("spawned"));
+        }
     })
 }
 
 /// A quiet host plugged into `piper`'s segment after an hour.
 fn add_a_node() -> Script {
-    Box::new(|sim, hour| {
-        if hour == 1 {
+    Box::new(|sim, at| {
+        if at == SimTime::from_hours(1) {
             let mut iface = sim.nodes[piper(sim).0].ifaces[0].clone();
             iface.mac = MacAddr::new([0x08, 0, 0x20, 0xfe, 0xfe, 0xfe]);
             iface.ip = iface.subnet().nth(250).expect("a /24");
@@ -336,18 +401,20 @@ fn a_station_that_runs_nothing_reads_nothing() {
         cfg.fault_plan = FaultPlan::new().at(SimTime(3_600_000_000), kind);
         cases.push(Case::plain(name, cfg, 2));
     }
-    cases.push(Case {
-        name: "spawn_then_kill".to_owned(),
-        cfg: CampusConfig::quiet_small(1993),
-        hours: 3,
-        script: spawn_then_kill,
-    });
-    cases.push(Case {
-        name: "add_a_node".to_owned(),
-        cfg: CampusConfig::quiet_small(1993),
-        hours: 3,
-        script: add_a_node,
-    });
+    let (first, second) = (SimTime::from_hours(1), SimTime::from_hours(2));
+    cases.push(Case::scripted(
+        "spawn_then_kill",
+        CampusConfig::quiet_small(1993),
+        3,
+        move || spawn_then_kill(first, second),
+    ));
+    cases.push(Case::scripted(
+        "add_a_node",
+        CampusConfig::quiet_small(1993),
+        3,
+        add_a_node,
+    ));
+    cases.extend(hooks_in_flight());
     for case in &cases {
         let at = format!("{} seed {}", case.name, case.cfg.seed);
         let (quiet, quiet_events) = case.run(false);
@@ -357,8 +424,80 @@ fn a_station_that_runs_nothing_reads_nothing() {
         assert!(quiet.segments == deaf.segments, "{at}: segments");
         assert_eq!(quiet.fingerprint, deaf.fingerprint, "{at}");
         assert!(quiet.rip_learned == deaf.rip_learned, "{at}: learned");
+        assert_eq!(quiet.tapped, deaf.tapped, "{at}: tapped");
         assert_eq!(quiet.rng_probe, deaf.rng_probe, "{at}: RNG");
         let spawns = deaf.rip_learned.len() as u64;
         assert_eq!(deaf_events - quiet_events, spawns, "{at}");
     }
+}
+
+/// The cases of [`a_station_that_runs_nothing_reads_nothing`] whose
+/// hooks land while a RIP response is on the wire. Where every station
+/// only counts it, that response is held off the event wheel; each hook
+/// must land it first, so it arrives to what it would have found on the
+/// wheel. The instants are read off a probe run of the churn-free micro
+/// campus: one microsecond before a response from `cs-gw` arrives, which
+/// is after it was sent as long as the segment's latency exceeds that.
+fn hooks_in_flight() -> Vec<Case> {
+    let cfg = CampusConfig::micro(7);
+    let (mut sim, _) = generate(&cfg);
+    let gw = sim
+        .node_by_name("cs-gw")
+        .expect("the micro campus's gateway");
+    let probes = [piper(&sim), gw].map(|node| {
+        let seg = sim.nodes[node.0].ifaces[0].segment;
+        let latency = sim.segments[seg.0].cfg.latency;
+        assert!(latency > SimDuration::from_micros(1), "{latency:?}");
+        let mac = sim.nodes[gw.0].ifaces.iter().find(|i| i.segment == seg);
+        let mac = mac.expect("cs-gw is on the segment").mac;
+        (sim.spawn(node, Box::<RipArrivals>::default()), mac)
+    });
+    sim.run_for(SimDuration::from_hours(2));
+    let [cs, backbone] = probes.map(|(handle, mac)| {
+        let seen = &sim.process_mut::<RipArrivals>(handle).expect("alive").seen;
+        let late = seen
+            .iter()
+            .filter(|&&(at, src)| src == mac && at > SimTime::from_hours(1));
+        late.map(|&(at, _)| SimTime(at.as_micros() - 1))
+            .collect::<Vec<_>>()
+    });
+    assert!(cs.len() >= 2 && !backbone.is_empty(), "{cs:?} {backbone:?}");
+    let (off, on) = (cs[0], cs[1]);
+    let tap_from = backbone[0];
+
+    // A fault lands inside `run_until`, with the response in flight; a
+    // script runs between two calls, after the first has filed it.
+    let mut power = cfg.clone();
+    let node = "piper".to_owned();
+    power.fault_plan = FaultPlan::new()
+        .at(off, FaultKind::NodeCrash { node: node.clone() })
+        .at(on, FaultKind::NodeReboot { node: node.clone() });
+    let power = Case::plain("power_off_and_on_in_flight", power, 2);
+    let mut spawn = Case::scripted("spawn_and_kill_in_flight", cfg.clone(), 2, move || {
+        spawn_then_kill(off, on)
+    });
+    spawn.stops = vec![off, on];
+    // The first process on `cs-gw` opens its tap on the backbone while
+    // the gateway's own response is on it: the audience walks nobody but
+    // the sender, so that response was held until the tap opened.
+    let tap = Case::scripted("enable_tap_in_flight", cfg.clone(), 2, move || {
+        Box::new(move |sim, at| {
+            if at == SimTime::ZERO {
+                let gw = sim.node_by_name("cs-gw").expect("gateway");
+                let tap = RipArrivals {
+                    tap_from,
+                    seen: Vec::new(),
+                };
+                sim.spawn(gw, Box::new(tap));
+            }
+        })
+    });
+    let mut mask = cfg;
+    let wrong_mask = FaultKind::WrongMask {
+        node,
+        prefix_len: 16,
+    };
+    mask.fault_plan = FaultPlan::new().at(off, wrong_mask);
+    let mask = Case::plain("wrong_mask_in_flight", mask, 2);
+    vec![power, spawn, tap, mask]
 }
