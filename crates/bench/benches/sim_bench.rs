@@ -7,7 +7,8 @@ use fremont_explorers::SeqPing;
 use fremont_net::IpRange;
 use fremont_netsim::builder::TopologyBuilder;
 use fremont_netsim::campus::{generate, CampusConfig};
-use fremont_netsim::time::SimDuration;
+use fremont_netsim::sched::EventCore;
+use fremont_netsim::time::{SimDuration, SimTime};
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim");
@@ -49,35 +50,47 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // Raw wheel churn: interleaved inserts and pops across mixed
-    // horizons (sub-slot to minutes), the pattern the campus produces.
-    g.bench_function("wheel_churn_64k", |b| {
+    // Raw event-core churn: interleaved schedules and pops across mixed
+    // horizons (sub-millisecond to minutes), the pattern the campus
+    // produces. Every 8th insert is a reserved place, filed a few
+    // inserts later with `schedule_at`, as a held RIP response is.
+    g.bench_function("core_churn_64k", |b| {
         b.iter(|| {
-            let mut wheel = fremont_netsim::sched::TimerWheel::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
+            let mut core = EventCore::new();
+            let mut held = None;
+            let mut popped = 0u64;
             let mut x = 0x9E37_79B9_7F4A_7C15u64; // LCG, deterministic
-            for _ in 0..65_536u32 {
-                seq += 1;
+            for i in 1..=65_536u32 {
                 x = x
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 let horizon = [63u64, 10_000, 2_000_000, 120_000_000][(x >> 60) as usize & 3];
-                wheel.insert(now + (x % horizon) + 1, seq, seq);
-                if seq.is_multiple_of(4) {
-                    if let Some((at, _, _)) = wheel.pop_due(u64::MAX) {
-                        now = at;
+                let delay = SimDuration((x % horizon) + 1);
+                if i % 8 == 1 {
+                    held = Some((core.now() + delay, core.reserve(), i));
+                } else {
+                    core.schedule(delay, i);
+                }
+                if i.is_multiple_of(4) {
+                    if let Some((at, seq, event)) = held.take() {
+                        // The clock has not moved since the reserve.
+                        let filed = core.schedule_at(at, seq, event);
+                        debug_assert!(filed.is_ok());
                     }
+                    popped += u64::from(core.pop_due(SimTime(u64::MAX)).is_some());
                 }
             }
-            while wheel.pop_due(u64::MAX).is_some() {}
-            black_box(wheel.cascades())
+            while core.pop_due(SimTime(u64::MAX)).is_some() {
+                popped += 1;
+            }
+            black_box(popped)
         })
     });
 
     // Idle skip-ahead: a converged campus advancing a whole hour. The
-    // wheel's occupancy bound lets `run_until` jump every silent gap, so
-    // this costs events-processed, not microseconds-simulated.
+    // earliest pending event bounds every silent gap, so `run_until`
+    // jumps it and this costs events-processed, not
+    // microseconds-simulated.
     {
         let cfg = CampusConfig {
             cs_traffic: false,

@@ -107,7 +107,7 @@ pub struct Sim {
     /// changes, which on the static campus is never after build.
     pub(crate) rip_advert_cache: BTreeMap<(usize, usize), RipAdvertTemplate>,
     /// RIP responses on the wire that no station walks and no tap reads,
-    /// held off the wheel until counted (`rip.rs`).
+    /// held off the event queue until counted (`rip.rs`).
     pub(crate) quiet_flights: Vec<QuietFlight>,
 }
 

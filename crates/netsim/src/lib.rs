@@ -19,7 +19,8 @@
 //! # Layout
 //!
 //! [`sched::EventCore`] owns simulated time — clock, schedule counter,
-//! timer wheel — over an opaque payload and knows no protocol.
+//! binary heap of pending events — over an opaque payload and knows no
+//! protocol.
 //! [`engine::Sim`] is the network on top: nodes, segments, processes,
 //! the one seeded RNG, the run loop and the dispatch. What an event does
 //! is one sibling module per layer, each a plain `impl Sim` block —

@@ -11,7 +11,7 @@
 //! link asks the segment's audience first (`rip.rs`): stations that would
 //! only count the frame are counted there in one step, and only the rest
 //! are walked. When nobody is left to walk and no tap listens, `rip.rs`
-//! holds the frame off the event wheel at the place the wheel would have
+//! holds the frame off the event queue at the place the queue would have
 //! given it and counts it there. The link does not know what makes a
 //! station quiet.
 //!

@@ -201,7 +201,7 @@ impl ProcCtx<'_> {
         let handle = self.handle;
         if on {
             if !self.sim.taps.contains(&(seg, handle)) {
-                // A response held off the wheel must now reach the tap.
+                // A response held off the queue must now reach the tap.
                 self.sim.land_quiet_flights(false);
                 self.sim.taps.push((seg, handle));
             }

@@ -16,11 +16,11 @@
 //!
 //! A response whose audience walks nobody but its sender, on a segment
 //! no tap reads, is **counted, not queued**: the link hands it to
-//! [`Sim::hold_quiet_flight`], which keeps it off the event wheel under
-//! the place `(at, seq)` the wheel would have given it.
+//! [`Sim::hold_quiet_flight`], which keeps it off the event queue under
+//! the place `(at, seq)` the queue would have given it.
 //! [`Sim::land_quiet_flights`] counts it once the clock has passed that
 //! place — at the end of `run_until`, or at a hook that is about to
-//! change what an arrival would do — and files it on the wheel, to be
+//! change what an arrival would do — and files it on the queue, to be
 //! walked as usual, when the clock has not.
 
 use std::net::Ipv4Addr;
@@ -85,7 +85,7 @@ impl QuietCounts {
 }
 
 /// A RIP response on the wire that only counters will hear, held off
-/// the event wheel at the place the wheel would have given it.
+/// the event queue at the place the queue would have given it.
 pub(crate) struct QuietFlight {
     at: SimTime,
     seq: u64,
@@ -239,7 +239,7 @@ impl Sim {
     }
 
     /// Holds a frame leaving `from` on `seg`, due `delay` from now, off
-    /// the event wheel when its arrival would only be counted: a RIP
+    /// the event queue when its arrival would only be counted: a RIP
     /// response on an untapped segment whose audience walks nobody but
     /// the sender. Hands the frame back when it must be scheduled.
     pub(crate) fn hold_quiet_flight(
@@ -275,7 +275,7 @@ impl Sim {
 
     /// Counts every held frame the clock has passed — one event and the
     /// counts [`Sim::quiet_audience`] would add, as its arrival would
-    /// have — and files the rest on the wheel under their own places, to
+    /// have — and files the rest on the queue under their own places, to
     /// be delivered as any frame is. With `count` false a passed frame
     /// stays held for a later landing instead: a process enabling a tap
     /// is out of its slot while it runs, so its own station cannot be
@@ -314,7 +314,7 @@ impl Sim {
         self.stats.queue_depth_hwm = self.stats.queue_depth_hwm.max(depth);
     }
 
-    /// Files a held frame on the wheel at its place; hands it back when
+    /// Files a held frame on the queue at its place; hands it back when
     /// the clock has passed that place.
     fn file_quiet_flight(&mut self, flight: QuietFlight) -> Option<QuietFlight> {
         let QuietFlight {
@@ -678,7 +678,7 @@ mod tests {
         assert_eq!(walked(&sim), ["quiet", "badmask", "counter", "chatty"]);
 
         // A quiet host joins net-m, where r1 is the only other station:
-        // r1's response there walks nobody, so it is held off the wheel
+        // r1's response there walks nobody, so it is held off the queue
         // and counted once the clock passes its arrival.
         let mut iface = sim.nodes[r1.0].ifaces[1].clone();
         iface.mac = MacAddr::new([8, 0, 0x20, 0, 2, 20]);
@@ -687,13 +687,13 @@ mod tests {
         let pending = sim.core.pending();
         let held = |sim: &mut Sim| {
             assert_eq!(sim.quiet_flights.len(), 1, "net-m's frame is held");
-            assert_eq!(sim.core.pending(), pending + 1, "net-a's rides the wheel");
+            assert_eq!(sim.core.pending(), pending + 1, "net-a's rides the queue");
         };
         assert_eq!(advertise_then(&mut sim, r1, held), (5, 5, 3));
         assert!(sim.quiet_flights.is_empty(), "landed by run_until");
 
         // Powered off in flight: the hook files the held frame on the
-        // wheel first, and it arrives to find the host down.
+        // queue first, and it arrives to find the host down.
         let off_in_flight = |sim: &mut Sim| {
             held(sim);
             sim.set_node_up(late, false);

@@ -105,7 +105,7 @@ impl SegmentStats {
 pub struct SimStats {
     /// Events processed by the engine. A frame on the wire is one event
     /// however many stations hear it; `frame_deliveries` counts those. A
-    /// RIP response that only counters hear never rides the event wheel
+    /// RIP response that only counters hear never enters the event queue
     /// (`rip.rs`, "counted, not queued"), but its counted arrival is one
     /// event all the same.
     pub events_processed: u64,
@@ -126,13 +126,13 @@ pub struct SimStats {
     pub icmp_errors: u64,
     /// ARP requests broadcast.
     pub arp_requests: u64,
-    /// High-water mark of the pending event queue depth (the wheel's;
-    /// responses held off it are not counted).
+    /// High-water mark of the pending event queue depth (responses held
+    /// off the queue are not counted).
     pub queue_depth_hwm: u64,
     /// Simulated microseconds the clock advanced without dispatching an
     /// event: inter-event gaps plus idle tails jumped to a `run_until`
-    /// deadline. The timer wheel's occupancy bitmaps make each jump
-    /// O(levels) regardless of the gap's length.
+    /// deadline. Each jump is one peek at the earliest pending event,
+    /// regardless of the gap's length.
     pub idle_skipped_micros: u64,
 }
 

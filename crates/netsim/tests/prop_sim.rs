@@ -433,9 +433,9 @@ fn a_station_that_runs_nothing_reads_nothing() {
 
 /// The cases of [`a_station_that_runs_nothing_reads_nothing`] whose
 /// hooks land while a RIP response is on the wire. Where every station
-/// only counts it, that response is held off the event wheel; each hook
+/// only counts it, that response is held off the event queue; each hook
 /// must land it first, so it arrives to what it would have found on the
-/// wheel. The instants are read off a probe run of the churn-free micro
+/// queue. The instants are read off a probe run of the churn-free micro
 /// campus: one microsecond before a response from `cs-gw` arrives, which
 /// is after it was sent as long as the segment's latency exceeds that.
 fn hooks_in_flight() -> Vec<Case> {
