@@ -265,11 +265,7 @@ mod tests {
                 segment: seg,
             }],
         );
-        node.behavior.rip = Some(RipConfig {
-            promiscuous: true,
-            split_horizon: false,
-            ..Default::default()
-        });
+        node.behavior.rip = Some(RipConfig { promiscuous: true });
         // Pretend it already learned the local subnet route.
         node.rip_learned.push(("10.1.1.0".parse().unwrap(), 1));
         node.rip_learned.push(("10.1.3.0".parse().unwrap(), 2));

@@ -10,7 +10,7 @@
 //! than the usual timeout of the ARP cache": the Journal remembers; this
 //! cache forgets, which is exactly the asymmetry the paper exploits.
 //!
-//! Below the cache: resolve-or-queue on output, request/reply (and proxy)
+//! Below the cache: resolve-or-queue on output, request/reply
 //! handling on input, and the sweep that turns an unresolved next hop
 //! into ICMP Host Unreachable.
 
@@ -147,17 +147,13 @@ impl Sim {
         let now = self.now();
         match arp.op {
             ArpOp::Request => {
-                let my_ip = self.nodes[node.0].ifaces[iface].ip;
-                let my_mac = self.nodes[node.0].ifaces[iface].mac;
-                let for_me = arp.target_ip == my_ip;
-                let proxy = !for_me && self.should_proxy_arp(node, iface, arp.target_ip);
-                if for_me || proxy {
-                    if for_me {
-                        // Standard optimization: learn the requester.
-                        self.nodes[node.0]
-                            .arp
-                            .insert(arp.sender_ip, arp.sender_mac, now);
-                    }
+                let my = &self.nodes[node.0].ifaces[iface];
+                let my_mac = my.mac;
+                if arp.target_ip == my.ip {
+                    // Standard optimization: learn the requester.
+                    self.nodes[node.0]
+                        .arp
+                        .insert(arp.sender_ip, arp.sender_mac, now);
                     let reply = ArpPacket::reply_to(arp, my_mac);
                     let rec = FrameRecord::arp(arp.sender_mac, my_mac, reply);
                     self.transmit(node, iface, rec);
@@ -173,20 +169,6 @@ impl Sim {
                 }
             }
         }
-    }
-
-    /// Proxy-ARP policy: routers configured with `proxy_arp_for` answer for
-    /// addresses in those subnets when the real owner is elsewhere.
-    fn should_proxy_arp(&self, node: NodeId, iface: usize, target: Ipv4Addr) -> bool {
-        let n = &self.nodes[node.0];
-        if n.kind != NodeKind::Router {
-            return false;
-        }
-        n.behavior.proxy_arp_for.iter().any(|s| s.contains(target))
-            && n.routes
-                .lookup(target)
-                .map(|r| r.iface != iface)
-                .unwrap_or(false)
     }
 
     /// Expires stale ARP-pending packets. A router that fails to resolve

@@ -42,6 +42,22 @@ use crate::time::SimDuration;
 use crate::traffic::{Flow, TrafficModel};
 use crate::uptime::UptimeModel;
 
+/// Fraction of connected subnets registered in the DNS.
+pub const DNS_COVERAGE: f64 = 0.84;
+/// Fraction of routers following the `-gw` DNS naming convention.
+const GATEWAY_NAMING: f64 = 0.80;
+/// How many interfaces (beyond the backbone one) a named gateway has
+/// registered under its `-gw` name: uniform in `min..=max`. Real admins
+/// rarely registered every interface, which is why the paper's DNS
+/// module attributed only 48 of 111 subnets to gateways.
+const GATEWAY_DNS_LEAVES: (usize, usize) = (2, 2);
+/// Fraction of routers that filter traceroute probes.
+const BROKEN_ROUTER_FRAC: f64 = 0.18;
+/// Hosts per ordinary leaf subnet: uniform in `min..=max`.
+const HOSTS_PER_SUBNET: (usize, usize) = (2, 6);
+/// Mean up+down cycle for CS host churn.
+const CHURN_CYCLE: SimDuration = SimDuration::from_hours(8);
+
 /// Configuration of the synthetic campus.
 #[derive(Debug, Clone)]
 pub struct CampusConfig {
@@ -53,27 +69,12 @@ pub struct CampusConfig {
     pub subnets_assigned: usize,
     /// Subnets actually connected (rest are unused).
     pub subnets_connected: usize,
-    /// Fraction of connected subnets registered in the DNS.
-    pub dns_coverage: f64,
-    /// Fraction of routers following the `-gw` DNS naming convention.
-    pub gateway_naming: f64,
-    /// How many interfaces (beyond the backbone one) a named gateway has
-    /// registered under its `-gw` name: uniform in `min..=max`. Real
-    /// admins rarely registered every interface, which is why the paper's
-    /// DNS module attributed only 48 of 111 subnets to gateways.
-    pub gateway_dns_leaves: (usize, usize),
-    /// Fraction of routers that filter traceroute probes.
-    pub broken_router_frac: f64,
-    /// Hosts per ordinary leaf subnet: uniform in `min..=max`.
-    pub hosts_per_subnet: (usize, usize),
     /// Number of *real* hosts on the departmental (CS) subnet.
     pub cs_hosts: usize,
     /// Stale DNS entries on the CS subnet (registered, no real machine).
     pub cs_ghost_entries: usize,
     /// Long-run availability of ordinary CS hosts.
     pub availability: f64,
-    /// Mean up+down cycle for host churn.
-    pub churn_cycle: SimDuration,
     /// Inject the Table 8 fault inventory.
     pub inject_faults: bool,
     /// Attach background traffic on the CS subnet (drives ARPwatch).
@@ -92,15 +93,9 @@ impl Default for CampusConfig {
             network: "128.138.0.0/16".parse().expect("class B literal"),
             subnets_assigned: 114,
             subnets_connected: 111,
-            dns_coverage: 0.84,
-            gateway_naming: 0.80,
-            gateway_dns_leaves: (2, 2),
-            broken_router_frac: 0.18,
-            hosts_per_subnet: (2, 6),
             cs_hosts: 54,
             cs_ghost_entries: 2,
             availability: 0.80,
-            churn_cycle: SimDuration::from_hours(8),
             inject_faults: true,
             cs_traffic: true,
             fault_plan: FaultPlan::default(),
@@ -327,12 +322,12 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
             ips.push(Ipv4Addr::new(octets[0], octets[1], *n, 1));
         }
         // Some routers have the probe-filtering bug.
-        if rng.gen::<f64>() < cfg.broken_router_frac {
+        if rng.gen::<f64>() < BROKEN_ROUTER_FRAC {
             b.router_mut(r).behavior.filter_udp_probes = true;
             broken_routers.push(name.clone());
         }
         // Some follow the -gw DNS naming convention.
-        if rng.gen::<f64>() < cfg.gateway_naming {
+        if rng.gen::<f64>() < GATEWAY_NAMING {
             named_gateways.push(name.clone());
         }
         gateways.push((name, ips));
@@ -439,11 +434,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
 
         // Promiscuous RIP host.
         let pr = b.host("chatty", cs_seg_idx, 201);
-        b.host_mut(pr).behavior.rip = Some(RipConfig {
-            promiscuous: true,
-            split_horizon: false,
-            ..Default::default()
-        });
+        b.host_mut(pr).behavior.rip = Some(RipConfig { promiscuous: true });
         cs_host_idxs.push(pr);
         cs_dns_names.push(("chatty".to_owned(), cs_subnet.nth(201).expect("fits")));
         faults.promiscuous_rip_host = Some("chatty".to_owned());
@@ -474,7 +465,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
         if *n == cs_third {
             continue;
         }
-        let count = rng.gen_range(cfg.hosts_per_subnet.0..=cfg.hosts_per_subnet.1);
+        let count = rng.gen_range(HOSTS_PER_SUBNET.0..=HOSTS_PER_SUBNET.1);
         for i in 0..count {
             let name = format!("h{n}x{i}");
             let hostnum = (i as u32) + 10;
@@ -492,7 +483,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
     let (mut sim, topology) = b.build(cfg.seed);
 
     // Decide which connected subnets are registered in the DNS: backbone,
-    // CS, and a dns_coverage fraction of the rest.
+    // CS, and a DNS_COVERAGE fraction of the rest.
     let mut dns_covered: Vec<u8> = vec![1, cs_third];
     {
         let mut candidates: Vec<u8> = connected_thirds
@@ -500,7 +491,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
             .copied()
             .filter(|n| *n != 1 && *n != cs_third)
             .collect();
-        let want = ((connected_thirds.len() as f64) * cfg.dns_coverage).round() as usize;
+        let want = ((connected_thirds.len() as f64) * DNS_COVERAGE).round() as usize;
         while dns_covered.len() < want && !candidates.is_empty() {
             let i = rng.gen_range(0..candidates.len());
             dns_covered.push(candidates.swap_remove(i));
@@ -564,7 +555,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
     // per-interface names.
     for (gname, ips) in &gateways {
         let is_named = named_gateways.contains(gname);
-        let exposed_leaves = rng.gen_range(cfg.gateway_dns_leaves.0..=cfg.gateway_dns_leaves.1);
+        let exposed_leaves = rng.gen_range(GATEWAY_DNS_LEAVES.0..=GATEWAY_DNS_LEAVES.1);
         for (k, ip) in ips.iter().enumerate() {
             if is_named {
                 if k == 0 || k <= exposed_leaves {
@@ -609,7 +600,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
         if on_cs && !controlled.contains(name.as_str()) && name != "piper" {
             sim.set_uptime(
                 *node,
-                UptimeModel::with_availability(cfg.availability, cfg.churn_cycle),
+                UptimeModel::with_availability(cfg.availability, CHURN_CYCLE),
             );
         }
     }
@@ -670,7 +661,7 @@ pub fn generate(cfg: &CampusConfig) -> (Sim, CampusTruth) {
     let dns_subnets: Vec<Subnet> = dns_covered.iter().map(|&n| third_subnet(n)).collect();
     // cs-gw's CS-side interface is registered under the -gw name only
     // when named gateways expose at least one leaf interface.
-    let cs_gw_registered = usize::from(cfg.gateway_dns_leaves.1 >= 1);
+    let cs_gw_registered = usize::from(GATEWAY_DNS_LEAVES.1 >= 1);
     let cs_dns_count = cs_dns_names
         .iter()
         .filter(|(_, ip)| cs_subnet.contains(*ip))

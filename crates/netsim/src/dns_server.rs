@@ -222,7 +222,7 @@ impl Sim {
             return;
         }
         let answer = dns.answer(&query).encode();
-        self.send_reply(node, pkt.dst, pkt.src, IpProtocol::Tcp, answer, None);
+        self.send_reply(node, pkt.dst, pkt.src, IpProtocol::Tcp, answer);
     }
 }
 

@@ -48,6 +48,22 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
+/// Largest IP packet a segment carries (Ethernet).
+const MTU: usize = 1500;
+
+fn check_mtu(pkt: &Ipv4Packet) -> Result<(), SendError> {
+    // The simulated-TCP reliable channel is exempt (see DESIGN.md).
+    if pkt.protocol == IpProtocol::Tcp {
+        return Ok(());
+    }
+    let len = fremont_net::ipv4::HEADER_LEN + pkt.payload.len();
+    if len > MTU {
+        Err(SendError::TooBig { len, mtu: MTU })
+    } else {
+        Ok(())
+    }
+}
+
 impl Sim {
     pub(crate) fn next_ip_id(&mut self) -> u16 {
         self.ip_id = self.ip_id.wrapping_add(1);
@@ -62,17 +78,13 @@ impl Sim {
         dst: Ipv4Addr,
         protocol: IpProtocol,
         payload: Vec<u8>,
-        ttl: Option<u8>,
     ) {
         let id = self.next_ip_id();
-        let mut pkt = Ipv4Packet::new(src_ip, dst, protocol, Bytes::from(payload)).with_id(id);
-        if let Some(t) = ttl {
-            pkt.ttl = t;
-        }
+        let pkt = Ipv4Packet::new(src_ip, dst, protocol, Bytes::from(payload)).with_id(id);
         let _ = self.node_send_ip(node, pkt);
     }
 
-    /// [`Sim::send_reply`] from `iface`'s own address, at the default TTL.
+    /// [`Sim::send_reply`] from `iface`'s own address.
     pub(crate) fn reply_from(
         &mut self,
         node: NodeId,
@@ -82,7 +94,7 @@ impl Sim {
         payload: Vec<u8>,
     ) {
         let src_ip = self.nodes[node.0].ifaces[iface].ip;
-        self.send_reply(node, src_ip, dst, protocol, payload, None);
+        self.send_reply(node, src_ip, dst, protocol, payload);
     }
 
     /// The "gateway software problem" packet filter: `true` when this node
@@ -121,24 +133,9 @@ impl Sim {
             .lookup(dst)
             .ok_or(SendError::NoRoute(dst))?;
         let next_hop = route.gateway.unwrap_or(dst);
-        self.check_mtu(node, route.iface, &pkt)?;
+        check_mtu(&pkt)?;
         self.unicast_output(node, route.iface, next_hop, pkt);
         Ok(())
-    }
-
-    fn check_mtu(&self, node: NodeId, iface: usize, pkt: &Ipv4Packet) -> Result<(), SendError> {
-        // The simulated-TCP reliable channel is exempt (see DESIGN.md).
-        if pkt.protocol == IpProtocol::Tcp {
-            return Ok(());
-        }
-        let seg = self.nodes[node.0].ifaces[iface].segment;
-        let mtu = self.segments[seg.0].cfg.mtu;
-        let len = fremont_net::ipv4::HEADER_LEN + pkt.payload.len();
-        if len > mtu {
-            Err(SendError::TooBig { len, mtu })
-        } else {
-            Ok(())
-        }
     }
 
     /// Interface index whose *connected subnet's* directed broadcast is
@@ -191,27 +188,9 @@ impl Sim {
         // TTL check.
         if pkt.ttl <= 1 {
             self.stats.icmp_errors += 1;
-            let bug = self.nodes[node.0].behavior.traceroute_bug;
-            match bug {
-                TracerouteBug::SilentDrop => {}
-                TracerouteBug::None | TracerouteBug::TtlFromReceived => {
-                    let src_ip = self.nodes[node.0].ifaces[in_iface].ip;
-                    let msg = time_exceeded_for(&pkt);
-                    let reply_ttl = match bug {
-                        // The broken implementations reuse the received TTL,
-                        // so the error dies unless the prober is adjacent.
-                        TracerouteBug::TtlFromReceived => pkt.ttl,
-                        _ => fremont_net::ipv4::DEFAULT_TTL,
-                    };
-                    self.send_reply(
-                        node,
-                        src_ip,
-                        pkt.src,
-                        IpProtocol::Icmp,
-                        msg.encode(),
-                        Some(reply_ttl),
-                    );
-                }
+            if self.nodes[node.0].behavior.traceroute_bug == TracerouteBug::None {
+                let msg = time_exceeded_for(&pkt);
+                self.reply_from(node, in_iface, pkt.src, IpProtocol::Icmp, msg.encode());
             }
             return;
         }
@@ -239,7 +218,7 @@ impl Sim {
                 // No fragmentation is modeled: an oversize packet is
                 // dropped at the forwarding hop, like a DF packet without
                 // Path-MTU discovery.
-                if self.check_mtu(node, route.iface, &pkt).is_err() {
+                if check_mtu(&pkt).is_err() {
                     return;
                 }
                 let next_hop = route.gateway.unwrap_or(pkt.dst);
@@ -294,8 +273,7 @@ impl Sim {
                 seq,
                 payload,
             } => {
-                let b = &self.nodes[node.0].behavior;
-                if !b.echo_reply || (is_broadcast && !b.broadcast_echo_reply) {
+                if !self.nodes[node.0].behavior.echo_reply {
                     return;
                 }
                 let reply = IcmpMessage::EchoReply {
@@ -347,7 +325,7 @@ impl Sim {
     ) {
         match dgram.dst_port {
             ECHO_PORT => {
-                if self.nodes[node.0].behavior.udp_echo && !is_broadcast {
+                if !is_broadcast {
                     let reply = dgram.echo_reply().encode();
                     self.reply_from(node, iface, pkt.src, IpProtocol::Udp, reply);
                 }
@@ -371,12 +349,193 @@ impl Sim {
                 // Closed port: Port Unreachable (traceroute's arrival
                 // signal). Processes receive every packet anyway and
                 // claim no ports, so every remaining port is closed.
-                if self.nodes[node.0].behavior.port_unreachable && !is_broadcast {
+                if !is_broadcast {
                     self.stats.icmp_errors += 1;
                     let msg = unreachable_for(UnreachableCode::Port, pkt);
                     self.reply_from(node, iface, pkt.src, IpProtocol::Icmp, msg.encode());
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::Ipv4Addr;
+
+    use bytes::Bytes;
+    use fremont_net::rip::{RipCommand, RipPacket};
+    use fremont_net::udp::{ECHO_PORT, RIP_PORT};
+    use fremont_net::{IcmpMessage, Ipv4Packet, UdpDatagram, UnreachableCode};
+
+    use crate::builder::TopologyBuilder;
+    use crate::node::RipConfig;
+    use crate::process::{ProcCtx, Process};
+    use crate::time::SimDuration;
+
+    const CLOSED_PORT: u16 = 4000;
+    const IDENT: u16 = 77;
+
+    /// Keeps every packet its host's raw IP view hands it and, given a
+    /// target, probes it and its subnet's broadcast address one second
+    /// apart: UDP echo, a closed UDP port, the same port broadcast, and
+    /// a broadcast ICMP echo.
+    #[derive(Default)]
+    struct Prober {
+        target: Option<(Ipv4Addr, Ipv4Addr)>,
+        heard: Vec<Ipv4Packet>,
+    }
+
+    impl Process for Prober {
+        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+            if self.target.is_some() {
+                for token in 1..=4 {
+                    ctx.set_timer(SimDuration::from_secs(token), token);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut ProcCtx<'_>) {
+            let Some((target, bcast)) = self.target else {
+                return;
+            };
+            let payload = Bytes::from_static(b"ping");
+            let sent = match token {
+                1 => ctx.send_udp(target, 1111, ECHO_PORT, payload),
+                2 => ctx.send_udp(target, 1111, CLOSED_PORT, payload),
+                3 => ctx.send_udp(bcast, 1111, CLOSED_PORT, payload),
+                _ => {
+                    let ping = IcmpMessage::EchoRequest {
+                        ident: IDENT,
+                        seq: 1,
+                        payload: payload.to_vec(),
+                    };
+                    ctx.send_icmp(bcast, &ping)
+                }
+            };
+            assert_eq!(sent, Ok(()), "probe {token}");
+        }
+
+        fn on_ip(&mut self, pkt: &Ipv4Packet, _ctx: &mut ProcCtx<'_>) {
+            self.heard.push(pkt.clone());
+        }
+    }
+
+    fn udp(pkt: &Ipv4Packet) -> Option<UdpDatagram> {
+        UdpDatagram::decode(&pkt.payload).ok()
+    }
+
+    fn rip_response(pkt: &Ipv4Packet) -> Option<RipPacket> {
+        let dgram = udp(pkt).filter(|d| d.dst_port == RIP_PORT)?;
+        RipPacket::decode(&dgram.payload)
+            .ok()
+            .filter(|r| r.command == RipCommand::Response)
+    }
+
+    #[test]
+    fn every_stack_echoes_reports_closed_ports_and_splits_its_horizon() {
+        let mut b = TopologyBuilder::new();
+        let a = b.segment("net-a", "10.1.1.0/24");
+        let m = b.segment("net-m", "10.1.2.0/24");
+        let far = b.segment("net-b", "10.1.3.0/24");
+        b.host("prober", a, 10);
+        b.host("target", a, 11);
+        let chatty = b.host("chatty", a, 12);
+        b.host_mut(chatty)
+            .behavior
+            .rip
+            .insert(RipConfig::default())
+            .promiscuous = true;
+        b.host("listener", m, 10);
+        b.router("r1", &[(a, 1), (m, 1)]);
+        b.router("r2", &[(m, 2), (far, 1)]);
+        let (mut sim, topo) = b.build(7);
+        let node = |name: &str| topo.nodes_by_name[name];
+        let target: Ipv4Addr = "10.1.1.11".parse().expect("literal");
+        let bcast: Ipv4Addr = "10.1.1.255".parse().expect("literal");
+        let prober = Prober {
+            target: Some((target, bcast)),
+            ..Prober::default()
+        };
+        let on_a = sim.spawn(node("prober"), Box::new(prober));
+        let on_m = sim.spawn(node("listener"), Box::<Prober>::default());
+        sim.run_for(SimDuration::from_mins(3));
+
+        let heard = std::mem::take(&mut sim.process_mut::<Prober>(on_a).expect("alive").heard);
+        // Unicast UDP to port 7 comes back from port 7, payload intact.
+        assert!(heard.iter().any(|p| p.src == target
+            && udp(p).is_some_and(|d| d.src_port == ECHO_PORT
+                && d.dst_port == 1111
+                && &d.payload[..] == b"ping")));
+        // One Port Unreachable, from the unicast probe's target: the
+        // broadcast to the same closed port draws nothing from anyone.
+        let unreachable: Vec<Ipv4Addr> = heard
+            .iter()
+            .filter(|p| {
+                matches!(
+                    IcmpMessage::decode(&p.payload),
+                    Ok(IcmpMessage::DestinationUnreachable {
+                        code: UnreachableCode::Port,
+                        ..
+                    })
+                )
+            })
+            .map(|p| p.src)
+            .collect();
+        assert_eq!(unreachable, [target]);
+        // A broadcast ICMP echo is answered.
+        assert!(heard.iter().any(|p| p.src == target
+            && matches!(
+                IcmpMessage::decode(&p.payload),
+                Ok(IcmpMessage::EchoReply { ident: IDENT, .. })
+            )));
+
+        // A router advertises on each interface no route that leaves by
+        // that interface.
+        let listened = std::mem::take(&mut sim.process_mut::<Prober>(on_m).expect("alive").heard);
+        let mut checked = 0;
+        for pkt in heard.iter().chain(&listened) {
+            let Some(rip) = rip_response(pkt) else {
+                continue;
+            };
+            let Some(&speaker) = topo.interfaces.iter().find(|(ip, _)| *ip == pkt.src) else {
+                continue;
+            };
+            let n = &sim.nodes[speaker.1 .0];
+            let Some(out) = n.iface_with_ip(pkt.src) else {
+                continue;
+            };
+            if n.behavior.rip.as_ref().is_some_and(|c| c.promiscuous) {
+                continue;
+            }
+            for e in &rip.entries {
+                let route = n.routes.lookup(e.addr).expect("advertised route");
+                assert_ne!(
+                    route.iface, out,
+                    "{} advertised {} back out",
+                    n.name, e.addr
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 8, "only {checked} router entries heard");
+
+        // The rebroadcaster re-advertises everything it learned, the
+        // routes it heard on its one interface included.
+        let learned: Vec<Ipv4Addr> = sim.nodes[node("chatty").0]
+            .rip_learned
+            .iter()
+            .map(|(addr, _)| *addr)
+            .collect();
+        assert!(learned.contains(&"10.1.2.0".parse().expect("literal")));
+        let chatty_ip: Ipv4Addr = "10.1.1.12".parse().expect("literal");
+        let last = heard
+            .iter()
+            .rev()
+            .filter(|p| p.src == chatty_ip)
+            .find_map(rip_response)
+            .expect("chatty advertised");
+        let readvertised: Vec<Ipv4Addr> = last.entries.iter().map(|e| e.addr).collect();
+        assert_eq!(readvertised, learned);
     }
 }

@@ -7,9 +7,9 @@
 //! Nodes run real protocol state machines over the packets of
 //! [`fremont_net`]: ARP resolution with caches and timeouts, IP forwarding
 //! with TTL and ICMP errors, UDP services (echo, RIP, DNS), directed
-//! broadcasts, proxy ARP, and the specific *misbehaviors* the paper
-//! catalogs (broken traceroute replies, silent gateways, promiscuous RIP
-//! hosts, duplicate addresses, wrong masks).
+//! broadcasts, and the specific *misbehaviors* the paper catalogs
+//! (broken traceroute replies, silent gateways, promiscuous RIP hosts,
+//! duplicate addresses, wrong masks).
 //!
 //! Explorer Modules run as [`process::Process`]es on simulated hosts and
 //! can only interact with the network the way a real privileged UNIX
@@ -71,5 +71,5 @@ pub use engine::{ProcCtx, SendError, Sim};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use node::{Behavior, Iface, Node, NodeKind, RipConfig, TracerouteBug};
 pub use process::{IfaceInfo, ProcHandle, Process};
-pub use segment::{CollisionModel, NodeId, Segment, SegmentCfg, SegmentId};
+pub use segment::{NodeId, Segment, SegmentCfg, SegmentId};
 pub use time::{SimDuration, SimTime};

@@ -13,7 +13,6 @@ use crate::arp::ArpCache;
 use crate::dns_server::DnsServerState;
 use crate::routing::RoutingTable;
 use crate::segment::SegmentId;
-use crate::time::SimDuration;
 
 /// A network interface on a node.
 #[derive(Debug, Clone)]
@@ -44,54 +43,32 @@ pub enum TracerouteBug {
     /// Correct behavior.
     #[default]
     None,
-    /// "Some hosts send their Unreachable message back to the source using
-    /// the TTL field from the received packet", so the error dies en route
-    /// unless the prober is adjacent.
-    TtlFromReceived,
     /// Drops expiring packets without sending Time Exceeded at all.
     SilentDrop,
 }
 
-/// RIP speaker configuration.
-#[derive(Debug, Clone)]
+/// RIP speaker configuration. A speaker advertises every 30 seconds
+/// (RFC 1058); a normal one applies split horizon.
+#[derive(Debug, Clone, Default)]
 pub struct RipConfig {
-    /// Advertisement interval (RFC 1058: 30 seconds).
-    pub interval: SimDuration,
     /// `true` for the misconfigured hosts that "promiscuously rebroadcast
     /// all learned routing information without regard to the subnet from
-    /// which that information was learned".
+    /// which that information was learned" — no split horizon.
     pub promiscuous: bool,
-    /// Apply split horizon when advertising (real routers do; promiscuous
-    /// hosts by definition do not).
-    pub split_horizon: bool,
-}
-
-impl Default for RipConfig {
-    fn default() -> Self {
-        RipConfig {
-            interval: SimDuration::from_secs(30),
-            promiscuous: false,
-            split_horizon: true,
-        }
-    }
 }
 
 /// Per-node protocol behavior knobs, all defaulting to the common correct
-/// 1993 configuration.
+/// 1993 configuration. Every node also runs the UDP echo service on
+/// port 7 and sends ICMP Port Unreachable for unicast UDP to a closed
+/// port.
 #[derive(Debug, Clone)]
 pub struct Behavior {
-    /// Replies to ICMP echo requests.
+    /// Replies to ICMP echo requests, broadcast ones included.
     pub echo_reply: bool,
-    /// Replies to echo requests addressed to a broadcast address.
-    pub broadcast_echo_reply: bool,
     /// Replies to ICMP mask requests ("not as widely implemented as the
     /// echo request/reply ... some implementations allow the interface to
     /// be configured not to respond").
     pub mask_reply: bool,
-    /// Runs the UDP echo service on port 7.
-    pub udp_echo: bool,
-    /// Sends ICMP Port Unreachable for UDP to closed ports.
-    pub port_unreachable: bool,
     /// Treats a packet addressed to host-zero of the local subnet as its
     /// own (4.2BSD-compatible; what the traceroute `.0` trick relies on).
     pub accept_host_zero: bool,
@@ -99,9 +76,6 @@ pub struct Behavior {
     /// segment ("many gateways are configured not to broadcast packets
     /// that have a directed broadcast address as the destination").
     pub forward_directed_broadcast: bool,
-    /// Routers only: answers ARP requests for these remote subnets with
-    /// its own MAC (proxy ARP).
-    pub proxy_arp_for: Vec<Subnet>,
     /// Routers only: traceroute misbehavior.
     pub traceroute_bug: TracerouteBug,
     /// Routers only: silently drops transit UDP probes to the traceroute
@@ -118,13 +92,9 @@ impl Default for Behavior {
     fn default() -> Self {
         Behavior {
             echo_reply: true,
-            broadcast_echo_reply: true,
             mask_reply: true,
-            udp_echo: true,
-            port_unreachable: true,
             accept_host_zero: true,
             forward_directed_broadcast: false,
-            proxy_arp_for: Vec::new(),
             traceroute_bug: TracerouteBug::None,
             filter_udp_probes: false,
             rip: None,

@@ -40,6 +40,10 @@ use crate::segment::{NodeId, SegmentId};
 use crate::stats::SimStats;
 use crate::time::{SimDuration, SimTime};
 
+/// Interval between a speaker's advertisements (RFC 1058), before the
+/// tick's jitter.
+const RIP_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
 /// Cached encoding of one interface's periodic RIP advertisement.
 pub(crate) struct RipAdvertTemplate {
     /// Route-state version the template was built from.
@@ -417,7 +421,7 @@ impl Sim {
         }
         // Reschedule with small jitter (RFC 1058 recommends it).
         let jitter = SimDuration::from_micros(self.rng.gen_range(0..2_000_000));
-        self.schedule(cfg.interval + jitter, Event::RipTick { node });
+        self.schedule(RIP_INTERVAL + jitter, Event::RipTick { node });
     }
 
     fn send_rip_advertisements(&mut self, node: NodeId, cfg: &RipConfig) {
@@ -444,7 +448,8 @@ impl Sim {
                         let learned = n.rip_learned.iter();
                         learned.map(|(a, m)| advertised(*a, *m)).collect()
                     } else {
-                        n.route_entries(cfg.split_horizon.then_some(ifc))
+                        // Split horizon.
+                        n.route_entries(Some(ifc))
                     };
                     let packets: Rc<[_]> = split_into_packets(&entries)
                         .into_iter()
@@ -495,11 +500,7 @@ mod tests {
         let m = b.segment("net-m", "10.1.2.0/24");
         b.host("quiet", a, 10);
         let chatty = b.host("chatty", a, 11);
-        b.host_mut(chatty).behavior.rip = Some(RipConfig {
-            promiscuous: true,
-            split_horizon: false,
-            ..Default::default()
-        });
+        b.host_mut(chatty).behavior.rip = Some(RipConfig { promiscuous: true });
         b.router("r1", &[(a, 1), (m, 1)]);
         b.router("r2", &[(m, 2)]);
         let (mut sim, topo) = b.build(7);
@@ -581,11 +582,7 @@ mod tests {
         b.host_mut(badmask).mask = SubnetMask::from_prefix_len(16).expect("/16");
         b.host("counter", a, 12);
         let chatty = b.host("chatty", a, 13);
-        b.host_mut(chatty).behavior.rip = Some(RipConfig {
-            promiscuous: true,
-            split_horizon: false,
-            ..Default::default()
-        });
+        b.host_mut(chatty).behavior.rip = Some(RipConfig { promiscuous: true });
         b.router("r1", &[(a, 1), (m, 1)]);
         let (mut sim, topo) = b.build(7);
         let node = |name: &str| topo.nodes_by_name[name];

@@ -23,60 +23,29 @@ pub struct SegmentId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
-/// Collision-model parameters.
+/// Contention window of the collision model. It approximates an
+/// Ethernet slot time: only *near-simultaneous* transmissions contend
+/// (CSMA/CD defers cleanly on serial request/response chains, whose
+/// frames are spaced by propagation + processing latency).
+const COLLISION_WINDOW: SimDuration = SimDuration::from_micros(150);
+/// Frames per window that never collide.
+const FREE_SLOTS: usize = 1;
+/// Added drop probability per extra concurrent frame.
+const LOSS_PER_EXTRA: f64 = 0.055;
+/// Upper bound on the collision drop probability.
+const MAX_LOSS: f64 = 0.85;
+
+/// Drop probability given `concurrent` frames in the current window.
 ///
-/// When more than `free_slots` frames hit the segment within `window`,
-/// each additional concurrent frame adds `loss_per_extra` to the drop
-/// probability, capped at `max_loss`.
-///
-/// The window approximates an Ethernet slot time: only *near-simultaneous*
-/// transmissions contend (CSMA/CD defers cleanly on serial
-/// request/response chains, whose frames are spaced by propagation +
-/// processing latency). Defaults are calibrated so that ~56 broadcast-ping
-/// replies bunched into a 30 ms burst lose roughly a quarter of the
-/// responders (Table 5: 42 of 56 interfaces, "Collisions") while ordinary
-/// serial exchanges never collide.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollisionModel {
-    /// Contention window.
-    pub window: SimDuration,
-    /// Frames per window that never collide.
-    pub free_slots: usize,
-    /// Added drop probability per extra concurrent frame.
-    pub loss_per_extra: f64,
-    /// Upper bound on the drop probability.
-    pub max_loss: f64,
-}
-
-impl Default for CollisionModel {
-    fn default() -> Self {
-        CollisionModel {
-            window: SimDuration::from_micros(150),
-            free_slots: 1,
-            loss_per_extra: 0.055,
-            max_loss: 0.85,
-        }
-    }
-}
-
-impl CollisionModel {
-    /// A lossless medium (useful in unit tests).
-    pub fn none() -> Self {
-        CollisionModel {
-            window: SimDuration::ZERO,
-            free_slots: usize::MAX,
-            loss_per_extra: 0.0,
-            max_loss: 0.0,
-        }
-    }
-
-    /// Drop probability given `concurrent` frames in the current window.
-    pub fn drop_probability(&self, concurrent: usize) -> f64 {
-        if concurrent <= self.free_slots {
-            0.0
-        } else {
-            ((concurrent - self.free_slots) as f64 * self.loss_per_extra).min(self.max_loss)
-        }
+/// Calibrated so that ~56 broadcast-ping replies bunched into a 30 ms
+/// burst lose roughly a quarter of the responders (Table 5: 42 of 56
+/// interfaces, "Collisions") while ordinary serial exchanges never
+/// collide.
+fn drop_probability(concurrent: usize) -> f64 {
+    if concurrent <= FREE_SLOTS {
+        0.0
+    } else {
+        ((concurrent - FREE_SLOTS) as f64 * LOSS_PER_EXTRA).min(MAX_LOSS)
     }
 }
 
@@ -90,12 +59,6 @@ pub struct SegmentCfg {
     /// Random additional per-frame delay bound (uniform in `0..jitter`,
     /// drawn once per frame: every station hears it together).
     pub jitter: SimDuration,
-    /// Base random frame loss probability (bit errors etc.).
-    pub base_loss: f64,
-    /// Collision behavior under load.
-    pub collisions: CollisionModel,
-    /// Maximum frame payload (MTU).
-    pub mtu: usize,
 }
 
 impl Default for SegmentCfg {
@@ -104,9 +67,6 @@ impl Default for SegmentCfg {
             name: "ether".to_owned(),
             latency: SimDuration::from_micros(200),
             jitter: SimDuration::from_micros(300),
-            base_loss: 0.0,
-            collisions: CollisionModel::default(),
-            mtu: 1500,
         }
     }
 }
@@ -164,9 +124,8 @@ impl Segment {
     /// Records a transmission at `now` and returns the number of frames in
     /// the current contention window (including this one).
     pub fn record_transmission(&mut self, now: SimTime) -> usize {
-        let window = self.cfg.collisions.window;
         while let Some(&front) = self.recent.front() {
-            if now.since(front) > window {
+            if now.since(front) > COLLISION_WINDOW {
                 self.recent.pop_front();
             } else {
                 break;
@@ -176,16 +135,16 @@ impl Segment {
         self.recent.len()
     }
 
-    /// The drop probability for a frame sent at `now` (base loss plus
-    /// collision loss plus any active fault-degrade loss); also updates
-    /// the contention window.
+    /// The drop probability for a frame sent at `now` (collision loss
+    /// plus any active fault-degrade loss); also updates the contention
+    /// window.
     pub fn loss_probability(&mut self, now: SimTime) -> f64 {
         let concurrent = self.record_transmission(now);
-        let collision = self.cfg.collisions.drop_probability(concurrent);
+        let collision = drop_probability(concurrent);
         // Independent loss sources combine as 1 - (1-a)(1-b). With
         // fault_loss at its healthy 0.0 the extra factor is exactly 1.0,
         // so fault-free arithmetic is bit-identical to the pre-fault code.
-        1.0 - (1.0 - self.cfg.base_loss) * (1.0 - collision) * (1.0 - self.fault_loss)
+        1.0 - (1.0 - collision) * (1.0 - self.fault_loss)
     }
 }
 
@@ -195,12 +154,10 @@ mod tests {
 
     #[test]
     fn collision_model_probabilities() {
-        let m = CollisionModel::default();
-        assert_eq!(m.drop_probability(1), 0.0);
-        assert!(m.drop_probability(3) > 0.0);
-        assert!(m.drop_probability(10) > 0.0);
-        assert!(m.drop_probability(100) <= m.max_loss);
-        assert_eq!(CollisionModel::none().drop_probability(10_000), 0.0);
+        assert_eq!(drop_probability(1), 0.0);
+        assert!(drop_probability(3) > 0.0);
+        assert!(drop_probability(10) > 0.0);
+        assert!(drop_probability(100) <= MAX_LOSS);
     }
 
     #[test]
@@ -228,13 +185,15 @@ mod tests {
 
     #[test]
     fn loss_probability_combines_base_and_collision() {
-        let cfg = SegmentCfg {
-            base_loss: 0.5,
-            collisions: CollisionModel::none(),
-            ..SegmentCfg::default()
-        };
-        let mut s = Segment::new(cfg);
+        let mut s = Segment::new(SegmentCfg::default());
+        s.fault_loss = 0.5;
+        // A lone frame does not collide: only the degrade loss applies.
         assert!((s.loss_probability(SimTime::ZERO) - 0.5).abs() < 1e-9);
+        // A second frame in the window adds collision loss independently.
+        let both = s.loss_probability(SimTime::ZERO + SimDuration::from_micros(10));
+        let expected = 1.0 - (1.0 - drop_probability(2)) * (1.0 - 0.5);
+        assert!((both - expected).abs() < 1e-9, "{both} vs {expected}");
+        assert!(both > 0.5);
     }
 
     #[test]

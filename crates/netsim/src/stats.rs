@@ -14,7 +14,7 @@ pub struct SegmentStats {
     pub frames_sent: u64,
     /// Bytes in those frames.
     pub bytes_sent: u64,
-    /// Frames lost to collisions or base loss.
+    /// Frames lost to collisions, a degrade fault's loss or a cut wire.
     pub frames_lost: u64,
     /// Broadcast frames among `frames_sent`.
     pub broadcasts: u64,

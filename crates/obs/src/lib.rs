@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 
 pub use fremont_telemetry::profile::fold_events;
-pub use fremont_telemetry::trace::{parse_jsonl, validate, TraceSummary};
+pub use fremont_telemetry::trace::{parse_jsonl, render_jsonl, validate, TraceSummary};
 pub use fremont_telemetry::TraceEvent;
 
 /// Where a span's parent lives before links are resolved.
@@ -295,19 +295,6 @@ fn emit(nodes: &[Node], idx: usize, parent_id: u64, next_id: &mut u64, out: &mut
         trace_id: 0,
         remote_parent: 0,
     });
-}
-
-/// Renders events as JSON Lines, one per line, matching
-/// [`fremont_telemetry::TraceBuffer::to_jsonl`]'s byte format.
-pub fn render_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        if let Ok(line) = serde_json::to_string(ev) {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    out
 }
 
 /// Parses, stitches, and re-renders: the `fremont-obs stitch` core.

@@ -111,18 +111,24 @@ impl TraceBuffer {
     }
 
     /// Serialises the buffer as JSON Lines, oldest-first, one event
-    /// per line. Serialisation of these flat records cannot fail, so
-    /// unencodable events are skipped defensively rather than panic.
+    /// per line ([`render_jsonl`]).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            if let Ok(line) = serde_json::to_string(ev) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
+        render_jsonl(&self.events)
     }
+}
+
+/// Renders events as JSON Lines, one event per line, in the order
+/// given. Serialisation of these flat records cannot fail, so
+/// unencodable events are skipped defensively rather than panic.
+pub fn render_jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
+    let mut out = String::new();
+    for ev in events {
+        if let Ok(line) = serde_json::to_string(ev) {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
 }
 
 /// What [`validate`] measured about a structurally sound trace.

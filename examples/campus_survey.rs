@@ -37,7 +37,7 @@ use fremont::core::analysis::publish_findings;
 use fremont::core::Fremont;
 use fremont::journal::client::RemoteJournal;
 use fremont::journal::{JournalAccess, JournalServer, SubnetQuery};
-use fremont::netsim::campus::CampusConfig;
+use fremont::netsim::campus::{CampusConfig, DNS_COVERAGE};
 use fremont::netsim::faults::FaultPlan;
 use fremont::netsim::time::SimDuration;
 use fremont::telemetry::Telemetry;
@@ -109,7 +109,7 @@ pub fn run(args: impl IntoIterator<Item = String>) {
         "Generating campus: {} assigned subnets, {} connected, DNS coverage {:.0}%...",
         cfg.subnets_assigned,
         cfg.subnets_connected,
-        cfg.dns_coverage * 100.0
+        DNS_COVERAGE * 100.0
     );
     let (telemetry, recorder) = if record {
         let (t, r) = Telemetry::recording();
