@@ -50,6 +50,20 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
+    // Two idle hours of the default campus in a survey's 30 s slices:
+    // the RIP chatter that is over half of a `survey_mem` pass. The
+    // campus is generated per iteration (`campus_generation/114` is
+    // that part).
+    g.bench_function("campus_idle_two_hours", |b| {
+        b.iter(|| {
+            let (mut sim, _) = generate(&CampusConfig::default());
+            for _ in 0..240 {
+                sim.run_for(SimDuration::from_secs(30));
+            }
+            black_box(sim.stats.events_processed)
+        })
+    });
+
     // Raw event-core churn: interleaved schedules and pops across mixed
     // horizons (sub-millisecond to minutes), the pattern the campus
     // produces. Every 8th insert is a reserved place, filed a few

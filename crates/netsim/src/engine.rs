@@ -26,7 +26,7 @@ use crate::faults::{FaultKind, FaultStats};
 use crate::link::FrameRecord;
 use crate::node::Node;
 use crate::process::{ProcHandle, Process};
-use crate::rip::{QuietFlight, RipAdvertTemplate};
+use crate::rip::QuietFlight;
 use crate::sched::EventCore;
 use crate::segment::{NodeId, Segment, SegmentCfg, SegmentId};
 use crate::stats::{ProcStats, SimStats};
@@ -102,10 +102,6 @@ pub struct Sim {
     /// gates the `fremont_sim_fault_*` metric family so fault-free
     /// expositions stay byte-identical.
     pub(crate) faults_installed: bool,
-    /// Cached per-`(node, iface)` RIP advertisement templates, keyed on
-    /// the node's routing-table version — rebuilt only when the table
-    /// changes, which on the static campus is never after build.
-    pub(crate) rip_advert_cache: BTreeMap<(usize, usize), RipAdvertTemplate>,
     /// RIP responses on the wire that no station walks and no tap reads,
     /// held off the event queue until counted (`rip.rs`).
     pub(crate) quiet_flights: Vec<QuietFlight>,
@@ -129,7 +125,6 @@ impl Sim {
             proc_stats: BTreeMap::new(),
             fault_stats: FaultStats::default(),
             faults_installed: false,
-            rip_advert_cache: BTreeMap::new(),
             quiet_flights: Vec::new(),
         }
     }

@@ -10,10 +10,13 @@
 //! tap enabled while the frame was in flight, does. For a broadcast the
 //! link asks the segment's audience first (`rip.rs`): stations that would
 //! only count the frame are counted there in one step, and only the rest
-//! are walked. When nobody is left to walk and no tap listens, `rip.rs`
-//! holds the frame off the event queue at the place the queue would have
-//! given it and counts it there. The link does not know what makes a
-//! station quiet.
+//! are walked. The link does not know what makes a station quiet.
+//!
+//! The wire's bookkeeping for a frame leaving a station — the up check,
+//! a cut wire, the loss roll, the segment's counters and the jitter draw
+//! — is one function, [`Sim::put_on_wire`]. [`Sim::transmit`] schedules
+//! what survives it; `rip.rs` calls it directly for an advertisement it
+//! has already decided only counters will hear, and builds no frame.
 //!
 //! A record holds the ARP or IPv4 packet its sender built, not its bytes:
 //! receivers read that packet (`decode(encode(p)) == p` for every packet
@@ -96,23 +99,46 @@ impl FrameRecord {
 
     /// Length of the encoded frame, padding included, without encoding it.
     pub(crate) fn wire_len(&self) -> usize {
-        let body = match &self.packet {
+        wire_len(match &self.packet {
             Packet::Arp(_) => arp::PACKET_LEN,
             Packet::Ipv4(pkt) => ipv4::HEADER_LEN + pkt.payload.len(),
-        };
-        ethernet::HEADER_LEN + body.max(ethernet::MIN_PAYLOAD)
+        })
     }
 }
 
+/// Length of an Ethernet frame carrying `body` bytes, padding included.
+pub(crate) fn wire_len(body: usize) -> usize {
+    ethernet::HEADER_LEN + body.max(ethernet::MIN_PAYLOAD)
+}
+
 impl Sim {
-    /// Puts a frame on a node's segment: loss/collision roll, then one
-    /// delivery event for the whole segment. A surviving frame costs one
-    /// jitter draw (none on a jitter-free segment) and one scheduled
-    /// event, however many stations will hear it — or none, when
-    /// [`Sim::hold_quiet_flight`] keeps it because it will only be counted.
+    /// Puts a frame on a node's segment: one delivery event for the
+    /// whole segment, however many stations will hear it.
     pub(crate) fn transmit(&mut self, node: NodeId, iface: usize, rec: FrameRecord) {
+        let is_arp = matches!(rec.packet, Packet::Arp(_));
+        let (len, broadcast) = (rec.wire_len(), rec.dst.is_broadcast());
+        if let Some(delay) = self.put_on_wire(node, iface, len, broadcast, is_arp) {
+            let seg = self.nodes[node.0].ifaces[iface].segment;
+            let (from, frame) = ((node, iface), rec);
+            self.schedule(delay, Event::FrameRx { seg, from, frame });
+        }
+    }
+
+    /// The wire's bookkeeping for a frame of `len` bytes leaving `node`
+    /// on `iface`: the up check, a cut wire, the collision window and
+    /// loss roll, the segment's counters and the frame's one jitter draw
+    /// (none on a jitter-free segment). Returns the delay to its arrival
+    /// when the frame survives; the caller decides what arrives.
+    pub(crate) fn put_on_wire(
+        &mut self,
+        node: NodeId,
+        iface: usize,
+        len: usize,
+        broadcast: bool,
+        is_arp: bool,
+    ) -> Option<SimDuration> {
         if !self.nodes[node.0].up {
-            return;
+            return None;
         }
         let seg_id = self.nodes[node.0].ifaces[iface].segment;
         let now = self.now();
@@ -122,16 +148,14 @@ impl Sim {
         if seg.partitioned {
             seg.stats.record_loss();
             self.fault_stats.frames_dropped += 1;
-            return;
+            return None;
         }
         let loss = seg.loss_probability(now);
         if loss > 0.0 && self.rng.gen::<f64>() < loss {
             seg.stats.record_loss();
-            return;
+            return None;
         }
-        let is_arp = matches!(rec.packet, Packet::Arp(_));
-        seg.stats
-            .record_frame(now, rec.wire_len(), rec.dst.is_broadcast(), is_arp);
+        seg.stats.record_frame(now, len, broadcast, is_arp);
 
         let latency = seg.cfg.latency + seg.fault_latency;
         let jitter_bound = seg.cfg.jitter.as_micros();
@@ -140,15 +164,7 @@ impl Sim {
         } else {
             SimDuration::ZERO
         };
-        let (from, delay) = ((node, iface), latency + jitter);
-        if let Some(frame) = self.hold_quiet_flight(seg_id, from, rec, delay) {
-            let event = Event::FrameRx {
-                seg: seg_id,
-                from,
-                frame,
-            };
-            self.schedule(delay, event);
-        }
+        Some(latency + jitter)
     }
 
     /// A frame reaches the far end of its segment: receivers first, in

@@ -139,6 +139,9 @@ pub struct Node {
     /// cache keys on it, mirroring how the static path keys on
     /// [`RoutingTable::version`].
     pub(crate) rip_version: u64,
+    /// Each interface's cached periodic advertisement, by interface
+    /// index; filled by its first RIP tick.
+    pub(crate) rip_adverts: Vec<Option<crate::rip::RipAdvertTemplate>>,
     /// Signed time-of-day clock offset in microseconds (a
     /// [`crate::faults::FaultKind::ClockSkew`] fault). Kernel interval
     /// timers still fire on true simulated time; only what the node
@@ -166,6 +169,7 @@ impl Node {
             dns: None,
             rip_learned: Vec::new(),
             rip_version: 0,
+            rip_adverts: Vec::new(),
             clock_skew: 0,
             arp_pending: Vec::new(),
             procs: Vec::new(),

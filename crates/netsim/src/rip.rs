@@ -14,14 +14,18 @@
 //! [`Sim::drop_audiences`] whenever an attached station's processes, `up`
 //! flag or addressing change.
 //!
-//! A response whose audience walks nobody but its sender, on a segment
-//! no tap reads, is **counted, not queued**: the link hands it to
-//! [`Sim::hold_quiet_flight`], which keeps it off the event queue under
-//! the place `(at, seq)` the queue would have given it.
-//! [`Sim::land_quiet_flights`] counts it once the clock has passed that
-//! place — at the end of `run_until`, or at a hook that is about to
-//! change what an arrival would do — and files it on the queue, to be
-//! walked as usual, when the clock has not.
+//! An advertisement whose audience walks nobody but its sender, on a
+//! segment no tap reads, is **counted, not queued**, and never built.
+//! [`Sim::send_rip_advertisements`] decides that once per interface,
+//! before any packet exists ([`Sim::quiet_send`]). A quiet packet takes
+//! its IP id, puts its length on the wire ([`Sim::put_on_wire`]: the
+//! same draws a frame makes) and is held off the event queue as a
+//! [`QuietFlight`] under the place `(at, seq)` the queue would have
+//! given it: the template it came from, its index there, its IP id and
+//! what its arrival adds. [`Sim::land_quiet_flights`] counts it once
+//! the clock has passed that place — at the end of `run_until`, or at a
+//! hook that is about to change what an arrival would do — and builds
+//! and files its frame, to be walked as usual, when the clock has not.
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -31,10 +35,10 @@ use rand::Rng;
 
 use fremont_net::rip::{split_into_packets, RipEntry, RipPacket, METRIC_INFINITY};
 use fremont_net::udp::RIP_PORT;
-use fremont_net::{IpProtocol, Ipv4Packet, MacAddr, RipCommand, UdpDatagram};
+use fremont_net::{ipv4, IpProtocol, Ipv4Packet, MacAddr, RipCommand, UdpDatagram};
 
 use crate::engine::{Event, Sim};
-use crate::link::FrameRecord;
+use crate::link::{wire_len, FrameRecord};
 use crate::node::{Node, NodeKind, RipConfig};
 use crate::segment::{NodeId, SegmentId};
 use crate::stats::SimStats;
@@ -44,14 +48,17 @@ use crate::time::{SimDuration, SimTime};
 /// tick's jitter.
 const RIP_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
+/// One packet of an advertisement: the decoded RIP packet and its
+/// encoded UDP datagram (the IPv4 payload).
+type AdvertPacket = (Rc<RipPacket>, Bytes);
+
 /// Cached encoding of one interface's periodic RIP advertisement.
 pub(crate) struct RipAdvertTemplate {
     /// Route-state version the template was built from.
     version: u64,
-    /// One entry per RIP packet the table splits into: the decoded packet
-    /// and its encoded UDP datagram (the IPv4 payload), shared across
-    /// ticks.
-    packets: Rc<[(Rc<RipPacket>, Bytes)]>,
+    /// One entry per RIP packet the table splits into, shared across
+    /// ticks and with the advertisements held in flight.
+    packets: Rc<[AdvertPacket]>,
 }
 
 /// One segment's stations, split by what a RIP response broadcast to
@@ -88,14 +95,17 @@ impl QuietCounts {
     }
 }
 
-/// A RIP response on the wire that only counters will hear, held off
-/// the event queue at the place the queue would have given it.
+/// An advertisement on the wire that only counters will hear, held off
+/// the event queue at the place the queue would have given it. It keeps
+/// no frame: one is built from the template and the sender's addressing
+/// only if a hook files it on the queue.
 pub(crate) struct QuietFlight {
     at: SimTime,
     seq: u64,
-    seg: SegmentId,
     from: (NodeId, usize),
-    frame: FrameRecord,
+    packets: Rc<[AdvertPacket]>,
+    packet: usize,
+    ip_id: u16,
     counts: QuietCounts,
 }
 
@@ -242,74 +252,66 @@ impl Sim {
         self.taps.iter().any(|&(tapped, _)| tapped == seg)
     }
 
-    /// Holds a frame leaving `from` on `seg`, due `delay` from now, off
-    /// the event queue when its arrival would only be counted: a RIP
-    /// response on an untapped segment whose audience walks nobody but
-    /// the sender. Hands the frame back when it must be scheduled.
-    pub(crate) fn hold_quiet_flight(
-        &mut self,
-        seg: SegmentId,
-        from: (NodeId, usize),
-        frame: FrameRecord,
-        delay: SimDuration,
-    ) -> Option<FrameRecord> {
-        let Some(bcast) = response_bcast(&frame) else {
-            return Some(frame);
-        };
+    /// What an advertisement from `from` adds where it lands, when only
+    /// counters will hear it: no tap reads its segment, and the segment's
+    /// audience for its directed broadcast walks nobody but the sender.
+    /// `None` when it must be built and delivered.
+    fn quiet_send(&mut self, from: (NodeId, usize)) -> Option<QuietCounts> {
+        let my = &self.nodes[from.0 .0].ifaces[from.1];
+        let (seg, bcast) = (my.segment, my.subnet().directed_broadcast());
         if self.tapped(seg) {
-            return Some(frame);
+            return None;
         }
         let (audience, counts) = self.quiet_counts(seg, from, bcast);
-        if audience.walk.iter().any(|&at| at != from) {
-            return Some(frame);
-        }
-        let at = self.now() + delay;
-        let seq = self.core.reserve();
-        let flight = QuietFlight {
-            at,
-            seq,
-            seg,
-            from,
-            frame,
-            counts,
-        };
-        self.quiet_flights.push(flight);
-        None
+        let walked = audience.walk.iter().any(|&at| at != from);
+        (!walked).then_some(counts)
     }
 
-    /// Counts every held frame the clock has passed — one event and the
-    /// counts [`Sim::quiet_audience`] would add, as its arrival would
-    /// have — and files the rest on the queue under their own places, to
-    /// be delivered as any frame is. With `count` false a passed frame
-    /// stays held for a later landing instead: a process enabling a tap
-    /// is out of its slot while it runs, so its own station cannot be
-    /// classified then.
+    /// The frame of one advertisement packet leaving `from` under IP id
+    /// `id`, addressed from the interface to its directed broadcast. The
+    /// RIP packet rides pre-filled on the record, so no receiver parses
+    /// it.
+    fn advert_frame(&self, from: (NodeId, usize), packet: &AdvertPacket, id: u16) -> FrameRecord {
+        let (rip, udp_bytes) = packet;
+        let my = &self.nodes[from.0 .0].ifaces[from.1];
+        let bcast = my.subnet().directed_broadcast();
+        let out = Ipv4Packet::new(my.ip, bcast, IpProtocol::Udp, udp_bytes.clone())
+            .with_ttl(1)
+            .with_id(id);
+        let rec = FrameRecord::ip(MacAddr::BROADCAST, my.mac, out);
+        let _ = rec.rip.set(Some(Rc::clone(rip)));
+        rec
+    }
+
+    /// Counts every held advertisement the clock has passed — one event
+    /// and the counts [`Sim::quiet_audience`] would add, as its arrival
+    /// would have — and builds and files the rest on the queue under
+    /// their own places, to be delivered as any frame is. With `count`
+    /// false a passed one stays held for a later landing instead: a
+    /// process enabling a tap is out of its slot while it runs, so its
+    /// own station cannot be classified then.
     pub(crate) fn land_quiet_flights(&mut self, count: bool) {
         if self.quiet_flights.is_empty() {
             return;
         }
-        let now = self.now();
         let mut flights = std::mem::take(&mut self.quiet_flights);
-        if count {
-            // What was due before `now` has landed: count it where it
-            // lies, without moving it again.
-            flights.retain(|flight| {
-                let landed = flight.at < now;
-                if landed {
-                    self.count_landed(flight);
-                }
-                !landed
-            });
-        }
         for flight in flights.drain(..) {
-            let Some(landed) = self.file_quiet_flight(flight) else {
+            if self.core.has_passed(flight.at, flight.seq) {
+                if count {
+                    self.count_landed(&flight);
+                } else {
+                    self.quiet_flights.push(flight);
+                }
                 continue;
-            };
-            if count {
-                self.count_landed(&landed);
-            } else {
-                self.quiet_flights.push(landed);
             }
+            // Every change of the sender's addressing lands the held
+            // advertisements first, so this is the frame it sent.
+            let from = flight.from;
+            let frame = self.advert_frame(from, &flight.packets[flight.packet], flight.ip_id);
+            let seg = self.nodes[from.0 .0].ifaces[from.1].segment;
+            let event = Event::FrameRx { seg, from, frame };
+            let filed = self.core.schedule_at(flight.at, flight.seq, event);
+            debug_assert!(filed.is_ok(), "an open place refused");
         }
         if self.quiet_flights.is_empty() {
             self.quiet_flights = flights;
@@ -318,47 +320,18 @@ impl Sim {
         self.stats.queue_depth_hwm = self.stats.queue_depth_hwm.max(depth);
     }
 
-    /// Files a held frame on the queue at its place; hands it back when
-    /// the clock has passed that place.
-    fn file_quiet_flight(&mut self, flight: QuietFlight) -> Option<QuietFlight> {
-        let QuietFlight {
-            at,
-            seq,
-            seg,
-            from,
-            frame,
-            counts,
-        } = flight;
-        let event = Event::FrameRx { seg, from, frame };
-        let Err(Event::FrameRx { seg, from, frame }) = self.core.schedule_at(at, seq, event) else {
-            return None;
-        };
-        Some(QuietFlight {
-            at,
-            seq,
-            seg,
-            from,
-            frame,
-            counts,
-        })
-    }
-
-    /// A held frame has arrived: one event, and the counts taken when it
-    /// was sent. Nothing they were taken from can have changed since, as
-    /// every change lands the held frames first; debug builds take them
-    /// again to check.
+    /// A held advertisement has arrived: one event, and the counts taken
+    /// when it was sent. Nothing they were taken from can have changed
+    /// since, as every change lands the held advertisements first; debug
+    /// builds take them again to check.
     fn count_landed(&mut self, flight: &QuietFlight) {
         self.stats.events_processed += 1;
         flight.counts.add_to(&mut self.stats);
-        if cfg!(debug_assertions) {
-            let (seg, from) = (flight.seg, flight.from);
-            let again = response_bcast(&flight.frame).map(|bcast| {
-                let (audience, counts) = self.quiet_counts(seg, from, bcast);
-                (audience.walk.iter().any(|&at| at != from), counts)
-            });
-            debug_assert_eq!(again, Some((false, flight.counts)), "a held frame changed");
-            debug_assert!(!self.tapped(seg), "a held frame on a tapped segment");
-        }
+        debug_assert_eq!(
+            self.quiet_send(flight.from),
+            Some(flight.counts),
+            "a held advertisement changed"
+        );
     }
 
     /// Lands the held frames ([`Sim::land_quiet_flights`]), then forgets
@@ -424,61 +397,84 @@ impl Sim {
         self.schedule(RIP_INTERVAL + jitter, Event::RipTick { node });
     }
 
+    /// The advertisement packets `node` sends out of `ifc`, from the
+    /// interface's template when it was built from the current route
+    /// state.
+    fn advert_packets(&mut self, node: NodeId, ifc: usize, cfg: &RipConfig) -> Rc<[AdvertPacket]> {
+        // A tick's advertisement content is a pure function of the
+        // node's route state: the static table for normal speakers, the
+        // learned-route list for promiscuous rebroadcasters. Both carry a
+        // monotone version, so the split + UDP encode is cached per
+        // interface and only the IP identification is stamped fresh per
+        // tick.
+        let n = &mut self.nodes[node.0];
+        let version = if cfg.promiscuous {
+            n.rip_version
+        } else {
+            n.routes.version()
+        };
+        if let Some(Some(t)) = n.rip_adverts.get(ifc) {
+            if t.version == version {
+                return Rc::clone(&t.packets);
+            }
+        }
+        let entries: Vec<RipEntry> = if cfg.promiscuous {
+            // Everything learned, regardless of origin — the misbehavior
+            // RIPwatch flags.
+            let learned = n.rip_learned.iter();
+            learned.map(|(a, m)| advertised(*a, *m)).collect()
+        } else {
+            // Split horizon.
+            n.route_entries(Some(ifc))
+        };
+        let packets: Rc<[_]> = split_into_packets(&entries)
+            .into_iter()
+            .map(|p| {
+                let dgram = UdpDatagram::new(RIP_PORT, RIP_PORT, Bytes::from(p.encode()));
+                (Rc::new(p), Bytes::from(dgram.encode()))
+            })
+            .collect();
+        if n.rip_adverts.len() <= ifc {
+            n.rip_adverts.resize_with(ifc + 1, || None);
+        }
+        n.rip_adverts[ifc] = Some(RipAdvertTemplate {
+            version,
+            packets: Rc::clone(&packets),
+        });
+        packets
+    }
+
     fn send_rip_advertisements(&mut self, node: NodeId, cfg: &RipConfig) {
         for ifc in 0..self.nodes[node.0].ifaces.len() {
-            // A tick's advertisement content is a pure function of the
-            // node's route state: the static table for normal speakers,
-            // the learned-route list for promiscuous rebroadcasters.
-            // Both carry a monotone version, so the split + UDP encode is
-            // cached per interface and only the IP identification is
-            // stamped fresh per tick.
-            let n = &self.nodes[node.0];
-            let version = if cfg.promiscuous {
-                n.rip_version
-            } else {
-                n.routes.version()
-            };
-            let cached = self.rip_advert_cache.get(&(node.0, ifc));
-            let packets = match cached.filter(|t| t.version == version) {
-                Some(t) => Rc::clone(&t.packets),
-                None => {
-                    let entries: Vec<RipEntry> = if cfg.promiscuous {
-                        // Everything learned, regardless of origin — the
-                        // misbehavior RIPwatch flags.
-                        let learned = n.rip_learned.iter();
-                        learned.map(|(a, m)| advertised(*a, *m)).collect()
-                    } else {
-                        // Split horizon.
-                        n.route_entries(Some(ifc))
-                    };
-                    let packets: Rc<[_]> = split_into_packets(&entries)
-                        .into_iter()
-                        .map(|p| {
-                            let dgram =
-                                UdpDatagram::new(RIP_PORT, RIP_PORT, Bytes::from(p.encode()));
-                            (Rc::new(p), Bytes::from(dgram.encode()))
-                        })
-                        .collect();
-                    let template = RipAdvertTemplate {
-                        version,
-                        packets: Rc::clone(&packets),
-                    };
-                    self.rip_advert_cache.insert((node.0, ifc), template);
-                    packets
+            let packets = self.advert_packets(node, ifc, cfg);
+            let from = (node, ifc);
+            // Decided once per interface, before any packet is built.
+            let Some(counts) = self.quiet_send(from) else {
+                for packet in packets.iter() {
+                    let id = self.next_ip_id();
+                    let rec = self.advert_frame(from, packet, id);
+                    self.transmit(node, ifc, rec);
                 }
+                continue;
             };
-            let my = &self.nodes[node.0].ifaces[ifc];
-            let (src_ip, bcast) = (my.ip, my.subnet().directed_broadcast());
-            for (rip, udp_bytes) in packets.iter() {
-                let id = self.next_ip_id();
-                let out = Ipv4Packet::new(src_ip, bcast, IpProtocol::Udp, udp_bytes.clone())
-                    .with_ttl(1)
-                    .with_id(id);
-                // The RIP packet rides pre-filled on the frame record, so
-                // no receiver parses it.
-                let rec = self.ip_frame(node, ifc, MacAddr::BROADCAST, out);
-                let _ = rec.rip.set(Some(Rc::clone(rip)));
-                self.transmit(node, ifc, rec);
+            // Only counters will hear these: each takes its IP id and the
+            // wire's draws, as a frame would, and is held, not built.
+            for (packet, (_, udp_bytes)) in packets.iter().enumerate() {
+                let ip_id = self.next_ip_id();
+                let len = wire_len(ipv4::HEADER_LEN + udp_bytes.len());
+                let Some(delay) = self.put_on_wire(node, ifc, len, true, false) else {
+                    continue;
+                };
+                let (at, seq) = (self.now() + delay, self.core.reserve());
+                self.quiet_flights.push(QuietFlight {
+                    at,
+                    seq,
+                    from,
+                    packets: Rc::clone(&packets),
+                    packet,
+                    ip_id,
+                    counts,
+                });
             }
         }
     }
@@ -486,12 +482,13 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
-    use fremont_net::SubnetMask;
+    use fremont_net::{EtherType, EthernetFrame, SubnetMask};
 
     use super::*;
     use crate::builder::TopologyBuilder;
     use crate::faults::FaultKind;
     use crate::process::{ProcCtx, ProcHandle, Process};
+    use crate::routing::Route;
 
     #[test]
     fn only_a_rebroadcaster_keeps_what_it_hears() {
@@ -701,5 +698,104 @@ mod tests {
         assert_eq!(advertise(&mut sim, r1), (5, 4, 2));
         sim.set_node_up(late, true);
         assert_eq!(advertise(&mut sim, r1), (5, 5, 3));
+    }
+
+    /// Keeps every frame its tap reads.
+    #[derive(Default)]
+    struct Tapper {
+        frames: Vec<EthernetFrame>,
+    }
+
+    impl Process for Tapper {
+        fn on_tap(&mut self, frame: &EthernetFrame, _ctx: &mut ProcCtx<'_>) {
+            self.frames.push(frame.clone());
+        }
+    }
+
+    /// How one advertisement from r1 onto net-m reaches the end of the
+    /// test.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        /// A tap is open when it is sent: built and scheduled.
+        Scheduled,
+        /// Held, then built and filed when a tap opens in flight.
+        Filed,
+        /// Held and counted; nobody taps it.
+        Counted,
+    }
+
+    /// r1, whose first interface is on net-m, where only a quiet host
+    /// listens: its advertisement there is held unless a tap is open.
+    fn r1_on_net_m() -> (Sim, NodeId) {
+        let mut b = TopologyBuilder::new();
+        let m = b.segment("net-m", "10.1.2.0/24");
+        let a = b.segment("net-a", "10.1.1.0/24");
+        b.host("quiet", m, 10);
+        b.host("other", a, 10);
+        b.router("r1", &[(m, 1), (a, 1)]);
+        let (sim, topo) = b.build(7);
+        (sim, topo.nodes_by_name["r1"])
+    }
+
+    /// Sends one advertisement from r1 onto net-m along `path`, with a
+    /// route added to r1 while it is in flight. Returns the frames the
+    /// tap on net-m read, the IP id the advertisement took, and the RNG
+    /// position afterwards.
+    fn advertise_along(path: Path) -> (Vec<Vec<u8>>, u16, u64) {
+        let (mut sim, r1) = r1_on_net_m();
+        // The tap is r1's own process: a sender is never walked.
+        let tap = sim.spawn(r1, Box::<Tapper>::default());
+        sim.run_for(SimDuration::from_millis(10)); // its Start event
+        let open_tap = |sim: &mut Sim| sim.with_proc(tap, |_, ctx| ctx.enable_tap(true));
+        if matches!(path, Path::Scheduled) {
+            open_tap(&mut sim);
+        }
+        let cfg = sim.nodes[r1.0].behavior.rip.clone().expect("a speaker");
+        let id = sim.ip_id.wrapping_add(1);
+        sim.send_rip_advertisements(r1, &cfg);
+        // net-a's advertisement is held on every path.
+        let held = 1 + usize::from(!matches!(path, Path::Scheduled));
+        assert_eq!(sim.quiet_flights.len(), held, "{path:?}");
+        // The route state moves in flight: the template is rebuilt at
+        // the next tick, not for what is already on the wire.
+        let route = Route {
+            dest: "10.1.9.0/24".parse().expect("subnet"),
+            gateway: Some(Ipv4Addr::new(10, 1, 1, 2)),
+            iface: 1,
+            metric: 1,
+        };
+        sim.nodes[r1.0].routes.add(route);
+        if matches!(path, Path::Filed) {
+            open_tap(&mut sim);
+            assert!(sim.quiet_flights.is_empty(), "filed by enable_tap");
+        }
+        sim.run_for(SimDuration::from_millis(10));
+        let frames = sim.process_mut::<Tapper>(tap).expect("alive").frames.iter();
+        let frames = frames.map(EthernetFrame::encode).collect();
+        (frames, id, sim.rng_position_probe())
+    }
+
+    #[test]
+    fn a_held_advertisement_is_the_one_built_directly() {
+        let (scheduled, id, probe) = advertise_along(Path::Scheduled);
+        // r1's response on net-m: its one route out of net-a (split
+        // horizon), from 10.1.2.1 to the directed broadcast, TTL 1.
+        let rip = RipPacket::response(vec![advertised(Ipv4Addr::new(10, 1, 1, 0), 0)]);
+        let udp = UdpDatagram::new(RIP_PORT, RIP_PORT, Bytes::from(rip.encode()));
+        let (src, bcast) = (Ipv4Addr::new(10, 1, 2, 1), Ipv4Addr::new(10, 1, 2, 255));
+        let ip = Ipv4Packet::new(src, bcast, IpProtocol::Udp, Bytes::from(udp.encode()))
+            .with_ttl(1)
+            .with_id(id);
+        let (sim, r1) = r1_on_net_m();
+        let mac = sim.nodes[r1.0].ifaces[0].mac;
+        let ip = Bytes::from(ip.encode());
+        let expected = EthernetFrame::new(MacAddr::BROADCAST, mac, EtherType::Ipv4, ip);
+        assert_eq!(scheduled, [expected.encode()]);
+
+        // Held, then filed in flight: the same bytes, IP id included,
+        // and the same draws.
+        assert_eq!(advertise_along(Path::Filed), (scheduled, id, probe));
+        // Held and counted: nothing tapped, the same draws.
+        assert_eq!(advertise_along(Path::Counted), (vec![], id, probe));
     }
 }

@@ -102,13 +102,19 @@ impl<E> EventCore<E> {
         self.seq
     }
 
+    /// `true` when the clock has passed the place `(at, seq)`: it is
+    /// before `now`, or at `now` and not after the event last popped
+    /// there.
+    pub fn has_passed(&self, at: SimTime, seq: u64) -> bool {
+        at < self.now || (at == self.now && seq <= self.passed)
+    }
+
     /// Files `event` at `(at, seq)`, a place taken with
     /// [`EventCore::reserve`], so it pops exactly where it would have
     /// had it been scheduled then. A place the clock has already passed
-    /// (before `now`, or at `now` and not after the event last popped
-    /// there) is refused and the event handed back.
+    /// ([`EventCore::has_passed`]) is refused and the event handed back.
     pub fn schedule_at(&mut self, at: SimTime, seq: u64, event: E) -> Result<(), E> {
-        if at < self.now || (at == self.now && seq <= self.passed) {
+        if self.has_passed(at, seq) {
             return Err(event);
         }
         self.file(at, seq, event);
