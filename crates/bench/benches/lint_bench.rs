@@ -1,14 +1,13 @@
 //! Criterion benchmarks for the in-tree static analyzer: workspace
-//! source loading, the cross-crate call-graph build, the newest
-//! rule in isolation, and the full five-rule analysis pass — all
-//! measured over the real workspace so the CI `--deny` gate's cost
-//! stays visible.
+//! source loading, the cross-crate call-graph build, and the full
+//! two-rule analysis pass — all measured over the real workspace so
+//! the CI `--deny` gate's cost stays visible.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::path::Path;
 
 use fremont_lint::callgraph::CallGraph;
-use fremont_lint::{analyze, find_workspace_root, rules, Config, Workspace};
+use fremont_lint::{analyze, find_workspace_root, Config, Workspace};
 
 fn bench_lint(c: &mut Criterion) {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -29,12 +28,6 @@ fn bench_lint(c: &mut Criterion) {
         b.iter(|| {
             let cg = CallGraph::build(&ws);
             black_box(cg.fns.len())
-        })
-    });
-    g.bench_function("rule_metric_registry", |b| {
-        b.iter(|| {
-            let (violations, _) = rules::metric_registry::check(&ws, &cfg, false);
-            black_box(violations.len())
         })
     });
     g.bench_function("analyze_full", |b| {

@@ -3,16 +3,16 @@
 //! must stay cheap enough to leave on during experiments.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fremont_telemetry::{bounds, SpanId, TelTime, Telemetry};
+use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
 
 fn bench_disabled(c: &mut Criterion) {
     let tel = Telemetry::noop();
     let mut g = c.benchmark_group("telemetry_disabled");
     g.bench_function("counter_add", |b| {
-        b.iter(|| tel.counter_add(black_box("fremont_bench_total"), "", 1))
+        b.iter(|| tel.counter_add(black_box(metrics::WAL_APPENDS_TOTAL), "", 1))
     });
     g.bench_function("observe", |b| {
-        b.iter(|| tel.observe(black_box("fremont_bench_hist"), "", bounds::WORK_UNITS, 17))
+        b.iter(|| tel.observe(black_box(metrics::JOURNAL_STORE_MERGE_OPS), "", 17))
     });
     g.finish();
 }
@@ -21,10 +21,10 @@ fn bench_recording(c: &mut Criterion) {
     let (tel, _rec) = Telemetry::recording();
     let mut g = c.benchmark_group("telemetry_recording");
     g.bench_function("counter_add", |b| {
-        b.iter(|| tel.counter_add(black_box("fremont_bench_total"), "", 1))
+        b.iter(|| tel.counter_add(black_box(metrics::WAL_APPENDS_TOTAL), "", 1))
     });
     g.bench_function("observe", |b| {
-        b.iter(|| tel.observe(black_box("fremont_bench_hist"), "", bounds::WORK_UNITS, 17))
+        b.iter(|| tel.observe(black_box(metrics::JOURNAL_STORE_MERGE_OPS), "", 17))
     });
     g.bench_function("span_pair", |b| {
         let mut n = 0u64;
@@ -41,8 +41,8 @@ fn bench_expose(c: &mut Criterion) {
     let (tel, rec) = Telemetry::recording();
     for i in 0..200u64 {
         let label = format!("series=\"{i}\"");
-        tel.counter_add("fremont_bench_total", &label, i);
-        tel.observe("fremont_bench_hist", "", bounds::WORK_UNITS, i);
+        tel.counter_add(metrics::JOURNAL_RPC_TOTAL, &label, i);
+        tel.observe(metrics::JOURNAL_STORE_MERGE_OPS, "", i);
     }
     c.bench_function("telemetry_expose_200_series", |b| {
         b.iter(|| black_box(rec.expose().len()))

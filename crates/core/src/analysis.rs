@@ -19,7 +19,7 @@ use fremont_journal::snapshot::JournalSnapshot;
 use fremont_journal::store::Journal;
 use fremont_journal::time::JTime;
 use fremont_net::{MacAddr, Subnet, SubnetMask};
-use fremont_telemetry::Telemetry;
+use fremont_telemetry::{metrics, Telemetry};
 
 use crate::invariants::CLASS_COUNT;
 
@@ -549,7 +549,7 @@ pub fn publish_findings(telemetry: &Telemetry, report: &ProblemReport) {
     ];
     for (class, n) in LABELS.into_iter().zip(report.class_counts()) {
         telemetry.gauge_set(
-            "fremont_analysis_findings",
+            metrics::ANALYSIS_FINDINGS,
             &format!("class=\"{class}\""),
             n as u64,
         );

@@ -39,7 +39,7 @@ use fremont_netsim::engine::Sim;
 use fremont_netsim::process::ProcHandle;
 use fremont_netsim::segment::NodeId;
 use fremont_netsim::time::{SimDuration, SimTime};
-use fremont_telemetry::{SpanId, TelTime, Telemetry};
+use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
 
 use crate::correlate::correlate;
 use crate::load::{ModuleLoad, ModuleLoadReport};
@@ -208,7 +208,7 @@ impl DiscoveryDriver {
             if client.store_batch_traced(batches, parent, at).is_err() {
                 self.cfg
                     .telemetry
-                    .counter_add("fremont_driver_remote_errors_total", "", 1);
+                    .counter_add(metrics::DRIVER_REMOTE_ERRORS_TOTAL, "", 1);
             }
         }
         summary
@@ -452,32 +452,32 @@ impl DiscoveryDriver {
             fremont_journal::server::publish_sharding_metrics(tel, &sharding);
         }
         if let Some(groups) = self.journal.batch_groups_total() {
-            tel.counter_set("fremont_journal_shard_batch_groups_total", "", groups);
+            tel.counter_set(metrics::JOURNAL_SHARD_BATCH_GROUPS_TOTAL, "", groups);
         }
         let report = self.load_report();
         for row in &report.rows {
             let label = format!("module=\"{}\"", row.source.name());
             tel.counter_set(
-                "fremont_module_packets_sent_total",
+                metrics::MODULE_PACKETS_SENT_TOTAL,
                 &label,
                 row.load.packets_sent,
             );
             tel.counter_set(
-                "fremont_module_packets_received_total",
+                metrics::MODULE_PACKETS_RECEIVED_TOTAL,
                 &label,
                 row.load.packets_received,
             );
             tel.counter_set(
-                "fremont_module_frames_tapped_total",
+                metrics::MODULE_FRAMES_TAPPED_TOTAL,
                 &label,
                 row.load.frames_tapped,
             );
-            tel.counter_set("fremont_module_runs_total", &label, row.runs);
+            tel.counter_set(metrics::MODULE_RUNS_TOTAL, &label, row.runs);
             // Only once nonzero: a run that loses no probe keeps a
             // byte-identical exposition.
             if row.load.send_errors > 0 {
                 tel.counter_set(
-                    "fremont_explorer_send_errors_total",
+                    metrics::EXPLORER_SEND_ERRORS_TOTAL,
                     &label,
                     row.load.send_errors,
                 );
@@ -486,7 +486,7 @@ impl DiscoveryDriver {
         // Gated on the cap being configured so deployments that never
         // opt in keep a byte-identical exposition.
         if self.max_module_runtime.is_some() {
-            tel.counter_set("fremont_module_timeouts_total", "", self.module_timeouts);
+            tel.counter_set(metrics::MODULE_TIMEOUTS_TOTAL, "", self.module_timeouts);
         }
     }
 

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fremont_telemetry::{bounds, SpanId, TelTime, Telemetry};
+use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
 
 use crate::observation::Observation;
 use crate::proto::{
@@ -261,7 +261,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
                 if s.load(Ordering::SeqCst) {
                     break;
                 }
-                tel.counter_add("fremont_journal_connections_total", "", 1);
+                tel.counter_add(metrics::JOURNAL_CONNECTIONS_TOTAL, "", 1);
                 live.retain(|(_, thread)| !thread.is_finished());
                 let spawned = stream.try_clone().and_then(|handle| {
                     let (j, snap, tel) = (j.clone(), snap.clone(), tel.clone());
@@ -271,7 +271,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
                 });
                 match spawned {
                     Ok(conn) => live.push(conn),
-                    Err(_) => tel.counter_add("fremont_journal_connection_errors_total", "", 1),
+                    Err(_) => tel.counter_add(metrics::JOURNAL_CONNECTION_ERRORS_TOTAL, "", 1),
                 }
             }
             live
@@ -316,7 +316,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
         for (socket, thread) in accept_thread.join().unwrap_or_default() {
             if !thread.is_finished() {
                 self.telemetry
-                    .counter_add("fremont_journal_connections_severed_total", "", 1);
+                    .counter_add(metrics::JOURNAL_CONNECTIONS_SEVERED_TOTAL, "", 1);
                 sever(&socket);
             }
             #[expect(
@@ -335,7 +335,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
                     if let Ok(snap) = self.journal.capture_snapshot() {
                         if snap.save(path).is_err() {
                             self.telemetry.counter_add(
-                                "fremont_journal_snapshot_errors_total",
+                                metrics::JOURNAL_SNAPSHOT_ERRORS_TOTAL,
                                 "",
                                 1,
                             );
@@ -354,7 +354,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
             }
             if let Some(g) = self.journal.batch_groups_total() {
                 self.telemetry
-                    .counter_set("fremont_journal_shard_batch_groups_total", "", g);
+                    .counter_set(metrics::JOURNAL_SHARD_BATCH_GROUPS_TOTAL, "", g);
             }
         }
     }
@@ -386,9 +386,9 @@ fn serve_connection<J: JournalAccess>(
     telemetry: &Telemetry,
 ) {
     if let Err(e) = serve_until_close(&stream, journal, snapshot_path, telemetry) {
-        telemetry.counter_add("fremont_journal_rpc_errors_total", error_kind_label(&e), 1);
-        telemetry.counter_add("fremont_journal_rpc_aborted_total", "", 1);
-        telemetry.counter_add("fremont_journal_connection_errors_total", "", 1);
+        telemetry.counter_add(metrics::JOURNAL_RPC_ERRORS_TOTAL, error_kind_label(&e), 1);
+        telemetry.counter_add(metrics::JOURNAL_RPC_ABORTED_TOTAL, "", 1);
+        telemetry.counter_add(metrics::JOURNAL_CONNECTION_ERRORS_TOTAL, "", 1);
     }
     // The accept thread keeps its handle on this socket until its next
     // prune, so dropping ours alone would leave the peer waiting.
@@ -407,7 +407,7 @@ fn serve_until_close<J: JournalAccess>(
     let mut reader = BufReader::new(stream);
     while let Some((envelope, wire)) = read_frame_sized::<_, RequestEnvelope>(&mut reader)? {
         let frame_bytes = wire as u64;
-        telemetry.counter_add("fremont_journal_bytes_read_total", "", frame_bytes);
+        telemetry.counter_add(metrics::JOURNAL_BYTES_READ_TOTAL, "", frame_bytes);
         let mut reply = Vec::new();
         respond(
             journal,
@@ -418,11 +418,7 @@ fn serve_until_close<J: JournalAccess>(
             &mut reply,
         )?;
         stream.write_all(&reply)?;
-        telemetry.counter_add(
-            "fremont_journal_bytes_written_total",
-            "",
-            reply.len() as u64,
-        );
+        telemetry.counter_add(metrics::JOURNAL_BYTES_WRITTEN_TOTAL, "", reply.len() as u64);
     }
     Ok(())
 }
@@ -438,7 +434,7 @@ fn respond<J: JournalAccess>(
     out: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
     let RequestEnvelope { ctx, req } = envelope;
-    telemetry.counter_add("fremont_journal_rpc_total", rpc_label(&req), 1);
+    telemetry.counter_add(metrics::JOURNAL_RPC_TOTAL, rpc_label(&req), 1);
     // A traced frame gets a server-side span tree, stamped with the
     // *caller's* clock — the server has no sim clock, and using the
     // caller's keeps stitched traces deterministic. Untraced frames
@@ -463,7 +459,7 @@ fn respond<J: JournalAccess>(
     }
     let resp = handle_request(journal, snapshot_path, telemetry, req, rpc_span, at);
     if matches!(resp, Response::Error(_)) {
-        telemetry.counter_add("fremont_journal_rpc_errors_total", "kind=\"server\"", 1);
+        telemetry.counter_add(metrics::JOURNAL_RPC_ERRORS_TOTAL, "kind=\"server\"", 1);
     }
     let mark = out.len();
     let wres = write_frame(out, &resp);
@@ -480,11 +476,11 @@ fn respond<J: JournalAccess>(
 /// Publishes [`JournalStats`] as gauges (shared with the driver's
 /// startup dump).
 pub fn publish_journal_stats(telemetry: &Telemetry, stats: &JournalStats) {
-    telemetry.gauge_set("fremont_journal_interfaces", "", stats.interfaces as u64);
-    telemetry.gauge_set("fremont_journal_gateways", "", stats.gateways as u64);
-    telemetry.gauge_set("fremont_journal_subnets", "", stats.subnets as u64);
+    telemetry.gauge_set(metrics::JOURNAL_INTERFACES, "", stats.interfaces as u64);
+    telemetry.gauge_set(metrics::JOURNAL_GATEWAYS, "", stats.gateways as u64);
+    telemetry.gauge_set(metrics::JOURNAL_SUBNETS, "", stats.subnets as u64);
     telemetry.gauge_set(
-        "fremont_journal_observations_applied",
+        metrics::JOURNAL_OBSERVATIONS_APPLIED,
         "",
         stats.observations_applied,
     );
@@ -498,24 +494,24 @@ pub fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
     for s in &m.shards {
         let label = format!("shard=\"{}\"", s.shard);
         telemetry.counter_set(
-            "fremont_journal_shard_read_locks_total",
+            metrics::JOURNAL_SHARD_READ_LOCKS_TOTAL,
             &label,
             s.read_locks,
         );
         telemetry.counter_set(
-            "fremont_journal_shard_write_locks_total",
+            metrics::JOURNAL_SHARD_WRITE_LOCKS_TOTAL,
             &label,
             s.write_locks,
         );
-        telemetry.gauge_set("fremont_journal_shard_records", &label, s.records as u64);
+        telemetry.gauge_set(metrics::JOURNAL_SHARD_RECORDS, &label, s.records as u64);
     }
-    telemetry.counter_set("fremont_journal_store_batches_total", "", m.batches);
+    telemetry.counter_set(metrics::JOURNAL_STORE_BATCHES_TOTAL, "", m.batches);
     telemetry.counter_set(
-        "fremont_journal_store_batched_observations_total",
+        metrics::JOURNAL_STORE_BATCHED_OBSERVATIONS_TOTAL,
         "",
         m.batch_observations,
     );
-    telemetry.gauge_set("fremont_journal_store_largest_batch", "", m.largest_batch);
+    telemetry.gauge_set(metrics::JOURNAL_STORE_LARGEST_BATCH, "", m.largest_batch);
 }
 
 /// Builds the live self-description answered to
@@ -536,7 +532,7 @@ pub fn build_introspection<J: JournalAccess>(
     let (tail, trace_dropped) = telemetry
         .trace_tail(trace_tail as usize)
         .unwrap_or_default();
-    let health = health_verdict(telemetry.enabled(), &metrics, trace_dropped);
+    let health = health_verdict(telemetry, trace_dropped);
     IntrospectReport {
         stats,
         shards,
@@ -548,23 +544,22 @@ pub fn build_introspection<J: JournalAccess>(
     }
 }
 
-/// Derives a deterministic health verdict from the metrics snapshot:
-/// any error-class counter above zero degrades the verdict, and the
-/// reasons are listed so the reader need not diff expositions.
-fn health_verdict(telemetry_on: bool, metrics: &str, trace_dropped: u64) -> String {
-    if !telemetry_on {
-        return "unknown".to_owned();
-    }
+/// Derives a deterministic health verdict from the telemetry sink's
+/// counters: any error-class counter above zero degrades the verdict,
+/// and the reasons are listed so the reader need not diff expositions.
+fn health_verdict(telemetry: &Telemetry, trace_dropped: u64) -> String {
     let mut reasons = Vec::new();
-    for name in [
-        "fremont_journal_rpc_errors_total",
-        "fremont_journal_rpc_aborted_total",
-        "fremont_journal_connection_errors_total",
-        "fremont_journal_snapshot_errors_total",
+    for counter in [
+        metrics::JOURNAL_RPC_ERRORS_TOTAL,
+        metrics::JOURNAL_RPC_ABORTED_TOTAL,
+        metrics::JOURNAL_CONNECTION_ERRORS_TOTAL,
+        metrics::JOURNAL_SNAPSHOT_ERRORS_TOTAL,
     ] {
-        let total = sum_series(metrics, name);
+        let Some(total) = telemetry.counter_sum(counter) else {
+            return "unknown".to_owned();
+        };
         if total > 0 {
-            reasons.push(format!("{name}={total}"));
+            reasons.push(format!("{}={total}", counter.name()));
         }
     }
     if trace_dropped > 0 {
@@ -575,20 +570,6 @@ fn health_verdict(telemetry_on: bool, metrics: &str, trace_dropped: u64) -> Stri
     } else {
         format!("degraded: {}", reasons.join(" "))
     }
-}
-
-/// Sums every series of `name` (any label set) in an exposition.
-fn sum_series(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix(name)?;
-            if !(rest.starts_with(' ') || rest.starts_with('{')) {
-                return None;
-            }
-            rest.rsplit(' ').next()?.parse::<u64>().ok()
-        })
-        .sum()
 }
 
 fn rpc_label(req: &Request) -> &'static str {
@@ -628,12 +609,7 @@ fn handle_request<J: JournalAccess>(
             // Merge cost in logical work units (observations offered /
             // records touched) — the deterministic stand-in for wall
             // latency, which the lint's clock ban rules out.
-            telemetry.observe(
-                "fremont_journal_store_batch_observations",
-                "",
-                bounds::WORK_UNITS,
-                total,
-            );
+            telemetry.observe(metrics::JOURNAL_STORE_BATCH_OBSERVATIONS, "", total);
             let apply = if rpc_span.is_real() {
                 telemetry.span_start("server.apply", "", rpc_span, at)
             } else {
@@ -642,12 +618,7 @@ fn handle_request<J: JournalAccess>(
             match journal.store_batch_traced(&batches, apply, at) {
                 Ok(s) => {
                     let merged = (s.created + s.updated + s.verified) as u64;
-                    telemetry.observe(
-                        "fremont_journal_store_merge_ops",
-                        "",
-                        bounds::WORK_UNITS,
-                        merged,
-                    );
+                    telemetry.observe(metrics::JOURNAL_STORE_MERGE_OPS, "", merged);
                     telemetry.work(apply, "observations", total, at);
                     telemetry.work(apply, "merge_ops", merged, at);
                     telemetry.span_end(apply, &format!("merged={merged}"), at);
@@ -708,14 +679,13 @@ mod tests {
 
     #[test]
     fn health_verdict_reports_reasons() {
-        assert_eq!(health_verdict(false, "", 0), "unknown");
-        assert_eq!(
-            health_verdict(true, "fremont_journal_rpc_total 9\n", 0),
-            "ok"
-        );
-        let expo = "fremont_journal_rpc_errors_total{kind=\"io\"} 2\n\
-                    fremont_journal_rpc_errors_total{kind=\"server\"} 1\n";
-        let v = health_verdict(true, expo, 4);
+        assert_eq!(health_verdict(&Telemetry::noop(), 0), "unknown");
+        let (tel, _rec) = Telemetry::recording();
+        tel.counter_add(metrics::JOURNAL_RPC_TOTAL, "", 9);
+        assert_eq!(health_verdict(&tel, 0), "ok");
+        tel.counter_add(metrics::JOURNAL_RPC_ERRORS_TOTAL, "kind=\"io\"", 2);
+        tel.counter_add(metrics::JOURNAL_RPC_ERRORS_TOTAL, "kind=\"server\"", 1);
+        let v = health_verdict(&tel, 4);
         assert_eq!(
             v,
             "degraded: fremont_journal_rpc_errors_total=3 trace_dropped=4"

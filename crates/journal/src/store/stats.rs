@@ -3,9 +3,9 @@
 //! The store is one partition behind one lock; the "shard" in
 //! [`ShardMetrics`], [`ShardingMetrics`], `sharding_metrics()`,
 //! `batch_groups_total()` and the `fremont_journal_shard_*` metric
-//! names is vestigial, kept only because `wal-schema.golden`,
-//! `metrics.golden` and `crates/e2e` freeze those names. The partition
-//! reports as shard 0.
+//! names is vestigial, kept only because `crates/lint/wal-schema.golden`,
+//! `crates/telemetry/metrics.golden` and `crates/e2e` freeze those
+//! names. The partition reports as shard 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

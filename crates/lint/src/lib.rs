@@ -3,17 +3,20 @@
 //!
 //! The Journal's value is cross-correlating timestamped observations,
 //! which only holds if discovery runs are replayable and the durable WAL
-//! and metric names never silently change. Those are properties no unit
-//! test can guard — one `SystemTime::now()` added to an explorer breaks
-//! replay everywhere — so this crate walks every `.rs` file in the
-//! workspace with its own token-level lexer ([`lexer`]) and enforces
-//! three rules:
+//! never silently changes. Those are properties no unit test can guard —
+//! one `SystemTime::now()` added to an explorer breaks replay everywhere
+//! — so this crate walks every `.rs` file in the workspace with its own
+//! token-level lexer ([`lexer`]) and enforces two rules:
 //!
 //! | rule               | invariant |
 //! |--------------------|-----------|
 //! | `determinism`      | no wall-clock / unseeded RNG outside the clock module |
-//! | `metric-registry`  | `fremont_*` metric names are append-only vs a golden |
 //! | `wal-schema`       | serialized record types are append-only vs a golden |
+//!
+//! Metric names are not a rule: each metric is a typed handle declared
+//! once in `fremont-telemetry`'s table, so the compiler rejects a name
+//! no row declares, and a telemetry unit test checks the table against
+//! `crates/telemetry/metrics.golden`.
 //!
 //! Panics and discarded `Result`s on the discovery, Journal and WAL paths
 //! are the compiler's to catch: the workspace denies clippy's
@@ -37,7 +40,7 @@ use std::path::{Path, PathBuf};
 use lexer::{lex, Tok, TokKind};
 
 /// All rule names, in reporting order.
-pub const RULES: [&str; 3] = ["determinism", "metric-registry", "wal-schema"];
+pub const RULES: [&str; 2] = ["determinism", "wal-schema"];
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -85,11 +88,6 @@ pub struct Config {
     pub schema_scope: Vec<String>,
     /// Workspace-relative path of the committed schema golden.
     pub golden_path: String,
-    /// Workspace-relative path of the committed metric-name golden.
-    pub metrics_golden_path: String,
-    /// Path prefixes excluded from metric collection (the lint crate's
-    /// own fixtures and matchers).
-    pub metric_exclude: Vec<String>,
 }
 
 impl Config {
@@ -104,8 +102,6 @@ impl Config {
                 "crates/netsim/src/faults.rs".to_owned(),
             ],
             golden_path: "crates/lint/wal-schema.golden".to_owned(),
-            metrics_golden_path: "crates/lint/metrics.golden".to_owned(),
-            metric_exclude: vec!["crates/lint/".to_owned()],
         }
     }
 }
@@ -368,31 +364,15 @@ impl Analysis {
     }
 }
 
-/// The two committed goldens, re-rendered. Returned from [`analyze`]
-/// when `write_golden` is set, for the caller to persist.
-pub struct Goldens {
-    /// New content for `Config::golden_path` (WAL record fingerprints).
-    pub wal_schema: String,
-    /// New content for `Config::metrics_golden_path` (metric names).
-    pub metrics: String,
-}
-
 /// Runs every rule over the workspace.
 ///
-/// `write_golden` regenerates the two committed goldens (WAL schema,
-/// metric registry) instead of checking against them; the returned
-/// [`Goldens`] holds the new contents for the caller to persist.
-pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, Option<Goldens>) {
+/// `write_golden` regenerates the committed WAL-schema golden instead of
+/// checking against it; the second result holds the new content of
+/// `Config::golden_path` for the caller to persist.
+pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, Option<String>) {
     let mut violations = rules::determinism::check(ws, cfg);
-    let (metric_violations, metrics_golden) = rules::metric_registry::check(ws, cfg, write_golden);
-    violations.extend(metric_violations);
-    let (schema_violations, wal_golden) = rules::schema::check(ws, cfg, write_golden);
+    let (schema_violations, golden) = rules::schema::check(ws, cfg, write_golden);
     violations.extend(schema_violations);
-
-    let goldens = write_golden.then(|| Goldens {
-        wal_schema: wal_golden.unwrap_or_default(),
-        metrics: metrics_golden.unwrap_or_default(),
-    });
     violations.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
@@ -401,7 +381,7 @@ pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, O
             violations,
             files: ws.files.len(),
         },
-        goldens,
+        golden,
     )
 }
 

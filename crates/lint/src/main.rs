@@ -4,7 +4,7 @@
 //! cargo run -p fremont-lint                 # human report, exit 1 on errors
 //! cargo run -p fremont-lint -- --deny       # warnings are fatal too (CI)
 //! cargo run -p fremont-lint -- --json       # machine-readable report (schema 3)
-//! cargo run -p fremont-lint -- --write-golden   # regenerate both goldens
+//! cargo run -p fremont-lint -- --write-golden   # regenerate the WAL-schema golden
 //! ```
 
 use std::path::PathBuf;
@@ -66,19 +66,14 @@ fn main() -> ExitCode {
 
     let cfg = Config::for_root(root);
 
-    let (analysis, goldens) = analyze(&ws, &cfg, write_golden);
-    if let Some(g) = goldens {
-        for (rel, content) in [
-            (&cfg.golden_path, &g.wal_schema),
-            (&cfg.metrics_golden_path, &g.metrics),
-        ] {
-            let path = cfg.root.join(rel);
-            if let Err(e) = std::fs::write(&path, content) {
-                eprintln!("fremont-lint: failed to write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!("fremont-lint: wrote {rel}");
+    let (analysis, golden) = analyze(&ws, &cfg, write_golden);
+    if let Some(content) = golden {
+        let path = cfg.root.join(&cfg.golden_path);
+        if let Err(e) = std::fs::write(&path, content) {
+            eprintln!("fremont-lint: failed to write {}: {e}", path.display());
+            return ExitCode::from(2);
         }
+        println!("fremont-lint: wrote {}", cfg.golden_path);
         return ExitCode::SUCCESS;
     }
 

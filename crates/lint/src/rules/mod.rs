@@ -1,7 +1,6 @@
-//! The three Fremont invariant rules.
+//! The two Fremont invariant rules.
 
 pub mod determinism;
-pub mod metric_registry;
 pub mod schema;
 
 use crate::lexer::{Tok, TokKind};

@@ -20,19 +20,14 @@ fn fixture_workspace() -> Workspace {
             "crates/journal/src/fixture_schema.rs",
             include_str!("fixtures/wal_schema.rs"),
         ),
-        (
-            "crates/telemetry/src/fixture_metrics.rs",
-            include_str!("fixtures/metric_registry.rs"),
-        ),
     ])
 }
 
 fn fixture_config() -> Config {
-    // Root at the tests directory so the golden rules find the fixture
-    // goldens rather than the workspace ones.
+    // Root at the tests directory so the schema rule finds the fixture
+    // golden rather than the workspace one.
     let mut cfg = Config::for_root(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests"));
     cfg.golden_path = "fixtures/wal_schema.golden".to_owned();
-    cfg.metrics_golden_path = "fixtures/metrics.golden".to_owned();
     cfg
 }
 
@@ -55,7 +50,7 @@ fn run() -> Analysis {
 
 /// (rule, path, line, col, severity, message fragment) for each seeded
 /// violation, in report order.
-const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 4] = [
+const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 2] = [
     (
         "determinism",
         "crates/explorers/src/fixture.rs",
@@ -71,22 +66,6 @@ const EXPECTED: [(&str, &str, u32, u32, Severity, &str); 4] = [
         1,
         Severity::Error,
         "variant 1 changed from `Named ( u32 )` to `Named ( String )`",
-    ),
-    (
-        "metric-registry",
-        "crates/telemetry/src/fixture_metrics.rs",
-        8,
-        17,
-        Severity::Warning,
-        "new metric `fremont_fixture_appended_total`",
-    ),
-    (
-        "metric-registry",
-        "fixtures/metrics.golden",
-        0,
-        0,
-        Severity::Error,
-        "metric `fremont_fixture_renamed_total` was removed or renamed",
     ),
 ];
 

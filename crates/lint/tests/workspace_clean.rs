@@ -427,46 +427,6 @@ fn a_fifth_lock_fails_the_build() {
 }
 
 #[test]
-fn renaming_a_metric_fails_the_build() {
-    let (mut ws, cfg) = real_workspace();
-    let path = "crates/journal/src/server.rs";
-    let idx = ws
-        .files
-        .iter()
-        .position(|f| f.path == path)
-        .expect("server.rs is in the workspace");
-    let content = std::fs::read_to_string(cfg.root.join(path)).expect("server.rs readable");
-    let mutated = content.replace(
-        "fremont_journal_connections_total",
-        "fremont_journal_sessions_total",
-    );
-    assert_ne!(content, mutated, "the guarded metric exists");
-    ws.files[idx] = SourceFile::new(path.to_owned(), &mutated);
-
-    let (analysis, _) = analyze(&ws, &cfg, false);
-    assert!(
-        analysis
-            .violations
-            .iter()
-            .any(|v| v.rule == "metric-registry"
-                && v.severity == Severity::Error
-                && v.message.contains("fremont_journal_connections_total")),
-        "renamed metric must be an error: {:#?}",
-        analysis.violations
-    );
-    assert!(
-        analysis
-            .violations
-            .iter()
-            .any(|v| v.rule == "metric-registry"
-                && v.severity == Severity::Warning
-                && v.message.contains("fremont_journal_sessions_total")),
-        "the new name stays a warning until registered: {:#?}",
-        analysis.violations
-    );
-}
-
-#[test]
 fn appending_a_wal_variant_is_only_a_warning() {
     let (mut ws, cfg) = real_workspace();
     let path = "crates/journal/src/observation.rs";

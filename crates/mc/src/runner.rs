@@ -26,7 +26,7 @@ use fremont_core::invariants::{
 use fremont_netsim::campus::CampusConfig;
 use fremont_netsim::faults::FaultPlan;
 use fremont_netsim::time::{SimDuration, SimTime};
-use fremont_telemetry::Telemetry;
+use fremont_telemetry::{metrics, Telemetry};
 
 use crate::space::{Schedule, Space, TargetNs};
 
@@ -520,12 +520,12 @@ impl ModelChecker {
         };
         let tel = &self.cfg.telemetry;
         tel.counter_set(
-            "fremont_mc_states_explored_total",
+            metrics::MC_STATES_EXPLORED_TOTAL,
             "",
             report.states_explored,
         );
-        tel.counter_set("fremont_mc_states_pruned_total", "", report.states_pruned);
-        tel.counter_set("fremont_mc_violations_total", "", report.violations);
+        tel.counter_set(metrics::MC_STATES_PRUNED_TOTAL, "", report.states_pruned);
+        tel.counter_set(metrics::MC_VIOLATIONS_TOTAL, "", report.violations);
         Ok(report)
     }
 }

@@ -566,15 +566,15 @@ mod tests {
         sim.publish_metrics();
         assert_eq!(sim.fault_stats.total(), 10);
         assert_eq!(sim.fault_stats.unresolved, 10);
-        let series = rec.counters_with_prefix("fremont_sim_fault_events_total");
-        let expected: Vec<(String, String, u64)> = std::iter::once(String::new())
-            .chain(PUBLISHED_KINDS.iter().map(|k| format!("kind=\"{k}\"")))
-            .map(|label| {
-                let n = if label.is_empty() { 10 } else { 1 };
-                ("fremont_sim_fault_events_total".to_owned(), label, n)
-            })
-            .collect();
-        assert_eq!(series, expected);
+        let events = "fremont_sim_fault_events_total";
+        assert_eq!(rec.counter(events, ""), 10);
+        for k in PUBLISHED_KINDS {
+            assert_eq!(rec.counter(events, &format!("kind=\"{k}\"")), 1, "{k}");
+        }
+        // No other series: the total is the ten plus one per kind.
+        let total = 10 + PUBLISHED_KINDS.len() as u64;
+        let sum = rec.counter_sum(fremont_telemetry::metrics::SIM_FAULT_EVENTS_TOTAL);
+        assert_eq!(sum, total);
         assert_eq!(rec.counter("fremont_sim_fault_unresolved_total", ""), 10);
     }
 

@@ -4,6 +4,8 @@
 //! second) and completion time; the experiment harness measures these by
 //! reading segment counters before and after a module's run.
 
+use fremont_telemetry::metrics;
+
 use crate::engine::Sim;
 use crate::time::SimTime;
 
@@ -168,33 +170,33 @@ impl Sim {
         let s = &self.stats;
         let seg = |counter: fn(&SegmentStats) -> u64| self.segment_total(counter);
         for (name, value) in [
-            ("fremont_sim_events_processed_total", s.events_processed),
-            ("fremont_sim_frame_deliveries_total", s.frame_deliveries),
-            ("fremont_sim_packets_originated_total", s.packets_originated),
-            ("fremont_sim_packets_forwarded_total", s.packets_forwarded),
-            ("fremont_sim_icmp_errors_total", s.icmp_errors),
-            ("fremont_sim_arp_requests_total", s.arp_requests),
-            ("fremont_sim_frames_sent_total", seg(|g| g.frames_sent)),
-            ("fremont_sim_frame_bytes_total", seg(|g| g.bytes_sent)),
-            ("fremont_sim_frames_lost_total", seg(|g| g.frames_lost)),
-            ("fremont_sim_broadcast_frames_total", seg(|g| g.broadcasts)),
-            ("fremont_sim_arp_frames_total", seg(|g| g.arp_frames)),
+            (metrics::SIM_EVENTS_PROCESSED_TOTAL, s.events_processed),
+            (metrics::SIM_FRAME_DELIVERIES_TOTAL, s.frame_deliveries),
+            (metrics::SIM_PACKETS_ORIGINATED_TOTAL, s.packets_originated),
+            (metrics::SIM_PACKETS_FORWARDED_TOTAL, s.packets_forwarded),
+            (metrics::SIM_ICMP_ERRORS_TOTAL, s.icmp_errors),
+            (metrics::SIM_ARP_REQUESTS_TOTAL, s.arp_requests),
+            (metrics::SIM_FRAMES_SENT_TOTAL, seg(|g| g.frames_sent)),
+            (metrics::SIM_FRAME_BYTES_TOTAL, seg(|g| g.bytes_sent)),
+            (metrics::SIM_FRAMES_LOST_TOTAL, seg(|g| g.frames_lost)),
+            (metrics::SIM_BROADCAST_FRAMES_TOTAL, seg(|g| g.broadcasts)),
+            (metrics::SIM_ARP_FRAMES_TOTAL, seg(|g| g.arp_frames)),
         ] {
             t.counter_set(name, "", value);
         }
-        t.gauge_max("fremont_sim_queue_depth_hwm", "", s.queue_depth_hwm);
+        t.gauge_max(metrics::SIM_QUEUE_DEPTH_HWM, "", s.queue_depth_hwm);
         // The fault family appears only once a non-empty plan is
         // installed: a fault-free exposition must stay byte-identical.
         if self.faults_installed {
             let f = &self.fault_stats;
-            t.counter_set("fremont_sim_fault_events_total", "", f.total());
+            t.counter_set(metrics::SIM_FAULT_EVENTS_TOTAL, "", f.total());
             for (kind, applied) in f.by_kind() {
                 let label = format!("kind=\"{kind}\"");
-                t.counter_set("fremont_sim_fault_events_total", &label, applied);
+                t.counter_set(metrics::SIM_FAULT_EVENTS_TOTAL, &label, applied);
             }
-            t.counter_set("fremont_sim_fault_unresolved_total", "", f.unresolved);
+            t.counter_set(metrics::SIM_FAULT_UNRESOLVED_TOTAL, "", f.unresolved);
             t.counter_set(
-                "fremont_sim_fault_partition_frames_dropped_total",
+                metrics::SIM_FAULT_PARTITION_FRAMES_DROPPED_TOTAL,
                 "",
                 f.frames_dropped,
             );

@@ -16,7 +16,8 @@
 
 use std::process::ExitCode;
 
-use fremont_obs::{fold_events, parse_jsonl, stitch_jsonl, validate};
+use fremont_telemetry::profile::fold_events;
+use fremont_telemetry::trace::{parse_jsonl, stitch_jsonl, validate};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

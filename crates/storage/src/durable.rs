@@ -23,7 +23,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use fremont_telemetry::{SpanId, TelTime, Telemetry};
+use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
 
 use fremont_journal::proto::{ProtoError, StoreBatchItem, WalStateReport};
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
@@ -95,28 +95,28 @@ fn publish_recovery(telemetry: &Telemetry, report: &RecoveryReport) {
         return;
     }
     telemetry.gauge_set(
-        "fremont_wal_recovery_snapshot_loaded",
+        metrics::WAL_RECOVERY_SNAPSHOT_LOADED,
         "",
         u64::from(report.snapshot_loaded),
     );
-    telemetry.gauge_set("fremont_wal_recovery_watermark", "", report.watermark);
+    telemetry.gauge_set(metrics::WAL_RECOVERY_WATERMARK, "", report.watermark);
     telemetry.counter_set(
-        "fremont_wal_recovery_segments_scanned",
+        metrics::WAL_RECOVERY_SEGMENTS_SCANNED,
         "",
         report.segments_scanned as u64,
     );
     telemetry.counter_set(
-        "fremont_wal_recovery_records_replayed",
+        metrics::WAL_RECOVERY_RECORDS_REPLAYED,
         "",
         report.records_replayed,
     );
     telemetry.counter_set(
-        "fremont_wal_recovery_records_skipped",
+        metrics::WAL_RECOVERY_RECORDS_SKIPPED,
         "",
         report.records_skipped,
     );
     telemetry.counter_set(
-        "fremont_wal_recovery_torn_bytes_dropped",
+        metrics::WAL_RECOVERY_TORN_BYTES_DROPPED,
         "",
         report.torn_bytes_dropped,
     );
@@ -207,8 +207,7 @@ impl DurableJournal {
     /// Forces buffered WAL appends to disk (group-commit flush point).
     pub fn sync(&self) -> io::Result<()> {
         if self.wal().writer.sync_now()? {
-            self.telemetry
-                .counter_add("fremont_wal_fsyncs_total", "", 1);
+            self.telemetry.counter_add(metrics::WAL_FSYNCS_TOTAL, "", 1);
         }
         Ok(())
     }
@@ -222,8 +221,7 @@ impl DurableJournal {
 
     fn compact_locked(&self, wal: &mut WalState) -> io::Result<()> {
         if wal.writer.sync_now()? {
-            self.telemetry
-                .counter_add("fremont_wal_fsyncs_total", "", 1);
+            self.telemetry.counter_add(metrics::WAL_FSYNCS_TOTAL, "", 1);
         }
         // The caller's WAL guard keeps every `DurableJournal` write out
         // between the snapshot capture and the segment switch.
@@ -231,7 +229,7 @@ impl DurableJournal {
             .shared
             .read(|j| write_snapshot_and_rotate(&wal.cfg, j))?;
         self.telemetry
-            .counter_add("fremont_wal_segment_rotations_total", "", 1);
+            .counter_add(metrics::WAL_SEGMENT_ROTATIONS_TOTAL, "", 1);
         Ok(())
     }
 }
@@ -364,10 +362,10 @@ impl JournalAccess for DurableJournal {
         // Captured before the rotation check: rotation resets bytes().
         let appended = wal.writer.bytes().saturating_sub(bytes_before);
         self.telemetry
-            .counter_add("fremont_wal_appends_total", "", total as u64);
+            .counter_add(metrics::WAL_APPENDS_TOTAL, "", total as u64);
         if fsyncs > 0 {
             self.telemetry
-                .counter_add("fremont_wal_fsyncs_total", "", fsyncs);
+                .counter_add(metrics::WAL_FSYNCS_TOTAL, "", fsyncs);
         }
         if wal.writer.bytes() >= wal.cfg.max_segment_bytes {
             self.compact_locked(&mut wal).map_err(io_err)?;

@@ -4,7 +4,8 @@
 //! per-module network load and completion time), and §5 diagnoses
 //! problems by correlating timestamped observations. This crate is the
 //! measurement substrate for that: a metrics registry (counters,
-//! gauges, fixed-bound histograms) and a span/event tracer.
+//! gauges, fixed-bound histograms), a span/event tracer, and the
+//! stitcher that merges per-process traces into one causal tree.
 //!
 //! # Determinism contract
 //!
@@ -25,6 +26,17 @@
 //! nothing. [`Telemetry::recording`] attaches a [`Recorder`]
 //! that keeps a ring buffer of trace events (JSONL export) and a
 //! metrics registry (Prometheus-style text exposition).
+//!
+//! A metric is named by its handle from the table in [`metrics`], where
+//! each one is declared once:
+//!
+//! ```
+//! use fremont_telemetry::{metrics, Telemetry};
+//!
+//! let (tel, rec) = Telemetry::recording();
+//! tel.counter_add(metrics::JOURNAL_RPC_TOTAL, "rpc=\"stats\"", 1);
+//! assert_eq!(rec.counter("fremont_journal_rpc_total", "rpc=\"stats\""), 1);
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,6 +52,8 @@ pub use trace::{TraceBuffer, TraceEvent};
 
 use std::fmt;
 use std::sync::Arc;
+
+use metrics::{Counter, Gauge, Histogram};
 
 /// A telemetry timestamp: microseconds of simulated (or journal) time.
 ///
@@ -81,28 +95,6 @@ impl SpanId {
     }
 }
 
-/// Histogram bucket boundary presets. Bounds are `'static` so the
-/// registry can validate that repeated observations agree on shape.
-pub mod bounds {
-    /// Power-of-two logical work units (batch sizes, merge op counts).
-    pub const WORK_UNITS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
-
-    /// Simulated durations in microseconds, 1ms .. 1h.
-    pub const SIM_MICROS: &[u64] = &[
-        1_000,
-        10_000,
-        100_000,
-        1_000_000,
-        10_000_000,
-        60_000_000,
-        600_000_000,
-        3_600_000_000,
-    ];
-
-    /// Frame/record sizes in bytes.
-    pub const BYTES: &[u64] = &[64, 256, 1024, 4096, 16_384, 65_536, 262_144, 1_048_576];
-}
-
 /// A cheap, cloneable handle instrumented components hold.
 ///
 /// Default ([`Telemetry::noop`]) carries no recorder: each call is a
@@ -140,38 +132,39 @@ impl Telemetry {
     }
 
     /// Adds `delta` to a monotonic counter.
-    pub fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
+    pub fn counter_add(&self, c: Counter, label: &str, delta: u64) {
         if let Some(r) = &self.rec {
-            r.counter_add(name, label, delta);
+            r.counter_add(c, label, delta);
         }
     }
 
     /// Sets a counter to an absolute value (for publishing totals
     /// accumulated elsewhere, e.g. the sim's event count).
-    pub fn counter_set(&self, name: &'static str, label: &str, value: u64) {
+    pub fn counter_set(&self, c: Counter, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.counter_set(name, label, value);
+            r.counter_set(c, label, value);
         }
     }
 
     /// Sets a gauge.
-    pub fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
+    pub fn gauge_set(&self, g: Gauge, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.gauge_set(name, label, value);
+            r.gauge_set(g, label, value);
         }
     }
 
     /// Raises a gauge to `value` if it is below it (high-water marks).
-    pub fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
+    pub fn gauge_max(&self, g: Gauge, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.gauge_max(name, label, value);
+            r.gauge_max(g, label, value);
         }
     }
 
-    /// Records `value` into a histogram with fixed bucket `bounds`.
-    pub fn observe(&self, name: &'static str, label: &str, bounds: &'static [u64], value: u64) {
+    /// Records `value` into a histogram, in the buckets its table row
+    /// declares.
+    pub fn observe(&self, h: Histogram, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.observe(name, label, bounds, value);
+            r.observe(h, label, value);
         }
     }
 
@@ -233,6 +226,11 @@ impl Telemetry {
         }
     }
 
+    /// A counter's total over every label (`None` when disabled).
+    pub fn counter_sum(&self, c: Counter) -> Option<u64> {
+        self.rec.as_ref().map(|r| r.counter_sum(c))
+    }
+
     /// A point-in-time metrics exposition (`None` when disabled).
     pub fn exposition(&self) -> Option<String> {
         self.rec.as_ref().map(|r| r.expose())
@@ -256,12 +254,15 @@ impl fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::fold_events;
+    use crate::trace::{render_jsonl, stitch, validate};
 
     #[test]
     fn noop_handle_is_inert() {
         let t = Telemetry::noop();
         assert!(!t.enabled());
-        t.counter_add("x_total", "", 3);
+        t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 3);
+        assert_eq!(t.counter_sum(metrics::WAL_APPENDS_TOTAL), None);
         let span = t.span_start("s", "", SpanId::NONE, TelTime(5));
         assert!(!span.is_real());
         t.span_end(span, "done", TelTime(9));
@@ -272,9 +273,10 @@ mod tests {
     fn recording_handle_round_trips() {
         let (t, rec) = Telemetry::recording();
         assert!(t.enabled());
-        t.counter_add("fremont_test_total", "", 2);
-        t.counter_add("fremont_test_total", "", 3);
-        assert_eq!(rec.counter("fremont_test_total", ""), 5);
+        t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 2);
+        t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 3);
+        assert_eq!(rec.counter("fremont_wal_appends_total", ""), 5);
+        assert_eq!(t.counter_sum(metrics::WAL_APPENDS_TOTAL), Some(5));
         let s = t.span_start("phase", "", SpanId::NONE, TelTime(1));
         assert!(s.is_real());
         t.span_end(s, "ok", TelTime(2));
@@ -291,5 +293,134 @@ mod tests {
     fn debug_impl_reports_state_not_recorder() {
         let t = Telemetry::noop();
         assert_eq!(format!("{t:?}"), "Telemetry { enabled: false }");
+    }
+
+    // `trace::stitch`
+
+    fn span(
+        kind: &str,
+        id: u64,
+        parent: u64,
+        name: &str,
+        tid: u64,
+        rp: u64,
+        at: u64,
+    ) -> TraceEvent {
+        TraceEvent {
+            at,
+            kind: kind.into(),
+            id,
+            parent,
+            name: name.into(),
+            detail: String::new(),
+            trace_id: tid,
+            remote_parent: rp,
+        }
+    }
+
+    fn work(id: u64, unit: &str, amount: u64) -> TraceEvent {
+        TraceEvent {
+            at: 1,
+            kind: "work".into(),
+            id,
+            parent: 0,
+            name: unit.into(),
+            detail: amount.to_string(),
+            trace_id: 0,
+            remote_parent: 0,
+        }
+    }
+
+    /// driver: pump > store_batch (owns trace 7); server: rpc > apply,
+    /// rpc hangs off the client span via remote_parent.
+    fn two_files() -> Vec<Vec<TraceEvent>> {
+        let driver = vec![
+            span("span_start", 1, 0, "driver.pump", 0, 0, 10),
+            span("span_start", 2, 1, "client.store_batch", 7, 0, 10),
+            work(2, "observations", 3),
+            span("span_end", 2, 1, "client.store_batch", 0, 0, 10),
+            span("span_end", 1, 0, "driver.pump", 0, 0, 10),
+        ];
+        let server = vec![
+            span("span_start", 1, 0, "server.rpc", 7, 2, 10),
+            span("span_start", 2, 1, "server.apply", 0, 0, 10),
+            span("span_end", 2, 1, "server.apply", 0, 0, 10),
+            span("span_end", 1, 0, "server.rpc", 0, 0, 10),
+        ];
+        vec![driver, server]
+    }
+
+    #[test]
+    fn stitches_server_rpc_under_client_span() {
+        let stitched = stitch(&two_files()).unwrap();
+        validate(&stitched).unwrap();
+        let names: Vec<(&str, &str)> = stitched
+            .iter()
+            .map(|e| (e.kind.as_str(), e.name.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("span_start", "stitch"),
+                ("span_start", "driver.pump"),
+                ("span_start", "client.store_batch"),
+                ("work", "observations"),
+                ("span_start", "server.rpc"),
+                ("span_start", "server.apply"),
+                ("span_end", "server.apply"),
+                ("span_end", "server.rpc"),
+                ("span_end", "client.store_batch"),
+                ("span_end", "driver.pump"),
+                ("span_end", "stitch"),
+            ]
+        );
+        // The server.rpc span's parent is the renumbered client span.
+        let client = stitched
+            .iter()
+            .find(|e| e.kind == "span_start" && e.name == "client.store_batch")
+            .unwrap();
+        let rpc = stitched
+            .iter()
+            .find(|e| e.kind == "span_start" && e.name == "server.rpc")
+            .unwrap();
+        assert_eq!(rpc.parent, client.id);
+        assert!(stitched
+            .iter()
+            .all(|e| e.trace_id == 0 && e.remote_parent == 0));
+    }
+
+    #[test]
+    fn stitch_is_deterministic() {
+        let a = render_jsonl(&stitch(&two_files()).unwrap());
+        let b = render_jsonl(&stitch(&two_files()).unwrap());
+        assert_eq!(a, b);
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn unowned_trace_is_an_error() {
+        let server = vec![
+            span("span_start", 1, 0, "server.rpc", 9, 4, 10),
+            span("span_end", 1, 0, "server.rpc", 0, 0, 10),
+        ];
+        let err = stitch(&[server]).unwrap_err();
+        assert!(err.contains("unowned trace 9"), "{err}");
+    }
+
+    #[test]
+    fn unfinished_span_is_an_error() {
+        let f = vec![span("span_start", 1, 0, "x", 0, 0, 1)];
+        let err = stitch(&[f]).unwrap_err();
+        assert!(err.contains("never ends"), "{err}");
+    }
+
+    #[test]
+    fn stitched_trace_folds() {
+        let stitched = stitch(&two_files()).unwrap();
+        let folded = fold_events(&stitched);
+        assert_eq!(
+            folded,
+            "observations;stitch;driver.pump;client.store_batch 3\n"
+        );
     }
 }

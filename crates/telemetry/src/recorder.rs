@@ -4,7 +4,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use crate::metrics::Registry;
+use crate::metrics::{self, Counter, Gauge, Histogram, Registry};
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::{SpanId, TelTime};
 
@@ -59,7 +59,7 @@ impl Recorder {
         let dropped = inner.trace.dropped();
         inner
             .registry
-            .counter_set("fremont_trace_dropped_total", "", dropped);
+            .counter_set(metrics::TRACE_DROPPED_TOTAL, "", dropped);
         inner.registry.expose()
     }
 
@@ -79,23 +79,9 @@ impl Recorder {
         self.lock().registry.counter(name, label)
     }
 
-    /// Current value of a gauge series (0 when absent).
-    pub fn gauge(&self, name: &str, label: &str) -> u64 {
-        self.lock().registry.gauge(name, label)
-    }
-
-    /// `(count, sum)` of a histogram series, if it exists.
-    pub fn histogram_totals(&self, name: &str, label: &str) -> Option<(u64, u64)> {
-        let inner = self.lock();
-        inner
-            .registry
-            .histogram(name, label)
-            .map(|h| (h.count(), h.sum()))
-    }
-
-    /// Counters whose name starts with `prefix`.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, String, u64)> {
-        self.lock().registry.counters_with_prefix(prefix)
+    /// A counter's total over every label.
+    pub fn counter_sum(&self, c: Counter) -> u64 {
+        self.lock().registry.counter_sum(c)
     }
 
     /// Number of buffered trace events.
@@ -127,30 +113,24 @@ impl std::fmt::Debug for Recorder {
 
 /// The recording half of every [`crate::Telemetry`] method.
 impl Recorder {
-    pub(crate) fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
-        self.lock().registry.counter_add(name, label, delta);
+    pub(crate) fn counter_add(&self, c: Counter, label: &str, delta: u64) {
+        self.lock().registry.counter_add(c, label, delta);
     }
 
-    pub(crate) fn counter_set(&self, name: &'static str, label: &str, value: u64) {
-        self.lock().registry.counter_set(name, label, value);
+    pub(crate) fn counter_set(&self, c: Counter, label: &str, value: u64) {
+        self.lock().registry.counter_set(c, label, value);
     }
 
-    pub(crate) fn gauge_set(&self, name: &'static str, label: &str, value: u64) {
-        self.lock().registry.gauge_set(name, label, value);
+    pub(crate) fn gauge_set(&self, g: Gauge, label: &str, value: u64) {
+        self.lock().registry.gauge_set(g, label, value);
     }
 
-    pub(crate) fn gauge_max(&self, name: &'static str, label: &str, value: u64) {
-        self.lock().registry.gauge_max(name, label, value);
+    pub(crate) fn gauge_max(&self, g: Gauge, label: &str, value: u64) {
+        self.lock().registry.gauge_max(g, label, value);
     }
 
-    pub(crate) fn observe(
-        &self,
-        name: &'static str,
-        label: &str,
-        bounds: &'static [u64],
-        value: u64,
-    ) {
-        self.lock().registry.observe(name, label, bounds, value);
+    pub(crate) fn observe(&self, h: Histogram, label: &str, value: u64) {
+        self.lock().registry.observe(h, label, value);
     }
 
     pub(crate) fn span_start_remote(
@@ -264,14 +244,14 @@ mod tests {
             let r = rec.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    r.counter_add("n_total", "", 1);
+                    r.counter_add(metrics::WAL_APPENDS_TOTAL, "", 1);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(rec.counter("n_total", ""), 400);
+        assert_eq!(rec.counter("fremont_wal_appends_total", ""), 400);
     }
 
     #[test]
@@ -310,14 +290,17 @@ mod tests {
     #[test]
     fn trace_tail_and_exposition_through_the_handle() {
         let (t, _rec) = crate::Telemetry::recording();
-        t.counter_add("fremont_test_total", "", 1);
+        t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 1);
         t.event("a", "", SpanId::NONE, TelTime(1));
         t.event("b", "", SpanId::NONE, TelTime(2));
         let (tail, dropped) = t.trace_tail(1).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].name, "b");
-        assert!(t.exposition().unwrap().contains("fremont_test_total"));
+        assert!(t
+            .exposition()
+            .unwrap()
+            .contains("fremont_wal_appends_total 1"));
         let off = crate::Telemetry::noop();
         assert!(off.trace_tail(1).is_none() && off.exposition().is_none());
     }
@@ -334,9 +317,20 @@ mod tests {
     #[test]
     fn histogram_totals_surface() {
         let rec = Recorder::new();
-        rec.observe("h", "", crate::bounds::WORK_UNITS, 3);
-        rec.observe("h", "", crate::bounds::WORK_UNITS, 5);
-        assert_eq!(rec.histogram_totals("h", ""), Some((2, 8)));
-        assert_eq!(rec.histogram_totals("missing", ""), None);
+        let h = metrics::JOURNAL_STORE_BATCH_OBSERVATIONS;
+        assert!(!rec
+            .expose()
+            .contains("fremont_journal_store_batch_observations"));
+        rec.observe(h, "", 3);
+        rec.observe(h, "", 5);
+        let expo = rec.expose();
+        assert!(
+            expo.contains("fremont_journal_store_batch_observations_sum 8\n"),
+            "{expo}"
+        );
+        assert!(
+            expo.contains("fremont_journal_store_batch_observations_count 2\n"),
+            "{expo}"
+        );
     }
 }

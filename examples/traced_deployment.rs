@@ -30,8 +30,9 @@ use fremont::core::driver::{DiscoveryDriver, DriverConfig};
 use fremont::journal::{JournalAccess, JournalServer};
 use fremont::netsim::builder::TopologyBuilder;
 use fremont::netsim::time::SimDuration;
-use fremont::obs::{fold_events, parse_jsonl, stitch_jsonl};
 use fremont::storage::{DurableJournal, WalConfig};
+use fremont::telemetry::profile::fold_events;
+use fremont::telemetry::trace::{parse_jsonl, stitch_jsonl};
 use fremont::telemetry::Telemetry;
 
 fn main() {

@@ -17,9 +17,9 @@
 //!   recovery, segment compaction) behind `DurableJournal`, the backend a
 //!   durable Journal Server runs over;
 //! * [`telemetry`] — the deterministic metrics registry and span/event
-//!   tracer threaded through every layer above;
-//! * [`obs`] — observability tooling over the trace stream (cross-process
-//!   stitching, folded-stack profiles, validation);
+//!   tracer threaded through every layer above, with cross-process trace
+//!   stitching, folded-stack profiles and trace validation (the
+//!   `fremont-obs` binary runs them from the command line);
 //! * [`explorers`] — the eight Explorer Modules;
 //! * [`core`] — the Discovery Manager, cross-correlation, analysis
 //!   (Table 8), presentation programs, and topology export (Figure 2).
@@ -47,6 +47,5 @@ pub use fremont_explorers as explorers;
 pub use fremont_journal as journal;
 pub use fremont_net as net;
 pub use fremont_netsim as netsim;
-pub use fremont_obs as obs;
 pub use fremont_storage as storage;
 pub use fremont_telemetry as telemetry;

@@ -16,9 +16,11 @@ use fremont::core::{DiscoveryDriver, DriverConfig};
 use fremont::journal::JournalServer;
 use fremont::netsim::builder::TopologyBuilder;
 use fremont::netsim::time::SimDuration;
-use fremont::obs::{fold_events, parse_jsonl, stitch_jsonl, validate, TraceEvent};
 use fremont::storage::{DurableJournal, WalConfig};
+use fremont::telemetry::profile::fold_events;
+use fremont::telemetry::trace::{parse_jsonl, stitch_jsonl, validate};
 use fremont::telemetry::Telemetry;
+use fremont::telemetry::TraceEvent;
 
 /// Runs a driver writing through to an in-process durable Journal
 /// Server and returns the stitched trace of both processes.
