@@ -33,7 +33,7 @@ use fremont_journal::observation::{Observation, Source};
 use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, SharedJournal};
-use fremont_journal::store::StoreSummary;
+use fremont_journal::store::{KeysVersion, StoreSummary};
 use fremont_net::Subnet;
 use fremont_netsim::engine::Sim;
 use fremont_netsim::process::ProcHandle;
@@ -41,7 +41,7 @@ use fremont_netsim::segment::NodeId;
 use fremont_netsim::time::{SimDuration, SimTime};
 use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
 
-use crate::correlate::correlate;
+use crate::correlate::derive;
 use crate::load::{ModuleLoad, ModuleLoadReport};
 use crate::manager::{DiscoveryManager, RunOutcome};
 
@@ -106,6 +106,17 @@ pub struct DiscoveryDriver {
     max_module_runtime: Option<SimDuration>,
     pump_cycle: u64,
     module_timeouts: u64,
+    /// The last cross-correlation, stored again unchanged while the
+    /// journal's shared keys stand where it read them.
+    correlated: Option<Correlation>,
+}
+
+/// `correlate`'s last answer and the version of the journal's shared
+/// keys it was derived from. The version names the journal, so a
+/// journal swapped in for `DiscoveryDriver::journal` never matches.
+struct Correlation {
+    version: KeysVersion,
+    facts: Vec<Observation>,
 }
 
 /// Book-keeping for one in-flight module run.
@@ -147,6 +158,7 @@ impl DiscoveryDriver {
             max_module_runtime: None,
             pump_cycle: 0,
             module_timeouts: 0,
+            correlated: None,
         };
         driver.publish_startup();
         driver
@@ -359,20 +371,21 @@ impl DiscoveryDriver {
         }
 
         // 4. Cross-correlate — only when the journal actually changed.
+        // The facts travel in the batch and come back to the memo, so
+        // re-storing the last answer copies nothing.
         if had_news {
             let corr_span = tel.span_start("driver.correlate", "", root, at);
-            let derived = self.journal.read(correlate);
-            let derived_count = derived.len();
-            if !derived.is_empty() {
-                let _ = self.store_batched(
-                    &[StoreBatchItem {
-                        now,
-                        observations: derived,
-                    }],
-                    corr_span,
-                    at,
-                );
+            let (version, observations) = self.correlation();
+            let derived_count = observations.len();
+            let batch = [StoreBatchItem { now, observations }];
+            if derived_count > 0 {
+                let _ = self.store_batched(&batch, corr_span, at);
             }
+            let [StoreBatchItem {
+                observations: facts,
+                ..
+            }] = batch;
+            self.correlated = Some(Correlation { version, facts });
             if tel.enabled() {
                 tel.work(corr_span, "observations", derived_count as u64, at);
                 tel.span_end(corr_span, &format!("derived={derived_count}"), at);
@@ -383,6 +396,20 @@ impl DiscoveryDriver {
             tel.span_end(root, "ok", at);
             self.publish_metrics();
         }
+    }
+
+    /// `correlate`'s answer for the journal as it stands, with the
+    /// version of the shared keys it holds for: the last answer, taken
+    /// out of the memo, while the version has not moved; else derived
+    /// afresh from the keys read with the version.
+    fn correlation(&mut self) -> (KeysVersion, Vec<Observation>) {
+        let seen = self.correlated.as_ref().map(|c| c.version);
+        let (version, keys) = self.journal.read(|j| j.shared_keys_since(seen));
+        let facts = match keys {
+            Some(keys) => derive(keys),
+            None => self.correlated.take().map(|c| c.facts).unwrap_or_default(),
+        };
+        (version, facts)
     }
 
     /// Retires one running module: kills the process and records the
@@ -643,7 +670,13 @@ fn group_drained(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlate::correlate;
+    use fremont_journal::store::Journal;
+    use fremont_journal::time::JTime;
+    use fremont_net::SubnetMask;
     use fremont_netsim::builder::TopologyBuilder;
+    use fremont_netsim::campus::CampusConfig;
+    use fremont_netsim::process::{ProcCtx, Process};
 
     fn small_world() -> (Sim, NodeId, Subnet) {
         let mut b = TopologyBuilder::new();
@@ -824,5 +857,116 @@ mod tests {
             assert_eq!(row.runs, u64::from(runs) + in_flight, "{:?}", row.source);
         }
         assert!(completed > 0);
+    }
+
+    /// After every pump of three hours of a quiet small campus, a kept
+    /// correlation whose version is still the journal's is what
+    /// `correlate` answers now. The run re-stored a kept answer and
+    /// derived a fresh one, each at least once.
+    #[test]
+    fn a_kept_correlation_is_what_correlate_answers() {
+        let mut f = crate::fremont::Fremont::over_campus(&CampusConfig::quiet_small(1993));
+        let driver = &mut f.driver;
+        let applied = |d: &DiscoveryDriver| d.journal.stats().map_or(0, |s| s.observations_applied);
+        let (mut reused, mut derived) = (0, 0);
+        driver.pump();
+        for _ in 0..3 * 120 {
+            let before = driver.correlated.as_ref().map(|c| c.version);
+            let applied_before = applied(driver);
+            driver.sim.run_for(PUMP_INTERVAL);
+            driver.pump();
+            let Some(memo) = &driver.correlated else {
+                continue;
+            };
+            // A pump that stored something correlated.
+            if applied(driver) > applied_before {
+                if before == Some(memo.version) {
+                    reused += 1;
+                } else {
+                    derived += 1;
+                }
+            }
+            if driver.journal.read(|j| j.shared_keys_since(None).0) == memo.version {
+                assert_eq!(memo.facts, driver.journal.read(correlate));
+            }
+        }
+        assert!(
+            reused >= 1 && derived >= 1,
+            "reused {reused}, derived {derived}"
+        );
+    }
+
+    /// Emits its observation every ten seconds, from the start.
+    struct Emitter(Observation);
+
+    impl Process for Emitter {
+        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+            self.on_timer(0, ctx);
+        }
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut ProcCtx<'_>) {
+            ctx.emit(self.0.clone());
+            ctx.set_timer(SimDuration::from_secs(10), 0);
+        }
+    }
+
+    /// A journal swapped in under the driver whose count of key changes
+    /// happens to equal the kept correlation's is correlated afresh:
+    /// the version names its journal.
+    #[test]
+    fn a_swapped_journal_is_correlated_afresh() {
+        let (sim, home, network) = small_world();
+        let mut driver = DiscoveryDriver::new(
+            sim,
+            SharedJournal::new(),
+            home,
+            DriverConfig {
+                enabled: vec![],
+                ..DriverConfig::full(network, None)
+            },
+        );
+        // One name on two subnets: one derived gateway. Only the
+        // emitter's re-verification of `probe` drains, which moves no
+        // key in either journal.
+        let probe = Ipv4Addr::new(10, 5, 1, 10);
+        let alive = Observation::ip_alive(Source::SeqPing, probe);
+        let mask = SubnetMask::from_prefix_len(26).unwrap();
+        driver.journal.read(|j| {
+            for a in [Ipv4Addr::new(10, 5, 1, 1), Ipv4Addr::new(10, 5, 2, 1)] {
+                j.apply(&Observation::named_ip(Source::Dns, a, "gw"), JTime(0));
+                j.apply(&Observation::mask(Source::SubnetMasks, a, mask), JTime(0));
+            }
+            j.apply(&alive, JTime(0));
+        });
+        driver.sim.spawn(home, Box::new(Emitter(alive.clone())));
+        driver.sim.run_for(PUMP_INTERVAL);
+        driver.pump();
+        let memo = driver.correlated.as_ref().unwrap();
+        let seen = memo.version;
+        assert_eq!(memo.facts.len(), 1);
+
+        // No shared key, and as many changes as the first journal.
+        let other = Journal::new();
+        other.apply(&alive, JTime(0));
+        let changes = |j: &Journal| j.shared_keys_since(None).0.changes();
+        for h in 0.. {
+            if changes(&other) == seen.changes() {
+                break;
+            }
+            let filler = Ipv4Addr::new(10, 6, 0, h);
+            other.apply(&Observation::ip_alive(Source::SeqPing, filler), JTime(0));
+        }
+        driver.journal = SharedJournal::from_journal(other);
+        driver.sim.run_for(PUMP_INTERVAL);
+        driver.pump();
+        let memo = driver.correlated.as_ref().unwrap();
+        assert_eq!(
+            memo.version.changes(),
+            seen.changes(),
+            "the count alone matches"
+        );
+        assert!(memo.facts.is_empty(), "{:?}", memo.facts);
+        assert_eq!(driver.journal.read(correlate), memo.facts);
+        assert_ne!(memo.version, seen);
     }
 }

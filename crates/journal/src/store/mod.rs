@@ -53,7 +53,7 @@ pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fremont_net::{MacAddr, Subnet};
@@ -99,6 +99,10 @@ struct Store {
     next_iface: u64,
     /// Modification sequence (tie-break within one `JTime`).
     mod_seq: u64,
+    /// Changes [`Journal::shared_keys`] can see: a record created, one
+    /// of a record's IP, MAC, name or mask changed, a record deleted.
+    /// Nothing else moves it (see [`Journal::shared_keys_since`]).
+    keys_version: u64,
     observations_applied: u64,
     /// The lists `apply_gateway` fills and empties on every call, kept
     /// here so a gateway fact allocates nothing once they have grown.
@@ -146,6 +150,31 @@ impl Targets {
 pub struct Journal {
     store: RwLock<Store>,
     counters: StoreCounters,
+    /// This journal's number in the process, so that no two journals
+    /// ever answer with the same [`KeysVersion`].
+    id: u64,
+}
+
+/// The next [`Journal::id`] to hand out.
+static NEXT_JOURNAL: AtomicU64 = AtomicU64::new(0);
+
+/// Where a journal's shared keys stand: two equal versions read from
+/// [`Journal::shared_keys_since`] stand for two equal
+/// [`Journal::shared_keys`] answers. A version names its journal, so
+/// no two journals share one, a restored copy included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeysVersion {
+    journal: u64,
+    changes: u64,
+}
+
+impl KeysVersion {
+    /// How many changes `shared_keys` can see the journal had taken:
+    /// records created, records whose IP, MAC, name or mask changed,
+    /// records deleted.
+    pub fn changes(self) -> u64 {
+        self.changes
+    }
 }
 
 impl Default for Journal {
@@ -164,6 +193,7 @@ impl Journal {
         Journal {
             store: RwLock::new(store),
             counters: StoreCounters::default(),
+            id: NEXT_JOURNAL.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -323,6 +353,7 @@ impl Store {
         }
         for &id in targets.as_slice() {
             if self.update_interface(id, source, ip, mac, name, mask, now) {
+                self.keys_version += 1;
                 sum.updated += 1;
             } else {
                 sum.verified += 1;
@@ -392,9 +423,12 @@ impl Store {
         Targets::NONE
     }
 
+    /// A new, empty record. It counts as one change to the shared keys
+    /// whatever fields the caller then gives it in the same write.
     fn create_interface(&mut self, now: JTime) -> InterfaceId {
         let id = InterfaceId(self.next_iface);
         self.next_iface += 1;
+        self.keys_version += 1;
         self.insert_record(InterfaceRecord::new(id, now));
         self.touch_modified(id, now);
         id
@@ -826,6 +860,7 @@ impl Store {
             return false;
         };
         self.live -= 1;
+        self.keys_version += 1;
         if let Some(ip) = rec.ip_addr() {
             indexes::remove(&mut self.idx_ip, &ip, id);
         }
@@ -916,11 +951,24 @@ impl Journal {
     /// members read from the records in place (no record is cloned), so
     /// both halves of the answer are a single state of the store.
     pub fn shared_keys(&self) -> SharedKeys {
+        self.begin_read().shared_keys()
+    }
+
+    /// The journal's [`KeysVersion`], and [`Self::shared_keys`]' answer
+    /// unless that version is `seen`: an unchanged version stands for
+    /// an unchanged answer, which is not built again. The version and
+    /// the keys are read under the one read guard `shared_keys` takes.
+    pub fn shared_keys_since(
+        &self,
+        seen: Option<KeysVersion>,
+    ) -> (KeysVersion, Option<SharedKeys>) {
         let st = self.begin_read();
-        SharedKeys {
-            by_mac: indexes::shared(&st.idx_mac, &st.records),
-            by_name: indexes::shared(&st.idx_name, &st.records),
-        }
+        let version = KeysVersion {
+            journal: self.id,
+            changes: st.keys_version,
+        };
+        let keys = (seen != Some(version)).then(|| st.shared_keys());
+        (version, keys)
     }
 
     // ------------------------------------------------------------------
@@ -1116,6 +1164,13 @@ impl Store {
             return Vec::new();
         }
         self.matching(self.idx_ip.range(lo..=hi).flat_map(|(_, ids)| ids), q)
+    }
+
+    fn shared_keys(&self) -> SharedKeys {
+        SharedKeys {
+            by_mac: indexes::shared(&self.idx_mac, &self.records),
+            by_name: indexes::shared(&self.idx_name, &self.records),
+        }
     }
 
     fn check_invariants(&self) -> Result<(), String> {
@@ -1543,6 +1598,91 @@ mod tests {
         let resumed = old.get_interfaces(&InterfaceQuery::by_ip(ip("10.0.0.9")));
         assert_eq!(resumed[0].id, InterfaceId(2), "past the highest live id");
         old.check_invariants().unwrap();
+    }
+
+    /// A journal with one multi-homed gateway the DNS names on two
+    /// subnets, as `correlate` finds it: one shared name.
+    fn named_gateway_journal() -> Journal {
+        let j = Journal::new();
+        let mask = fremont_net::SubnetMask::from_prefix_len(24).unwrap();
+        for a in ["10.0.1.1", "10.0.2.1"] {
+            j.apply(&Observation::named_ip(Source::Dns, ip(a), "gw"), JTime(1));
+            j.apply(
+                &Observation::mask(Source::SubnetMasks, ip(a), mask),
+                JTime(2),
+            );
+        }
+        j
+    }
+
+    /// The fact the Manager derives from that journal and stores back
+    /// after every pump that drained something. Storing it, and storing
+    /// it again, moves no shared key: only `verified` times, the
+    /// gateway record and its links. So the version stands, which is
+    /// what lets the driver re-store its last correlation.
+    #[test]
+    fn re_storing_a_manager_gateway_fact_leaves_the_keys_version() {
+        let j = named_gateway_journal();
+        let gw = Observation::new(
+            Source::Manager,
+            Fact::Gateway {
+                interface_ips: vec![ip("10.0.1.1"), ip("10.0.2.1")],
+                interface_names: vec!["gw".to_owned()],
+                subnets: vec![subnet("10.0.1.0/24"), subnet("10.0.2.0/24")],
+            },
+        );
+        let (before, _) = j.shared_keys_since(None);
+        j.apply(&gw, JTime(3));
+        let (linked, _) = j.shared_keys_since(None);
+        assert_eq!(linked, before, "a gateway link is not a shared key");
+        let again = j.apply(&gw, JTime(4));
+        assert_eq!((again.created, again.updated), (0, 0), "{again:?}");
+        assert!(again.verified > 0, "{again:?}");
+        let (after, keys) = j.shared_keys_since(Some(before));
+        assert_eq!((after, keys), (before, None));
+        assert_eq!(j.get_gateways().len(), 1);
+    }
+
+    /// A delete takes a member out of a shared key, and moves the
+    /// version. The modification sequence does not move on a delete,
+    /// one reason it cannot serve as the version.
+    #[test]
+    fn a_delete_moves_the_keys_version() {
+        let j = named_gateway_journal();
+        let (before, _) = j.shared_keys_since(None);
+        let mod_seq = j.begin_read().mod_seq;
+        assert!(j.delete_interface(InterfaceId(0)));
+        assert_eq!(j.begin_read().mod_seq, mod_seq);
+        let (after, keys) = j.shared_keys_since(Some(before));
+        assert_ne!(after, before);
+        assert_eq!(after.changes(), before.changes() + 1);
+        assert_eq!(
+            keys,
+            Some(SharedKeys::default()),
+            "the name is no longer shared"
+        );
+        assert!(!j.delete_interface(InterfaceId(0)));
+        assert_eq!(j.shared_keys_since(Some(after)), (after, None));
+    }
+
+    /// A journal restored from a snapshot is another journal: a version
+    /// read from the original never stands for it, whatever its count.
+    #[test]
+    fn a_restored_journal_answers_with_fresh_keys() {
+        let j = named_gateway_journal();
+        let (seen, keys) = j.shared_keys_since(None);
+        let keys = keys.unwrap();
+        assert_eq!(keys.by_name.len(), 1);
+        assert_eq!(j.shared_keys_since(Some(seen)), (seen, None));
+
+        let restored = Journal::from_snapshot(&j.to_snapshot());
+        let (version, fresh) = restored.shared_keys_since(Some(seen));
+        assert_ne!(version, seen);
+        assert_eq!(fresh, Some(keys));
+        let empty = Journal::new();
+        let (empty_version, _) = empty.shared_keys_since(None);
+        assert_eq!(version.changes(), empty_version.changes());
+        assert_ne!(version, empty_version, "equal counts, two journals");
     }
 
     /// Two reads hand out copies of a named record that share the one

@@ -231,6 +231,33 @@ proptest! {
         }
     }
 
+    /// An operation that leaves the keys version where it was leaves
+    /// `shared_keys` as it was, and `shared_keys_since` answers with the
+    /// keys exactly when the version moved. The driver re-stores its
+    /// last correlation on the strength of this.
+    #[test]
+    fn an_unmoved_keys_version_leaves_the_shared_keys(
+        steps in proptest::collection::vec(arb_step(), 1..100),
+    ) {
+        let j = Journal::new();
+        let (mut version, keys) = j.shared_keys_since(None);
+        let mut keys = keys.unwrap();
+        for (i, step) in steps.iter().enumerate() {
+            run_step(&j, i, step);
+            let (now, fresh) = j.shared_keys_since(Some(version));
+            let current = j.shared_keys();
+            prop_assert_eq!(fresh.is_none(), now == version);
+            match fresh {
+                None => prop_assert_eq!(&current, &keys, "step {}: {:?}", i, step),
+                Some(fresh) => {
+                    prop_assert_eq!(&fresh, &current);
+                    keys = fresh;
+                }
+            }
+            version = now;
+        }
+    }
+
     /// The batched write path is equivalent to one-at-a-time applies:
     /// the same observations, chunked arbitrarily and applied through
     /// `apply_batch`, land the store in the same state, and every
