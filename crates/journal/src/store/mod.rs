@@ -51,6 +51,7 @@ mod stats;
 pub use indexes::{SharedKeys, SharedMember};
 pub use stats::{JournalStats, ShardMetrics, ShardingMetrics, StoreSummary};
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -306,7 +307,10 @@ impl Store {
             Fact::Subnet {
                 subnet,
                 mask_assumed,
-            } => self.apply_subnet(obs.source, *subnet, *mask_assumed, now),
+            } => {
+                self.upsert_subnet(obs.source, *subnet, *mask_assumed, now)
+                    .0
+            }
             Fact::SubnetStats {
                 subnet,
                 host_count,
@@ -409,18 +413,22 @@ impl Store {
             return Targets::of(with_mac);
         }
         if let Some(ip) = ip {
-            // With several claimants, credit the presumed current owner
-            // only.
-            let owner = self.ip_ids(ip).iter().copied().max_by_key(|&id| {
-                self.rec(id)
-                    .map(|r| (r.live_verified, r.verified, r.discovered))
-            });
-            return owner.map_or(Targets::NONE, Targets::One);
+            return self
+                .presumed_owner(self.ip_ids(ip))
+                .map_or(Targets::NONE, Targets::One);
         }
         if let Some(name) = name {
             return Targets::of(self.name_ids(name));
         }
         Targets::NONE
+    }
+
+    /// The claimant an address-only observation credits: the last verified alive.
+    fn presumed_owner(&self, claimants: &[InterfaceId]) -> Option<InterfaceId> {
+        claimants.iter().copied().max_by_key(|&id| {
+            self.rec(id)
+                .map(|r| (r.live_verified, r.verified, r.discovered))
+        })
     }
 
     /// A new, empty record. It counts as one change to the shared keys
@@ -435,8 +443,9 @@ impl Store {
     }
 
     /// Applies fields to one record and maintains the indexes; returns
-    /// `true` when anything changed.
+    /// `true` when anything changed. Inlined, so a caller's `None`s fold away.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn update_interface(
         &mut self,
         id: InterfaceId,
@@ -548,38 +557,37 @@ impl Store {
     // Subnets
     // ------------------------------------------------------------------
 
-    fn apply_subnet(
+    /// Upserts a subnet record in one lookup and hands it back to update in place.
+    fn upsert_subnet(
         &mut self,
         source: Source,
         subnet: Subnet,
         mask_assumed: bool,
         now: JTime,
-    ) -> StoreSummary {
+    ) -> (StoreSummary, &mut SubnetRecord) {
         let mut sum = StoreSummary::default();
-        match self.subnets.get_mut(&subnet) {
-            Some(rec) => {
-                let mut changed = false;
-                if rec.mask_assumed && !mask_assumed {
-                    rec.mask_assumed = false;
-                    changed = true;
-                }
+        let rec = match self.subnets.entry(subnet) {
+            Entry::Occupied(e) => {
+                let rec = e.into_mut();
                 rec.sources.insert(source);
                 rec.verified = now;
-                if changed {
+                if rec.mask_assumed && !mask_assumed {
+                    rec.mask_assumed = false;
                     rec.changed = now;
                     sum.updated += 1;
                 } else {
                     sum.verified += 1;
                 }
+                rec
             }
-            None => {
-                let mut rec = SubnetRecord::new(subnet, mask_assumed, now);
-                rec.sources.insert(source);
-                self.subnets.insert(subnet, rec);
+            Entry::Vacant(e) => {
                 sum.created += 1;
+                let rec = e.insert(SubnetRecord::new(subnet, mask_assumed, now));
+                rec.sources.insert(source);
+                rec
             }
-        }
-        sum
+        };
+        (sum, rec)
     }
 
     fn apply_subnet_stats(
@@ -591,10 +599,7 @@ impl Store {
         highest: Ipv4Addr,
         now: JTime,
     ) -> StoreSummary {
-        let mut sum = self.apply_subnet(source, subnet, false, now);
-        let Some(rec) = self.subnets.get_mut(&subnet) else {
-            return sum; // apply_subnet ensures presence
-        };
+        let (mut sum, rec) = self.upsert_subnet(source, subnet, false, now);
         let mut changed = false;
         match &mut rec.host_count {
             Some(t) => changed |= t.observe(host_count, now),
@@ -663,22 +668,35 @@ impl Store {
         all_subnets.clear();
         let mut sum = StoreSummary::default();
 
-        // Resolve or create an interface record per address.
+        // One read of an address's claimants finds the presumed owner, which
+        // the fact verifies as an address-only observation does, and the
+        // member: the claimant in a gateway, else the first, so repeated
+        // facts converge. Verifying moves no posting and no `gateway` field.
         for &ip in interface_ips {
-            let s = self.apply_interface(source, Some(ip), None, None, None, now);
-            sum.absorb(s);
-            // Prefer the record that already belongs to a gateway so
-            // repeated observations converge; otherwise take the first.
             let ids = self.ip_ids(ip);
-            let chosen = ids
+            let member = ids
                 .iter()
-                .copied()
-                .find(|&id| self.rec(id).is_some_and(|r| r.gateway.is_some()))
-                .or_else(|| ids.first().copied());
-            if let Some(id) = chosen {
-                if !members.contains(&id) {
-                    members.push(id);
+                .find(|&&id| self.rec(id).is_some_and(|r| r.gateway.is_some()))
+                .or(ids.first());
+            let member = match self.presumed_owner(ids).zip(member.copied()) {
+                Some((owner, member)) => {
+                    if self.update_interface(owner, source, Some(ip), None, None, None, now) {
+                        self.keys_version += 1;
+                        sum.updated += 1;
+                    } else {
+                        sum.verified += 1;
+                    }
+                    member
                 }
+                None => {
+                    let id = self.create_interface(now);
+                    self.update_interface(id, source, Some(ip), None, None, None, now);
+                    sum.created += 1;
+                    id
+                }
+            };
+            if !members.contains(&member) {
+                members.push(member);
             }
         }
         for name in interface_names {
@@ -694,7 +712,7 @@ impl Store {
         // the subnet knowledge and wait for identifiable evidence.
         if members.is_empty() {
             for &s in subnets {
-                sum.absorb(self.apply_subnet(source, s, true, now));
+                sum.absorb(self.upsert_subnet(source, s, true, now).0);
             }
             return sum;
         }
@@ -759,13 +777,12 @@ impl Store {
             }
         }
         for &(s, assumed) in all_subnets.iter() {
-            sum.absorb(self.apply_subnet(source, s, assumed, now));
-            gw_changed |= g.add_subnet(s);
-            if let Some(srec) = self.subnets.get_mut(&s) {
-                if srec.add_gateway(gid) {
-                    srec.changed = now;
-                }
+            let (s_sum, srec) = self.upsert_subnet(source, s, assumed, now);
+            if srec.add_gateway(gid) {
+                srec.changed = now;
             }
+            sum.absorb(s_sum);
+            gw_changed |= g.add_subnet(s);
         }
         g.sources.insert(source);
         g.verified = now;
@@ -830,7 +847,9 @@ impl Store {
         now: JTime,
     ) -> StoreSummary {
         let mut sum = self.apply_interface(source, Some(ip), mac, None, None, now);
-        for id in self.ip_ids(ip).to_vec() {
+        // Nothing below moves a posting: lend the index out, copy no list.
+        let idx_ip = std::mem::take(&mut self.idx_ip);
+        for &id in idx_ip.get(&ip).map_or(&[][..], Vec::as_slice) {
             let matches_mac = match (mac, self.rec(id).and_then(InterfaceRecord::mac_addr)) {
                 (Some(m), Some(rm)) => m == rm,
                 _ => true,
@@ -847,6 +866,7 @@ impl Store {
                 }
             }
         }
+        self.idx_ip = idx_ip;
         sum
     }
 
@@ -1540,6 +1560,161 @@ mod tests {
         assert_eq!(r.host_count.as_ref().map(|t| *t.get()), Some(56));
         assert_eq!(r.lowest, Some(ip("128.138.243.1")));
         assert_eq!(r.highest, Some(ip("128.138.243.91")));
+    }
+
+    fn gateway(source: Source, ips: &[&str], subnets: &[&str]) -> Observation {
+        Observation::new(
+            source,
+            Fact::Gateway {
+                interface_ips: ips.iter().map(|s| ip(s)).collect(),
+                interface_names: vec![],
+                subnets: subnets.iter().map(|s| subnet(s)).collect(),
+            },
+        )
+    }
+
+    fn summary(created: usize, updated: usize, verified: usize) -> StoreSummary {
+        StoreSummary {
+            created,
+            updated,
+            verified,
+        }
+    }
+
+    /// The one read of an address's claimants yields two different
+    /// records here: the owner the fact verifies (the newest claimant,
+    /// verified alive last) and the member it attaches (the claimant
+    /// already in the gateway).
+    #[test]
+    fn a_gateway_fact_verifies_the_owner_and_attaches_the_member() {
+        let j = Journal::new();
+        let a = ip("10.0.0.1");
+        j.apply(
+            &Observation::arp_pair(Source::ArpWatch, a, mac("00:00:0c:00:00:01")),
+            JTime(1),
+        );
+        j.apply(&gateway(Source::Traceroute, &["10.0.0.1"], &[]), JTime(2));
+        j.apply(
+            &Observation::arp_pair(Source::ArpWatch, a, mac("08:00:20:00:00:02")),
+            JTime(3),
+        );
+        let by_mac = |m| j.get_interfaces(&InterfaceQuery::by_mac(mac(m)))[0].clone();
+        let (member, owner) = (by_mac("00:00:0c:00:00:01"), by_mac("08:00:20:00:00:02"));
+        let gid = member.gateway.unwrap();
+        assert_eq!(owner.gateway, None);
+
+        let sum = j.apply(&gateway(Source::Traceroute, &["10.0.0.1"], &[]), JTime(4));
+        assert_eq!(sum, summary(0, 0, 2), "the owner and the gateway, verified");
+        let (member, owner) = (by_mac("00:00:0c:00:00:01"), by_mac("08:00:20:00:00:02"));
+        assert_eq!(owner.verified, JTime(4));
+        assert_eq!(owner.live_verified, Some(JTime(4)));
+        assert!(owner.sources.contains(Source::Traceroute));
+        assert_eq!(owner.gateway, None, "the owner is not attached");
+        assert_eq!(member.verified, JTime(2), "the member is not verified");
+        assert_eq!(member.gateway, Some(gid));
+        let gws = j.get_gateways();
+        assert_eq!(gws.len(), 1);
+        assert_eq!(gws[0].interfaces, vec![member.id]);
+        assert_eq!(gws[0].verified, JTime(4));
+        j.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_gateway_fact_on_an_unseen_address_creates_one_record_and_attaches_it() {
+        let j = Journal::new();
+        let sum = j.apply(
+            &gateway(Source::Dns, &["10.0.3.1"], &["10.0.3.0/24"]),
+            JTime(7),
+        );
+        assert_eq!(
+            sum,
+            summary(3, 1, 0),
+            "record, gateway, subnet; gateway filled"
+        );
+        let recs = j.get_interfaces(&InterfaceQuery::all());
+        assert_eq!(recs.len(), 1);
+        let r = &recs[0];
+        assert_eq!(r.ip_addr(), Some(ip("10.0.3.1")));
+        assert_eq!(r.discovered, JTime(7));
+        assert_eq!(r.live_verified, None, "a DNS fact is not on-wire evidence");
+        let gws = j.get_gateways();
+        assert_eq!(gws.len(), 1);
+        assert_eq!(r.gateway, Some(gws[0].id));
+        assert_eq!(gws[0].interfaces, vec![r.id]);
+        let s = j.subnet(&subnet("10.0.3.0/24")).unwrap();
+        assert_eq!(s.gateways, vec![gws[0].id]);
+        assert!(s.mask_assumed);
+        // Again: one record still, and nothing moves but the times.
+        let sum = j.apply(
+            &gateway(Source::Dns, &["10.0.3.1"], &["10.0.3.0/24"]),
+            JTime(8),
+        );
+        assert_eq!(sum, summary(0, 0, 3));
+        assert_eq!(j.stats().interfaces, 1);
+        j.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn subnet_stats_on_an_unseen_subnet_create_it_once() {
+        let j = Journal::new();
+        let s = subnet("10.0.9.0/24");
+        let stats = |n| {
+            Observation::new(
+                Source::Dns,
+                Fact::SubnetStats {
+                    subnet: s,
+                    host_count: n,
+                    lowest: ip("10.0.9.2"),
+                    highest: ip("10.0.9.40"),
+                },
+            )
+        };
+        assert_eq!(j.apply(&stats(12), JTime(1)), summary(1, 1, 0));
+        assert_eq!(j.stats().subnets, 1);
+        let r = j.subnet(&s).unwrap();
+        assert!(!r.mask_assumed);
+        assert!(r.sources.contains(Source::Dns));
+        assert_eq!(r.host_count.as_ref().map(|t| *t.get()), Some(12));
+        assert_eq!(
+            (r.discovered, r.changed, r.verified),
+            (JTime(1), JTime(1), JTime(1))
+        );
+        assert_eq!(r.lowest, Some(ip("10.0.9.2")));
+        assert_eq!(r.highest, Some(ip("10.0.9.40")));
+        // The same counts verify; a new count updates the one record.
+        assert_eq!(j.apply(&stats(12), JTime(2)), summary(0, 0, 1));
+        assert_eq!(j.apply(&stats(13), JTime(3)), summary(0, 1, 1));
+        assert_eq!(j.stats().subnets, 1);
+        let r = j.subnet(&s).unwrap();
+        assert_eq!(r.host_count.as_ref().map(|t| *t.get()), Some(13));
+        assert_eq!((r.changed, r.verified), (JTime(3), JTime(3)));
+    }
+
+    #[test]
+    fn a_rip_source_flags_only_the_claimant_with_its_mac() {
+        let j = Journal::new();
+        let a = ip("10.0.0.1");
+        let (m1, m2) = (mac("00:00:0c:00:00:01"), mac("08:00:20:00:00:02"));
+        j.apply(&Observation::arp_pair(Source::ArpWatch, a, m1), JTime(1));
+        j.apply(&Observation::arp_pair(Source::ArpWatch, a, m2), JTime(2));
+        let rip = Observation::new(
+            Source::RipWatch,
+            Fact::RipSource {
+                ip: a,
+                mac: Some(m1),
+                advertised_routes: 3,
+                promiscuous: true,
+            },
+        );
+        assert_eq!(j.apply(&rip, JTime(3)), summary(0, 1, 1));
+        let by_mac = |m| j.get_interfaces(&InterfaceQuery::by_mac(m))[0].clone();
+        let (flagged, other) = (by_mac(m1), by_mac(m2));
+        assert!(flagged.rip_source && flagged.rip_promiscuous);
+        assert_eq!(flagged.changed, JTime(3));
+        assert!(!other.rip_source && !other.rip_promiscuous);
+        assert_eq!(other.changed, JTime(2));
+        assert_eq!(j.get_interfaces(&InterfaceQuery::by_ip(a)).len(), 2);
+        j.check_invariants().unwrap();
     }
 
     #[test]

@@ -404,6 +404,38 @@ proptest! {
         j.check_invariants().unwrap();
     }
 
+    /// The sibling over every merge rule: a batch of names, subnets,
+    /// gateways and RIP sources as well as ARP and ping facts, stored
+    /// again at the same time, creates and updates nothing and leaves
+    /// the snapshot as it was but for its observation count.
+    ///
+    /// It does not hold yet, and is run with `--ignored`. Two RIP
+    /// sources for one address and MAC that disagree on `promiscuous`
+    /// flip the flag twice on every pass (2 updated). And the presumed
+    /// owner of an address breaks a tie of equal times by posting
+    /// order: a gateway fact `[a, b]` then RIP sources for `b` under
+    /// two MACs leave `b` two claimants, and the replayed gateway fact
+    /// verifies the second, whose sources grow.
+    #[test]
+    #[ignore = "replaying a batch is not idempotent yet: RIP promiscuity flips, owner tie-break"]
+    fn every_merge_rule_is_idempotent_on_content(
+        obs in proptest::collection::vec(arb_mixed_obs(), 1..50)
+    ) {
+        let j = Journal::new();
+        j.apply_batch(obs.iter().map(|o| (o, JTime(1))));
+        let first = j.to_snapshot();
+        let again = j.apply_batch(obs.iter().map(|o| (o, JTime(1))));
+        prop_assert_eq!((again.created, again.updated), (0, 0), "{:?}", again);
+        let mut second = j.to_snapshot();
+        prop_assert_eq!(
+            second.observations_applied,
+            first.observations_applied + obs.len() as u64
+        );
+        second.observations_applied = first.observations_applied;
+        prop_assert_eq!(second, first);
+        j.check_invariants().unwrap();
+    }
+
     #[test]
     fn every_observed_ip_is_queryable(obs in proptest::collection::vec(arb_obs(), 1..100)) {
         let j = Journal::new();
