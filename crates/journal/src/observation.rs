@@ -297,6 +297,33 @@ mod tests {
         assert_eq!(members, vec![Source::SeqPing, Source::Dns]);
     }
 
+    /// A `SourceSet` is stored as its `u16` (`"sources": 96` in a
+    /// snapshot), so each `Source`'s position is its bit on disk:
+    /// reordering the variants would reread every committed set.
+    #[test]
+    fn source_bits_are_the_on_disk_format() {
+        let bits = [
+            (Source::ArpWatch, 0),
+            (Source::EtherHostProbe, 1),
+            (Source::SeqPing, 2),
+            (Source::BrdcastPing, 3),
+            (Source::SubnetMasks, 4),
+            (Source::Traceroute, 5),
+            (Source::RipWatch, 6),
+            (Source::Dns, 7),
+            (Source::Manager, 8),
+        ];
+        for (source, bit) in bits {
+            assert_eq!(source as u16, bit, "{source:?}");
+        }
+        let mut set = SourceSet::EMPTY;
+        set.insert(Source::Traceroute);
+        set.insert(Source::RipWatch);
+        set.insert(Source::Manager);
+        assert_eq!(set, SourceSet(0b1_0110_0000));
+        assert_eq!(serde_json::to_string(&set).unwrap(), "352");
+    }
+
     #[test]
     fn observation_shorthands() {
         let o = Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, 1));

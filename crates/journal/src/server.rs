@@ -113,7 +113,7 @@ pub trait JournalAccess {
     /// (one per transaction), for backends wrapping the in-process
     /// store; `None` for remote or opaque backends.
     /// Carried outside [`ShardingMetrics`] because that struct is a
-    /// frozen wire type (wal-schema golden).
+    /// frozen wire type (`tests/golden/wire/response-Introspection.frames`).
     fn batch_groups_total(&self) -> Option<u64> {
         None
     }

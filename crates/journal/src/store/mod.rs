@@ -25,8 +25,9 @@
 //! other. Only `begin_read`/`begin_write` take the lock, and a function
 //! holding a guard calls no `self.` method but those and `counters`, so
 //! no query calls another (the lock is not reentrant) and nothing else
-//! is acquired under it. `fremont-lint`'s `workspace_clean` test checks
-//! both (DESIGN.md § 6, "Four locks, one order").
+//! is acquired under it. `lock_structure` in
+//! `crates/lint/tests/workspace_clean.rs` checks both (DESIGN.md § 6,
+//! "Four locks, one order").
 //!
 //! Consistency: a query sees a single state of the whole store, and a
 //! write transaction — a batch, a single apply, a delete — is atomic
@@ -1039,7 +1040,7 @@ impl Journal {
 
     /// Total write-lock acquisitions made by write transactions — one
     /// per transaction. Kept out of [`ShardingMetrics`] (a wire type
-    /// frozen by the wal-schema golden); the server reads it directly
+    /// frozen by `tests/golden/wire/`); the server reads it directly
     /// when publishing telemetry.
     pub fn batch_groups_total(&self) -> u64 {
         self.counters.write_locks.load(Ordering::Relaxed)

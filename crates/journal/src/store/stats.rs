@@ -3,7 +3,8 @@
 //! The store is one partition behind one lock; the "shard" in
 //! [`ShardMetrics`], [`ShardingMetrics`], `sharding_metrics()`,
 //! `batch_groups_total()` and the `fremont_journal_shard_*` metric
-//! names is vestigial, kept only because `crates/lint/wal-schema.golden`,
+//! names is vestigial, kept only because the wire fixture
+//! `tests/golden/wire/response-Introspection.frames`,
 //! `crates/telemetry/metrics.golden` and `crates/e2e` freeze those
 //! names. The partition reports as shard 0.
 

@@ -6,8 +6,7 @@
 //! workspace: a table of every `fn` definition with its body's token
 //! extent ([`CallGraph::fns`]).
 
-use crate::lexer::{Tok, TokKind};
-use crate::rules::matching_close;
+use crate::lexer::{matching_close, Tok, TokKind};
 use crate::Workspace;
 
 /// One `fn` definition (token extent of its body).

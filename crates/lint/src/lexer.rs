@@ -383,6 +383,28 @@ fn lex_number(c: &mut Cursor<'_>) {
     }
 }
 
+/// Index of the token matching the opening bracket at `open` (or the
+/// end of the stream when unbalanced).
+pub fn matching_close(code: &[Tok], open: usize) -> usize {
+    let mut depth = 0i64;
+    for (i, t) in code.iter().enumerate().skip(open) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len().saturating_sub(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

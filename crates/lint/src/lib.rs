@@ -1,110 +1,31 @@
-//! `fremont-lint`: in-tree static analysis for Fremont's whole-codebase
-//! invariants.
+//! `fremont-lint`: a token-level view of the workspace's Rust sources,
+//! kept as support for the tests that read program code as a whole.
 //!
-//! The Journal's value is cross-correlating timestamped observations,
-//! which only holds if discovery runs are replayable and the durable WAL
-//! never silently changes. Those are properties no unit test can guard —
-//! one `SystemTime::now()` added to an explorer breaks replay everywhere
-//! — so this crate walks every `.rs` file in the workspace with its own
-//! token-level lexer ([`lexer`]) and enforces two rules:
+//! [`Workspace::load`] lexes every `.rs` file outside `vendor/`,
+//! `target/`, `tests/`, `benches/` and `examples/` with this crate's own
+//! lexer ([`lexer`]) and marks the lines that are test-only code. Two
+//! tests in `tests/workspace_clean.rs` read it:
 //!
-//! | rule               | invariant |
-//! |--------------------|-----------|
-//! | `determinism`      | no wall-clock / unseeded RNG outside the clock module |
-//! | `wal-schema`       | serialized record types are append-only vs a golden |
-//!
-//! Metric names are not a rule: each metric is a typed handle declared
-//! once in `fremont-telemetry`'s table, so the compiler rejects a name
-//! no row declares, and a telemetry unit test checks the table against
-//! `crates/telemetry/metrics.golden`.
+//! - `workspace_is_clean`: program code reads no wall clock and no
+//!   ambient entropy, so a discovery run replays from its seed.
+//! - `the_four_locks_keep_their_one_order`: the structure that makes
+//!   lock order a fact rather than a rule, reading function extents from
+//!   [`callgraph`] (DESIGN.md § 6, "Four locks, one order").
 //!
 //! Panics and discarded `Result`s on the discovery, Journal and WAL paths
 //! are the compiler's to catch: the workspace denies clippy's
 //! `unwrap_used`, `expect_used`, `panic`, `todo`, `unimplemented`,
-//! `unreachable` and `let_underscore_must_use` there (DESIGN.md § 6), and
-//! a deliberate exception is an `#[expect(…, reason = "…")]` at the site.
-//! Lock order is not a rule either: the workspace has four locks and one
-//! nesting, and `tests/workspace_clean.rs` checks the structure that
-//! keeps it so, reading function extents from [`callgraph`] (DESIGN.md
-//! § 6, "Four locks, one order").
+//! `unreachable` and `let_underscore_must_use` there (DESIGN.md § 6).
+//! The Journal's formats are pinned by committed bytes that must decode
+//! and re-encode unchanged (`tests/wal_parent.rs`).
 
 pub mod callgraph;
 pub mod lexer;
-pub mod report;
-pub mod rules;
 
 use std::collections::BTreeSet;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 use lexer::{lex, Tok, TokKind};
-
-/// All rule names, in reporting order.
-pub const RULES: [&str; 2] = ["determinism", "wal-schema"];
-
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory (does not affect the exit code): e.g. an appended WAL
-    /// variant awaiting a golden refresh.
-    Warning,
-    /// An invariant violation: fails the build.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One finding.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which rule fired (one of [`RULES`]).
-    pub rule: &'static str,
-    /// Workspace-relative path (unix separators).
-    pub path: String,
-    /// 1-based source line (0 when the finding is file-level).
-    pub line: u32,
-    /// 1-based source column (0 when unknown).
-    pub col: u32,
-    pub severity: Severity,
-    pub message: String,
-}
-
-/// Analyzer configuration: which paths each rule covers.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Workspace root (where `Cargo.toml` with `[workspace]` lives).
-    pub root: PathBuf,
-    /// Path prefixes where wall-clock/RNG use is allowed (the clock
-    /// module; `vendor/` and test code are always exempt).
-    pub clock_allowlist: Vec<String>,
-    /// Path prefixes whose serialized types are schema-fingerprinted.
-    pub schema_scope: Vec<String>,
-    /// Workspace-relative path of the committed schema golden.
-    pub golden_path: String,
-}
-
-impl Config {
-    /// The Fremont workspace defaults.
-    pub fn for_root(root: PathBuf) -> Self {
-        Config {
-            root,
-            clock_allowlist: vec!["crates/journal/src/time.rs".to_owned()],
-            schema_scope: vec![
-                "crates/journal/src/".to_owned(),
-                "crates/storage/src/".to_owned(),
-                "crates/netsim/src/faults.rs".to_owned(),
-            ],
-            golden_path: "crates/lint/wal-schema.golden".to_owned(),
-        }
-    }
-}
 
 /// One lexed source file.
 pub struct SourceFile {
@@ -113,7 +34,7 @@ pub struct SourceFile {
     /// Code tokens (comments stripped).
     pub code: Vec<Tok>,
     /// Line ranges (inclusive) belonging to `#[cfg(test)]` / `#[test]`
-    /// items; rules skip them.
+    /// items; the checks skip them.
     test_spans: Vec<(u32, u32)>,
     /// True when the whole file is test-only code: its out-of-line
     /// `mod` declaration in the parent module is `#[cfg(test)]`-gated.
@@ -139,11 +60,6 @@ impl SourceFile {
     /// True when `line` is inside test-only code.
     pub fn in_test(&self, line: u32) -> bool {
         self.all_test || self.test_spans.iter().any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// True when the path starts with any of the given prefixes.
-    pub fn in_scope(&self, prefixes: &[String]) -> bool {
-        prefixes.iter().any(|p| self.path.starts_with(p.as_str()))
     }
 }
 
@@ -336,53 +252,6 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()
         }
     }
     Ok(())
-}
-
-/// The full result of one analyzer run.
-pub struct Analysis {
-    /// Every finding, sorted by position.
-    pub violations: Vec<Violation>,
-    /// Files scanned.
-    pub files: usize,
-}
-
-impl Analysis {
-    /// Error-severity findings.
-    pub fn errors(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.severity == Severity::Error)
-            .count()
-    }
-
-    /// Warning-severity findings.
-    pub fn warnings(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.severity == Severity::Warning)
-            .count()
-    }
-}
-
-/// Runs every rule over the workspace.
-///
-/// `write_golden` regenerates the committed WAL-schema golden instead of
-/// checking against it; the second result holds the new content of
-/// `Config::golden_path` for the caller to persist.
-pub fn analyze(ws: &Workspace, cfg: &Config, write_golden: bool) -> (Analysis, Option<String>) {
-    let mut violations = rules::determinism::check(ws, cfg);
-    let (schema_violations, golden) = rules::schema::check(ws, cfg, write_golden);
-    violations.extend(schema_violations);
-    violations.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
-    (
-        Analysis {
-            violations,
-            files: ws.files.len(),
-        },
-        golden,
-    )
 }
 
 /// Locates the workspace root: walks up from `start` looking for a

@@ -1,36 +1,102 @@
-//! The analyzer's verdict on the real workspace: zero errors, the clippy
-//! lints denied where panics and discarded `Result`s must not be, the
-//! acceptance property that mutating an existing WAL variant fails the
-//! build, and the lock structure that makes lock order a fact rather
-//! than a rule (DESIGN.md § 6), with a seeded mutation for each way of
-//! breaking it.
+//! Checks that read the workspace's program code as a whole: no wall
+//! clock or ambient entropy outside test code, the clippy lints denied
+//! where panics and discarded `Result`s must not be, and the lock
+//! structure that makes lock order a fact rather than a rule (DESIGN.md
+//! § 6), each with seeded mutations that must break it.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use fremont_lint::callgraph::CallGraph;
-use fremont_lint::lexer::{Tok, TokKind};
-use fremont_lint::rules::matching_close;
-use fremont_lint::{analyze, find_workspace_root, Config, Severity, SourceFile, Workspace};
+use fremont_lint::lexer::{matching_close, Tok, TokKind};
+use fremont_lint::{find_workspace_root, SourceFile, Workspace};
 
-fn real_workspace() -> (Workspace, Config) {
+fn real_workspace() -> (Workspace, PathBuf) {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("lint crate lives inside the workspace");
     let ws = Workspace::load(&root).expect("workspace sources readable");
-    let cfg = Config::for_root(root);
-    (ws, cfg)
+    (ws, root)
+}
+
+/// Types whose mention in program code reads a wall clock.
+const CLOCKS: [&str; 2] = ["SystemTime", "Instant"];
+
+/// Functions and types that draw from ambient entropy (`rand::random`
+/// is matched as `::random`).
+const ENTROPY: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "getrandom"];
+
+/// Every wall-clock or unseeded-entropy name outside test code, as
+/// `path:line: name`. `Workspace::load` already leaves out `tests/`,
+/// `benches/`, `examples/` and `vendor/`; string literals and comments
+/// are not code tokens.
+fn nondeterminism(ws: &Workspace) -> Vec<String> {
+    let mut out = Vec::new();
+    for f in &ws.files {
+        let code = &f.code;
+        for (i, t) in code.iter().enumerate() {
+            if t.kind != TokKind::Ident || f.in_test(t.line) {
+                continue;
+            }
+            let name = t.text.as_str();
+            if CLOCKS.contains(&name)
+                || ENTROPY.contains(&name)
+                || (name == "random"
+                    && punct_at(code, i.wrapping_sub(1), ':')
+                    && punct_at(code, i.wrapping_sub(2), ':'))
+            {
+                out.push(format!("{}:{}: {name}", f.path, t.line));
+            }
+        }
+    }
+    out
+}
+
+/// A discovery run must replay from its seed: the Journal stamps
+/// observations with simulated time and every explorer draws from the
+/// simulator's seeded RNG, so one `Instant::now()` in program code makes
+/// a replay diverge from the run it replays.
+#[test]
+fn workspace_is_clean() {
+    let (ws, _) = real_workspace();
+    let found = nondeterminism(&ws);
+    assert!(
+        found.is_empty(),
+        "program code reads a wall clock or ambient entropy; use simulated time \
+         and a seeded RNG: {found:#?}"
+    );
+}
+
+const EXPLORER: &str = "crates/explorers/src/seqping.rs";
+
+#[test]
+fn a_wall_clock_in_an_explorer_fails_the_build() {
+    let ws = workspace_with_appended(
+        EXPLORER,
+        "pub fn lint_probe() -> u64 {\n    \
+         let t = std::time::Instant::now();\n    \
+         let s = std::time::SystemTime::now();\n    \
+         rand::thread_rng().gen::<u64>() ^ rand::random::<u64>()\n}\n",
+    );
+    let found = nondeterminism(&ws);
+    for name in ["Instant", "SystemTime", "thread_rng", "random"] {
+        assert!(
+            found
+                .iter()
+                .any(|m| m.starts_with(EXPLORER) && m.ends_with(&format!(": {name}"))),
+            "`{name}` in an explorer must be reported: {found:#?}"
+        );
+    }
 }
 
 #[test]
-fn workspace_is_clean() {
-    let (ws, cfg) = real_workspace();
-    let (analysis, golden) = analyze(&ws, &cfg, false);
-    assert!(golden.is_none());
-    let errors: Vec<_> = analysis
-        .violations
-        .iter()
-        .filter(|v| v.severity == Severity::Error)
-        .collect();
-    assert!(errors.is_empty(), "{errors:#?}");
+fn a_wall_clock_in_test_code_or_a_string_is_not_reported() {
+    for append in [
+        "#[cfg(test)]\nmod lint_probe {\n    fn f() {\n        \
+         let _ = std::time::Instant::now();\n    }\n}\n",
+        "pub fn lint_probe() -> &'static str {\n    \"Instant::now() thread_rng()\"\n}\n",
+    ] {
+        let found = nondeterminism(&workspace_with_appended(EXPLORER, append));
+        assert!(found.is_empty(), "{append:?} reports {found:#?}");
+    }
 }
 
 /// The clippy lints that keep panics and discarded `Result`s off the
@@ -63,8 +129,8 @@ fn toml_table<'a>(manifest: &'a str, table: &str) -> Vec<&'a str> {
 /// fails here, and every exception in program code must give its reason.
 #[test]
 fn the_panic_and_discard_lints_stay_denied() {
-    let (ws, cfg) = real_workspace();
-    let read = |rel: &str| std::fs::read_to_string(cfg.root.join(rel)).expect("readable");
+    let (ws, root) = real_workspace();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable");
     let denies =
         |lines: &[&str], lint: &str| lines.contains(&format!("{lint} = \"deny\"").as_str());
 
@@ -135,40 +201,16 @@ fn the_panic_and_discard_lints_stay_denied() {
     );
 }
 
-#[test]
-fn mutating_an_existing_wal_variant_fails_the_build() {
-    let (mut ws, cfg) = real_workspace();
-    let path = "crates/journal/src/observation.rs";
-    let idx = ws
-        .files
-        .iter()
-        .position(|f| f.path == path)
-        .expect("observation.rs is part of the schema scope");
-    let content = std::fs::read_to_string(cfg.root.join(path)).expect("observation.rs readable");
-    let mutated = content.replace("mask_assumed: bool", "mask_assumed: u8");
-    assert_ne!(content, mutated, "the guarded field exists");
-    ws.files[idx] = SourceFile::new(path.to_owned(), &mutated);
-
-    let (analysis, _) = analyze(&ws, &cfg, false);
-    assert!(
-        analysis.violations.iter().any(|v| v.rule == "wal-schema"
-            && v.severity == Severity::Error
-            && v.message.contains("variant")),
-        "mutated Fact variant must be an error: {:#?}",
-        analysis.violations
-    );
-}
-
 /// The real workspace with `append` added to the end of the file at
 /// `path`.
 fn workspace_with_appended(path: &str, append: &str) -> Workspace {
-    let (mut ws, cfg) = real_workspace();
+    let (mut ws, root) = real_workspace();
     let idx = ws
         .files
         .iter()
         .position(|f| f.path == path)
         .expect("the mutated file is in the workspace");
-    let content = std::fs::read_to_string(cfg.root.join(path)).expect("source readable");
+    let content = std::fs::read_to_string(root.join(path)).expect("source readable");
     ws.files[idx] = SourceFile::new(path.to_owned(), &format!("{content}\n{append}"));
     ws
 }
@@ -423,38 +465,5 @@ fn a_fifth_lock_fails_the_build() {
         "pub struct LintProbe {\n    extra: std::sync::Mutex<u8>,\n}\n",
         "(a)",
         "LintProbe::extra",
-    );
-}
-
-#[test]
-fn appending_a_wal_variant_is_only_a_warning() {
-    let (mut ws, cfg) = real_workspace();
-    let path = "crates/journal/src/observation.rs";
-    let idx = ws
-        .files
-        .iter()
-        .position(|f| f.path == path)
-        .expect("observation.rs is part of the schema scope");
-    let content = std::fs::read_to_string(cfg.root.join(path)).expect("observation.rs readable");
-    // Append a new variant after Fact's last (RipSource ends the enum).
-    let marker = "        promiscuous: bool,\n    },\n}";
-    assert!(content.contains(marker), "Fact ends with RipSource");
-    let mutated = content.replacen(
-        marker,
-        "        promiscuous: bool,\n    },\n    FixtureAppended { tag: u32 },\n}",
-        1,
-    );
-    ws.files[idx] = SourceFile::new(path.to_owned(), &mutated);
-
-    let (analysis, _) = analyze(&ws, &cfg, false);
-    let schema: Vec<_> = analysis
-        .violations
-        .iter()
-        .filter(|v| v.rule == "wal-schema")
-        .collect();
-    assert!(!schema.is_empty(), "append is visible");
-    assert!(
-        schema.iter().all(|v| v.severity == Severity::Warning),
-        "append stays a warning until the golden is refreshed: {schema:#?}"
     );
 }

@@ -9,8 +9,9 @@
 //!
 //! # Determinism contract
 //!
-//! Nothing in this crate reads a wall clock or an entropy source; the
-//! workspace lint (`fremont-lint`) enforces that at the token level.
+//! Nothing in this crate reads a wall clock or an entropy source;
+//! `workspace_is_clean` in `crates/lint/tests/workspace_clean.rs`
+//! checks that at the token level.
 //! Every timestamp is a [`TelTime`] passed in by the caller, derived
 //! from `SimTime` (microseconds) or `JTime` (seconds). Latencies are
 //! therefore expressed in *simulated* time or in logical work units
