@@ -1,11 +1,12 @@
 //! The Journal: merge, index, and query discovered network facts.
 //!
 //! This is the in-memory representation the paper's Journal Server keeps:
-//! records in modification-time order, interface records indexed by
-//! Ethernet address, IP address, and DNS name, and subnet records indexed
-//! by subnet address. The paper's server kept those indexes in AVL trees;
-//! here they are std `BTreeMap`s, which give the same ordered lookups and
-//! range scans. "Because it is the shared place where
+//! interface records indexed by Ethernet address, IP address, and DNS
+//! name, and subnet records indexed by subnet address. The paper's server
+//! kept those indexes in AVL trees; here they are std `BTreeMap`s, which
+//! give the same ordered lookups and range scans. Its "lists ordered by
+//! time of last modification" are sorted on read from each record's
+//! `changed` time. "Because it is the shared place where
 //! observations are stored ... the Journal is more than just the sum of
 //! its parts": the merge rules below are what turn per-module observations
 //! into cross-correlated knowledge.
@@ -13,7 +14,7 @@
 //! # One partition, one lock
 //!
 //! [`Journal`] is one `Store` — every record, every index, the gateway
-//! and subnet slabs and the ordering sequences — behind one std
+//! and subnet slabs and the counters — behind one std
 //! reader-writer lock, the paper's single process that "serializes
 //! updates, time-stamps and records the data, and answers queries".
 //!
@@ -87,20 +88,12 @@ struct Store {
     /// DNS-name index. A name maps to several records for multi-homed
     /// gateways.
     idx_name: BTreeMap<String, Vec<InterfaceId>>,
-    /// Modification-time ordering over the records (the paper's "lists
-    /// ordered by time of last modification").
-    idx_modified: BTreeMap<(JTime, u64), InterfaceId>,
-    /// Current modification key per record, for removal on re-touch:
-    /// a slab beside `records`, `Some` exactly where a record lives.
-    mod_keys: Vec<Option<(JTime, u64)>>,
     gateways: Vec<Option<GatewayRecord>>,
     subnets: BTreeMap<Subnet, SubnetRecord>,
     /// Next interface id to allocate. No journal hands out an id twice:
     /// a snapshot carries this counter, so a recovered journal moves on
     /// past a deleted newest record as a live one does.
     next_iface: u64,
-    /// Modification sequence (tie-break within one `JTime`).
-    mod_seq: u64,
     /// Changes [`Journal::shared_keys`] can see: a record created, one
     /// of a record's IP, MAC, name or mask changed, a record deleted.
     /// Nothing else moves it (see [`Journal::shared_keys_since`]).
@@ -258,12 +251,11 @@ impl Store {
         self.records.get_mut(id.0 as usize).and_then(Option::as_mut)
     }
 
-    /// Puts `rec` in the slot of its id, growing both slabs to reach it.
+    /// Puts `rec` in the slot of its id, growing the slab to reach it.
     fn insert_record(&mut self, rec: InterfaceRecord) {
         let i = rec.id.0 as usize;
         if self.records.len() <= i {
             self.records.resize_with(i + 1, || None);
-            self.mod_keys.resize(i + 1, None);
         }
         if self.records[i].replace(rec).is_none() {
             self.live += 1;
@@ -280,20 +272,6 @@ impl Store {
 
     fn name_ids(&self, name: &str) -> &[InterfaceId] {
         self.idx_name.get(name).map_or(&[], Vec::as_slice)
-    }
-
-    /// Moves `id` to the end of the modification order at time `now`.
-    /// `id` must be live.
-    fn touch_modified(&mut self, id: InterfaceId, now: JTime) {
-        self.mod_seq += 1;
-        let key = (now, self.mod_seq);
-        let Some(slot) = self.mod_keys.get_mut(id.0 as usize) else {
-            return;
-        };
-        if let Some(old) = slot.replace(key) {
-            self.idx_modified.remove(&old);
-        }
-        self.idx_modified.insert(key, id);
     }
 
     fn apply(&mut self, obs: &Observation, now: JTime) -> StoreSummary {
@@ -439,7 +417,6 @@ impl Store {
         self.next_iface += 1;
         self.keys_version += 1;
         self.insert_record(InterfaceRecord::new(id, now));
-        self.touch_modified(id, now);
         id
     }
 
@@ -547,9 +524,6 @@ impl Store {
                 indexes::remove(&mut self.idx_name, &*old, id);
             }
             indexes::add(&mut self.idx_name, name.to_owned(), id);
-        }
-        if changed {
-            self.touch_modified(id, now);
         }
         changed
     }
@@ -759,7 +733,6 @@ impl Store {
                 if r.gateway != Some(gid) {
                     r.gateway = Some(gid);
                     r.changed = now;
-                    self.touch_modified(m, now);
                 }
             }
             gw_changed |= g.add_interface(m);
@@ -811,7 +784,6 @@ impl Store {
                     r.gateway = Some(into);
                     r.changed = now;
                 }
-                self.touch_modified(i, now);
             }
         }
         // Re-point subnet records.
@@ -861,7 +833,6 @@ impl Store {
                         r.rip_source = true;
                         r.rip_promiscuous = promiscuous;
                         r.changed = now;
-                        self.touch_modified(id, now);
                         sum.updated += 1;
                     }
                 }
@@ -876,8 +847,7 @@ impl Store {
     // ------------------------------------------------------------------
 
     fn delete_interface(&mut self, id: InterfaceId) -> bool {
-        let i = id.0 as usize;
-        let Some(rec) = self.records.get_mut(i).and_then(Option::take) else {
+        let Some(rec) = self.records.get_mut(id.0 as usize).and_then(Option::take) else {
             return false;
         };
         self.live -= 1;
@@ -890,9 +860,6 @@ impl Store {
         }
         if let Some(name) = rec.dns_name() {
             indexes::remove(&mut self.idx_name, name, id);
-        }
-        if let Some(key) = self.mod_keys.get_mut(i).and_then(Option::take) {
-            self.idx_modified.remove(&key);
         }
         if let Some(gid) = rec.gateway {
             if let Some(g) = self
@@ -946,13 +913,14 @@ impl Journal {
         st.records_by_id(|r| q.matches(r))
     }
 
-    /// Interfaces in ascending order of last modification (oldest first).
+    /// Interfaces in ascending order of last modification (oldest first),
+    /// records changed at the same time in id order. The order is read
+    /// from each record's `changed` time, so a restored journal lists
+    /// its records as the journal that wrote the snapshot does.
     pub fn interfaces_by_modification(&self) -> Vec<InterfaceRecord> {
-        let st = self.begin_read();
-        st.idx_modified
-            .values()
-            .filter_map(|&id| st.rec(id).cloned())
-            .collect()
+        let mut v = self.begin_read().records_by_id(|_| true);
+        v.sort_by_key(|r| (r.changed, r.id));
+        v
     }
 
     /// All gateway records.
@@ -1087,10 +1055,7 @@ impl Journal {
             ..Store::default()
         };
 
-        // Rebuild the modification index in changed-time order.
-        let mut by_changed: Vec<&InterfaceRecord> = snap.interfaces.iter().collect();
-        by_changed.sort_by_key(|r| r.changed);
-        for rec in by_changed {
+        for rec in &snap.interfaces {
             let id = rec.id;
             st.insert_record(rec.clone());
             if let Some(ip) = rec.ip_addr() {
@@ -1102,7 +1067,6 @@ impl Journal {
             if let Some(name) = rec.dns_name() {
                 indexes::add(&mut st.idx_name, name.to_owned(), id);
             }
-            st.touch_modified(id, rec.changed);
         }
         for g in &snap.gateways {
             st.gateways[g.id.0 as usize] = Some(g.clone());
@@ -1195,33 +1159,14 @@ impl Store {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        // The slabs: a live record sits at its own id with its own mod
-        // key; a dead slot has neither.
-        if self.mod_keys.len() != self.records.len() {
-            return Err(format!(
-                "{} record slots but {} mod-key slots",
-                self.records.len(),
-                self.mod_keys.len()
-            ));
-        }
+        // The slab: a live record sits at its own id.
         let mut live = 0;
-        for (i, (slot, key)) in self.records.iter().zip(&self.mod_keys).enumerate() {
-            match (slot, key) {
-                (Some(r), Some(key)) => {
-                    live += 1;
-                    if r.id.0 != i as u64 {
-                        return Err(format!("record {:?} sits in slot {i}", r.id));
-                    }
-                    if self.idx_modified.get(key) != Some(&r.id) {
-                        return Err(format!(
-                            "{:?}'s mod key {key:?} is not in idx_modified",
-                            r.id
-                        ));
-                    }
+        for (i, r) in self.records.iter().enumerate() {
+            if let Some(r) = r {
+                live += 1;
+                if r.id.0 != i as u64 {
+                    return Err(format!("record {:?} sits in slot {i}", r.id));
                 }
-                (Some(r), None) => return Err(format!("record {:?} has no mod key", r.id)),
-                (None, Some(key)) => return Err(format!("dead slot {i} has mod key {key:?}")),
-                (None, None) => {}
             }
         }
         if live != self.live {
@@ -1259,15 +1204,6 @@ impl Store {
                     return Err(format!("idx_name stale for {name}"));
                 }
             }
-        }
-        // Each live record's key is in idx_modified, pointing back at
-        // it, so equal sizes leave no other entry.
-        if self.idx_modified.len() != self.live {
-            return Err(format!(
-                "{} records but {} idx_modified entries",
-                self.live,
-                self.idx_modified.len()
-            ));
         }
         for rec in self.records.iter().flatten() {
             if let Some(ip) = rec.ip_addr() {
@@ -1820,15 +1756,12 @@ mod tests {
     }
 
     /// A delete takes a member out of a shared key, and moves the
-    /// version. The modification sequence does not move on a delete,
-    /// one reason it cannot serve as the version.
+    /// version.
     #[test]
     fn a_delete_moves_the_keys_version() {
         let j = named_gateway_journal();
         let (before, _) = j.shared_keys_since(None);
-        let mod_seq = j.begin_read().mod_seq;
         assert!(j.delete_interface(InterfaceId(0)));
-        assert_eq!(j.begin_read().mod_seq, mod_seq);
         let (after, keys) = j.shared_keys_since(Some(before));
         assert_ne!(after, before);
         assert_eq!(after.changes(), before.changes() + 1);
@@ -1903,10 +1836,9 @@ mod tests {
 
     #[test]
     fn check_invariants_catches_a_broken_slab() {
-        let breaks: [fn(&mut Store); 4] = [
+        let breaks: [fn(&mut Store); 3] = [
             |st| st.live += 1,
             |st| st.records.swap(0, 1),
-            |st| st.mod_keys[1] = Some((JTime(0), 99)),
             |st| {
                 st.records[2] = None;
                 st.live -= 1;
@@ -1956,6 +1888,35 @@ mod tests {
             vec![ip("10.0.0.2"), ip("10.0.0.3"), ip("10.0.0.1")],
             "most recently changed records move to the end"
         );
+    }
+
+    /// Two records changed at the same time list in id order, whichever
+    /// changed last, so the journal that wrote a snapshot and the one
+    /// restored from it answer alike.
+    #[test]
+    fn a_restored_journal_lists_by_modification_as_the_live_one_does() {
+        let j = Journal::new();
+        for a in ["10.0.0.1", "10.0.0.2"] {
+            j.apply(&Observation::ip_alive(Source::SeqPing, ip(a)), JTime(1));
+        }
+        for (a, m) in [
+            ("10.0.0.2", "08:00:20:00:00:02"),
+            ("10.0.0.1", "08:00:20:00:00:01"),
+        ] {
+            j.apply(
+                &Observation::arp_pair(Source::ArpWatch, ip(a), mac(m)),
+                JTime(5),
+            );
+        }
+        let ids = |j: &Journal| -> Vec<InterfaceId> {
+            j.interfaces_by_modification()
+                .iter()
+                .map(|r| r.id)
+                .collect()
+        };
+        let restored = Journal::from_snapshot(&j.to_snapshot());
+        assert_eq!(ids(&j), ids(&restored));
+        assert_eq!(ids(&j), vec![InterfaceId(0), InterfaceId(1)]);
     }
 
     #[test]

@@ -308,9 +308,9 @@ proptest! {
         }
     }
 
-    /// Every index agrees with the records after every step, names and
-    /// the modification order included: the history moves names between
-    /// records, re-touches records and deletes them.
+    /// Every index agrees with the records after every step, names
+    /// included: the history moves names between records, re-touches
+    /// records and deletes them.
     #[test]
     fn indexes_stay_consistent(steps in proptest::collection::vec(arb_step(), 0..200)) {
         let j = Journal::new();
@@ -477,6 +477,7 @@ proptest! {
         a.sort_by_key(|r| r.id);
         b.sort_by_key(|r| r.id);
         prop_assert_eq!(a, b);
+        prop_assert_eq!(j2.interfaces_by_modification(), j.interfaces_by_modification());
     }
 
     /// Delete-heavy histories leave holes in the id space: records are

@@ -438,7 +438,7 @@ fn an_inverted_lock_acquisition_fails_the_build() {
         STORE,
         "impl Journal {\n    fn lint_probe_inverted(&self) -> u64 {\n        \
          let st = self.begin_read();\n        let w = self.wal.lock();\n        \
-         w.next_seq + st.mod_seq\n    }\n}\n",
+         w.next_seq + st.keys_version\n    }\n}\n",
         "(c)",
         "self.wal.lock()",
     );
@@ -452,7 +452,7 @@ fn reentering_the_store_lock_fails_the_build() {
         STORE,
         "impl Journal {\n    fn lint_probe_reentrant(&self) -> usize {\n        \
          let st = self.begin_read();\n        \
-         self.get_gateways().len() + st.mod_seq as usize\n    }\n}\n",
+         self.get_gateways().len() + st.keys_version as usize\n    }\n}\n",
         "(c)",
         "self.get_gateways()",
     );

@@ -1228,10 +1228,10 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
 #[derive(Serialize, Deserialize)]
 struct Marker;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 struct Meters(f64);
 
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 struct Span(i64, u64);
 
 #[derive(Serialize, Deserialize)]
@@ -1244,7 +1244,7 @@ struct Tagged<T> {
     inner: T,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 enum Shape {
     Unit,
     Newtype(Meters),
