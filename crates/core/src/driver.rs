@@ -34,6 +34,7 @@ use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, SharedJournal};
 use fremont_journal::store::{KeysVersion, StoreSummary};
+use fremont_journal::time::JTime;
 use fremont_net::Subnet;
 use fremont_netsim::engine::Sim;
 use fremont_netsim::process::ProcHandle;
@@ -64,9 +65,10 @@ pub struct DriverConfig {
     /// Address of a remote Journal Server (`host:port`). When set,
     /// [`DiscoveryDriver::open`] writes through: every batch is applied
     /// to the local in-memory journal (the authoritative, deterministic
-    /// replica the manager plans from) *and* shipped over TCP, with the
-    /// driver's trace context propagated in each frame. Durability is
-    /// the server's: run it over a `DurableJournal`.
+    /// replica the manager plans from), and each pump that drained
+    /// something ships all of its batches over TCP as one `StoreBatch`,
+    /// with the driver's trace context propagated in the frame.
+    /// Durability is the server's: run it over a `DurableJournal`.
     pub remote_journal: Option<String>,
     /// Distributed trace id stamped on remote stores (0 disables
     /// propagation). Only meaningful with `remote_journal`.
@@ -199,31 +201,49 @@ impl DiscoveryDriver {
         }
     }
 
-    /// Stores a batched request: the in-memory journal applies the
-    /// whole group under one write-lock acquisition, then a remote
-    /// deployment ships the same group to its server.
-    ///
-    /// With a real `parent` span, the remote leg joins the pump's trace:
-    /// it opens a `client.store_batch` span whose context rides in the
-    /// frame to the server.
-    fn store_batched(
-        &self,
-        batches: &[StoreBatchItem],
-        parent: SpanId,
-        at: TelTime,
-    ) -> StoreSummary {
+    /// Stores a batched request in the local replica, which applies the
+    /// whole group under one write-lock acquisition.
+    fn store_batched(&self, batches: &[StoreBatchItem]) -> StoreSummary {
         // The local replica is authoritative: its summary (and the
         // planning reads against it) stay deterministic even if the
-        // remote side drops the connection mid-batch.
-        let summary = self.journal.store_batch(batches).unwrap_or_default();
-        if let Some(client) = &self.remote {
-            if client.store_batch_traced(batches, parent, at).is_err() {
-                self.cfg
-                    .telemetry
-                    .counter_add(metrics::DRIVER_REMOTE_ERRORS_TOTAL, "", 1);
-            }
+        // remote side drops the connection.
+        self.journal.store_batch(batches).unwrap_or_default()
+    }
+
+    /// Ships a pump's writes to the remote Journal Server as one
+    /// `StoreBatch`: the drained groups' items in `outbox`, then the
+    /// correlation's `facts` at `now` when there are any, in the order
+    /// the replica applied them. With a real `parent` span the call
+    /// opens a `client.store_batch` span whose context rides in the
+    /// frame. A failed shipment is counted once and not retried. The
+    /// facts come back for the memo.
+    fn ship(
+        &self,
+        mut outbox: Vec<StoreBatchItem>,
+        now: JTime,
+        facts: Vec<Observation>,
+        parent: SpanId,
+        at: TelTime,
+    ) -> Vec<Observation> {
+        let Some(client) = &self.remote else {
+            return facts;
+        };
+        let derived = !facts.is_empty();
+        if derived {
+            outbox.push(StoreBatchItem {
+                now,
+                observations: facts,
+            });
         }
-        summary
+        if client.store_batch_traced(&outbox, parent, at).is_err() {
+            self.cfg
+                .telemetry
+                .counter_add(metrics::DRIVER_REMOTE_ERRORS_TOTAL, "", 1);
+        }
+        match outbox.pop() {
+            Some(item) if derived => item.observations,
+            _ => Vec::new(),
+        }
     }
 
     /// Asks the remote Journal Server, if any, to persist what it holds;
@@ -278,9 +298,10 @@ impl DiscoveryDriver {
 
         // 1. Observations → Journal, attributed to their emitting module.
         // Consecutive observations from the same module travel as one
-        // batched store (one write-lock acquisition, at most one fsync)
-        // while keeping the exact drain order and per-module summary
-        // attribution of the one-at-a-time path.
+        // batched store (one write-lock acquisition) while keeping the
+        // exact drain order and per-module summary attribution of the
+        // one-at-a-time path. A remote deployment moves each stored
+        // group into the pump's outbox, shipped once at step 4.
         let drain_span = tel.span_start("driver.drain", "", root, at);
         let drained = self.sim.drain_observations();
         let had_news = !drained.is_empty();
@@ -288,11 +309,15 @@ impl DiscoveryDriver {
         let groups = group_drained(drained);
         let batch_count = groups.len();
         let mut merged = 0u64;
-        for (handle, batches) in &groups {
-            let summary = self.store_batched(batches, drain_span, at);
+        let mut outbox = self.remote.is_some().then(Vec::new);
+        for (handle, batches) in groups {
+            let summary = self.store_batched(&batches);
             merged += (summary.created + summary.updated + summary.verified) as u64;
-            if let Some(m) = self.running.values_mut().find(|m| m.handle == *handle) {
+            if let Some(m) = self.running.values_mut().find(|m| m.handle == handle) {
                 m.stored.absorb(summary);
+            }
+            if let Some(outbox) = &mut outbox {
+                outbox.extend(batches);
             }
         }
         if tel.enabled() {
@@ -370,26 +395,31 @@ impl DiscoveryDriver {
             tel.span_end(start_span, &format!("started={started_count}"), at);
         }
 
-        // 4. Cross-correlate — only when the journal actually changed.
-        // The facts travel in the batch and come back to the memo, so
-        // re-storing the last answer copies nothing.
+        // 4. Cross-correlate — only when the journal actually changed —
+        // and ship the pump's writes. The facts travel in the batch and
+        // the shipment, and come back to the memo, so re-storing the
+        // last answer copies nothing. A pump that drained nothing ships
+        // nothing.
         if had_news {
             let corr_span = tel.span_start("driver.correlate", "", root, at);
             let (version, observations) = self.correlation();
             let derived_count = observations.len();
             let batch = [StoreBatchItem { now, observations }];
             if derived_count > 0 {
-                let _ = self.store_batched(&batch, corr_span, at);
+                let _ = self.store_batched(&batch);
             }
             let [StoreBatchItem {
-                observations: facts,
+                observations: mut facts,
                 ..
             }] = batch;
-            self.correlated = Some(Correlation { version, facts });
             if tel.enabled() {
                 tel.work(corr_span, "observations", derived_count as u64, at);
                 tel.span_end(corr_span, &format!("derived={derived_count}"), at);
             }
+            if let Some(outbox) = outbox {
+                facts = self.ship(outbox, now, facts, root, at);
+            }
+            self.correlated = Some(Correlation { version, facts });
         }
 
         if tel.enabled() {
@@ -672,7 +702,6 @@ mod tests {
     use super::*;
     use crate::correlate::correlate;
     use fremont_journal::store::Journal;
-    use fremont_journal::time::JTime;
     use fremont_net::SubnetMask;
     use fremont_netsim::builder::TopologyBuilder;
     use fremont_netsim::campus::CampusConfig;

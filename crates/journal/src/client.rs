@@ -163,7 +163,9 @@ impl JournalAccess for RemoteJournal {
         parent: SpanId,
         at: TelTime,
     ) -> Result<StoreSummary, ProtoError> {
-        // The whole pump's worth of observations travels as one frame.
+        // All of `batches` travels as one frame. A write-through
+        // driver calls this once per draining pump, with the pump's
+        // whole outbox (`DiscoveryDriver::ship` in fremont-core).
         let req = Request::StoreBatch {
             batches: batches.to_vec(),
         };

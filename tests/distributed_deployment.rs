@@ -9,14 +9,17 @@
 use std::net::Ipv4Addr;
 
 use fremont::core::correlate::correlate;
+use fremont::core::{DiscoveryDriver, DriverConfig};
 use fremont::explorers::{ArpWatch, SeqPing};
 use fremont::journal::client::RemoteJournal;
 use fremont::journal::{InterfaceQuery, JournalAccess, JournalServer, SharedJournal, Source};
 use fremont::net::{IpRange, MacAddr, SubnetMask};
 use fremont::netsim::builder::TopologyBuilder;
+use fremont::netsim::campus::{generate, CampusConfig};
 use fremont::netsim::node::{Iface, Node, NodeKind};
 use fremont::netsim::time::SimDuration;
 use fremont::netsim::traffic::{Flow, TrafficModel};
+use fremont::telemetry::Telemetry;
 
 /// Explorer observations travel to the Journal Server over real TCP, and
 /// queries from a "presentation program" connection see them.
@@ -176,4 +179,118 @@ fn replicated_watchers_discover_a_gateway_together() {
     assert_eq!(gws.len(), 1);
     assert_eq!(gws[0].subnets.len(), 2);
     assert_eq!(gws[0].interfaces.len(), 2);
+}
+
+/// The driver's pump interval: `DiscoveryDriver::run_for` pumps after
+/// every slice this long.
+const PUMP_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// Pumps in 20 simulated minutes, the one at time zero included.
+const PUMPS: u32 = 41;
+
+/// A driver over the quiet small campus, writing through to `remote`
+/// when one is given.
+fn campus_driver(remote: Option<String>, telemetry: Telemetry) -> DiscoveryDriver {
+    let campus = CampusConfig::quiet_small(1993);
+    let (sim, truth) = generate(&campus);
+    let home = sim
+        .node_by_name(&truth.explorer_host)
+        .expect("explorer host");
+    let mut cfg = DriverConfig::full(campus.network, Some(truth.dns_server));
+    cfg.telemetry = telemetry;
+    cfg.remote_journal = remote;
+    DiscoveryDriver::open(sim, home, cfg).expect("connect driver")
+}
+
+fn applied(journal: &SharedJournal) -> u64 {
+    journal.stats().map_or(0, |s| s.observations_applied)
+}
+
+/// Pump `i` of a run: after a pump interval unless it is the first.
+/// True when the pump drained something, so its replica applied it.
+fn pump(driver: &mut DiscoveryDriver, i: u32) -> bool {
+    if i > 0 {
+        driver.sim.run_for(PUMP_INTERVAL);
+    }
+    let before = applied(&driver.journal);
+    driver.pump();
+    applied(&driver.journal) > before
+}
+
+/// A write-through driver pays for the socket once per pump that drained
+/// something: its groups and its correlation travel as one `StoreBatch`,
+/// a pump that drained nothing sends nothing, and the server applies
+/// what the replica applied, in its order, so the two journals are one.
+#[test]
+fn a_draining_pump_ships_one_store_batch_and_the_server_holds_the_replica() {
+    let served = SharedJournal::new();
+    let (server_tel, server_rec) = Telemetry::recording();
+    let server =
+        JournalServer::start_with_telemetry(served.clone(), "127.0.0.1:0", None, server_tel)
+            .expect("bind");
+    let mut driver = campus_driver(Some(server.addr().to_string()), Telemetry::noop());
+    let store_rpcs = || server_rec.counter("fremont_journal_rpc_total", "rpc=\"store_batch\"");
+
+    let (mut draining, mut idle) = (0, 0);
+    for i in 0..PUMPS {
+        let before = store_rpcs();
+        let drained = pump(&mut driver, i);
+        assert_eq!(store_rpcs() - before, u64::from(drained), "pump {i}");
+        if drained {
+            draining += 1;
+        } else {
+            idle += 1;
+        }
+    }
+    assert_eq!(store_rpcs(), draining);
+    assert!(
+        draining >= 5 && idle >= 1,
+        "{draining} draining, {idle} idle"
+    );
+    assert_eq!(applied(&served), applied(&driver.journal));
+    assert_eq!(
+        served.read(|j| j.fingerprint()),
+        driver.journal.read(|j| j.fingerprint()),
+        "the server holds the replica"
+    );
+    drop(driver);
+    server.shutdown();
+}
+
+/// A server that goes away mid-run costs the driver its shipments, not
+/// its survey: every later draining pump fails to ship once and is
+/// counted once, and the replica still fingerprints as an in-memory
+/// driver's journal does.
+#[test]
+fn a_driver_whose_server_stops_keeps_surveying_and_counts_each_lost_shipment() {
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).expect("bind");
+    let (driver_tel, driver_rec) = Telemetry::recording();
+    let mut remote = campus_driver(Some(server.addr().to_string()), driver_tel);
+    let mut reference = campus_driver(None, Telemetry::noop());
+    let errors = || driver_rec.counter("fremont_driver_remote_errors_total", "");
+
+    let mut server = Some(server);
+    let mut draining_after = 0;
+    for i in 0..PUMPS {
+        if i == PUMPS / 2 {
+            if let Some(server) = server.take() {
+                server.shutdown();
+            }
+        }
+        let drained = pump(&mut remote, i);
+        pump(&mut reference, i);
+        if server.is_some() {
+            assert_eq!(errors(), 0, "pump {i}: the server is up");
+        } else if drained {
+            draining_after += 1;
+        }
+    }
+    assert!(draining_after >= 3, "{draining_after} draining pumps");
+    assert_eq!(errors(), draining_after);
+    assert_eq!(
+        remote.journal.read(|j| j.fingerprint()),
+        reference.journal.read(|j| j.fingerprint()),
+        "the replica is the in-memory survey"
+    );
+    assert!(remote.flush().is_err(), "nothing left to flush to");
 }

@@ -3,11 +3,11 @@
 //! A Discovery Driver writes through to a durable Journal Server over
 //! TCP; each side records its own trace ring. Stitching the two JSONL
 //! files must reassemble one rooted causal tree — a driver
-//! `client.store_batch` span parenting the server's per-RPC
-//! decode/apply/reply children, with WAL append/fsync spans nested
-//! under apply — and because every timestamp is the driver's sim
-//! clock, two same-seed runs must produce byte-identical stitched
-//! traces and folded-stack profiles.
+//! `client.store_batch` span, one per draining `driver.pump`, parenting
+//! the server's per-RPC decode/apply/reply children, with WAL
+//! append/fsync spans nested under apply — and because every timestamp
+//! is the driver's sim clock, two same-seed runs must produce
+//! byte-identical stitched traces and folded-stack profiles.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -118,6 +118,16 @@ fn stitched_deployment_trace_is_one_causal_tree() {
         wal_children.contains(&"wal.append"),
         "WAL append must nest under server.apply, got {wal_children:?}"
     );
+
+    // A pump ships its writes in one round trip: every store RPC hangs
+    // directly from a `driver.pump`, and no pump has two.
+    let mut per_pump: HashMap<u64, usize> = HashMap::new();
+    for e in by_id.values().filter(|e| e.name == "client.store_batch") {
+        assert_eq!(by_id[&e.parent].name, "driver.pump", "{e:?}");
+        *per_pump.entry(e.parent).or_default() += 1;
+    }
+    assert!(per_pump.len() >= 3, "{per_pump:?}");
+    assert!(per_pump.values().all(|&n| n == 1), "{per_pump:?}");
 }
 
 #[test]
