@@ -426,7 +426,8 @@ mod differential {
             }),
             (0usize..64).prop_map(|k| vec![Op::Delete(k)]),
             // A record created by a ping gains a MAC that a higher-id
-            // record already holds: posting order is not id order.
+            // record already holds: its id joins the MAC's postings
+            // after a higher one did.
             (arb_ip(), arb_ip(), arb_mac()).prop_map(|(a, b, m)| {
                 vec![
                     Op::Apply(Observation::ip_alive(Source::SeqPing, a)),

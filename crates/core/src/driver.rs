@@ -254,6 +254,7 @@ impl DiscoveryDriver {
             None => Ok(()),
             Some(client) => client
                 .flush()
+                .map(|_| ())
                 .map_err(|e| std::io::Error::other(e.to_string())),
         }
     }

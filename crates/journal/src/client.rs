@@ -128,14 +128,6 @@ impl RemoteJournal {
         Ok(())
     }
 
-    /// Asks the server to write its snapshot.
-    pub fn flush(&self) -> Result<(), ProtoError> {
-        match self.call(Request::Flush)? {
-            Response::Flushed => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Fetches the server's live self-description, including up to
     /// `trace_tail` recent server-side trace events.
     pub fn introspect(&self, trace_tail: u64) -> Result<IntrospectReport, ProtoError> {
@@ -252,9 +244,12 @@ impl JournalAccess for RemoteJournal {
         }
     }
 
+    /// Asks the server to write its snapshot: the server's own
+    /// persistence, so a success is always `true`.
     fn flush(&self) -> Result<bool, ProtoError> {
-        // Forward to the server's own persistence.
-        RemoteJournal::flush(self)?;
-        Ok(true)
+        match self.call(Request::Flush)? {
+            Response::Flushed => Ok(true),
+            other => Err(unexpected(other)),
+        }
     }
 }

@@ -11,7 +11,11 @@
 //! courtesy: interfaces ascending by id (so the fingerprint is
 //! canonical, groupings see records in a fixed order and
 //! [`JournalSnapshot::interface_by_id`] can search), gateways ascending
-//! by id, subnets in address order.
+//! by id, subnets in address order. [`Journal::from_snapshot`] is the
+//! one way back to a journal.
+//!
+//! [`Journal::to_snapshot`]: crate::store::Journal::to_snapshot
+//! [`Journal::from_snapshot`]: crate::store::Journal::from_snapshot
 
 use std::fs;
 use std::io;
@@ -21,14 +25,14 @@ use serde::ser::{SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
 
 use crate::records::{GatewayRecord, InterfaceId, InterfaceRecord, SubnetRecord};
-use crate::store::Journal;
 
 /// A serializable image of the Journal's records.
 ///
-/// `Serialize` is written by hand so that `next_iface` is left out when
-/// it is `None`: a snapshot written before the field existed then
-/// re-encodes byte for byte, and [`JournalSnapshot::fingerprint`] hashes
-/// the five fields that hold facts and never the id counter.
+/// `Serialize` is written by hand so that `next_iface` and `next_gateway`
+/// are each left out when `None`: a snapshot written before those fields
+/// existed then re-encodes byte for byte, and
+/// [`JournalSnapshot::fingerprint`] hashes the five fields that hold
+/// facts and never the id counters.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct JournalSnapshot {
     /// Format version, for forward compatibility.
@@ -46,11 +50,16 @@ pub struct JournalSnapshot {
     /// in a snapshot written before this field existed, which restores
     /// past the highest live id.
     pub next_iface: Option<u64>,
+    /// The next gateway id the journal would allocate, so a recovered
+    /// journal never reissues the id of a gateway merged into another.
+    /// `None` in a snapshot written before this field existed, which
+    /// restores past the highest live gateway id.
+    pub next_gateway: Option<u64>,
 }
 
 impl Serialize for JournalSnapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.serialize_fields(serializer, self.next_iface)
+        self.serialize_fields(serializer, true)
     }
 }
 
@@ -66,24 +75,19 @@ impl JournalSnapshot {
         Some(&self.interfaces[at])
     }
 
-    /// Restores a journal (rebuilding all indexes).
-    pub fn restore(&self) -> Journal {
-        let j = Journal::from_snapshot(self);
-        debug_assert!(
-            j.check_invariants().is_ok(),
-            "snapshot restored to an inconsistent journal"
-        );
-        j
-    }
-
-    /// The five fields every snapshot has, in their order, then
-    /// `next_iface` when it is given.
+    /// The five fields every snapshot has, in their order, then with
+    /// `counters` each id counter that is present.
     fn serialize_fields<S: Serializer>(
         &self,
         serializer: S,
-        next_iface: Option<u64>,
+        counters: bool,
     ) -> Result<S::Ok, S::Error> {
-        let len = 5 + usize::from(next_iface.is_some());
+        let (next_iface, next_gateway) = if counters {
+            (self.next_iface, self.next_gateway)
+        } else {
+            (None, None)
+        };
+        let len = 5 + usize::from(next_iface.is_some()) + usize::from(next_gateway.is_some());
         let mut st = serializer.serialize_struct("JournalSnapshot", len)?;
         st.serialize_field("version", &self.version)?;
         st.serialize_field("interfaces", &self.interfaces)?;
@@ -93,24 +97,28 @@ impl JournalSnapshot {
         if let Some(next) = next_iface {
             st.serialize_field("next_iface", &next)?;
         }
+        if let Some(next) = next_gateway {
+            st.serialize_field("next_gateway", &next)?;
+        }
         st.end()
     }
 
     /// A stable FNV-1a fingerprint of the snapshot's canonical JSON
-    /// encoding without `next_iface`. [`Journal::to_snapshot`] is
+    /// encoding without its id counters. [`Journal::to_snapshot`] is
     /// canonical — records are emitted in id order — so two journals
     /// holding the same facts fingerprint identically however the
     /// observations were batched (property-tested in the store), and
-    /// whether or not a deleted newest record moved their id counters
-    /// on. The
-    /// model checker uses this to recognize fault interleavings that
-    /// leave the Journal in the same state.
+    /// whether or not a deleted record or a merged gateway moved their
+    /// id counters on. The model checker uses this to recognize fault
+    /// interleavings that leave the Journal in the same state.
+    ///
+    /// [`Journal::to_snapshot`]: crate::store::Journal::to_snapshot
     pub fn fingerprint(&self) -> u64 {
-        /// The snapshot's facts: every field but the id counter.
+        /// The snapshot's facts: every field but the id counters.
         struct Facts<'a>(&'a JournalSnapshot);
         impl Serialize for Facts<'_> {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                self.0.serialize_fields(serializer, None)
+                self.0.serialize_fields(serializer, false)
             }
         }
         /// Hashes what is written to it, so the encoding is never held.
@@ -185,6 +193,7 @@ mod tests {
     use super::*;
     use crate::observation::{Fact, Observation, Source};
     use crate::query::{InterfaceQuery, SubnetQuery};
+    use crate::store::Journal;
     use crate::time::JTime;
     use std::net::Ipv4Addr;
 
@@ -220,7 +229,7 @@ mod tests {
         let j = populated();
         let snap = j.to_snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION);
-        let j2 = snap.restore();
+        let j2 = Journal::from_snapshot(&snap);
         j2.check_invariants().unwrap();
         assert_eq!(j2.stats().interfaces, j.stats().interfaces);
         assert_eq!(j2.stats().gateways, 1);
@@ -232,7 +241,7 @@ mod tests {
         );
         assert_eq!(j2.get_subnets(&SubnetQuery::all()).len(), 2);
         // Applying to the restored journal keeps working (ids intact).
-        let j3 = snap.restore();
+        let j3 = Journal::from_snapshot(&snap);
         j3.apply(
             &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, 1)),
             JTime(5),
@@ -273,6 +282,7 @@ mod tests {
         let snap = populated().to_snapshot();
         let facts = JournalSnapshot {
             next_iface: None,
+            next_gateway: None,
             ..snap.clone()
         };
         assert_eq!(

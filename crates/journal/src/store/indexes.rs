@@ -1,13 +1,7 @@
 //! Secondary-index posting lists: the record ids one key resolves to,
-//! in insertion order (the merge rules' tie-breaks depend on it).
-//!
-//! Insertion order is *not* record-id order. A record created by a ping
-//! has an id but no MAC; when an ARP reply later gives it one, its id is
-//! appended to that MAC's list behind every record that already holds the
-//! MAC, including ones with higher ids (names and moved keys behave the
-//! same way). Identity resolution wants the insertion order; anything
-//! that reports a key's members to a caller who compares answers across
-//! runs — [`shared`] — sorts them by id first.
+//! as an ascending set. Id order is the one order the store keeps, so
+//! every tie-break in the merge rules goes to the lowest id and a
+//! journal rebuilt from a snapshot holds the very lists the live one did.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -17,13 +11,12 @@ use fremont_net::{MacAddr, Subnet};
 
 use crate::records::{InterfaceId, InterfaceRecord};
 
-/// Adds `id` under `key`, at the end of its posting list.
-///
-/// Re-adding an id that is already present keeps its original position.
+/// Adds `id` to the posting list under `key`, in id order. Adding an
+/// id that is already present changes nothing.
 pub(super) fn add<K: Ord>(idx: &mut BTreeMap<K, Vec<InterfaceId>>, key: K, id: InterfaceId) {
     let v = idx.entry(key).or_default();
-    if !v.contains(&id) {
-        v.push(id);
+    if let Err(at) = v.binary_search(&id) {
+        v.insert(at, id);
     }
 }
 
@@ -36,7 +29,9 @@ where
 {
     let emptied = match idx.get_mut(key) {
         Some(v) => {
-            v.retain(|e| *e != id);
+            if let Ok(at) = v.binary_search(&id) {
+                v.remove(at);
+            }
             v.is_empty()
         }
         None => false,
@@ -74,7 +69,7 @@ pub struct SharedKeys {
 }
 
 /// The keys of `idx` with two or more postings, in key order, each with
-/// its members read from the `records` slab and sorted by id.
+/// its members read from the `records` slab in id order.
 pub(super) fn shared<K: Ord + Clone>(
     idx: &BTreeMap<K, Vec<InterfaceId>>,
     records: &[Option<InterfaceRecord>],
@@ -82,7 +77,7 @@ pub(super) fn shared<K: Ord + Clone>(
     idx.iter()
         .filter(|(_, ids)| ids.len() >= 2)
         .map(|(key, ids)| {
-            let mut members: Vec<SharedMember> = ids
+            let members = ids
                 .iter()
                 // Postings only reference live records.
                 .filter_map(|id| records.get(id.0 as usize)?.as_ref())
@@ -92,7 +87,6 @@ pub(super) fn shared<K: Ord + Clone>(
                     subnet: r.subnet(),
                 })
                 .collect();
-            members.sort_unstable_by_key(|m| m.id);
             (key.clone(), members)
         })
         .collect()

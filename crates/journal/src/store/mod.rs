@@ -69,8 +69,9 @@ use crate::time::{JTime, Timestamped};
 use stats::StoreCounters;
 
 /// Everything the Journal holds: the records and the indexes over them.
-/// Postings are appended in insertion order, which the merge rules'
-/// tie-breaks depend on.
+/// A posting list is an ascending set of ids, so every tie-break in the
+/// merge rules goes to the lowest id, and a journal restored from a
+/// snapshot holds exactly the lists of the one that wrote it.
 #[derive(Default)]
 struct Store {
     /// Interface records, indexed by raw id; a deleted record leaves a
@@ -88,6 +89,8 @@ struct Store {
     /// DNS-name index. A name maps to several records for multi-homed
     /// gateways.
     idx_name: BTreeMap<String, Vec<InterfaceId>>,
+    /// Gateway records, indexed by raw id. Its length is the next
+    /// gateway id, which a snapshot carries as it does `next_iface`.
     gateways: Vec<Option<GatewayRecord>>,
     subnets: BTreeMap<Subnet, SubnetRecord>,
     /// Next interface id to allocate. No journal hands out an id twice:
@@ -359,6 +362,9 @@ impl Store {
     ///    record would keep dead claimants looking alive forever; only
     ///    MAC-bearing evidence (ARP) refreshes the other claimants.
     /// 3. With only a name: every record carrying that name.
+    ///
+    /// Where several records qualify for one record's place, the lowest
+    /// id takes it.
     fn resolve_targets(
         &self,
         ip: Option<Ipv4Addr>,
@@ -402,9 +408,13 @@ impl Store {
         Targets::NONE
     }
 
-    /// The claimant an address-only observation credits: the last verified alive.
+    /// The claimant an address-only observation credits: the last verified
+    /// alive. A tie of equal times goes to the lowest id, which is a fact
+    /// of the records, so a restored journal credits the claimant the
+    /// live one does. `max_by_key` keeps the last of equal keys, so the
+    /// ascending list is walked from its end.
     fn presumed_owner(&self, claimants: &[InterfaceId]) -> Option<InterfaceId> {
-        claimants.iter().copied().max_by_key(|&id| {
+        claimants.iter().rev().copied().max_by_key(|&id| {
             self.rec(id)
                 .map(|r| (r.live_verified, r.verified, r.discovered))
         })
@@ -645,8 +655,9 @@ impl Store {
 
         // One read of an address's claimants finds the presumed owner, which
         // the fact verifies as an address-only observation does, and the
-        // member: the claimant in a gateway, else the first, so repeated
-        // facts converge. Verifying moves no posting and no `gateway` field.
+        // member: the lowest-id claimant in a gateway, else the lowest id,
+        // so repeated facts converge. Verifying moves no posting and no
+        // `gateway` field.
         for &ip in interface_ips {
             let ids = self.ip_ids(ip);
             let member = ids
@@ -1024,6 +1035,7 @@ impl Journal {
             subnets: st.subnet_records(|_| true),
             observations_applied: st.observations_applied,
             next_iface: Some(st.next_iface),
+            next_gateway: Some(st.gateways.len() as u64),
         }
     }
 
@@ -1035,23 +1047,20 @@ impl Journal {
         self.to_snapshot().fingerprint()
     }
 
-    /// Rebuilds a journal (including every index) from a snapshot.
+    /// Rebuilds a journal (including every index) from a snapshot: the
+    /// one restore path.
     pub fn from_snapshot(snap: &crate::snapshot::JournalSnapshot) -> Journal {
-        // Records keep their identifiers, so allocation resumes where
-        // the journal that wrote the snapshot stood. A snapshot written
-        // before it carried `next_iface` resumes past the highest live
-        // id. Either way the gateway slab is sized to the maximum.
-        let max_gw = snap.gateways.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
-        let past_live = snap
-            .interfaces
-            .iter()
-            .map(|r| r.id.0 + 1)
-            .max()
-            .unwrap_or(0);
+        // Records keep their identifiers, and both id counters resume
+        // where the journal that wrote the snapshot stood, so no id is
+        // handed out twice. A snapshot written before it carried a
+        // counter resumes past the highest live id.
+        let past_iface = snap.interfaces.iter().map(|r| r.id.0 + 1).max();
+        let past_gateway = snap.gateways.iter().map(|g| g.id.0 + 1).max();
+        let next_gateway = snap.next_gateway.max(past_gateway).unwrap_or(0);
         let mut st = Store {
             observations_applied: snap.observations_applied,
-            next_iface: snap.next_iface.unwrap_or(0).max(past_live),
-            gateways: (0..max_gw).map(|_| None).collect(),
+            next_iface: snap.next_iface.max(past_iface).unwrap_or(0),
+            gateways: (0..next_gateway).map(|_| None).collect(),
             ..Store::default()
         };
 
@@ -1136,9 +1145,9 @@ impl Store {
         v
     }
 
-    /// Matching records with an address in `lo..=hi`, by (address,
-    /// insertion) order. An inverted range (`lo > hi`, which a client can
-    /// send) is empty; `BTreeMap::range` would panic on it.
+    /// Matching records with an address in `lo..=hi`, by (address, id)
+    /// order. An inverted range (`lo > hi`, which a client can send) is
+    /// empty; `BTreeMap::range` would panic on it.
     fn scan_ip_range(
         &self,
         lo: Ipv4Addr,
@@ -1175,39 +1184,16 @@ impl Store {
                 self.live
             ));
         }
-        for (ip, ids) in self.idx_ip.iter() {
-            for id in ids {
-                let Some(r) = self.rec(*id) else {
-                    return Err(format!("idx_ip points at dead record {id:?}"));
-                };
-                if r.ip_addr() != Some(*ip) {
-                    return Err(format!("idx_ip stale for {ip}"));
-                }
-            }
-        }
-        for (mac, ids) in self.idx_mac.iter() {
-            for id in ids {
-                let Some(r) = self.rec(*id) else {
-                    return Err(format!("idx_mac points at dead record {id:?}"));
-                };
-                if r.mac_addr() != Some(*mac) {
-                    return Err(format!("idx_mac stale for {mac}"));
-                }
-            }
-        }
-        for (name, ids) in self.idx_name.iter() {
-            for id in ids {
-                let Some(r) = self.rec(*id) else {
-                    return Err(format!("idx_name points at dead record {id:?}"));
-                };
-                if r.dns_name() != Some(name.as_str()) {
-                    return Err(format!("idx_name stale for {name}"));
-                }
-            }
-        }
+        self.check_postings("idx_ip", &self.idx_ip, |r, ip| r.ip_addr() == Some(*ip))?;
+        self.check_postings("idx_mac", &self.idx_mac, |r, mac| {
+            r.mac_addr() == Some(*mac)
+        })?;
+        self.check_postings("idx_name", &self.idx_name, |r, name| {
+            r.dns_name() == Some(name.as_str())
+        })?;
         for rec in self.records.iter().flatten() {
             if let Some(ip) = rec.ip_addr() {
-                if !self.ip_ids(ip).contains(&rec.id) {
+                if self.ip_ids(ip).binary_search(&rec.id).is_err() {
                     return Err(format!("record {:?} missing from idx_ip", rec.id));
                 }
             }
@@ -1219,6 +1205,30 @@ impl Store {
                     .ok_or_else(|| format!("record {:?} points at dead gateway", rec.id))?;
                 if !g.interfaces.contains(&rec.id) {
                     return Err(format!("gateway {gid:?} missing member {:?}", rec.id));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every posting list of `idx` is strictly ascending, and each of its
+    /// ids is a live record that `carries` the list's key.
+    fn check_postings<K: std::fmt::Display>(
+        &self,
+        index: &str,
+        idx: &BTreeMap<K, Vec<InterfaceId>>,
+        carries: impl Fn(&InterfaceRecord, &K) -> bool,
+    ) -> Result<(), String> {
+        for (key, ids) in idx {
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("{index} postings for {key} not ascending: {ids:?}"));
+            }
+            for &id in ids {
+                let Some(r) = self.rec(id) else {
+                    return Err(format!("{index} points at dead record {id:?}"));
+                };
+                if !carries(r, key) {
+                    return Err(format!("{index} stale for {key}"));
                 }
             }
         }
@@ -1654,6 +1664,41 @@ mod tests {
         j.check_invariants().unwrap();
     }
 
+    /// Two claimants of one address with equal times: an address-only
+    /// observation credits the lower id, in the live journal and in one
+    /// restored from its snapshot. The lower id took the address last,
+    /// so arrival order would credit the other.
+    #[test]
+    fn an_address_tie_credits_the_lowest_id() {
+        let j = Journal::new();
+        let a = ip("10.0.0.1");
+        let (m0, m1) = (mac("08:00:20:00:00:00"), mac("08:00:20:00:00:01"));
+        let mac_only = Fact::Interface {
+            ip: None,
+            mac: Some(m0),
+            name: None,
+            mask: None,
+        };
+        for o in [
+            Observation::new(Source::ArpWatch, mac_only),
+            Observation::arp_pair(Source::ArpWatch, a, m1),
+            Observation::arp_pair(Source::ArpWatch, a, m0),
+        ] {
+            j.apply(&o, JTime(1));
+        }
+        let restored = Journal::from_snapshot(&j.to_snapshot());
+        for j in [&j, &restored] {
+            j.apply(&Observation::ip_alive(Source::SeqPing, a), JTime(2));
+            let verified: Vec<_> = j
+                .get_interfaces(&InterfaceQuery::by_ip(a))
+                .iter()
+                .map(|r| (r.id, r.verified))
+                .collect();
+            let want = [(InterfaceId(0), JTime(2)), (InterfaceId(1), JTime(1))];
+            assert_eq!(verified, want);
+        }
+    }
+
     #[test]
     fn delete_interface_cleans_indexes() {
         let j = Journal::new();
@@ -1836,21 +1881,23 @@ mod tests {
 
     #[test]
     fn check_invariants_catches_a_broken_slab() {
-        let breaks: [fn(&mut Store); 3] = [
+        let breaks: [fn(&mut Store); 4] = [
             |st| st.live += 1,
             |st| st.records.swap(0, 1),
             |st| {
                 st.records[2] = None;
                 st.live -= 1;
             },
+            |st| st.idx_mac.values_mut().for_each(|ids| ids.reverse()),
         ];
+        // One adapter answering three addresses: three records, and a
+        // posting list of three under its MAC.
+        let proxy = mac("00:00:0c:00:00:01");
         for (k, break_it) in breaks.iter().enumerate() {
             let j = Journal::new();
             for h in 1..=3u8 {
-                j.apply(
-                    &Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, h)),
-                    JTime(1),
-                );
+                let a = Ipv4Addr::new(10, 0, 0, h);
+                j.apply(&Observation::arp_pair(Source::ArpWatch, a, proxy), JTime(1));
             }
             j.check_invariants().unwrap();
             break_it(&mut j.begin_write());

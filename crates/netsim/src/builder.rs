@@ -286,7 +286,6 @@ impl TopologyBuilder {
                     .collect()
             })
             .collect();
-        let next_hop = next_hop_candidates(&routers_on_seg, &router_min_dist, seg_subnets.len());
         for (ri, spec) in router_specs.iter().enumerate() {
             let ifaces: Vec<Iface> = spec
                 .attachments
@@ -300,7 +299,14 @@ impl TopologyBuilder {
                 .collect();
             let mut node = Node::new(&spec.name, NodeKind::Router, ifaces);
             node.behavior = spec.behavior.clone();
-            node.routes = router_routes(ri, spec, &dist, &seg_subnets, &next_hop);
+            node.routes = router_routes(
+                ri,
+                spec,
+                &dist,
+                &seg_subnets,
+                &routers_on_seg,
+                &router_min_dist,
+            );
             for (i, (_, ip)) in spec.attachments.iter().enumerate() {
                 let _ = i;
                 interfaces.push((*ip, NodeId(sim.nodes.len())));
@@ -419,63 +425,19 @@ fn segment_distances(n_segments: usize, routers: &[RouterSpec]) -> Vec<Vec<u32>>
     dist
 }
 
-/// A next-hop candidate: `(router index, its best distance to the
-/// target, its address on the shared segment)`.
-type HopCand = Option<(usize, u32, Ipv4Addr)>;
-
-/// For every `(segment, target)` pair, the first-minimal next-hop
-/// candidate on that segment (in `routers_on_seg` order — exactly what a
-/// `min_by_key` scan would keep) plus the first-minimal among candidates
-/// from a *different* router. Together these answer "best candidate
-/// strictly closer than me, excluding myself" for any asking router: if
-/// the overall winner is someone else it is also the winner with the
-/// asker excluded (removing later or equal-keyed earlier entries cannot
-/// change a first minimum), and if the winner is the asker itself the
-/// runner-up is by construction the winner among everyone else.
-fn next_hop_candidates(
-    routers_on_seg: &[Vec<(usize, Ipv4Addr)>],
-    router_min_dist: &[Vec<u32>],
-    n_segments: usize,
-) -> Vec<Vec<(HopCand, HopCand)>> {
-    let mut out = vec![vec![(None, None); n_segments]; n_segments];
-    for (seg, cands) in routers_on_seg.iter().enumerate() {
-        if cands.is_empty() {
-            continue;
-        }
-        for target in 0..n_segments {
-            let mut first: HopCand = None;
-            for &(ri, ip) in cands {
-                let od = router_min_dist[ri][target];
-                if first.map(|(_, b, _)| od < b).unwrap_or(true) {
-                    first = Some((ri, od, ip));
-                }
-            }
-            let winner = first.map(|(r, _, _)| r);
-            let mut second: HopCand = None;
-            for &(ri, ip) in cands {
-                if Some(ri) == winner {
-                    continue;
-                }
-                let od = router_min_dist[ri][target];
-                if second.map(|(_, b, _)| od < b).unwrap_or(true) {
-                    second = Some((ri, od, ip));
-                }
-            }
-            out[seg][target] = (first, second);
-        }
-    }
-    out
-}
-
-/// Computes a router's full routing table toward every segment, using
-/// the precomputed [`next_hop_candidates`] answers. Route contents and
-/// tie-breaks are identical to the direct per-router scan this replaces.
+/// Computes a router's full routing table toward every segment: a
+/// connected route for each of its own segments and, for every other
+/// reachable one, a route through the attachment nearest it, via the
+/// first router on that segment other than this one (in
+/// `routers_on_seg` order) at the least best distance to the target,
+/// if that distance is less than this router's own.
 fn router_routes(
     ri: usize,
     me: &RouterSpec,
     dist: &[Vec<u32>],
     seg_subnets: &[Subnet],
-    next_hop: &[Vec<(HopCand, HopCand)>],
+    routers_on_seg: &[Vec<(usize, Ipv4Addr)>],
+    router_min_dist: &[Vec<u32>],
 ) -> crate::routing::RoutingTable {
     const INF: u32 = u32::MAX;
     let mut table = crate::routing::RoutingTable::new();
@@ -503,12 +465,12 @@ fn router_routes(
             continue; // Unreachable segment: no route (ICMP net unreachable).
         };
         // Next hop: a router on `via_seg` strictly closer to the target.
-        let (first, second) = next_hop[via_seg][target];
-        let cand = match first {
-            Some((r1, od, ip)) if r1 != ri => Some((od, ip)),
-            _ => second.map(|(_, od, ip)| (od, ip)),
-        };
-        if let Some((_, gw)) = cand.filter(|&(od, _)| od < d) {
+        let nearest = routers_on_seg[via_seg]
+            .iter()
+            .filter(|&&(other, _)| other != ri)
+            .map(|&(other, ip)| (router_min_dist[other][target], ip))
+            .min_by_key(|&(od, _)| od);
+        if let Some((_, gw)) = nearest.filter(|&(od, _)| od < d) {
             table.add_distinct(Route {
                 dest: subnet,
                 gateway: Some(gw),

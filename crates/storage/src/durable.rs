@@ -242,7 +242,7 @@ fn recover(cfg: &WalConfig) -> io::Result<(Journal, RecoveryReport)> {
         let snap = JournalSnapshot::load(&snap_path)?;
         report.snapshot_loaded = true;
         report.watermark = snap.observations_applied;
-        snap.restore()
+        Journal::from_snapshot(&snap)
     } else {
         Journal::new()
     };

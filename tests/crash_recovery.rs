@@ -12,8 +12,9 @@
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
-use fremont::journal::observation::{Observation, Source};
+use fremont::journal::observation::{Fact, Observation, Source};
 use fremont::journal::query::InterfaceQuery;
+use fremont::journal::records::GatewayId;
 use fremont::journal::server::JournalAccess;
 use fremont::journal::snapshot::JournalSnapshot;
 use fremont::journal::store::Journal;
@@ -146,6 +147,55 @@ fn recovery_after_deleting_the_newest_record_keeps_every_id() {
     let after = listing(&dj);
     assert_eq!(after.len(), before.len() + 1);
     assert!(after.last().expect("records").id > before.last().expect("records").id);
+    drop(dj);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Gateway ids survive a restart too. Two gateway facts make gateways
+/// 0 and 1, and a third bridges them, so 1 is merged into 0. A journal
+/// restarted from its snapshot must then hand out gateway 2 to the next
+/// new gateway, as a journal that never closed does, not 1 again.
+#[test]
+fn recovery_after_a_gateway_merge_keeps_every_gateway_id() {
+    let dir = std::env::temp_dir()
+        .join("fremont-crash-tests")
+        .join("gateway-merge");
+    let _ = std::fs::remove_dir_all(&dir);
+    let gateway = |nets: &[u8]| {
+        Observation::new(
+            Source::Traceroute,
+            Fact::Gateway {
+                interface_ips: nets.iter().map(|&n| Ipv4Addr::new(10, 9, n, 1)).collect(),
+                interface_names: vec![],
+                subnets: vec![],
+            },
+        )
+    };
+    let live = Journal::new();
+    let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).expect("open");
+    for (t, obs) in [gateway(&[1]), gateway(&[2]), gateway(&[1, 2])]
+        .into_iter()
+        .enumerate()
+    {
+        live.apply(&obs, JTime(t as u64 + 1));
+        dj.store(JTime(t as u64 + 1), &[obs]).expect("store");
+    }
+    assert_eq!(live.get_gateways().len(), 1, "merged");
+    dj.compact().expect("compact");
+    drop(dj);
+
+    let (dj, report) = DurableJournal::open(WalConfig::new(&dir)).expect("reopen");
+    assert!(report.snapshot_loaded);
+    assert_eq!(
+        report.records_replayed, 0,
+        "restored from the snapshot alone"
+    );
+    let next = gateway(&[3]);
+    live.apply(&next, JTime(4));
+    dj.store(JTime(4), &[next]).expect("store");
+    let ids: Vec<GatewayId> = live.get_gateways().iter().map(|g| g.id).collect();
+    assert_eq!(ids, vec![GatewayId(0), GatewayId(2)]);
+    assert_eq!(dj.capture_snapshot().expect("capture"), live.to_snapshot());
     drop(dj);
     let _ = std::fs::remove_dir_all(&dir);
 }
