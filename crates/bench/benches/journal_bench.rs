@@ -319,9 +319,9 @@ fn bench_durable_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("journal");
     g.throughput(Throughput::Elements(u64::from(BATCH)));
     let dir = wal_dir("durable-batch");
-    // Group commit at 8: the batched path amortizes to one fsync per
-    // 64-observation StoreBatch where the one-at-a-time path paid 8.
-    let (durable, _) = DurableJournal::open(WalConfig::grouped(&dir, 8)).unwrap();
+    // The shipped policy: one fsync per 64-observation StoreBatch, where
+    // the one-at-a-time path paid 64.
+    let (durable, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
     let mut t = 0u64;
     g.bench_function("durable_store_batch", |b| {
         b.iter(|| {
@@ -392,14 +392,13 @@ fn bench_wal(c: &mut Criterion) {
     let mut g = c.benchmark_group("wal");
     g.sample_size(10);
 
-    // Append throughput under the three sync policies. Group commit is
-    // the headline: it amortizes one fsync over many acknowledged
-    // observations.
+    // Append throughput, one observation per store, under the two sync
+    // policies: the shipped one, and the group commit the end-to-end
+    // benchmark runs under.
     const BATCH: u64 = 256;
     for (label, sync) in [
         ("append_fsync_always", SyncPolicy::Always),
         ("append_group_commit_64", SyncPolicy::EveryN(64)),
-        ("append_no_sync", SyncPolicy::Never),
     ] {
         let dir = wal_dir(label);
         let mut cfg = WalConfig::new(&dir);
@@ -466,15 +465,17 @@ fn bench_wal(c: &mut Criterion) {
     for n in [1_000u32, 8_000] {
         let dir = wal_dir(&format!("recover-{n}"));
         let mut cfg = WalConfig::new(&dir);
-        cfg.sync = SyncPolicy::Never;
         cfg.max_segment_bytes = u64::MAX;
         let (dj, _) = DurableJournal::open(cfg.clone()).expect("open");
-        for i in 0..n {
-            let o = Observation::arp_pair(Source::ArpWatch, ip_of(i), mac_of(i));
-            dj.store(JTime(u64::from(i)), std::slice::from_ref(&o))
-                .expect("store");
-        }
-        dj.sync().expect("sync");
+        // One call, so one fsync: the same frames as `n` one-observation
+        // stores at times 0, 1, ….
+        let history: Vec<StoreBatchItem> = (0..n)
+            .map(|i| StoreBatchItem {
+                now: JTime(u64::from(i)),
+                observations: vec![Observation::arp_pair(Source::ArpWatch, ip_of(i), mac_of(i))],
+            })
+            .collect();
+        dj.store_batch(&history).expect("store_batch");
         // Preserve the WAL-heavy directory: recovery in the timed loop
         // must replay, not just load a snapshot, so work on a copy.
         let seg = fremont_storage::wal::list_segments(&cfg.dir).expect("segments")[0]
@@ -493,9 +494,8 @@ fn bench_wal(c: &mut Criterion) {
                 std::fs::copy(&seg, replay_dir.join(seg.file_name().expect("name")))
                     .expect("copy wal");
                 let _ = std::fs::copy(&snap, replay_dir.join("snapshot.json"));
-                let mut rcfg = WalConfig::new(&replay_dir);
-                rcfg.sync = SyncPolicy::Never;
-                let (dj, report) = DurableJournal::open(rcfg).expect("recover");
+                let (dj, report) =
+                    DurableJournal::open(WalConfig::new(&replay_dir)).expect("recover");
                 assert_eq!(
                     report.records_replayed + report.records_skipped,
                     u64::from(n)

@@ -19,11 +19,12 @@ use crate::store::{JournalStats, StoreSummary};
 ///
 /// The connection is internally synchronized so one client handle can be
 /// shared by several module threads, matching the paper's "common library
-/// of access and data transfer routines". Idempotent query RPCs survive
-/// one dropped connection: the client reconnects to the original address
-/// and retries once. Mutating RPCs (StoreBatch, Delete, Flush) are
-/// never retried — a lost response leaves it unknown whether the server
-/// applied them.
+/// of access and data transfer routines". A call whose exchange fails
+/// drops its connection, and the next call, query or mutation, connects
+/// afresh to the original address. Idempotent query RPCs survive one
+/// dropped connection: they retry once, on a fresh connection. Mutating
+/// RPCs (StoreBatch, Delete, Flush) are never retried — a lost response
+/// leaves it unknown whether the server applied them.
 ///
 /// A client opened with [`RemoteJournal::connect_traced`] participates in
 /// end-to-end causal tracing: each store under a real parent span opens
@@ -33,7 +34,8 @@ use crate::store::{JournalStats, StoreSummary};
 /// no span.
 pub struct RemoteJournal {
     addr: String,
-    io: Mutex<(BufReader<TcpStream>, TcpStream)>,
+    /// The live connection; `None` once an exchange on it failed.
+    io: Mutex<Option<(BufReader<TcpStream>, TcpStream)>>,
     telemetry: Telemetry,
     trace_id: u64,
 }
@@ -51,46 +53,38 @@ impl RemoteJournal {
         telemetry: Telemetry,
         trace_id: u64,
     ) -> Result<Self, ProtoError> {
-        let (reader, writer) = open(addr)?;
         Ok(RemoteJournal {
             addr: addr.to_owned(),
-            io: Mutex::new((reader, writer)),
+            io: Mutex::new(Some(open(addr)?)),
             telemetry,
             trace_id,
         })
     }
 
-    /// Runs a closure over the locked connection pair; every
-    /// request/response exchange serializes through here.
-    /// A caller that panicked mid-exchange poisons the lock and may
-    /// have left half a frame on the wire: the exchange fails as I/O,
-    /// and only [`RemoteJournal::reconnect`] heals it.
-    fn with_io<R>(
-        &self,
-        f: impl FnOnce(&mut BufReader<TcpStream>, &mut TcpStream) -> Result<R, ProtoError>,
-    ) -> Result<R, ProtoError> {
-        let mut guard = self.io.lock().map_err(|_| {
-            ProtoError::Io(std::io::Error::other(
-                "journal client connection poisoned by a panicked caller",
-            ))
-        })?;
-        let (reader, writer) = &mut *guard;
-        f(reader, writer)
-    }
-
-    /// One request/response round trip on the current connection.
+    /// One request/response round trip; every exchange serializes
+    /// through the connection lock. The connection is taken out of its
+    /// slot for the exchange and put back only once a reply frame has
+    /// arrived, so a failed exchange, or a caller that panicked in one,
+    /// leaves the slot empty (its poison is then harmless), and the
+    /// next call opens a fresh connection.
     fn call_once(&self, env: &RequestEnvelope) -> Result<Response, ProtoError> {
-        self.with_io(|reader, writer| {
-            write_frame(writer, env)?;
-            match read_frame::<_, Response>(reader)? {
-                Some(Response::Error(msg)) => Err(ProtoError::Server(msg)),
-                Some(resp) => Ok(resp),
-                None => Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                ))),
-            }
-        })
+        let mut slot = self.io.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut reader, mut writer) = match slot.take() {
+            Some(conn) => conn,
+            None => open(&self.addr)?,
+        };
+        write_frame(&mut writer, env)?;
+        let Some(resp) = read_frame::<_, Response>(&mut reader)? else {
+            return Err(ProtoError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed connection",
+            )));
+        };
+        *slot = Some((reader, writer));
+        match resp {
+            Response::Error(msg) => Err(ProtoError::Server(msg)),
+            resp => Ok(resp),
+        }
     }
 
     /// Round trip for a mutating request: no retry, no tracing.
@@ -104,28 +98,16 @@ impl RemoteJournal {
     }
 
     /// Round trip for an idempotent query: on a connection-level failure,
-    /// reconnect to the original address and retry exactly once.
+    /// retry exactly once, on a fresh connection to the original address.
     fn call_idempotent(&self, req: Request) -> Result<Response, ProtoError> {
         let env = RequestEnvelope {
             ctx: TraceContext::NONE,
             req,
         };
         match self.call_once(&env) {
-            Err(ProtoError::Io(_)) => {
-                self.reconnect()?;
-                self.call_once(&env)
-            }
+            Err(ProtoError::Io(_)) => self.call_once(&env),
             other => other,
         }
-    }
-
-    /// Replaces the connection with a fresh one to the original address.
-    fn reconnect(&self) -> Result<(), ProtoError> {
-        let fresh = open(&self.addr)?;
-        // The fresh pair replaces whatever a panicked caller left behind.
-        *self.io.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
-        self.io.clear_poison();
-        Ok(())
     }
 
     /// Fetches the server's live self-description, including up to

@@ -1,6 +1,7 @@
-//! Integration test: the client's reconnect-and-retry behaviour for
-//! idempotent query RPCs when the Journal Server restarts between calls,
-//! and when the connection dies mid-RPC rather than between clean calls.
+//! Integration test: the client's reconnect behaviour when the Journal
+//! Server restarts between calls, and when the connection dies mid-RPC
+//! rather than between clean calls. A failed call drops its connection
+//! and the next call connects afresh; only idempotent queries retry.
 //!
 //! These tests are deliberately loop-agnostic: they rely only on the
 //! server's documented contract that `shutdown()` severs every live
@@ -56,16 +57,12 @@ fn queries_survive_a_server_restart_but_mutations_do_not_retry() {
     // event-loop workers now) or on any teardown timing.
     first.shutdown();
 
-    // Between servers, an idempotent query attempts its one reconnect,
-    // which is refused: the error surfaces instead of retrying forever.
-    let err = client.stats().unwrap_err();
-    assert!(matches!(err, ProtoError::Io(_)), "got {err}");
-
     let second = restart_at(&shared, &addr);
 
     // A mutating RPC on the dead connection fails with an IO error and
     // is NOT retried — even though a healthy server is listening (a
     // lost response leaves it unknown whether the store was applied).
+    // The failure drops the connection: the next call connects afresh.
     let before = shared.stats().unwrap().observations_applied;
     let err = client
         .store(
@@ -99,6 +96,41 @@ fn queries_survive_a_server_restart_but_mutations_do_not_retry() {
         .unwrap();
     assert_eq!(client.stats().unwrap().interfaces, 2);
 
+    // With no server at all, an idempotent query makes its one retry on
+    // a fresh connection, which is refused: the error surfaces instead
+    // of retrying forever.
+    second.shutdown();
+    let err = client.stats().unwrap_err();
+    assert!(matches!(err, ProtoError::Io(_)), "got {err}");
+}
+
+/// A mutation that finds its connection dropped by an earlier failure
+/// opens a fresh one: once a server listens again, the very next store
+/// lands, with no query needed to heal the client.
+#[test]
+fn a_store_after_a_failed_call_connects_afresh() {
+    let shared = SharedJournal::new();
+    let first = JournalServer::start(shared.clone(), "127.0.0.1:0", None).unwrap();
+    let addr = first.addr().to_string();
+    let client = RemoteJournal::connect(&addr).unwrap();
+    let store = |i: u8| {
+        client.store(
+            JTime(u64::from(i)),
+            &[Observation::ip_alive(
+                Source::SeqPing,
+                Ipv4Addr::new(10, 3, 2, i),
+            )],
+        )
+    };
+    first.shutdown();
+    assert!(
+        matches!(store(1), Err(ProtoError::Io(_))),
+        "dead connection"
+    );
+    assert!(matches!(store(2), Err(ProtoError::Io(_))), "nobody listens");
+    let second = restart_at(&shared, &addr);
+    store(3).unwrap();
+    assert_eq!(shared.stats().unwrap().observations_applied, 1);
     second.shutdown();
 }
 

@@ -18,6 +18,10 @@
 //!    open a new segment, delete the old ones. This makes recovery
 //!    idempotent — a crash at *any* point leaves a directory that
 //!    recovers to the same state.
+//!
+//! An acknowledged store is recovered, and no sequence number is logged
+//! twice: a writer is held only while the snapshot plus the segments
+//! reproduce the in-memory journal (DESIGN.md § 5b).
 
 use std::io;
 use std::path::PathBuf;
@@ -94,30 +98,24 @@ fn publish_recovery(telemetry: &Telemetry, report: &RecoveryReport) {
     if !telemetry.enabled() {
         return;
     }
-    telemetry.gauge_set(
-        metrics::WAL_RECOVERY_SNAPSHOT_LOADED,
-        "",
-        u64::from(report.snapshot_loaded),
-    );
+    let loaded = u64::from(report.snapshot_loaded);
+    telemetry.gauge_set(metrics::WAL_RECOVERY_SNAPSHOT_LOADED, "", loaded);
     telemetry.gauge_set(metrics::WAL_RECOVERY_WATERMARK, "", report.watermark);
-    telemetry.counter_set(
+    let set = |counter, value| telemetry.counter_set(counter, "", value);
+    set(
         metrics::WAL_RECOVERY_SEGMENTS_SCANNED,
-        "",
         report.segments_scanned as u64,
     );
-    telemetry.counter_set(
+    set(
         metrics::WAL_RECOVERY_RECORDS_REPLAYED,
-        "",
         report.records_replayed,
     );
-    telemetry.counter_set(
+    set(
         metrics::WAL_RECOVERY_RECORDS_SKIPPED,
-        "",
         report.records_skipped,
     );
-    telemetry.counter_set(
+    set(
         metrics::WAL_RECOVERY_TORN_BYTES_DROPPED,
-        "",
         report.torn_bytes_dropped,
     );
     let detail = format!(
@@ -134,17 +132,20 @@ fn publish_recovery(telemetry: &Telemetry, report: &RecoveryReport) {
 
 struct WalState {
     cfg: WalConfig,
-    writer: WalWriter,
+    /// `None` once a failure has given the live segment up.
+    writer: Option<WalWriter>,
 }
 
 impl Drop for WalState {
     fn drop(&mut self) {
-        // Last-gasp durability for group-commit/never policies.
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "Drop cannot propagate; callers wanting the error call sync() first"
-        )]
-        let _ = self.writer.sync_now();
+        // Syncs a group-commit tail: only `SyncPolicy::EveryN` has one.
+        if let Some(writer) = &mut self.writer {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot propagate; callers wanting the error flush() first"
+            )]
+            let _ = writer.sync_now();
+        }
     }
 }
 
@@ -177,16 +178,14 @@ impl DurableJournal {
         std::fs::create_dir_all(&cfg.dir)?;
         let (journal, report) = recover(&cfg)?;
         publish_recovery(&telemetry, &report);
-        let shared = SharedJournal::from_journal(journal);
         // Compact immediately: snapshot the recovered state and start a
         // fresh segment, so stale segments can't accumulate and a
-        // half-written pre-crash directory is normalized. Nothing else
-        // holds `shared` yet, so no write can slip between the capture
-        // and the segment switch.
-        let writer = shared.read(|j| write_snapshot_and_rotate(&cfg, j))?;
+        // half-written pre-crash directory is normalized.
+        let mut wal = WalState { cfg, writer: None };
+        wal.write_snapshot_and_rotate(&journal)?;
         let durable = DurableJournal {
-            shared,
-            wal: Arc::new(Mutex::new(WalState { cfg, writer })),
+            shared: SharedJournal::from_journal(journal),
+            wal: Arc::new(Mutex::new(wal)),
             telemetry,
         };
         Ok((durable, report))
@@ -204,33 +203,19 @@ impl DurableJournal {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Forces buffered WAL appends to disk (group-commit flush point).
-    pub fn sync(&self) -> io::Result<()> {
-        if self.wal().writer.sync_now()? {
-            self.telemetry.counter_add(metrics::WAL_FSYNCS_TOTAL, "", 1);
-        }
-        Ok(())
-    }
-
     /// Writes a durable snapshot, rotates to a fresh segment, and
     /// deletes segments the snapshot made obsolete.
     pub fn compact(&self) -> io::Result<()> {
-        let mut wal = self.wal();
-        self.compact_locked(&mut wal)
+        self.compact_locked(&mut self.wal()).map(|_| ())
     }
 
-    fn compact_locked(&self, wal: &mut WalState) -> io::Result<()> {
-        if wal.writer.sync_now()? {
-            self.telemetry.counter_add(metrics::WAL_FSYNCS_TOTAL, "", 1);
-        }
+    fn compact_locked<'w>(&self, wal: &'w mut WalState) -> io::Result<&'w mut WalWriter> {
         // The caller's WAL guard keeps every `DurableJournal` write out
         // between the snapshot capture and the segment switch.
-        wal.writer = self
-            .shared
-            .read(|j| write_snapshot_and_rotate(&wal.cfg, j))?;
+        let writer = self.shared.read(|j| wal.write_snapshot_and_rotate(j))?;
         self.telemetry
             .counter_add(metrics::WAL_SEGMENT_ROTATIONS_TOTAL, "", 1);
-        Ok(())
+        Ok(writer)
     }
 }
 
@@ -284,24 +269,26 @@ fn recover(cfg: &WalConfig) -> io::Result<(Journal, RecoveryReport)> {
     Ok((journal, report))
 }
 
-/// Phase 3 of recovery, also the rotation path: durable snapshot, new
-/// segment, prune. Returns the writer for the fresh segment.
-fn write_snapshot_and_rotate(cfg: &WalConfig, journal: &Journal) -> io::Result<WalWriter> {
-    let snap = journal.to_snapshot();
-    let next_seq = snap.observations_applied + 1;
-    snap.save(&cfg.snapshot_path())?;
-    let writer = WalWriter::create(&cfg.dir, next_seq, cfg.sync)?;
-    for seg in list_segments(&cfg.dir)? {
-        if seg.path != writer.path() {
-            std::fs::remove_file(&seg.path)?;
+impl WalState {
+    /// Phase 3 of recovery, also compaction: durable snapshot (which
+    /// supersedes the live segment, so that is not synced), new segment,
+    /// prune. Installs and returns the fresh segment's writer. The old
+    /// one is dropped before the first deletion, which may be its
+    /// segment; an earlier failure leaves it in place.
+    fn write_snapshot_and_rotate(&mut self, journal: &Journal) -> io::Result<&mut WalWriter> {
+        let cfg = &self.cfg;
+        let snap = journal.to_snapshot();
+        snap.save(&cfg.snapshot_path())?;
+        let fresh = WalWriter::create(&cfg.dir, snap.observations_applied + 1, cfg.sync)?;
+        self.writer = None;
+        for seg in list_segments(&cfg.dir)? {
+            if seg.path != fresh.path() {
+                std::fs::remove_file(&seg.path)?;
+            }
         }
+        sync_dir(&cfg.dir)?;
+        Ok(self.writer.insert(fresh))
     }
-    sync_dir(&cfg.dir)?;
-    Ok(writer)
-}
-
-fn io_err(e: io::Error) -> ProtoError {
-    ProtoError::Io(e)
 }
 
 impl JournalAccess for DurableJournal {
@@ -326,51 +313,67 @@ impl JournalAccess for DurableJournal {
         if total == 0 {
             return Ok(StoreSummary::default());
         }
-        let mut wal = self.wal();
-        let bytes_before = wal.writer.bytes();
+        let mut guard = self.wal();
+        let wal = &mut *guard;
+        let max_segment_bytes = wal.cfg.max_segment_bytes;
+        let writer = match &mut wal.writer {
+            Some(writer) => writer,
+            None => self.compact_locked(wal)?,
+        };
+        let bytes_before = writer.bytes();
         let mut fsyncs = 0u64;
-        let summary = self
-            .shared
-            .read(|j| -> io::Result<StoreSummary> {
-                // Log ahead of apply: each record carries the seq the
-                // counter will reach once that observation is applied.
-                // `shared.read` takes no lock; it is the WAL mutex held
-                // above that makes counter read, append and apply one
-                // step (the store's own write lock is taken only inside
-                // `apply_batch`).
-                let mut seq = j.stats().observations_applied;
-                let mut records = Vec::with_capacity(total);
-                for b in batches {
-                    for obs in &b.observations {
-                        seq += 1;
-                        records.push(WalRecord {
-                            seq,
-                            at: b.now,
-                            obs: obs.clone(),
-                        });
-                    }
+        let result = self.shared.read(|j| -> io::Result<StoreSummary> {
+            // Log ahead of apply: each record carries the seq the
+            // counter will reach once that observation is applied.
+            // `shared.read` takes no lock; it is the WAL mutex held
+            // above that makes counter read, append and apply one
+            // step (the store's own write lock is taken only inside
+            // `apply_batch`).
+            let mut seq = j.stats().observations_applied;
+            let mut records = Vec::with_capacity(total);
+            for b in batches {
+                for obs in &b.observations {
+                    seq += 1;
+                    records.push(WalRecord {
+                        seq,
+                        at: b.now,
+                        obs: obs.clone(),
+                    });
                 }
-                let synced = wal.writer.append_batch(&records)?;
-                fsyncs += u64::from(synced);
-                Ok(j.apply_batch(
-                    batches
-                        .iter()
-                        .flat_map(|b| b.observations.iter().map(move |o| (o, b.now))),
-                ))
-            })
-            .map_err(io_err)?;
-        // Captured before the rotation check: rotation resets bytes().
-        let appended = wal.writer.bytes().saturating_sub(bytes_before);
+            }
+            let synced = writer.append_batch(&records)?;
+            fsyncs += u64::from(synced);
+            Ok(j.apply_batch(
+                batches
+                    .iter()
+                    .flat_map(|b| b.observations.iter().map(move |o| (o, b.now))),
+            ))
+        });
+        // Captured before the rotation: rotation resets bytes().
+        let appended = writer.bytes().saturating_sub(bytes_before);
+        let rotate = writer.bytes() >= max_segment_bytes;
+        if result.is_err() {
+            // The segment may hold frames nobody acknowledged: give it up.
+            wal.writer = None;
+        }
+        if result.is_err() || rotate {
+            // Compact now, so no frame of a failed append is recovered. If
+            // this fails, a durable batch keeps its `Ok`, and the next
+            // mutation tries again.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the append decides the call; the next mutation retries"
+            )]
+            let _ = self.compact_locked(wal);
+        }
+        let summary = result?;
         self.telemetry
             .counter_add(metrics::WAL_APPENDS_TOTAL, "", total as u64);
         if fsyncs > 0 {
             self.telemetry
                 .counter_add(metrics::WAL_FSYNCS_TOTAL, "", fsyncs);
         }
-        if wal.writer.bytes() >= wal.cfg.max_segment_bytes {
-            self.compact_locked(&mut wal).map_err(io_err)?;
-        }
-        drop(wal);
+        drop(guard);
         if parent.is_real() && self.telemetry.enabled() {
             let span = self.telemetry.span_start("wal.append", "", parent, at);
             self.telemetry.work(span, "bytes", appended, at);
@@ -387,20 +390,18 @@ impl JournalAccess for DurableJournal {
     }
 
     fn wal_state(&self) -> Option<WalStateReport> {
-        let (segment_first_seq, segment_bytes, sync_policy) = {
-            let wal = self.wal();
-            (
-                wal.writer.first_seq(),
-                wal.writer.bytes(),
-                format!("{:?}", wal.cfg.sync),
-            )
-        };
         let next_seq = self.shared.stats().ok()?.observations_applied + 1;
+        let wal = self.wal();
+        // A given-up segment reports as first seq 0 and 0 bytes.
+        let segment = wal
+            .writer
+            .as_ref()
+            .map_or((0, 0), |w| (w.first_seq(), w.bytes()));
         Some(WalStateReport {
-            segment_first_seq,
+            segment_first_seq: segment.0,
             next_seq,
-            segment_bytes,
-            sync_policy,
+            segment_bytes: segment.1,
+            sync_policy: format!("{:?}", wal.cfg.sync),
         })
     }
 
@@ -417,12 +418,14 @@ impl JournalAccess for DurableJournal {
     }
 
     fn delete(&self, id: InterfaceId) -> Result<bool, ProtoError> {
-        // Deletions are not observations, so they can't ride the WAL;
-        // persist them by snapshotting the post-delete state.
-        let mut wal = self.wal();
+        let wal = &mut *self.wal();
         let existed = self.shared.read(|j| j.delete_interface(id));
-        if existed {
-            self.compact_locked(&mut wal).map_err(io_err)?;
+        if existed || wal.writer.is_none() {
+            // Deletions are not observations, so they can't ride the WAL;
+            // persist them (and drop a given-up segment) by compacting.
+            // Memory is ahead of the disk until that succeeds.
+            wal.writer = None;
+            self.compact_locked(wal)?;
         }
         Ok(existed)
     }
@@ -436,7 +439,7 @@ impl JournalAccess for DurableJournal {
     }
 
     fn flush(&self) -> Result<bool, ProtoError> {
-        self.compact().map_err(io_err)?;
+        self.compact()?;
         Ok(true)
     }
 
@@ -689,5 +692,209 @@ mod tests {
         assert_eq!(report.watermark, 3);
         assert_eq!(report.records_replayed, 3);
         assert_eq!(dj.stats().unwrap().observations_applied, 6);
+    }
+
+    /// Puts a directory where the snapshot's temporary file goes, so
+    /// every compaction fails (EISDIR) until it is taken away.
+    fn block_compaction(dir: &std::path::Path) -> PathBuf {
+        let obstacle = dir.join("snapshot.tmp");
+        std::fs::create_dir(&obstacle).unwrap();
+        obstacle
+    }
+
+    /// Every seq logged in `dir`'s segments, in file order.
+    fn logged_seqs(dir: &std::path::Path) -> Vec<u64> {
+        list_segments(dir)
+            .unwrap()
+            .iter()
+            .flat_map(|seg| scan_segment(&seg.path).unwrap().records)
+            .map(|r| r.seq)
+            .collect()
+    }
+
+    fn items(batches: &[StoreBatchItem]) -> impl Iterator<Item = (&Observation, JTime)> {
+        batches
+            .iter()
+            .flat_map(|b| b.observations.iter().map(move |o| (o, b.now)))
+    }
+
+    /// How an armed append fails.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// The write fails before any frame lands (`/dev/full`: ENOSPC).
+        Write,
+        /// The call's frames reach the segment, then the sync fails
+        /// (`/dev/null`: EINVAL).
+        Sync,
+    }
+
+    /// Arms the next append of `dj`, a store of `batches`, to fail.
+    #[cfg(target_os = "linux")]
+    fn arm(dj: &DurableJournal, fault: Fault, batches: &[StoreBatchItem]) {
+        use std::io::Write;
+        let device = match fault {
+            Fault::Write => "/dev/full",
+            Fault::Sync => "/dev/null",
+        };
+        let device = std::fs::OpenOptions::new()
+            .write(true)
+            .open(device)
+            .unwrap();
+        let mut seq = dj.stats().unwrap().observations_applied;
+        let mut wal = dj.wal();
+        let mut segment = wal.writer.as_mut().unwrap().swap_file(device);
+        if let Fault::Sync = fault {
+            // What the call would write lands in the segment, through
+            // the writer's own handle, before its sync fails.
+            let records: Vec<WalRecord> = items(batches)
+                .map(|(obs, at)| {
+                    seq += 1;
+                    WalRecord {
+                        seq,
+                        at,
+                        obs: obs.clone(),
+                    }
+                })
+                .collect();
+            let mut frames = Vec::new();
+            crate::wal::encode_frames(&records, &mut frames).unwrap();
+            segment.write_all(&frames).unwrap();
+        }
+    }
+
+    /// For every k and both faults, the k-th of six stores of mixed
+    /// sizes fails its append: the directory reopens to exactly the
+    /// acknowledged batches, and no seq is logged twice.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_kth_append_recovers_exactly_the_acknowledged_batches() {
+        const SIZES: [u8; 6] = [1, 4, 2, 7, 1, 3];
+        for fault in [Fault::Write, Fault::Sync] {
+            for k in 0..SIZES.len() {
+                let dir = tmp(&format!("kth-{fault:?}-{k}"));
+                let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+                let reference = Journal::new();
+                let mut next = 1;
+                for (call, &n) in SIZES.iter().enumerate() {
+                    let batches = vec![StoreBatchItem {
+                        now: JTime(call as u64 + 1),
+                        observations: (next..next + n).map(obs).collect(),
+                    }];
+                    next += n;
+                    if call == k {
+                        arm(&dj, fault, &batches);
+                        let before = dj.stats().unwrap().observations_applied;
+                        assert!(dj.store_batch(&batches).is_err(), "{fault:?} k={k}");
+                        assert_eq!(dj.stats().unwrap().observations_applied, before);
+                    } else {
+                        dj.store_batch(&batches).unwrap();
+                        reference.apply_batch(items(&batches));
+                    }
+                }
+                let mut seqs = logged_seqs(&dir);
+                let logged = seqs.len();
+                seqs.sort_unstable();
+                seqs.dedup();
+                assert_eq!(seqs.len(), logged, "{fault:?} k={k}: a seq logged twice");
+                drop(dj);
+                let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+                let recovered = dj.capture_snapshot().unwrap();
+                let acknowledged = reference.to_snapshot();
+                assert_eq!(
+                    recovered.observations_applied, acknowledged.observations_applied,
+                    "{fault:?} k={k}"
+                );
+                assert!(
+                    recovered == acknowledged,
+                    "{fault:?} k={k}: journals differ"
+                );
+            }
+        }
+    }
+
+    /// A failed append whose own compaction fails leaves no writer: the
+    /// next store compacts before it appends, and fails without
+    /// appending while it cannot.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_given_up_segment_is_compacted_before_the_next_append() {
+        let dir = tmp("given-up");
+        let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+        let batch = |i: u8| {
+            vec![StoreBatchItem {
+                now: JTime(u64::from(i)),
+                observations: vec![obs(i)],
+            }]
+        };
+        dj.store_batch(&batch(1)).unwrap();
+        arm(&dj, Fault::Sync, &batch(2));
+        let obstacle = block_compaction(&dir);
+        assert!(dj.store_batch(&batch(2)).is_err());
+        assert_eq!(dj.wal_state().unwrap().segment_first_seq, 0, "no writer");
+        let logged = logged_seqs(&dir);
+        assert!(dj.store_batch(&batch(3)).is_err());
+        assert_eq!(logged_seqs(&dir), logged, "nothing appended");
+        std::fs::remove_dir(&obstacle).unwrap();
+        dj.store_batch(&batch(4)).unwrap();
+        assert_eq!(logged_seqs(&dir), vec![2], "one fresh segment");
+        drop(dj);
+        let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+        let reference = Journal::new();
+        reference.apply_batch(items(&batch(1)).chain(items(&batch(4))));
+        assert!(dj.capture_snapshot().unwrap() == reference.to_snapshot());
+    }
+
+    /// A store whose append is durable but whose rotation fails is
+    /// acknowledged and recovered; the next append retries the rotation.
+    #[test]
+    fn a_durable_store_whose_rotation_fails_is_acknowledged() {
+        let dir = tmp("rotation-fails");
+        let cfg = WalConfig {
+            max_segment_bytes: 1, // every append rotates
+            ..WalConfig::new(&dir)
+        };
+        let (dj, _) = DurableJournal::open(cfg.clone()).unwrap();
+        let obstacle = block_compaction(&dir);
+        dj.store(JTime(1), &[obs(1)]).unwrap();
+        dj.store(JTime(2), &[obs(2)]).unwrap();
+        assert_eq!(dj.wal_state().unwrap().segment_first_seq, 1, "old writer");
+        drop(dj);
+        std::fs::remove_dir(&obstacle).unwrap();
+        let (dj, report) = DurableJournal::open(cfg).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        assert_eq!(dj.stats().unwrap().observations_applied, 2);
+        let obstacle = block_compaction(&dir);
+        dj.store(JTime(3), &[obs(3)]).unwrap();
+        std::fs::remove_dir(&obstacle).unwrap();
+        dj.store(JTime(4), &[obs(4)]).unwrap();
+        assert_eq!(dj.wal_state().unwrap().segment_first_seq, 5, "rotated");
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+    }
+
+    /// A delete whose compaction fails gives the segment up; the next
+    /// store compacts first, so the record stays deleted after reopen.
+    #[test]
+    fn a_delete_whose_compaction_fails_stays_deleted_after_the_next_store() {
+        let dir = tmp("delete-fails");
+        let cfg = WalConfig::new(&dir);
+        let (dj, _) = DurableJournal::open(cfg.clone()).unwrap();
+        for i in 1..=3 {
+            dj.store(JTime(u64::from(i)), &[obs(i)]).unwrap();
+        }
+        let gone = dj.interfaces(&InterfaceQuery::all()).unwrap()[0].id;
+        let obstacle = block_compaction(&dir);
+        assert!(dj.delete(gone).is_err());
+        std::fs::remove_dir(&obstacle).unwrap();
+        dj.store(JTime(4), &[obs(4)]).unwrap();
+        drop(dj);
+        let (dj, _) = DurableJournal::open(cfg).unwrap();
+        let ids: Vec<_> = dj
+            .interfaces(&InterfaceQuery::all())
+            .unwrap()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids.len(), 3);
+        assert!(!ids.contains(&gone), "deletion resurrected");
     }
 }

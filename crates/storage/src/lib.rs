@@ -5,9 +5,9 @@
 //! termination" — a scheme that loses everything since the last write
 //! on a crash. This crate upgrades that story with a storage engine:
 //!
-//! * a binary **write-ahead log** of observations ([`wal`]): length- and
-//!   CRC32-framed records, fsync'd per a configurable [`SyncPolicy`]
-//!   (always / group-commit / never);
+//! * a binary **write-ahead log** of observations ([`wal`]): CRC32-framed
+//!   records; under the shipped [`SyncPolicy::Always`] a batch is
+//!   acknowledged once fsync'd, and a failed append's frames are deleted;
 //! * **crash recovery** ([`DurableJournal::open`]): load the latest
 //!   snapshot, replay the WAL tail above its watermark, tolerate a torn
 //!   final record;

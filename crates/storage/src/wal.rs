@@ -73,14 +73,13 @@ pub struct WalRecord {
 /// When appended records reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// fsync after every append: no acknowledged record is ever lost.
+    /// fsync after every append: a batch is acknowledged only once it is
+    /// durable. The policy a Journal Server ships.
     Always,
-    /// Group commit: fsync once per `n` appends (and on rotation or
-    /// shutdown). A crash can lose up to the last `n - 1` records.
+    /// Group commit: fsync once per `n` appends (and at shutdown). A
+    /// crash can lose up to the last `n - 1` acknowledged records. Only
+    /// the end-to-end benchmark's durable workloads run under it.
     EveryN(usize),
-    /// Never fsync explicitly; the OS flushes when it pleases. Fastest,
-    /// loses an unbounded tail on power failure. Still torn-tail-safe.
-    Never,
 }
 
 /// Builds a segment file name from its first sequence number.
@@ -205,6 +204,8 @@ impl WalWriter {
     /// and the whole group is acknowledged together). Under
     /// [`SyncPolicy::EveryN`] the group counts as `records.len()`
     /// pending appends.
+    ///
+    /// After an `Err` the segment may hold frames nobody acknowledged.
     pub fn append_batch(&mut self, records: &[WalRecord]) -> io::Result<bool> {
         if records.is_empty() {
             return Ok(false);
@@ -223,7 +224,6 @@ impl WalWriter {
                     false
                 }
             }
-            SyncPolicy::Never => false,
         };
         Ok(synced)
     }
@@ -295,19 +295,15 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     loop {
-        let remaining = data.len() - offset;
-        if remaining == 0 {
+        if offset == data.len() {
             return Ok(SegmentScan {
                 records,
                 valid_bytes: offset as u64,
                 tail: TailStatus::Clean,
             });
         }
-        if remaining < FRAME_HEADER_BYTES as usize {
-            break; // torn header
-        }
         let (Some(len), Some(crc)) = (le_u32(&data, offset), le_u32(&data, offset + 4)) else {
-            break; // torn header (length checked above; belt and braces)
+            break; // torn header
         };
         if len > MAX_RECORD_BYTES {
             break; // corrupt length field
@@ -347,6 +343,15 @@ mod tests {
             seq,
             at: JTime(seq * 10),
             obs: Observation::ip_alive(Source::SeqPing, Ipv4Addr::new(10, 0, 0, seq as u8)),
+        }
+    }
+
+    impl WalWriter {
+        /// Puts `file` under the writer in place of its segment and
+        /// hands the segment back: `/dev/full` fails the next write,
+        /// `/dev/null` takes it and fails the sync.
+        pub(crate) fn swap_file(&mut self, file: File) -> File {
+            std::mem::replace(&mut self.file, file)
         }
     }
 
@@ -421,7 +426,7 @@ mod tests {
         assert_eq!(parse_segment_name("snapshot.json"), None);
         let dir = tmp_dir("listing");
         for seq in [30u64, 2, 117] {
-            WalWriter::create(&dir, seq, SyncPolicy::Never).unwrap();
+            WalWriter::create(&dir, seq, SyncPolicy::Always).unwrap();
         }
         let segs = list_segments(&dir).unwrap();
         assert_eq!(
@@ -449,12 +454,12 @@ mod tests {
         assert_eq!(scan.records.len(), 12);
         assert_eq!(scan.records[9], rec(10));
         // Batched frames are byte-identical to one-at-a-time frames.
-        let mut one = WalWriter::create(&dir, 100, SyncPolicy::Never).unwrap();
+        let mut one = WalWriter::create(&dir, 100, SyncPolicy::Always).unwrap();
         for r in &records {
             one.append_batch(std::slice::from_ref(r)).unwrap();
         }
         assert_eq!(one.bytes(), {
-            let mut b = WalWriter::create(&dir, 200, SyncPolicy::Never).unwrap();
+            let mut b = WalWriter::create(&dir, 200, SyncPolicy::Always).unwrap();
             b.append_batch(&records).unwrap();
             b.bytes()
         });

@@ -19,7 +19,7 @@ use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::store::{Journal, StoreSummary};
 use fremont_journal::time::JTime;
-use fremont_storage::{DurableJournal, SyncPolicy, WalConfig};
+use fremont_storage::{DurableJournal, WalConfig};
 use fremont_telemetry::{Recorder, SpanId, TelTime, Telemetry};
 
 /// How a stream reaches the backend.
@@ -155,7 +155,6 @@ fn durable_run(entry: Entry) -> Run {
     let (tel, rec) = Telemetry::recording();
     let dir = tmp(&format!("durable-{entry:?}"));
     let cfg = WalConfig {
-        sync: SyncPolicy::EveryN(4),
         // Small enough that the stream rotates segments mid-way.
         max_segment_bytes: 2048,
         ..WalConfig::new(&dir)

@@ -13,6 +13,7 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
 use fremont::journal::observation::{Fact, Observation, Source};
+use fremont::journal::proto::StoreBatchItem;
 use fremont::journal::query::InterfaceQuery;
 use fremont::journal::records::GatewayId;
 use fremont::journal::server::JournalAccess;
@@ -52,13 +53,16 @@ fn reference_state(k: usize) -> JournalSnapshot {
 /// "crashes" it and returns the WAL segment's bytes + path.
 fn build_wal(dir: &PathBuf, n: usize) -> (PathBuf, Vec<u8>) {
     let _ = std::fs::remove_dir_all(dir);
-    // Group commit keeps the many proptest cases fast; WalState's Drop
-    // still syncs, so the "crash" leaves the full log on disk.
-    let (dj, _) = DurableJournal::open(WalConfig::grouped(dir, 1_000_000)).expect("open");
-    for i in 0..n {
-        dj.store(JTime(i as u64 + 1), &[observation(i)])
-            .expect("store");
-    }
+    // One call, so one fsync per case: the same frames as `n` one-
+    // observation stores at times 1..=n.
+    let (dj, _) = DurableJournal::open(WalConfig::new(dir)).expect("open");
+    let batches: Vec<StoreBatchItem> = (0..n)
+        .map(|i| StoreBatchItem {
+            now: JTime(i as u64 + 1),
+            observations: vec![observation(i)],
+        })
+        .collect();
+    dj.store_batch(&batches).expect("store_batch");
     drop(dj); // crash: no shutdown compaction
     let segs = list_segments(dir).expect("segments");
     assert_eq!(segs.len(), 1, "all records fit one segment");

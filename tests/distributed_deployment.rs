@@ -294,3 +294,59 @@ fn a_driver_whose_server_stops_keeps_surveying_and_counts_each_lost_shipment() {
     );
     assert!(remote.flush().is_err(), "nothing left to flush to");
 }
+
+/// Starts a server at the address a stopped one vacated. The stopped
+/// server's sockets may hold the port for a moment, so it retries.
+fn restart_at(journal: &SharedJournal, addr: &str) -> Option<JournalServer> {
+    (0..100).find_map(|_| {
+        let server = JournalServer::start(journal.clone(), addr, None).ok();
+        if server.is_none() {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        server
+    })
+}
+
+/// A server that comes back at the same address gets the driver's
+/// shipments again: a failed shipment drops the driver's connection, the
+/// next one connects afresh, so the first draining pump after the
+/// server listens ships and the lost-shipment count stops growing.
+#[test]
+fn a_driver_whose_server_returns_ships_again() {
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).expect("bind");
+    let addr = server.addr().to_string();
+    let (driver_tel, driver_rec) = Telemetry::recording();
+    let mut driver = campus_driver(Some(addr.clone()), driver_tel);
+    let errors = || driver_rec.counter("fremont_driver_remote_errors_total", "");
+
+    let (down, back) = (PUMPS / 3, 2 * PUMPS / 3);
+    let returned = SharedJournal::new();
+    let mut server = Some(server);
+    let (mut lost, mut shipped) = (0, 0);
+    for i in 0..PUMPS {
+        if i == down {
+            if let Some(server) = server.take() {
+                server.shutdown();
+            }
+        }
+        if i == back {
+            server = Some(restart_at(&returned, &addr).expect("rebind the address"));
+        }
+        let before = errors();
+        let drained = pump(&mut driver, i);
+        if (down..back).contains(&i) {
+            lost += u64::from(drained);
+        } else {
+            assert_eq!(errors(), before, "pump {i}: a server listens");
+            if i >= back && drained {
+                shipped += 1;
+            }
+        }
+    }
+    assert!(lost >= 2 && shipped >= 2, "{lost} lost, {shipped} shipped");
+    assert_eq!(errors(), lost, "each draining pump without a server");
+    assert!(applied(&returned) > 0, "the returned server got shipments");
+    if let Some(server) = server {
+        server.shutdown();
+    }
+}

@@ -68,11 +68,11 @@ fn parent_segment_is_reproduced_byte_for_byte() {
     assert_eq!(scan.records[0].seq, 13);
 
     let dir = scratch("reappend");
-    let mut batched = WalWriter::create(&dir, 13, SyncPolicy::Never).expect("create");
+    let mut batched = WalWriter::create(&dir, 13, SyncPolicy::Always).expect("create");
     batched.append_batch(&scan.records).expect("append_batch");
     assert_eq!(std::fs::read(batched.path()).expect("read"), committed);
 
-    let mut single = WalWriter::create(&dir, 13, SyncPolicy::Never).expect("create");
+    let mut single = WalWriter::create(&dir, 13, SyncPolicy::Always).expect("create");
     for record in &scan.records {
         single
             .append_batch(std::slice::from_ref(record))
@@ -90,11 +90,7 @@ fn one_record_stores_rewrite_the_parent_segment() {
     let scan = scan_segment(&golden().join(SEGMENT)).expect("scan");
     let dir = scratch("restore");
     std::fs::copy(golden().join("snapshot.json"), dir.join("snapshot.json")).expect("copy");
-    let cfg = WalConfig {
-        sync: SyncPolicy::Never,
-        ..WalConfig::new(&dir)
-    };
-    let (journal, report) = DurableJournal::open(cfg).expect("open");
+    let (journal, report) = DurableJournal::open(WalConfig::new(&dir)).expect("open");
     assert_eq!(report.watermark, 12);
     for record in &scan.records {
         journal
