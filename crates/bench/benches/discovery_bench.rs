@@ -29,13 +29,14 @@ fn bench_whole_journal_readers(c: &mut Criterion) {
     let now = f.now();
     let mut g = c.benchmark_group("correlate");
     g.bench_function("campus_2h", |b| {
-        b.iter(|| black_box(f.journal.read(correlate)).len())
+        b.iter(|| black_box(f.driver.journal.read(correlate)).len())
     });
     g.finish();
     let mut g = c.benchmark_group("analysis");
     g.bench_function("campus_2h", |b| {
         b.iter(|| {
             let report = f
+                .driver
                 .journal
                 .read(|j| ProblemReport::generate(j, now, 86_400, 3_600));
             black_box(report).total()
@@ -45,7 +46,7 @@ fn bench_whole_journal_readers(c: &mut Criterion) {
     let mut g = c.benchmark_group("topology");
     g.bench_function("campus_2h", |b| {
         b.iter(|| {
-            black_box(f.journal.read(TopologyGraph::from_journal))
+            black_box(f.driver.journal.read(TopologyGraph::from_journal))
                 .gateways
                 .len()
         })
@@ -53,21 +54,29 @@ fn bench_whole_journal_readers(c: &mut Criterion) {
     g.finish();
     let mut g = c.benchmark_group("reads");
     g.bench_function("interfaces_all_campus_2h", |b| {
-        b.iter(|| black_box(f.journal.read(|j| j.get_interfaces(&InterfaceQuery::all()))).len())
+        b.iter(|| {
+            black_box(
+                f.driver
+                    .journal
+                    .read(|j| j.get_interfaces(&InterfaceQuery::all())),
+            )
+            .len()
+        })
     });
     g.bench_function("to_snapshot_campus_2h", |b| {
         b.iter(|| {
-            black_box(f.journal.read(|j| j.to_snapshot()))
+            black_box(f.driver.journal.read(|j| j.to_snapshot()))
                 .interfaces
                 .len()
         })
     });
     g.finish();
-    let derived = f.journal.read(correlate);
+    let derived = f.driver.journal.read(correlate);
     let mut g = c.benchmark_group("correlate");
     g.bench_function("store_campus_2h", |b| {
         b.iter(|| {
-            f.journal
+            f.driver
+                .journal
                 .read(|j| j.apply_batch(derived.iter().map(|o| (o, now))))
                 .verified
         })

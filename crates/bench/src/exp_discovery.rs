@@ -23,7 +23,9 @@ use crate::tables::{pct, Table};
 
 fn fresh(cfg: &CampusConfig, warmup: SimDuration) -> (Sim, CampusTruth, NodeId) {
     let (mut sim, truth) = generate(cfg);
-    let home = sim.node_by_name("bruno").expect("campus has bruno");
+    let home = sim
+        .node_by_name(&truth.explorer_host)
+        .expect("campus has its explorer host");
     sim.run_for(warmup);
     (sim, truth, home)
 }

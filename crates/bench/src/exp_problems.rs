@@ -41,7 +41,7 @@ pub fn full_campaign(cfg: &CampusConfig, days: u64) -> Fremont {
 
 /// Table 7: characteristics discovered by the prototype.
 pub fn table7(system: &Fremont) -> Table {
-    let journal = &system.journal;
+    let journal = &system.driver.journal;
     let ifaces = journal
         .interfaces(&InterfaceQuery::all())
         .unwrap_or_default();

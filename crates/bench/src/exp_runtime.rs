@@ -47,7 +47,9 @@ fn measure(source: Source, cfg: &CampusConfig) -> ModuleRun {
     let mut quiet = cfg.clone();
     quiet.cs_traffic = source == Source::ArpWatch; // Passive needs traffic.
     let (mut sim, truth) = generate(&quiet);
-    let home = sim.node_by_name("bruno").expect("campus has bruno");
+    let home = sim
+        .node_by_name(&truth.explorer_host)
+        .expect("campus has its explorer host");
     let cs = truth.cs_subnet;
     let home_seg = sim.nodes[home.0].ifaces[0].segment;
     sim.segments[home_seg.0].stats.enable_buckets();

@@ -1570,7 +1570,7 @@ mod differential {
         let mut f = crate::fremont::Fremont::over_campus(&CampusConfig::default());
         f.explore(SimDuration::from_hours(2)).unwrap();
         let now = f.now();
-        let findings = f.journal.read(|j| {
+        let findings = f.driver.journal.read(|j| {
             // The benchmark's windows, the survey example's, and one
             // tight enough that most of the campus counts as stale.
             for (stale_after, min_overlap) in [(2 * 86_400, 3_600), (86_400, 3_600), (600, 60)] {
@@ -1600,7 +1600,7 @@ mod differential {
             let mut f = crate::fremont::Fremont::over_campus(&cfg);
             f.explore(SimDuration::from_hours(6)).unwrap();
             let now = f.now();
-            f.journal.read(|j| {
+            f.driver.journal.read(|j| {
                 assert_same_answers(j, now, 86_400, 3_600);
                 assert_same_answers(j, now, 3_600, 60);
             });

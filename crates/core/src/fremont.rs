@@ -17,10 +17,8 @@ use crate::topology::TopologyGraph;
 
 /// A Fremont deployment exploring a synthetic campus.
 pub struct Fremont {
-    /// The driver (simulator + manager + journal wiring).
+    /// The driver: simulator, manager, and the journal it writes.
     pub driver: DiscoveryDriver,
-    /// The shared journal (also reachable as `driver.journal`).
-    pub journal: SharedJournal,
     /// Ground truth about the generated campus, for evaluation.
     pub truth: CampusTruth,
 }
@@ -43,15 +41,10 @@ impl Fremont {
         let home = sim
             .node_by_name(&truth.explorer_host)
             .unwrap_or(fremont_netsim::segment::NodeId(0));
-        let journal = SharedJournal::new();
         let mut driver_cfg = DriverConfig::full(cfg.network, Some(truth.dns_server));
         driver_cfg.telemetry = telemetry;
-        let driver = DiscoveryDriver::new(sim, journal.clone(), home, driver_cfg);
-        Fremont {
-            driver,
-            journal,
-            truth,
-        }
+        let driver = DiscoveryDriver::new(sim, SharedJournal::new(), home, driver_cfg);
+        Fremont { driver, truth }
     }
 
     /// Explores for a span of simulated time. The error is the final
@@ -103,18 +96,19 @@ impl Fremont {
     /// Runs all Table 8 analyses at the current time.
     pub fn problems(&self, stale_after: u64, recent: u64) -> ProblemReport {
         let now = self.now();
-        self.journal
+        self.driver
+            .journal
             .read(|j| ProblemReport::generate(j, now, stale_after, recent))
     }
 
     /// Extracts the discovered topology graph (Figure 2 input).
     pub fn topology(&self) -> TopologyGraph {
-        self.journal.read(TopologyGraph::from_journal)
+        self.driver.journal.read(TopologyGraph::from_journal)
     }
 
     /// Journal statistics.
     pub fn stats(&self) -> fremont_journal::store::JournalStats {
-        self.journal.stats().unwrap_or_default()
+        self.driver.journal.stats().unwrap_or_default()
     }
 
     /// Measured per-module load — the Table 4 reproduction.

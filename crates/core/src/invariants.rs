@@ -35,6 +35,7 @@ use fremont_netsim::faults::{FaultKind, FaultPlan};
 use fremont_netsim::time::{SimDuration, SimTime};
 
 use crate::analysis::ProblemReport;
+use crate::fremont::Fremont;
 
 /// Number of finding classes in a [`ProblemReport`].
 pub const CLASS_COUNT: usize = 8;
@@ -129,23 +130,26 @@ pub const INV_HEALED_PARTITION: &str = "healed-partition-recovers";
 /// it exists to prove the counterexample pipeline works end to end.
 pub const INV_ASSERT_QUIET: &str = "assert-quiet";
 
+/// Length of the micro-campus run; expectations only apply to faults
+/// with enough remaining runway before its end.
+pub const HORIZON: SimDuration = SimDuration::from_hours(16);
+
+/// Runway a fault needs before the horizon for its finding to be
+/// *expected* (module re-verification is bursty; 8 hours spans the
+/// tight `stale_after` plus an ARPwatch re-verification gap).
+const SURFACE_MARGIN: SimDuration = SimDuration::from_hours(8);
+
+/// A `WrongMask` is only expected to surface if injected before the
+/// first Subnet Mask sweep (the module queries only interfaces with no
+/// mask observation yet).
+const MASK_DEADLINE: SimTime = SimTime(60_000_000);
+
 /// Context the invariants need beyond the reports themselves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InvariantConfig {
-    /// End of the run; expectations only apply to faults with enough
-    /// remaining runway.
-    pub horizon: SimTime,
     /// The node hosting the Explorer Modules. Clock skew only corrupts
     /// journal timestamps when injected here.
     pub explorer_host: String,
-    /// Runway a fault needs before the horizon for its finding to be
-    /// *expected* (module re-verification is bursty; 8 hours spans the
-    /// tight `stale_after` plus an ARPwatch re-verification gap).
-    pub surface_margin: SimDuration,
-    /// A `WrongMask` is only expected to surface if injected before
-    /// the first Subnet Mask sweep (the module queries only interfaces
-    /// with no mask observation yet).
-    pub mask_deadline: SimTime,
     /// Pristine node → primary-address map of the topology, captured
     /// *before* fault injection (a `DuplicateIp` fault rewrites the
     /// live address). Used to detect when a duplicate-address fault
@@ -155,14 +159,18 @@ pub struct InvariantConfig {
 }
 
 impl InvariantConfig {
-    /// The configuration matched to the 16-hour micro-campus run.
-    pub fn for_micro(explorer_host: &str) -> Self {
+    /// The context of a deployment no fault has touched yet: its
+    /// explorer host and every node's primary address.
+    pub fn pristine(f: &Fremont) -> Self {
         InvariantConfig {
-            horizon: SimTime::from_hours(16),
-            explorer_host: explorer_host.to_owned(),
-            surface_margin: SimDuration::from_hours(8),
-            mask_deadline: SimTime(60_000_000),
-            node_ips: Vec::new(),
+            explorer_host: f.truth.explorer_host.clone(),
+            node_ips: f
+                .driver
+                .sim
+                .node_ips()
+                .into_iter()
+                .map(|(n, ip)| (n.to_owned(), ip))
+                .collect(),
         }
     }
 
@@ -242,7 +250,7 @@ struct ScheduleFacts {
 
 fn facts(plan: &FaultPlan, cfg: &InvariantConfig) -> ScheduleFacts {
     let mut f = ScheduleFacts::default();
-    let runway = |at: SimTime| at + cfg.surface_margin <= cfg.horizon;
+    let runway = |at: SimTime| at + SURFACE_MARGIN <= SimTime::ZERO + HORIZON;
     let mut partitions = 0usize;
     let mut healed = 0usize;
     for ev in &plan.events {
@@ -296,7 +304,7 @@ fn facts(plan: &FaultPlan, cfg: &InvariantConfig) -> ScheduleFacts {
                 }
             }
             FaultKind::WrongMask { .. } => {
-                if ev.at() <= cfg.mask_deadline {
+                if ev.at() <= MASK_DEADLINE {
                     f.mask_before_sweep = true;
                 }
             }
@@ -464,7 +472,10 @@ mod tests {
     use super::*;
 
     fn cfg() -> InvariantConfig {
-        InvariantConfig::for_micro("bruno")
+        InvariantConfig {
+            explorer_host: "bruno".to_owned(),
+            node_ips: Vec::new(),
+        }
     }
 
     fn eval(control: [usize; CLASS_COUNT], tight: [usize; CLASS_COUNT]) -> RunEvaluation {

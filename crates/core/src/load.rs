@@ -113,14 +113,15 @@ impl ModuleLoadReport {
     /// columns beside the paper's Table 4 descriptions.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<15} {:>5} {:>9} {:>9} {:>9} {:>9} {:>10}  {:<14} paper completion",
             "Module", "runs", "sent", "recv", "tapped", "busy(s)", "pkts/sec", "paper load",
-        );
-        let _ = writeln!(out, "{}", "-".repeat(108));
+        )
+        .ok();
+        writeln!(out, "{}", "-".repeat(108)).ok();
         for r in &self.rows {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "{:<15} {:>5} {:>9} {:>9} {:>9} {:>9.0} {:>10.2}  {:<14} {}",
                 r.source.name(),
@@ -132,7 +133,8 @@ impl ModuleLoadReport {
                 r.load.pkts_per_sec(),
                 r.paper_network_load,
                 r.paper_completion,
-            );
+            )
+            .ok();
         }
         out
     }

@@ -18,22 +18,23 @@ use fremont_net::Subnet;
 pub fn dump(journal: &Journal) -> String {
     let mut out = String::new();
     let snap = journal.to_snapshot();
-    let _ = writeln!(
+    writeln!(
         out,
         "JOURNAL DUMP: {} interfaces, {} gateways, {} subnets ({} observations applied)",
         snap.interfaces.len(),
         snap.gateways.len(),
         snap.subnets.len(),
         snap.observations_applied
-    );
+    )
+    .ok();
     for r in &snap.interfaces {
-        let _ = writeln!(out, "interface {:?}: {r:?}", r.id);
+        writeln!(out, "interface {:?}: {r:?}", r.id).ok();
     }
     for g in &snap.gateways {
-        let _ = writeln!(out, "gateway {:?}: {g:?}", g.id);
+        writeln!(out, "gateway {:?}: {g:?}", g.id).ok();
     }
     for s in &snap.subnets {
-        let _ = writeln!(out, "subnet {}: {s:?}", s.subnet);
+        writeln!(out, "subnet {}: {s:?}", s.subnet).ok();
     }
     out
 }
@@ -61,18 +62,19 @@ fn age(now: JTime, then: Option<JTime>) -> String {
 /// existence (ignoring time of last DNS verification)".
 pub fn level1_network(journal: &Journal, network: Subnet, now: JTime) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Interfaces in {network}");
-    let _ = writeln!(out, "{:<18} {:<28} LAST SEEN ALIVE", "ADDRESS", "NAME");
+    writeln!(out, "Interfaces in {network}").ok();
+    writeln!(out, "{:<18} {:<28} LAST SEEN ALIVE", "ADDRESS", "NAME").ok();
     let mut recs = journal.get_interfaces(&InterfaceQuery::in_subnet(network));
     recs.sort_by_key(|r| r.ip_addr().map(u32::from));
     for r in recs {
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<18} {:<28} {}",
             r.ip_addr().map(|i| i.to_string()).unwrap_or_default(),
             r.dns_name().unwrap_or("-"),
             age(now, r.live_verified),
-        );
+        )
+        .ok();
     }
     out
 }
@@ -83,16 +85,17 @@ pub fn level1_network(journal: &Journal, network: Subnet, now: JTime) -> String 
 /// gateway".
 pub fn level2_subnet(journal: &Journal, subnet: Subnet, now: JTime) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Subnet {subnet}");
-    let _ = writeln!(
+    writeln!(out, "Subnet {subnet}").ok();
+    writeln!(
         out,
         "{:<18} {:<19} {:<22} {:<4} {:<8} LAST SEEN",
         "ADDRESS", "ETHERNET", "VENDOR", "RIP", "GATEWAY"
-    );
+    )
+    .ok();
     let mut recs = journal.get_interfaces(&InterfaceQuery::in_subnet(subnet));
     recs.sort_by_key(|r| r.ip_addr().map(u32::from));
     for r in recs {
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<18} {:<19} {:<22} {:<4} {:<8} {}",
             r.ip_addr().map(|i| i.to_string()).unwrap_or_default(),
@@ -103,7 +106,8 @@ pub fn level2_subnet(journal: &Journal, subnet: Subnet, now: JTime) -> String {
             if r.rip_source { "yes" } else { "no" },
             if r.is_gateway_member() { "member" } else { "-" },
             age(now, r.live_verified),
-        );
+        )
+        .ok();
     }
     out
 }
@@ -115,14 +119,15 @@ pub fn level3_interface(journal: &Journal, id: InterfaceId, now: JTime) -> Strin
         return format!("no interface record {id:?}\n");
     };
     let mut out = String::new();
-    let _ = writeln!(out, "Interface record {:?}", r.id);
-    let _ = writeln!(
+    writeln!(out, "Interface record {:?}", r.id).ok();
+    writeln!(
         out,
         "  record: discovered {} / changed {} / verified {}",
         r.discovered, r.changed, r.verified
-    );
+    )
+    .ok();
     let fmt3 = |f: &mut String, label: &str, value: String, d: JTime, c: JTime, v: JTime| {
-        let _ = writeln!(f, "  {label:<14} {value:<24} disc {d} / chg {c} / ver {v}");
+        writeln!(f, "  {label:<14} {value:<24} disc {d} / chg {c} / ver {v}").ok();
     };
     if let Some(t) = &r.ip {
         fmt3(
@@ -165,14 +170,15 @@ pub fn level3_interface(journal: &Journal, id: InterfaceId, now: JTime) -> Strin
             t.verified,
         );
     }
-    let _ = writeln!(
+    writeln!(
         out,
         "  gateway:       {}",
         r.gateway
             .map(|g| format!("{g:?}"))
             .unwrap_or_else(|| "-".into())
-    );
-    let _ = writeln!(
+    )
+    .ok();
+    writeln!(
         out,
         "  rip source:    {}{}",
         r.rip_source,
@@ -181,10 +187,11 @@ pub fn level3_interface(journal: &Journal, id: InterfaceId, now: JTime) -> Strin
         } else {
             ""
         }
-    );
+    )
+    .ok();
     let sources: Vec<&str> = r.sources.iter().map(|s| s.name()).collect();
-    let _ = writeln!(out, "  reported by:   {}", sources.join(", "));
-    let _ = writeln!(out, "  last live:     {}", age(now, r.live_verified));
+    writeln!(out, "  reported by:   {}", sources.join(", ")).ok();
+    writeln!(out, "  last live:     {}", age(now, r.live_verified)).ok();
     out
 }
 

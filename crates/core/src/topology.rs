@@ -63,20 +63,22 @@ impl TopologyGraph {
     /// display; schematic reproduction of the `snm` element syntax).
     pub fn to_sunnet(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "# SunNet Manager elements generated by Fremont");
+        writeln!(out, "# SunNet Manager elements generated by Fremont").ok();
         for s in &self.subnets {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "element {{ name \"{s}\" type \"bus\" glyph \"subnet.icon\" }}"
-            );
+            )
+            .ok();
         }
         for (_, label, subs) in &self.gateways {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "element {{ name \"{label}\" type \"component\" glyph \"router.icon\" }}"
-            );
+            )
+            .ok();
             for s in subs {
-                let _ = writeln!(out, "connection {{ from \"{label}\" to \"{s}\" }}");
+                writeln!(out, "connection {{ from \"{label}\" to \"{s}\" }}").ok();
             }
         }
         out
@@ -85,18 +87,18 @@ impl TopologyGraph {
     /// Graphviz rendering (routers as boxes, subnets as ellipses).
     pub fn to_dot(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "graph fremont {{");
-        let _ = writeln!(out, "  layout=neato; overlap=false; splines=true;");
+        writeln!(out, "graph fremont {{").ok();
+        writeln!(out, "  layout=neato; overlap=false; splines=true;").ok();
         for s in &self.subnets {
-            let _ = writeln!(out, "  \"{s}\" [shape=ellipse];");
+            writeln!(out, "  \"{s}\" [shape=ellipse];").ok();
         }
         for (_, label, subs) in &self.gateways {
-            let _ = writeln!(out, "  \"{label}\" [shape=box, style=filled];");
+            writeln!(out, "  \"{label}\" [shape=box, style=filled];").ok();
             for s in subs {
-                let _ = writeln!(out, "  \"{label}\" -- \"{s}\";");
+                writeln!(out, "  \"{label}\" -- \"{s}\";").ok();
             }
         }
-        let _ = writeln!(out, "}}");
+        writeln!(out, "}}").ok();
         out
     }
 
@@ -112,17 +114,18 @@ impl TopologyGraph {
             }
         }
         let mut out = String::new();
-        let _ = writeln!(
+        writeln!(
             out,
             "Discovered topology: {} subnets, {} gateways",
             by_subnet.len(),
             self.gateways.len()
-        );
+        )
+        .ok();
         for (s, gws) in by_subnet {
             if gws.is_empty() {
-                let _ = writeln!(out, "  {s:<20} (no gateway known)");
+                writeln!(out, "  {s:<20} (no gateway known)").ok();
             } else {
-                let _ = writeln!(out, "  {s:<20} via {}", gws.join(", "));
+                writeln!(out, "  {s:<20} via {}", gws.join(", ")).ok();
             }
         }
         out

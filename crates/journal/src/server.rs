@@ -346,16 +346,7 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
         }
         // Final journal size gauges for the metrics dump.
         if self.telemetry.enabled() {
-            if let Ok(stats) = self.journal.stats() {
-                publish_journal_stats(&self.telemetry, &stats);
-            }
-            if let Some(m) = self.journal.sharding_metrics() {
-                publish_sharding_metrics(&self.telemetry, &m);
-            }
-            if let Some(g) = self.journal.batch_groups_total() {
-                self.telemetry
-                    .counter_set(metrics::JOURNAL_SHARD_BATCH_GROUPS_TOTAL, "", g);
-            }
+            publish_store_metrics(&self.telemetry, &self.journal);
         }
     }
 }
@@ -486,11 +477,25 @@ pub fn publish_journal_stats(telemetry: &Telemetry, stats: &JournalStats) {
     );
 }
 
+/// Publishes a journal's store metrics: its statistics, the store's
+/// activity and its write-lock count (shared between server shutdown and
+/// the driver's per-pump dump).
+pub fn publish_store_metrics(telemetry: &Telemetry, journal: &impl JournalAccess) {
+    if let Ok(stats) = journal.stats() {
+        publish_journal_stats(telemetry, &stats);
+    }
+    if let Some(m) = journal.sharding_metrics() {
+        publish_sharding_metrics(telemetry, &m);
+    }
+    if let Some(groups) = journal.batch_groups_total() {
+        telemetry.counter_set(metrics::JOURNAL_SHARD_BATCH_GROUPS_TOTAL, "", groups);
+    }
+}
+
 /// Publishes the store's activity: lock acquisitions and record count
 /// (one `shard="0"` series each), query fan-out (always 0) and write
-/// batch totals (shared between server shutdown and the driver's
-/// per-pump dump).
-pub fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
+/// batch totals.
+fn publish_sharding_metrics(telemetry: &Telemetry, m: &ShardingMetrics) {
     for s in &m.shards {
         let label = format!("shard=\"{}\"", s.shard);
         telemetry.counter_set(

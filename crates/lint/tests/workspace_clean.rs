@@ -124,56 +124,14 @@ fn toml_table<'a>(manifest: &'a str, table: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// Clippy runs in CI, not in `cargo test`: this pins where it denies
-/// the seven lints, so a manifest or file that drops out of the set
-/// fails here, and every exception in program code must give its reason.
-#[test]
-fn the_panic_and_discard_lints_stay_denied() {
-    let (ws, root) = real_workspace();
-    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable");
-    let denies =
-        |lines: &[&str], lint: &str| lines.contains(&format!("{lint} = \"deny\"").as_str());
+/// Crates outside the policy: the experiment and benchmark harnesses and
+/// this test-support crate.
+const HARNESS: [&str; 3] = ["bench", "e2e", "lint"];
 
-    let workspace = read("Cargo.toml");
-    let table = toml_table(&workspace, "workspace.lints.clippy");
-    for lint in DENIED {
-        assert!(denies(&table, lint), "the workspace denies clippy::{lint}");
-    }
-    for krate in ["storage", "explorers", "telemetry", "mc", "net", "journal"] {
-        let manifest = read(&format!("crates/{krate}/Cargo.toml"));
-        assert_eq!(
-            toml_table(&manifest, "lints"),
-            ["workspace = true"],
-            "crates/{krate} inherits the workspace's denied lints"
-        );
-    }
-    let netsim = read("crates/netsim/Cargo.toml");
-    let table = toml_table(&netsim, "lints.clippy");
-    for lint in &DENIED[..6] {
-        assert!(denies(&table, lint), "netsim denies clippy::{lint}");
-    }
-    for path in [
-        "crates/core/src/driver.rs",
-        "crates/journal/src/store/mod.rs",
-        "crates/netsim/src/faults.rs",
-        "crates/netsim/src/sched.rs",
-    ] {
-        let text = read(path);
-        let attr = text
-            .split("#![deny(")
-            .nth(1)
-            .and_then(|rest| rest.split(')').next())
-            .unwrap_or_default();
-        for lint in DENIED {
-            assert!(
-                attr.contains(&format!("clippy::{lint}")),
-                "{path} denies clippy::{lint} in its `#![deny]`"
-            );
-        }
-    }
-
-    // Every `allow`/`expect` of one of them in program code says why.
-    let mut reasonless = Vec::new();
+/// Every attribute in program code outside tests that sets the level of
+/// one of the denied lints, as `(path:line, level, gives a reason)`.
+fn lint_levels(ws: &Workspace) -> Vec<(String, String, bool)> {
+    let mut out = Vec::new();
     for f in ws.files.iter().filter(|f| is_program(&f.path)) {
         let code = &f.code;
         for (i, t) in code.iter().enumerate() {
@@ -181,7 +139,9 @@ fn the_panic_and_discard_lints_stay_denied() {
                 && (punct_at(code, i.wrapping_sub(2), '#')
                     || (punct_at(code, i.wrapping_sub(2), '!')
                         && punct_at(code, i.wrapping_sub(3), '#')));
-            if !(t.is_ident("allow") || t.is_ident("expect"))
+            let level = t.text.as_str();
+            if !["allow", "expect", "deny", "forbid"].contains(&level)
+                || t.kind != TokKind::Ident
                 || !in_attr
                 || !punct_at(code, i + 1, '(')
                 || f.in_test(t.line)
@@ -189,15 +149,88 @@ fn the_panic_and_discard_lints_stay_denied() {
                 continue;
             }
             let args = &code[i + 1..=matching_close(code, i + 1)];
-            let names_one = args.iter().any(|a| DENIED.contains(&a.text.as_str()));
-            if names_one && !args.iter().any(|a| a.is_ident("reason")) {
-                reasonless.push(format!("{}:{}", f.path, t.line));
+            if args.iter().any(|a| DENIED.contains(&a.text.as_str())) {
+                out.push((
+                    format!("{}:{}", f.path, t.line),
+                    level.to_owned(),
+                    args.iter().any(|a| a.is_ident("reason")),
+                ));
             }
         }
     }
+    out
+}
+
+/// Clippy runs in CI, not in `cargo test`: this pins that the workspace
+/// table is the one place the seven lints are denied. The root package
+/// and every program crate inherit it and state no level of their own,
+/// and every exception in program code gives its reason.
+#[test]
+fn the_panic_and_discard_lints_stay_denied() {
+    let (ws, root) = real_workspace();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable");
+    let workspace = read("Cargo.toml");
+    let table = toml_table(&workspace, "workspace.lints.clippy");
+    for lint in DENIED {
+        assert!(
+            table.contains(&format!("{lint} = \"deny\"").as_str()),
+            "the workspace denies clippy::{lint}"
+        );
+    }
+
+    let mut manifests = vec!["Cargo.toml".to_owned()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let name = entry.expect("crates/ entry").file_name();
+        let name = name.to_string_lossy();
+        if !HARNESS.contains(&name.as_ref()) {
+            manifests.push(format!("crates/{name}/Cargo.toml"));
+        }
+    }
+    assert!(
+        manifests.len() > 9,
+        "every program crate is found: {manifests:?}"
+    );
+    for manifest in &manifests {
+        let text = read(manifest);
+        assert_eq!(
+            toml_table(&text, "lints"),
+            ["workspace = true"],
+            "{manifest} inherits the workspace's denied lints"
+        );
+        assert!(
+            toml_table(&text, "lints.clippy").is_empty(),
+            "{manifest} states no lint table of its own"
+        );
+    }
+
+    let levels = lint_levels(&ws);
+    let own: Vec<_> = levels
+        .iter()
+        .filter(|(_, level, _)| level == "deny" || level == "forbid")
+        .collect();
+    assert!(
+        own.is_empty(),
+        "the workspace table denies these lints; no file restates them: {own:?}"
+    );
+    let reasonless: Vec<_> = levels.iter().filter(|(_, _, reason)| !reason).collect();
     assert!(
         reasonless.is_empty(),
         "an exception to a denied lint gives its `reason`: {reasonless:?}"
+    );
+}
+
+#[test]
+fn a_file_that_restates_a_denied_lint_is_reported() {
+    let ws = workspace_with_appended(
+        "crates/core/src/correlate.rs",
+        "#[deny(clippy::unwrap_used)]\nfn lint_probe() {}\n",
+    );
+    let levels = lint_levels(&ws);
+    assert!(
+        levels.iter().any(
+            |(at, level, _)| at.starts_with("crates/core/src/correlate.rs:") && level == "deny"
+        ),
+        "{levels:?}"
     );
 }
 

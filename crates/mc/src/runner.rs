@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use fremont_core::fremont::Fremont;
+pub use fremont_core::invariants::HORIZON;
 use fremont_core::invariants::{
     check_baseline, check_schedule, InvariantConfig, RunEvaluation, Violation,
 };
@@ -37,9 +38,6 @@ pub const CONTROL_WINDOW: (u64, u64) = (4 * 86_400, 3_600);
 /// Tight-window analysis parameters: `stale_after` 6 hours (surfaces
 /// liveness faults within the horizon), `min_overlap` 30 minutes.
 pub const TIGHT_WINDOW: (u64, u64) = (6 * 3_600, 1_800);
-
-/// The fixed run horizon.
-pub const HORIZON: SimDuration = SimDuration(16 * 3_600_000_000);
 
 /// How far past a bucket boundary the state fingerprint is taken
 /// (bucket events fire *at* the boundary).
@@ -162,7 +160,7 @@ struct Executor {
 impl Executor {
     fn system_fingerprint(f: &Fremont) -> u64 {
         let mut h = fremont_net::Fnv1a::new();
-        h.write_u64(f.journal.read(|j| j.fingerprint()));
+        h.write_u64(f.driver.journal.read(|j| j.fingerprint()));
         h.write_u64(f.driver.sim.state_fingerprint());
         h.finish()
     }
@@ -236,7 +234,7 @@ impl ModelChecker {
             cfg,
             space,
             exec,
-            inv_cfg: InvariantConfig::for_micro("bruno"),
+            inv_cfg: InvariantConfig::default(),
             evals: HashMap::new(),
             prefix_fp: HashMap::new(),
             alias: HashMap::new(),
@@ -246,8 +244,9 @@ impl ModelChecker {
 
     /// Validates every template target against the generated topology,
     /// so a space written for one campus fails loudly on another, and
-    /// captures the pristine node → address map the invariants use to
-    /// detect duplicate-address masking.
+    /// captures the invariants' context from the pristine campus: its
+    /// explorer host, and the node → address map that detects
+    /// duplicate-address masking.
     fn validate_space(&mut self) -> Result<(), McError> {
         let f = Fremont::over_campus(&CampusConfig::micro(self.cfg.seed));
         let nodes: Vec<String> = f
@@ -275,19 +274,7 @@ impl ModelChecker {
                 )));
             }
         }
-        if !nodes.iter().any(|n| n == &self.inv_cfg.explorer_host) {
-            return Err(McError(format!(
-                "explorer host `{}` not found",
-                self.inv_cfg.explorer_host
-            )));
-        }
-        self.inv_cfg.node_ips = f
-            .driver
-            .sim
-            .node_ips()
-            .into_iter()
-            .map(|(n, ip)| (n.to_owned(), ip))
-            .collect();
+        self.inv_cfg = InvariantConfig::pristine(&f);
         Ok(())
     }
 
@@ -544,15 +531,8 @@ pub fn replay(path: &Path) -> Result<(CounterexampleFixture, Vec<Violation>), Mc
     };
     let baseline = exec.execute(&FaultPlan::new())?.eval;
     let run = exec.execute(&fixture.plan)?.eval;
-    let mut inv_cfg = InvariantConfig::for_micro("bruno");
-    let pristine = Fremont::over_campus(&CampusConfig::micro(fixture.seed));
-    inv_cfg.node_ips = pristine
-        .driver
-        .sim
-        .node_ips()
-        .into_iter()
-        .map(|(n, ip)| (n.to_owned(), ip))
-        .collect();
+    let inv_cfg =
+        InvariantConfig::pristine(&Fremont::over_campus(&CampusConfig::micro(fixture.seed)));
     let assert_quiet = fixture.invariant == fremont_core::invariants::INV_ASSERT_QUIET;
     let violations = check_schedule(&fixture.plan, &baseline, &run, &inv_cfg, assert_quiet)
         .into_iter()

@@ -53,7 +53,6 @@ pub mod ipv4;
 pub mod mac;
 pub mod oui;
 pub mod rip;
-#[cfg(feature = "serde")]
 mod serde_impls;
 pub mod subnet;
 pub mod udp;

@@ -1,4 +1,4 @@
-//! Serde support for the address types (feature `serde`).
+//! Serde support for the address types.
 //!
 //! All types serialize as their canonical display strings, so JSON
 //! snapshots are human-readable and deserialization re-validates every

@@ -385,9 +385,7 @@ impl Sim {
             }
             Event::RipTick { node } => self.rip_tick(node),
             Event::ArpGc { node } => self.arp_gc(node),
-            Event::DelayedSend { node, pkt } => {
-                let _ = self.node_send_ip(node, pkt);
-            }
+            Event::DelayedSend { node, pkt } => self.send_best_effort(node, pkt),
             Event::TrafficTick => self.traffic_tick(),
             Event::Fault { kind } => self.apply_fault(kind),
         }

@@ -81,6 +81,18 @@ impl Sim {
     ) {
         let id = self.next_ip_id();
         let pkt = Ipv4Packet::new(src_ip, dst, protocol, Bytes::from(payload)).with_id(id);
+        self.send_best_effort(node, pkt);
+    }
+
+    /// Sends a packet the stack originates on its own account — a reply,
+    /// a delayed broadcast-ping reply, background traffic. Nothing waits
+    /// on it, so a packet the node cannot send is lost, as on a real host.
+    pub(crate) fn send_best_effort(&mut self, node: NodeId, pkt: Ipv4Packet) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "no process waits on the stack's own replies and background traffic: \
+                      a down node or a missing route loses the packet, as on the wire"
+        )]
         let _ = self.node_send_ip(node, pkt);
     }
 
@@ -297,7 +309,7 @@ impl Sim {
                     let delay = SimDuration::from_micros(self.rng.gen_range(0..30_000));
                     self.schedule(delay, Event::DelayedSend { node, pkt: out });
                 } else {
-                    let _ = self.node_send_ip(node, out);
+                    self.send_best_effort(node, out);
                 }
             }
             IcmpMessage::MaskRequest { ident, seq } => {

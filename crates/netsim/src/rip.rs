@@ -27,6 +27,7 @@
 //! hook that is about to change what an arrival would do — and builds
 //! and files its frame, to be walked as usual, when the clock has not.
 
+use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -278,8 +279,8 @@ impl Sim {
         let out = Ipv4Packet::new(my.ip, bcast, IpProtocol::Udp, udp_bytes.clone())
             .with_ttl(1)
             .with_id(id);
-        let rec = FrameRecord::ip(MacAddr::BROADCAST, my.mac, out);
-        let _ = rec.rip.set(Some(Rc::clone(rip)));
+        let mut rec = FrameRecord::ip(MacAddr::BROADCAST, my.mac, out);
+        rec.rip = OnceCell::from(Some(Rc::clone(rip)));
         rec
     }
 
@@ -638,9 +639,9 @@ mod tests {
         let (mac, ip) = (my.mac, my.ip);
         let pkt = Ipv4Packet::new(ip, bcast, IpProtocol::Udp, Bytes::new());
         let record = |rip: Option<RipPacket>| {
-            let rec = FrameRecord::ip(MacAddr::BROADCAST, mac, pkt.clone());
+            let mut rec = FrameRecord::ip(MacAddr::BROADCAST, mac, pkt.clone());
             if let Some(rip) = rip {
-                let _ = rec.rip.set(Some(Rc::new(rip)));
+                rec.rip = OnceCell::from(Some(Rc::new(rip)));
             }
             rec
         };

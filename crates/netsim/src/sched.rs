@@ -24,18 +24,6 @@
 //! caller's deadline, and [`EventCore::advance_to`] jumps the clock over
 //! an idle gap in one step whatever its length.
 
-// The event core orders every simulated event: no panic and no
-// discarded Result (DESIGN.md § 6).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable,
-    clippy::let_underscore_must_use
-)]
-
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

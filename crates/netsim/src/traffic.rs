@@ -108,7 +108,7 @@ impl Sim {
             let src_ip = self.nodes[src.0].ifaces[0].ip;
             let pkt = Ipv4Packet::new(src_ip, dst, IpProtocol::Udp, Bytes::from(dgram.encode()))
                 .with_id(self.next_ip_id());
-            let _ = self.node_send_ip(src, pkt);
+            self.send_best_effort(src, pkt);
         }
         if let Some(delay) = next {
             self.schedule(delay, Event::TrafficTick);

@@ -6,6 +6,11 @@
 //! cargo run --example address_audit
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use fremont::core::Fremont;
 use fremont::journal::Source;
 use fremont::netsim::campus::CampusConfig;

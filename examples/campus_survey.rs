@@ -31,6 +31,12 @@
 //! they evolve. The watch surface reads the same telemetry
 //! the run records anyway; a no-watch run's outputs are untouched.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use std::path::PathBuf;
 
 use fremont::core::analysis::publish_findings;
@@ -143,6 +149,7 @@ pub fn run(args: impl IntoIterator<Item = String>) {
 
     // Subnet discovery vs ground truth (Table 6 shape).
     let discovered = system
+        .driver
         .journal
         .subnets(&SubnetQuery {
             within: Some(cfg.network),
@@ -164,6 +171,7 @@ pub fn run(args: impl IntoIterator<Item = String>) {
     // Interface discovery on the CS subnet (Table 5 shape).
     let cs = system.truth.cs_subnet;
     let cs_found = system
+        .driver
         .journal
         .interfaces(&fremont::journal::InterfaceQuery::in_subnet(cs))
         .unwrap()
@@ -232,7 +240,7 @@ pub fn run(args: impl IntoIterator<Item = String>) {
 /// deterministic line per hour — same seed, same lines.
 fn watch_loop(system: &mut Fremont, telemetry: &Telemetry, hours: u64) {
     let server = JournalServer::start_with_telemetry(
-        system.journal.clone(),
+        system.driver.journal.clone(),
         "127.0.0.1:0",
         None,
         telemetry.clone(),

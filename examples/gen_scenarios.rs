@@ -9,6 +9,11 @@
 //! cargo run --example gen_scenarios
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use fremont::netsim::faults::{FaultKind, FaultPlan};
 use fremont::netsim::time::{SimDuration, SimTime};
 

@@ -23,6 +23,11 @@
 //! answers (health verdict, record counts, WAL segment state), built
 //! without any extra locking.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use std::path::PathBuf;
 
 use fremont::explorers::SeqPing;

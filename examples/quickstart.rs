@@ -4,6 +4,11 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use fremont::core::{present, Fremont};
 use fremont::journal::{InterfaceQuery, JournalAccess};
 use fremont::netsim::campus::CampusConfig;
@@ -31,23 +36,27 @@ fn main() {
     // Presentation program, level 1: every interface in the network.
     let now = system.now();
     let view = system
+        .driver
         .journal
         .read(|j| present::level1_network(j, cfg.network, now));
     println!("{view}");
 
     // Level 2 for the departmental subnet: MACs, vendors, RIP, gateways.
     let view = system
+        .driver
         .journal
         .read(|j| present::level2_subnet(j, system.truth.cs_subnet, now));
     println!("{view}");
 
     // Level 3: full detail for one record.
     if let Ok(recs) = system
+        .driver
         .journal
         .interfaces(&InterfaceQuery::in_subnet(system.truth.cs_subnet))
     {
         if let Some(r) = recs.first() {
             let view = system
+                .driver
                 .journal
                 .read(|j| present::level3_interface(j, r.id, now));
             println!("{view}");

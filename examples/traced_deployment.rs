@@ -24,6 +24,13 @@
 //! produce byte-identical stitched traces and profiles — CI diffs
 //! them.
 
+#![allow(
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    reason = "a demo: a setup step that fails ends the run with its message, and the \
+              data directory it clears first may not exist"
+)]
+
 use std::path::PathBuf;
 
 use fremont::core::driver::{DiscoveryDriver, DriverConfig};
@@ -97,7 +104,6 @@ fn main() {
     let mut cfg = DriverConfig::full("10.5.0.0/16".parse().expect("subnet"), None);
     cfg.telemetry = driver_tel;
     cfg.remote_journal = Some(server.addr().to_string());
-    cfg.trace_id = 1;
     let mut driver = DiscoveryDriver::open(sim, home, cfg).expect("connect driver");
 
     println!("exploring for {mins} simulated minutes (seed {seed})...");

@@ -13,6 +13,12 @@
 //! cargo run --example troubleshoot
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a demo: a setup step that fails ends the run with its message"
+)]
+
 use fremont::core::{DiscoveryDriver, DriverConfig, TopologyGraph};
 use fremont::journal::{JournalAccess, SharedJournal, SubnetQuery};
 use fremont::netsim::builder::TopologyBuilder;

@@ -10,6 +10,8 @@
 //! inspected (e.g. which leaf subnet has enough live hosts to report
 //! silence for).
 
+#![allow(clippy::unwrap_used)]
+
 use std::net::Ipv4Addr;
 
 use fremont::core::analysis::AddressConflict;
@@ -370,6 +372,7 @@ fn degraded_segment_slows_discovery_but_never_wedges_it() {
     assert_eq!(stats.applied("clear_degrade"), 1);
     // Discovery still produced a healthy map of the CS subnet...
     let cs = system
+        .driver
         .journal
         .interfaces(&InterfaceQuery::in_subnet(system.truth.cs_subnet))
         .unwrap();

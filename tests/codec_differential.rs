@@ -19,6 +19,8 @@
 //! grammar: the old parser leaned on `str::parse` and took `01`, `1.`,
 //! `1.e5` and `-.5`; RFC 8259 and the new one do not.
 
+#![allow(clippy::expect_used, clippy::unreachable)]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 

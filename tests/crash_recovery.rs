@@ -9,6 +9,12 @@
 //! sequence-numbered, `k` is exactly the number of frames lying fully
 //! below the damaged byte.
 
+#![allow(
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    clippy::unwrap_used
+)]
+
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 

@@ -6,6 +6,8 @@
 //! different networks, and sharing information among the replicated
 //! components."
 
+#![allow(clippy::expect_used)]
+
 use std::net::Ipv4Addr;
 
 use fremont::core::correlate::correlate;

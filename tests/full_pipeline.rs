@@ -3,6 +3,8 @@
 //! Journal's merge rules, cross-correlation, and topology extraction —
 //! cross-checked against the generator's ground truth.
 
+#![allow(clippy::unwrap_used)]
+
 use fremont::core::Fremont;
 use fremont::journal::{InterfaceQuery, JournalAccess, Source, SubnetQuery};
 use fremont::netsim::campus::CampusConfig;
@@ -23,6 +25,7 @@ fn discovers_most_of_the_ground_truth() {
 
     // Every connected subnet discovered.
     let subs = system
+        .driver
         .journal
         .subnets(&SubnetQuery::all())
         .expect("journal reachable");
@@ -39,6 +42,7 @@ fn discovers_most_of_the_ground_truth() {
 
     // Most CS interfaces are in the journal with MACs.
     let cs_recs = system
+        .driver
         .journal
         .interfaces(&InterfaceQuery::in_subnet(truth.cs_subnet))
         .expect("journal reachable");
@@ -55,7 +59,7 @@ fn discovers_most_of_the_ground_truth() {
     );
 
     // The CS gateway is known, with both interfaces merged into one record.
-    let gws = system.journal.gateways().expect("journal reachable");
+    let gws = system.driver.journal.gateways().expect("journal reachable");
     assert!(!gws.is_empty());
     let cs_gw_subnets: Vec<_> = gws
         .iter()
@@ -68,6 +72,7 @@ fn discovers_most_of_the_ground_truth() {
 
     // Internal consistency after thousands of merges.
     system
+        .driver
         .journal
         .read(|j| j.check_invariants())
         .expect("journal invariants hold");
@@ -77,10 +82,12 @@ fn discovers_most_of_the_ground_truth() {
 fn every_module_contributed() {
     let system = explored_small();
     let recs = system
+        .driver
         .journal
         .interfaces(&InterfaceQuery::all())
         .expect("journal reachable");
     let subs = system
+        .driver
         .journal
         .subnets(&SubnetQuery::all())
         .expect("journal reachable");

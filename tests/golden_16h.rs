@@ -8,6 +8,8 @@
 //! The example's own `run` is included, not copied: the exposition
 //! counts the store locks its closing queries take.
 
+#![allow(clippy::expect_used, clippy::let_underscore_must_use, clippy::panic)]
+
 use std::io::Write;
 use std::path::Path;
 use std::process::Command;

@@ -2,6 +2,8 @@
 //! termination" — once. Over a `DurableJournal` that write is a
 //! compaction (snapshot, segment rotation, fsync): twice is real IO.
 
+#![allow(clippy::let_underscore_must_use)]
+
 use fremont::journal::JournalServer;
 use fremont::storage::{DurableJournal, WalConfig};
 use fremont::telemetry::Telemetry;

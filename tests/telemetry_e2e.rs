@@ -7,6 +7,8 @@
 //! ran. (`fremont-bench`'s `telemetry_check` binary runs the same
 //! contract against a larger campus in CI.)
 
+#![allow(clippy::unwrap_used)]
+
 use fremont::core::Fremont;
 use fremont::netsim::campus::CampusConfig;
 use fremont::netsim::time::SimDuration;

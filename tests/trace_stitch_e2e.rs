@@ -9,6 +9,12 @@
 //! is the driver's sim clock, two same-seed runs must produce
 //! byte-identical stitched traces and folded-stack profiles.
 
+#![allow(
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    clippy::unwrap_used
+)]
+
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -46,7 +52,6 @@ fn traced_run(seed: u64, dir: &Path) -> String {
     let mut cfg = DriverConfig::full("10.5.0.0/16".parse().unwrap(), None);
     cfg.telemetry = driver_tel;
     cfg.remote_journal = Some(server.addr().to_string());
-    cfg.trace_id = 7;
     let mut driver = DiscoveryDriver::open(sim, home, cfg).unwrap();
     driver.run_for(SimDuration::from_mins(10)).unwrap();
     drop(driver); // clean EOF, not an aborted RPC

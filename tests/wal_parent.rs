@@ -10,6 +10,8 @@
 //!   (`tests/golden/wire/`, see its README);
 //! - the fault plans under `scenarios/`.
 
+#![allow(clippy::expect_used, clippy::let_underscore_must_use, clippy::panic)]
+
 use std::fmt;
 use std::path::{Path, PathBuf};
 
