@@ -6,14 +6,13 @@ fn main() {
     println!("{}", fremont_bench::exp_static::table2().render());
     println!("{}", fremont_bench::exp_static::table3().render());
     println!("{}", fremont_bench::exp_runtime::table4(&cfg).render());
-    let small = CampusConfig::small();
+    let system = fremont_bench::exp_problems::full_campaign(&cfg, 3);
     println!(
-        "{}",
-        fremont_bench::exp_telemetry::table4_telemetry(&small, 6).render()
+        "Table 4 (driver-integrated): module load over the Table 7/8 campaign\n{}",
+        system.load_report().render()
     );
     println!("{}", fremont_bench::exp_discovery::table5(&cfg).render());
     println!("{}", fremont_bench::exp_discovery::table6(&cfg).render());
-    let system = fremont_bench::exp_problems::full_campaign(&cfg, 3);
     println!("{}", fremont_bench::exp_problems::table7(&system).render());
     let (t8, report) = fremont_bench::exp_problems::table8(&system);
     println!("{}", t8.render());

@@ -17,7 +17,6 @@ pub mod exp_discovery;
 pub mod exp_problems;
 pub mod exp_runtime;
 pub mod exp_static;
-pub mod exp_telemetry;
 pub mod tables;
 
 pub use tables::{pct, Table};

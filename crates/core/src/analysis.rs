@@ -32,30 +32,14 @@ pub struct MaskConflict {
     pub masks: Vec<(SubnetMask, Vec<Ipv4Addr>)>,
 }
 
-/// Why two records around one address look suspicious.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddressConflictKind {
-    /// Same IP on two MACs, both recently alive: duplicate assignment.
-    DuplicateAssignment,
-    /// Same IP on two MACs, the older one long silent: hardware change.
-    HardwareChange,
-    /// Same MAC answering several IPs: a gateway doing proxy ARP, a
-    /// multi-address interface, or a reconfigured system.
-    MultipleAddressesOneMac,
-}
-
-/// A MAC/IP conflict finding.
+/// One IP claimed by several MACs: a duplicate assignment or a
+/// hardware change, as the [`ProblemReport`] list holding it says.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressConflict {
-    /// Classification.
-    pub kind: AddressConflictKind,
-    /// The shared address (IP for duplicate/hw-change, arbitrary member
-    /// for one-MAC findings).
+    /// The shared address.
     pub ip: Ipv4Addr,
-    /// The MACs involved (for MAC-keyed findings, a single entry).
+    /// The MACs claiming it, sorted.
     pub macs: Vec<MacAddr>,
-    /// All IPs involved (one for IP-keyed findings).
-    pub ips: Vec<Ipv4Addr>,
 }
 
 /// An address that has not been seen alive for a long time.
@@ -177,16 +161,18 @@ fn subnet_mask_conflicts(snap: &JournalSnapshot) -> Vec<MaskConflict> {
     out
 }
 
-/// Finds MAC/IP conflicts: duplicate addresses, hardware changes, and
-/// multi-address MACs.
+/// Finds MAC/IP conflicts as `(duplicates, hardware_changes)`.
 ///
 /// Two MACs claiming one IP are a *duplicate assignment* when their
 /// liveness intervals overlap: the earlier record was still being seen
 /// alive at least `min_overlap` seconds after the later one appeared.
 /// Otherwise the address simply moved to new hardware (the old adapter
 /// went quiet around when the new one showed up).
-fn address_conflicts(snap: &JournalSnapshot, min_overlap: u64) -> Vec<AddressConflict> {
-    let mut out = Vec::new();
+fn address_conflicts(
+    snap: &JournalSnapshot,
+    min_overlap: u64,
+) -> (Vec<AddressConflict>, Vec<AddressConflict>) {
+    let (mut duplicates, mut hardware_changes) = (Vec::new(), Vec::new());
 
     // Same IP, several MACs.
     let mut by_ip: HashMap<Ipv4Addr, Vec<&fremont_journal::records::InterfaceRecord>> =
@@ -222,52 +208,20 @@ fn address_conflicts(snap: &JournalSnapshot, min_overlap: u64) -> Vec<AddressCon
                 }
             }
         }
-        let kind = if overlap {
-            AddressConflictKind::DuplicateAssignment
-        } else {
-            AddressConflictKind::HardwareChange
-        };
         let mut macs: Vec<MacAddr> = group.iter().filter_map(|r| r.mac_addr()).collect();
         macs.sort();
         macs.dedup();
         if macs.len() < 2 {
             continue;
         }
-        out.push(AddressConflict {
-            kind,
-            ip,
-            macs,
-            ips: vec![ip],
-        });
+        let list = if overlap {
+            &mut duplicates
+        } else {
+            &mut hardware_changes
+        };
+        list.push(AddressConflict { ip, macs });
     }
-
-    // Same MAC, several IPs.
-    let mut by_mac: HashMap<MacAddr, Vec<Ipv4Addr>> = HashMap::new();
-    for r in &snap.interfaces {
-        if let (Some(ip), Some(mac)) = (r.ip_addr(), r.mac_addr()) {
-            let v = by_mac.entry(mac).or_default();
-            if !v.contains(&ip) {
-                v.push(ip);
-            }
-        }
-    }
-    let mut macs: Vec<_> = by_mac.keys().copied().collect();
-    macs.sort();
-    for mac in macs {
-        let ips = &by_mac[&mac];
-        if ips.len() < 2 {
-            continue;
-        }
-        let mut ips = ips.clone();
-        ips.sort_by_key(|ip| u32::from(*ip));
-        out.push(AddressConflict {
-            kind: AddressConflictKind::MultipleAddressesOneMac,
-            ip: ips[0],
-            macs: vec![mac],
-            ips,
-        });
-    }
-    out
+    (duplicates, hardware_changes)
 }
 
 /// Finds addresses that look abandoned: known interfaces whose last
@@ -372,20 +326,19 @@ fn stale_routes(snap: &JournalSnapshot, now: JTime, threshold: u64) -> Vec<Stale
     out
 }
 
-/// Finds subnets that fell silent wholesale: at least `min_members`
-/// interfaces were once live-verified there, and *none* of them (nor any
-/// neighbor) has been verified within `threshold` seconds.
+/// Once-live interfaces a subnet needs before its silence is a finding.
+const SILENT_SUBNET_MIN_MEMBERS: usize = 3;
+
+/// Finds subnets that fell silent wholesale: at least
+/// [`SILENT_SUBNET_MIN_MEMBERS`] interfaces were once live-verified
+/// there, and *none* of them (nor any neighbor) has been verified within
+/// `threshold` seconds.
 ///
 /// This is the complement of the coverage-aware [`stale_addresses`]
 /// detector, which deliberately refuses to call individual hosts
 /// abandoned when their whole subnet is quiet — whole-subnet silence is
 /// its own finding: a partitioned segment or a dead uplink.
-fn silent_subnets(
-    snap: &JournalSnapshot,
-    now: JTime,
-    threshold: u64,
-    min_members: usize,
-) -> Vec<SilentSubnet> {
+fn silent_subnets(snap: &JournalSnapshot, now: JTime, threshold: u64) -> Vec<SilentSubnet> {
     let cutoff = JTime(now.as_secs().saturating_sub(threshold));
     let default_mask = SubnetMask::CLASS_C;
     // Per subnet: (once-live count, fresh count, latest live verification).
@@ -403,7 +356,7 @@ fn silent_subnets(
     }
     let mut out: Vec<SilentSubnet> = by_subnet
         .into_iter()
-        .filter(|(_, (once_live, fresh, _))| *once_live >= min_members && *fresh == 0)
+        .filter(|(_, (once_live, fresh, _))| *once_live >= SILENT_SUBNET_MIN_MEMBERS && *fresh == 0)
         .map(|(subnet, (once_live, _, last_live))| SilentSubnet {
             subnet,
             once_live,
@@ -488,19 +441,15 @@ impl ProblemReport {
     /// (seconds) separating duplicates from hardware changes.
     pub fn generate(journal: &Journal, now: JTime, stale_after: u64, min_overlap: u64) -> Self {
         let snap = &journal.to_snapshot();
-        let conflicts = address_conflicts(snap, min_overlap);
-        let (dups, hw): (Vec<_>, Vec<_>) = conflicts
-            .into_iter()
-            .filter(|c| c.kind != AddressConflictKind::MultipleAddressesOneMac)
-            .partition(|c| c.kind == AddressConflictKind::DuplicateAssignment);
+        let (duplicates, hardware_changes) = address_conflicts(snap, min_overlap);
         ProblemReport {
             stale: stale_addresses(snap, now, stale_after),
-            hardware_changes: hw,
+            hardware_changes,
             mask_conflicts: subnet_mask_conflicts(snap),
-            duplicates: dups,
+            duplicates,
             promiscuous: promiscuous_rip_hosts(snap),
             stale_routes: stale_routes(snap, now, stale_after),
-            silent_subnets: silent_subnets(snap, now, stale_after, 3),
+            silent_subnets: silent_subnets(snap, now, stale_after),
             clock_skew: clock_skew_suspects(snap, now),
         }
     }
@@ -663,10 +612,10 @@ mod tests {
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("08:00:20:00:00:01")),
             JTime(4000),
         );
-        let found = address_conflicts(&j.to_snapshot(), 3600);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].kind, AddressConflictKind::DuplicateAssignment);
-        assert_eq!(found[0].macs.len(), 2);
+        let (duplicates, hardware_changes) = address_conflicts(&j.to_snapshot(), 3600);
+        assert_eq!(duplicates.len(), 1);
+        assert_eq!(duplicates[0].macs.len(), 2);
+        assert!(hardware_changes.is_empty());
     }
 
     #[test]
@@ -681,13 +630,15 @@ mod tests {
             &Observation::arp_pair(Source::ArpWatch, ip("10.0.0.9"), mac("00:00:0c:00:00:02")),
             JTime::from_days(30),
         );
-        let found = address_conflicts(&j.to_snapshot(), 3600);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].kind, AddressConflictKind::HardwareChange);
+        let (duplicates, hardware_changes) = address_conflicts(&j.to_snapshot(), 3600);
+        assert!(duplicates.is_empty());
+        assert_eq!(hardware_changes.len(), 1);
     }
 
     #[test]
     fn detects_proxy_arp_style_mac() {
+        // One MAC answering for several addresses (proxy ARP, a
+        // multi-address interface) is no problem Table 8 reports.
         let j = Journal::new();
         let m = mac("00:00:0c:aa:bb:cc");
         for i in 1..=3u8 {
@@ -696,10 +647,9 @@ mod tests {
                 JTime(1),
             );
         }
-        let found = address_conflicts(&j.to_snapshot(), 3600);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].kind, AddressConflictKind::MultipleAddressesOneMac);
-        assert_eq!(found[0].ips.len(), 3);
+        assert_eq!(j.to_snapshot().interfaces.len(), 3);
+        let report = ProblemReport::generate(&j, JTime(1), 86400, 3600);
+        assert_eq!(report.total(), 0, "{report}");
     }
 
     #[test]
@@ -916,7 +866,7 @@ mod tests {
             &Observation::ip_alive(Source::SeqPing, ip("10.0.6.10")),
             JTime::from_days(9),
         );
-        let found = silent_subnets(&j.to_snapshot(), JTime::from_days(10), 2 * 86400, 3);
+        let found = silent_subnets(&j.to_snapshot(), JTime::from_days(10), 2 * 86400);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].subnet, "10.0.5.0/24".parse().unwrap());
         assert_eq!(found[0].once_live, 4);
@@ -938,7 +888,7 @@ mod tests {
                 JTime::from_days(1),
             );
         }
-        assert!(silent_subnets(&j.to_snapshot(), JTime::from_days(10), 86400, 3).is_empty());
+        assert!(silent_subnets(&j.to_snapshot(), JTime::from_days(10), 86400).is_empty());
     }
 
     #[test]
@@ -995,8 +945,9 @@ mod per_read_oracle {
     //! The seven detectors and the `generate` this file had when each
     //! fetched its own copy of the Journal (five `get_interfaces(all)`,
     //! two filtered scans, one `get_gateways`, one point read per
-    //! gateway member), kept verbatim but for `pub` as the reference the
-    //! differential tests compare against.
+    //! gateway member), kept verbatim but for `pub`, the conflict classes
+    //! no report holds and the fixed silent-subnet floor, as the
+    //! reference the differential tests compare against.
 
     use std::collections::HashMap;
     use std::net::Ipv4Addr;
@@ -1007,8 +958,8 @@ mod per_read_oracle {
     use fremont_net::{MacAddr, Subnet, SubnetMask};
 
     use super::{
-        AddressConflict, AddressConflictKind, ClockSkewSuspect, MaskConflict, ProblemReport,
-        PromiscuousRipHost, SilentSubnet, StaleAddress, StaleRoute,
+        AddressConflict, ClockSkewSuspect, MaskConflict, ProblemReport, PromiscuousRipHost,
+        SilentSubnet, StaleAddress, StaleRoute, SILENT_SUBNET_MIN_MEMBERS,
     };
 
     /// Finds subnets whose member interfaces report conflicting masks.
@@ -1067,18 +1018,19 @@ mod per_read_oracle {
         out
     }
 
-    /// Finds MAC/IP conflicts: duplicate addresses, hardware changes, and
-    /// multi-address MACs.
+    /// Finds MAC/IP conflicts as `(duplicates, hardware_changes)`.
     ///
     /// Two MACs claiming one IP are a *duplicate assignment* when their
     /// liveness intervals overlap: the earlier record was still being seen
     /// alive at least `min_overlap` seconds after the later one appeared.
     /// Otherwise the address simply moved to new hardware (the old adapter
     /// went quiet around when the new one showed up).
-    fn address_conflicts(journal: &Journal, now: JTime, min_overlap: u64) -> Vec<AddressConflict> {
-        let _ = now;
+    fn address_conflicts(
+        journal: &Journal,
+        min_overlap: u64,
+    ) -> (Vec<AddressConflict>, Vec<AddressConflict>) {
         let records = journal.get_interfaces(&InterfaceQuery::all());
-        let mut out = Vec::new();
+        let (mut duplicates, mut hardware_changes) = (Vec::new(), Vec::new());
 
         // Same IP, several MACs.
         let mut by_ip: HashMap<Ipv4Addr, Vec<&fremont_journal::records::InterfaceRecord>> =
@@ -1114,52 +1066,20 @@ mod per_read_oracle {
                     }
                 }
             }
-            let kind = if overlap {
-                AddressConflictKind::DuplicateAssignment
-            } else {
-                AddressConflictKind::HardwareChange
-            };
             let mut macs: Vec<MacAddr> = group.iter().filter_map(|r| r.mac_addr()).collect();
             macs.sort();
             macs.dedup();
             if macs.len() < 2 {
                 continue;
             }
-            out.push(AddressConflict {
-                kind,
-                ip,
-                macs,
-                ips: vec![ip],
-            });
+            let list = if overlap {
+                &mut duplicates
+            } else {
+                &mut hardware_changes
+            };
+            list.push(AddressConflict { ip, macs });
         }
-
-        // Same MAC, several IPs.
-        let mut by_mac: HashMap<MacAddr, Vec<Ipv4Addr>> = HashMap::new();
-        for r in &records {
-            if let (Some(ip), Some(mac)) = (r.ip_addr(), r.mac_addr()) {
-                let v = by_mac.entry(mac).or_default();
-                if !v.contains(&ip) {
-                    v.push(ip);
-                }
-            }
-        }
-        let mut macs: Vec<_> = by_mac.keys().copied().collect();
-        macs.sort();
-        for mac in macs {
-            let ips = &by_mac[&mac];
-            if ips.len() < 2 {
-                continue;
-            }
-            let mut ips = ips.clone();
-            ips.sort_by_key(|ip| u32::from(*ip));
-            out.push(AddressConflict {
-                kind: AddressConflictKind::MultipleAddressesOneMac,
-                ip: ips[0],
-                macs: vec![mac],
-                ips,
-            });
-        }
-        out
+        (duplicates, hardware_changes)
     }
 
     /// Finds addresses that look abandoned: known interfaces whose last
@@ -1266,20 +1186,16 @@ mod per_read_oracle {
         out
     }
 
-    /// Finds subnets that fell silent wholesale: at least `min_members`
-    /// interfaces were once live-verified there, and *none* of them (nor any
-    /// neighbor) has been verified within `threshold` seconds.
+    /// Finds subnets that fell silent wholesale: at least
+    /// [`SILENT_SUBNET_MIN_MEMBERS`] interfaces were once live-verified
+    /// there, and *none* of them (nor any neighbor) has been verified
+    /// within `threshold` seconds.
     ///
     /// This is the complement of the coverage-aware [`stale_addresses`]
     /// detector, which deliberately refuses to call individual hosts
     /// abandoned when their whole subnet is quiet — whole-subnet silence is
     /// its own finding: a partitioned segment or a dead uplink.
-    fn silent_subnets(
-        journal: &Journal,
-        now: JTime,
-        threshold: u64,
-        min_members: usize,
-    ) -> Vec<SilentSubnet> {
+    fn silent_subnets(journal: &Journal, now: JTime, threshold: u64) -> Vec<SilentSubnet> {
         let cutoff = JTime(now.as_secs().saturating_sub(threshold));
         let default_mask = SubnetMask::CLASS_C;
         // Per subnet: (once-live count, fresh count, latest live verification).
@@ -1297,7 +1213,9 @@ mod per_read_oracle {
         }
         let mut out: Vec<SilentSubnet> = by_subnet
             .into_iter()
-            .filter(|(_, (once_live, fresh, _))| *once_live >= min_members && *fresh == 0)
+            .filter(|(_, (once_live, fresh, _))| {
+                *once_live >= SILENT_SUBNET_MIN_MEMBERS && *fresh == 0
+            })
             .map(|(subnet, (once_live, _, last_live))| SilentSubnet {
                 subnet,
                 once_live,
@@ -1364,19 +1282,15 @@ mod per_read_oracle {
         stale_after: u64,
         min_overlap: u64,
     ) -> ProblemReport {
-        let conflicts = address_conflicts(journal, now, min_overlap);
-        let (dups, hw): (Vec<_>, Vec<_>) = conflicts
-            .into_iter()
-            .filter(|c| c.kind != AddressConflictKind::MultipleAddressesOneMac)
-            .partition(|c| c.kind == AddressConflictKind::DuplicateAssignment);
+        let (duplicates, hardware_changes) = address_conflicts(journal, min_overlap);
         ProblemReport {
             stale: stale_addresses(journal, now, stale_after),
-            hardware_changes: hw,
+            hardware_changes,
             mask_conflicts: subnet_mask_conflicts(journal),
-            duplicates: dups,
+            duplicates,
             promiscuous: promiscuous_rip_hosts(journal),
             stale_routes: stale_routes(journal, now, stale_after),
-            silent_subnets: silent_subnets(journal, now, stale_after, 3),
+            silent_subnets: silent_subnets(journal, now, stale_after),
             clock_skew: clock_skew_suspects(journal, now),
         }
     }

@@ -315,9 +315,10 @@ impl ModelChecker {
         None
     }
 
-    /// Evaluation for a schedule during minimization: cached if the
-    /// enumeration already checked it, executed fresh otherwise
-    /// (minimization runs don't count against the budget).
+    /// Evaluation for a schedule: cached if it was already checked,
+    /// executed fresh otherwise. Enumerated schedules are distinct, so
+    /// only minimization hits the cache; its runs don't count against
+    /// the budget.
     fn eval_for(&mut self, schedule: &[u16], explored: &mut u64) -> Result<RunEvaluation, McError> {
         if let Some(eval) = self.evals.get(schedule) {
             return Ok(*eval);
@@ -448,13 +449,7 @@ impl ModelChecker {
                         budget_exhausted = true;
                         break;
                     }
-                    let plan = space.plan_for(&schedule);
-                    let outcome = self.exec.execute(&plan)?;
-                    self.record_prefixes(&schedule, &outcome);
-                    self.final_fps.insert(outcome.final_fp);
-                    self.evals.insert(schedule.clone(), outcome.eval);
-                    explored += 1;
-                    outcome.eval
+                    self.eval_for(&schedule, &mut explored)?
                 }
             };
             checked += 1;

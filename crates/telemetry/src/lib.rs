@@ -135,7 +135,7 @@ impl Telemetry {
     /// Adds `delta` to a monotonic counter.
     pub fn counter_add(&self, c: Counter, label: &str, delta: u64) {
         if let Some(r) = &self.rec {
-            r.counter_add(c, label, delta);
+            r.lock().registry.counter_add(c, label, delta);
         }
     }
 
@@ -143,21 +143,21 @@ impl Telemetry {
     /// accumulated elsewhere, e.g. the sim's event count).
     pub fn counter_set(&self, c: Counter, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.counter_set(c, label, value);
+            r.lock().registry.counter_set(c, label, value);
         }
     }
 
     /// Sets a gauge.
     pub fn gauge_set(&self, g: Gauge, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.gauge_set(g, label, value);
+            r.lock().registry.gauge_set(g, label, value);
         }
     }
 
     /// Raises a gauge to `value` if it is below it (high-water marks).
     pub fn gauge_max(&self, g: Gauge, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.gauge_max(g, label, value);
+            r.lock().registry.gauge_max(g, label, value);
         }
     }
 
@@ -165,7 +165,7 @@ impl Telemetry {
     /// declares.
     pub fn observe(&self, h: Histogram, label: &str, value: u64) {
         if let Some(r) = &self.rec {
-            r.observe(h, label, value);
+            r.lock().registry.observe(h, label, value);
         }
     }
 
@@ -197,22 +197,26 @@ impl Telemetry {
         at: TelTime,
     ) -> SpanId {
         match &self.rec {
-            Some(r) => r.span_start_remote(name, label, parent, trace_id, remote_parent, at),
+            Some(r) => r
+                .lock()
+                .trace
+                .span_start(name, label, parent, trace_id, remote_parent, at),
             None => SpanId::NONE,
         }
     }
 
     /// Closes a span at `at`, attaching a free-form result `detail`.
+    /// Closing the null span records nothing.
     pub fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
-        if let Some(r) = &self.rec {
-            r.span_end(span, detail, at);
+        if let Some(r) = self.rec.as_ref().filter(|_| span.is_real()) {
+            r.lock().trace.span_end(span, detail, at);
         }
     }
 
     /// Records a point event at `at`, optionally parented to a span.
     pub fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
         if let Some(r) = &self.rec {
-            r.event(name, detail, parent, at);
+            r.lock().trace.event(name, detail, parent, at);
         }
     }
 
@@ -222,8 +226,8 @@ impl Telemetry {
     /// the span path they landed on. Zero amounts are elided: they
     /// carry no cost information and would only bloat the trace.
     pub fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
-        if let Some(r) = &self.rec {
-            r.work(span, unit, amount, at);
+        if let Some(r) = self.rec.as_ref().filter(|_| amount > 0) {
+            r.lock().trace.work(span, unit, amount, at);
         }
     }
 
@@ -240,7 +244,10 @@ impl Telemetry {
     /// The most recent `n` trace events plus the ring's drop count
     /// (`None` when disabled).
     pub fn trace_tail(&self, n: usize) -> Option<(Vec<TraceEvent>, u64)> {
-        self.rec.as_ref().map(|r| r.trace_tail(n))
+        self.rec.as_ref().map(|r| {
+            let inner = r.lock();
+            (inner.trace.tail(n), inner.trace.dropped())
+        })
     }
 }
 

@@ -1,16 +1,16 @@
 //! The in-memory recorder: a [`Registry`] plus a [`TraceBuffer`] behind
-//! one mutex. Instrumented code reaches it through a
-//! [`crate::Telemetry`] handle, which documents the recording methods.
+//! one mutex. Instrumented code records through a [`crate::Telemetry`]
+//! handle, whose methods take the lock and write the registry or the
+//! ring themselves; the recorder is the read side.
 
 use std::sync::{Mutex, MutexGuard};
 
-use crate::metrics::{self, Counter, Gauge, Histogram, Registry};
-use crate::trace::{TraceBuffer, TraceEvent};
-use crate::{SpanId, TelTime};
+use crate::metrics::{self, Counter, Registry};
+use crate::trace::TraceBuffer;
 
-struct Inner {
-    registry: Registry,
-    trace: TraceBuffer,
+pub(crate) struct Inner {
+    pub(crate) registry: Registry,
+    pub(crate) trace: TraceBuffer,
 }
 
 /// Records metrics and trace events in memory for later export.
@@ -45,7 +45,7 @@ impl Recorder {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -111,111 +111,26 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-/// The recording half of every [`crate::Telemetry`] method.
-impl Recorder {
-    pub(crate) fn counter_add(&self, c: Counter, label: &str, delta: u64) {
-        self.lock().registry.counter_add(c, label, delta);
-    }
-
-    pub(crate) fn counter_set(&self, c: Counter, label: &str, value: u64) {
-        self.lock().registry.counter_set(c, label, value);
-    }
-
-    pub(crate) fn gauge_set(&self, g: Gauge, label: &str, value: u64) {
-        self.lock().registry.gauge_set(g, label, value);
-    }
-
-    pub(crate) fn gauge_max(&self, g: Gauge, label: &str, value: u64) {
-        self.lock().registry.gauge_max(g, label, value);
-    }
-
-    pub(crate) fn observe(&self, h: Histogram, label: &str, value: u64) {
-        self.lock().registry.observe(h, label, value);
-    }
-
-    pub(crate) fn span_start_remote(
-        &self,
-        name: &'static str,
-        label: &str,
-        parent: SpanId,
-        trace_id: u64,
-        remote_parent: u64,
-        at: TelTime,
-    ) -> SpanId {
-        let mut inner = self.lock();
-        let id = inner.trace.next_span_id();
-        inner.trace.push(TraceEvent {
-            at: at.0,
-            kind: "span_start".to_string(),
-            id,
-            parent: parent.0,
-            name: name.to_string(),
-            detail: label.to_string(),
-            trace_id,
-            remote_parent,
-        });
-        SpanId(id)
-    }
-
-    pub(crate) fn span_end(&self, span: SpanId, detail: &str, at: TelTime) {
-        if !span.is_real() {
-            return;
-        }
-        self.lock().trace.push(TraceEvent {
-            at: at.0,
-            kind: "span_end".to_string(),
-            id: span.0,
-            parent: 0,
-            name: String::new(),
-            detail: detail.to_string(),
-            trace_id: 0,
-            remote_parent: 0,
-        });
-    }
-
-    pub(crate) fn event(&self, name: &'static str, detail: &str, parent: SpanId, at: TelTime) {
-        self.lock().trace.push(TraceEvent {
-            at: at.0,
-            kind: "event".to_string(),
-            id: 0,
-            parent: parent.0,
-            name: name.to_string(),
-            detail: detail.to_string(),
-            trace_id: 0,
-            remote_parent: 0,
-        });
-    }
-
-    pub(crate) fn work(&self, span: SpanId, unit: &'static str, amount: u64, at: TelTime) {
-        if amount == 0 {
-            return;
-        }
-        self.lock().trace.push(TraceEvent {
-            at: at.0,
-            kind: "work".to_string(),
-            id: span.0,
-            parent: 0,
-            name: unit.to_string(),
-            detail: amount.to_string(),
-            trace_id: 0,
-            remote_parent: 0,
-        });
-    }
-
-    pub(crate) fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        let inner = self.lock();
-        (inner.trace.tail(n), inner.trace.dropped())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SpanId, TelTime, Telemetry};
     use std::sync::Arc;
+
+    /// A recording handle over `rec`.
+    fn handle(rec: Recorder) -> (Telemetry, Arc<Recorder>) {
+        let rec = Arc::new(rec);
+        (
+            Telemetry {
+                rec: Some(rec.clone()),
+            },
+            rec,
+        )
+    }
 
     #[test]
     fn records_spans_with_nesting() {
-        let (t, rec) = crate::Telemetry::recording();
+        let (t, rec) = Telemetry::recording();
         let root = t.span_start("driver.pump", "cycle=1", SpanId::NONE, TelTime(10));
         let child = t.span_start("driver.correlate", "", root, TelTime(11));
         t.span_end(child, "links=2", TelTime(12));
@@ -231,20 +146,20 @@ mod tests {
 
     #[test]
     fn span_end_on_null_span_is_ignored() {
-        let rec = Recorder::new();
-        rec.span_end(SpanId::NONE, "x", TelTime(1));
+        let (t, rec) = Telemetry::recording();
+        t.span_end(SpanId::NONE, "x", TelTime(1));
         assert_eq!(rec.trace_len(), 0);
     }
 
     #[test]
     fn concurrent_counting_is_lossless() {
-        let rec = Arc::new(Recorder::new());
+        let (t, rec) = Telemetry::recording();
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let r = rec.clone();
+            let t = t.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    r.counter_add(metrics::WAL_APPENDS_TOTAL, "", 1);
+                    t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 1);
                 }
             }));
         }
@@ -256,9 +171,9 @@ mod tests {
 
     #[test]
     fn overflowed_ring_surfaces_dropped_counter_in_exposition() {
-        let rec = Recorder::with_capacity(2);
+        let (t, rec) = handle(Recorder::with_capacity(2));
         for i in 0..5 {
-            rec.event("e", "", SpanId::NONE, TelTime(i));
+            t.event("e", "", SpanId::NONE, TelTime(i));
         }
         assert_eq!(rec.trace_dropped(), 3);
         let expo = rec.expose();
@@ -273,10 +188,11 @@ mod tests {
 
     #[test]
     fn remote_spans_carry_trace_linkage() {
-        let rec = Recorder::new();
-        let s = rec.span_start_remote("server.rpc", "rpc=store", SpanId::NONE, 7, 42, TelTime(3));
-        rec.work(s, "observations", 5, TelTime(3));
-        rec.span_end(s, "ok", TelTime(4));
+        let (t, rec) = Telemetry::recording();
+        let s = t.span_start_remote("server.rpc", "rpc=store", SpanId::NONE, 7, 42, TelTime(3));
+        t.work(s, "observations", 5, TelTime(3));
+        t.work(s, "bytes", 0, TelTime(3));
+        t.span_end(s, "ok", TelTime(4));
         rec.with_trace(|t| {
             let evs: Vec<_> = t.iter().cloned().collect();
             assert_eq!(evs[0].trace_id, 7);
@@ -284,12 +200,13 @@ mod tests {
             assert_eq!(evs[1].kind, "work");
             assert_eq!(evs[1].id, evs[0].id);
             assert_eq!(evs[1].detail, "5");
+            assert_eq!(evs[2].kind, "span_end");
         });
     }
 
     #[test]
     fn trace_tail_and_exposition_through_the_handle() {
-        let (t, _rec) = crate::Telemetry::recording();
+        let (t, _rec) = Telemetry::recording();
         t.counter_add(metrics::WAL_APPENDS_TOTAL, "", 1);
         t.event("a", "", SpanId::NONE, TelTime(1));
         t.event("b", "", SpanId::NONE, TelTime(2));
@@ -301,13 +218,13 @@ mod tests {
             .exposition()
             .unwrap()
             .contains("fremont_wal_appends_total 1"));
-        let off = crate::Telemetry::noop();
+        let off = Telemetry::noop();
         assert!(off.trace_tail(1).is_none() && off.exposition().is_none());
     }
 
     #[test]
     fn folded_profile_from_ring() {
-        let (t, rec) = crate::Telemetry::recording();
+        let (t, rec) = Telemetry::recording();
         let s = t.span_start("driver.pump", "", SpanId::NONE, TelTime(1));
         t.work(s, "observations", 4, TelTime(2));
         t.span_end(s, "", TelTime(3));
@@ -316,13 +233,13 @@ mod tests {
 
     #[test]
     fn histogram_totals_surface() {
-        let rec = Recorder::new();
+        let (t, rec) = Telemetry::recording();
         let h = metrics::JOURNAL_STORE_BATCH_OBSERVATIONS;
         assert!(!rec
             .expose()
             .contains("fremont_journal_store_batch_observations"));
-        rec.observe(h, "", 3);
-        rec.observe(h, "", 5);
+        t.observe(h, "", 3);
+        t.observe(h, "", 5);
         let expo = rec.expose();
         assert!(
             expo.contains("fremont_journal_store_batch_observations_sum 8\n"),

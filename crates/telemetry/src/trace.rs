@@ -24,6 +24,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
+use crate::{SpanId, TelTime};
+
 /// Default ring capacity (events) before the oldest are dropped.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
@@ -99,6 +101,72 @@ impl TraceBuffer {
             self.dropped += 1;
         }
         self.events.push_back(ev);
+    }
+
+    /// Records a `span_start` under a freshly allocated span id.
+    pub(crate) fn span_start(
+        &mut self,
+        name: &str,
+        label: &str,
+        parent: SpanId,
+        trace_id: u64,
+        remote_parent: u64,
+        at: TelTime,
+    ) -> SpanId {
+        let id = self.next_span_id();
+        self.push(TraceEvent {
+            at: at.0,
+            kind: "span_start".to_string(),
+            id,
+            parent: parent.0,
+            name: name.to_string(),
+            detail: label.to_string(),
+            trace_id,
+            remote_parent,
+        });
+        SpanId(id)
+    }
+
+    /// Records the `span_end` of `span`.
+    pub(crate) fn span_end(&mut self, span: SpanId, detail: &str, at: TelTime) {
+        self.push(TraceEvent {
+            at: at.0,
+            kind: "span_end".to_string(),
+            id: span.0,
+            parent: 0,
+            name: String::new(),
+            detail: detail.to_string(),
+            trace_id: 0,
+            remote_parent: 0,
+        });
+    }
+
+    /// Records a point `event`.
+    pub(crate) fn event(&mut self, name: &str, detail: &str, parent: SpanId, at: TelTime) {
+        self.push(TraceEvent {
+            at: at.0,
+            kind: "event".to_string(),
+            id: 0,
+            parent: parent.0,
+            name: name.to_string(),
+            detail: detail.to_string(),
+            trace_id: 0,
+            remote_parent: 0,
+        });
+    }
+
+    /// Records `amount` units of `work` on `span`.
+    pub(crate) fn work(&mut self, span: SpanId, unit: &str, amount: u64, at: TelTime) {
+        self.push(TraceEvent {
+            at: at.0,
+            kind: "work".to_string(),
+            id: span.0,
+            parent: 0,
+            name: unit.to_string(),
+            detail: amount.to_string(),
+            trace_id: 0,
+            remote_parent: 0,
+        });
     }
 
     /// Number of buffered events.

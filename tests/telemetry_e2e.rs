@@ -4,8 +4,8 @@
 //! two explorations with the same seed must emit byte-identical traces
 //! and metric expositions, the exposition must be valid Prometheus
 //! text, and the per-module load report must show the fleet actually
-//! ran. (`fremont-bench`'s `telemetry_check` binary runs the same
-//! contract against a larger campus in CI.)
+//! ran. CI also runs this file in release mode; `golden_16h` holds the
+//! byte-identity over 16 simulated hours of the full campus.
 
 #![allow(clippy::unwrap_used)]
 
