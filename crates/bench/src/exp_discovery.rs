@@ -5,17 +5,20 @@
 //! same ground truth), starting at a module-specific warm-up offset so
 //! host up/down churn puts each run in a different availability snapshot —
 //! the "Not all hosts up when run" effect of Table 5.
+//!
+//! A module is counted by what it emitted, as the Journal would store it;
+//! only Traceroute's reached targets are read from the module, since no
+//! observation states that a target answered.
 
 use std::collections::HashSet;
-use std::net::Ipv4Addr;
 
 use fremont_explorers::{
     ArpWatch, BrdcastPing, DnsExplorer, EtherHostProbe, RipWatch, SeqPing, Traceroute,
 };
+use fremont_journal::observation::{Fact, Observation};
 use fremont_net::Subnet;
 use fremont_netsim::campus::{generate, CampusConfig, CampusTruth};
 use fremont_netsim::engine::Sim;
-use fremont_netsim::process::Process;
 use fremont_netsim::segment::NodeId;
 use fremont_netsim::time::SimDuration;
 
@@ -28,6 +31,15 @@ fn fresh(cfg: &CampusConfig, warmup: SimDuration) -> (Sim, CampusTruth, NodeId) 
         .expect("campus has its explorer host");
     sim.run_for(warmup);
     (sim, truth, home)
+}
+
+/// Distinct `cs` addresses among the `Interface` facts: ARP pairs,
+/// `ip_alive` and DNS `named_ip` alike.
+fn count_cs(obs: &[Observation], cs: Subnet) -> usize {
+    let ips = obs.iter().filter_map(|o| o.fact.interface_ip());
+    ips.filter(|ip| cs.contains(*ip))
+        .collect::<HashSet<_>>()
+        .len()
 }
 
 /// Result row for Table 5.
@@ -53,9 +65,11 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         let cs = truth.cs_subnet;
         let h = sim.spawn(home, Box::new(ArpWatch::new()));
         sim.run_for(SimDuration::from_mins(30));
-        let at_30 = count_cs(sim.process_mut::<ArpWatch>(h).expect("alive").pairs(), cs);
+        let mut pairs = sim.drain_observations_of(h);
+        let at_30 = count_cs(&pairs, cs);
         sim.run_for(SimDuration::from_hours(24) - SimDuration::from_mins(30));
-        let at_24h = count_cs(sim.process_mut::<ArpWatch>(h).expect("alive").pairs(), cs);
+        pairs.extend(sim.drain_observations_of(h));
+        let at_24h = count_cs(&pairs, cs);
         rows.push(InterfaceDiscovery {
             module: "ARPwatch (30 min)".to_owned(),
             found: at_30,
@@ -76,13 +90,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         let cs = truth.cs_subnet;
         let h = sim.spawn(home, Box::new(EtherHostProbe::new(cs.host_range())));
         sim.run_for(SimDuration::from_mins(10));
-        let found = count_cs(
-            sim.process_mut::<EtherHostProbe>(h)
-                .expect("alive")
-                .found()
-                .to_vec(),
-            cs,
-        );
+        let found = count_cs(&sim.drain_observations_of(h), cs);
         rows.push(InterfaceDiscovery {
             module: "EtherHostProbe".to_owned(),
             found,
@@ -97,13 +105,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         let cs = truth.cs_subnet;
         let h = sim.spawn(home, Box::new(BrdcastPing::new(vec![cs])));
         sim.run_for(SimDuration::from_mins(5));
-        let found = sim
-            .process_mut::<BrdcastPing>(h)
-            .expect("alive")
-            .responders()
-            .into_iter()
-            .filter(|ip| cs.contains(*ip))
-            .count();
+        let found = count_cs(&sim.drain_observations_of(h), cs);
         rows.push(InterfaceDiscovery {
             module: "BrdcastPing".to_owned(),
             found,
@@ -118,13 +120,7 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         let cs = truth.cs_subnet;
         let h = sim.spawn(home, Box::new(SeqPing::new(cs.host_range())));
         sim.run_for(SimDuration::from_mins(40));
-        let found = sim
-            .process_mut::<SeqPing>(h)
-            .expect("alive")
-            .responders()
-            .into_iter()
-            .filter(|ip| cs.contains(*ip))
-            .count();
+        let found = count_cs(&sim.drain_observations_of(h), cs);
         rows.push(InterfaceDiscovery {
             module: "SeqPing".to_owned(),
             found,
@@ -143,15 +139,8 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
             Box::new(DnsExplorer::new(cfg.network, truth.dns_server)),
         );
         sim.run_for(SimDuration::from_mins(20));
-        let p = sim.process_mut::<DnsExplorer>(h).expect("alive");
-        assert!(p.done(), "DNS walk finished");
-        let found = p
-            .pairs()
-            .iter()
-            .filter(|(ip, _)| cs.contains(*ip))
-            .map(|(ip, _)| *ip)
-            .collect::<HashSet<_>>()
-            .len();
+        assert!(sim.process_done(h), "DNS walk finished");
+        let found = count_cs(&sim.drain_observations_of(h), cs);
         total = found.max(truth.cs_dns_count);
         rows.push(InterfaceDiscovery {
             module: "DNS".to_owned(),
@@ -161,15 +150,6 @@ pub fn table5_runs(cfg: &CampusConfig) -> (Vec<InterfaceDiscovery>, usize) {
         });
     }
     (rows, total)
-}
-
-fn count_cs(pairs: Vec<(Ipv4Addr, fremont_net::MacAddr)>, cs: Subnet) -> usize {
-    pairs
-        .into_iter()
-        .filter(|(ip, _)| cs.contains(*ip))
-        .map(|(ip, _)| ip)
-        .collect::<HashSet<_>>()
-        .len()
 }
 
 /// Table 5, rendered against the paper's numbers.
@@ -228,9 +208,10 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
         let tr = Traceroute::new(truth.assigned_subnets.clone(), cfg.network);
         let h = sim.spawn(home, Box::new(tr));
         sim.run_for(SimDuration::from_mins(45));
-        let p = sim.process_mut::<Traceroute>(h).expect("alive");
-        assert!(p.done(), "traceroute finished");
-        let found = p
+        assert!(sim.process_done(h), "traceroute finished");
+        let found = sim
+            .process_mut::<Traceroute>(h)
+            .expect("alive")
             .reached_subnets()
             .into_iter()
             .filter(|s| truth.connected_subnets.contains(s))
@@ -248,12 +229,16 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
         let (mut sim, truth, home) = fresh(cfg, SimDuration::from_mins(1));
         let h = sim.spawn(home, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
-        let p = sim.process_mut::<RipWatch>(h).expect("alive");
-        let found = p
-            .subnets()
+        let found = sim
+            .drain_observations_of(h)
             .into_iter()
+            .filter_map(|o| match o.fact {
+                Fact::Subnet { subnet, .. } => Some(subnet),
+                _ => None,
+            })
             .filter(|s| truth.connected_subnets.contains(s))
-            .count();
+            .collect::<HashSet<_>>()
+            .len();
         rows.push(SubnetDiscovery {
             module: "RIPwatch".to_owned(),
             found,
@@ -270,12 +255,14 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
             Box::new(DnsExplorer::new(cfg.network, truth.dns_server)),
         );
         sim.run_for(SimDuration::from_mins(30));
-        let p = sim.process_mut::<DnsExplorer>(h).expect("alive");
-        assert!(p.done(), "DNS walk finished");
-        let found = p
-            .registered_subnets()
-            .into_iter()
-            .filter(|s| truth.connected_subnets.contains(s))
+        assert!(sim.process_done(h), "DNS walk finished");
+        let obs = sim.drain_observations_of(h);
+        let found = obs
+            .iter()
+            .filter(|o| {
+                matches!(&o.fact, Fact::SubnetStats { subnet, .. }
+                if truth.connected_subnets.contains(subnet))
+            })
             .count();
         rows.push(SubnetDiscovery {
             module: "DNS".to_owned(),
@@ -285,15 +272,19 @@ pub fn table6_runs(cfg: &CampusConfig) -> (Vec<SubnetDiscovery>, usize) {
         });
         // Gateways identified, and the distinct subnets they attribute
         // (grouped by the bootstrapped /24 mask).
-        let gws = p.gateways();
-        let gw_count = gws.len();
         let mask24 = fremont_net::SubnetMask::from_prefix_len(24).expect("valid");
-        let mut gw_subnets: Vec<Subnet> = gws
+        let gws: Vec<&Vec<_>> = obs
             .iter()
-            .flat_map(|g| g.ips.iter().map(|ip| Subnet::containing(*ip, mask24)))
+            .filter_map(|o| match &o.fact {
+                Fact::Gateway { interface_ips, .. } => Some(interface_ips),
+                _ => None,
+            })
             .collect();
-        gw_subnets.sort();
-        gw_subnets.dedup();
+        let gw_count = gws.len();
+        let gw_subnets: HashSet<Subnet> = gws
+            .iter()
+            .flat_map(|ips| ips.iter().map(|ip| Subnet::containing(*ip, mask24)))
+            .collect();
         rows.push(SubnetDiscovery {
             module: format!("DNS ({gw_count} gateways identified)"),
             found: gw_subnets.len(),

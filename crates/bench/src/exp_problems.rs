@@ -13,26 +13,12 @@ use crate::tables::Table;
 /// exploring. Returns the deployment for further inspection.
 pub fn full_campaign(cfg: &CampusConfig, days: u64) -> Fremont {
     let mut system = Fremont::over_campus(cfg);
-    let faults = system.truth.faults.clone();
     // First day: healthy network. (In-memory journal: flush cannot fail.)
     system
         .explore(SimDuration::from_hours(6))
         .expect("in-memory flush");
     // Then the faults activate (duplicate clone boots; hardware replaced).
-    let sim = &mut system.driver.sim;
-    if let Some((_, clone)) = &faults.duplicate_ip_pair {
-        if let Some(id) = sim.node_by_name(clone) {
-            sim.set_node_up(id, true);
-        }
-    }
-    if let Some((old, new)) = &faults.hardware_change {
-        let old_id = sim.node_by_name(old);
-        let new_id = sim.node_by_name(new);
-        if let (Some(o), Some(n)) = (old_id, new_id) {
-            sim.set_node_up(o, false);
-            sim.set_node_up(n, true);
-        }
-    }
+    system.activate_midlife_faults();
     system
         .explore(SimDuration::from_days(days.max(1)) - SimDuration::from_hours(6))
         .expect("in-memory flush");

@@ -53,6 +53,26 @@ impl Fremont {
         self.driver.run_for(duration)
     }
 
+    /// Switches on the mid-life faults of the injected Table 8 inventory
+    /// (`truth.faults`): the duplicate-address clone boots, then the
+    /// replaced host goes down and its new hardware comes up. A fault
+    /// whose hosts the campus lacks is skipped.
+    pub fn activate_midlife_faults(&mut self) {
+        let faults = &self.truth.faults;
+        let sim = &mut self.driver.sim;
+        if let Some((_, clone)) = &faults.duplicate_ip_pair {
+            if let Some(id) = sim.node_by_name(clone) {
+                sim.set_node_up(id, true);
+            }
+        }
+        if let Some((old, new)) = &faults.hardware_change {
+            if let (Some(old), Some(new)) = (sim.node_by_name(old), sim.node_by_name(new)) {
+                sim.set_node_up(old, false);
+                sim.set_node_up(new, true);
+            }
+        }
+    }
+
     /// Current journal time.
     pub fn now(&self) -> JTime {
         self.driver.sim.now().to_jtime()

@@ -26,33 +26,12 @@ const REVERIFY_INTERVAL: SimDuration = SimDuration::from_mins(10);
 pub struct ArpWatch {
     /// `(ip, mac)` pairs seen, with the last time each was reported.
     seen: HashMap<(Ipv4Addr, MacAddr), SimTime>,
-    frames_observed: u64,
 }
 
 impl ArpWatch {
     /// Creates the module; it takes no input (paper Table 3).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Distinct `(ip, mac)` pairs observed so far.
-    pub fn pairs(&self) -> Vec<(Ipv4Addr, MacAddr)> {
-        let mut v: Vec<_> = self.seen.keys().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Distinct IP addresses observed.
-    pub fn distinct_ips(&self) -> usize {
-        let mut ips: Vec<Ipv4Addr> = self.seen.keys().map(|(ip, _)| *ip).collect();
-        ips.sort();
-        ips.dedup();
-        ips.len()
-    }
-
-    /// ARP frames inspected.
-    pub fn frames_observed(&self) -> u64 {
-        self.frames_observed
     }
 
     fn record(&mut self, ip: Ipv4Addr, mac: MacAddr, ctx: &mut ProcCtx<'_>) {
@@ -83,7 +62,6 @@ impl Process for ArpWatch {
         let Ok(arp) = ArpPacket::decode(&frame.payload) else {
             return;
         };
-        self.frames_observed += 1;
         // The sender binding is trustworthy in both requests and replies.
         // In a reply the sender *is* answering for `sender_ip` — if that is
         // proxy ARP, the same MAC accumulates many IPs, which the Journal
@@ -98,7 +76,7 @@ impl Process for ArpWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::lan;
+    use crate::testutil::{interface_ips, lan};
     use fremont_journal::observation::Fact;
     use fremont_netsim::time::SimDuration;
     use fremont_netsim::traffic::{Flow, TrafficModel};
@@ -108,8 +86,7 @@ mod tests {
         let (mut sim, topo) = lan(4);
         let h = sim.spawn(topo.hosts[0], Box::new(ArpWatch::new()));
         sim.run_for(SimDuration::from_mins(5));
-        assert_eq!(sim.process_mut::<ArpWatch>(h).unwrap().distinct_ips(), 0);
-        assert!(sim.drain_observations().is_empty());
+        assert!(sim.drain_observations_of(h).is_empty());
     }
 
     #[test]
@@ -137,19 +114,16 @@ mod tests {
             1,
         ));
         sim.run_for(SimDuration::from_mins(3));
-        let w = sim.process_mut::<ArpWatch>(h).unwrap();
-        assert_eq!(
-            w.distinct_ips(),
-            2,
-            "both talkers discovered: {:?}",
-            w.pairs()
-        );
-        assert!(w.frames_observed() >= 2);
+        assert!(sim.proc_stats(h).frames_tapped >= 2);
         // Observations flowed to the outbox with the right source.
-        let obs = sim.drain_observations();
-        assert!(!obs.is_empty());
-        assert!(obs.iter().all(|(_, _, o)| o.source == Source::ArpWatch));
-        assert!(obs.iter().all(|(_, _, o)| matches!(
+        let obs = sim.drain_observations_of(h);
+        assert_eq!(
+            interface_ips(&obs),
+            [dst2, dst1],
+            "both talkers discovered: {obs:?}"
+        );
+        assert!(obs.iter().all(|o| o.source == Source::ArpWatch));
+        assert!(obs.iter().all(|o| matches!(
             o.fact,
             Fact::Interface {
                 mac: Some(_),

@@ -32,7 +32,6 @@ pub struct BrdcastPing {
     current: usize,
     ttl: u8,
     responders: HashSet<Ipv4Addr>,
-    per_subnet: Vec<(Subnet, usize)>,
     got_reply_this_subnet: bool,
     finished: bool,
 }
@@ -49,22 +48,9 @@ impl BrdcastPing {
             current: 0,
             ttl: 1,
             responders: HashSet::new(),
-            per_subnet: Vec::new(),
             got_reply_this_subnet: false,
             finished: false,
         }
-    }
-
-    /// All distinct responders.
-    pub fn responders(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<_> = self.responders.iter().copied().collect();
-        v.sort_by_key(|ip| u32::from(*ip));
-        v
-    }
-
-    /// Per-subnet responder counts, in probe order.
-    pub fn per_subnet(&self) -> &[(Subnet, usize)] {
-        &self.per_subnet
     }
 
     fn current_subnet(&self) -> Option<Subnet> {
@@ -101,13 +87,7 @@ impl BrdcastPing {
 
     fn finish_subnet(&mut self, ctx: &mut ProcCtx<'_>) {
         if let Some(subnet) = self.current_subnet() {
-            let count = self
-                .responders
-                .iter()
-                .filter(|ip| subnet.contains(**ip))
-                .count();
-            self.per_subnet.push((subnet, count));
-            if count > 0 {
+            if self.responders.iter().any(|ip| subnet.contains(*ip)) {
                 ctx.emit(Observation::subnet(Source::BrdcastPing, subnet, false));
             }
         }
@@ -179,7 +159,7 @@ impl Process for BrdcastPing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{lan, line3};
+    use crate::testutil::{interface_ips, lan, line3, subnets};
 
     #[test]
     fn local_subnet_discovered_in_one_window() {
@@ -189,12 +169,12 @@ mod tests {
             Box::new(BrdcastPing::new(vec!["10.7.7.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_secs(60));
-        let p = sim.process_mut::<BrdcastPing>(h).unwrap();
-        assert!(p.done());
+        assert!(sim.process_done(h));
+        let obs = sim.drain_observations_of(h);
         // 5 other hosts + gateway; small bursts rarely collide.
-        let n = p.responders().len();
-        assert!((5..=6).contains(&n), "responders: {:?}", p.responders());
-        assert_eq!(p.per_subnet().len(), 1);
+        let n = interface_ips(&obs).len();
+        assert!((5..=6).contains(&n), "responders: {obs:?}");
+        assert_eq!(subnets(&obs), ["10.7.7.0/24".parse().unwrap()]);
     }
 
     #[test]
@@ -207,9 +187,11 @@ mod tests {
             Box::new(BrdcastPing::new(vec!["10.1.3.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<BrdcastPing>(h).unwrap();
-        assert!(p.done());
-        assert!(p.responders().is_empty(), "directed broadcast blocked");
+        assert!(sim.process_done(h));
+        assert!(
+            sim.drain_observations_of(h).is_empty(),
+            "directed broadcast blocked"
+        );
     }
 
     #[test]
@@ -224,15 +206,14 @@ mod tests {
             Box::new(BrdcastPing::new(vec!["10.1.3.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(3));
-        let p = sim.process_mut::<BrdcastPing>(h).unwrap();
-        assert!(p.done());
+        assert!(sim.process_done(h));
         // "right" (10.1.3.10) and r2's interface (10.1.3.1) respond.
+        let responders = interface_ips(&sim.drain_observations_of(h));
         assert!(
-            !p.responders().is_empty(),
+            !responders.is_empty(),
             "directed broadcast should reach the remote subnet"
         );
-        assert!(p
-            .responders()
+        assert!(responders
             .iter()
             .all(|ip| "10.1.3.0/24".parse::<Subnet>().unwrap().contains(*ip)));
     }
@@ -251,8 +232,7 @@ mod tests {
             Box::new(BrdcastPing::new(vec!["10.9.9.0/24".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<BrdcastPing>(h).unwrap();
-        let n = p.responders().len();
+        let n = interface_ips(&sim.drain_observations_of(h)).len();
         assert!(
             n < 110,
             "a 119-responder burst must lose many replies, got {n}"

@@ -33,26 +33,6 @@ const PACE: SimDuration = SimDuration::from_millis(200);
 /// only by `-gw` or similar naming conventions".
 const GW_SUFFIXES: [&str; 3] = ["-gw", "-gate", "gw"];
 
-/// A discovered gateway candidate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsGateway {
-    /// The gateway's DNS name.
-    pub name: String,
-    /// Its interface addresses.
-    pub ips: Vec<Ipv4Addr>,
-    /// Which heuristic matched.
-    pub via: GatewayHeuristic,
-}
-
-/// Which of the paper's heuristics identified a gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatewayHeuristic {
-    /// Multiple A/PTR addresses under one name.
-    MultiAddress,
-    /// Name carries a `-gw`-style suffix.
-    NamingConvention,
-}
-
 #[derive(Debug, PartialEq)]
 enum Phase {
     ParentTransfer,
@@ -67,13 +47,10 @@ pub struct DnsExplorer {
     server: Ipv4Addr,
     phase: Phase,
     pending_zones: Vec<DnsName>,
-    transferred: usize,
-    refused: usize,
     query_id: u16,
     awaiting_id: Option<u16>,
     pairs: Vec<(Ipv4Addr, DnsName)>,
     mask: Option<SubnetMask>,
-    gateways: Vec<DnsGateway>,
     finished: bool,
 }
 
@@ -105,44 +82,12 @@ impl DnsExplorer {
             server,
             phase: Phase::ParentTransfer,
             pending_zones: Vec::new(),
-            transferred: 0,
-            refused: 0,
             query_id: 0x0D25,
             awaiting_id: None,
             pairs: Vec::new(),
             mask: None,
-            gateways: Vec::new(),
             finished: false,
         }
-    }
-
-    /// All address/name pairs harvested from the reverse tree.
-    pub fn pairs(&self) -> &[(Ipv4Addr, DnsName)] {
-        &self.pairs
-    }
-
-    /// Gateways identified by the heuristics.
-    pub fn gateways(&self) -> &[DnsGateway] {
-        &self.gateways
-    }
-
-    /// Zones transferred / refused.
-    pub fn zone_counts(&self) -> (usize, usize) {
-        (self.transferred, self.refused)
-    }
-
-    /// Distinct subnets with at least one registered interface (using the
-    /// bootstrapped mask).
-    pub fn registered_subnets(&self) -> Vec<Subnet> {
-        let mask = self.effective_mask();
-        let mut v: Vec<Subnet> = self
-            .pairs
-            .iter()
-            .map(|(ip, _)| Subnet::containing(*ip, mask))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
     }
 
     fn effective_mask(&self) -> SubnetMask {
@@ -267,10 +212,10 @@ impl DnsExplorer {
         }
 
         // Heuristic 1: multiple addresses under one name.
-        let mut gw_names: Vec<(DnsName, Vec<Ipv4Addr>, GatewayHeuristic)> = Vec::new();
+        let mut gw_names: Vec<(DnsName, Vec<Ipv4Addr>)> = Vec::new();
         for (name, ips) in &by_name {
             if ips.len() >= 2 {
-                gw_names.push((name.clone(), ips.clone(), GatewayHeuristic::MultiAddress));
+                gw_names.push((name.clone(), ips.clone()));
             }
         }
         // Heuristic 2: naming conventions (-gw etc.), even single-address.
@@ -279,17 +224,13 @@ impl DnsExplorer {
             let conventional = GW_SUFFIXES
                 .iter()
                 .any(|suf| leaf.ends_with(suf) && leaf.len() > suf.len());
-            if conventional && !gw_names.iter().any(|(n, _, _)| n == name) {
-                gw_names.push((
-                    name.clone(),
-                    ips.clone(),
-                    GatewayHeuristic::NamingConvention,
-                ));
+            if conventional && !gw_names.iter().any(|(n, _)| n == name) {
+                gw_names.push((name.clone(), ips.clone()));
             }
         }
         gw_names.sort_by(|a, b| a.0.cmp(&b.0));
 
-        for (name, mut ips, via) in gw_names {
+        for (name, mut ips) in gw_names {
             ips.sort_by_key(|ip| u32::from(*ip));
             let subnets: Vec<Subnet> = {
                 let mut v: Vec<Subnet> =
@@ -298,11 +239,6 @@ impl DnsExplorer {
                 v.dedup();
                 v
             };
-            self.gateways.push(DnsGateway {
-                name: name.to_string(),
-                ips: ips.clone(),
-                via,
-            });
             ctx.emit(Observation::new(
                 Source::Dns,
                 Fact::Gateway {
@@ -385,12 +321,8 @@ impl Process for DnsExplorer {
                     return;
                 }
                 self.awaiting_id = None;
-                match msg.rcode {
-                    Rcode::NoError => {
-                        self.transferred += 1;
-                        self.absorb_records(&msg);
-                    }
-                    _ => self.refused += 1,
+                if msg.rcode == Rcode::NoError {
+                    self.absorb_records(&msg);
                 }
                 ctx.set_timer(PACE, TIMER_NEXT);
             }
@@ -417,6 +349,7 @@ impl Process for DnsExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::interface_ips;
     use fremont_netsim::builder::TopologyBuilder;
     use fremont_netsim::dns_server::{DnsServerState, Zone};
 
@@ -499,40 +432,67 @@ mod tests {
         "128.200.5.53".parse().unwrap()
     }
 
-    /// Runs one walk from "prober" and returns the finished module and
-    /// what it emitted.
+    /// Runs one walk from "prober" and returns what it emitted (its only
+    /// `Interface` facts are `named_ip` pairs) and the packets it sent:
+    /// one per zone transfer asked for, plus the mask probe.
     fn explore_in(
         mut sim: fremont_netsim::engine::Sim,
         topo: fremont_netsim::builder::Topology,
-    ) -> (DnsExplorer, Vec<Observation>) {
+    ) -> (Vec<Observation>, u64) {
         let prober = topo.nodes_by_name["prober"];
         let h = sim.spawn(prober, Box::new(DnsExplorer::new(network(), name_server())));
         sim.run_for(SimDuration::from_mins(5));
-        let obs: Vec<Observation> = sim
-            .drain_observations()
-            .into_iter()
-            .map(|(_, _, o)| o)
-            .collect();
-        let p = sim.process_mut::<DnsExplorer>(h).unwrap();
-        assert!(p.done(), "explorer finished");
-        (
-            std::mem::replace(p, DnsExplorer::new(network(), name_server())),
-            obs,
-        )
+        assert!(sim.process_done(h), "explorer finished");
+        (sim.drain_observations_of(h), sim.proc_stats(h).packets_sent)
     }
 
-    fn explore() -> (DnsExplorer, Vec<Observation>) {
+    fn explore() -> (Vec<Observation>, u64) {
         let (sim, topo) = dns_world();
         explore_in(sim, topo)
     }
 
+    /// The `Gateway` fact emitted for `name`, as its addresses and subnets.
+    fn gateway(obs: &[Observation], name: &str) -> Option<(Vec<Ipv4Addr>, Vec<Subnet>)> {
+        obs.iter().find_map(|o| match &o.fact {
+            Fact::Gateway {
+                interface_ips,
+                interface_names,
+                subnets,
+            } if interface_names == &[name] => Some((interface_ips.clone(), subnets.clone())),
+            _ => None,
+        })
+    }
+
+    /// The subnets of the `SubnetStats` facts in `obs`.
+    fn stats_subnets(obs: &[Observation]) -> Vec<Subnet> {
+        obs.iter()
+            .filter_map(|o| match o.fact {
+                Fact::SubnetStats { subnet, .. } => Some(subnet),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every interface registered in the three reverse child zones.
+    fn registered() -> Vec<Ipv4Addr> {
+        [
+            "128.200.5.1",
+            "128.200.5.20",
+            "128.200.5.53",
+            "128.200.7.1",
+            "128.200.9.1",
+        ]
+        .iter()
+        .map(|ip| ip.parse().unwrap())
+        .collect()
+    }
+
     #[test]
     fn walks_reverse_tree_via_delegations() {
-        let (p, _) = explore();
-        let (transferred, refused) = p.zone_counts();
-        assert_eq!(transferred, 4, "parent + three children");
-        assert_eq!(refused, 0);
-        assert_eq!(p.pairs().len(), 5, "pairs: {:?}", p.pairs());
+        let (obs, sent) = explore();
+        // Parent + three children transferred, then the mask probe.
+        assert_eq!(sent, 5);
+        assert_eq!(interface_ips(&obs), registered(), "pairs: {obs:?}");
     }
 
     #[test]
@@ -543,49 +503,53 @@ mod tests {
         for seg in &mut sim.segments {
             seg.cfg.latency = SimDuration::from_secs(1);
         }
-        let (p, _) = explore_in(sim, topo);
-        assert_eq!(p.zone_counts(), (4, 0), "parent + three children");
-        assert_eq!(p.pairs().len(), 5, "pairs: {:?}", p.pairs());
+        let (obs, sent) = explore_in(sim, topo);
+        assert_eq!(sent, 5, "parent + three children + mask probe");
+        assert_eq!(interface_ips(&obs), registered(), "pairs: {obs:?}");
     }
 
     #[test]
     fn bootstraps_mask_from_name_server() {
-        let (p, _) = explore();
-        assert_eq!(p.mask, Some(SubnetMask::from_prefix_len(24).unwrap()));
-        let subnets = p.registered_subnets();
+        let (obs, _) = explore();
+        let subnets = stats_subnets(&obs);
         assert_eq!(subnets.len(), 3, "{subnets:?}");
+        assert!(subnets.iter().all(|s| s.prefix_len() == 24), "{subnets:?}");
+        // A name server answering /22 regroups the same five interfaces
+        // into two subnets: the mask came from its reply, not the /24
+        // default.
+        let (mut sim, topo) = dns_world();
+        let ns = topo.nodes_by_name["ns"];
+        sim.nodes[ns.0].ifaces[0].mask = SubnetMask::from_prefix_len(22).unwrap();
+        let (obs, _) = explore_in(sim, topo);
+        let subnets = stats_subnets(&obs);
+        let expect: Vec<Subnet> = vec![
+            "128.200.4.0/22".parse().unwrap(),
+            "128.200.8.0/22".parse().unwrap(),
+        ];
+        assert_eq!(subnets, expect);
     }
 
     #[test]
     fn finds_multi_address_gateway() {
-        let (p, obs) = explore();
-        let multi = p
-            .gateways()
-            .iter()
-            .find(|g| g.name == "big-gw.example.edu")
-            .expect("big-gw found");
-        assert_eq!(multi.via, GatewayHeuristic::MultiAddress);
-        assert_eq!(multi.ips.len(), 2);
+        let (obs, _) = explore();
+        let (ips, subnets) = gateway(&obs, "big-gw.example.edu").expect("big-gw found");
+        assert_eq!(ips.len(), 2);
         // The gateway observation carries both subnets.
-        assert!(obs.iter().any(|o| matches!(&o.fact,
-            Fact::Gateway { subnets, .. } if subnets.len() == 2)));
+        assert_eq!(subnets.len(), 2);
     }
 
     #[test]
     fn finds_naming_convention_gateway() {
-        let (p, _) = explore();
-        let lone = p
-            .gateways()
-            .iter()
-            .find(|g| g.name == "lone-gw.example.edu")
-            .expect("lone-gw found");
-        assert_eq!(lone.via, GatewayHeuristic::NamingConvention);
-        assert_eq!(lone.ips.len(), 1);
+        let (obs, _) = explore();
+        let (ips, _) = gateway(&obs, "lone-gw.example.edu").expect("lone-gw found");
+        assert_eq!(ips, ["128.200.7.1".parse::<Ipv4Addr>().unwrap()]);
+        // Neither heuristic picks a plain single-address host.
+        assert!(gateway(&obs, "alpha.example.edu").is_none());
     }
 
     #[test]
     fn emits_subnet_stats() {
-        let (_, obs) = explore();
+        let (obs, _) = explore();
         let stats: Vec<_> = obs
             .iter()
             .filter_map(|o| match &o.fact {
@@ -610,7 +574,7 @@ mod tests {
 
     #[test]
     fn records_name_address_pairs() {
-        let (_, obs) = explore();
+        let (obs, _) = explore();
         let named = obs
             .iter()
             .filter(|o| {
@@ -648,14 +612,18 @@ mod tests {
         server.add_zone(z5);
         sim.nodes[ns.0].dns = Some(server);
 
+        // The refusal answers at once: parent, the refused child and the
+        // mask probe, and the walk finishes with no pairs well inside one
+        // AXFR_TIMEOUT, which a refusal waited out would need.
         let prober = topo.nodes_by_name["prober"];
         let h = sim.spawn(prober, Box::new(DnsExplorer::new(network(), name_server())));
-        sim.run_for(SimDuration::from_mins(5));
-        let p = sim.process_mut::<DnsExplorer>(h).unwrap();
-        assert!(p.done());
-        let (ok, refused) = p.zone_counts();
-        assert_eq!(ok, 1);
-        assert_eq!(refused, 1);
-        assert!(p.pairs().is_empty(), "refused zone yields no pairs");
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(sim.process_done(h), "the refusal was taken as an answer");
+        assert_eq!(sim.proc_stats(h).packets_sent, 3);
+        let obs = sim.drain_observations_of(h);
+        assert!(
+            interface_ips(&obs).is_empty(),
+            "refused zone yields no pairs"
+        );
     }
 }

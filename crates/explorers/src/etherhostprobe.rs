@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 use bytes::Bytes;
 use fremont_journal::observation::{Observation, Source};
 use fremont_net::udp::ECHO_PORT;
-use fremont_net::{IpRange, MacAddr};
+use fremont_net::IpRange;
 use fremont_netsim::engine::ProcCtx;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
@@ -29,8 +29,6 @@ pub struct EtherHostProbe {
     range: IpRange,
     queue: Vec<Ipv4Addr>,
     next: usize,
-    found: Vec<(Ipv4Addr, MacAddr)>,
-    probes_sent: u64,
     finished: bool,
 }
 
@@ -47,20 +45,8 @@ impl EtherHostProbe {
             queue: range.iter().collect(),
             range,
             next: 0,
-            found: Vec::new(),
-            probes_sent: 0,
             finished: false,
         }
-    }
-
-    /// `(ip, mac)` pairs harvested from the ARP cache.
-    pub fn found(&self) -> &[(Ipv4Addr, MacAddr)] {
-        &self.found
-    }
-
-    /// Probes transmitted.
-    pub fn probes_sent(&self) -> u64 {
-        self.probes_sent
     }
 }
 
@@ -84,10 +70,7 @@ impl Process for EtherHostProbe {
                 // `ProcStats` counts it, and the next one goes now.
                 let pace =
                     match ctx.send_udp(target, 1042, ECHO_PORT, Bytes::from_static(b"fremont")) {
-                        Ok(()) => {
-                            self.probes_sent += 1;
-                            INTERVAL
-                        }
+                        Ok(()) => INTERVAL,
                         Err(_) => SimDuration::ZERO,
                     };
                 ctx.set_timer(pace, TIMER_NEXT);
@@ -96,7 +79,6 @@ impl Process for EtherHostProbe {
                 // Read the kernel ARP table (no privileges needed).
                 for (ip, mac) in ctx.arp_snapshot() {
                     if self.range.contains(ip) {
-                        self.found.push((ip, mac));
                         ctx.emit(Observation::arp_pair(Source::EtherHostProbe, ip, mac));
                     }
                 }
@@ -114,7 +96,7 @@ impl Process for EtherHostProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::lan;
+    use crate::testutil::{interface_ips, lan};
     use fremont_journal::observation::Fact;
 
     #[test]
@@ -123,15 +105,14 @@ mod tests {
         let range = IpRange::new("10.7.7.1".parse().unwrap(), "10.7.7.30".parse().unwrap());
         let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<EtherHostProbe>(h).unwrap();
-        assert!(p.done());
-        assert_eq!(p.probes_sent(), 30);
+        assert!(sim.process_done(h));
+        assert_eq!(sim.proc_stats(h).packets_sent, 30);
         // 3 other hosts + gateway = 4 ARP entries (own address never ARPs).
-        assert_eq!(p.found().len(), 4, "found: {:?}", p.found());
+        let obs = sim.drain_observations_of(h);
+        assert_eq!(obs.len(), 4, "found: {obs:?}");
+        assert_eq!(interface_ips(&obs).len(), 4, "found: {obs:?}");
         // MACs are real vendor-prefixed addresses.
-        let obs = sim.drain_observations();
-        assert_eq!(obs.len(), 4);
-        for (_, _, o) in &obs {
+        for o in &obs {
             assert_eq!(o.source, Source::EtherHostProbe);
             match &o.fact {
                 Fact::Interface { mac: Some(m), .. } => {
@@ -149,8 +130,11 @@ mod tests {
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.13".parse().unwrap());
         let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<EtherHostProbe>(h).unwrap();
-        assert_eq!(p.found().len(), 2, "hosts .12/.13; .11 down, .10 is self");
+        assert_eq!(
+            interface_ips(&sim.drain_observations_of(h)),
+            [Ipv4Addr::new(10, 7, 7, 12), Ipv4Addr::new(10, 7, 7, 13)],
+            "hosts .12/.13; .11 down, .10 is self"
+        );
     }
 
     #[test]
@@ -160,16 +144,10 @@ mod tests {
         let h = sim.spawn(topo.hosts[0], Box::new(EtherHostProbe::new(range)));
         // 40 probes at 4/s = 10 s; not done at 5 s.
         sim.run_for(SimDuration::from_secs(5));
-        {
-            let p = sim.process_mut::<EtherHostProbe>(h).unwrap();
-            assert!(!p.done());
-            assert!(
-                p.probes_sent() >= 18 && p.probes_sent() <= 22,
-                "{}",
-                p.probes_sent()
-            );
-        }
+        assert!(!sim.process_done(h));
+        let sent = sim.proc_stats(h).packets_sent;
+        assert!((18..=22).contains(&sent), "{sent}");
         sim.run_for(SimDuration::from_secs(30));
-        assert!(sim.process_mut::<EtherHostProbe>(h).unwrap().done());
+        assert!(sim.process_done(h));
     }
 }

@@ -27,7 +27,13 @@
 //! Each module reports what it discovers as
 //! [`fremont_journal::Observation`]s, which the driving deployment stores
 //! in the Journal; modules never share state with each other except
-//! through the Journal, exactly as the paper prescribes.
+//! through the Journal, exactly as the paper prescribes. Those
+//! observations are a module's only output: it exports its constructor
+//! and no result accessor, and its load (packets sent, frames tapped,
+//! refused sends) is the engine's
+//! [`ProcStats`](fremont_netsim::stats::ProcStats) for its handle. The one
+//! reading kept is [`traceroute::Traceroute::reached_subnets`]: Table 6
+//! counts targets that got a final reply, and no observation states that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,10 +53,10 @@ mod testutil;
 
 pub use arpwatch::ArpWatch;
 pub use brdcastping::BrdcastPing;
-pub use dns_explorer::{DnsExplorer, DnsGateway, GatewayHeuristic};
+pub use dns_explorer::DnsExplorer;
 pub use etherhostprobe::EtherHostProbe;
 pub use ripprobe::RipProbe;
 pub use ripwatch::RipWatch;
 pub use seqping::SeqPing;
 pub use subnetmasks::SubnetMasks;
-pub use traceroute::{Trace, TraceStatus, Traceroute};
+pub use traceroute::Traceroute;

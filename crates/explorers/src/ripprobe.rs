@@ -59,18 +59,6 @@ impl RipProbe {
             finished: false,
         }
     }
-
-    /// Gateways that answered the poll, with their advertised routes.
-    pub fn responders(&self) -> &HashMap<Ipv4Addr, Vec<(Ipv4Addr, u32)>> {
-        &self.responders
-    }
-
-    /// Distinct subnets learned across all replies.
-    pub fn subnets_learned(&self) -> Vec<Subnet> {
-        let mut v: Vec<Subnet> = self.emitted_subnets.iter().copied().collect();
-        v.sort();
-        v
-    }
 }
 
 impl Process for RipProbe {
@@ -174,7 +162,17 @@ impl Process for RipProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::line3;
+    use crate::testutil::{line3, subnets};
+
+    /// The RIP sources `obs` reports: the gateways that answered a poll.
+    fn responders(obs: &[Observation]) -> Vec<Ipv4Addr> {
+        obs.iter()
+            .filter_map(|o| match o.fact {
+                Fact::RipSource { ip, .. } => Some(ip),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn polls_remote_router_through_the_network() {
@@ -187,13 +185,17 @@ mod tests {
             Box::new(RipProbe::new(vec!["10.1.2.2".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<RipProbe>(h).unwrap();
-        assert!(p.done());
-        assert_eq!(p.responders().len(), 1, "remote router answered the poll");
+        assert!(sim.process_done(h));
+        let obs = sim.drain_observations_of(h);
+        assert_eq!(
+            responders(&obs),
+            ["10.1.2.2".parse::<Ipv4Addr>().unwrap()],
+            "remote router answered the poll"
+        );
         // r2 knows all three subnets; the prober learns them all, including
         // 10.1.3/24 which local RIPwatch could also hear, AND the full set
         // from a single poll.
-        let learned = p.subnets_learned();
+        let learned = subnets(&obs);
         assert!(
             learned.contains(&"10.1.1.0/24".parse().unwrap()),
             "{learned:?}"
@@ -218,9 +220,8 @@ mod tests {
             Box::new(RipProbe::new(vec!["10.1.3.10".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<RipProbe>(h).unwrap();
-        assert!(p.done());
-        assert!(p.responders().is_empty());
+        assert!(sim.process_done(h));
+        assert!(sim.drain_observations_of(h).is_empty());
     }
 
     #[test]
@@ -238,27 +239,25 @@ mod tests {
             ])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<RipProbe>(h).unwrap();
-        assert!(p.done());
-        assert_eq!(p.responders().len(), 1, "only r2 answers");
-        assert!(p.responders().contains_key(&"10.1.2.2".parse().unwrap()));
+        assert!(sim.process_done(h));
+        assert_eq!(
+            responders(&sim.drain_observations_of(h)),
+            ["10.1.2.2".parse::<Ipv4Addr>().unwrap()],
+            "only r2 answers"
+        );
     }
 
     #[test]
     fn observations_feed_the_journal_vocabulary() {
         let (mut sim, topo) = line3();
         let left = topo.nodes_by_name["left"];
-        sim.spawn(
+        let h = sim.spawn(
             left,
             Box::new(RipProbe::new(vec!["10.1.1.1".parse().unwrap()])),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let obs = sim.drain_observations();
-        assert!(obs
-            .iter()
-            .any(|(_, _, o)| matches!(o.fact, Fact::RipSource { .. })));
-        assert!(obs
-            .iter()
-            .any(|(_, _, o)| matches!(o.fact, Fact::Subnet { .. })));
+        let obs = sim.drain_observations_of(h);
+        assert!(!responders(&obs).is_empty());
+        assert!(!subnets(&obs).is_empty());
     }
 }

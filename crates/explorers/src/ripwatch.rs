@@ -24,14 +24,14 @@ const DURATION: SimDuration = SimDuration::from_mins(2);
 
 /// What one RIP source advertised.
 #[derive(Debug, Clone, Default)]
-pub struct RipSourceInfo {
+struct RipSourceInfo {
     /// MAC the advertisements came from.
-    pub mac: Option<MacAddr>,
+    mac: Option<MacAddr>,
     /// Advertised destinations with the lowest metric heard for each.
-    pub routes: HashMap<Ipv4Addr, u32>,
+    routes: HashMap<Ipv4Addr, u32>,
     /// `true` when the source advertised a route to the very subnet it is
     /// attached to — one promiscuous-rebroadcast signature.
-    pub advertises_local_subnet: bool,
+    advertises_local_subnet: bool,
 }
 
 /// The passive RIP monitor.
@@ -39,7 +39,6 @@ pub struct RipSourceInfo {
 pub struct RipWatch {
     local_subnet: Option<Subnet>,
     sources: HashMap<Ipv4Addr, RipSourceInfo>,
-    subnets: HashSet<Subnet>,
     hosts: HashSet<Ipv4Addr>,
     emitted_subnets: HashSet<Subnet>,
     finished: bool,
@@ -51,18 +50,6 @@ impl RipWatch {
         Self::default()
     }
 
-    /// Subnet routes heard (within the local classful network).
-    pub fn subnets(&self) -> Vec<Subnet> {
-        let mut v: Vec<_> = self.subnets.iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Advertisement sources and what they said.
-    pub fn sources(&self) -> &HashMap<Ipv4Addr, RipSourceInfo> {
-        &self.sources
-    }
-
     /// Sources flagged as promiscuous rebroadcasters.
     ///
     /// Two signatures, either suffices: (a) the source advertises the very
@@ -71,7 +58,7 @@ impl RipWatch {
     /// source on the segment at an equal-or-better metric — it is merely
     /// echoing "learned routing information without regard to the subnet
     /// from which that information was learned".
-    pub fn promiscuous_sources(&self) -> Vec<Ipv4Addr> {
+    fn promiscuous_sources(&self) -> Vec<Ipv4Addr> {
         let mut v: Vec<Ipv4Addr> = self
             .sources
             .iter()
@@ -109,7 +96,6 @@ impl Process for RipWatch {
         // The watcher knows its own attached subnet (from its interface
         // configuration) — that is how the paper's module reaches 111/111:
         // 110 advertised plus the one it sits on.
-        self.subnets.insert(local);
         ctx.emit(Observation::subnet(Source::RipWatch, local, false));
         self.emitted_subnets.insert(local);
     }
@@ -184,15 +170,9 @@ impl Process for RipWatch {
                 continue;
             }
             match classify_route(e.addr, local) {
-                RouteKind::SubnetRoute(s) => {
-                    self.subnets.insert(s);
+                RouteKind::SubnetRoute(s) | RouteKind::Network(s) => {
                     if self.emitted_subnets.insert(s) {
                         ctx.emit(Observation::subnet(Source::RipWatch, s, true));
-                    }
-                }
-                RouteKind::Network(n) => {
-                    if self.emitted_subnets.insert(n) {
-                        ctx.emit(Observation::subnet(Source::RipWatch, n, true));
                     }
                 }
                 RouteKind::Host(h) => {
@@ -213,8 +193,25 @@ impl Process for RipWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::line3;
+    use crate::testutil::{line3, subnets};
+    use fremont_netsim::engine::Sim;
     use fremont_netsim::node::RipConfig;
+
+    /// The `RipSource` facts of `obs`: `(ip, mac, advertised routes,
+    /// promiscuous)`.
+    fn sources(obs: &[Observation]) -> Vec<(Ipv4Addr, Option<MacAddr>, u32, bool)> {
+        obs.iter()
+            .filter_map(|o| match o.fact {
+                Fact::RipSource {
+                    ip,
+                    mac,
+                    advertised_routes,
+                    promiscuous,
+                } => Some((ip, mac, advertised_routes, promiscuous)),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn hears_advertised_subnets() {
@@ -222,9 +219,9 @@ mod tests {
         let left = topo.nodes_by_name["left"];
         let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
-        let w = sim.process_mut::<RipWatch>(h).unwrap();
-        assert!(w.done());
-        let subnets = w.subnets();
+        assert!(sim.process_done(h));
+        let obs = sim.drain_observations_of(h);
+        let subnets = subnets(&obs);
         // r1 advertises 10.1.2/24 and 10.1.3/24 onto net-a (split horizon
         // hides 10.1.1/24); the watcher adds its own subnet.
         assert!(
@@ -239,12 +236,13 @@ mod tests {
             subnets.contains(&"10.1.3.0/24".parse().unwrap()),
             "{subnets:?}"
         );
-        // The advertising source was recorded with its MAC.
-        assert_eq!(w.sources().len(), 1);
-        let info = w.sources().values().next().unwrap();
-        assert!(info.mac.is_some());
-        // A split-horizon router is not promiscuous.
-        assert!(w.promiscuous_sources().is_empty());
+        // The advertising source was recorded with its MAC, and a
+        // split-horizon router is not promiscuous.
+        let sources = sources(&obs);
+        assert_eq!(sources.len(), 1, "{sources:?}");
+        let (_, mac, _, promiscuous) = sources[0];
+        assert!(mac.is_some());
+        assert!(!promiscuous);
     }
 
     #[test]
@@ -274,13 +272,19 @@ mod tests {
 
         let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
-        let w = sim.process_mut::<RipWatch>(h).unwrap();
-        assert_eq!(w.promiscuous_sources(), vec![right_ip]);
+        // The observation stream flags exactly the rebroadcaster, which
+        // advertised everything it learned.
+        let flagged = |obs: &[Observation]| -> Vec<(Ipv4Addr, u32)> {
+            let sources = sources(obs).into_iter();
+            let flagged = sources.filter(|(_, _, _, promiscuous)| *promiscuous);
+            flagged.map(|(ip, _, routes, _)| (ip, routes)).collect()
+        };
+        assert_eq!(flagged(&sim.drain_observations_of(h)), [(right_ip, 3)]);
         // The rebroadcast is everything learned — the pre-seeded list
         // min-merged with what r1 advertised meanwhile — one hop further.
-        let routes = |w: &RipWatch| {
-            let mut v: Vec<(String, u32)> = w.sources()[&right_ip]
-                .routes
+        let learned = |sim: &Sim| {
+            let mut v: Vec<(String, u32)> = sim.nodes[promisc.0]
+                .rip_learned
                 .iter()
                 .map(|(dest, metric)| (dest.to_string(), *metric))
                 .collect();
@@ -289,22 +293,13 @@ mod tests {
         };
         let route = |dest: &str, metric: u32| (dest.to_owned(), metric);
         assert_eq!(
-            routes(w),
+            learned(&sim),
             [
-                route("10.1.1.0", 2),
-                route("10.1.2.0", 2),
-                route("10.1.3.0", 3)
+                route("10.1.1.0", 1),
+                route("10.1.2.0", 1),
+                route("10.1.3.0", 2)
             ]
         );
-        // The observation stream carries the flag.
-        let obs = sim.drain_observations();
-        let flagged = obs.iter().any(|(_, _, o)| {
-            matches!(
-                &o.fact,
-                Fact::RipSource { ip, promiscuous: true, .. } if *ip == right_ip
-            )
-        });
-        assert!(flagged, "promiscuous source observation emitted");
 
         // A crash forgets everything learned; after the reboot the host
         // re-learns from r1 alone (whose split horizon withholds net-a)
@@ -315,8 +310,14 @@ mod tests {
         sim.set_node_up(promisc, true);
         let h = sim.spawn(left, Box::new(RipWatch::new()));
         sim.run_for(SimDuration::from_mins(3));
-        let w = sim.process_mut::<RipWatch>(h).unwrap();
-        assert_eq!(routes(w), [route("10.1.2.0", 2), route("10.1.3.0", 3)]);
+        let obs = sim.drain_observations_of(h);
+        assert_eq!(learned(&sim), [route("10.1.2.0", 1), route("10.1.3.0", 2)]);
+        let advertised: Vec<u32> = sources(&obs)
+            .into_iter()
+            .filter(|(ip, ..)| *ip == right_ip)
+            .map(|(_, _, routes, _)| routes)
+            .collect();
+        assert_eq!(advertised, [2], "{obs:?}");
     }
 
     #[test]

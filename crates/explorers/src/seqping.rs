@@ -49,18 +49,6 @@ impl SeqPing {
         }
     }
 
-    /// Addresses that answered.
-    pub fn responders(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<_> = self.responders.iter().copied().collect();
-        v.sort_by_key(|ip| u32::from(*ip));
-        v
-    }
-
-    /// Echo requests sent.
-    pub fn requests_sent(&self) -> u64 {
-        self.sent
-    }
-
     fn send_next(&mut self, ctx: &mut ProcCtx<'_>) {
         loop {
             if self.next >= self.queue.len() {
@@ -136,7 +124,7 @@ impl Process for SeqPing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::lan;
+    use crate::testutil::{interface_ips, lan};
 
     #[test]
     fn finds_all_up_hosts_in_range() {
@@ -144,12 +132,10 @@ mod tests {
         let range = IpRange::new("10.7.7.1".parse().unwrap(), "10.7.7.20".parse().unwrap());
         let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(3));
-        let p = sim.process_mut::<SeqPing>(h).unwrap();
-        assert!(p.done());
-        // 4 other hosts + gateway answer; the prober does not probe itself
-        // out of existence (its own address replies too via loopback-less
-        // stack? no — it never receives its own echo), so expect 5.
-        let got = p.responders();
+        assert!(sim.process_done(h));
+        // 4 other hosts + gateway answer; the prober never receives its
+        // own echo, so expect 5.
+        let got = interface_ips(&sim.drain_observations_of(h));
         assert_eq!(got.len(), 5, "responders: {got:?}");
         assert!(
             got.contains(&"10.7.7.1".parse().unwrap()),
@@ -165,10 +151,9 @@ mod tests {
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.14".parse().unwrap());
         let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(3));
-        let p = sim.process_mut::<SeqPing>(h).unwrap();
         assert_eq!(
-            p.responders().len(),
-            2,
+            interface_ips(&sim.drain_observations_of(h)),
+            [Ipv4Addr::new(10, 7, 7, 11), Ipv4Addr::new(10, 7, 7, 14)],
             "hosts 1 and 4 (prober's own address never replies)"
         );
     }
@@ -180,36 +165,31 @@ mod tests {
         let range = IpRange::new("10.7.7.100".parse().unwrap(), "10.7.7.103".parse().unwrap());
         let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<SeqPing>(h).unwrap();
-        assert_eq!(p.requests_sent(), 8);
-        assert!(p.responders().is_empty());
-        assert!(p.done());
+        assert_eq!(sim.proc_stats(h).packets_sent, 8);
+        assert!(sim.drain_observations_of(h).is_empty());
+        assert!(sim.process_done(h));
     }
 
     #[test]
     fn paces_at_configured_interval() {
         let (mut sim, topo) = lan(1);
         let range = IpRange::new("10.7.7.50".parse().unwrap(), "10.7.7.59".parse().unwrap());
-        let before = sim.now();
         let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         // 10 addresses * 2s + retries 10 * 2s ≈ 40s minimum.
         sim.run_for(SimDuration::from_secs(30));
-        let p = sim.process_mut::<SeqPing>(h).unwrap();
-        assert!(!p.done(), "sweep must still be running at 30s");
+        assert!(!sim.process_done(h), "sweep must still be running at 30s");
         sim.run_for(SimDuration::from_secs(60));
-        let p = sim.process_mut::<SeqPing>(h).unwrap();
-        assert!(p.done());
-        let _ = before;
+        assert!(sim.process_done(h));
     }
 
     #[test]
     fn observations_are_emitted_per_responder() {
         let (mut sim, topo) = lan(3);
         let range = IpRange::new("10.7.7.10".parse().unwrap(), "10.7.7.12".parse().unwrap());
-        sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
+        let h = sim.spawn(topo.hosts[0], Box::new(SeqPing::new(range)));
         sim.run_for(SimDuration::from_mins(2));
-        let obs = sim.drain_observations();
+        let obs = sim.drain_observations_of(h);
         assert_eq!(obs.len(), 2, "hosts .11 and .12 respond (prober is .10)");
-        assert!(obs.iter().all(|(_, _, o)| o.source == Source::SeqPing));
+        assert!(obs.iter().all(|o| o.source == Source::SeqPing));
     }
 }

@@ -8,7 +8,7 @@
 //! of a subnet." The request "is not as widely implemented as the echo
 //! request/reply", so some interfaces never answer.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use fremont_journal::observation::{Fact, Observation, Source};
@@ -26,7 +26,8 @@ const IDENT: u16 = 0x3A5C;
 pub struct SubnetMasks {
     targets: Vec<Ipv4Addr>,
     next: usize,
-    masks: HashMap<Ipv4Addr, SubnetMask>,
+    /// Interfaces whose mask has been reported.
+    answered: HashSet<Ipv4Addr>,
     finished: bool,
 }
 
@@ -40,16 +41,9 @@ impl SubnetMasks {
         SubnetMasks {
             targets,
             next: 0,
-            masks: HashMap::new(),
+            answered: HashSet::new(),
             finished: false,
         }
-    }
-
-    /// Collected `(interface, mask)` results.
-    pub fn masks(&self) -> Vec<(Ipv4Addr, SubnetMask)> {
-        let mut v: Vec<_> = self.masks.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(ip, _)| u32::from(*ip));
-        v
     }
 }
 
@@ -98,7 +92,7 @@ impl Process for SubnetMasks {
         let Ok(mask) = SubnetMask::from_addr(mask) else {
             return; // A garbage mask reply; ignore it.
         };
-        if self.masks.insert(pkt.src, mask).is_none() {
+        if self.answered.insert(pkt.src) {
             ctx.emit(Observation::mask(Source::SubnetMasks, pkt.src, mask));
             // A confirmed mask also confirms the subnet's existence.
             ctx.emit(Observation::new(
@@ -121,6 +115,20 @@ mod tests {
     use super::*;
     use crate::testutil::lan;
 
+    /// The `(interface, mask prefix length)` pairs `obs` reports.
+    fn masks(obs: &[Observation]) -> Vec<(Ipv4Addr, u8)> {
+        obs.iter()
+            .filter_map(|o| match o.fact {
+                Fact::Interface {
+                    ip: Some(ip),
+                    mask: Some(mask),
+                    ..
+                } => Some((ip, mask.prefix_len())),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn collects_masks_from_responding_interfaces() {
         let (mut sim, topo) = lan(3);
@@ -131,16 +139,12 @@ mod tests {
         ];
         let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
-        let p = sim.process_mut::<SubnetMasks>(h).unwrap();
-        assert!(p.done());
-        let masks = p.masks();
+        assert!(sim.process_done(h));
+        let obs = sim.drain_observations_of(h);
+        let masks = masks(&obs);
         assert_eq!(masks.len(), 3);
-        assert!(
-            masks.iter().all(|(_, m)| m.prefix_len() == 24),
-            "all /24: {masks:?}"
-        );
+        assert!(masks.iter().all(|(_, m)| *m == 24), "all /24: {masks:?}");
         // Both a mask fact and a subnet fact per responder.
-        let obs = sim.drain_observations();
         assert_eq!(obs.len(), 6);
     }
 
@@ -153,9 +157,10 @@ mod tests {
             vec!["10.7.7.11".parse().unwrap(), "10.7.7.12".parse().unwrap()];
         let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
-        let p = sim.process_mut::<SubnetMasks>(h).unwrap();
-        assert_eq!(p.masks().len(), 1);
-        assert_eq!(p.masks()[0].0, "10.7.7.12".parse::<Ipv4Addr>().unwrap());
+        assert_eq!(
+            masks(&sim.drain_observations_of(h)),
+            [("10.7.7.12".parse::<Ipv4Addr>().unwrap(), 24)]
+        );
     }
 
     #[test]
@@ -167,10 +172,9 @@ mod tests {
             vec!["10.7.7.11".parse().unwrap(), "10.7.7.12".parse().unwrap()];
         let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(targets)));
         sim.run_for(SimDuration::from_mins(1));
-        let p = sim.process_mut::<SubnetMasks>(h).unwrap();
-        let masks = p.masks();
+        let masks = masks(&sim.drain_observations_of(h));
         assert_eq!(masks.len(), 2);
-        let lens: Vec<u8> = masks.iter().map(|(_, m)| m.prefix_len()).collect();
+        let lens: Vec<u8> = masks.iter().map(|(_, m)| *m).collect();
         assert!(lens.contains(&24) && lens.contains(&16), "lens {lens:?}");
     }
 
@@ -179,6 +183,6 @@ mod tests {
         let (mut sim, topo) = lan(1);
         let h = sim.spawn(topo.hosts[0], Box::new(SubnetMasks::new(vec![])));
         sim.run_for(SimDuration::from_secs(10));
-        assert!(sim.process_mut::<SubnetMasks>(h).unwrap().done());
+        assert!(sim.process_done(h));
     }
 }

@@ -1,5 +1,9 @@
 //! Shared test fixtures for the explorer-module unit tests.
 
+use std::net::Ipv4Addr;
+
+use fremont_journal::observation::{Fact, Observation};
+use fremont_net::Subnet;
 use fremont_netsim::builder::{Topology, TopologyBuilder};
 use fremont_netsim::engine::Sim;
 
@@ -28,4 +32,22 @@ pub fn line3() -> (Sim, Topology) {
     b.router("r1", &[(a, 1), (m, 1)]);
     b.router("r2", &[(m, 2), (c, 1)]);
     b.build(0x11E3)
+}
+
+/// The distinct addresses of the `Interface` facts in `obs`, ascending.
+pub fn interface_ips(obs: &[Observation]) -> Vec<Ipv4Addr> {
+    let mut ips: Vec<Ipv4Addr> = obs.iter().filter_map(|o| o.fact.interface_ip()).collect();
+    ips.sort();
+    ips.dedup();
+    ips
+}
+
+/// The subnets of the `Subnet` facts in `obs`, in emission order.
+pub fn subnets(obs: &[Observation]) -> Vec<Subnet> {
+    obs.iter()
+        .filter_map(|o| match o.fact {
+            Fact::Subnet { subnet, .. } => Some(subnet),
+            _ => None,
+        })
+        .collect()
 }

@@ -45,8 +45,8 @@ const MASK_HINT: SubnetMask = SubnetMask::CLASS_C;
 const MAX_TIMEOUTS: u8 = 2;
 
 /// Terminal status of one traced destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStatus {
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TraceStatus {
     /// Still being probed.
     Active,
     /// A final (Port/Host/Protocol Unreachable) reply arrived from this
@@ -63,17 +63,16 @@ pub enum TraceStatus {
 }
 
 /// Per-destination trace state.
-#[derive(Debug, Clone)]
-pub struct Trace {
+struct Trace {
     /// Probed destination address.
-    pub dest: Ipv4Addr,
+    dest: Ipv4Addr,
     /// The target subnet this destination belongs to.
-    pub subnet: Subnet,
+    subnet: Subnet,
     /// Hop addresses by TTL (index 0 = TTL 1); `None` = timeout at that
     /// TTL.
-    pub hops: Vec<Option<Ipv4Addr>>,
+    hops: Vec<Option<Ipv4Addr>>,
     /// Terminal status.
-    pub status: TraceStatus,
+    status: TraceStatus,
     ttl: u8,
     awaiting: Option<u16>,
     timeouts: u8,
@@ -87,7 +86,6 @@ pub struct Traceroute {
     outstanding: HashMap<u16, (usize, u8, SimTime)>,
     next_port: u16,
     cursor: usize,
-    probes_sent: u64,
     finished: bool,
 }
 
@@ -125,7 +123,6 @@ impl Traceroute {
             outstanding: HashMap::new(),
             next_port: TRACEROUTE_BASE_PORT,
             cursor: 0,
-            probes_sent: 0,
             finished: false,
         }
     }
@@ -142,11 +139,6 @@ impl Traceroute {
         self
     }
 
-    /// All per-destination traces.
-    pub fn traces(&self) -> &[Trace] {
-        &self.traces
-    }
-
     /// Target subnets confirmed reachable (a final reply arrived for at
     /// least one of their three destinations).
     pub fn reached_subnets(&self) -> Vec<Subnet> {
@@ -159,23 +151,6 @@ impl Traceroute {
         v.sort();
         v.dedup();
         v
-    }
-
-    /// Every distinct gateway interface address seen as a hop.
-    pub fn gateway_interfaces(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<Ipv4Addr> = self
-            .traces
-            .iter()
-            .flat_map(|t| t.hops.iter().flatten().copied())
-            .collect();
-        v.sort_by_key(|ip| u32::from(*ip));
-        v.dedup();
-        v
-    }
-
-    /// Probes transmitted.
-    pub fn probes_sent(&self) -> u64 {
-        self.probes_sent
     }
 
     fn tick(&mut self, ctx: &mut ProcCtx<'_>) {
@@ -242,7 +217,6 @@ impl Traceroute {
             let ttl = t.ttl;
             t.awaiting = Some(port);
             self.outstanding.insert(port, (idx, ttl, ctx.now()));
-            self.probes_sent += 1;
             if ctx
                 .send_ip(
                     dest,
@@ -448,86 +422,112 @@ impl Process for Traceroute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::line3;
+    use crate::testutil::{line3, subnets};
     use fremont_netsim::node::TracerouteBug;
 
     fn subnet(s: &str) -> Subnet {
         s.parse().unwrap()
     }
 
-    fn run_trace(
+    fn ip(s: &str) -> Ipv4Addr {
+        s.parse().unwrap()
+    }
+
+    /// What one finished run reported.
+    struct Run {
+        obs: Vec<Observation>,
+        reached: Vec<Subnet>,
+        sent: u64,
+    }
+
+    impl Run {
+        /// The distinct addresses of the `Gateway` facts, ascending.
+        fn gateways(&self) -> Vec<Ipv4Addr> {
+            let mut v: Vec<Ipv4Addr> = self
+                .obs
+                .iter()
+                .flat_map(|o| match &o.fact {
+                    Fact::Gateway { interface_ips, .. } => interface_ips.clone(),
+                    _ => Vec::new(),
+                })
+                .collect();
+            v.sort();
+            v.dedup();
+            v
+        }
+
+        fn claims_subnet(&self, s: Subnet) -> bool {
+            subnets(&self.obs).contains(&s)
+        }
+    }
+
+    /// Runs `tr` from "left" on `line3` (after `mutate`) until it
+    /// finishes.
+    fn run_with(
         mutate: impl FnOnce(&mut fremont_netsim::engine::Sim, &fremont_netsim::builder::Topology),
-        targets: Vec<Subnet>,
-    ) -> (Vec<Trace>, Vec<Observation>, Vec<Ipv4Addr>) {
+        tr: Traceroute,
+    ) -> Run {
         let (mut sim, topo) = line3();
         mutate(&mut sim, &topo);
         let left = topo.nodes_by_name["left"];
-        let h = sim.spawn(
-            left,
-            Box::new(Traceroute::new(targets, subnet("10.0.0.0/8"))),
-        );
+        let h = sim.spawn(left, Box::new(tr));
         sim.run_for(SimDuration::from_mins(10));
-        let p = sim.process_mut::<Traceroute>(h).unwrap();
-        assert!(p.done(), "traceroute must finish");
-        let traces = p.traces().to_vec();
-        let gws = p.gateway_interfaces();
-        let obs = sim
-            .drain_observations()
-            .into_iter()
-            .map(|(_, _, o)| o)
-            .collect();
-        (traces, obs, gws)
+        assert!(sim.process_done(h), "traceroute must finish");
+        let reached = sim.process_mut::<Traceroute>(h).unwrap().reached_subnets();
+        Run {
+            obs: sim.drain_observations_of(h),
+            reached,
+            sent: sim.proc_stats(h).packets_sent,
+        }
+    }
+
+    fn run_trace(
+        mutate: impl FnOnce(&mut fremont_netsim::engine::Sim, &fremont_netsim::builder::Topology),
+        targets: Vec<Subnet>,
+    ) -> Run {
+        run_with(mutate, Traceroute::new(targets, subnet("10.0.0.0/8")))
     }
 
     #[test]
     fn traces_two_hops_to_far_subnet() {
-        let (traces, obs, gws) = run_trace(|_, _| {}, vec![subnet("10.1.3.0/24")]);
-        assert_eq!(traces.len(), 3, "three destinations per subnet");
+        let run = run_trace(|_, _| {}, vec![subnet("10.1.3.0/24")]);
+        // Three destinations: `.0` and `.1` end at r2 after two probes,
+        // `.2` takes a third.
+        assert_eq!(run.sent, 7, "three destinations per subnet");
         // At least one destination reached a final reply.
-        assert!(
-            traces
-                .iter()
-                .any(|t| matches!(t.status, TraceStatus::Reached(_))),
-            "statuses: {:?}",
-            traces.iter().map(|t| t.status).collect::<Vec<_>>()
-        );
+        assert_eq!(run.reached, [subnet("10.1.3.0/24")]);
         // Hops are the near-side router interfaces: r1 @ 10.1.1.1, r2 @ 10.1.2.2.
-        assert!(gws.contains(&"10.1.1.1".parse().unwrap()), "{gws:?}");
-        assert!(gws.contains(&"10.1.2.2".parse().unwrap()), "{gws:?}");
+        let gws = run.gateways();
+        assert!(gws.contains(&ip("10.1.1.1")), "{gws:?}");
+        assert!(gws.contains(&ip("10.1.2.2")), "{gws:?}");
         // Far-side transit interfaces (10.1.2.1) are NOT seen as hops —
         // "the Traceroute module will only discover half the interfaces".
-        assert!(!gws.contains(&"10.1.2.1".parse().unwrap()), "{gws:?}");
+        assert!(!gws.contains(&ip("10.1.2.1")), "{gws:?}");
         // Gateway observations link hop subnets: r1 connects 10.1.1/24
         // and 10.1.2/24.
+        let obs = &run.obs;
         let r1_links = obs.iter().any(|o| {
             matches!(&o.fact, Fact::Gateway { interface_ips, subnets, .. }
-                if interface_ips.contains(&"10.1.1.1".parse().unwrap())
+                if interface_ips.contains(&ip("10.1.1.1"))
                 && subnets.contains(&subnet("10.1.1.0/24"))
                 && subnets.contains(&subnet("10.1.2.0/24")))
         });
         assert!(r1_links, "r1 linked to both its subnets: {obs:#?}");
         // And the target subnet is reported to exist.
-        assert!(obs.iter().any(|o| matches!(&o.fact,
-            Fact::Subnet { subnet: s, .. } if *s == subnet("10.1.3.0/24"))));
+        assert!(run.claims_subnet(subnet("10.1.3.0/24")));
     }
 
     #[test]
     fn local_subnet_needs_no_hops() {
-        let (traces, _, _) = run_trace(|_, _| {}, vec![subnet("10.1.1.0/24")]);
-        assert!(traces
-            .iter()
-            .any(|t| matches!(t.status, TraceStatus::Reached(_))));
-        // No transit router involved: no hops recorded for reached traces.
-        for t in &traces {
-            if matches!(t.status, TraceStatus::Reached(_)) {
-                assert!(t.hops.iter().flatten().count() == 0, "{t:?}");
-            }
-        }
+        let run = run_trace(|_, _| {}, vec![subnet("10.1.1.0/24")]);
+        assert_eq!(run.reached, [subnet("10.1.1.0/24")]);
+        // No transit router involved: no hop, so no gateway, recorded.
+        assert!(run.gateways().is_empty(), "{:?}", run.obs);
     }
 
     #[test]
     fn silent_drop_router_hides_itself_but_probe_still_arrives() {
-        let (traces, _, gws) = run_trace(
+        let run = run_trace(
             |sim, topo| {
                 let r2 = topo.nodes_by_name["r2"];
                 sim.nodes[r2.0].behavior.traceroute_bug = TracerouteBug::SilentDrop;
@@ -535,61 +535,50 @@ mod tests {
             vec![subnet("10.1.3.0/24")],
         );
         // r2 never sends Time Exceeded, so its interface is unseen...
-        assert!(!gws.contains(&"10.1.2.2".parse().unwrap()), "{gws:?}");
+        let gws = run.gateways();
+        assert!(!gws.contains(&ip("10.1.2.2")), "{gws:?}");
         // ...but after the timeout the TTL grows past it and the probes
         // still reach the target subnet.
-        assert!(traces
-            .iter()
-            .any(|t| matches!(t.status, TraceStatus::Reached(_))));
+        assert_eq!(run.reached, [subnet("10.1.3.0/24")]);
     }
 
     #[test]
     fn probe_filtering_router_blocks_discovery() {
-        let (traces, obs, _) = run_trace(
+        let run = run_trace(
             |sim, topo| {
                 let r2 = topo.nodes_by_name["r2"];
                 sim.nodes[r2.0].behavior.filter_udp_probes = true;
             },
             vec![subnet("10.1.3.0/24")],
         );
-        assert!(
-            traces.iter().all(|t| t.status == TraceStatus::GaveUp),
-            "all probes die at the filtering gateway: {traces:?}"
-        );
+        // All probes die at the filtering gateway: each destination gives
+        // up after two timeouts, `.0` and `.1` past r1's hop (3 probes
+        // each), `.2` past r2's Time Exceeded too (4).
+        assert!(run.reached.is_empty());
+        assert_eq!(run.sent, 10, "{:?}", run.obs);
+        assert_eq!(run.gateways(), [ip("10.1.1.1"), ip("10.1.2.2")]);
         // The target subnet must NOT be claimed to exist.
-        assert!(!obs.iter().any(|o| matches!(&o.fact,
-            Fact::Subnet { subnet: s, .. } if *s == subnet("10.1.3.0/24"))));
+        assert!(!run.claims_subnet(subnet("10.1.3.0/24")));
     }
 
     #[test]
     fn boundary_stops_traces() {
-        let (traces, _, _) = run_trace(|_, _| {}, vec![subnet("10.1.3.0/24")]);
-        let _ = traces;
-        // Re-run with a boundary excluding everything beyond 10.1.1/24.
-        let (traces, _, gws) = {
-            let (mut sim, topo) = line3();
-            let left = topo.nodes_by_name["left"];
-            let tr = Traceroute::new(vec![subnet("10.1.3.0/24")], subnet("10.1.1.0/24"));
-            let h = sim.spawn(left, Box::new(tr));
-            sim.run_for(SimDuration::from_mins(5));
-            let p = sim.process_mut::<Traceroute>(h).unwrap();
-            assert!(p.done());
-            (p.traces().to_vec(), (), p.gateway_interfaces())
-        };
+        // A boundary excluding everything beyond 10.1.1/24.
+        let tr = Traceroute::new(vec![subnet("10.1.3.0/24")], subnet("10.1.1.0/24"));
+        let run = run_with(|_, _| {}, tr);
         // `.0` and `.1` probes are *delivered* at r2 (host-zero / its own
         // interface) and come back Reached before any boundary test, but
         // the `.2` probe expires at r2 — whose address 10.1.2.2 is outside
-        // the boundary — and stops.
-        assert!(
-            traces.iter().any(|t| t.status == TraceStatus::Boundary),
-            "{traces:?}"
-        );
-        assert!(gws.contains(&"10.1.1.1".parse().unwrap()));
+        // the boundary — and stops: one probe fewer than unbounded.
+        assert_eq!(run.sent, 6, "{:?}", run.obs);
+        let gws = run.gateways();
+        assert!(gws.contains(&ip("10.1.1.1")));
         // No hop beyond the out-of-boundary router was ever recorded.
-        assert!(gws
-            .iter()
-            .all(|g| *g == "10.1.1.1".parse::<Ipv4Addr>().unwrap()
-                || *g == "10.1.2.2".parse::<Ipv4Addr>().unwrap()));
+        assert!(
+            gws.iter()
+                .all(|g| *g == ip("10.1.1.1") || *g == ip("10.1.2.2")),
+            "{gws:?}"
+        );
     }
 
     #[test]
@@ -602,12 +591,8 @@ mod tests {
             Box::new(Traceroute::new(targets, subnet("10.0.0.0/8"))),
         );
         sim.run_for(SimDuration::from_secs(2));
-        let p = sim.process_mut::<Traceroute>(h).unwrap();
-        assert!(
-            p.probes_sent() <= 17,
-            "≤8 probes/sec budget, sent {} in 2s",
-            p.probes_sent()
-        );
+        let sent = sim.proc_stats(h).packets_sent;
+        assert!(sent <= 17, "≤8 probes/sec budget, sent {sent} in 2s");
     }
 
     #[test]
@@ -615,26 +600,14 @@ mod tests {
         // The paper's future-work optimization: every destination is
         // behind r1 (1 hop away), so start tracing at TTL 2 and skip
         // re-tracing the shared first hop.
-        let (mut sim, topo) = line3();
-        let left = topo.nodes_by_name["left"];
         let tr = Traceroute::new(vec![subnet("10.1.3.0/24")], subnet("10.0.0.0/8"));
-        let h = sim.spawn(left, Box::new(tr.with_start_ttl(2)));
-        sim.run_for(SimDuration::from_mins(5));
-        let p = sim.process_mut::<Traceroute>(h).unwrap();
-        assert!(p.done());
-        let gws = p.gateway_interfaces();
+        let run = run_with(|_, _| {}, tr.with_start_ttl(2));
         // r1's near side (hop 1) was never probed...
-        assert!(!gws.contains(&"10.1.1.1".parse().unwrap()), "{gws:?}");
+        let gws = run.gateways();
+        assert!(!gws.contains(&ip("10.1.1.1")), "{gws:?}");
         // ...and the target is still reached (with fewer probes).
-        assert!(p
-            .traces()
-            .iter()
-            .any(|t| matches!(t.status, TraceStatus::Reached(_))));
-        assert!(
-            p.probes_sent() <= 6,
-            "skipping hop 1 saves probes: {}",
-            p.probes_sent()
-        );
+        assert_eq!(run.reached, [subnet("10.1.3.0/24")]);
+        assert!(run.sent <= 6, "skipping hop 1 saves probes: {}", run.sent);
     }
 
     #[test]

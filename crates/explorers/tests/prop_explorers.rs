@@ -8,11 +8,16 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use fremont_explorers::{BrdcastPing, EtherHostProbe, SeqPing, SubnetMasks};
-use fremont_journal::observation::Fact;
+use fremont_journal::observation::{Fact, Observation};
 use fremont_net::{IpRange, Subnet};
 use fremont_netsim::builder::TopologyBuilder;
 use fremont_netsim::process::Process;
 use fremont_netsim::time::SimDuration;
+
+/// The distinct addresses of the `Interface` facts in `obs`.
+fn interface_ips(obs: &[Observation]) -> HashSet<Ipv4Addr> {
+    obs.iter().filter_map(|o| o.fact.interface_ip()).collect()
+}
 
 /// A LAN with `n` hosts, of which the subset `down` is powered off.
 fn lan_with_down(
@@ -59,8 +64,7 @@ proptest! {
             Box::new(SeqPing::new(range)),
         );
         sim.run_for(SimDuration::from_mins(5));
-        let p = sim.process_mut::<SeqPing>(h).expect("alive");
-        let got: HashSet<_> = p.responders().into_iter().collect();
+        let got = interface_ips(&sim.drain_observations_of(h));
         let expect: HashSet<std::net::Ipv4Addr> = (1..n)
             .filter(|i| !down.contains(i))
             .map(|i| format!("10.77.0.{}", 10 + i).parse().expect("ip"))
@@ -82,11 +86,13 @@ proptest! {
             Box::new(EtherHostProbe::new(range)),
         );
         sim.run_for(SimDuration::from_mins(3));
-        let found = sim
-            .process_mut::<EtherHostProbe>(h)
-            .expect("alive")
-            .found()
-            .to_vec();
+        let found: Vec<_> = sim.drain_observations_of(h)
+            .into_iter()
+            .filter_map(|o| match o.fact {
+                Fact::Interface { ip: Some(ip), mac: Some(mac), .. } => Some((ip, mac)),
+                _ => None,
+            })
+            .collect();
         for (ip, mac) in &found {
             let owner = topo
                 .hosts
@@ -111,14 +117,20 @@ proptest! {
             Box::new(SubnetMasks::new(targets)),
         );
         sim.run_for(SimDuration::from_mins(2));
-        let p = sim.process_mut::<SubnetMasks>(h).expect("alive");
-        prop_assert_eq!(p.masks().len(), n - 1);
-        for (_, mask) in p.masks() {
+        let obs = sim.drain_observations_of(h);
+        let masks: Vec<_> = obs
+            .iter()
+            .filter_map(|o| match o.fact {
+                Fact::Interface { mask: Some(mask), .. } => Some(mask),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(masks.len(), n - 1);
+        for mask in masks {
             prop_assert_eq!(mask.prefix_len(), 24);
         }
-        let obs = sim.drain_observations();
         let subnet: Subnet = "10.77.0.0/24".parse().expect("subnet");
-        let confirmed_subnet = obs.iter().any(|(_, _, o)| {
+        let confirmed_subnet = obs.iter().any(|o| {
             matches!(
                 &o.fact,
                 Fact::Subnet { subnet: s, mask_assumed: false } if *s == subnet
@@ -131,11 +143,7 @@ proptest! {
 /// Runs `module` from the first of 12 hosts on a LAN spanning `subnet`
 /// until it finishes. Returns the simulated seconds it took and how many
 /// addresses answered.
-fn run_on_sparse_lan<P: Process>(
-    subnet: Subnet,
-    module: P,
-    responders: impl Fn(&P) -> Vec<Ipv4Addr>,
-) -> (u64, usize) {
+fn run_on_sparse_lan<P: Process>(subnet: Subnet, module: P) -> (u64, usize) {
     let mut b = TopologyBuilder::new();
     let lan = b.segment("lan", &subnet.to_string());
     for i in 0..12 {
@@ -148,8 +156,7 @@ fn run_on_sparse_lan<P: Process>(
         sim.run_for(SimDuration::from_secs(1));
     }
     let secs = (sim.now() - start).as_secs();
-    let p = sim.process_mut::<P>(h).expect("alive");
-    (secs, responders(p).len())
+    (secs, interface_ips(&sim.drain_observations_of(h)).len())
 }
 
 /// The paper's crossover, in simulated time: broadcast ping wins "if the
@@ -163,16 +170,8 @@ fn broadcast_beats_sequential_on_large_sparse_subnets() {
     for prefix_len in [26u8, 24, 22] {
         let subnet: Subnet = format!("10.40.0.0/{prefix_len}").parse().expect("subnet");
         let addresses = subnet.host_range().iter().count() as u64;
-        let (seq, seq_found) = run_on_sparse_lan(
-            subnet,
-            SeqPing::new(subnet.host_range()),
-            SeqPing::responders,
-        );
-        let (brd, brd_found) = run_on_sparse_lan(
-            subnet,
-            BrdcastPing::new(vec![subnet]),
-            BrdcastPing::responders,
-        );
+        let (seq, seq_found) = run_on_sparse_lan(subnet, SeqPing::new(subnet.host_range()));
+        let (brd, brd_found) = run_on_sparse_lan(subnet, BrdcastPing::new(vec![subnet]));
         assert_eq!(
             seq_found, 11,
             "/{prefix_len}: SeqPing hears every other host"

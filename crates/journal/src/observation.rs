@@ -185,6 +185,16 @@ pub enum Fact {
     },
 }
 
+impl Fact {
+    /// The address an `Interface` fact names, if it names one.
+    pub fn interface_ip(&self) -> Option<Ipv4Addr> {
+        match self {
+            Fact::Interface { ip, .. } => *ip,
+            _ => None,
+        }
+    }
+}
+
 /// An observation: a fact plus the module that produced it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Observation {

@@ -305,6 +305,17 @@ impl Sim {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Drains as [`Sim::drain_observations`] does and keeps what process
+    /// `h` emitted, in emission order: a module's one output. The other
+    /// processes' observations are dropped.
+    pub fn drain_observations_of(&mut self, h: ProcHandle) -> Vec<Observation> {
+        let drained = std::mem::take(&mut self.outbox).into_iter();
+        drained
+            .filter(|(p, _, _)| *p == h)
+            .map(|(_, _, o)| o)
+            .collect()
+    }
+
     // ------------------------------------------------------------------
     // Event loop
     // ------------------------------------------------------------------

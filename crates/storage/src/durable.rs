@@ -23,8 +23,9 @@
 //! twice: a writer is held only while the snapshot plus the segments
 //! reproduce the in-memory journal (DESIGN.md § 5b).
 
+use std::fs::OpenOptions;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fremont_telemetry::{metrics, SpanId, TelTime, Telemetry};
@@ -353,7 +354,15 @@ impl JournalAccess for DurableJournal {
         let appended = writer.bytes().saturating_sub(bytes_before);
         let rotate = writer.bytes() >= max_segment_bytes;
         if result.is_err() {
-            // The segment may hold frames nobody acknowledged: give it up.
+            // The segment may hold frames nobody acknowledged: cut them
+            // off, so none is replayed even if the compaction below fails
+            // too, then give the segment up. If the cut fails, that
+            // compaction (or the next mutation's) is what keeps them out.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the append decides the call; compaction covers a failed cut"
+            )]
+            let _ = cut_segment(writer.path(), bytes_before);
             wal.writer = None;
         }
         if result.is_err() || rotate {
@@ -446,6 +455,13 @@ impl JournalAccess for DurableJournal {
     fn batch_groups_total(&self) -> Option<u64> {
         self.shared.batch_groups_total()
     }
+}
+
+/// Cuts `segment` back to its first `len` bytes and syncs the cut.
+fn cut_segment(segment: &Path, len: u64) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(segment)?;
+    file.set_len(len)?;
+    file.sync_data()
 }
 
 #[cfg(test)]
@@ -842,6 +858,30 @@ mod tests {
         let reference = Journal::new();
         reference.apply_batch(items(&batch(1)).chain(items(&batch(4))));
         assert!(dj.capture_snapshot().unwrap() == reference.to_snapshot());
+    }
+
+    /// A failed append whose compaction also fails leaves none of its
+    /// frames behind: a restart before any later mutation recovers only
+    /// the acknowledged batch.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_unacknowledged_batch_stays_lost_when_its_compaction_fails() {
+        let dir = tmp("cut");
+        let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+        let batch = |i: u8| {
+            vec![StoreBatchItem {
+                now: JTime(u64::from(i)),
+                observations: vec![obs(i)],
+            }]
+        };
+        dj.store_batch(&batch(1)).unwrap();
+        arm(&dj, Fault::Sync, &batch(2));
+        let obstacle = block_compaction(&dir);
+        assert!(dj.store_batch(&batch(2)).is_err());
+        drop(dj);
+        std::fs::remove_dir(&obstacle).unwrap();
+        let (dj, _) = DurableJournal::open(WalConfig::new(&dir)).unwrap();
+        assert_eq!(dj.stats().unwrap().observations_applied, 1);
     }
 
     /// A store whose append is durable but whose rotation fails is

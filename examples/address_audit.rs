@@ -34,17 +34,7 @@ fn main() {
     // Then the trouble starts: the duplicate-address clone is powered on,
     // and `piper` dies and is replaced by new hardware with the same IP.
     println!("Day 2: the clone boots; piper's hardware is replaced...");
-    let sim = &mut system.driver.sim;
-    if let Some((_, clone)) = &faults.duplicate_ip_pair {
-        let id = sim.node_by_name(clone).expect("exists");
-        sim.set_node_up(id, true);
-    }
-    if let Some((old, new)) = &faults.hardware_change {
-        let old_id = sim.node_by_name(old).expect("exists");
-        let new_id = sim.node_by_name(new).expect("exists");
-        sim.set_node_up(old_id, false);
-        sim.set_node_up(new_id, true);
-    }
+    system.activate_midlife_faults();
     system.explore(SimDuration::from_hours(8)).expect("flush");
 
     // A re-sweep is due only after the module intervals elapse; force the

@@ -16,18 +16,16 @@ fn all_five_problem_classes_detected() {
     // Healthy start.
     system.explore(SimDuration::from_hours(6)).unwrap();
 
-    // Activate the mid-life faults.
+    // Activate the mid-life faults, which the campus must carry.
     {
-        let sim = &mut system.driver.sim;
+        let sim = &system.driver.sim;
         let (_, clone) = faults.duplicate_ip_pair.clone().expect("injected");
-        let clone_id = sim.node_by_name(&clone).expect("exists");
-        sim.set_node_up(clone_id, true);
+        sim.node_by_name(&clone).expect("exists");
         let (old, new) = faults.hardware_change.clone().expect("injected");
-        let old_id = sim.node_by_name(&old).expect("exists");
-        let new_id = sim.node_by_name(&new).expect("exists");
-        sim.set_node_up(old_id, false);
-        sim.set_node_up(new_id, true);
+        sim.node_by_name(&old).expect("exists");
+        sim.node_by_name(&new).expect("exists");
     }
+    system.activate_midlife_faults();
 
     // Keep exploring long enough for re-sweeps.
     system.explore(SimDuration::from_days(3)).unwrap();

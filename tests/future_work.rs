@@ -12,7 +12,6 @@
 use fremont::explorers::{RipProbe, Traceroute};
 use fremont::journal::{JournalAccess, SharedJournal, Source, SubnetQuery};
 use fremont::netsim::builder::TopologyBuilder;
-use fremont::netsim::process::Process as _;
 use fremont::netsim::time::SimDuration;
 
 /// Four subnets in a line so the two vantage points see different "near
@@ -121,15 +120,13 @@ fn initial_ttl_optimization_halves_probe_cost() {
         );
         let h = sim.spawn(west, Box::new(traceroute.with_start_ttl(start_ttl)));
         sim.run_for(SimDuration::from_mins(10));
+        assert!(sim.process_done(h));
         let p = sim.process_mut::<Traceroute>(h).expect("alive");
-        assert!(p.done());
         assert!(
-            p.traces()
-                .iter()
-                .any(|t| matches!(t.status, fremont::explorers::TraceStatus::Reached(_))),
+            !p.reached_subnets().is_empty(),
             "ttl {start_ttl} still reaches"
         );
-        p.probes_sent()
+        sim.proc_stats(h).packets_sent
     };
     let naive = count_probes(1);
     let optimized = count_probes(3);
